@@ -32,6 +32,7 @@ it across the hop.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import codec
@@ -65,6 +66,7 @@ from repro.firewall.message import (
     DEFAULT_QUEUE_TIMEOUT,
     DeliveryStats,
     ENVELOPE_OVERHEAD_BYTES,
+    MAX_HOPS,
     Message,
     SenderInfo,
 )
@@ -340,7 +342,6 @@ class Firewall:
         return self._dispatch_local(message)
 
     def _forward_remote(self, message: Message):
-        from repro.firewall.message import MAX_HOPS
         if message.hops >= MAX_HOPS:
             self.stats.rejected += 1
             self._count("fw.rejected", reason="looping")
@@ -581,7 +582,6 @@ class Firewall:
         principal.  An *invalid* signature is rejected outright.  No
         signature means the claimed principal stays unauthenticated.
         """
-        from dataclasses import replace
         briefcase = message.briefcase
         signature_text = briefcase.get_text(wellknown.SIGNATURE)
         if signature_text is None:

@@ -103,7 +103,9 @@ class Registry:
                 sender_principal: Optional[str]) -> List[Registration]:
         """Registrations selected by a (possibly partial) local address."""
         found = []
-        for registration in self.all():
+        # Oldest first: ``add`` is the only writer of ``sequence`` and it
+        # appends, so insertion order is already sequence order.
+        for registration in self._by_instance.values():
             if not target.matches_agent(registration.name,
                                         registration.instance,
                                         registration.principal):

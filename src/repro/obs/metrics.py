@@ -18,11 +18,14 @@ Naming follows the ``subsystem.metric`` convention
 (``fw.messages_queued``, ``net.bytes_on_wire``); labels are free-form
 keyword arguments (``host=...``, ``agent=...``).  Label values are
 stringified, and label *order* never matters — ``inc("x", a="1", b="2")``
-and ``inc("x", b="2", a="1")`` hit the same series.
+and ``inc("x", b="2", a="1")`` hit the same series.  A repeated sample
+costs two dictionary look-ups (family, then :meth:`Metric._key`);
+``docs/observability.md`` ("What a sample costs") has the numbers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Histogram bucket upper bounds (seconds-oriented); +inf is implicit.
@@ -38,7 +41,7 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
 
 
 class MetricError(ValueError):
-    """A metric was redeclared with a conflicting kind."""
+    """A metric was redeclared with a conflicting kind or buckets."""
 
 
 def estimate_quantile(sample: dict, q: float) -> Optional[float]:
@@ -107,6 +110,28 @@ class Metric:
         self.name = name
         self.help = help
         self._series: Dict[LabelKey, object] = {}
+        #: Keyword items as a call site passes them -> their canonical
+        #: key, so a repeated label set is resolved by one look-up.
+        self._key_memo: Dict[tuple, LabelKey] = {}
+
+    def _key(self, labels: Dict[str, object]) -> LabelKey:
+        """:func:`_label_key` of ``labels``, remembered per keyword order.
+
+        Only label sets whose values are all exactly ``str`` are
+        remembered: ``1``, ``True`` and ``1.0`` are one dict key but
+        stringify to three series, and a ``str`` subclass may override
+        ``__str__``.  Anything else is canonicalised on every call.
+        """
+        if not labels:
+            return ()
+        for value in labels.values():
+            if type(value) is not str:
+                return _label_key(labels)
+        items = tuple(labels.items())
+        key = self._key_memo.get(items)
+        if key is None:
+            key = self._key_memo[items] = _label_key(labels)
+        return key
 
     # -- introspection -------------------------------------------------------
 
@@ -130,10 +155,11 @@ class Metric:
                 "samples": self.samples()}
 
     def clear(self) -> None:
-        """Drop every series (counts, watermarks, histograms) while the
-        family itself stays registered — see
+        """Drop every series (counts, watermarks, histograms) and the
+        label-key memo while the family itself stays registered — see
         :meth:`MetricsRegistry.reset`."""
         self._series.clear()
+        self._key_memo.clear()
 
 
 class Counter(Metric):
@@ -146,7 +172,7 @@ class Counter(Metric):
             return
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
-        key = _label_key(labels)
+        key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + amount
 
 
@@ -158,19 +184,19 @@ class Gauge(Metric):
     def set(self, value: float, **labels) -> None:
         if not self.registry.enabled:
             return
-        self._series[_label_key(labels)] = value
+        self._series[self._key(labels)] = value
 
     def add(self, delta: float, **labels) -> None:
         if not self.registry.enabled:
             return
-        key = _label_key(labels)
+        key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + delta
 
     def set_max(self, value: float, **labels) -> None:
         """Raise the series to ``value`` if higher (high-watermark)."""
         if not self.registry.enabled:
             return
-        key = _label_key(labels)
+        key = self._key(labels)
         current = self._series.get(key)
         if current is None or value > current:
             self._series[key] = value
@@ -203,7 +229,9 @@ class Histogram(Metric):
     def observe(self, value: float, **labels) -> None:
         if not self.registry.enabled:
             return
-        key = _label_key(labels)
+        self._record(value, self._key(labels))
+
+    def _record(self, value: float, key: LabelKey) -> None:
         state = self._series.get(key)
         if state is None:
             state = self._series[key] = _HistogramState(len(self.buckets))
@@ -213,11 +241,9 @@ class Histogram(Metric):
             state.minimum = value
         if state.maximum is None or value > state.maximum:
             state.maximum = value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                state.bucket_counts[i] += 1
-                return
-        state.bucket_counts[-1] += 1
+        # The first bound with ``value <= bound``; past the last one is
+        # the +inf slot.
+        state.bucket_counts[bisect_left(self.buckets, value)] += 1
 
     def _sample_value(self, raw: _HistogramState) -> dict:
         buckets = {f"{bound:g}": count for bound, count
@@ -259,25 +285,54 @@ class MetricsRegistry:
         return self._family(Gauge, name, help)
 
     def histogram(self, name: str, help: str = "",
-                  buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._family(Histogram, name, help, buckets=buckets)
+                  buckets: Optional[Iterable[float]] = None) -> Histogram:
+        """Get or create; ``buckets=None`` means :data:`DEFAULT_BUCKETS`
+        for a new family and "whatever it has" for an existing one.
+        Naming bounds an existing histogram does not have is a
+        :class:`MetricError`, like a kind conflict."""
+        wanted = None if buckets is None else tuple(sorted(buckets))
+        family = self._family(
+            Histogram, name, help,
+            buckets=DEFAULT_BUCKETS if wanted is None else wanted)
+        if wanted is not None and wanted != family.buckets:
+            raise MetricError(
+                f"histogram {name!r} has buckets {family.buckets}, "
+                f"not {wanted}")
+        return family
 
     # -- convenience recorders ----------------------------------------------
+    #
+    # These run once per recorded sample on every hot path, so an
+    # existing family of the right kind is written to directly; only a
+    # first use or a kind conflict goes through the constructors above.
 
     def inc(self, name: str, amount: float = 1, **labels) -> None:
         if not self.enabled:
             return
-        self.counter(name).inc(amount, **labels)
+        family = self._families.get(name)
+        if type(family) is not Counter:
+            family = self.counter(name)
+        if amount < 0:
+            raise ValueError(f"counter {name!r} cannot decrease")
+        key = family._key(labels)
+        series = family._series
+        series[key] = series.get(key, 0) + amount
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         if not self.enabled:
             return
-        self.gauge(name).set(value, **labels)
+        family = self._families.get(name)
+        if type(family) is not Gauge:
+            family = self.gauge(name)
+        family._series[family._key(labels)] = value
 
     def observe(self, name: str, value: float, **labels) -> None:
         if not self.enabled:
             return
-        self.histogram(name).observe(value, **labels)
+        family = self._families.get(name)
+        if type(family) is not Histogram:
+            family = self.histogram(name)
+        family._record(value, family._key(labels))
 
     # -- reading -------------------------------------------------------------
 

@@ -10,7 +10,42 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence
+from bisect import bisect_left
+from typing import Dict, List, Optional, Sequence
+
+
+class _ZipfTable:
+    """Zipf weights ``1 / (i + 1) ** skew`` and their left-to-right
+    running sums, grown on demand and shared by every ``n``: both are
+    prefix-stable, so the first ``n`` entries are exactly the lists a
+    fresh build for ``n`` would give."""
+
+    def __init__(self, skew: float):
+        self.skew = skew
+        self.weights: List[float] = []
+        self.running: List[float] = []
+        self._totals: Dict[int, float] = {}
+
+    def total(self, n: int) -> float:
+        """``sum`` of the first ``n`` weights, growing the table to ``n``.
+        Not ``running[n - 1]``: ``sum`` is compensated from Python 3.12
+        on and the running sum is not, so the two can differ in the last
+        bit — enough to move a draw."""
+        total = self._totals.get(n)
+        if total is None:
+            weights, running = self.weights, self.running
+            acc = running[-1] if running else 0.0
+            for i in range(len(weights), n):
+                w = 1.0 / (i + 1) ** self.skew
+                acc += w
+                weights.append(w)
+                running.append(acc)
+            total = self._totals[n] = sum(weights[:n])
+        return total
+
+
+#: One table per skew in use (three in the product), shared by all streams.
+_ZIPF_TABLES: Dict[float, _ZipfTable] = {}
 
 
 class RandomStream:
@@ -78,15 +113,13 @@ class RandomStream:
         """An index in [0, n) drawn from a Zipf-like distribution."""
         if n <= 0:
             raise ValueError("zipf_index requires n >= 1")
-        weights = [1.0 / (i + 1) ** skew for i in range(n)]
-        total = sum(weights)
-        point = self._random.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if point <= acc:
-                return i
-        return n - 1
+        table = _ZIPF_TABLES.get(skew)
+        if table is None:
+            table = _ZIPF_TABLES[skew] = _ZipfTable(skew)
+        point = self._random.random() * table.total(n)
+        # The first ``i`` with ``point <= running[i]``; ``total`` may sit a
+        # bit above ``running[n - 1]``, so a point past it is the last index.
+        return min(bisect_left(table.running, point, 0, n), n - 1)
 
     def __repr__(self) -> str:
         return f"<RandomStream seed={self.seed} name={self.name!r}>"

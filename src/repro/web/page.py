@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import html as _html
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import gcd
 from typing import List
 
 
@@ -47,19 +49,25 @@ _FILLER_WORDS = (
 ).split()
 
 
+@lru_cache(maxsize=None)
+def _filler_cycle(start: int) -> str:
+    """One period of the words from ``start`` in steps of 7, each followed
+    by a space (at most ``len(_FILLER_WORDS)`` distinct starts)."""
+    count = len(_FILLER_WORDS)
+    period = count // gcd(7, count)
+    return "".join(_FILLER_WORDS[(start + 7 * k) % count] + " "
+                   for k in range(period))
+
+
 def make_filler(nbytes: int, salt: int = 0) -> str:
     """Deterministic prose filler of approximately ``nbytes`` bytes."""
     if nbytes <= 0:
         return ""
-    words = []
-    size = 0
-    i = salt
-    while size < nbytes:
-        word = _FILLER_WORDS[i % len(_FILLER_WORDS)]
-        words.append(word)
-        size += len(word) + 1
-        i += 7
-    return " ".join(words)[:nbytes]
+    cycle = _filler_cycle(salt % len(_FILLER_WORDS))
+    text = (cycle * (nbytes // len(cycle) + 1))[:nbytes]
+    # Words are joined, not terminated: a cut that lands just after a
+    # word's space yields that word without it, one byte short.
+    return text[:-1] if text.endswith(" ") else text
 
 
 def render_page(path: str, title: str, links: List[str],

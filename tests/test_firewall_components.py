@@ -174,6 +174,20 @@ class TestRegistry:
         registry.add(registration("svc", "2"))
         assert registry.resolve_one(AgentUri.parse("svc"), None) is first
 
+    def test_match_order_survives_remove_and_readd(self):
+        # matches() walks the instance dict directly: re-registering a
+        # removed instance must put it behind everything still there.
+        registry = Registry()
+        first = registry.add(registration("svc", "1"))
+        second = registry.add(registration("svc", "2"))
+        third = registry.add(registration("svc", "3"))
+        registry.remove(first.agent_id)
+        readded = registry.add(registration("svc", "1"))
+        target = AgentUri.parse("svc")
+        assert registry.matches(target, None) == [second, third, readded]
+        assert registry.matches(target, None) == registry.all()
+        assert registry.resolve_one(target, None) is second
+
     def test_no_match_raises(self):
         with pytest.raises(AgentNotFoundError):
             Registry().resolve_one(AgentUri.parse("ghost"), None)

@@ -1,6 +1,7 @@
 """Metrics registry semantics: families, labels, histograms, no-op mode."""
 
 import json
+import math
 
 import pytest
 
@@ -40,6 +41,52 @@ class TestCounter:
         registry = MetricsRegistry()
         registry.inc("x", port=80)
         assert registry.value("x", port="80") == 1
+
+    def test_equal_but_differently_typed_values_stay_apart(self):
+        # 1, True and 1.0 are one dict key but three label strings; a
+        # memo keyed on the values as passed must not merge them.
+        for order in ((1, True, 1.0), (1.0, True, 1), (True, 1.0, 1)):
+            registry = MetricsRegistry()
+            counter = registry.counter("held")
+            for value in order:
+                registry.inc("c", n=value)
+                counter.inc(n=value)
+            for family in (registry.get("c"), counter):
+                assert family.series() == {(("n", "1"),): 1,
+                                           (("n", "True"),): 1,
+                                           (("n", "1.0"),): 1}
+
+    def test_str_subclass_values_use_their_own_str(self):
+        class Loud(str):
+            def __str__(self):
+                return self.upper()
+
+        for values in (("x", Loud("x")), (Loud("x"), "x")):
+            registry = MetricsRegistry()
+            for value in values:
+                registry.inc("c", n=value)
+            assert registry.get("c").series() == {(("n", "x"),): 1,
+                                                  (("n", "X"),): 1}
+
+    def test_unhashable_label_values_are_stringified(self):
+        registry = MetricsRegistry()
+        registry.inc("c", path=["a", "b"])
+        registry.inc("c", path=["a", "b"])
+        assert registry.value("c", path="['a', 'b']") == 2
+
+    def test_repeated_label_sets_are_memoised_per_keyword_order(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        for _ in range(3):
+            counter.inc(a="1", b="2")
+            registry.inc("c", b="2", a="1")
+            counter.inc()
+            counter.inc(a=1)
+        assert counter.series() == {(("a", "1"), ("b", "2")): 6, (): 3,
+                                    (("a", "1"),): 3}
+        assert counter._key_memo == {
+            (("a", "1"), ("b", "2")): (("a", "1"), ("b", "2")),
+            (("b", "2"), ("a", "1")): (("a", "1"), ("b", "2"))}
 
     def test_counters_cannot_decrease(self):
         registry = MetricsRegistry()
@@ -83,6 +130,27 @@ class TestHistogram:
         sample = histogram.samples()[0]["value"]
         assert sample["buckets"]["1"] == 1
 
+    def test_bucket_choice_matches_the_linear_scan(self):
+        def scan(bounds, value):
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    return i
+            return len(bounds)
+
+        for bounds in (DEFAULT_BUCKETS, (1.0,), (0.0, 5, 5.5, 1e6),
+                       (-3.0, -1.0, 2.0)):
+            probes = [-math.inf, math.inf]
+            for bound in bounds:
+                probes += [bound, math.nextafter(bound, -math.inf),
+                           math.nextafter(bound, math.inf), int(bound)]
+            for value in probes:
+                registry = MetricsRegistry()
+                registry.histogram("h", buckets=bounds).observe(value)
+                [state] = registry.get("h").series().values()
+                expected = [0] * (len(bounds) + 1)
+                expected[scan(bounds, value)] = 1
+                assert state.bucket_counts == expected, (bounds, value)
+
     def test_default_buckets_are_sorted(self):
         assert tuple(sorted(DEFAULT_BUCKETS)) == DEFAULT_BUCKETS
 
@@ -105,6 +173,43 @@ class TestRegistry:
         registry.counter("series")
         with pytest.raises(MetricError):
             registry.gauge("series")
+
+    def test_kind_conflict_raises_from_the_recorders_too(self):
+        registry = MetricsRegistry()
+        registry.counter("c")
+        registry.gauge("g")
+        with pytest.raises(MetricError):
+            registry.set_gauge("c", 1)
+        with pytest.raises(MetricError):
+            registry.observe("c", 1.0)
+        with pytest.raises(MetricError):
+            registry.inc("g")
+        # A kind conflict wins over a bad amount, as it always did.
+        with pytest.raises(MetricError):
+            registry.inc("g", -1)
+        with pytest.raises(ValueError, match="'c' cannot decrease"):
+            registry.inc("c", -1)
+        assert registry.get("c").series() == {}
+
+    def test_histogram_bucket_conflict_raises(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", buckets=(2, 1))
+        assert registry.histogram("h") is histogram
+        assert registry.histogram("h", buckets=(1, 2)) is histogram
+        with pytest.raises(MetricError, match="buckets"):
+            registry.histogram("h", buckets=(5, 6))
+        with pytest.raises(MetricError):
+            registry.histogram("h", buckets=DEFAULT_BUCKETS)
+        # The convenience recorder names no buckets: whatever exists.
+        registry.observe("h", 1.5)
+        assert histogram.samples()[0]["value"]["buckets"] == \
+            {"1": 0, "2": 1, "+inf": 0}
+
+    def test_observe_first_cannot_silently_lock_in_default_buckets(self):
+        registry = MetricsRegistry()
+        registry.observe("fw.admission_bytes", 10)
+        with pytest.raises(MetricError):
+            registry.histogram("fw.admission_bytes", buckets=(64, 1024))
 
     def test_value_default_for_missing(self):
         registry = MetricsRegistry()
@@ -160,6 +265,21 @@ class TestRegistry:
         [sample] = registry.snapshot()["x"]["samples"]
         assert sample["value"] == 2
 
+    def test_reset_drops_the_key_memo_with_the_series(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("g")
+        gauge.set_max(7, host="a")
+        registry.inc("c", host="a")
+        registry.observe("h", 0.5, host="a")
+        families = [registry.get(name) for name in ("g", "c", "h")]
+        assert all(family._key_memo for family in families)
+        registry.reset()
+        assert not any(family._key_memo or family.series()
+                       for family in families)
+        gauge.set_max(3, host="a")
+        assert registry.snapshot()["g"]["samples"] == \
+            [{"labels": {"host": "a"}, "value": 3}]
+
 
 class TestDisabledRegistry:
     def test_recording_is_a_no_op(self):
@@ -174,6 +294,24 @@ class TestDisabledRegistry:
         counter = registry.counter("c")
         counter.inc(100)
         assert counter.value() is None
+
+    def test_disabled_recorders_leave_every_memo_empty(self):
+        registry = MetricsRegistry(enabled=False)
+        counter = registry.counter("c")
+        gauge = registry.gauge("g")
+        histogram = registry.histogram("h")
+        registry.inc("c", host="a")
+        registry.set_gauge("g", 1, host="a")
+        registry.observe("h", 0.5, host="a")
+        counter.inc(host="a")
+        gauge.set(1, host="a")
+        gauge.add(1, host="a")
+        gauge.set_max(1, host="a")
+        histogram.observe(0.5, host="a")
+        for family in (counter, gauge, histogram):
+            assert family.series() == {} and family._key_memo == {}
+        registry.inc("never.declared", host="a")
+        assert registry.get("never.declared") is None
 
     def test_reenabling_records_again(self):
         registry = MetricsRegistry(enabled=False)

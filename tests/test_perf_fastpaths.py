@@ -1,6 +1,8 @@
 """Tests for the hot-path optimisations: fast decoder vs reference,
-briefcase encoding cache, wire coalescing, and the perf harness."""
+briefcase encoding cache, wire coalescing, site-generation tables, and
+the perf harness."""
 
+import random
 import struct
 
 import pytest
@@ -10,6 +12,8 @@ from repro.core.briefcase import Briefcase
 from repro.core.errors import CodecError
 from repro.sim.eventloop import Kernel
 from repro.sim.network import Network
+from repro.sim.rng import RandomStream
+from repro.web.page import _FILLER_WORDS, make_filler
 
 
 @pytest.fixture
@@ -271,6 +275,59 @@ class TestCoalescing:
             return (durations, network.coalesced_messages,
                     round(stats.busy_seconds, 9))
         assert once() == once()
+
+
+def reference_make_filler(nbytes: int, salt: int = 0) -> str:
+    """The word-at-a-time loop ``make_filler`` replaced."""
+    if nbytes <= 0:
+        return ""
+    words = []
+    size = 0
+    i = salt
+    while size < nbytes:
+        word = _FILLER_WORDS[i % len(_FILLER_WORDS)]
+        words.append(word)
+        size += len(word) + 1
+        i += 7
+    return " ".join(words)[:nbytes]
+
+
+def reference_zipf_index(stream: RandomStream, n: int, skew: float) -> int:
+    """The per-call weight list and linear scan ``zipf_index`` replaced."""
+    weights = [1.0 / (i + 1) ** skew for i in range(n)]
+    total = sum(weights)
+    point = stream.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if point <= acc:
+            return i
+    return n - 1
+
+
+class TestSiteGenerationTables:
+    def test_make_filler_matches_the_word_loop(self):
+        one_short = 0
+        for nbytes in range(-1, 601):
+            for salt in range(61):
+                got = make_filler(nbytes, salt)
+                assert got == reference_make_filler(nbytes, salt), \
+                    (nbytes, salt)
+                one_short += nbytes > 0 and len(got) == nbytes - 1
+        # The edge the loop has: a cut right after a word's space.
+        assert one_short > 0
+
+    def test_zipf_index_matches_the_scan_draw_for_draw(self):
+        fast = RandomStream(11, "zipf")
+        reference = RandomStream(11, "zipf")
+        pick = random.Random(5)
+        # Grow the shared table first, then shrink, grow and repeat.
+        calls = [(900, 0.7), (1, 0.7), (2, 0.7)] + [
+            (pick.randint(1, 900), pick.choice((0.5, 0.7, 0.8, 1.0)))
+            for _ in range(20_000)]
+        for n, skew in calls:
+            assert fast.zipf_index(n, skew) == \
+                reference_zipf_index(reference, n, skew), (n, skew)
 
 
 class TestPerfHarness:

@@ -1,6 +1,7 @@
-"""Property tests for the codec fast paths and encoding cache.
+"""Property tests for the codec fast paths, the encoding cache and the
+metrics label-key memo.
 
-Two invariants underwrite the hot-path work:
+Three invariants underwrite the hot-path work:
 
 1. Round-trip byte identity: for any briefcase, ``encode`` produces the
    same bytes regardless of which decoder (fast or reference) built the
@@ -8,9 +9,13 @@ Two invariants underwrite the hot-path work:
 2. Cache soundness: every mutating ``Folder`` / ``Briefcase`` operation
    invalidates the cached encoding, so ``encode`` never serves stale
    bytes.
+3. Memo invisibility: a metrics registry that remembers canonical label
+   keys records exactly what one that canonicalises on every call does.
 """
 
+import json
 import string
+from unittest import mock
 
 import pytest
 
@@ -19,6 +24,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core import codec  # noqa: E402
 from repro.core.briefcase import Briefcase  # noqa: E402
+from repro.obs.metrics import (  # noqa: E402
+    Metric,
+    MetricsRegistry,
+    _label_key,
+)
 
 folder_names = st.text(
     alphabet=string.ascii_letters + string.digits + "-_.",
@@ -153,3 +163,58 @@ class TestCacheInvalidation:
         briefcase.payload_bytes()
         briefcase.to_dict()
         assert codec.encode(briefcase) is wire
+
+
+#: Values chosen to collide: ``1 == True == 1.0`` (one hash) stringify
+#: three ways, each has a ``str`` twin, and a list is unhashable.
+label_values = st.one_of(
+    st.sampled_from([1, True, 1.0, None, "1", "True", "1.0", "None"]),
+    st.lists(st.just(1), max_size=1),
+)
+
+label_items = st.dictionaries(
+    st.sampled_from(["a", "b"]), label_values, max_size=2,
+).flatmap(lambda labels: st.permutations(list(labels.items())))
+
+RECORDERS = ["inc", "set_gauge", "observe", "Counter.inc", "Gauge.set",
+             "Gauge.add", "Gauge.set_max", "Histogram.observe"]
+
+#: (recorder, value, label items in the keyword order of the call); long
+#: enough that most calls repeat, or collide with, an earlier label set.
+metric_calls = st.lists(
+    st.tuples(
+        st.sampled_from(RECORDERS * 4 + ["reset"]),
+        st.integers(min_value=0, max_value=9),
+        label_items),
+    min_size=20, max_size=60)
+
+
+def replay(calls) -> str:
+    """Feed ``calls`` to a fresh registry; its snapshot as JSON."""
+    registry = MetricsRegistry()
+    held = {"Counter.inc": registry.counter("c.held").inc,
+            "Gauge.set": registry.gauge("g.held").set,
+            "Gauge.add": registry.gauge("g.held").add,
+            "Gauge.set_max": registry.gauge("g.held").set_max,
+            "Histogram.observe": registry.histogram(
+                "h.held", buckets=(1, 4, 8)).observe}
+    for recorder, value, items in calls:
+        labels = dict(items)
+        if recorder == "reset":
+            registry.reset()
+        elif recorder in held:
+            held[recorder](value, **labels)
+        else:
+            getattr(registry, recorder)(recorder, value, **labels)
+    return json.dumps(registry.snapshot(), sort_keys=True)
+
+
+class TestLabelKeyMemo:
+    @given(calls=metric_calls)
+    @settings(max_examples=200, deadline=None)
+    def test_memoised_registry_matches_canonicalising_every_call(
+            self, calls):
+        with mock.patch.object(
+                Metric, "_key", lambda self, labels: _label_key(labels)):
+            reference = replay(calls)
+        assert replay(calls) == reference
