@@ -28,9 +28,9 @@ same seed (the CI determinism step diffs two runs).
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.chaos.harness import counter_total, flight_recorder_block
 from repro.core import codec
 from repro.core.briefcase import Briefcase
 from repro.core.errors import (
@@ -49,8 +49,6 @@ from repro.sim.network import BANDWIDTH_10MBIT, LATENCY_LAN, NetworkError
 from repro.sim.rng import retry_stream
 from repro.system.cluster import TaxCluster
 
-MODE_NAMES = ("governed", "ungoverned")
-
 MODE_DESCRIPTIONS = {
     "governed":
         "the target firewall runs the full governor (bounded queue, "
@@ -59,10 +57,6 @@ MODE_DESCRIPTIONS = {
         "the pre-overload baseline: unbounded queues, no quotas, no "
         "breakers; the flood's peak depth equals the offered load",
 }
-
-#: The flood must still complete under shedding; below this the
-#: backpressure broke delivery instead of smoothing it.
-COMPLETION_FLOOR = 0.9
 
 TARGET_HOST = "target.overload.example"
 DEAD_HOST = "dead.overload.example"
@@ -232,13 +226,6 @@ def run_overload(seed: int = 7, governed: bool = True,
     cluster.run(scenario(), name="overload")
 
     metrics = cluster.telemetry.metrics
-
-    def counter_total(name: str) -> int:
-        metric = metrics.get(name)
-        if metric is None:
-            return 0
-        return int(sum(s["value"] for s in metric.samples()))
-
     latencies = sorted(r["latency"] for r in received)
     n_dropped = sum(len(v) for v in dropped.values())
     stats = target_fw.stats_dict()
@@ -282,19 +269,18 @@ def run_overload(seed: int = 7, governed: bool = True,
         # Poison quarantines auto-dump the target's flight recorder, so
         # the document shows exactly what the firewall was doing in the
         # moments before each hostile buffer arrived.
-        "flight_recorder": {
-            "dumps": list(cluster.telemetry.flight.dumps),
-            "dumps_evicted": cluster.telemetry.flight.dumps_evicted,
-        },
+        "flight_recorder": flight_recorder_block(cluster.telemetry),
         "stats": {
-            "transport_retries": counter_total("transport.retries"),
+            "transport_retries":
+                counter_total(metrics, "transport.retries"),
             "overload_rejections":
-                counter_total("transport.overload_rejections"),
-            "queue_rejected": counter_total("fw.queue_rejected"),
-            "quota_rejected": counter_total("fw.quota_rejected"),
+                counter_total(metrics, "transport.overload_rejections"),
+            "queue_rejected": counter_total(metrics, "fw.queue_rejected"),
+            "quota_rejected": counter_total(metrics, "fw.quota_rejected"),
             "poison_quarantined":
-                counter_total("fw.poison_quarantined"),
-            "breaker_rejected": counter_total("net.breaker_rejected"),
+                counter_total(metrics, "fw.poison_quarantined"),
+            "breaker_rejected":
+                counter_total(metrics, "net.breaker_rejected"),
             "remote_bytes": cluster.network.total_remote_bytes(),
             "remote_messages": cluster.network.total_remote_messages(),
         },
@@ -305,19 +291,8 @@ def run_overload(seed: int = 7, governed: bool = True,
 
 def run_overload_mode(seed: int = 7, mode: str = "governed") -> Dict:
     """Run the flood under a named mode (the ``--list``/unknown-name
-    contract every scenario subcommand shares)."""
-    if mode not in MODE_NAMES:
+    contract every scenario plugin shares)."""
+    if mode not in MODE_DESCRIPTIONS:
         raise ValueError(f"unknown overload mode {mode!r} "
-                         f"(have {list(MODE_NAMES)})")
+                         f"(have {list(MODE_DESCRIPTIONS)})")
     return run_overload(seed=seed, governed=(mode == "governed"))
-
-
-def overload_ok(document: Dict) -> bool:
-    """The acceptance verdict: shedding smoothed the flood, it did not
-    break delivery."""
-    return document["flood"]["completion_rate"] >= COMPLETION_FLOOR
-
-
-def render_overload_json(document: Dict) -> str:
-    """The canonical (determinism-checkable) serialisation."""
-    return json.dumps(document, sort_keys=True, indent=2)

@@ -6,8 +6,12 @@
 - :mod:`repro.chaos.rearguard` — the :class:`RearGuard` coordinator that
   watches a monitored agent's heartbeats and relaunches its last
   checkpoint when the agent goes silent;
-- :mod:`repro.chaos.scenario` — the named end-to-end chaos scenarios the
-  ``repro chaos`` CLI command runs.
+- :mod:`repro.chaos.harness` — the one survey-scenario driver
+  (:func:`~repro.chaos.harness.run_scenario`) and the frozen
+  :class:`~repro.chaos.harness.Scenario` record it runs;
+- :mod:`repro.chaos.scenario`, :mod:`repro.chaos.partition`,
+  :mod:`repro.chaos.crashtest` — the ``chaos`` / ``partition`` /
+  ``crashtest`` scenario tables behind the commands of the same names.
 """
 
 from repro.chaos.engine import ChaosEngine

@@ -1,72 +1,24 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+Commands (``docs/`` has the long form of each):
 
-- ``experiments [E1 E2 ...]`` — run the paper-reproduction experiments
-  and print paper-vs-measured tables (all of them by default);
-- ``crawl`` — one ad-hoc link-check comparison (stationary vs mobile)
-  on a synthetic site with configurable scale and network;
+- ``experiments [E1 E2 ...]`` — the paper-vs-measured tables;
+- ``crawl`` — one ad-hoc stationary-vs-mobile link-check comparison;
 - ``site`` — generate a synthetic site and print its statistics;
-- ``trace`` — run the traced quickstart itinerary and export the span
-  trace as Chrome ``trace_event`` JSON (Perfetto-loadable) or JSONL;
-- ``bench`` — run experiment E1 under telemetry and write a
-  machine-readable report (virtual-time rows + metrics snapshot +
-  wall-clock) to a JSON file;
-- ``chaos`` — run the quickstart-style survey itinerary under a named
-  fault plan (host crashes, restarts, link flaps, message drops) and
-  print the survival/recovery report as canonical JSON.  The output is
-  a pure function of ``(--seed, --plan, --no-recovery)``: running the
-  command twice must produce byte-for-byte identical JSON, which CI
-  asserts;
-- ``partition`` — run the same survey itinerary under a named
-  exactly-once scenario (partition storms with duplicate/reordered/
-  corrupted deliveries, split brain with twin detection, asymmetric
-  ack loss) and print the delivery-guarantee report as canonical
-  JSON.  Exits non-zero unless the ``exactly_once.holds`` acceptance
-  block is true.  Deterministic like ``chaos``: CI runs the command
-  twice and diffs byte-for-byte;
-- ``overload`` — flood one host from N greedy principals (plus a dead
-  host and poison wire buffers) under a named governor mode
-  (``--mode governed|ungoverned``; ``--no-governor`` is the historic
-  alias) and print the shedding/backpressure/breaker report as
-  canonical JSON.  Like ``chaos``, the output is a pure function of
-  ``(--seed, --mode)`` and CI diffs two runs byte-for-byte;
-- ``suite`` — the declarative experiment-suite runner
-  (``repro.suites``).  ``suite run FILE`` executes a YAML/JSON-declared
-  parameter matrix over the registered scenario plugins (chaos,
-  partition, crashtest, overload, experiment) and prints one canonical
-  suite document — per-cell seeds derive from the suite seed and the
-  cell identity, so the document is a pure function of ``(FILE,
-  --seed)`` and CI diffs two runs byte-for-byte; exits non-zero if any
-  cell's invariant checks fail.  ``suite list`` shows the plugins (or,
-  given a file, its expanded cells with derived seeds); ``suite
-  validate FILE`` checks a suite file without running it;
-- ``perf`` — run the hot-path microbenchmarks (codec decode/encode,
-  kernel dispatch, E1 end-to-end) against in-process replicas of the
-  pre-optimisation code paths and write the before/after medians to a
-  JSON file.  stdout carries only the *semantics* block — digests
-  proving the fast paths change no observable behaviour — which is a
-  pure function of ``--seed``; CI runs the command twice and diffs the
-  two stdout documents, and the command exits non-zero if the E1
-  report under the fast paths differs byte-for-byte from the
-  non-optimised path;
-- ``report`` — run the traced quickstart itinerary and print the
-  per-trace itinerary + SLO report as canonical JSON (``--json``/
-  ``--html`` also write the document and a self-contained HTML
-  rendering to files).  The stdout JSON is a pure function of the
-  scenario: CI runs the command twice and diffs byte-for-byte;
-- ``metrics`` — run the traced quickstart and print the metrics
-  registry as OpenMetrics text (histograms with cumulative buckets,
-  ``# EOF`` terminated).  Deterministic like ``report``; CI diffs two
-  runs byte-for-byte;
-- ``lint`` — run the determinism/safety rule pack (``repro.analysis``)
-  over the source tree and print findings as text, canonical JSON
-  (``--json``) or SARIF (``--sarif FILE``).  Findings matching the
-  committed baseline (``lint-baseline.json``) are reported but do not
-  fail the gate; ``--sanitize`` additionally runs the reference
-  scenarios under the briefcase-aliasing sanitizer and merges its
-  findings into the same document.  Output is a pure function of the
-  tree: CI runs the command twice and diffs byte-for-byte.
+- ``trace`` — the traced quickstart as Chrome ``trace_event`` / JSONL;
+- ``bench`` — experiment E1 under telemetry, as a JSON report;
+- ``chaos`` / ``partition`` / ``crashtest`` / ``overload`` — one
+  registered scenario plugin (``repro.suites``) at ``--seed``: prints
+  its canonical JSON document, ``--list`` prints its variants, an
+  unknown variant exits 2, and the plugin's checks decide exit 0/1;
+- ``suite run|list|validate`` — declarative matrices over the plugins;
+- ``perf`` — hot-path microbenchmarks; stdout is the semantics digest;
+- ``report`` — the traced quickstart's itinerary + SLO report as JSON;
+- ``metrics`` — the traced quickstart's registry as OpenMetrics text;
+- ``lint`` — the determinism/safety rule pack (``repro.analysis``).
+
+Every JSON/OpenMetrics stdout is a pure function of the arguments: CI
+runs the commands twice and diffs byte-for-byte.
 """
 
 from __future__ import annotations
@@ -234,22 +186,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_name_table(names, descriptions) -> None:
-    width = max(len(name) for name in names)
-    for name in names:
-        print(f"  {name:<{width}}  {descriptions.get(name, '')}")
+def _print_name_table(descriptions) -> None:
+    width = max(len(name) for name in descriptions)
+    for name, description in descriptions.items():
+        print(f"  {name:<{width}}  {description}")
 
 
-def _run_named_scenario(command: str, noun: str, names, descriptions,
+def _run_named_scenario(command: str, noun: str, descriptions,
                         wants_list: bool, run, render, verdict,
                         on_document=None) -> int:
-    """The shared plumbing of the named-scenario commands (``chaos``,
-    ``partition``, ``crashtest``): ``--list`` prints the name table, an
-    unknown name exits 2 with a hint, and the rendered document's
-    ``verdict`` decides the exit code."""
+    """The shared plumbing of the named-variant commands (the scenario
+    plugins and ``perf``): ``--list`` prints the name table, an unknown
+    name exits 2 with a hint, and the rendered document's ``verdict``
+    decides the exit code."""
     if wants_list:
         print(f"{command} {noun}s:")
-        _print_name_table(names, descriptions)
+        _print_name_table(descriptions)
         return 0
     try:
         document = run()
@@ -266,50 +218,46 @@ def _run_named_scenario(command: str, noun: str, names, descriptions,
     return 0 if verdict(document) else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos.scenario import (PLAN_DESCRIPTIONS, PLAN_NAMES,
-                                      render_chaos_json, run_chaos)
-
-    def survived(document) -> bool:
-        agent = document["agent"]
-        return agent["sites_visited"] > 0 and not agent["timed_out"]
-
-    return _run_named_scenario(
-        "chaos", "plan", PLAN_NAMES, PLAN_DESCRIPTIONS, args.list,
-        lambda: run_chaos(seed=args.seed, plan=args.plan,
-                          recovery=not args.no_recovery),
-        render_chaos_json, survived)
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    from repro.chaos.partition import (SCENARIO_DESCRIPTIONS,
-                                       SCENARIO_NAMES,
-                                       render_partition_json,
-                                       run_partition)
-
-    return _run_named_scenario(
-        "partition", "scenario", SCENARIO_NAMES, SCENARIO_DESCRIPTIONS,
-        args.list,
-        lambda: run_partition(seed=args.seed, scenario=args.scenario),
-        render_partition_json,
-        lambda document: document["exactly_once"]["holds"])
+#: The registered scenario plugins that are also top-level commands:
+#: name -> (the plugin's variant parameter, the parser's help line).
+#: Static so that building the parser imports no driver.
+SCENARIO_COMMANDS = {
+    "chaos": ("plan",
+              "run the survey itinerary under a fault plan; print JSON"),
+    "partition": ("scenario",
+                  "run the survey under an exactly-once partition "
+                  "scenario; print JSON"),
+    "crashtest": ("scenario",
+                  "run a bare agent over crash-durable hosts; exits "
+                  "non-zero unless exactly-once AND agent conservation "
+                  "hold"),
+    "overload": ("mode",
+                 "flood one host under a governor mode; print JSON"),
+}
 
 
-def _cmd_crashtest(args: argparse.Namespace) -> int:
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    """``repro chaos|partition|crashtest|overload``: run one registered
+    plugin at ``--seed`` — the variant table, the parameter domain and
+    the exit-code verdict all come from the registration."""
     import json
 
-    from repro.chaos.crashtest import (SCENARIO_DESCRIPTIONS,
-                                       SCENARIO_NAMES,
-                                       render_crashtest_json,
-                                       run_crashtest)
+    from repro.suites import evaluate_check, get_plugin
+
+    plugin = get_plugin(args.command)
+    noun = plugin.variant_param
+    # An omitted variant takes the plugin's default.
+    params = {noun: args.variant} if args.variant is not None else {}
+    if getattr(args, "no_recovery", False):
+        params["recovery"] = False
 
     def dump_journal(document):
-        if not args.journal_dump:
+        path = getattr(args, "journal_dump", "")
+        if not path:
             return None
         try:
-            with open(args.journal_dump, "w", encoding="utf-8") as handle:
-                sample = document["journal_sample"]
-                for record in sample["tail"]:
+            with open(path, "w", encoding="utf-8") as handle:
+                for record in document["journal_sample"]["tail"]:
                     handle.write(json.dumps(record, sort_keys=True))
                     handle.write("\n")
         except OSError as exc:
@@ -318,32 +266,11 @@ def _cmd_crashtest(args: argparse.Namespace) -> int:
         return None
 
     return _run_named_scenario(
-        "crashtest", "scenario", SCENARIO_NAMES, SCENARIO_DESCRIPTIONS,
-        args.list,
-        lambda: run_crashtest(seed=args.seed, scenario=args.scenario),
-        render_crashtest_json,
-        # The acceptance gate: exactly-once AND agent conservation.
-        lambda document: (document["exactly_once"]["holds"] and
-                          document["conservation"]["holds"]),
+        args.command, noun, plugin.variant_help, args.list,
+        lambda: plugin.run_cell(args.seed, params), plugin.render,
+        lambda document: all(evaluate_check(check, document)[0]
+                             for check in plugin.checks),
         on_document=dump_journal)
-
-
-def _cmd_overload(args: argparse.Namespace) -> int:
-    from repro.bench.overload import (MODE_DESCRIPTIONS, MODE_NAMES,
-                                      overload_ok, render_overload_json,
-                                      run_overload_mode)
-
-    # ``--no-governor`` predates the named-mode interface; keep it as
-    # an alias for ``--mode ungoverned``.
-    mode = "ungoverned" if args.no_governor else args.mode
-    # The flood is expected to complete even when the governor sheds:
-    # rejections are transient and the senders' retry policies absorb
-    # them.  A completion rate below the floor means backpressure broke
-    # delivery rather than smoothing it (``overload_ok``).
-    return _run_named_scenario(
-        "overload", "mode", MODE_NAMES, MODE_DESCRIPTIONS, args.list,
-        lambda: run_overload_mode(seed=args.seed, mode=mode),
-        render_overload_json, overload_ok)
 
 
 def _default_lint_paths() -> List[str]:
@@ -443,7 +370,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench.perf import (PROFILE_DESCRIPTIONS, PROFILE_NAMES,
+    from repro.bench.perf import (PROFILE_DESCRIPTIONS,
                                   build_profile_document, print_medians,
                                   render_semantics_json, semantics_ok,
                                   write_document)
@@ -467,8 +394,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         return None
 
     return _run_named_scenario(
-        "perf", "profile", PROFILE_NAMES, PROFILE_DESCRIPTIONS,
-        args.list,
+        "perf", "profile", PROFILE_DESCRIPTIONS, args.list,
         lambda: build_profile_document(seed=args.seed, profile=profile,
                                        repeats=args.repeats),
         render_semantics_json, semantics_ok, on_document=report)
@@ -490,7 +416,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     if args.suite_command == "list":
         if not args.file:
             print("scenario plugins:")
-            _print_name_table(plugin_names(), plugin_descriptions())
+            _print_name_table(plugin_descriptions())
             for name in plugin_names():
                 plugin = get_plugin(name)
                 variants = plugin.variants()
@@ -603,62 +529,26 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="BENCH_E1.json",
                        help="write the machine-readable report here")
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the survey itinerary under a fault plan; print JSON")
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--plan", default="mid-crash", metavar="PLAN",
-                       help="fault plan name (see --list); an unknown "
-                            "name exits 2 with the available plans")
-    chaos.add_argument("--list", action="store_true",
-                       help="list the built-in fault plans and exit")
-    chaos.add_argument("--no-recovery", action="store_true",
-                       help="drop the recovery kit (monitor/checkpoint/"
-                            "retry/rear-guard): the baseline behaviour")
-
-    partition = sub.add_parser(
-        "partition",
-        help="run the survey under an exactly-once partition scenario; "
-             "print JSON")
-    partition.add_argument("--seed", type=int, default=7)
-    partition.add_argument("--scenario", default="partition-storm",
-                           metavar="SCENARIO",
-                           help="scenario name (see --list); an unknown "
-                                "name exits 2 with the available "
-                                "scenarios")
-    partition.add_argument("--list", action="store_true",
-                           help="list the built-in scenarios and exit")
-
-    crashtest = sub.add_parser(
-        "crashtest",
-        help="run a bare agent over crash-durable hosts; exits non-zero "
-             "unless exactly-once AND agent conservation hold")
-    crashtest.add_argument("--seed", type=int, default=7)
-    crashtest.add_argument("--scenario", default="kill-during-migration",
-                           metavar="SCENARIO",
-                           help="scenario name (see --list); an unknown "
-                                "name exits 2 with the available "
-                                "scenarios")
-    crashtest.add_argument("--list", action="store_true",
-                           help="list the built-in scenarios and exit")
-    crashtest.add_argument("--journal-dump", metavar="PATH", default="",
-                           help="also write the crashed worker's journal "
-                                "tail as JSON-lines to PATH (the CI "
-                                "artifact)")
-
-    overload = sub.add_parser(
-        "overload",
-        help="flood one host under a governor mode; print JSON")
-    overload.add_argument("--seed", type=int, default=7)
-    overload.add_argument("--mode", default="governed", metavar="MODE",
-                          help="governor mode (see --list); an unknown "
-                               "name exits 2 with the available modes")
-    overload.add_argument("--list", action="store_true",
-                          help="list the governor modes and exit")
-    overload.add_argument("--no-governor", action="store_true",
-                          help="alias for --mode ungoverned (the "
-                               "baseline: unbounded queues, no quotas, "
-                               "no breakers)")
+    for name, (noun, summary) in SCENARIO_COMMANDS.items():
+        scenario = sub.add_parser(name, help=summary)
+        scenario.add_argument("--seed", type=int, default=7)
+        scenario.add_argument(f"--{noun}", dest="variant", default=None,
+                              metavar=noun.upper(),
+                              help=f"{noun} name (see --list; default: "
+                                   f"the plugin's); an unknown name "
+                                   f"exits 2 with the available {noun}s")
+        scenario.add_argument("--list", action="store_true",
+                              help=f"list the built-in {noun}s and exit")
+        if name == "chaos":
+            scenario.add_argument(
+                "--no-recovery", action="store_true",
+                help="drop the recovery kit (monitor/checkpoint/retry/"
+                     "rear-guard): the baseline behaviour")
+        if name == "crashtest":
+            scenario.add_argument(
+                "--journal-dump", metavar="PATH", default="",
+                help="also write the crashed worker's journal tail as "
+                     "JSON-lines to PATH (the CI artifact)")
 
     perf = sub.add_parser(
         "perf",
@@ -761,14 +651,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_metrics(args)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "partition":
-        return _cmd_partition(args)
-    if args.command == "crashtest":
-        return _cmd_crashtest(args)
-    if args.command == "overload":
-        return _cmd_overload(args)
+    if args.command in SCENARIO_COMMANDS:
+        return _cmd_scenario(args)
     if args.command == "perf":
         return _cmd_perf(args)
     if args.command == "suite":

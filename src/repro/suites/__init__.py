@@ -1,8 +1,9 @@
 """Declarative experiment suites: scenario plugins plus a matrix runner.
 
-``repro.suites`` turns the repo's bespoke scenario drivers (chaos,
-partition, crashtest, overload, the paper experiments) into registered
-:class:`ScenarioPlugin`\\ s and executes YAML/JSON-declared parameter
+``repro.suites`` registers the repo's scenario drivers (chaos,
+partition, crashtest, overload, the paper experiments) as
+:class:`ScenarioPlugin`\\ s — the one entry point the CLI commands of
+the same names go through — and executes YAML/JSON-declared parameter
 matrices over them deterministically — per-cell seeds derive from the
 suite seed and the cell identity, so every suite document is a pure
 function of ``(suite file, seed)``.  See ``docs/experiments.md``.

@@ -87,7 +87,8 @@ class ScenarioPlugin:
     default invariant expressions the matrix runner evaluates against
     the document (see :func:`repro.suites.runner.evaluate_check`);
     ``variant_param`` names the parameter that distinguishes the
-    plugin's named variants in listings.
+    plugin's named variants in listings, and ``variant_help`` describes
+    each of them (the ``--list`` table).
     """
 
     name: str
@@ -98,6 +99,7 @@ class ScenarioPlugin:
         field(default_factory=dict)
     checks: Tuple[str, ...] = ()
     variant_param: Optional[str] = None
+    variant_help: Mapping[str, str] = field(default_factory=dict)
 
     def variants(self) -> Tuple[object, ...]:
         """The named variants (choices of ``variant_param``), if any."""

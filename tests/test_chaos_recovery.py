@@ -1,18 +1,19 @@
 """End-to-end resilience: host crash/restart, dead letters, the chaos
 engine, heartbeat monitoring, and the rear-guard recovery scenario."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.briefcase import Briefcase
 from repro.core.uri import AgentUri
 from repro.core import wellknown
 from repro.chaos.engine import ChaosEngine
-from repro.chaos.scenario import (
-    WORKER_HOSTS,
-    named_plan,
-    render_chaos_json,
-    run_chaos,
-)
+from repro.chaos.crashtest import CRASHTEST_SCENARIOS, run_crashtest
+from repro.chaos.harness import (HOME_HOST, WORKER_HOSTS, render_document,
+                                 run_scenario)
+from repro.chaos.partition import PARTITION_SCENARIOS, run_partition
+from repro.chaos.scenario import named_plan, run_chaos
 from repro.obs.telemetry import Telemetry
 from repro.sim.faults import FaultPlan
 from repro.sim.network import LinkDownError
@@ -199,11 +200,6 @@ class TestHeartbeatMonitoring:
 
 
 class TestChaosScenario:
-    def test_same_seed_same_json(self):
-        one = render_chaos_json(run_chaos(seed=11, plan="mid-crash"))
-        two = render_chaos_json(run_chaos(seed=11, plan="mid-crash"))
-        assert one == two
-
     def test_mid_crash_recovers_and_reports_unreachable(self):
         doc = run_chaos(seed=7, plan="mid-crash", recovery=True)
         agent = doc["agent"]
@@ -239,3 +235,46 @@ class TestChaosScenario:
             assert plan.name == name
         with pytest.raises(ValueError):
             named_plan("volcano", workers)
+
+
+class TestScenarioHarness:
+    def test_scenario_assembles_from_parts_of_two_families(self):
+        # What an invariant explorer needs: a scenario is data, so the
+        # partition family's plan runs under the crashtest family's kit
+        # and durability, reporting whichever blocks are asked for.
+        storm = PARTITION_SCENARIOS["partition-storm"]
+        crash = CRASHTEST_SCENARIOS["crash-loop"]
+        mixed = dataclasses.replace(
+            storm, family="mixed", name="bare-storm", kit=crash.kit,
+            incarnations=False, snapshot_interval=crash.snapshot_interval,
+            blocks=("scenario", "exactly_once", "delivery", "durability"),
+            stats=crash.stats)
+        document = run_scenario(mixed, seed=7)
+        assert document["schema"] == "repro.mixed/1"
+        assert document["scenario"] == "bare-storm"
+        assert document["plan"] == \
+            storm.plan(list(WORKER_HOSTS)).to_dict()
+        assert document["injector"]["duplicated"] > 0
+        # The bare kit: no guard at home, hence no twin bookkeeping ...
+        assert "rear_guard" not in document
+        assert "twins_detected" not in document["exactly_once"]
+        # ... but the requested blocks, from both families.
+        assert "duplicate_landings_suppressed" in document["exactly_once"]
+        assert set(document["delivery"]) == \
+            set(document["durability"]) == {HOME_HOST, *WORKER_HOSTS}
+        assert "journal_sample" not in document
+        assert "flight_recorder" not in document
+        assert set(document["stats"]) >= set(crash.stats)
+        assert document["exactly_once"]["holds"] is True
+        assert render_document(run_scenario(mixed, seed=7)) == \
+            render_document(document)
+
+    @pytest.mark.parametrize("run", [run_chaos, run_partition,
+                                     run_crashtest])
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_worker_count_outside_the_world_is_a_value_error(self, run,
+                                                             workers):
+        # 0 used to die with a bare IndexError; 4 silently ran three
+        # workers while the document claimed otherwise.
+        with pytest.raises(ValueError, match="workers must be between"):
+            run(seed=7, workers=workers)

@@ -20,11 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.crashtest import (
-    SCENARIO_NAMES,
+    CRASHTEST_SCENARIOS,
     named_crash_plan,
-    render_crashtest_json,
     run_crashtest,
 )
+from repro.chaos.harness import render_document
 from repro.durability.journal import HostJournal, iter_frames
 from repro.durability.recovery import QUEUE_COUNTERS, replay_image
 from repro.durability.store import VirtualDisk
@@ -39,17 +39,17 @@ def crashtest(scenario):
 
 
 class TestScenarios:
-    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    @pytest.mark.parametrize("scenario", CRASHTEST_SCENARIOS)
     def test_both_verdicts_hold(self, scenario):
         document = crashtest(scenario)
         assert document["exactly_once"]["holds"] is True
         assert document["conservation"]["holds"] is True
         assert document["conservation"]["violations"] == []
 
-    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    @pytest.mark.parametrize("scenario", CRASHTEST_SCENARIOS)
     def test_document_is_byte_deterministic(self, scenario):
-        one = render_crashtest_json(crashtest(scenario))
-        two = render_crashtest_json(crashtest(scenario))
+        one = render_document(crashtest(scenario))
+        two = render_document(crashtest(scenario))
         assert one == two
 
     def test_bare_agent_survives_host_crash_via_replay(self):

@@ -481,10 +481,11 @@ class TestOverloadScenario:
                 queue["evicted"] + queue["parked_now"]
 
     def test_document_is_deterministic(self, documents):
-        from repro.bench.overload import render_overload_json, run_overload
+        from repro.bench.overload import run_overload
+        from repro.chaos.harness import render_document
         again = run_overload(seed=7, governed=True)
-        assert render_overload_json(again) == \
-            render_overload_json(documents["governed"])
+        assert render_document(again) == \
+            render_document(documents["governed"])
 
     def test_r3_claims_hold(self):
         from repro.bench.experiments import run_r3

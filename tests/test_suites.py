@@ -8,9 +8,12 @@ this layer exists to pin down:
   that must be independent — seeds now derive from names
   (:func:`repro.sim.rng.derive_seed` / :func:`~repro.sim.rng.retry_stream`);
 - the scenario subcommands diverging on ``--list``/unknown-name/exit
-  codes — ``overload`` and ``perf`` now share ``_run_named_scenario``.
+  codes — ``chaos``/``partition``/``crashtest``/``overload`` are one
+  command function over the plugin registry, and ``perf`` shares its
+  ``_run_named_scenario`` plumbing.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -40,6 +43,9 @@ def test_builtin_plugins_registered():
     chaos = get_plugin("chaos")
     assert chaos.variant_param == "plan"
     assert "mid-crash" in chaos.variants()
+    # Every plugin but the paper experiments is also a CLI command.
+    from repro.cli import SCENARIO_COMMANDS
+    assert set(SCENARIO_COMMANDS) == set(plugin_names()) - {"experiment"}
 
 
 def test_unknown_plugin_is_config_error():
@@ -76,6 +82,11 @@ def test_top_level_validation(data, match):
      "'seed' must be an int"),
     ({"plugin": "chaos", "expect": ["agent..bad"]}, "bad path"),
     ({"plugin": "chaos", "expect": ["rate>=maybe"]}, "JSON literal"),
+    # The topology axis is a closed domain: 0 used to die with a bare
+    # IndexError inside the driver, 4 silently ran three workers.
+    ({"plugin": "chaos", "params": {"workers": 0}}, "one of"),
+    ({"plugin": "partition", "matrix": {"workers": [3, 4]}}, "one of"),
+    ({"plugin": "crashtest", "params": {"workers": 4}}, "one of"),
 ])
 def test_cell_validation(entry, match):
     with pytest.raises(SuiteError, match=match):
@@ -325,17 +336,80 @@ def test_cli_perf_list_and_unknown(capsys):
     assert code == 2 and "--list" in err
 
 
+def _command_cases():
+    from repro.cli import SCENARIO_COMMANDS
+    cases = [(command, variant, [])
+             for command in SCENARIO_COMMANDS
+             for variant in get_plugin(command).variants()]
+    # The one non-variant parameter the CLI exposes: a failing verdict.
+    cases.append(("chaos", "mid-crash", ["--no-recovery"]))
+    return cases
+
+
+#: Keys every survey-family document carries, whatever its blocks.
+SURVEY_ENVELOPE = {"schema", "seed", "plan", "applied", "injector", "agent",
+                   "conservation", "stats", "elapsed"}
+
+
+@pytest.mark.parametrize("command, variant, flags", _command_cases())
+def test_cli_command_is_its_plugin(command, variant, flags, capsys):
+    plugin = get_plugin(command)
+    noun = plugin.variant_param
+    # (a) ``--list`` names the variant with a description.
+    code, out, _ = run_cli([command, "--list"], capsys)
+    rows = [line.split(None, 1) for line in out.splitlines()[1:]]
+    assert code == 0 and out.startswith(f"{command} {noun}s:")
+    assert [row[1] for row in rows if row[0] == variant] == \
+        [plugin.variant_help[variant]]
+    # (b) The command prints the suite cell's document for the same
+    # seed and parameters (so two runs are byte-identical) and exits
+    # with the cell's verdict.
+    params = {noun: variant, "seed": 7}
+    if flags:
+        params["recovery"] = False
+    envelope = run_cell(
+        make_suite([{"plugin": command, "params": params}]).cells[0], 7)
+    code, out, _ = run_cli(
+        [command, "--seed", "7", f"--{noun}", variant] + flags, capsys)
+    assert out == plugin.render(envelope["document"]) + "\n"
+    assert code == (0 if envelope["status"] == "passed" else 1)
+    assert code == (1 if flags else 0)
+    # (c) The shared envelope.
+    assert envelope["document"]["schema"] == f"repro.{command}/1"
+    assert set(envelope["document"]) >= (
+        {"schema", "seed", "stats", "elapsed"} if command == "overload"
+        else SURVEY_ENVELOPE)
+
+
+def test_ci_suite_covers_every_command_variant():
+    # CI's one determinism gate runs this file: it must keep naming
+    # every variant, each pinned to the seed the bare command uses.
+    import os
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "examples", "ci.suite.yaml")
+    cells = load_suite(path).cells
+    assert all(cell.explicit_seed == 7 for cell in cells)
+    assert [(cell.plugin, cell.params_dict()[
+                get_plugin(cell.plugin).variant_param])
+            for cell in cells] == \
+        [(command, variant) for command, variant, flags
+         in _command_cases() if not flags]
+
+
 def test_cli_overload_failed_invariant_exits_one(capsys, monkeypatch):
-    import repro.bench.overload as overload
+    from repro.suites import registry
 
-    real = overload.run_overload_mode
+    real = get_plugin("overload")
 
-    def starved(seed=7, mode="governed"):
-        document = real(seed=seed, mode=mode)
+    def starved(seed, mode):
+        document = real.run(seed=seed, mode=mode)
         document["flood"]["completion_rate"] = 0.5
         return document
 
-    monkeypatch.setattr(overload, "run_overload_mode", starved)
+    # The command reaches the driver only through the registry, and the
+    # registered check — not CLI code — decides the exit code.
+    monkeypatch.setitem(registry._REGISTRY, "overload",
+                        dataclasses.replace(real, run=starved))
     code, out, _ = run_cli(["overload"], capsys)
     assert code == 1 and '"completion_rate": 0.5' in out
 
@@ -354,6 +428,10 @@ def test_cli_suite_validate_and_errors(tmp_path, capsys):
         {"plugin": "overload", "params": {"mode": "bogus"}}]}))
     code, _, err = run_cli(["suite", "validate", str(bad)], capsys)
     assert code == 2 and "one of" in err
+    bad.write_text(json.dumps({"suite": "t", "cells": [
+        {"plugin": "crashtest", "params": {"workers": 0}}]}))
+    code, _, err = run_cli(["suite", "validate", str(bad)], capsys)
+    assert code == 2 and "'workers' must be one of [1, 2, 3]" in err
 
 
 def test_cli_suite_run_document_and_exit_codes(tmp_path, capsys):
