@@ -15,21 +15,27 @@ Two properties the paper calls out are preserved here:
 - A briefcase is a **consistent snapshot**: :meth:`Briefcase.snapshot`
   yields an independent copy, and the codec serialises deterministically.
 
-A briefcase also carries a **wire-encoding cache** (see
-``_wire_fingerprint`` below): the codec stores the encoded bytes / size
-after the first encode, so firewall admission, the network transfer
-charge, and telemetry byte-accounting — which would otherwise each
-re-encode the same briefcase on every hop — reuse one encoding.  The
-cache is validated against a fingerprint of (folder identity, folder
-version) pairs, so *any* mutation through the :class:`Folder` or
-:class:`Briefcase` API invalidates it; property tests in
-``tests/test_properties_perf.py`` pin that invariant for every mutating
-operation.
+A briefcase also carries a **wire-encoding cache**: the codec stores
+the encoded bytes / size after the first encode, so firewall admission,
+the network transfer charge, and telemetry byte-accounting — which would
+otherwise each re-encode the same briefcase on every hop — reuse one
+encoding.  The cache is stamped with the briefcase's **mutation count**,
+a one-slot list (``_cell``) that every folder the briefcase holds also
+points at and bumps, so *any* mutation through the :class:`Folder` or
+:class:`Briefcase` API invalidates it and validity is one integer
+compare.  The folders share the cell, not a reference to the briefcase:
+a back-reference would make every briefcase a cycle that only the
+garbage collector can free.  :meth:`Briefcase.drop` is the one mutation
+the cached *size* follows — the buffer goes, the size loses the dropped
+folder's footprint — so stripping the wire-only folders off an arriving
+briefcase, or shedding state before ``go``, does not cost a re-walk of
+what is left.  ``tests/test_properties_perf.py`` and
+``tests/test_wire_cache.py`` pin the invariant for every mutator.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.element import Element
 from repro.core.errors import BriefcaseError, FolderNotFoundError
@@ -39,18 +45,21 @@ from repro.core.folder import Folder
 class Briefcase:
     """An associative array of folders."""
 
-    __slots__ = ("_folders", "_wire_stamp", "_wire_bytes", "_wire_size")
+    __slots__ = ("_folders", "_cell", "_wire_stamp", "_wire_bytes",
+                 "_wire_size")
 
     def __init__(self, folders: Optional[Dict[str, Iterable[Any]]]
                  = None) -> None:
         self._folders: Dict[str, Folder] = {}
+        #: The mutation count, shared with every folder in ``_folders``.
+        self._cell = [0]
         #: Cache of the wire encoding, maintained by the codec.  The
-        #: stamp is the fingerprint the cache was taken against; the
-        #: bytes may be absent (None) when only the size is known.
-        self._wire_stamp: Optional[
-            Tuple[Tuple[Folder, int], ...]] = None
+        #: stamp is the mutation count the size was taken at (-1:
+        #: never); the bytes may be absent (None) when only the size is
+        #: known.
+        self._wire_stamp = -1
         self._wire_bytes: Optional[bytes] = None
-        self._wire_size: Optional[int] = None
+        self._wire_size = 0
         if folders:
             for name, values in folders.items():
                 self.folder(name).push_all(values)
@@ -63,6 +72,8 @@ class Briefcase:
             return self._folders[name]
         except KeyError:
             folder = Folder(name)
+            folder._cell = cell = self._cell
+            cell[0] += 1
             self._folders[name] = folder
             return folder
 
@@ -82,15 +93,36 @@ class Briefcase:
         This is the paper's bandwidth-saving move: shed folders before
         calling ``go`` so they are not shipped on the next hop.
         """
-        return self._folders.pop(name, None) is not None
+        folder = self._folders.pop(name, None)
+        if folder is None:
+            return False
+        self._release(folder)
+        return True
 
     def drop_all_except(self, keep: Iterable[str]) -> List[str]:
         """Drop every folder not named in ``keep``; returns dropped names."""
         keep_set = set(keep)
         dropped = [name for name in self._folders if name not in keep_set]
         for name in dropped:
-            del self._folders[name]
+            self._release(self._folders.pop(name))
         return dropped
+
+    def _release(self, folder: Folder) -> None:
+        """Account for a folder just removed from ``_folders``.
+
+        A current cached size gives up the folder's footprint and stays
+        current; the cached buffer cannot follow and is forgotten.  The
+        folder gets a cell of its own: a handle kept by the caller no
+        longer speaks for this briefcase.
+        """
+        cell = self._cell
+        count = cell[0] + 1
+        if self._wire_stamp == cell[0]:
+            self._wire_size -= folder._wire_size()
+            self._wire_bytes = None
+            self._wire_stamp = count
+        cell[0] = count
+        folder._cell = [0]
 
     def names(self) -> List[str]:
         return list(self._folders)
@@ -116,46 +148,32 @@ class Briefcase:
         return element.as_json() if element is not None else default
 
     def append(self, folder_name: str, value: Any) -> None:
-        self.folder(folder_name).push(value)
+        folder = self._folders.get(folder_name)
+        if folder is None:
+            folder = self.folder(folder_name)
+        folder.push(value)
 
     # -- wire-encoding cache (maintained by repro.core.codec) ---------------------
 
-    def _wire_fingerprint(self) -> Tuple[Tuple[Folder, int], ...]:
-        """The cache-validity token: (folder, version) pairs in order.
-
-        Folder objects are held by identity (the tuple keeps them alive,
-        so an ``id``-reuse after garbage collection cannot alias), and
-        every mutating :class:`~repro.core.folder.Folder` operation bumps
-        the version, so the fingerprint changes iff the wire encoding
-        could have changed.
-        """
-        return tuple((folder, folder._version)
-                     for folder in self._folders.values())
-
     def _wire_cache_valid(self) -> bool:
-        stamp = self._wire_stamp
-        if stamp is None or len(stamp) != len(self._folders):
-            return False
-        for (folder, version), current in zip(stamp,
-                                              self._folders.values()):
-            if folder is not current or version != folder._version:
-                return False
-        return True
+        """Is a cached wire buffer held, and still this briefcase's?"""
+        return self._wire_bytes is not None and \
+            self._wire_stamp == self._cell[0]
 
     def _wire_cache_store(self, data: Optional[bytes],
                           size: int) -> None:
         """Record the current encoding (bytes may be None: size only)."""
-        self._wire_stamp = self._wire_fingerprint()
+        self._wire_stamp = self._cell[0]
         self._wire_bytes = data
         self._wire_size = size
 
     def _wire_cached_bytes(self) -> Optional[bytes]:
-        if self._wire_bytes is not None and self._wire_cache_valid():
+        if self._wire_stamp == self._cell[0]:
             return self._wire_bytes
         return None
 
     def _wire_cached_size(self) -> Optional[int]:
-        if self._wire_size is not None and self._wire_cache_valid():
+        if self._wire_stamp == self._cell[0]:
             return self._wire_size
         return None
 
@@ -164,12 +182,15 @@ class Briefcase:
     def snapshot(self) -> "Briefcase":
         """An independent copy (the transport unit is always a snapshot)."""
         copy = Briefcase()
+        cell = copy._cell
+        folders = copy._folders
         for name, folder in self._folders.items():
-            copy._folders[name] = folder.copy()
-        if self._wire_cache_valid():
+            folders[name] = duplicate = folder.copy()
+            duplicate._cell = cell
+        if self._wire_stamp == self._cell[0]:
             # The copy encodes byte-identically, so it inherits the
-            # cached encoding (re-stamped against its own folders).
-            copy._wire_stamp = copy._wire_fingerprint()
+            # cached encoding (at its own, still untouched, count).
+            copy._wire_stamp = cell[0]
             copy._wire_bytes = self._wire_bytes
             copy._wire_size = self._wire_size
         return copy
@@ -180,11 +201,18 @@ class Briefcase:
         With ``append=True`` (default) elements are appended to existing
         folders; with ``append=False`` same-named folders are replaced.
         """
-        for name, folder in other._folders.items():
-            if append and name in self._folders:
-                self._folders[name].push_all(folder)
-            else:
-                self._folders[name] = folder.copy()
+        cell = self._cell
+        # A list: ``other`` may be this briefcase.
+        for name, folder in list(other._folders.items()):
+            mine = self._folders.get(name)
+            if append and mine is not None:
+                mine.push_all(folder)
+                continue
+            if mine is not None:
+                mine._cell = [0]
+            self._folders[name] = duplicate = folder.copy()
+            duplicate._cell = cell
+            cell[0] += 1
 
     def payload_bytes(self) -> int:
         """Total element bytes across all folders (excludes framing)."""

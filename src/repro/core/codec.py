@@ -46,13 +46,15 @@ semantics:
   assert the two agree byte-for-byte.
 
 Encoding is cached: :func:`encode` / :func:`encoded_size` store their
-result on the briefcase (invalidated by any mutation — see
-``Briefcase._wire_fingerprint``), so firewall admission, the wire
-transfer charge, and telemetry byte-accounting reuse one encoding
-instead of re-encoding up to three times per hop.  A successful
-:func:`decode` of a ``bytes`` buffer pre-populates the cache with the
-input buffer itself (the format is canonical: every accepted wire image
-re-encodes to itself).
+result on the briefcase, stamped with its mutation count (any mutation
+moves the count — see :mod:`repro.core.briefcase`), so firewall
+admission, the wire transfer charge, and telemetry byte-accounting
+reuse one encoding instead of re-encoding up to three times per hop.  A
+successful :func:`decode` of a ``bytes`` buffer pre-populates the cache
+with the input buffer itself (the format is canonical: every accepted
+wire image re-encodes to itself), and the cached size then follows
+``Briefcase.drop``, so it is still exact after the firewall strips the
+wire-only folders.
 
 :func:`set_fast_paths` disables all of the above at once (reference
 decoder, no caching); the perf harness uses it to produce honest
@@ -102,6 +104,8 @@ _U32 = struct.Struct(">I")
 
 _U16_AT = _U16.unpack_from
 _U32_AT = _U32.unpack_from
+_PACK_U16 = _U16.pack
+_PACK_U32 = _U32.pack
 
 #: Minimum wire bytes one folder costs: u16 name length + 1 name byte +
 #: u32 element count.  Used to bound a declared folder count by what the
@@ -144,20 +148,21 @@ def fast_paths_enabled() -> bool:
 
 def _encode_parts(briefcase: Briefcase) -> bytes:
     """Materialise the wire image (no cache interaction)."""
-    parts = [MAGIC, _U8.pack(VERSION)]
-    folders = list(briefcase)
-    parts.append(_U32.pack(len(folders)))
-    for folder in folders:
+    folders = briefcase._folders
+    parts = [MAGIC, _U8.pack(VERSION), _PACK_U32(len(folders))]
+    append = parts.append
+    for folder in folders.values():
         name_bytes = folder.name.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
             raise CodecError(f"folder name too long: {folder.name[:40]!r}...")
-        parts.append(_U16.pack(len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(_U32.pack(len(folder)))
-        for element in folder:
-            data = element.data
-            parts.append(_U32.pack(len(data)))
-            parts.append(data)
+        elements = folder._elements
+        append(_PACK_U16(len(name_bytes)))
+        append(name_bytes)
+        append(_PACK_U32(len(elements)))
+        for element in elements:
+            data = element._data
+            append(_PACK_U32(len(data)))
+            append(data)
     return b"".join(parts)
 
 
@@ -196,10 +201,8 @@ def encoded_size(briefcase: Briefcase) -> int:
         if cached is not None:
             return cached
     size = _HEADER_BYTES
-    for folder in briefcase:
-        size += _U16.size + len(folder.name.encode("utf-8")) + _U32.size
-        for element in folder:
-            size += _U32.size + len(element)
+    for folder in briefcase._folders.values():
+        size += folder._wire_size()
     if _fast_enabled:
         briefcase._wire_cache_store(None, size)
     return size
@@ -423,9 +426,9 @@ def _decode_fast(data: Buffer,
 
     Validation order and every raised error match
     :func:`_decode_reference`; the only differences are mechanical —
-    ``unpack_from`` at an offset instead of slice-then-unpack, elements
-    wrapped via the internal :meth:`Element._wrap` fast constructor, and
-    folder objects assembled directly.
+    ``unpack_from`` at an offset instead of slice-then-unpack, and
+    element and folder objects assembled directly (the decoder produces
+    exact ``bytes`` and validated names by construction).
     """
     max_folders, max_per_folder, max_total, max_element = caps
     n = len(data)
@@ -455,7 +458,11 @@ def _decode_fast(data: Buffer,
     pos = _HEADER_BYTES
     briefcase = Briefcase()
     folders = briefcase._folders
-    wrap = Element._wrap
+    cell = briefcase._cell
+    new_element = Element.__new__
+    # A slice of exact ``bytes`` is already the element's payload; any
+    # other buffer is copied out once.
+    exact_bytes = type(data) is bytes
     total_elements = 0
     for _ in range(folder_count):
         end = pos + 2
@@ -505,17 +512,21 @@ def _decode_fast(data: Buffer,
                 raise MalformedBriefcaseError(
                     f"truncated briefcase: declared element size {size} "
                     f"exceeds the {n - pos} bytes left")
-            append(wrap(bytes(data[pos:end])))
+            element = new_element(Element)
+            element._data = data[pos:end] if exact_bytes \
+                else bytes(data[pos:end])
+            append(element)
             pos = end
         folder = Folder.__new__(Folder)
         folder.name = name
         folder._elements = elements
         folder._version = 0
+        folder._cell = cell
         folders[name] = folder
     if pos != n:
         raise MalformedBriefcaseError(
             f"{n - pos} trailing bytes after briefcase")
-    if type(data) is bytes:
+    if exact_bytes:
         # The format is canonical: this exact buffer is what encode()
         # would produce, so it seeds the briefcase's encoding cache and
         # the next hop's admission/transfer/accounting reuse it.

@@ -46,6 +46,13 @@ class Element:
         bytes stay raw; str becomes UTF-8; int/float/bool/None and
         JSON-representable containers are encoded as JSON text.
         """
+        kind = type(value)
+        if kind is bytes or kind is str:
+            # Exact types need none of ``__init__``'s coercion checks.
+            element = cls.__new__(cls)
+            element._data = value if kind is bytes \
+                else value.encode("utf-8")
+            return element
         if isinstance(value, Element):
             return value
         if isinstance(value, (bytes, bytearray, memoryview)):
@@ -57,18 +64,6 @@ class Element:
         except (TypeError, ValueError) as exc:
             raise BriefcaseError(
                 f"cannot encode {type(value).__name__} as an element") from exc
-
-    @classmethod
-    def _wrap(cls, data: bytes) -> "Element":
-        """Internal fast constructor for the codec hot path.
-
-        ``data`` must already be exact ``bytes``; this skips the
-        type-coercion checks of :meth:`__init__` (the decoder produces
-        ``bytes`` by construction).
-        """
-        element = cls.__new__(cls)
-        element._data = data
-        return element
 
     @classmethod
     def from_text(cls, text: str) -> "Element":

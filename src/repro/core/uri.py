@@ -174,7 +174,18 @@ class AgentUri:
 
     def local(self) -> "AgentUri":
         """This address with the remote part stripped."""
-        return replace(self, host=None, port=None)
+        if self.host is None:
+            # Already local (a port needs a host), and immutable.
+            return self
+        # The remaining fields were validated when ``self`` was built.
+        stripped = object.__new__(AgentUri)
+        assign = object.__setattr__
+        assign(stripped, "host", None)
+        assign(stripped, "port", None)
+        assign(stripped, "principal", self.principal)
+        assign(stripped, "name", self.name)
+        assign(stripped, "instance", self.instance)
+        return stripped
 
     def with_principal(self, principal: Optional[str]) -> "AgentUri":
         return replace(self, principal=principal)

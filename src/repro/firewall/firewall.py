@@ -26,13 +26,13 @@ wire charge, telemetry's ``agent.bytes_out``) and on local dispatch all
 resolve against the briefcase's cached encoding (see
 :mod:`repro.core.codec`), so one briefcase is encoded at most once per
 mutation instead of once per accounting site; ``receive_wire`` seeds the
-cache with the decoded buffer, and ``snapshot_for_transport`` propagates
-it across the hop.
+cache with the decoded buffer, the cached size follows the strip of the
+wire-only folders (``Briefcase.drop`` subtracts what it removes), and
+``snapshot_for_transport`` propagates the cache across the hop.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import codec
@@ -583,23 +583,24 @@ class Firewall:
         signature means the claimed principal stays unauthenticated.
         """
         briefcase = message.briefcase
+        sender = message.sender
         signature_text = briefcase.get_text(wellknown.SIGNATURE)
-        if signature_text is None:
-            return replace(message, sender=SenderInfo(
-                principal=message.sender.principal,
-                host=message.sender.host,
-                uri=message.sender.uri,
-                authenticated=False))
-        signature = Signature.from_text(signature_text)
-        # Code-carrying briefcases sign their CODE; codeless requests
-        # (cross-host admin ops) sign the whole request.
-        data = code_signing_bytes(briefcase)
-        if not data:
-            data = request_signing_bytes(briefcase)
-        principal = self.trust_store.verify(signature, data)
-        return replace(message, sender=SenderInfo(
-            principal=principal, host=message.sender.host,
-            uri=message.sender.uri, authenticated=True))
+        if signature_text is not None:
+            signature = Signature.from_text(signature_text)
+            # Code-carrying briefcases sign their CODE; codeless requests
+            # (cross-host admin ops) sign the whole request.
+            data = code_signing_bytes(briefcase)
+            if not data:
+                data = request_signing_bytes(briefcase)
+            sender = SenderInfo(self.trust_store.verify(signature, data),
+                                sender.host, sender.uri, True)
+        elif sender.authenticated:
+            sender = SenderInfo(sender.principal, sender.host, sender.uri,
+                                False)
+        return Message(message.target, briefcase, sender,
+                       message.queue_timeout, message.hops,
+                       message.priority, message.trace, message.seq,
+                       message.seq_src, message.landing_id)
 
     def _dispatch_local(self, message: Message,
                         retransmits: int = 0,

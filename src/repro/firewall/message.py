@@ -9,7 +9,7 @@ it may wait in a queue for an absent receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.briefcase import Briefcase
@@ -69,7 +69,10 @@ class Message:
     landing_id: Optional[str] = None
 
     def with_target(self, target: AgentUri) -> "Message":
-        return replace(self, target=target)
+        return Message(target, self.briefcase, self.sender,
+                       self.queue_timeout, self.hops, self.priority,
+                       self.trace, self.seq, self.seq_src,
+                       self.landing_id)
 
     def snapshot_for_transport(self) -> "Message":
         """An independent copy whose briefcase is a snapshot."""

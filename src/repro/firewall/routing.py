@@ -18,7 +18,7 @@ the natural choice for service classes where any representative will do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.errors import AgentNotFoundError
 from repro.core.identity import SYSTEM_PRINCIPAL, AgentId
@@ -101,22 +101,35 @@ class Registry:
 
     def matches(self, target: AgentUri,
                 sender_principal: Optional[str]) -> List[Registration]:
-        """Registrations selected by a (possibly partial) local address."""
+        """Registrations selected by a (possibly partial) local address.
+
+        :meth:`AgentUri.matches_agent` plus the two-valid-principals
+        rule, with the target read once: a given instance is a key
+        lookup, and each candidate costs one comparison per component.
+        """
+        name = target.name
+        principal = target.principal
+        if target.instance is not None:
+            registration = self._by_instance.get(target.instance)
+            candidates: Iterable[Registration] = \
+                () if registration is None else (registration,)
+        else:
+            # Oldest first: ``add`` is the only writer of ``sequence``
+            # and it appends, so insertion order is sequence order.
+            candidates = self._by_instance.values()
+        # The two-valid-principals rule, for a target that names none.
+        valid = (SYSTEM_PRINCIPAL,) if sender_principal is None \
+            else (SYSTEM_PRINCIPAL, sender_principal)
         found = []
-        # Oldest first: ``add`` is the only writer of ``sequence`` and it
-        # appends, so insertion order is already sequence order.
-        for registration in self._by_instance.values():
-            if not target.matches_agent(registration.name,
-                                        registration.instance,
-                                        registration.principal):
+        for registration in candidates:
+            if name is not None and registration.agent_id.name != name:
                 continue
-            if target.principal is None:
-                # The two-valid-principals rule.
-                valid = {SYSTEM_PRINCIPAL}
-                if sender_principal is not None:
-                    valid.add(sender_principal)
-                if registration.principal not in valid:
+            owner = registration.principal
+            if principal is None:
+                if owner not in valid:
                     continue
+            elif owner is not None and owner != principal:
+                continue
             found.append(registration)
         return found
 
