@@ -15,8 +15,8 @@ appear in ``repro lint --graph`` exports.
 Suppressions are *propagation barriers*: an intrinsic effect whose
 origin line carries ``# lint: disable=<rule>`` (or whose module
 carries the file-wide form) is sanctioned at the source and never
-enters the dataflow — ``repro.bench.perf``'s justified ``heapq``
-replica must not taint every CLI entry point that calls it.
+enters the dataflow — one justified ``heapq`` import in a helper must
+not taint every CLI entry point that calls it.
 """
 
 from __future__ import annotations

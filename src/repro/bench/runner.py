@@ -33,10 +33,6 @@ def report_to_dict(report) -> dict:
     }
 
 
-#: Back-compat alias (the public name is :func:`report_to_dict`).
-_report_to_dict = report_to_dict
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Run the paper's experiments on the simulated testbed.")

@@ -12,7 +12,6 @@ Commands (``docs/`` has the long form of each):
   its canonical JSON document, ``--list`` prints its variants, an
   unknown variant exits 2, and the plugin's checks decide exit 0/1;
 - ``suite run|list|validate`` — declarative matrices over the plugins;
-- ``perf`` — hot-path microbenchmarks; stdout is the semantics digest;
 - ``report`` — the traced quickstart's itinerary + SLO report as JSON;
 - ``metrics`` — the traced quickstart's registry as OpenMetrics text;
 - ``lint`` — the determinism/safety rule pack (``repro.analysis``).
@@ -192,32 +191,6 @@ def _print_name_table(descriptions) -> None:
         print(f"  {name:<{width}}  {description}")
 
 
-def _run_named_scenario(command: str, noun: str, descriptions,
-                        wants_list: bool, run, render, verdict,
-                        on_document=None) -> int:
-    """The shared plumbing of the named-variant commands (the scenario
-    plugins and ``perf``): ``--list`` prints the name table, an unknown
-    name exits 2 with a hint, and the rendered document's ``verdict``
-    decides the exit code."""
-    if wants_list:
-        print(f"{command} {noun}s:")
-        _print_name_table(descriptions)
-        return 0
-    try:
-        document = run()
-    except ValueError as exc:
-        print(f"repro {command}: {exc}", file=sys.stderr)
-        print(f"(use `repro {command} --list` to see the {noun}s)",
-              file=sys.stderr)
-        return 2
-    print(render(document))
-    if on_document is not None:
-        failure = on_document(document)
-        if failure is not None:
-            return failure
-    return 0 if verdict(document) else 1
-
-
 #: The registered scenario plugins that are also top-level commands:
 #: name -> (the plugin's variant parameter, the parser's help line).
 #: Static so that building the parser imports no driver.
@@ -239,22 +212,34 @@ SCENARIO_COMMANDS = {
 def _cmd_scenario(args: argparse.Namespace) -> int:
     """``repro chaos|partition|crashtest|overload``: run one registered
     plugin at ``--seed`` — the variant table, the parameter domain and
-    the exit-code verdict all come from the registration."""
+    the exit-code verdict all come from the registration.  ``--list``
+    prints the variant table and an unknown variant exits 2 with a
+    hint."""
     import json
 
     from repro.suites import evaluate_check, get_plugin
 
-    plugin = get_plugin(args.command)
+    command = args.command
+    plugin = get_plugin(command)
     noun = plugin.variant_param
+    if args.list:
+        print(f"{command} {noun}s:")
+        _print_name_table(plugin.variant_help)
+        return 0
     # An omitted variant takes the plugin's default.
     params = {noun: args.variant} if args.variant is not None else {}
     if getattr(args, "no_recovery", False):
         params["recovery"] = False
-
-    def dump_journal(document):
-        path = getattr(args, "journal_dump", "")
-        if not path:
-            return None
+    try:
+        document = plugin.run_cell(args.seed, params)
+    except ValueError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        print(f"(use `repro {command} --list` to see the {noun}s)",
+              file=sys.stderr)
+        return 2
+    print(plugin.render(document))
+    path = getattr(args, "journal_dump", "")
+    if path:
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 for record in document["journal_sample"]["tail"]:
@@ -263,14 +248,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot write journal dump: {exc}", file=sys.stderr)
             return 1
-        return None
-
-    return _run_named_scenario(
-        args.command, noun, plugin.variant_help, args.list,
-        lambda: plugin.run_cell(args.seed, params), plugin.render,
-        lambda document: all(evaluate_check(check, document)[0]
-                             for check in plugin.checks),
-        on_document=dump_journal)
+    return 0 if all(evaluate_check(check, document)[0]
+                    for check in plugin.checks) else 1
 
 
 def _default_lint_paths() -> List[str]:
@@ -367,37 +346,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     print(render_json(report) if args.json else render_text(report),
           end="")
     return report.exit_code
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench.perf import (PROFILE_DESCRIPTIONS,
-                                  build_profile_document, print_medians,
-                                  render_semantics_json, semantics_ok,
-                                  write_document)
-
-    # ``--quick`` predates the named-profile interface; keep it as an
-    # alias for ``--profile quick``.
-    profile = "quick" if args.quick else args.profile
-
-    def report(document):
-        # The medians table is human-facing: keep it off stdout, which
-        # carries only the deterministic semantics JSON CI diffs.
-        print_medians(document, stream=sys.stderr)
-        if args.json_path:
-            try:
-                write_document(document, args.json_path)
-            except OSError as exc:
-                print(f"cannot write {args.json_path}: {exc}",
-                      file=sys.stderr)
-                return 1
-            print(f"wrote timings to {args.json_path}", file=sys.stderr)
-        return None
-
-    return _run_named_scenario(
-        "perf", "profile", PROFILE_DESCRIPTIONS, args.list,
-        lambda: build_profile_document(seed=args.seed, profile=profile,
-                                       repeats=args.repeats),
-        render_semantics_json, semantics_ok, on_document=report)
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -550,26 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="also write the crashed worker's journal tail as "
                      "JSON-lines to PATH (the CI artifact)")
 
-    perf = sub.add_parser(
-        "perf",
-        help="hot-path microbenchmarks vs pre-optimisation baselines")
-    perf.add_argument("--seed", type=int, default=2000)
-    perf.add_argument("--repeats", type=int, default=5,
-                      help="timing samples per benchmark leg (median "
-                           "reported)")
-    perf.add_argument("--profile", default="full", metavar="PROFILE",
-                      help="workload profile (see --list); an unknown "
-                           "name exits 2 with the available profiles")
-    perf.add_argument("--list", action="store_true",
-                      help="list the workload profiles and exit")
-    perf.add_argument("--quick", action="store_true",
-                      help="alias for --profile quick (smaller "
-                           "workloads / fewer repeats: the CI smoke)")
-    perf.add_argument("--json", dest="json_path", default=None,
-                      metavar="BENCH_perf.json",
-                      help="write the full timings document here; stdout "
-                           "stays the deterministic semantics JSON")
-
     suite = sub.add_parser(
         "suite",
         help="run/list/validate declarative experiment suites")
@@ -653,8 +581,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_bench(args)
     if args.command in SCENARIO_COMMANDS:
         return _cmd_scenario(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
     if args.command == "suite":
         return _cmd_suite(args)
     if args.command == "lint":

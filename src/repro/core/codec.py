@@ -32,18 +32,14 @@ garbled buffer raises the typed
 Hot paths (see ``docs/performance.md``)
 ---------------------------------------
 
-This module keeps **two decoder implementations** with identical
-semantics:
-
-- :func:`_decode_fast` (default) parses integer fields in place with
-  ``struct.unpack_from`` — no per-field slice allocations, no cursor
-  object — and accepts ``bytes``/``bytearray``/``memoryview`` buffers,
-  so a view over a larger receive buffer is parsed without an upfront
-  copy; only each element payload is materialised (once) as ``bytes``.
-- :func:`_decode_reference` is the original cursor-based decoder, kept
-  as the readable specification and as the *baseline* the perf harness
-  (``repro perf``) measures the fast path against.  Property tests
-  assert the two agree byte-for-byte.
+There is **one decoder**: :func:`_decode_fast` parses integer fields in
+place with ``struct.unpack_from`` — no per-field slice allocations, no
+cursor object — and accepts ``bytes``/``bytearray``/``memoryview``
+buffers, so a view over a larger receive buffer is parsed without an
+upfront copy; only each element payload is materialised (once) as
+``bytes``.  The readable cursor-based decoder it replaced is a test
+oracle (``tests/oracles/codec.py``): Tier-1 fuzzes and property-tests
+the two against each other on every input, error messages included.
 
 Encoding is cached: :func:`encode` / :func:`encoded_size` store their
 result on the briefcase, stamped with its mutation count (any mutation
@@ -55,10 +51,6 @@ with the input buffer itself (the format is canonical: every accepted
 wire image re-encodes to itself), and the cached size then follows
 ``Briefcase.drop``, so it is still exact after the firewall strips the
 wire-only folders.
-
-:func:`set_fast_paths` disables all of the above at once (reference
-decoder, no caching); the perf harness uses it to produce honest
-before/after medians in a single run.
 """
 
 from __future__ import annotations
@@ -83,7 +75,6 @@ from repro.core.limits import (
 )
 
 __all__ = ["encode", "decode", "encoded_size", "check_briefcase",
-           "set_fast_paths", "fast_paths_enabled",
            "MAGIC", "VERSION", "ABSOLUTE_MAX_WIRE_BYTES",
            "MAX_FOLDERS", "MAX_ELEMENTS", "MAX_ELEMENT_BYTES"]
 
@@ -117,30 +108,6 @@ _MIN_ELEMENT_BYTES = _U32.size
 _HEADER_BYTES = len(MAGIC) + _U8.size + _U32.size
 
 Buffer = Union[bytes, bytearray, memoryview]
-
-#: Master switch for the optimised paths (fast decoder + encode cache).
-#: Flip with :func:`set_fast_paths`; the perf harness runs its baseline
-#: legs with this off.
-_fast_enabled = True
-
-
-def set_fast_paths(enabled: bool) -> bool:
-    """Enable/disable the codec fast paths; returns the previous state.
-
-    With fast paths off, :func:`decode` uses the reference decoder and
-    :func:`encode`/:func:`encoded_size` neither consult nor populate the
-    per-briefcase encoding cache.  Semantics are identical either way —
-    this switch exists so the perf harness (and a suspicious operator)
-    can compare the two regimes in one process.
-    """
-    global _fast_enabled
-    previous = _fast_enabled
-    _fast_enabled = bool(enabled)
-    return previous
-
-
-def fast_paths_enabled() -> bool:
-    return _fast_enabled
 
 
 # -- encoding --------------------------------------------------------------------
@@ -179,13 +146,11 @@ def encode(briefcase: Briefcase,
     """
     if limits is not None:
         check_briefcase(briefcase, limits)
-    if _fast_enabled:
-        cached = briefcase._wire_cached_bytes()
-        if cached is not None:
-            return cached
+    cached = briefcase._wire_cached_bytes()
+    if cached is not None:
+        return cached
     data = _encode_parts(briefcase)
-    if _fast_enabled:
-        briefcase._wire_cache_store(data, len(data))
+    briefcase._wire_cache_store(data, len(data))
     return data
 
 
@@ -196,15 +161,13 @@ def encoded_size(briefcase: Briefcase) -> int:
     size is cached alongside the encoding (and served from a previous
     :func:`encode` when one is still valid).
     """
-    if _fast_enabled:
-        cached = briefcase._wire_cached_size()
-        if cached is not None:
-            return cached
+    cached = briefcase._wire_cached_size()
+    if cached is not None:
+        return cached
     size = _HEADER_BYTES
     for folder in briefcase._folders.values():
         size += folder._wire_size()
-    if _fast_enabled:
-        briefcase._wire_cache_store(None, size)
+    briefcase._wire_cache_store(None, size)
     return size
 
 
@@ -257,8 +220,7 @@ def check_briefcase(briefcase: Briefcase, limits: WireLimits) -> int:
         raise BriefcaseTooLargeError(
             f"briefcase encodes to {size} bytes "
             f"(limit {limits.max_encoded_bytes})")
-    if _fast_enabled:
-        briefcase._wire_cache_store(None, size)
+    briefcase._wire_cache_store(None, size)
     return size
 
 
@@ -287,45 +249,6 @@ def _decode_caps(data_len: int,
             data_len)
 
 
-class _Reader:
-    """Cursor over a bytes buffer with bounds checking.
-
-    Every short read raises the typed
-    :class:`~repro.core.errors.MalformedBriefcaseError` with offset
-    context instead of surfacing as a bare slice/struct error.
-    """
-
-    def __init__(self, data: Buffer) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise MalformedBriefcaseError(
-                f"truncated briefcase: wanted {n} bytes at offset {self.pos}, "
-                f"buffer has {len(self.data)}")
-        chunk = bytes(self.data[self.pos:self.pos + n])
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return int(_U8.unpack(self.take(_U8.size))[0])
-
-    def u16(self) -> int:
-        return int(_U16.unpack(self.take(_U16.size))[0])
-
-    def u32(self) -> int:
-        return int(_U32.unpack(self.take(_U32.size))[0])
-
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
-
-
 def decode(data: Buffer,
            limits: Optional[WireLimits] = DEFAULT_WIRE_LIMITS) -> Briefcase:
     """Parse a wire representation back into a briefcase.
@@ -352,66 +275,7 @@ def decode(data: Buffer,
         raise BriefcaseTooLargeError(
             f"wire buffer is {data_len} bytes (absolute backstop "
             f"{ABSOLUTE_MAX_WIRE_BYTES})")
-    caps = _decode_caps(data_len, limits)
-    if _fast_enabled:
-        return _decode_fast(data, caps)
-    return _decode_reference(data, caps)
-
-
-def _decode_reference(data: Buffer,
-                      caps: Tuple[int, int, int, int]) -> Briefcase:
-    """The original cursor-based decoder: readable specification and
-    perf-harness baseline.  Must behave identically to
-    :func:`_decode_fast` (property-tested)."""
-    max_folders, max_per_folder, max_total, max_element = caps
-    reader = _Reader(data)
-    if reader.take(len(MAGIC)) != MAGIC:
-        raise MalformedBriefcaseError("bad magic: not a TAX briefcase")
-    version = reader.u8()
-    if version != VERSION:
-        raise MalformedBriefcaseError(
-            f"unsupported briefcase format version {version}")
-    folder_count = reader.u32()
-    if folder_count > max_folders:
-        raise MalformedBriefcaseError(
-            f"implausible folder count {folder_count}")
-    briefcase = Briefcase()
-    total_elements = 0
-    for _ in range(folder_count):
-        name_len = reader.u16()
-        try:
-            name = reader.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedBriefcaseError(
-                "folder name is not valid UTF-8") from exc
-        if not name:
-            raise MalformedBriefcaseError("empty folder name on the wire")
-        if briefcase.has(name):
-            raise MalformedBriefcaseError(
-                f"duplicate folder {name!r} on the wire")
-        element_count = reader.u32()
-        if element_count > max_per_folder:
-            raise MalformedBriefcaseError(
-                f"implausible element count {element_count}")
-        total_elements += element_count
-        if total_elements > max_total:
-            raise MalformedBriefcaseError(
-                f"implausible total element count {total_elements}")
-        folder = briefcase.folder(name)
-        for _ in range(element_count):
-            size = reader.u32()
-            if size > max_element:
-                raise MalformedBriefcaseError(
-                    f"implausible element size {size}")
-            if size > reader.remaining:
-                raise MalformedBriefcaseError(
-                    f"truncated briefcase: declared element size {size} "
-                    f"exceeds the {reader.remaining} bytes left")
-            folder.push(reader.take(size))
-    if not reader.exhausted:
-        raise MalformedBriefcaseError(
-            f"{len(data) - reader.pos} trailing bytes after briefcase")
-    return briefcase
+    return _decode_fast(data, _decode_caps(data_len, limits))
 
 
 def _truncated(wanted: int, pos: int, total: int) -> MalformedBriefcaseError:
@@ -424,11 +288,12 @@ def _decode_fast(data: Buffer,
                  caps: Tuple[int, int, int, int]) -> Briefcase:
     """Allocation-lean decoder: integer fields are unpacked in place.
 
-    Validation order and every raised error match
-    :func:`_decode_reference`; the only differences are mechanical —
-    ``unpack_from`` at an offset instead of slice-then-unpack, and
-    element and folder objects assembled directly (the decoder produces
-    exact ``bytes`` and validated names by construction).
+    Validation order and every raised error match the reference cursor
+    decoder (``tests/oracles/codec.py``); the only differences are
+    mechanical — ``unpack_from`` at an offset instead of
+    slice-then-unpack, and element and folder objects assembled directly
+    (the decoder produces exact ``bytes`` and validated names by
+    construction).
     """
     max_folders, max_per_folder, max_total, max_element = caps
     n = len(data)

@@ -33,10 +33,12 @@ disabled — small heaps get a plain inlined pop loop, large heaps get a
 *sorted-batch drain* (sort the pending entries once, walk them
 linearly, merge in a side-heap of newly posted events) — falling back
 to :meth:`Kernel.step`, which pays the metrics cost, the moment
-telemetry is enabled.  Same-instant event bursts can be scheduled in
-one amortised call with :meth:`Kernel.succeed_many`.  The fast drain
-can be turned off with :func:`set_fast_dispatch` (the perf harness
-measures both regimes); semantics are identical either way.
+telemetry is enabled or an ``until`` / ``max_events`` bound is given.
+The regime is chosen only from what the kernel can observe; there is no
+switch.  Same-instant event bursts can be scheduled in one amortised
+call with :meth:`Kernel.succeed_many`.  Tier-1 holds the drains to one
+firing order (``tests/test_sim_eventloop.py``, against each other and
+against the pre-optimisation kernel in ``tests/oracles/kernel.py``).
 """
 
 from __future__ import annotations
@@ -55,30 +57,6 @@ from repro.sim.errors import (
 
 #: Sentinel for "event has not produced a value yet".
 _PENDING = object()
-
-#: Master switch for the inlined dispatch loop in Kernel.run/run_until.
-#: Flip with :func:`set_fast_dispatch`; the perf harness runs its
-#: baseline legs with this off.
-_fast_dispatch = True
-
-
-def set_fast_dispatch(enabled: bool) -> bool:
-    """Enable/disable the inlined dispatch loop; returns the old state.
-
-    With fast dispatch off, :meth:`Kernel.run` and
-    :meth:`Kernel.run_until` process every event through
-    :meth:`Kernel.step`, exactly as the original implementation did.
-    Virtual-time behaviour is identical either way.
-    """
-    global _fast_dispatch
-    previous = _fast_dispatch
-    _fast_dispatch = bool(enabled)
-    return previous
-
-
-def fast_dispatch_enabled() -> bool:
-    return _fast_dispatch
-
 
 #: Ambient runtime sanitizer (see :mod:`repro.analysis.sanitizer`).
 #: When set, every kernel constructed afterwards carries it as
@@ -174,15 +152,11 @@ class Event:
     def _fire(self) -> None:
         """Hook run by the kernel when the event's turn comes.
 
-        The callback loop is inlined here (rather than delegated to
-        :meth:`_run_callbacks`) to save one method call per dispatched
-        event on the kernel hot path.
+        The callback loop is written out here and in
+        :meth:`Timeout._fire` (rather than shared through a helper) to
+        save one method call per dispatched event on the kernel hot
+        path.
         """
-        callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks or ():
-            callback(self)
-
-    def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
         for callback in callbacks or ():
             callback(self)
@@ -483,7 +457,7 @@ class Kernel:
 
     def _drain_fast(self, stop_event: Optional[Event] = None) -> None:
         """Dispatch events until the heap drains, ``stop_event``
-        triggers, telemetry turns on, or fast dispatch is disabled.
+        triggers, or telemetry turns on.
 
         Two regimes, chosen by heap size:
 
@@ -512,7 +486,7 @@ class Kernel:
             while True:
                 batch = self._heap
                 n = len(batch)
-                if not n or not _fast_dispatch or telemetry.enabled:
+                if not n or telemetry.enabled:
                     return
                 if stop_event is not None and (
                         stop_event._value is not _PENDING
@@ -528,7 +502,7 @@ class Kernel:
                         self._now = when
                         count += 1
                         event._fire()
-                        if telemetry.enabled or not _fast_dispatch:
+                        if telemetry.enabled:
                             return
                         if stop_event is not None and (
                                 stop_event._value is not _PENDING
@@ -553,7 +527,7 @@ class Kernel:
                         self._now = when
                         count += 1
                         event._fire()
-                        if telemetry.enabled or not _fast_dispatch:
+                        if telemetry.enabled:
                             return
                         if stop_event is not None and (
                                 stop_event._value is not _PENDING
@@ -595,8 +569,7 @@ class Kernel:
         through :meth:`_drain_fast` — no per-event :meth:`step` call,
         sorted-batch draining for large heaps — with identical
         semantics; dispatch falls back to :meth:`step` whenever
-        telemetry is (or becomes) enabled or :func:`set_fast_dispatch`
-        turned the fast path off.
+        telemetry is (or becomes) enabled or a bound is given.
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run)")
@@ -606,18 +579,18 @@ class Kernel:
         unconstrained = until is None and max_events is None
         try:
             while self._heap:
-                if unconstrained and _fast_dispatch \
-                        and not telemetry.enabled:
+                if unconstrained and not telemetry.enabled:
                     self._drain_fast()
                     continue  # re-evaluate regime (telemetry mid-flip)
+                if max_events is not None and processed >= max_events:
+                    break
                 when = self._heap[0][0]
                 if until is not None and when > until:
-                    self._now = until
+                    if until > self._now:
+                        self._now = until
                     break
                 self.step()
                 processed += 1
-                if max_events is not None and processed >= max_events:
-                    break
             else:
                 if until is not None and until > self._now:
                     self._now = until
@@ -639,13 +612,13 @@ class Kernel:
         telemetry = self.telemetry
         try:
             while self._heap and not event.triggered:
-                if until is None and _fast_dispatch \
-                        and not telemetry.enabled:
+                if until is None and not telemetry.enabled:
                     self._drain_fast(stop_event=event)
                     continue  # re-evaluate regime (telemetry mid-flip)
                 when = self._heap[0][0]
                 if until is not None and when > until:
-                    self._now = until
+                    if until > self._now:
+                        self._now = until
                     break
                 self.step()
         finally:

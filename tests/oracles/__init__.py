@@ -1,0 +1,10 @@
+"""Reference implementations the Tier-1 tests compare the product against.
+
+Nothing under ``src/repro`` imports from here.  Each module holds the
+readable or pre-optimisation twin of one product hot path:
+
+- :mod:`tests.oracles.codec` — the cursor-based briefcase decoder
+  (``reference_decode``) and the deterministic codec workload;
+- :mod:`tests.oracles.kernel` — the pre-optimisation event kernel
+  (dict-based events, one ``step()`` per event) and its timer workload.
+"""

@@ -20,6 +20,7 @@ from repro.core.briefcase import Briefcase
 from repro.core.errors import CodecError, MalformedBriefcaseError
 from repro.core.limits import WireLimits
 from repro.sim.rng import RandomStream
+from tests.oracles.codec import differential_decode
 
 #: Exceptions the decoder must never leak.
 FORBIDDEN = (IndexError, KeyError, struct.error, UnicodeDecodeError,
@@ -37,13 +38,14 @@ def random_briefcase(rng: RandomStream) -> Briefcase:
 
 
 def try_decode(data: bytes):
-    """Decode; typed codec errors are fine, anything else is the bug."""
+    """Decode; typed codec errors are fine, anything else is the bug —
+    and so is the product decoder parting from the reference oracle
+    (a different briefcase, error type or message)."""
     try:
-        return codec.decode(data)
-    except CodecError:
-        return None
+        status, briefcase, *_ = differential_decode(data)
     except FORBIDDEN as exc:  # pragma: no cover - the failure we hunt
         pytest.fail(f"decode leaked {type(exc).__name__}: {exc}")
+    return briefcase if status == "ok" else None
 
 
 class TestMutationFuzz:

@@ -5,6 +5,7 @@ import pytest
 from repro.core import codec
 from repro.core.briefcase import Briefcase
 from repro.core.errors import CodecError
+from tests.oracles.codec import reference_decode
 
 
 def sample() -> Briefcase:
@@ -222,11 +223,6 @@ class TestDecodeLimitsNone:
     def test_both_decoders_honour_limits_none(self):
         briefcase = Briefcase({"BULK": [b"x"] * 50})
         wire = codec.encode(briefcase)
-        previous = codec.set_fast_paths(False)
-        try:
-            reference = codec.decode(wire, limits=None)
-            codec.set_fast_paths(True)
-            fast = codec.decode(wire, limits=None)
-        finally:
-            codec.set_fast_paths(previous)
+        reference = reference_decode(wire, limits=None)
+        fast = codec.decode(wire, limits=None)
         assert reference == fast == briefcase

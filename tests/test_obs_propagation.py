@@ -360,6 +360,11 @@ class TestDisabledTelemetryOverhead:
                              cluster.network.total_remote_messages(),
                              cluster.kernel.now)
         assert runs[True] == runs[False]
+        # Pinned to what the quickstart has always moved, so a change
+        # that shifts both runs alike is caught too.
+        remote_bytes, remote_messages, final_now = runs[False]
+        assert (remote_bytes, remote_messages,
+                round(final_now, 9)) == (7528, 5, 0.00837436)
 
     def test_disabled_facade_allocates_no_contexts(self):
         telemetry = Telemetry(enabled=False)

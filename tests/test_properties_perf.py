@@ -1,7 +1,7 @@
-"""Property tests for the codec fast paths, the encoding cache and the
-metrics label-key memo.
+"""Property tests for the codec fast paths, the encoding cache, the
+metrics label-key memo and the kernel's drains.
 
-Three invariants underwrite the hot-path work:
+Four invariants underwrite the hot-path work:
 
 1. Round-trip byte identity: for any briefcase, ``encode`` produces the
    same bytes regardless of which decoder (fast or reference) built the
@@ -11,6 +11,10 @@ Three invariants underwrite the hot-path work:
    bytes.
 3. Memo invisibility: a metrics registry that remembers canonical label
    keys records exactly what one that canonicalises on every call does.
+4. Drain invisibility: ``Kernel.run()`` fires any schedule in the same
+   order, to the same instant and count, whether it goes through the
+   fast drain, through ``step()`` because a bound was given, or through
+   ``step()`` because telemetry is on.
 """
 
 import json
@@ -29,6 +33,9 @@ from repro.obs.metrics import (  # noqa: E402
     MetricsRegistry,
     _label_key,
 )
+from repro.obs.telemetry import Telemetry  # noqa: E402
+from repro.sim.eventloop import Kernel  # noqa: E402
+from tests.oracles.codec import reference_decode  # noqa: E402
 
 folder_names = st.text(
     alphabet=string.ascii_letters + string.digits + "-_.",
@@ -41,21 +48,6 @@ briefcases = st.dictionaries(
     st.lists(st.binary(max_size=200), max_size=8),
     max_size=8,
 ).map(Briefcase.from_dict)
-
-
-@pytest.fixture(autouse=True)
-def _fast_paths_on():
-    previous = codec.set_fast_paths(True)
-    yield
-    codec.set_fast_paths(previous)
-
-
-def reference_decode(data):
-    previous = codec.set_fast_paths(False)
-    try:
-        return codec.decode(data)
-    finally:
-        codec.set_fast_paths(previous)
 
 
 class TestRoundTripByteIdentity:
@@ -218,3 +210,53 @@ class TestLabelKeyMemo:
                 Metric, "_key", lambda self, labels: _label_key(labels)):
             reference = replay(calls)
         assert replay(calls) == reference
+
+
+#: Few distinct delays, so that instants tie across timers, their
+#: children and the zero-delay events the children post.
+tick = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5])
+
+#: (delay, fanout, child delay): a timer whose callback posts ``fanout``
+#: more timers.  The start of the schedule lands on either side of
+#: ``Kernel._BATCH_MIN`` and a fanout of 70 grows a small heap past it
+#: from inside the drain.
+schedules = st.lists(
+    st.tuples(tick, st.sampled_from([0, 0, 0, 1, 3, 70]), tick),
+    max_size=2 * Kernel._BATCH_MIN)
+
+
+def fire(schedule, telemetry=False, **bounds):
+    """Run ``schedule`` on a fresh kernel: firing order, clock, count."""
+    kernel = Kernel(telemetry=Telemetry(enabled=telemetry))
+    fired = []
+
+    def parent(i, fanout, child_delay):
+        def callback(_event):
+            fired.append((kernel.now, i))
+            for j in range(fanout):
+                kernel.timeout(child_delay).add_callback(child(i, j))
+        return callback
+
+    def child(i, j):
+        def callback(_event):
+            fired.append((kernel.now, i, j))
+            if j % 2 == 0:
+                # A manually triggered event: same instant, next turn.
+                kernel.event().succeed().add_callback(
+                    lambda _e: fired.append((kernel.now, i, j, "echo")))
+        return callback
+
+    for i, (delay, fanout, child_delay) in enumerate(schedule):
+        kernel.timeout(delay).add_callback(parent(i, fanout, child_delay))
+    kernel.run(**bounds)
+    return fired, kernel.now, kernel.processed_events
+
+
+class TestDrainRegimes:
+    @given(schedule=schedules)
+    @settings(max_examples=100, deadline=None)
+    def test_every_regime_fires_the_same_schedule(self, schedule):
+        fast = fire(schedule)
+        assert fire(schedule, max_events=10**9) == fast
+        assert fire(schedule, telemetry=True) == fast
+        assert fast[2] == len(fast[0])

@@ -102,6 +102,17 @@ class TestTimeout:
         kernel.run(until=7)
         assert kernel.now == 7
 
+    def test_run_until_in_the_past_keeps_the_clock(self, kernel):
+        # Regression: with a later event still pending, an ``until``
+        # behind the clock used to move the clock backwards.
+        kernel.timeout(5)
+        kernel.timeout(10)
+        kernel.run(until=6)
+        assert kernel.now == 6
+        kernel.run(until=2)
+        assert kernel.now == 6
+        assert kernel.processed_events == 1
+
 
 class TestProcess:
     def test_process_returns_value(self, kernel):
@@ -271,6 +282,16 @@ class TestCombinators:
         assert process.value == "x"
         assert kernel.now == 2
 
+    def test_run_until_deadline_in_the_past_keeps_the_clock(self, kernel):
+        # Regression: same backwards step as ``run(until=...)``.
+        kernel.timeout(5)
+        late = kernel.timeout(10)
+        kernel.run_until(late, until=6)
+        assert kernel.now == 6
+        kernel.run_until(late, until=2)
+        assert kernel.now == 6
+        assert not late.triggered
+
 
 class TestKernelGuards:
     def test_reentrant_run_rejected(self, kernel):
@@ -285,6 +306,11 @@ class TestKernelGuards:
             kernel.timeout(1)
         kernel.run(max_events=3)
         assert kernel.processed_events == 3
+        # Regression: a bound of zero used to dispatch one event.
+        kernel.run(max_events=0)
+        assert kernel.processed_events == 3
+        assert kernel.run(max_events=10**9) == 1
+        assert kernel.processed_events == 10
 
     def test_processed_events_counted(self, kernel):
         kernel.timeout(1)
@@ -477,10 +503,10 @@ class TestSlotsAndFastDrain:
                 _ = obj.__dict__
 
     def test_fast_and_slow_dispatch_agree_on_mixed_workload(self):
-        from repro.sim import eventloop
+        from repro.obs.telemetry import Telemetry
 
-        def build_and_run():
-            kernel = Kernel()
+        def build_and_run(telemetry=False, **bounds):
+            kernel = Kernel(telemetry=Telemetry(enabled=telemetry))
             fired = []
 
             def worker(tag, delays):
@@ -496,17 +522,13 @@ class TestSlotsAndFastDrain:
                 kernel.spawn(worker(tag, delays))
             for i in range(500):
                 kernel.timeout((i * 37 % 101) / 10.0)
-            kernel.run()
+            kernel.run(**bounds)
             return fired, kernel.now, kernel.processed_events
 
-        previous = eventloop.set_fast_dispatch(True)
-        try:
-            fast = build_and_run()
-            eventloop.set_fast_dispatch(False)
-            slow = build_and_run()
-        finally:
-            eventloop.set_fast_dispatch(previous)
-        assert fast == slow
+        fast = build_and_run()
+        # A bound, or telemetry, sends every event through step().
+        assert build_and_run(max_events=10**9) == fast
+        assert build_and_run(telemetry=True) == fast
 
     def test_drain_survives_batch_growth_past_threshold(self):
         # Start below the sorted-batch threshold, then grow the heap far

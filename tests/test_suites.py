@@ -9,8 +9,7 @@ this layer exists to pin down:
   (:func:`repro.sim.rng.derive_seed` / :func:`~repro.sim.rng.retry_stream`);
 - the scenario subcommands diverging on ``--list``/unknown-name/exit
   codes — ``chaos``/``partition``/``crashtest``/``overload`` are one
-  command function over the plugin registry, and ``perf`` shares its
-  ``_run_named_scenario`` plumbing.
+  command function over the plugin registry.
 """
 
 import dataclasses
@@ -326,13 +325,6 @@ def test_cli_overload_list_and_unknown(capsys):
     code, out, _ = run_cli(["overload", "--list"], capsys)
     assert code == 0 and "governed" in out and "ungoverned" in out
     code, _, err = run_cli(["overload", "--mode", "bogus"], capsys)
-    assert code == 2 and "--list" in err
-
-
-def test_cli_perf_list_and_unknown(capsys):
-    code, out, _ = run_cli(["perf", "--list"], capsys)
-    assert code == 0 and "full" in out and "quick" in out
-    code, _, err = run_cli(["perf", "--profile", "bogus"], capsys)
     assert code == 2 and "--list" in err
 
 

@@ -39,13 +39,6 @@ value_lists = st.lists(values, max_size=3)
 picks = st.integers(min_value=0, max_value=1_000)
 
 
-@pytest.fixture(autouse=True)
-def _fast_paths_on():
-    previous = codec.set_fast_paths(True)
-    yield
-    codec.set_fast_paths(previous)
-
-
 def assert_cache_is_truthful(briefcase):
     truth = codec._encode_parts(briefcase)
     size = briefcase._wire_cached_size()
