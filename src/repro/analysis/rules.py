@@ -16,7 +16,8 @@ DET001    wall-clock reads (``time.time``, ``datetime.now``, ...)
 DET002    unseeded randomness outside ``repro.sim.rng``
 DET003    environment reads in deterministic code (sim/core)
 DET004    iteration over bare set displays/constructors
-DET005    identity-dependent ordering or membership (``id(...)``)
+DET005    process-dependent values: ``id(...)`` ordering/membership,
+          builtin ``hash(...)`` outside ``__hash__``
 DET006    ``dict.popitem`` (order-dependent and destructive)
 DUR001    journaled firewall/landing state mutated around the journal
 ERR001    broad ``except`` that swallows the exception object
@@ -201,13 +202,28 @@ class IdentityOrderRule(Rule):
     id = "DET005"
     severity = "warning"
     description = ("id()-keyed ordering/membership depends on the "
-                   "allocator and risks id reuse after GC")
+                   "allocator and risks id reuse after GC; builtin "
+                   "hash() of text is randomised per process")
 
     _COLLECTION_METHODS = frozenset({"add", "discard", "remove", "append"})
-    _SORTERS = frozenset({"sorted", "min", "max"})
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
+        #: Defining ``__hash__`` is the one place hash() belongs.
+        in_dunder_hash = {
+            inner for node in ctx.walk()
+            if isinstance(node, ast.FunctionDef) and node.name == "__hash__"
+            for inner in ast.walk(node)}
         for node in ctx.walk():
+            if isinstance(node, ast.Call) and \
+                    ctx.qualified_name(node.func) == "hash" and \
+                    node not in in_dunder_hash:
+                yield self.finding(
+                    ctx, node,
+                    "builtin hash() of str/bytes changes with "
+                    "PYTHONHASHSEED, so a seed, key or order taken from "
+                    "it differs between processes; derive it with "
+                    "repro.sim.rng.derive_seed or hashlib")
+                continue
             if isinstance(node, ast.keyword) and node.arg == "key" and \
                     isinstance(node.value, ast.Name) and \
                     ctx.qualified_name(node.value) == "id":

@@ -24,10 +24,6 @@ class CpuStats:
     busy_seconds: float = 0.0
     operations: int = 0
 
-    def record(self, seconds: float) -> None:
-        self.busy_seconds += seconds
-        self.operations += 1
-
 
 class SimHost:
     """A machine on the simulated network.
@@ -63,17 +59,9 @@ class SimHost:
             raise ValueError("reference_seconds must be non-negative")
         return reference_seconds / self.cpu_factor
 
-    def _record_cpu(self, seconds: float) -> None:
-        telemetry = self.kernel.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.inc("host.cpu_seconds", seconds,
-                                  host=self.name)
-
     def compute(self, reference_seconds: float):
         """A process step spending CPU time: ``yield from host.compute(s)``."""
-        seconds = self.cpu_seconds(reference_seconds)
-        self.cpu_stats.record(seconds)
-        self._record_cpu(seconds)
+        seconds = self.charge_compute(reference_seconds)
         yield self.kernel.timeout(seconds)
         return seconds
 
@@ -82,10 +70,19 @@ class SimHost:
 
         The synchronous counterpart of :meth:`compute`, for code that
         accumulates cost into a ledger (see `repro.bench.metrics`).
+        Two of these per simulated HTTP request: one frame, with
+        :meth:`cpu_seconds` written out.
         """
-        seconds = self.cpu_seconds(reference_seconds)
-        self.cpu_stats.record(seconds)
-        self._record_cpu(seconds)
+        if reference_seconds < 0:
+            raise ValueError("reference_seconds must be non-negative")
+        seconds = reference_seconds / self.cpu_factor
+        stats = self.cpu_stats
+        stats.busy_seconds += seconds
+        stats.operations += 1
+        telemetry = self.kernel.telemetry
+        if telemetry.enabled:
+            telemetry.metrics.inc("host.cpu_seconds", seconds,
+                                  host=self.name)
         return seconds
 
     def __repr__(self) -> str:

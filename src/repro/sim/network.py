@@ -13,17 +13,6 @@ the paper's experiment has one active transfer at a time).
 Links are directional pairs created symmetrically by :meth:`Network.link`.
 Every host implicitly has a loopback link to itself with near-zero cost,
 so "local" interactions are effectively free, as on a real host.
-
-**Message coalescing** (off by default; see
-:meth:`Network.configure_coalescing`): when enabled, transfers that
-start on the same directional link *at the same virtual instant* share
-a single latency charge — the first pays ``latency + n/bandwidth``,
-each subsequent same-instant transfer pays only its serialisation time
-``n/bandwidth``.  N same-instant, same-destination messages therefore
-cost one latency plus their summed bandwidth time, the classic batching
-win for chatty agent protocols.  The rule is a pure function of the
-virtual clock, so it is deterministic; with coalescing disabled
-(default) every byte-for-byte report is unchanged.
 """
 
 from __future__ import annotations
@@ -147,14 +136,6 @@ class Network:
         self.breaker_config: Optional[BreakerConfig] = None
         #: (src, dst) → breaker, created lazily per directional link.
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
-        #: Message coalescing (off by default; semantics-preserving when
-        #: off — see :meth:`configure_coalescing`).
-        self.coalescing_enabled = False
-        #: (src, dst) → virtual instant of the last transfer start, used
-        #: to detect same-instant bursts eligible for coalescing.
-        self._coalesce_marks: Dict[Tuple[str, str], float] = {}
-        #: Transfers that rode an already-paid latency window.
-        self.coalesced_messages = 0
 
     # -- topology -------------------------------------------------------------
 
@@ -265,35 +246,6 @@ class Network:
             if name in self._down_hosts:
                 raise HostDownError(f"host {name} is down")
 
-    # -- coalescing ------------------------------------------------------------
-
-    def configure_coalescing(self, enabled: bool) -> None:
-        """Enable/disable same-instant message coalescing (default off).
-
-        With coalescing on, the *first* transfer starting on a
-        directional link at virtual instant ``t`` pays the full
-        ``latency + n/bandwidth``; every further transfer starting on
-        that link at the same instant ``t`` pays only ``n/bandwidth``
-        (it rides in the already-dispatched frame).  Loopback transfers
-        never coalesce.  Decisions depend only on the virtual clock, so
-        two identical runs coalesce identically — asserted by the
-        determinism test in ``tests/test_perf_fastpaths.py``.
-        """
-        self.coalescing_enabled = bool(enabled)
-        self._coalesce_marks.clear()
-
-    def _coalesced_transfer_time(self, src: str, dst: str,
-                                 link: Link, nbytes: int) -> Tuple[float, bool]:
-        """(seconds, coalesced?) for a transfer starting now."""
-        if not self.coalescing_enabled or src == dst:
-            return link.transfer_time(nbytes), False
-        key = (src, dst)
-        now = self.kernel.now
-        if self._coalesce_marks.get(key) == now:
-            return nbytes / link.bandwidth, True
-        self._coalesce_marks[key] = now
-        return link.transfer_time(nbytes), False
-
     # -- circuit breakers ------------------------------------------------------
 
     def configure_breakers(self, config: Optional[BreakerConfig]) -> None:
@@ -354,10 +306,9 @@ class Network:
 
     def _record_traffic(self, link: Link, nbytes: int,
                         seconds: float) -> None:
-        telemetry = self.kernel.telemetry
-        if not telemetry.enabled:
-            return
-        metrics = telemetry.metrics
+        """Telemetry for one completed transfer (callers check
+        ``telemetry.enabled`` first, so the disabled case costs no call)."""
+        metrics = self.kernel.telemetry.metrics
         metrics.inc("net.bytes_on_wire", nbytes, src=link.src, dst=link.dst)
         metrics.inc("net.messages", src=link.src, dst=link.dst)
         metrics.observe("net.transfer_seconds", seconds,
@@ -392,13 +343,7 @@ class Network:
         verdict = None
         if self.fault_injector is not None and src != dst:
             verdict = self.fault_injector.verdict(src, dst, nbytes)
-        seconds, coalesced = self._coalesced_transfer_time(
-            src, dst, link, nbytes)
-        if coalesced:
-            self.coalesced_messages += 1
-            telemetry = self.kernel.telemetry
-            if telemetry.enabled:
-                telemetry.metrics.inc("net.coalesced", src=src, dst=dst)
+        seconds = link.transfer_time(nbytes)
         span = self.kernel.telemetry.tracer.begin(
             "net.transfer", category="net", track=f"net:{src}->{dst}",
             bytes=nbytes)
@@ -420,7 +365,8 @@ class Network:
         if breaker is not None:
             breaker.record_success(self.kernel.now)
         link.stats.record(nbytes, seconds)
-        self._record_traffic(link, nbytes, seconds)
+        if self.kernel.telemetry.enabled:
+            self._record_traffic(link, nbytes, seconds)
         span.end(outcome="ok")
         return seconds
 
@@ -438,14 +384,29 @@ class Network:
         Used by synchronous code (e.g. the stationary robot's HTTP client)
         that accumulates cost into a ledger and sleeps once at the end.
         Raises if the link is partitioned or an endpoint is down.
+
+        Four of these per simulated HTTP request: one frame, with
+        :meth:`link_between`, :meth:`_check_endpoints`,
+        :meth:`Link.transfer_time` and :meth:`LinkStats.record` written
+        out in the order those helpers run.
         """
-        link = self.link_between(src, dst)
+        link = self._links.get((src, dst))
+        if link is None:
+            # First loopback use, a default link to create, or no route.
+            link = self.link_between(src, dst)
         if not link.up:
             raise LinkDownError(f"link {src} -> {dst} is partitioned")
-        self._check_endpoints(src, dst)
-        seconds = link.transfer_time(nbytes)
-        link.stats.record(nbytes, seconds)
-        self._record_traffic(link, nbytes, seconds)
+        if self._down_hosts:
+            self._check_endpoints(src, dst)
+        if nbytes < 0:
+            raise ValueError("cannot transfer a negative number of bytes")
+        seconds = link.latency + nbytes / link.bandwidth
+        stats = link.stats
+        stats.messages += 1
+        stats.payload_bytes += nbytes
+        stats.busy_seconds += seconds
+        if self.kernel.telemetry.enabled:
+            self._record_traffic(link, nbytes, seconds)
         return seconds
 
     # -- accounting -----------------------------------------------------------

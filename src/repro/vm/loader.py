@@ -36,6 +36,7 @@ on the wire.
 from __future__ import annotations
 
 import base64
+import functools
 import importlib
 import inspect
 import io
@@ -336,11 +337,16 @@ def parse_source(payload: Payload) -> "tuple[str, str, str]":
     return data["source"], data["entry"], data.get("origin", "<shipped>")
 
 
+@functools.lru_cache(maxsize=4)
 def compile_source(payload: Payload) -> Payload:
     """The "compiler": py-source → py-marshal (module style).
 
     This is the function ag_exec runs on ag_cc's behalf in the Figure-3
-    chain; the output is the opaque "binary" handed on to vm_bin.
+    chain; the output is the opaque "binary" handed on to vm_bin.  A
+    pure function of an immutable payload, so the last few results are
+    remembered (a failed compilation is not): a program launched many
+    times in one process — the Webbot, once per mobile crawl — is
+    compiled once.
     """
     source, entry, origin = parse_source(payload)
     try:

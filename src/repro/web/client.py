@@ -21,11 +21,11 @@ The only difference is ``origin_host``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.sim.host import SimHost
 from repro.sim.ledger import CostLedger
-from repro.sim.network import LinkDownError, Network
+from repro.sim.network import HostDownError, LinkDownError, Network
 from repro.web import urls
 from repro.web.server import HttpRequest, WebDeployment
 
@@ -48,8 +48,7 @@ class ClientModel:
     handshake_rtts: int = 1
 
 
-@dataclass(frozen=True)
-class ClientResponse:
+class ClientResponse(NamedTuple):
     """What the caller of the HTTP client sees."""
 
     url: str
@@ -90,49 +89,50 @@ class SimHttpClient:
         return self.request("HEAD", url)
 
     def request(self, method: str, url: str) -> ClientResponse:
-        """Perform a request, charging all costs to the ledger."""
+        """Perform a request, charging all costs to the ledger.
+
+        A host that is unknown, partitioned away or crashed costs one
+        connect timeout and answers with ``status == 0``.
+        """
         self.requests_made += 1
         try:
             parsed = urls.parse(url)
         except urls.UrlError:
             return ClientResponse(url=url, status=0)
         server = self.deployment.resolve(parsed)
+        ledger = self.ledger
+        model = self.model
         if server is None:
-            self.ledger.add("connect-fail", self.model.connect_fail_seconds)
+            ledger.add("connect-fail", model.connect_fail_seconds)
             return ClientResponse(url=str(parsed), status=0)
 
-        request = HttpRequest(method=method, path=parsed.path)
+        request = HttpRequest(method, parsed.path)
+        request_bytes = request.wire_bytes
+        charge = self.network.charge
         src = self.origin_host.name
         dst = server.host.name
         try:
-            for _ in range(self.model.handshake_rtts):
+            for _ in range(model.handshake_rtts):
                 # TCP setup: two latency-only crossings (SYN / SYN-ACK).
-                self.ledger.add_network(self.network.charge(src, dst, 0), 0)
-                self.ledger.add_network(self.network.charge(dst, src, 0), 0)
-            seconds_out = self.network.charge(src, dst, request.wire_bytes)
-        except LinkDownError:
-            self.ledger.add("connect-fail", self.model.connect_fail_seconds)
+                ledger.add("network", charge(src, dst, 0))
+                ledger.add("network", charge(dst, src, 0))
+            seconds_out = charge(src, dst, request_bytes)
+        except (LinkDownError, HostDownError):
+            ledger.add("connect-fail", model.connect_fail_seconds)
             return ClientResponse(url=str(parsed), status=0)
-        self.ledger.add_network(seconds_out, request.wire_bytes)
+        ledger.add("network", seconds_out, request_bytes)
 
         response, service_seconds = server.handle(request)
-        self.ledger.add_server(service_seconds)
+        ledger.add("server", service_seconds)
 
-        seconds_back = self.network.charge(dst, src, response.wire_bytes)
-        self.ledger.add_network(seconds_back, response.wire_bytes)
+        response_bytes = response.wire_bytes
+        ledger.add("network", charge(dst, src, response_bytes),
+                   response_bytes)
 
-        handling = self.origin_host.charge_compute(
-            self.model.per_request_cpu +
-            len(response.body.encode("utf-8")) * self.model.per_byte_cpu)
-        self.ledger.add_cpu(handling)
+        ledger.add("cpu", self.origin_host.charge_compute(
+            model.per_request_cpu +
+            response.body_bytes * model.per_byte_cpu))
 
-        return ClientResponse(url=str(parsed), status=response.status,
-                              body=response.body,
-                              location=response.location,
-                              content_type=response.content_type,
-                              age_days=response.age_days)
-
-    @property
-    def is_local_to(self) -> str:
-        """Name of the host this client issues requests from."""
-        return self.origin_host.name
+        return ClientResponse(str(parsed), response.status, response.body,
+                              response.location, response.content_type,
+                              response.age_days)

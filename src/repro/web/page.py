@@ -23,6 +23,9 @@ class Page:
     ``age_days`` models the Last-Modified header a 1999 server would
     send; ``content_type`` distinguishes documents from assets — both
     feed the Webbot's "age and type of web pages encountered" stats.
+    ``size`` is the body size in bytes (UTF-8), taken when the page is
+    made: ``html`` is not reassigned afterwards, and every request for
+    the page is charged by this number.
     """
 
     path: str
@@ -30,11 +33,10 @@ class Page:
     links: List[str] = field(default_factory=list)
     age_days: float = 0.0
     content_type: str = "text/html"
+    size: int = field(init=False)
 
-    @property
-    def size(self) -> int:
-        """Body size in bytes (UTF-8)."""
-        return len(self.html.encode("utf-8"))
+    def __post_init__(self):
+        self.size = len(self.html.encode("utf-8"))
 
     @property
     def is_html(self) -> bool:

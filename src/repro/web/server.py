@@ -12,7 +12,7 @@ registry mapping ``host[:port]`` to servers, shared by all HTTP clients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, NamedTuple, Optional
 
 from repro.sim.host import SimHost
 from repro.web import urls
@@ -22,16 +22,8 @@ from repro.web.site import Site
 REQUEST_OVERHEAD_BYTES = 80
 RESPONSE_OVERHEAD_BYTES = 160
 
-STATUS_REASONS = {
-    200: "OK",
-    301: "Moved Permanently",
-    404: "Not Found",
-    501: "Not Implemented",
-}
 
-
-@dataclass(frozen=True)
-class HttpRequest:
+class HttpRequest(NamedTuple):
     """A parsed request as the server sees it."""
 
     method: str
@@ -42,12 +34,14 @@ class HttpRequest:
         return REQUEST_OVERHEAD_BYTES + len(self.method) + len(self.path)
 
 
-@dataclass(frozen=True)
-class HttpResponse:
+class HttpResponse(NamedTuple):
     """A server response; ``body`` is empty for HEAD and error statuses.
 
     ``location`` carries the absolute redirect target for 3xx statuses
-    (1999-era servers sent absolute Location URLs).
+    (1999-era servers sent absolute Location URLs).  ``body_bytes`` is
+    the UTF-8 size of ``body`` when whoever built the response already
+    knew it (:meth:`WebServer.handle` always does); left ``None``, the
+    body is measured each time its size is asked for.
     """
 
     status: int
@@ -56,22 +50,18 @@ class HttpResponse:
     location: Optional[str] = None
     content_type: str = "text/html"
     age_days: Optional[float] = None
+    body_bytes: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
 
     @property
-    def is_redirect(self) -> bool:
-        return 300 <= self.status < 400 and self.location is not None
-
-    @property
-    def reason(self) -> str:
-        return STATUS_REASONS.get(self.status, "Unknown")
-
-    @property
     def wire_bytes(self) -> int:
-        return RESPONSE_OVERHEAD_BYTES + len(self.body.encode("utf-8"))
+        nbytes = self.body_bytes
+        if nbytes is None:
+            nbytes = len(self.body.encode("utf-8"))
+        return RESPONSE_OVERHEAD_BYTES + nbytes
 
 
 @dataclass(frozen=True)
@@ -82,7 +72,7 @@ class ServerModel:
     per_kilobyte_cpu: float = 0.0002
 
     def service_seconds(self, response: HttpResponse) -> float:
-        size_kb = len(response.body.encode("utf-8")) / 1024.0
+        size_kb = (response.wire_bytes - RESPONSE_OVERHEAD_BYTES) / 1024.0
         return self.per_request_cpu + size_kb * self.per_kilobyte_cpu
 
 
@@ -102,38 +92,54 @@ class WebServer:
         return self.site.host
 
     def handle(self, request: HttpRequest) -> "tuple[HttpResponse, float]":
-        """Process a request; returns (response, service_seconds)."""
+        """Process a request; returns (response, service_seconds).
+
+        The body is measured at most once (a page knows its size), and
+        the response carries the result as ``body_bytes``.
+        """
         self.requests_served += 1
-        if request.method not in ("GET", "HEAD"):
-            response = HttpResponse(501)
+        site = self.site
+        get = request.method == "GET"
+        body, nbytes = "", 0
+        if not get and request.method != "HEAD":
+            response = HttpResponse(501, body_bytes=0)
         else:
             path = urls.normalize_path(request.path)
-            if path == "/robots.txt" and self.site.robots_txt is not None:
-                body = "" if request.method == "HEAD" else \
-                    self.site.robots_txt
+            if path == "/robots.txt" and site.robots_txt is not None:
+                if get:
+                    body = site.robots_txt
+                    nbytes = len(body.encode("utf-8"))
                 response = HttpResponse(
-                    200, body, content_length=len(self.site.robots_txt))
-            elif path in self.site.redirects:
-                target = self.site.redirects[path]
+                    200, body, content_length=len(site.robots_txt),
+                    body_bytes=nbytes)
+            elif path in site.redirects:
+                target = site.redirects[path]
                 location = target if "://" in target else \
-                    f"http://{self.site.host}{target}"
-                response = HttpResponse(301, location=location)
+                    f"http://{site.host}{target}"
+                response = HttpResponse(301, location=location,
+                                        body_bytes=0)
             else:
-                page = self.site.pages.get(path)
+                page = site.pages.get(path)
                 if page is None:
-                    body = "" if request.method == "HEAD" else \
-                        f"<html><body>404 Not Found: {path}</body></html>"
-                    response = HttpResponse(404, body,
-                                            content_length=len(body))
-                else:
-                    body = "" if request.method == "HEAD" else page.html
+                    if get:
+                        body = ("<html><body>404 Not Found: "
+                                f"{path}</body></html>")
+                        nbytes = len(body.encode("utf-8"))
                     response = HttpResponse(
-                        200, body, content_length=page.size,
-                        content_type=page.content_type,
-                        age_days=page.age_days)
-        self.bytes_served += len(response.body.encode("utf-8"))
+                        404, body, content_length=len(body),
+                        body_bytes=nbytes)
+                else:
+                    if get:
+                        body, nbytes = page.html, page.size
+                    response = HttpResponse(
+                        200, body, page.size, None, page.content_type,
+                        page.age_days, nbytes)
+        self.bytes_served += nbytes
+        model = self.model
+        # ServerModel.service_seconds, on the size already in hand.
         seconds = self.host.charge_compute(
-            self.model.service_seconds(response))
+            model.per_request_cpu +
+            nbytes / 1024.0 * model.per_kilobyte_cpu)
         return response, seconds
 
 

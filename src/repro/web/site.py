@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.rng import RandomStream, stream_from
+from repro.sim.rng import RandomStream, derive_seed, stream_from
 from repro.web.page import Page, make_filler, render_page
 
 
@@ -282,7 +282,8 @@ def external_stub_site(host: str, n_pages: int = 1,
     spec = SiteSpec(host=host, n_pages=n_pages,
                     total_bytes=max(page_bytes * n_pages, n_pages * 64 + 64),
                     links_per_page=0.0, dead_internal_fraction=0.0,
-                    external_link_fraction=0.0, seed=hash(host) & 0xFFFF)
+                    external_link_fraction=0.0,
+                    seed=derive_seed(0, "stub/" + host))
     return generate_site(spec)
 
 

@@ -10,8 +10,7 @@ link checker), but fragments are handled because real pages contain
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 
 class UrlError(ValueError):
@@ -21,9 +20,9 @@ class UrlError(ValueError):
 DEFAULT_HTTP_PORT = 80
 
 
-@dataclass(frozen=True)
-class Url:
-    """An absolute http URL, normalised."""
+class Url(NamedTuple):
+    """An absolute http URL, normalised (immutable; built once per
+    request, so a tuple rather than a frozen dataclass)."""
 
     host: str
     port: int
@@ -45,6 +44,11 @@ class Url:
 
 def normalize_path(path: str) -> str:
     """Resolve ``.``/``..`` segments and collapse ``//``; strip fragments."""
+    if path.startswith("/") and "/." not in path and "//" not in path \
+            and "#" not in path:
+        # Already normal: no fragment and no empty, ``.`` or ``..``
+        # segment for the loop below to drop (it keeps a trailing ``/``).
+        return path
     path = path.split("#", 1)[0]
     if not path.startswith("/"):
         path = "/" + path

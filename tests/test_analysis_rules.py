@@ -72,7 +72,7 @@ def test_det004_set_iteration():
 
 def test_det005_identity_order():
     findings = lint_file(CASES, "det005_identity.py")
-    assert rule_lines(findings, "DET005") == [5, 6, 8, 9]
+    assert rule_lines(findings, "DET005") == [5, 6, 8, 9, 15]
     assert all(f.rule == "DET005" for f in findings)
 
 

@@ -1,7 +1,7 @@
 """Tests for the hot-path optimisations: the decoder vs its reference
-oracle, briefcase encoding cache, wire coalescing, site-generation
-tables, the kernel vs its pre-optimisation oracle, and the literal
-digests that pin "faster never means different"."""
+oracle, briefcase encoding cache, site-generation tables, the kernel vs
+its pre-optimisation oracle, and the literal digests that pin "faster
+never means different"."""
 
 import hashlib
 import json
@@ -15,7 +15,6 @@ from repro.core.briefcase import Briefcase
 from repro.core.limits import WireLimits
 from repro.obs.telemetry import Telemetry
 from repro.sim.eventloop import Kernel
-from repro.sim.network import Network
 from repro.sim.rng import RandomStream
 from repro.web.page import _FILLER_WORDS, make_filler
 from tests.oracles.codec import (differential_decode, make_codec_workload,
@@ -174,99 +173,6 @@ class TestEncodingCache:
         assert codec.encoded_size(briefcase) == size
 
 
-class TestCoalescing:
-    def make(self, latency=0.05, bandwidth=1000.0):
-        kernel = Kernel()
-        network = Network(kernel)
-        network.link("a", "b", latency=latency, bandwidth=bandwidth)
-        return kernel, network
-
-    def run_burst(self, kernel, network, sizes, src="a", dst="b"):
-        durations = []
-
-        def sender(n):
-            seconds = yield from network.transfer(src, dst, n)
-            durations.append(round(seconds, 9))
-
-        for size in sizes:
-            kernel.spawn(sender(size))
-        kernel.run()
-        return durations
-
-    def test_off_by_default_and_semantics_preserving(self):
-        kernel, network = self.make()
-        durations = self.run_burst(kernel, network, [100, 100, 100])
-        assert durations == [0.15, 0.15, 0.15]
-        assert network.coalesced_messages == 0
-
-    def test_same_instant_burst_pays_one_latency(self):
-        kernel, network = self.make()
-        network.configure_coalescing(True)
-        durations = self.run_burst(kernel, network, [100, 100, 100])
-        # One message pays latency + serialisation; followers only
-        # serialise, so they complete first.
-        assert durations == [0.1, 0.1, 0.15]
-        assert network.coalesced_messages == 2
-        stats = network.stats_between("a", "b")
-        assert stats.busy_seconds == pytest.approx(0.05 + 3 * 0.1)
-        assert stats.messages == 3
-        assert stats.payload_bytes == 300
-
-    def test_different_instants_do_not_coalesce(self):
-        kernel, network = self.make()
-        network.configure_coalescing(True)
-
-        def staggered():
-            yield from network.transfer("a", "b", 100)
-            yield from network.transfer("a", "b", 100)
-        kernel.run_process(staggered())
-        assert network.coalesced_messages == 0
-
-    def test_opposite_directions_do_not_coalesce(self):
-        kernel, network = self.make()
-        network.configure_coalescing(True)
-        sent = []
-
-        def one(src, dst):
-            seconds = yield from network.transfer(src, dst, 100)
-            sent.append(round(seconds, 9))
-
-        kernel.spawn(one("a", "b"))
-        kernel.spawn(one("b", "a"))
-        kernel.run()
-        assert sent == [0.15, 0.15]
-        assert network.coalesced_messages == 0
-
-    def test_loopback_never_coalesces(self):
-        kernel, network = self.make()
-        network.add_host("a")
-        network.configure_coalescing(True)
-        durations = self.run_burst(kernel, network, [100, 100],
-                                   src="a", dst="a")
-        assert durations[0] == durations[1]
-        assert network.coalesced_messages == 0
-
-    def test_disable_clears_marks(self):
-        kernel, network = self.make()
-        network.configure_coalescing(True)
-        self.run_burst(kernel, network, [100, 100])
-        assert network._coalesce_marks
-        network.configure_coalescing(False)
-        assert not network._coalesce_marks
-        assert not network.coalescing_enabled
-
-    def test_deterministic_across_identical_runs(self):
-        def once():
-            kernel, network = self.make()
-            network.configure_coalescing(True)
-            durations = self.run_burst(kernel, network,
-                                       [100, 300, 50, 700, 200])
-            stats = network.stats_between("a", "b")
-            return (durations, network.coalesced_messages,
-                    round(stats.busy_seconds, 9))
-        assert once() == once()
-
-
 def reference_make_filler(nbytes: int, salt: int = 0) -> str:
     """The word-at-a-time loop ``make_filler`` replaced."""
     if nbytes <= 0:
@@ -324,36 +230,6 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def coalescing_determinism_digest() -> str:
-    """Run the same coalesced burst twice; digest the outcome (completion
-    times and link accounting), which both runs must share."""
-    outcomes = []
-    for _ in range(2):
-        kernel = Kernel()
-        network = Network(kernel)
-        network.link("a", "b", latency=0.05, bandwidth=10_000.0)
-        network.configure_coalescing(True)
-        done = []
-
-        def sender(n):
-            seconds = yield from network.transfer("a", "b", n)
-            done.append((round(kernel.now, 9), round(seconds, 9), n))
-
-        for size in (100, 300, 50, 700, 200):
-            kernel.spawn(sender(size))
-        kernel.run()
-        stats = network.stats_between("a", "b")
-        outcomes.append({
-            "completions": sorted(done),
-            "messages": stats.messages,
-            "payload_bytes": stats.payload_bytes,
-            "busy_seconds": round(stats.busy_seconds, 9),
-            "coalesced": network.coalesced_messages,
-        })
-    assert outcomes[0] == outcomes[1]
-    return sha256_text(json.dumps(outcomes[0], indent=2, sort_keys=True))
-
-
 class TestPerfHarness:
     """What the retired perf harness checked about its own workloads and
     baselines, now against ``tests/oracles`` (the class keeps its name:
@@ -371,12 +247,6 @@ class TestPerfHarness:
         kernel.run()
         assert replica.processed_events == kernel.processed_events == 500
         assert replica.now == kernel.now
-
-    def test_coalescing_digest_is_stable(self):
-        first = coalescing_determinism_digest()
-        assert first == ("feb57ccedfd1d482f06be738759a345e"
-                         "b48e6be1b22d5236c56128032ab3ef02")
-        assert coalescing_determinism_digest() == first
 
     def test_codec_workload_round_trips_identically_both_paths(self):
         briefcase = make_codec_workload(folders=6, elements=6,

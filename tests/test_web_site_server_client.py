@@ -1,5 +1,9 @@
 """Unit tests for the site generator, web server, and HTTP client."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.sim.host import SimHost
@@ -17,7 +21,7 @@ from repro.web.site import (
     generate_site,
     paper_site_spec,
 )
-from repro.robot.webbot import extract_links
+from repro.robot.webbot import Webbot, WebbotConfig, extract_links
 
 
 @pytest.fixture
@@ -102,6 +106,23 @@ class TestSiteGenerator:
         site = external_stub_site("stub.test")
         assert site.n_pages >= 1 and site.root_path in site.pages
 
+    def test_external_stub_site_ignores_the_process_hash_seed(self):
+        """The stub's generator seed once came from ``hash(host)``, which
+        Python randomises per process."""
+        script = ("from repro.web.site import external_stub_site\n"
+                  "site = external_stub_site('www.w3.org', n_pages=3)\n"
+                  "print([(path, page.age_days.hex(), page.size)\n"
+                  "       for path, page in sorted(site.pages.items())])\n")
+        source_root = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        outputs = [subprocess.run(
+            [sys.executable, "-c", script], check=True, timeout=60,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=source_root,
+                     PYTHONHASHSEED=hash_seed)).stdout
+            for hash_seed in ("1", "2")]
+        assert outputs[0] == outputs[1] and "index.html" in outputs[0]
+
 
 @pytest.fixture
 def served(kernel, network, small_site):
@@ -155,6 +176,19 @@ class TestWebServer:
         small = model.service_seconds(HttpResponse(200, "x"))
         large = model.service_seconds(HttpResponse(200, "x" * 10_240))
         assert large > small
+
+    def test_handle_charges_what_the_model_says(self, served, small_site):
+        server, _, _, server_host = served
+        for request in (HttpRequest("GET", small_site.root_path),
+                        HttpRequest("HEAD", small_site.root_path),
+                        HttpRequest("GET", "/ikke/her/\u00e6\u00f8\u00e5.html"),
+                        HttpRequest("POST", "/x")):
+            response, seconds = server.handle(request)
+            assert response.body_bytes == len(response.body.encode("utf-8"))
+            assert seconds == server_host.cpu_seconds(
+                server.model.service_seconds(response))
+            assert response.wire_bytes == \
+                response._replace(body_bytes=None).wire_bytes
 
     def test_deployment_resolution(self, served):
         _, deployment, _, _ = served
@@ -211,6 +245,53 @@ class TestHttpClient:
         client = SimHttpClient(client_host, client_host.network, deployment,
                                CostLedger())
         assert client.get(small_site.root_url).failed_to_connect
+
+    @pytest.mark.parametrize("handshake_rtts", [1, 0])
+    def test_crashed_host_is_connect_fail(self, served, small_site,
+                                          handshake_rtts):
+        """A crashed endpoint used to escape ``request`` as
+        ``HostDownError`` where a partitioned link answered status 0."""
+        server, deployment, client_host, server_host = served
+        client = SimHttpClient(client_host, client_host.network, deployment,
+                               CostLedger(), model=ClientModel(
+                                   handshake_rtts=handshake_rtts))
+        server_host.set_up(False)
+        response = client.get(small_site.root_url)
+        assert response.failed_to_connect
+        assert response.url == small_site.root_url
+        assert client.ledger.seconds("connect-fail") == \
+            client.model.connect_fail_seconds
+        assert client.ledger.seconds("network") == 0.0
+        assert server.requests_served == 0
+        server_host.set_up(True)
+        assert client.get(small_site.root_url).status == 200
+
+    def test_stationary_crawl_survives_a_mid_crawl_host_crash(
+            self, served, small_site):
+        server, deployment, client_host, server_host = served
+        client = SimHttpClient(client_host, client_host.network, deployment,
+                               CostLedger())
+
+        class CrashAfter:
+            """The robot's ``http``: the web host dies after five GETs."""
+
+            def get(self, url):
+                if client.requests_made == 5:
+                    server_host.set_up(False)
+                return client.get(url)
+
+        result = Webbot(WebbotConfig(start_url=small_site.root_url,
+                                     prefix="http://www.test/",
+                                     max_depth=10, honor_robots=False),
+                        CrashAfter()).run()
+        assert server.requests_served == 5
+        assert result["pages_scanned"] == result["status_counts"]["200"]
+        assert result["status_counts"]["0"] == client.requests_made - 5 > 0
+        unreachable = [record for record in result["invalid"]
+                       if record["status"] == 0]
+        assert len(unreachable) == result["status_counts"]["0"]
+        assert client.ledger.seconds("connect-fail") == pytest.approx(
+            len(unreachable) * client.model.connect_fail_seconds)
 
     def test_handshake_rtts_charged(self, served, small_site):
         _, deployment, client_host, _ = served
