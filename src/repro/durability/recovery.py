@@ -388,28 +388,28 @@ class HostDurability:
                 "principal": registration.principal,
                 "vm": vm_name, "landing": landing,
                 "blob": encode_briefcase_blob(briefcase)}
+        self._mirror.arrive(registration.instance, info)
         self.journal.record(
             "agent-arrive", instance=registration.instance,
             name=info["name"], principal=info["principal"], vm=vm_name,
             landing=landing, blob=info["blob"])
-        self._mirror.arrive(registration.instance, info)
 
     def note_depart(self, instance: str, reason: str) -> None:
         if instance not in self._mirror.residents:
             return
+        self._mirror.depart(instance)
         self.journal.record("agent-depart", instance=instance,
                             reason=reason)
-        self._mirror.depart(instance)
 
     def note_depart_intent(self, instance: str,
                            landing: Optional[str]) -> None:
+        self._mirror.depart_intent(instance, landing)
         self.journal.record("depart-intent", instance=instance,
                             landing=landing)
-        self._mirror.depart_intent(instance, landing)
 
     def note_depart_failed(self, instance: str) -> None:
-        self.journal.record("depart-failed", instance=instance)
         self._mirror.depart_failed(instance)
+        self.journal.record("depart-failed", instance=instance)
 
     def note_checkpoint(self, principal: str, drawer: str,
                         briefcase: Any) -> None:
@@ -519,9 +519,9 @@ class HostDurability:
             # Home-launched residents carried no landing id; mint one
             # so the supersede protocol still pairs intent to arrival.
             landing = f"replay:{instance}:r{self.journal.replays}"
+        self._mirror.relaunch_intent(instance, landing)
         self.journal.record("relaunch-intent", instance=instance,
                             landing=landing)
-        self._mirror.relaunch_intent(instance, landing)
         # Free the landing id: the original launch consumed it, and the
         # relaunch must land on it again rather than be deduplicated.
         node.firewall.landings.forget_launch(landing)

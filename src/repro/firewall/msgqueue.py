@@ -336,20 +336,21 @@ class PendingQueue:
         registration ``accepts`` (oldest first)."""
         claimed, remaining = [], []
         for entry in self._pending:
-            if accepts(entry.message.target):
-                claimed.append(entry.message)
-                self.claimed += 1
-                self._bytes -= entry.wire_bytes
-                if self.journal is not None:
-                    self.journal.record("queue-claim",
-                                        park=entry.park_id)
-                self._observe_wait(entry, "delivered")
-            else:
-                remaining.append(entry)
+            (claimed if accepts(entry.message.target)
+             else remaining).append(entry)
         self._pending = remaining
+        self.claimed += len(claimed)
+        self._bytes -= sum(entry.wire_bytes for entry in claimed)
+        for entry in claimed:
+            # Journaled after the whole claim left the queue: a snapshot
+            # triggered by one of these records must not still hold the
+            # entries the later records take out.
+            if self.journal is not None:
+                self.journal.record("queue-claim", park=entry.park_id)
+            self._observe_wait(entry, "delivered")
         if claimed:
             self._update_watermarks()
-        return claimed
+        return [entry.message for entry in claimed]
 
     def crash_flush(self) -> List[DeadLetter]:
         """Host crash: every parked message becomes a dead letter."""
@@ -369,14 +370,13 @@ class PendingQueue:
         """Remove and return dead letters still eligible for another try."""
         eligible, remaining = [], []
         for record in self.dead_letters:
-            if record.retransmits < max_retransmits:
-                eligible.append(record)
-                if self.journal is not None:
-                    self.journal.record("dead-letter-take",
-                                        park=record.park_id)
-            else:
-                remaining.append(record)
+            (eligible if record.retransmits < max_retransmits
+             else remaining).append(record)
         self.dead_letters = remaining
+        if self.journal is not None:
+            for record in eligible:
+                self.journal.record("dead-letter-take",
+                                    park=record.park_id)
         return eligible
 
     def dead_letter_records(self) -> List[dict]:
