@@ -465,11 +465,14 @@ class AgentContext:
         landing = self._new_landing_id()
         self._outbound_trace = hop_trace
         self._outbound_landing = landing
-        # Journal the intent before the transport leaves: if this host
-        # crashes mid-hop, replay knows the agent's fate is ambiguous
-        # (it may already be running at the destination) and must not
-        # resurrect a twin here.
-        self.firewall.journal_depart_intent(self.registration, landing)
+        changes = self.firewall.changes
+        if changes.sinks:
+            # Announce the intent before the transport leaves: if this
+            # host crashes mid-hop, replay knows the agent's fate is
+            # ambiguous (it may already be running at the destination)
+            # and must not resurrect a twin here.
+            changes.emit("depart-intent", instance=self.instance,
+                         landing=landing)
         try:
             reply = yield from self.meet(target, transport, timeout=timeout)
         except (TaxError, NetworkError) as exc:
@@ -479,7 +482,8 @@ class AgentContext:
             # The transport may have landed with only the ack lost:
             # poison the landing so no twin survives, then stay here.
             self._abort_landing(target, landing, "go")
-            self.firewall.journal_depart_failed(self.registration)
+            if changes.sinks:
+                changes.emit("depart-failed", instance=self.instance)
             raise MigrationError(f"go({target}) failed: {exc}") from exc
         finally:
             self._outbound_trace = None
@@ -490,7 +494,8 @@ class AgentContext:
             span.end(outcome="rejected", error=error)
             if telemetry.enabled:
                 telemetry.metrics.inc("agent.migration_failures", op="go")
-            self.firewall.journal_depart_failed(self.registration)
+            if changes.sinks:
+                changes.emit("depart-failed", instance=self.instance)
             raise MigrationError(f"go({target}) rejected: {error}")
         # The move succeeded: terminate this instance.
         self.moved = True

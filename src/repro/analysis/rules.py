@@ -280,19 +280,18 @@ class PopitemRule(Rule):
                     "explicit key")
 
 
-#: The modules allowed to rebind journaled structures: the replay path
-#: (it reconstructs them *from* the journal and reattaches the journal
-#: before handing them back to the firewall) and the module that owns
-#: the structures, whose ``install_delivery_state`` helper is the one
-#: sanctioned construction-time binding site.
-DURABILITY_SANCTUARY = ("repro.durability.recovery",
-                        "repro.firewall.dedup")
+#: The one module allowed to bind journaled structures: the module that
+#: owns them, whose ``install_delivery_state`` helper is the only
+#: (construction-time) binding site.  Replay restores *into* the bound
+#: objects, so nothing else ever rebinds.
+DURABILITY_SANCTUARY = ("repro.firewall.dedup",)
 
 #: Firewall attributes whose state is write-ahead journaled
 #: (:mod:`repro.durability`).  Every mutation must flow through their
-#: own methods so the journal hook fires; rebinding the object or
-#: poking its private fields silently desynchronises the journal from
-#: the live state, and the next replay resurrects the past.
+#: own methods so the change is announced; rebinding the object (the
+#: new one has no subscribers) or poking its private fields silently
+#: desynchronises the journal from the live state, and the next replay
+#: resurrects the past.
 JOURNALED_ATTRS = frozenset({"dedup", "landings"})
 
 
@@ -319,10 +318,10 @@ class JournalBypassRule(Rule):
                         yield self.finding(
                             ctx, target,
                             f"rebinding .{target.attr} replaces a "
-                            f"journaled structure without its journal "
-                            f"attachment; go through "
-                            f"repro.durability.recovery (replay) or "
-                            f"mutate via the object's own methods")
+                            f"journaled structure with one nobody "
+                            f"subscribed to; restore into it "
+                            f"(restore_durable) or mutate via the "
+                            f"object's own methods")
             elif isinstance(node, ast.Attribute) and \
                     node.attr.startswith("_") and \
                     isinstance(node.value, ast.Attribute) and \

@@ -20,16 +20,16 @@ the system lost without a trace.  ``holds()`` is the boolean surfaced
 as ``conservation.holds`` in the chaos / partition / crashtest
 documents, and the crashtest CLI exits non-zero without it.
 
-The auditor hangs off the kernel (``kernel.auditor``, default absent)
-exactly like the runtime sanitizer: hook sites fetch it with
-``getattr`` and pay nothing when it is not installed.  Infrastructure
-registrations (the ``system`` principal: VMs, services, drivers) are
-exempt — they are re-created by ``boot()``, not conserved.
+The auditor subscribes to every host's change stream
+(:meth:`ConservationAuditor.follow`, called per node by
+``cluster.enable_conservation()``); a cluster without one pays nothing.
+Infrastructure registrations (the ``system`` principal: VMs, services,
+drivers) are exempt — they are re-created by ``boot()``, not conserved.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.identity import SYSTEM_PRINCIPAL
 
@@ -65,7 +65,28 @@ class ConservationAuditor:
     def __init__(self) -> None:
         self._instances: Dict[str, _InstanceRecord] = {}
 
-    # -- hook points ---------------------------------------------------------------
+    def follow(self, firewall: Any) -> None:
+        """Subscribe to one host's change stream."""
+        host = firewall.host.name
+
+        def heard(kind: str, fields: Dict[str, Any]) -> None:
+            if kind == "agent-spawn":
+                self.spawned(host, fields["instance"], fields["name"],
+                             fields["principal"])
+            elif kind == "agent-depart":
+                self.ended(fields["instance"], fields["reason"])
+            elif kind == "depart-intent":
+                self.departing(fields["instance"], fields["landing"])
+            elif kind == "depart-failed":
+                self.depart_failed(fields["instance"])
+            elif kind == "agent-crash":
+                self.crashed(fields["instance"], host)
+            elif kind == "transport-lost":
+                self.transport_dead_lettered(fields["landing"])
+
+        firewall.changes.subscribe(heard)
+
+    # -- the transitions -----------------------------------------------------------
 
     def spawned(self, host: str, instance: str, name: str,
                 principal: str) -> None:

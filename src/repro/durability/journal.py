@@ -161,27 +161,6 @@ class HostJournal:
                 self._records_since_snapshot >= self.snapshot_interval):
             self.compact()
 
-    def record_message(self, kind: str, message: Any,
-                       **fields: Any) -> None:
-        """Append a record carrying a full message (envelope + blob)."""
-        if self.suspended:
-            return
-        sender = message.sender
-        fields.update(
-            target=str(message.target),
-            principal=sender.principal,
-            sender_host=sender.host,
-            sender_uri=str(sender.uri) if sender.uri else None,
-            authenticated=bool(sender.authenticated),
-            queue_timeout=message.queue_timeout,
-            hops=message.hops,
-            priority=message.priority,
-            seq=message.seq,
-            seq_src=message.seq_src,
-            landing=message.landing_id,
-            blob=encode_briefcase_blob(message.briefcase))
-        self.record(kind, **fields)
-
     def compact(self) -> None:
         """Open a new segment headed by a full-state snapshot.
 

@@ -1,16 +1,18 @@
 """Restart-time replay: folding the journal back into live state.
 
-:class:`HostDurability` owns one host's disk + journal and wires the
-journal into the firewall's dedup window, landing registry and pending
-queue.  On crash it suspends journaling (crash-time bookkeeping must
-not look durable) and applies the seeded storage damage; on restart it
-replays the active segment, rebuilds the durable state image, installs
-it into the firewall, and relaunches every resident agent whose fate
-is unambiguous.
+:class:`HostDurability` owns one host's disk + journal and subscribes
+to the firewall's change stream (:mod:`repro.firewall.changes`): every
+announced change whose kind the journal owns becomes one record.  On
+crash it suspends journaling (crash-time bookkeeping must not look
+durable) and applies the seeded storage damage; on restart it replays
+the active segment, rebuilds the durable state image, restores it into
+the firewall's structures, and relaunches every resident agent whose
+fate is unambiguous.
 
-The fold (:func:`replay_image`) is a pure function of the record list
-— tests exercise it directly — and understands the full record
-taxonomy:
+The fold (:func:`fold_records`, and :func:`replay_image` which closes it
+with the crash boundary that triggered the replay) is a pure function
+of the record list — tests exercise it directly — and understands the
+full record taxonomy, which is also the change stream's schema:
 
 ==================  ============================================================
 record              replay meaning
@@ -54,7 +56,8 @@ from repro.durability.journal import (DEFAULT_SNAPSHOT_INTERVAL,
                                       HostJournal, decode_briefcase_blob,
                                       encode_briefcase_blob)
 from repro.durability.store import VirtualDisk
-from repro.firewall.dedup import DedupWindow, LandingRegistry
+from repro.firewall.dedup import (DedupWindow, LandingRegistry,
+                                  install_delivery_state)
 from repro.firewall.message import Message, SenderInfo
 from repro.firewall.msgqueue import DeadLetter
 
@@ -62,6 +65,19 @@ from repro.firewall.msgqueue import DeadLetter
 #: ``PendingQueue.accounting`` that survive a crash).
 QUEUE_COUNTERS = ("offered", "accepted", "rejected", "claimed", "expired",
                   "crashed", "evicted", "dead_letter_evictions")
+
+#: Change kinds that move the resident table (:meth:`ResidentTable.apply`).
+RESIDENT_KINDS = frozenset({"agent-arrive", "agent-depart", "depart-intent",
+                            "depart-failed", "relaunch-intent"})
+
+#: Change kinds the journal owns: one record each, the table above minus
+#: ``snapshot`` and ``restart``, which the journal writes for itself.
+#: Anything else heard on the stream is somebody else's.
+JOURNAL_KINDS = RESIDENT_KINDS | {
+    "dedup-observe", "dedup-forget", "landing-observe", "landing-launch",
+    "landing-tombstone", "landing-release", "landing-forget", "queue-park",
+    "queue-reject", "queue-claim", "queue-dead-letter", "dead-letter-take",
+    "dead-letter-evict", "checkpoint"}
 
 
 def message_to_durable(message: Message) -> Dict[str, Any]:
@@ -116,30 +132,28 @@ class ResidentTable:
         #: relaunch landing id -> superseded instance
         self.supersede: Dict[str, str] = {}
 
-    def arrive(self, instance: str, info: Dict[str, Any]) -> None:
-        landing = info.get("landing")
-        if landing and landing in self.supersede:
-            self.residents.pop(self.supersede.pop(landing), None)
-        info = dict(info)
-        info["departing"] = None
-        self.residents[instance] = info
-
-    def depart(self, instance: str) -> None:
-        self.residents.pop(instance, None)
-
-    def depart_intent(self, instance: str, landing: Optional[str]) -> None:
-        info = self.residents.get(instance)
-        if info is not None:
-            info["departing"] = landing
-
-    def depart_failed(self, instance: str) -> None:
-        info = self.residents.get(instance)
-        if info is not None:
-            info["departing"] = None
-
-    def relaunch_intent(self, instance: str, landing: str) -> None:
-        if instance in self.residents:
-            self.supersede[landing] = instance
+    def apply(self, kind: str, rec: Dict[str, Any]) -> None:
+        """Move the table by one record of a :data:`RESIDENT_KINDS`
+        kind — the only writer, live and at replay."""
+        instance = rec["instance"]
+        if kind == "agent-arrive":
+            landing = rec.get("landing")
+            if landing and landing in self.supersede:
+                self.residents.pop(self.supersede.pop(landing), None)
+            self.residents[instance] = {
+                "name": rec["name"], "principal": rec["principal"],
+                "vm": rec["vm"], "landing": landing, "blob": rec["blob"],
+                "departing": None}
+        elif kind == "agent-depart":
+            self.residents.pop(instance, None)
+        elif instance not in self.residents:
+            return
+        elif kind == "depart-intent":
+            self.residents[instance]["departing"] = rec.get("landing")
+        elif kind == "depart-failed":
+            self.residents[instance]["departing"] = None
+        elif kind == "relaunch-intent":
+            self.supersede[rec["landing"]] = instance
 
     def restart(self) -> List[str]:
         """Apply a crash boundary: drop residents whose ``go`` was
@@ -174,9 +188,12 @@ class ResidentTable:
 class ReplayImage:
     """The durable state reconstructed by one journal fold."""
 
+    #: Bound by :func:`install_delivery_state`, announcing to nobody.
+    dedup: DedupWindow
+    landings: LandingRegistry
+
     def __init__(self) -> None:
-        self.dedup = DedupWindow()
-        self.landings = LandingRegistry()
+        install_delivery_state(self)
         self.table = ResidentTable()
         self.counters: Dict[str, int] = {key: 0 for key in QUEUE_COUNTERS}
         #: park id -> park record (message fields + timing), insertion
@@ -210,8 +227,8 @@ def _cut(image: ReplayImage, t: float) -> None:
 
 
 def _seed(image: ReplayImage, state: Dict[str, Any]) -> None:
-    image.dedup = DedupWindow.from_durable(state.get("dedup", {}))
-    image.landings = LandingRegistry.from_durable(state.get("landings", {}))
+    image.dedup.restore_durable(state.get("dedup", {}))
+    image.landings.restore_durable(state.get("landings", {}))
     image.table = ResidentTable.from_durable(state.get("residents", {}))
     queue = state.get("queue", {})
     for key in QUEUE_COUNTERS:
@@ -225,11 +242,21 @@ def _seed(image: ReplayImage, state: Dict[str, Any]) -> None:
 def replay_image(records: List[Dict[str, Any]], torn: bool,
                  segment: str,
                  now: float) -> ReplayImage:
-    """Fold journal records into the post-recovery state image.
+    """Fold journal records into the post-recovery state image: the
+    fold, closed by the crash boundary that triggered this replay,
+    applied at ``now``."""
+    image = fold_records(records, torn, segment, now)
+    _cut(image, now)
+    return image
 
-    Pure: no kernel, no firewall — callers install the result.  The
-    final crash boundary (the one that triggered this replay) is
-    applied at ``now``.
+
+def fold_records(records: List[Dict[str, Any]], torn: bool,
+                 segment: str,
+                 now: float) -> ReplayImage:
+    """The state the records describe, with no final crash boundary —
+    what the live host holds the instant the last record was written.
+
+    Pure: no kernel, no firewall — callers install the result.
     """
     image = ReplayImage()
     image.records = len(records)
@@ -294,26 +321,14 @@ def replay_image(records: List[Dict[str, Any]], torn: bool,
             image.dead = [d for d in image.dead
                           if int(d.get("park", -1)) != park]
             image.counters["dead_letter_evictions"] += 1
-        elif kind == "agent-arrive":
-            image.table.arrive(rec["instance"], {
-                "name": rec["name"], "principal": rec["principal"],
-                "vm": rec["vm"], "landing": rec.get("landing"),
-                "blob": rec["blob"]})
-        elif kind == "agent-depart":
-            image.table.depart(rec["instance"])
-        elif kind == "depart-intent":
-            image.table.depart_intent(rec["instance"], rec.get("landing"))
-        elif kind == "depart-failed":
-            image.table.depart_failed(rec["instance"])
-        elif kind == "relaunch-intent":
-            image.table.relaunch_intent(rec["instance"], rec["landing"])
+        elif kind in RESIDENT_KINDS:
+            image.table.apply(kind, rec)
         elif kind == "checkpoint":
             image.checkpoints += 1
         elif kind == "restart":
             image.restarts += 1
             _cut(image, rec.get("t", now))
         # Unknown kinds are skipped: the journal format may grow.
-    _cut(image, now)
     return image
 
 
@@ -321,10 +336,11 @@ class HostDurability:
     """One host's crash-durability controller.
 
     Owns the virtual disk and journal, mirrors the resident-agent
-    table, and runs the crash / replay / resurrect lifecycle.  The
-    firewall never imports this package — it talks to the journal
-    through the duck-typed ``journal`` attributes installed here, and
-    to the controller through ``firewall.durability``.
+    table, and runs the crash / replay / resurrect lifecycle.  It
+    hears the host through one subscription to the firewall's change
+    stream; the firewall never learns it exists.  ``node.durability``
+    is for the node's ``on_crash`` / ``on_restart`` — commands with an
+    order, not announcements.
     """
 
     def __init__(self, node: Any, injector: Optional[Any] = None,
@@ -340,12 +356,8 @@ class HostDurability:
         self._mirror = ResidentTable()
         self.last_replay: Optional[Dict[str, Any]] = None
         self.resurrect_skipped = 0
-        firewall = node.firewall
-        firewall.durability = self
         node.durability = self
-        firewall.dedup.journal = self.journal
-        firewall.landings.journal = self.journal
-        firewall.pending.journal = self.journal
+        node.firewall.changes.subscribe(self._on_change)
 
     # -- the durable state (snapshot source) ---------------------------------------
 
@@ -380,42 +392,26 @@ class HostDurability:
             "residents": self._mirror.to_durable(),
         }
 
-    # -- journal hooks (called through the firewall) -------------------------------
+    # -- the change-stream subscriber ----------------------------------------------
 
-    def note_arrival(self, registration: Any, briefcase: Any,
-                     landing: Optional[str], vm_name: str) -> None:
-        info = {"name": registration.name,
-                "principal": registration.principal,
-                "vm": vm_name, "landing": landing,
-                "blob": encode_briefcase_blob(briefcase)}
-        self._mirror.arrive(registration.instance, info)
-        self.journal.record(
-            "agent-arrive", instance=registration.instance,
-            name=info["name"], principal=info["principal"], vm=vm_name,
-            landing=landing, blob=info["blob"])
-
-    def note_depart(self, instance: str, reason: str) -> None:
-        if instance not in self._mirror.residents:
+    def _on_change(self, kind: str, fields: Dict[str, Any]) -> None:
+        """Journal one announced change.  The order is written once,
+        here: flatten, move the resident mirror, and only then write
+        the record — which may snapshot :meth:`durable_state`
+        re-entrantly, so every piece of it must already be moved."""
+        if self.journal.suspended or kind not in JOURNAL_KINDS:
             return
-        self._mirror.depart(instance)
-        self.journal.record("agent-depart", instance=instance,
-                            reason=reason)
-
-    def note_depart_intent(self, instance: str,
-                           landing: Optional[str]) -> None:
-        self._mirror.depart_intent(instance, landing)
-        self.journal.record("depart-intent", instance=instance,
-                            landing=landing)
-
-    def note_depart_failed(self, instance: str) -> None:
-        self._mirror.depart_failed(instance)
-        self.journal.record("depart-failed", instance=instance)
-
-    def note_checkpoint(self, principal: str, drawer: str,
-                        briefcase: Any) -> None:
-        self.journal.record("checkpoint", principal=principal,
-                            drawer=drawer,
-                            blob=encode_briefcase_blob(briefcase))
+        if kind == "agent-depart" and \
+                fields["instance"] not in self._mirror.residents:
+            return
+        rec = dict(fields)
+        if "message" in rec:
+            rec.update(message_to_durable(rec.pop("message")))
+        if "briefcase" in rec:
+            rec["blob"] = encode_briefcase_blob(rec.pop("briefcase"))
+        if kind in RESIDENT_KINDS:
+            self._mirror.apply(kind, rec)
+        self.journal.record(kind, **rec)
 
     # -- the crash / restart lifecycle ---------------------------------------------
 
@@ -438,12 +434,10 @@ class HostDurability:
         firewall = node.firewall
         records, torn, segment = self.journal.replay()
         image = replay_image(records, torn, segment, node.kernel.now)
-        # Install the reconstructed structures.  This module is the
-        # one sanctioned writer of these fields (lint rule DUR001).
-        image.dedup.journal = self.journal
-        image.landings.journal = self.journal
-        firewall.dedup = image.dedup
-        firewall.landings = image.landings
+        # Restore into the firewall's own structures: whoever holds
+        # or subscribed to them keeps a live object.
+        firewall.dedup.restore_durable(image.dedup.to_durable())
+        firewall.landings.restore_durable(image.landings.to_durable())
         dead_letters = []
         for rec in image.dead:
             dead_letters.append(DeadLetter(
@@ -464,14 +458,12 @@ class HostDurability:
         # Re-anchor on a fresh snapshot so the next replay starts from
         # this recovered state instead of re-folding history.
         self.journal.compact()
-        auditor = getattr(node.kernel, "auditor", None)
-        if auditor is not None:
-            # Host-crash dead letters reconstructed from the journal
-            # account for migration transports that died here.
-            for letter in dead_letters:
-                if letter.message.landing_id:
-                    auditor.transport_dead_lettered(
-                        letter.message.landing_id)
+        # Host-crash dead letters reconstructed from the journal
+        # account for migration transports that died here.
+        for letter in dead_letters:
+            if letter.message.landing_id:
+                firewall.changes.emit("transport-lost",
+                                      landing=letter.message.landing_id)
         restored = 0
         if resurrect:
             for instance in residents:
@@ -519,9 +511,8 @@ class HostDurability:
             # Home-launched residents carried no landing id; mint one
             # so the supersede protocol still pairs intent to arrival.
             landing = f"replay:{instance}:r{self.journal.replays}"
-        self._mirror.relaunch_intent(instance, landing)
-        self.journal.record("relaunch-intent", instance=instance,
-                            landing=landing)
+        node.firewall.changes.emit("relaunch-intent", instance=instance,
+                                   landing=landing)
         # Free the landing id: the original launch consumed it, and the
         # relaunch must land on it again rather than be deduplicated.
         node.firewall.landings.forget_launch(landing)

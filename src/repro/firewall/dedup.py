@@ -31,12 +31,12 @@ restarted host still refuses the duplicates and re-landings that the
 outage produced.
 
 On a *durable* host (PR 8) that in-process survival is no longer the
-load-bearing mechanism: both structures carry an optional ``journal``
-(a :class:`~repro.durability.journal.HostJournal`, duck-typed so this
-module stays durability-free) and append a write-ahead record for every
-state transition.  Restart-time replay rebuilds equivalent structures
+load-bearing mechanism: both structures announce every state transition
+on their host's :class:`~repro.firewall.changes.ChangeStream`, where the
+write-ahead journal subscribes.  Restart-time replay rebuilds the state
 from storage alone via :meth:`to_durable` / :meth:`from_durable` plus
-record re-application — the recovery path the real-transport backend
+record re-application and restores it *into* the firewall's structures
+(:meth:`restore_durable`) — the recovery path the real-transport backend
 will need, where a process crash destroys the objects outright.
 """
 
@@ -46,6 +46,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.core import wellknown
 from repro.core.errors import BriefcaseError
+from repro.firewall.changes import ChangeStream
 
 #: Sequence numbers remembered per peer; anything older than
 #: ``max_seen - capacity`` is conservatively rejected (we can no longer
@@ -69,28 +70,26 @@ class DedupWindow:
       retransmit falling on the floor.
     """
 
-    def __init__(self, capacity: int = DEFAULT_WINDOW_CAPACITY):
+    def __init__(self, capacity: int = DEFAULT_WINDOW_CAPACITY,
+                 changes: Optional[ChangeStream] = None):
         if capacity < 1:
             raise ValueError("dedup window capacity must be >= 1")
         self.capacity = capacity
+        self.changes = changes if changes is not None else ChangeStream()
         self._max_seen: Dict[str, int] = {}
         self._seen: Dict[str, Set[int]] = {}
         self.offered = 0
         self.accepted = 0
         self.duplicates = 0
         self.rejected = 0
-        #: Write-ahead journal of a durable host, or None (volatile).
-        self.journal = None
 
     def observe(self, peer: str, seq: int) -> str:
         verdict = self._observe(peer, seq)
-        if self.journal is not None:
+        if self.changes.sinks:
             # Replay re-runs ``observe`` on the restored window, so the
-            # record needs only the inputs — the verdict and every
-            # counter are recomputed identically.  Journaled *after*
-            # the mutation (atomic in virtual time) so a snapshot
-            # triggered by this record already includes it.
-            self.journal.record("dedup-observe", peer=peer, seq=seq)
+            # event needs only the inputs — the verdict and every
+            # counter are recomputed identically.
+            self.changes.emit("dedup-observe", peer=peer, seq=seq)
         return verdict
 
     def _observe(self, peer: str, seq: int) -> str:
@@ -129,8 +128,8 @@ class DedupWindow:
             seen.discard(seq)
             self.accepted -= 1
             self.rejected += 1
-            if self.journal is not None:
-                self.journal.record("dedup-forget", peer=peer, seq=seq)
+            if self.changes.sinks:
+                self.changes.emit("dedup-forget", peer=peer, seq=seq)
 
     def window_size(self, peer: str) -> int:
         return len(self._seen.get(peer, ()))
@@ -167,19 +166,24 @@ class DedupWindow:
                      for peer, seqs in sorted(self._seen.items())},
         }
 
+    def restore_durable(self, state: dict) -> "DedupWindow":
+        """Replace this window's state with a :meth:`to_durable` image
+        (restart-time replay restores into the firewall's own window, so
+        nothing that holds it or subscribed to it is left behind)."""
+        self.capacity = int(state.get("capacity", DEFAULT_WINDOW_CAPACITY))
+        self.offered = int(state.get("offered", 0))
+        self.accepted = int(state.get("accepted", 0))
+        self.duplicates = int(state.get("duplicates", 0))
+        self.rejected = int(state.get("rejected", 0))
+        self._max_seen = {peer: int(value) for peer, value in
+                          state.get("max_seen", {}).items()}
+        self._seen = {peer: {int(s) for s in seqs} for peer, seqs in
+                      state.get("seen", {}).items()}
+        return self
+
     @classmethod
     def from_durable(cls, state: dict) -> "DedupWindow":
-        window = cls(capacity=int(state.get(
-            "capacity", DEFAULT_WINDOW_CAPACITY)))
-        window.offered = int(state.get("offered", 0))
-        window.accepted = int(state.get("accepted", 0))
-        window.duplicates = int(state.get("duplicates", 0))
-        window.rejected = int(state.get("rejected", 0))
-        window._max_seen = {peer: int(value) for peer, value in
-                            state.get("max_seen", {}).items()}
-        window._seen = {peer: {int(s) for s in seqs} for peer, seqs in
-                        state.get("seen", {}).items()}
-        return window
+        return cls().restore_durable(state)
 
 
 class LandingRegistry:
@@ -191,8 +195,10 @@ class LandingRegistry:
     origin-side abort, or a crash destroyed the launched instance).
     """
 
-    def __init__(self, capacity: int = LANDING_CAPACITY):
+    def __init__(self, capacity: int = LANDING_CAPACITY,
+                 changes: Optional[ChangeStream] = None):
         self.capacity = capacity
+        self.changes = changes if changes is not None else ChangeStream()
         self._pending: Set[str] = set()
         self._launched: Dict[str, str] = {}
         self._tombstones: Dict[str, str] = {}
@@ -201,8 +207,6 @@ class LandingRegistry:
         self.tombstone_refusals = 0
         self.aborts = 0
         self.evicted = 0
-        #: Write-ahead journal of a durable host, or None (volatile).
-        self.journal = None
 
     def acquire(self, landing_id: str) -> Tuple[str, Optional[str]]:
         """Claim a landing slot; returns ``(state, info)``.
@@ -215,16 +219,16 @@ class LandingRegistry:
         """
         if landing_id in self._tombstones:
             self.tombstone_refusals += 1
-            if self.journal is not None:
-                # Decided-landing observations are journaled so the
+            if self.changes.sinks:
+                # Decided-landing observations are announced so the
                 # suppression counters survive replay (the verdict is
                 # recomputed by re-running ``acquire``).
-                self.journal.record("landing-observe", id=landing_id)
+                self.changes.emit("landing-observe", id=landing_id)
             return "tombstoned", self._tombstones[landing_id]
         if landing_id in self._launched:
             self.duplicate_landings += 1
-            if self.journal is not None:
-                self.journal.record("landing-observe", id=landing_id)
+            if self.changes.sinks:
+                self.changes.emit("landing-observe", id=landing_id)
             return "launched", self._launched[landing_id]
         if landing_id in self._pending:
             return "pending", None
@@ -234,17 +238,17 @@ class LandingRegistry:
     def release(self, landing_id: str) -> None:
         """Launch failed: free the slot so a retry may try again."""
         self._pending.discard(landing_id)
-        if self.journal is not None:
-            self.journal.record("landing-release", id=landing_id)
+        if self.changes.sinks:
+            self.changes.emit("landing-release", id=landing_id)
 
     def record_launch(self, landing_id: str, agent_uri: str) -> None:
         self._pending.discard(landing_id)
         self._launched[landing_id] = agent_uri
         self.launches += 1
         self._trim(self._launched)
-        if self.journal is not None:
-            self.journal.record("landing-launch", id=landing_id,
-                                uri=agent_uri)
+        if self.changes.sinks:
+            self.changes.emit("landing-launch", id=landing_id,
+                              uri=agent_uri)
 
     def tombstone(self, landing_id: str,
                   reason: str = "aborted") -> Optional[str]:
@@ -258,9 +262,9 @@ class LandingRegistry:
         uri = self._launched.pop(landing_id, None)
         self._tombstones[landing_id] = reason
         self._trim(self._tombstones)
-        if self.journal is not None:
-            self.journal.record("landing-tombstone", id=landing_id,
-                                reason=reason)
+        if self.changes.sinks:
+            self.changes.emit("landing-tombstone", id=landing_id,
+                              reason=reason)
         return uri
 
     def forget_launch(self, landing_id: str) -> None:
@@ -268,8 +272,8 @@ class LandingRegistry:
         table *without* tombstoning it, so journal replay can re-land
         the same id when it resurrects the instance that crashed."""
         self._launched.pop(landing_id, None)
-        if self.journal is not None:
-            self.journal.record("landing-forget", id=landing_id)
+        if self.changes.sinks:
+            self.changes.emit("landing-forget", id=landing_id)
 
     def crash_all(self, reason: str = "host-crash") -> int:
         """Host crash: every launched/pending landing becomes a
@@ -336,36 +340,37 @@ class LandingRegistry:
                            for lid in sorted(self._tombstones)},
         }
 
+    def restore_durable(self, state: dict) -> "LandingRegistry":
+        """Replace this registry's state with a :meth:`to_durable`
+        image; the volatile pending set starts empty."""
+        self.capacity = int(state.get("capacity", LANDING_CAPACITY))
+        self._pending = set()
+        self.launches = int(state.get("launches", 0))
+        self.duplicate_landings = int(state.get("duplicate_landings", 0))
+        self.tombstone_refusals = int(state.get("tombstone_refusals", 0))
+        self.aborts = int(state.get("aborts", 0))
+        self.evicted = int(state.get("evicted", 0))
+        self._launched = dict(state.get("launched", {}))
+        self._tombstones = dict(state.get("tombstones", {}))
+        return self
+
     @classmethod
     def from_durable(cls, state: dict) -> "LandingRegistry":
-        registry = cls(capacity=int(state.get(
-            "capacity", LANDING_CAPACITY)))
-        registry.launches = int(state.get("launches", 0))
-        registry.duplicate_landings = int(state.get(
-            "duplicate_landings", 0))
-        registry.tombstone_refusals = int(state.get(
-            "tombstone_refusals", 0))
-        registry.aborts = int(state.get("aborts", 0))
-        registry.evicted = int(state.get("evicted", 0))
-        registry._launched = dict(state.get("launched", {}))
-        registry._tombstones = dict(state.get("tombstones", {}))
-        return registry
+        return cls().restore_durable(state)
 
 
-def install_delivery_state(owner, dedup: Optional[DedupWindow] = None,
-                           landings: Optional[LandingRegistry] = None
-                           ) -> Tuple[DedupWindow, LandingRegistry]:
-    """Bind idempotent-receive state (fresh or replayed) onto *owner*.
+def install_delivery_state(owner,
+                           changes: Optional[ChangeStream] = None) -> None:
+    """Bind fresh idempotent-receive state onto *owner*, announcing on
+    ``changes`` (a firewall's stream; a replay image passes none).
 
-    The dedup window and landing registry are journaled structures: once
-    a host is made durable, every rebinding must reattach the journal or
-    the next replay resurrects the past (DUR001).  This module owns both
-    structures, so it is the one sanctioned place — alongside the replay
-    path in :mod:`repro.durability.recovery` — that may rebind them.
+    The dedup window and landing registry are journaled structures: a
+    rebound one has lost its subscribers, so the next replay would
+    resurrect the past (DUR001).  They are bound exactly once, here, by
+    the module that owns them; restart-time replay restores *into* them.
     """
-    owner.dedup = dedup if dedup is not None else DedupWindow()
-    owner.landings = landings if landings is not None else LandingRegistry()
-    return owner.dedup, owner.landings
+    owner.dedup = DedupWindow(changes=changes)
+    owner.landings = LandingRegistry(changes=changes)
 
 
 # -- wire-only folder carriers ----------------------------------------------

@@ -54,6 +54,7 @@ from repro.core.uri import AgentUri
 from repro.core import wellknown
 from repro.firewall.auth import (Signature, TrustStore,
                                  request_signing_bytes)
+from repro.firewall.changes import ChangeStream
 from repro.firewall.dedup import (
     extract_landing,
     extract_seq,
@@ -151,26 +152,23 @@ class Firewall:
                 "overflow": governor_config.overflow,
                 "dead_letter_limit": governor_config.dead_letter_limit,
             }
+        #: The one way this host announces a state change (see
+        #: :mod:`repro.firewall.changes`): the journal of a durable
+        #: host and the conservation auditor subscribe; the firewall
+        #: never learns who listens.
+        self.changes = ChangeStream()
         self.pending = PendingQueue(kernel, on_expire=self._on_expire,
                                     host=host.name, log=self.log,
-                                    **queue_kwargs)
-        if governor_config is not None and \
-                governor_config.breaker is not None:
-            network.configure_breakers(governor_config.breaker)
+                                    changes=self.changes, **queue_kwargs)
         #: Poison wire messages that failed to decode (newest last).
         self.quarantine: List[dict] = []
         #: Idempotent-receive state (``self.dedup``/``self.landings``).
         #: Deliberately NOT reset on crash(): the firewall object
         #: survives a host restart, so duplicates produced *by* the
-        #: outage are still suppressed afterwards.  Installed through
-        #: the journal-aware helper so every rebinding site lives in
-        #: the sanctioned modules (DUR001).
-        install_delivery_state(self)
-        #: Crash-durability controller (a
-        #: :class:`repro.durability.recovery.HostDurability`) when this
-        #: host journals its delivery state; installed from outside so
-        #: the firewall never imports the durability package.
-        self.durability = None
+        #: outage are still suppressed afterwards.  Bound once, by the
+        #: module that owns the structures (DUR001); a durable host's
+        #: replay restores into them.
+        install_delivery_state(self, self.changes)
         #: Next outbound sequence per destination host (stamped once per
         #: message in :meth:`_forward_remote`; retries reuse the stamp).
         self._send_seqs: Dict[str, int] = {}
@@ -255,10 +253,9 @@ class Firewall:
             deliver_fn=deliver_fn, start_time=self.kernel.now,
             process=process)
         self.registry.add(registration)
-        auditor = getattr(self.kernel, "auditor", None)
-        if auditor is not None:
-            auditor.spawned(self.host.name, agent_id.instance, name,
-                            principal)
+        if self.changes.sinks:
+            self.changes.emit("agent-spawn", instance=agent_id.instance,
+                              name=name, principal=principal)
         self._count("fw.registrations", vm=vm_name)
         self.log(f"registered {agent_id} principal={principal} vm={vm_name}")
         self._flush_pending_for(registration)
@@ -268,40 +265,12 @@ class Firewall:
                          reason: str = "finished") -> bool:
         registration = self.registry.remove(agent_id)
         if registration is not None:
-            auditor = getattr(self.kernel, "auditor", None)
-            if auditor is not None:
-                auditor.ended(agent_id.instance, reason)
-            if self.durability is not None:
-                self.durability.note_depart(agent_id.instance, reason)
+            if self.changes.sinks:
+                self.changes.emit("agent-depart",
+                                  instance=agent_id.instance, reason=reason)
             self.log(f"unregistered {agent_id} ({reason})")
             return True
         return False
-
-    # -- durability delegation (journaled hosts only) ----------------------------------
-
-    def journal_arrival(self, registration: Registration, briefcase,
-                        landing: Optional[str], vm_name: str) -> None:
-        """A cleaned briefcase became resident: journal it so replay
-        can relaunch the agent after a host crash."""
-        if self.durability is not None:
-            self.durability.note_arrival(registration, briefcase,
-                                         landing, vm_name)
-
-    def journal_depart_intent(self, registration: Registration,
-                              landing: Optional[str]) -> None:
-        auditor = getattr(self.kernel, "auditor", None)
-        if auditor is not None:
-            auditor.departing(registration.instance, landing)
-        if self.durability is not None:
-            self.durability.note_depart_intent(registration.instance,
-                                               landing)
-
-    def journal_depart_failed(self, registration: Registration) -> None:
-        auditor = getattr(self.kernel, "auditor", None)
-        if auditor is not None:
-            auditor.depart_failed(registration.instance)
-        if self.durability is not None:
-            self.durability.note_depart_failed(registration.instance)
 
     def _flush_pending_for(self, registration: Registration) -> None:
         for message in self.pending.claim(
@@ -692,14 +661,14 @@ class Firewall:
         ``host-crash`` dead letters instead of silently vanishing.
         """
         killed = 0
-        auditor = getattr(self.kernel, "auditor", None)
         for registration in self.registry.all():
             process = registration.process
             if process is not None and getattr(process, "is_alive", False):
                 process.interrupt(reason)
             self.registry.remove(registration.agent_id)
-            if auditor is not None:
-                auditor.crashed(registration.instance, self.host.name)
+            if self.changes.sinks:
+                self.changes.emit("agent-crash",
+                                  instance=registration.instance)
             killed += 1
         records = self.pending.crash_flush()
         # Landings that ran here are gone with their processes: a
@@ -811,12 +780,11 @@ class Firewall:
         if process is not None and getattr(process, "is_alive", False):
             process.interrupt("killed-by-admin")
         self.registry.remove(registration.agent_id)
-        auditor = getattr(self.kernel, "auditor", None)
-        if auditor is not None:
+        if self.changes.sinks:
             # A deliberate kill is a decision, not a conservation loss.
-            auditor.ended(registration.instance, "killed")
-        if self.durability is not None:
-            self.durability.note_depart(registration.instance, "killed")
+            self.changes.emit("agent-depart",
+                              instance=registration.instance,
+                              reason="killed")
         self.log(f"killed {registration.agent_id}")
         return True
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
-from repro.core import codec
 from repro.core.errors import (
     BriefcaseTooLargeError,
     QuotaExceededError,
@@ -134,9 +133,6 @@ class GovernorConfig:
                 f"(have {list(OVERFLOW_POLICIES)})")
         if self.dead_letter_limit < 1:
             raise ValueError("dead_letter_limit must be positive")
-
-    def set_quota(self, principal: str, spec: QuotaSpec) -> None:
-        self.quotas[principal] = spec
 
 
 class Governor:
@@ -245,9 +241,6 @@ class Governor:
                 "cabinet-bytes", principal,
                 f"{stored_bytes} + {new_bytes} cabinet bytes would "
                 f"exceed the {quota.max_cabinet_bytes}-byte quota")
-
-    def wire_size_of(self, briefcase) -> int:
-        return codec.encoded_size(briefcase)
 
     # -- introspection --------------------------------------------------------------
 

@@ -37,9 +37,6 @@ class SenderInfo:
     uri: Optional[AgentUri] = None
     authenticated: bool = False
 
-    def local_to(self, host_name: str) -> bool:
-        return self.host == host_name
-
 
 @dataclass
 class Message:

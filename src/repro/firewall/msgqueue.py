@@ -47,6 +47,7 @@ from typing import Callable, List, Optional
 from repro.core.errors import QueueFullError
 from repro.core.limits import QueueLimits
 from repro.core.uri import AgentUri
+from repro.firewall.changes import ChangeStream
 from repro.firewall.governor import (
     DEFAULT_DEAD_LETTER_LIMIT,
     OVERFLOW_DROP_OLDEST,
@@ -73,8 +74,8 @@ class _Pending:
     span: object = None
     #: Times this message has already been retransmitted after dying.
     retransmits: int = 0
-    #: Per-queue monotonic park id; the write-ahead journal keys park /
-    #: claim / dead-letter records by it.  0 when unjournaled.
+    #: Per-queue monotonic park id; park / claim / dead-letter change
+    #: events (and so the write-ahead journal's records) are keyed by it.
     park_id: int = 0
 
 
@@ -115,7 +116,8 @@ class PendingQueue:
                  limits: Optional[QueueLimits] = None,
                  overflow: str = OVERFLOW_REJECT,
                  dead_letter_limit: int = DEAD_LETTER_LIMIT,
-                 log: Optional[Callable[[str], None]] = None):
+                 log: Optional[Callable[[str], None]] = None,
+                 changes: Optional[ChangeStream] = None):
         if overflow not in OVERFLOW_POLICIES:
             raise ValueError(f"unknown overflow policy {overflow!r}")
         if dead_letter_limit < 1:
@@ -129,10 +131,7 @@ class PendingQueue:
         self.log = log
         self._pending: List[_Pending] = []
         self._bytes = 0
-        #: Optional write-ahead journal of a durable host (installed by
-        #: ``repro.durability``; duck-typed so this module never
-        #: imports that package).
-        self.journal = None
+        self.changes = changes if changes is not None else ChangeStream()
         #: Next park id (monotonic across restarts — replay re-anchors
         #: it from the journal).
         self.park_seq = 1
@@ -201,14 +200,14 @@ class PendingQueue:
 
     def _reject(self, message: Message, wire_bytes: int,
                 reason: str) -> None:
+        self.offered += 1
         self.rejected += 1
         telemetry = self.kernel.telemetry
         if telemetry.enabled:
             telemetry.metrics.inc("fw.queue_rejected", host=self.host,
                                   policy=self.overflow)
-        if self.journal is not None:
-            self.journal.record("queue-reject",
-                                target=str(message.target))
+        if self.changes.sinks:
+            self.changes.emit("queue-reject", target=str(message.target))
         raise QueueFullError(
             f"pending queue at {self.host or '?'} is full "
             f"({len(self._pending)} msgs / {self._bytes} bytes; "
@@ -248,9 +247,12 @@ class PendingQueue:
         if wire_bytes is None:
             from repro.core import codec
             wire_bytes = codec.encoded_size(message.briefcase)
-        self.offered += 1
         if self.limits.bounded and not self._would_fit(wire_bytes):
             self._make_room(message, wire_bytes)
+        # Counted once the verdict is in (``_reject`` counts its own):
+        # the evictions ``_make_room`` announces must not see an offer
+        # that is neither accepted nor rejected yet.
+        self.offered += 1
         self.accepted += 1
         entry = _Pending(
             message=message,
@@ -265,9 +267,9 @@ class PendingQueue:
             target=str(message.target), **link_args(message.trace))
         self._pending.append(entry)
         self._bytes += wire_bytes
-        if self.journal is not None:
-            self.journal.record_message(
-                "queue-park", message, park=entry.park_id,
+        if self.changes.sinks:
+            self.changes.emit(
+                "queue-park", message=message, park=entry.park_id,
                 expires_at=entry.expires_at, retransmits=retransmits)
         self._update_watermarks()
         self.kernel.spawn(self._expiry_watch(entry),
@@ -290,21 +292,21 @@ class PendingQueue:
                             retransmits=entry.retransmits,
                             park_id=entry.park_id)
         self.dead_letters.append(record)
-        if self.journal is not None:
-            self.journal.record("queue-dead-letter", park=entry.park_id,
-                                reason=reason)
-        auditor = getattr(self.kernel, "auditor", None)
-        if auditor is not None and entry.message.landing_id:
-            # A migration transport died in this queue: the departing
-            # agent it carried is accounted for, not silently lost.
-            auditor.transport_dead_lettered(entry.message.landing_id)
+        changes = self.changes
+        if changes.sinks:
+            changes.emit("queue-dead-letter", park=entry.park_id,
+                         reason=reason)
+            if entry.message.landing_id:
+                # A migration transport died in this queue: the departing
+                # agent it carried is accounted for, not silently lost.
+                changes.emit("transport-lost",
+                             landing=entry.message.landing_id)
         telemetry = self.kernel.telemetry
         if len(self.dead_letters) > self.dead_letter_limit:
             trimmed = self.dead_letters.pop(0)
             self.dead_letter_evictions += 1
-            if self.journal is not None:
-                self.journal.record("dead-letter-evict",
-                                    park=trimmed.park_id)
+            if changes.sinks:
+                changes.emit("dead-letter-evict", park=trimmed.park_id)
             if telemetry.enabled:
                 telemetry.metrics.inc("fw.dead_letter_evictions",
                                       host=self.host)
@@ -334,23 +336,28 @@ class PendingQueue:
     def claim(self, accepts: Callable[[AgentUri], bool]) -> List[Message]:
         """Remove and return all queued messages whose target the new
         registration ``accepts`` (oldest first)."""
-        claimed, remaining = [], []
+        claimed, remaining, released = [], [], 0
         for entry in self._pending:
-            (claimed if accepts(entry.message.target)
-             else remaining).append(entry)
+            if accepts(entry.message.target):
+                claimed.append(entry)
+                released += entry.wire_bytes
+            else:
+                remaining.append(entry)
         self._pending = remaining
         self.claimed += len(claimed)
-        self._bytes -= sum(entry.wire_bytes for entry in claimed)
+        self._bytes -= released
+        messages = []
         for entry in claimed:
-            # Journaled after the whole claim left the queue: a snapshot
-            # triggered by one of these records must not still hold the
-            # entries the later records take out.
-            if self.journal is not None:
-                self.journal.record("queue-claim", park=entry.park_id)
+            # Announced after the whole claim left the queue: a snapshot
+            # triggered by one of these events must not still hold the
+            # entries the later ones take out.
+            if self.changes.sinks:
+                self.changes.emit("queue-claim", park=entry.park_id)
             self._observe_wait(entry, "delivered")
+            messages.append(entry.message)
         if claimed:
             self._update_watermarks()
-        return [entry.message for entry in claimed]
+        return messages
 
     def crash_flush(self) -> List[DeadLetter]:
         """Host crash: every parked message becomes a dead letter."""
@@ -370,13 +377,14 @@ class PendingQueue:
         """Remove and return dead letters still eligible for another try."""
         eligible, remaining = [], []
         for record in self.dead_letters:
-            (eligible if record.retransmits < max_retransmits
-             else remaining).append(record)
+            if record.retransmits < max_retransmits:
+                eligible.append(record)
+            else:
+                remaining.append(record)
         self.dead_letters = remaining
-        if self.journal is not None:
+        if self.changes.sinks:
             for record in eligible:
-                self.journal.record("dead-letter-take",
-                                    park=record.park_id)
+                self.changes.emit("dead-letter-take", park=record.park_id)
         return eligible
 
     def dead_letter_records(self) -> List[dict]:

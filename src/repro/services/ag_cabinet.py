@@ -68,12 +68,13 @@ class AgCabinet(ServiceAgent):
         self.node.firewall.governor.admit_cabinet(
             principal, held, codec.encoded_size(stored))
         self._drawers[key] = stored
-        durability = getattr(self.node, "durability", None)
-        if durability is not None:
+        changes = self.node.firewall.changes
+        if changes.sinks:
             # On a durable host a checkpoint blob is a journal record
             # too: the cabinet drawer models disk, and the journal is
             # the disk's crash-consistent ledger.
-            durability.note_checkpoint(principal, key[1], stored)
+            changes.emit("checkpoint", principal=principal, drawer=key[1],
+                         briefcase=stored)
         return Briefcase()
 
     def op_get(self, message: Message):

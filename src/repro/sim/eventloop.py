@@ -374,10 +374,6 @@ class Kernel:
         #: Runtime briefcase sanitizer, or None (the usual case); agent
         #: contexts check this once per tap.
         self.sanitizer: Optional[Any] = _ambient_sanitizer
-        #: System-wide agent-conservation auditor (a
-        #: :class:`~repro.durability.conservation.ConservationAuditor`),
-        #: or None; firewalls check this at registration transitions.
-        self.auditor: Optional[Any] = None
 
     @property
     def now(self) -> float:

@@ -37,6 +37,8 @@ class TaxCluster:
         self.keychain = KeyChain()
         self._shared_secrets: Dict[str, bytes] = {}
         self._trusted: set = set()
+        #: The conservation auditor, once ``enable_conservation()`` ran.
+        self._auditor = None
         # Every deployment has the system principal, trusted everywhere.
         self.add_principal(SYSTEM_PRINCIPAL, trusted=True)
 
@@ -80,6 +82,8 @@ class TaxCluster:
             trust_store=self._make_trust_store(), keychain=self.keychain,
             policy=policy, site_ordinal=len(self.nodes), web=self.web)
         self.nodes[host_name] = node
+        if self._auditor is not None:
+            self._auditor.follow(node.firewall)
         if boot:
             node.boot()
         return node
@@ -120,13 +124,14 @@ class TaxCluster:
                 for name in sorted(self.nodes)}
 
     def enable_conservation(self):
-        """Install the system-wide agent-conservation auditor
+        """Subscribe the system-wide agent-conservation auditor
         (:class:`~repro.durability.conservation.ConservationAuditor`)
-        on the kernel and return it."""
+        to every node — those added later too — and return it."""
         from repro.durability.conservation import ConservationAuditor
-        auditor = ConservationAuditor()
-        self.kernel.auditor = auditor
-        return auditor
+        self._auditor = ConservationAuditor()
+        for name in sorted(self.nodes):
+            self._auditor.follow(self.nodes[name].firewall)
+        return self._auditor
 
     # -- addressing --------------------------------------------------------------------------
 

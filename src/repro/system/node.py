@@ -56,6 +56,10 @@ class TaxNode:
         self.firewall = Firewall(
             kernel, network, host, trust_store=trust_store, policy=policy,
             directory=directory, site_ordinal=site_ordinal)
+        governor_config = self.firewall.policy.governor
+        if governor_config is not None and \
+                governor_config.breaker is not None:
+            network.configure_breakers(governor_config.breaker)
         self.vms: Dict[str, VirtualMachine] = {}
         self.services: Dict[str, ServiceAgent] = {}
         #: Crash-durability controller (installed by

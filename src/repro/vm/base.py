@@ -215,12 +215,14 @@ class VirtualMachine:
             name=name, principal=principal, vm_name=self.name,
             deliver_fn=deliver)
         ctx.attach(registration, mailbox)
-        # Durable hosts journal the cleaned arrival blob: this exact
-        # briefcase (itinerary position included) is what replay
-        # relaunches if the host crashes while the agent is resident.
-        self.firewall.journal_arrival(registration, briefcase,
-                                      landing=message.landing_id,
-                                      vm_name=self.name)
+        changes = self.firewall.changes
+        if changes.sinks:
+            # Durable hosts journal the cleaned arrival blob: this exact
+            # briefcase (itinerary position included) is what replay
+            # relaunches if the host crashes while the agent is resident.
+            changes.emit("agent-arrive", instance=registration.instance,
+                         name=name, principal=principal, vm=self.name,
+                         landing=message.landing_id, briefcase=briefcase)
         retry_config = briefcase.get_json(wellknown.RETRY)
         if retry_config is not None:
             # The policy travels with the agent; the jitter stream is

@@ -19,4 +19,4 @@ def fine(firewall, peer, seq):
 
 
 def replay_install(firewall, image):
-    firewall.dedup = image.dedup  # lint: disable=DUR001 - replay path
+    firewall.dedup.restore_durable(image.dedup.to_durable())  # ok: into

@@ -88,14 +88,16 @@ def test_dur001_journal_bypass():
     assert all(f.rule == "DUR001" for f in findings)
 
 
-def test_dur001_recovery_module_exempt():
+def test_dur001_only_the_owning_module_binds():
+    """Replay restores *into* the firewall's structures, so the replay
+    module lost its exemption: only the module that owns them binds."""
     source = "firewall.dedup = image.dedup\n"
     analyzer = Analyzer()
     assert analyzer.analyze_source(
-        source, module="repro.durability.recovery") == []
-    outside = analyzer.analyze_source(
-        source, module="repro.firewall.firewall")
-    assert [f.rule for f in outside] == ["DUR001"]
+        source, module="repro.firewall.dedup") == []
+    for module in ("repro.durability.recovery", "repro.firewall.firewall"):
+        outside = analyzer.analyze_source(source, module=module)
+        assert [f.rule for f in outside] == ["DUR001"]
 
 
 def test_err001_broad_except():

@@ -25,11 +25,16 @@ from repro.chaos.crashtest import (
     run_crashtest,
 )
 from repro.chaos.harness import render_document
-from repro.durability.journal import HostJournal, iter_frames
-from repro.durability.recovery import QUEUE_COUNTERS, replay_image
-from repro.durability.store import VirtualDisk
-from repro.firewall.dedup import DedupWindow, LandingRegistry
-from repro.sim.eventloop import Kernel
+from repro.core.briefcase import Briefcase
+from repro.core.errors import QueueFullError
+from repro.core.limits import QueueLimits
+from repro.core.uri import AgentUri
+from repro.durability.journal import iter_frames
+from repro.durability.recovery import JOURNAL_KINDS, replay_image
+from repro.firewall.governor import GovernorConfig
+from repro.firewall.message import Message, SenderInfo
+from repro.firewall.policy import Policy
+from repro.system.cluster import TaxCluster
 
 CRASHED_WORKER = "w2.chaos.example"
 
@@ -115,22 +120,27 @@ class TestScenarios:
 
 def _build_corpus(compact_midway):
     """A journal whose records exercise the full replay taxonomy,
-    written through the real structures so the record stream is exactly
+    written by a real :class:`HostDurability` hearing real structures —
+    the window, registry and queue of an (unbooted) durable node, and
+    the resident table behind them — so the record stream is exactly
     what a live host produces.  Returns the active segment's bytes."""
-    kernel = Kernel()
-    disk = VirtualDisk(kernel, "prop.host")
-    journal = HostJournal(disk, "prop.host", snapshot_interval=10 ** 9)
-    window = DedupWindow(capacity=4)
-    registry = LandingRegistry()
-    window.journal = journal
-    registry.journal = journal
-    journal.state_provider = lambda: {
-        "dedup": window.to_durable(),
-        "landings": registry.to_durable(),
-        "queue": {"counters": {key: 0 for key in QUEUE_COUNTERS},
-                  "park_seq": 3, "open": [], "dead": []},
-        "residents": {"residents": {}, "supersede": {}},
-    }
+    cluster = TaxCluster()
+    node = cluster.add_node("prop.host", boot=False, policy=Policy(
+        governor=GovernorConfig(queue_limits=QueueLimits(max_messages=2),
+                                dead_letter_limit=1)))
+    journal = cluster.enable_durability(
+        snapshot_interval=10 ** 9)["prop.host"].journal
+    firewall = node.firewall
+    window, registry, queue = \
+        firewall.dedup, firewall.landings, firewall.pending
+    announce = firewall.changes.emit
+
+    def message(landing, ttl):
+        return Message(target=AgentUri(name="absent"),
+                       briefcase=Briefcase(), queue_timeout=ttl,
+                       sender=SenderInfo("p", "prop.host"),
+                       landing_id=landing)
+
     for peer, seq in (("a", 1), ("a", 2), ("a", 2), ("b", 1), ("a", 9)):
         window.observe(peer, seq)
     window.forget("b", 1)
@@ -141,23 +151,34 @@ def _build_corpus(compact_midway):
     registry.acquire("L2")              # tombstone refusal
     registry.acquire("L3")
     registry.release("L3")
-    journal.record("queue-park", park=1, landing="L1")
-    journal.record("queue-claim", park=1)
+    queue.park(message("L1", ttl=30.0))
+    queue.claim(lambda target: True)
     if compact_midway:
         journal.compact()
-    journal.record("queue-park", park=2, landing=None)
-    journal.record("queue-dead-letter", park=2, reason="expired")
-    journal.record("agent-arrive", instance="i1", name="ag",
-                   principal="p", vm="vm", landing="L1", blob="")
-    journal.record("depart-intent", instance="i1", landing="L4")
-    journal.record("depart-failed", instance="i1")
-    journal.record("agent-arrive", instance="i2", name="bg",
-                   principal="p", vm="vm", landing=None, blob="")
-    journal.record("agent-depart", instance="i2", reason="moved")
+    queue.park(message(None, ttl=1.0))
+    queue.park(message(None, ttl=2.0))
+    with pytest.raises(QueueFullError):
+        queue.park(message(None, ttl=30.0))       # queue-reject
+    cluster.kernel.run(until=5.0)       # both expire; the ledger keeps 1
+    announce("agent-arrive", instance="i1", name="ag", principal="p",
+             vm="vm", landing="L1", briefcase=Briefcase())
+    announce("depart-intent", instance="i1", landing="L4")
+    announce("depart-failed", instance="i1")
+    announce("agent-arrive", instance="i2", name="bg", principal="p",
+             vm="vm", landing=None, briefcase=Briefcase())
+    announce("agent-depart", instance="i2", reason="moved")
     journal.record("restart", records=0, torn=False)
     window.observe("a", 3)
+    announce("relaunch-intent", instance="i1", landing="L1")
     registry.forget_launch("L1")
-    journal.record("checkpoint", principal="p", drawer="d", blob="")
+    queue.take_retransmittable()
+    announce("checkpoint", principal="p", drawer="d",
+             briefcase=Briefcase())
+    disk = node.durability.disk
+    kinds = {record["kind"] for name in disk.files()
+             if name.startswith("segment-")
+             for record in iter_frames(disk.read(name))[0]}
+    assert kinds - {"snapshot"} == JOURNAL_KINDS | {"restart"}
     return disk.read(journal.active_segment())
 
 
