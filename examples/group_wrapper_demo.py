@@ -92,13 +92,8 @@ def main():
             WrapperSpec.by_ref(GroupCommWrapper, group_config),
         ])
 
-        def _launch():
-            reply = yield from coordinator.meet(
-                cluster.vm_uri(host), briefcase, timeout=60)
-            assert reply.get_text(wellknown.STATUS) == "ok", \
-                reply.get_text(wellknown.ERROR)
-            return reply.get_text("AGENT-URI")
-        return cluster.run(_launch())
+        return cluster.run(coordinator.launch(
+            cluster.vm_uri(host), briefcase, timeout=60))
 
     print("launching 3 sensor agents, each carrying a "
           "monitor+location+group wrapper stack ...")

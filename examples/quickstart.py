@@ -11,7 +11,6 @@ Run with::
 """
 
 from repro.core.briefcase import Briefcase
-from repro.core import wellknown
 from repro.sim.network import BANDWIDTH_100MBIT, LATENCY_LAN
 from repro.system.cluster import TaxCluster
 from repro.vm import loader
@@ -58,11 +57,9 @@ def main():
 
     def scenario():
         print(f"launching hello agent at {hosts[0]} ...")
-        reply = yield from driver.meet(
+        uri = yield from driver.launch(
             cluster.vm_uri(hosts[0]), briefcase, timeout=60)
-        assert reply.get_text(wellknown.STATUS) == "ok", \
-            reply.get_text(wellknown.ERROR)
-        print(f"  launched as {reply.get_text('AGENT-URI')}")
+        print(f"  launched as {uri}")
         final = yield from driver.recv(timeout=600)
         return final.briefcase
 

@@ -3,8 +3,9 @@
 This is the per-agent instance of the shared library of paper section
 3.1: state management (the live briefcase), communication
 (``activate``/``await``/``meet`` built on ``bcSend``/``bcRecv``), and
-mobility (``go``/``spawn``).  Every blocking operation is a generator
-that agent code drives with ``yield from``.
+mobility (``go``/``spawn``, both one ``transport`` → ``launch`` →
+``meet`` away from the destination VM).  Every blocking operation is a
+generator that agent code drives with ``yield from``.
 
 The context also owns the agent's wrapper stack: outbound briefcases are
 filtered innermost→outermost before reaching the firewall, mirroring the
@@ -19,6 +20,7 @@ from typing import Callable, Optional, Union
 from repro.core.briefcase import Briefcase
 from repro.core.errors import (
     CommTimeoutError,
+    LaunchRejected,
     MigrationError,
     OverloadError,
     TaxError,
@@ -82,9 +84,9 @@ class AgentContext:
         #: its retries) so every transport attempt of one hop shares the
         #: hop's causal node.
         self._outbound_trace = None
-        #: Landing id outbound messages should carry — set for the
-        #: duration of a go/spawn meet (and its retries) so every
-        #: transport attempt of one hop presents the same landing id to
+        #: Landing id outbound messages should carry — pinned by
+        #: :meth:`transport` for the duration of its meet (and its
+        #: retries) so every attempt of one hop presents the same id to
         #: the destination's :class:`~repro.firewall.dedup.LandingRegistry`.
         self._outbound_landing = None
         #: Per-context landing-id counter (envelope metadata only, so —
@@ -422,7 +424,7 @@ class AgentContext:
                        op: str) -> None:
         """Best-effort: tombstone an ambiguous landing at the destination.
 
-        A go/spawn meet that *failed* may still have launched the agent —
+        A transport that *failed* may still have launched the agent —
         the ack, not the launch, may be what the partition ate.  The
         origin cannot tell, so it posts a tombstone to the destination
         firewall: if the landing ran, the twin is killed; if the
@@ -441,6 +443,112 @@ class AgentContext:
                                      "reason": f"{op}-abandoned"})
         self.post(AgentUri(host=target.host, name="firewall"), request)
 
+    def launch(self, vm_target: Target, briefcase: Briefcase,
+               timeout: float = DEFAULT_MEET_TIMEOUT) -> str:
+        """Hand ``briefcase`` to the VM at ``vm_target`` to run as a new
+        agent; returns that agent's URI string.
+
+        The client half of the launch protocol (:mod:`repro.vm.base`):
+        a VM's nack raises :class:`LaunchRejected` carrying its reason;
+        a failure of the ``meet`` itself propagates unchanged and is
+        *ambiguous* — the agent may have been launched with only the
+        ack lost.  Use :meth:`transport` where that matters.
+        """
+        reply = yield from self.meet(vm_target, briefcase, timeout=timeout)
+        if reply.get_text(wellknown.STATUS, "error") != "ok":
+            raise LaunchRejected(
+                reply.get_text(wellknown.ERROR, "launch failed"))
+        uri = reply.get_text(wellknown.AGENT_URI)
+        if uri is None:
+            raise LaunchRejected(f"{vm_target} acked without an agent URI")
+        return uri
+
+    def transport(self, op: str, vm_target: Target, briefcase: Briefcase,
+                  timeout: float = DEFAULT_MEET_TIMEOUT,
+                  landing: Optional[str] = None) -> str:
+        """A :meth:`launch` that lands exactly once.
+
+        Every attempt (retries, duplicates) presents the same landing id
+        — ``landing``, or a fresh one — to the destination.  A nack
+        re-raises as is: the VM already released the slot.  Any other
+        failure may have landed with only the ack lost, so the landing is
+        tombstoned there (labelled ``op``) before the error re-raises.
+        """
+        target = self._resolve(vm_target)
+        if landing is None:
+            landing = self._new_landing_id()
+        # Restored, not cleared: recovery transports from inside a guard
+        # whose own hop may be in flight.
+        previous = self._outbound_landing
+        self._outbound_landing = landing
+        try:
+            return (yield from self.launch(target, briefcase, timeout))
+        except LaunchRejected:
+            raise
+        except (TaxError, NetworkError):
+            self._abort_landing(target, landing, op)
+            raise
+        finally:
+            self._outbound_landing = previous
+
+    def _hop(self, op: str, vm_target: Target, timeout: float) -> str:
+        """Transport this agent's briefcase to ``vm_target``, traced and
+        counted as one ``op`` hop (``"go"`` or ``"spawn"``); returns the
+        landed agent's URI string."""
+        departing = op == "go"
+        target = self._resolve(vm_target)
+        transport = self._transport_briefcase()
+        telemetry = self.kernel.telemetry
+        # The hop's causal node: a child of this residency that every
+        # transport attempt (including retries) of this hop carries.
+        hop_trace = telemetry.child_context(self._current_trace()) \
+            if telemetry.enabled else None
+        span = telemetry.tracer.begin(
+            op, category="agent", track=f"agent:{self.name}",
+            agent=self.name, src=self.host_name, dst=str(target),
+            dst_host=target.host, **span_args(hop_trace))
+        landing = self._new_landing_id()
+        changes = self.firewall.changes
+        if departing:
+            self.wrappers.on_depart(self, target)
+            if changes.sinks:
+                # Announce the intent before the transport leaves: if
+                # this host crashes mid-hop, replay knows the agent's
+                # fate is ambiguous (it may already be running at the
+                # destination) and must not resurrect a twin here.
+                changes.emit("depart-intent", instance=self.instance,
+                             landing=landing)
+        self._outbound_trace = hop_trace
+        try:
+            uri = yield from self.transport(op, target, transport,
+                                            timeout, landing)
+        except (TaxError, NetworkError) as exc:
+            outcome = "rejected" if isinstance(exc, LaunchRejected) \
+                else "failed"
+            span.end(outcome=outcome, error=str(exc))
+            if telemetry.enabled:
+                telemetry.metrics.inc("agent.migration_failures", op=op)
+            if departing and changes.sinks:
+                changes.emit("depart-failed", instance=self.instance)
+            raise MigrationError(f"{op}({target}) {outcome}: {exc}") from exc
+        finally:
+            self._outbound_trace = None
+        if departing:
+            span.end(outcome="ok")
+        else:
+            span.end(outcome="ok", clone=uri)
+        if telemetry.enabled:
+            telemetry.metrics.inc("agent.migrations", op=op)
+            telemetry.metrics.inc("agent.hops", agent=self.name)
+            if span.duration is not None:
+                telemetry.metrics.observe(
+                    "agent.hop_seconds", span.duration,
+                    agent=self.name, op=op)
+            telemetry.flight.record(self.host_name, "hop",
+                                    agent=self.name, op=op,
+                                    dst=target.host)
+        return uri
+
     def go(self, vm_target: Target, timeout: float = DEFAULT_MEET_TIMEOUT):
         """Move this agent to the VM at ``vm_target``.
 
@@ -450,71 +558,14 @@ class AgentContext:
         pattern becomes ``try: yield from ctx.go(...) except
         MigrationError``.
         """
-        target = self._resolve(vm_target)
-        transport = self._transport_briefcase()
-        telemetry = self.kernel.telemetry
-        # The hop's causal node: a child of this residency that every
-        # transport attempt (including retries) of this go carries.
-        hop_trace = telemetry.child_context(self._current_trace()) \
-            if telemetry.enabled else None
-        span = telemetry.tracer.begin(
-            "go", category="agent", track=f"agent:{self.name}",
-            agent=self.name, src=self.host_name, dst=str(target),
-            dst_host=target.host, **span_args(hop_trace))
-        self.wrappers.on_depart(self, target)
-        landing = self._new_landing_id()
-        self._outbound_trace = hop_trace
-        self._outbound_landing = landing
-        changes = self.firewall.changes
-        if changes.sinks:
-            # Announce the intent before the transport leaves: if this
-            # host crashes mid-hop, replay knows the agent's fate is
-            # ambiguous (it may already be running at the destination)
-            # and must not resurrect a twin here.
-            changes.emit("depart-intent", instance=self.instance,
-                         landing=landing)
-        try:
-            reply = yield from self.meet(target, transport, timeout=timeout)
-        except (TaxError, NetworkError) as exc:
-            span.end(outcome="failed", error=str(exc))
-            if telemetry.enabled:
-                telemetry.metrics.inc("agent.migration_failures", op="go")
-            # The transport may have landed with only the ack lost:
-            # poison the landing so no twin survives, then stay here.
-            self._abort_landing(target, landing, "go")
-            if changes.sinks:
-                changes.emit("depart-failed", instance=self.instance)
-            raise MigrationError(f"go({target}) failed: {exc}") from exc
-        finally:
-            self._outbound_trace = None
-            self._outbound_landing = None
-        status = reply.get_text(wellknown.STATUS, "error")
-        if status != "ok":
-            error = reply.get_text(wellknown.ERROR, "launch failed")
-            span.end(outcome="rejected", error=error)
-            if telemetry.enabled:
-                telemetry.metrics.inc("agent.migration_failures", op="go")
-            if changes.sinks:
-                changes.emit("depart-failed", instance=self.instance)
-            raise MigrationError(f"go({target}) rejected: {error}")
+        uri = yield from self._hop("go", vm_target, timeout)
         # The move succeeded: terminate this instance.
         self.moved = True
-        span.end(outcome="ok")
-        if telemetry.enabled:
-            telemetry.metrics.inc("agent.migrations", op="go")
-            telemetry.metrics.inc("agent.hops", agent=self.name)
-            if span.duration is not None:
-                telemetry.metrics.observe(
-                    "agent.hop_seconds", span.duration,
-                    agent=self.name, op="go")
-            telemetry.flight.record(self.host_name, "hop",
-                                    agent=self.name, op="go",
-                                    dst=target.host)
         self.firewall.unregister_agent(self.registration.agent_id,
                                        reason="moved")
         if self.mailbox is not None:
             self.mailbox.close()
-        self.log(f"moved to {reply.get_text('AGENT-URI', str(target))}")
+        self.log(f"moved to {uri}")
         raise StopProcess("moved")
 
     def spawn_to(self, vm_target: Target,
@@ -524,54 +575,8 @@ class AgentContext:
         The clone gets a fresh instance number at the destination; its
         URI is returned to this (continuing) agent.
         """
-        target = self._resolve(vm_target)
-        transport = self._transport_briefcase()
-        telemetry = self.kernel.telemetry
-        hop_trace = telemetry.child_context(self._current_trace()) \
-            if telemetry.enabled else None
-        span = telemetry.tracer.begin(
-            "spawn", category="agent", track=f"agent:{self.name}",
-            agent=self.name, src=self.host_name, dst=str(target),
-            dst_host=target.host, **span_args(hop_trace))
-        landing = self._new_landing_id()
-        self._outbound_trace = hop_trace
-        self._outbound_landing = landing
-        try:
-            reply = yield from self.meet(target, transport, timeout=timeout)
-        except (TaxError, NetworkError) as exc:
-            span.end(outcome="failed", error=str(exc))
-            if telemetry.enabled:
-                telemetry.metrics.inc("agent.migration_failures",
-                                      op="spawn")
-            self._abort_landing(target, landing, "spawn")
-            raise MigrationError(f"spawn({target}) failed: {exc}") from exc
-        finally:
-            self._outbound_trace = None
-            self._outbound_landing = None
-        status = reply.get_text(wellknown.STATUS, "error")
-        if status != "ok":
-            error = reply.get_text(wellknown.ERROR, "launch failed")
-            span.end(outcome="rejected", error=error)
-            if telemetry.enabled:
-                telemetry.metrics.inc("agent.migration_failures",
-                                      op="spawn")
-            raise MigrationError(f"spawn({target}) rejected: {error}")
-        clone_uri = reply.get_text("AGENT-URI")
-        if clone_uri is None:
-            span.end(outcome="failed", error="no clone URI")
-            raise MigrationError("destination VM returned no clone URI")
-        span.end(outcome="ok", clone=clone_uri)
-        if telemetry.enabled:
-            telemetry.metrics.inc("agent.migrations", op="spawn")
-            telemetry.metrics.inc("agent.hops", agent=self.name)
-            if span.duration is not None:
-                telemetry.metrics.observe(
-                    "agent.hop_seconds", span.duration,
-                    agent=self.name, op="spawn")
-            telemetry.flight.record(self.host_name, "hop",
-                                    agent=self.name, op="spawn",
-                                    dst=target.host)
-        return AgentUri.parse(clone_uri)
+        return AgentUri.parse(
+            (yield from self._hop("spawn", vm_target, timeout)))
 
     # -- time ------------------------------------------------------------------------------
 

@@ -302,10 +302,8 @@ def run_f3(seed: int = 2000) -> ExperimentReport:
 
         def scenario(briefcase=briefcase, vm=vm):
             start = cluster.kernel.now
-            reply = yield from driver.meet(
+            yield from driver.launch(
                 cluster.vm_uri("server.uit.no", vm), briefcase, timeout=600)
-            if reply.get_text(wellknown.STATUS) != "ok":
-                raise AssertionError(reply.get_text(wellknown.ERROR))
             launch_latency = cluster.kernel.now - start
             yield from driver.recv(timeout=600)   # the probe's TRAIL report
             return launch_latency
@@ -381,10 +379,8 @@ def run_f5(depths: Sequence[int] = (0, 1, 2, 4, 8),
                 for _ in range(depth)])
 
         def scenario(briefcase=briefcase):
-            reply = yield from driver.meet(
+            echo_uri = yield from driver.launch(
                 cluster.vm_uri("host.uit.no"), briefcase, timeout=60)
-            assert reply.get_text(wellknown.STATUS) == "ok"
-            echo_uri = reply.get_text("AGENT-URI")
             start = cluster.kernel.now
             for _ in range(round_trips):
                 ping = Briefcase()

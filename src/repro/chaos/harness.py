@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.errors import CommTimeoutError, TaxError
+from repro.core.errors import CommTimeoutError
 from repro.core.retry import RetryPolicy, install_retry
 from repro.core.uri import AgentUri
 from repro.core import wellknown
@@ -37,7 +37,7 @@ from repro.sim.rng import retry_stream
 from repro.system.cluster import TaxCluster
 from repro.vm import loader
 from repro.wrappers.fault import CheckpointWrapper
-from repro.wrappers.mobility import make_task_briefcase
+from repro.wrappers.mobility import FAILURES, make_task_briefcase
 from repro.wrappers.monitor import MonitorWrapper
 from repro.wrappers.stack import WrapperSpec, install_wrappers
 
@@ -280,11 +280,8 @@ def run_scenario(scenario: Scenario, seed: int = 7, workers: int = 3,
         cluster.kernel.spawn(guard.watch(), name="rear-guard-watch")
 
     def itinerary():
-        reply = yield from ctx.meet(
+        yield from ctx.launch(
             cluster.vm_uri(HOME_HOST), briefcase, timeout=60.0)
-        if reply.get_text(wellknown.STATUS) != "ok":
-            raise TaxError(
-                f"launch failed: {reply.get_text(wellknown.ERROR)}")
         results: List[Dict] = []
         failures: List[Dict] = []
         timed_out = False
@@ -294,7 +291,7 @@ def run_scenario(scenario: Scenario, seed: int = 7, workers: int = 3,
                 match=lambda m: not ctx.is_pending_reply(m))
             report = message.briefcase
             results = [e.as_json() for e in report.folder(wellknown.RESULTS)]
-            failures = [e.as_json() for e in report.folder("FAILURES")]
+            failures = [e.as_json() for e in report.folder(FAILURES)]
         except CommTimeoutError:
             # The agent was lost and nobody brought it back.
             timed_out = True

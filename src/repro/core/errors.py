@@ -137,6 +137,13 @@ class MigrationError(TaxError):
     """An agent's ``go``/``spawn`` could not be completed."""
 
 
+class LaunchRejected(MigrationError):
+    """The destination VM answered a launch with a nack; the text is the
+    VM's reason.  Nothing landed and the landing slot is already free —
+    unlike any other failure of a launch, after which the agent may be
+    running there with only the ack lost."""
+
+
 class ServiceError(TaxError):
     """A service agent (ag_exec, ag_fs, ...) reported a failure."""
 

@@ -44,6 +44,9 @@ PRINCIPAL = "PRINCIPAL"
 #: Name the agent wishes to register under at the destination.
 AGENT_NAME = "AGENT-NAME"
 
+#: URI of the agent a VM launched, set in its ack of the launch.
+AGENT_URI = "AGENT-URI"
+
 #: Reply address (an agent URI string) for request/reply exchanges.
 REPLY_TO = "REPLY-TO"
 

@@ -13,12 +13,14 @@ app-specific pieces, mirroring what the Webbot needed:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.core import wellknown
-from repro.core.errors import TaxError
 from repro.firewall.auth import KeyChain
-from repro.mining.strategies import RunMetrics, _ensure_principal, _measure
+from repro.mining.strategies import (
+    RunMetrics,
+    _ensure_principal,
+    run_wrapped,
+)
 from repro.mining.webbot_agent import WEBBOT_PRINCIPAL, link_sources
 from repro.robot import checkbot as _checkbot_module
 from repro.robot.report import DeadLinkReport
@@ -85,26 +87,5 @@ def run_checkbot_mobile(testbed: Testbed, site_host: str,
         postprocessor=condense_checkbot_result,
         agent_name="mwCheckbot")
 
-    def scenario():
-        reply = yield from driver.meet(
-            cluster.vm_uri(testbed.client.host.name), briefcase,
-            timeout=timeout)
-        if reply.get_text(wellknown.STATUS) != "ok":
-            raise TaxError(
-                f"launch failed: {reply.get_text(wellknown.ERROR)}")
-        while True:
-            message = yield from driver.recv(timeout=timeout)
-            if message.briefcase.has(wellknown.RESULTS) or \
-                    message.briefcase.has("FAILURES"):
-                reports: List[Dict] = [
-                    e.as_json() for e in
-                    message.briefcase.folder(wellknown.RESULTS)]
-                failures = [e.as_json() for e in
-                            message.briefcase.folder("FAILURES")]
-                return reports, failures
-
-    (reports, failures), elapsed, nbytes, nmessages = _measure(
-        testbed, scenario(), "checkbot-mobile")
-    return RunMetrics(strategy="checkbot-mobile", elapsed_seconds=elapsed,
-                      remote_bytes=nbytes, remote_messages=nmessages,
-                      reports=reports, failures=failures)
+    return run_wrapped(testbed, driver, briefcase, "checkbot-mobile",
+                       timeout)

@@ -16,7 +16,12 @@ from repro.robot import loganalyzer as _loganalyzer_module
 from repro.robot.loganalyzer import analyze_log
 from repro.sim.rng import RandomStream, stream_from
 from repro.firewall.auth import KeyChain
-from repro.mining.strategies import RunMetrics, _ensure_principal, _measure
+from repro.mining.strategies import (
+    RunMetrics,
+    _ensure_principal,
+    _measure,
+    run_wrapped,
+)
 from repro.mining.webbot_agent import WEBBOT_PRINCIPAL, link_sources
 from repro.system.bootstrap import Testbed
 from repro.vm import loader
@@ -128,8 +133,6 @@ def run_log_mobile(testbed: Testbed, site_host: str,
                    top_k: int = 10,
                    timeout: float = 1_000_000.0) -> RunMetrics:
     """Ship the analyzer to the server through the mobility wrapper."""
-    from repro.core import wellknown
-    from repro.core.errors import TaxError
     _ensure_principal(testbed)
     cluster = testbed.cluster
     archs = sorted({node.host.arch for node in cluster.nodes.values()})
@@ -143,21 +146,4 @@ def run_log_mobile(testbed: Testbed, site_host: str,
           "args": mining_args(site_host, top_k=top_k)}],
         home_uri=str(driver.uri), agent_name="mwLogMiner")
 
-    def scenario():
-        reply = yield from driver.meet(
-            cluster.vm_uri(testbed.client.host.name), briefcase,
-            timeout=timeout)
-        if reply.get_text(wellknown.STATUS) != "ok":
-            raise TaxError(
-                f"launch failed: {reply.get_text(wellknown.ERROR)}")
-        while True:
-            message = yield from driver.recv(timeout=timeout)
-            if message.briefcase.has(wellknown.RESULTS):
-                return [e.as_json() for e in
-                        message.briefcase.folder(wellknown.RESULTS)]
-
-    reports, elapsed, nbytes, nmessages = _measure(
-        testbed, scenario(), "log-mobile")
-    return RunMetrics(strategy="log-mobile", elapsed_seconds=elapsed,
-                      remote_bytes=nbytes, remote_messages=nmessages,
-                      reports=reports)
+    return run_wrapped(testbed, driver, briefcase, "log-mobile", timeout)

@@ -106,12 +106,8 @@ def run_parallel_mobile(testbed: Testbed, tasks: Sequence,
                            agent_name="pa_root")
 
     def scenario():
-        reply = yield from driver.meet(
-            cluster.vm_uri(launch_host, "vm_python"), briefcase,
-            timeout=timeout)
-        if reply.get_text(wellknown.STATUS) != "ok":
-            raise TaxError(
-                f"launch failed: {reply.get_text(wellknown.ERROR)}")
+        yield from driver.launch(
+            cluster.vm_uri(launch_host), briefcase, timeout=timeout)
         expected = None
         reports: List[Dict] = []
         spawn_failures: List[Dict] = []

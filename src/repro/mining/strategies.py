@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import TaxError
+from repro.core import wellknown
 from repro.robot.linkcheck import validate_rejected
 from repro.robot.report import DeadLinkReport
 from repro.robot.webbot import Webbot, WebbotConfig
@@ -33,6 +33,7 @@ from repro.mining.webbot_agent import (
     make_mwwebbot,
 )
 from repro.web.client import ClientModel, SimHttpClient
+from repro.wrappers.mobility import FAILURES
 from repro.wrappers.monitor import EVENT_FOLDER
 
 
@@ -190,7 +191,6 @@ def run_mobile(testbed: Testbed, tasks: Sequence[CrawlTask],
                                    archs=archs)
     driver = cluster.node(launch_host).driver(
         name="webbot_home", principal=WEBBOT_PRINCIPAL)
-    monitor_events: List[Dict] = []
 
     # Addresses are built without consulting the node registry: a host
     # that is down or unknown must surface as a go() failure at run time
@@ -204,34 +204,33 @@ def run_mobile(testbed: Testbed, tasks: Sequence[CrawlTask],
         monitor_uri=str(driver.uri) if monitor else None,
         condense=condense, extra_wrappers=extra_wrappers)
 
+    strategy = "mobile" if len(tasks) == 1 else "itinerant"
+    return run_wrapped(testbed, driver, briefcase, strategy, timeout)
+
+
+def run_wrapped(testbed: Testbed, driver, briefcase, strategy: str,
+                timeout: float) -> RunMetrics:
+    """The home side of any wrapped run: launch ``briefcase`` on the
+    driver's host, collect monitor events until the agent's report (its
+    results, its failures, or both) reaches ``driver``, and measure."""
+    monitor_events: List[Dict] = []
+
     def scenario():
-        from repro.core import wellknown
-        reply = yield from driver.meet(
-            cluster.vm_uri(launch_host, "vm_python"), briefcase,
+        yield from driver.launch(
+            testbed.cluster.vm_uri(driver.host_name), briefcase,
             timeout=timeout)
-        if reply.get_text(wellknown.STATUS) != "ok":
-            raise TaxError(
-                f"launch failed: {reply.get_text(wellknown.ERROR)}")
-        reports: List[Dict] = []
-        failures: List[Dict] = []
         while True:
-            message = yield from driver.recv(timeout=timeout)
-            briefcase_in = message.briefcase
-            event = briefcase_in.get_first(EVENT_FOLDER)
+            inbound = (yield from driver.recv(timeout=timeout)).briefcase
+            event = inbound.get_first(EVENT_FOLDER)
             if event is not None:
                 monitor_events.append(json.loads(event.as_text()))
-                continue
-            if briefcase_in.has(wellknown.RESULTS) or \
-                    briefcase_in.has("FAILURES"):
-                reports.extend(e.as_json() for e in
-                               briefcase_in.folder(wellknown.RESULTS))
-                failures.extend(e.as_json() for e in
-                                briefcase_in.folder("FAILURES"))
-                return reports, failures
+            elif inbound.has(wellknown.RESULTS) or inbound.has(FAILURES):
+                return ([e.as_json()
+                         for e in inbound.folder(wellknown.RESULTS)],
+                        [e.as_json() for e in inbound.folder(FAILURES)])
 
     (reports, failures), elapsed, nbytes, nmessages = _measure(
-        testbed, scenario(), "mobile-crawl")
-    strategy = "mobile" if len(tasks) == 1 else "itinerant"
+        testbed, scenario(), strategy)
     return RunMetrics(strategy=strategy, elapsed_seconds=elapsed,
                       remote_bytes=nbytes, remote_messages=nmessages,
                       reports=reports, failures=failures,

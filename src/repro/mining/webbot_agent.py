@@ -163,9 +163,7 @@ def make_mwwebbot(program: loader.Payload,
 def query_status(ctx, agent_uri: "str | AgentUri",
                  timeout: float = 30.0) -> Dict:
     """Ask a monitored (rwWebbot-wrapped) agent where it is (generator)."""
-    target = agent_uri if isinstance(agent_uri, AgentUri) \
-        else AgentUri.parse(agent_uri)
     request = Briefcase()
     request.put(wellknown.OP, OP_STATUS_QUERY)
-    reply = yield from ctx.meet(target, request, timeout=timeout)
+    reply = yield from ctx.meet(agent_uri, request, timeout=timeout)
     return reply.get_json(wellknown.RESULTS, {})

@@ -46,7 +46,6 @@ def run_traced_quickstart(telemetry: Optional[Telemetry] = None,
     ``agent:hello``, launches on ``vm:*``, transfers on ``net:*``.
     """
     from repro.core.briefcase import Briefcase
-    from repro.core import wellknown
     from repro.sim.network import BANDWIDTH_100MBIT, LATENCY_LAN
     from repro.system.cluster import TaxCluster
     from repro.vm import loader
@@ -72,10 +71,8 @@ def run_traced_quickstart(telemetry: Optional[Telemetry] = None,
     briefcase.put("HOME", str(driver.uri))
 
     def scenario():
-        reply = yield from driver.meet(
+        yield from driver.launch(
             cluster.vm_uri(hosts[0]), briefcase, timeout=60)
-        if reply.get_text(wellknown.STATUS) != "ok":
-            raise RuntimeError(reply.get_text(wellknown.ERROR))
         final = yield from driver.recv(timeout=600)
         return final.briefcase
 

@@ -32,7 +32,7 @@ from repro.core.errors import TaxError, VMError
 from repro.core.identity import SYSTEM_PRINCIPAL
 from repro.core.retry import RetryPolicy
 from repro.core import wellknown
-from repro.agent.context import AgentContext
+from repro.agent.context import TRANSPORT_FOLDERS, AgentContext
 from repro.agent.mailbox import Mailbox
 from repro.firewall.message import Message
 from repro.obs.propagation import link_args, span_args
@@ -183,8 +183,7 @@ class VirtualMachine:
     def launch_agent(self, message: Message, entry: Callable) -> str:
         """Register and start the agent; returns its URI string."""
         briefcase = message.briefcase.snapshot()
-        for folder in (wellknown.MEET_TOKEN, wellknown.REPLY_TO,
-                       wellknown.OP):
+        for folder in TRANSPORT_FOLDERS:
             briefcase.drop(folder)
         if briefcase.has(wellknown.CODE_ORIG):
             # Compile-at-destination launch: the agent keeps carrying its
@@ -292,7 +291,7 @@ class VirtualMachine:
             return
         response = Briefcase()
         response.put(wellknown.STATUS, "ok")
-        response.put("AGENT-URI", agent_uri)
+        response.put(wellknown.AGENT_URI, agent_uri)
         yield from self.ctx.reply(message, response)
 
     def _nack(self, message: Message, error: str):

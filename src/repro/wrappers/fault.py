@@ -92,12 +92,10 @@ def recover(ctx, cabinet: "str | AgentUri", drawer: str,
     (cabinet drawers are principal-scoped).  Returns the relaunched
     agent's URI string.
     """
-    cabinet_uri = cabinet if isinstance(cabinet, AgentUri) \
-        else AgentUri.parse(cabinet)
     request = Briefcase()
     request.put(wellknown.OP, "get")
     request.put("DRAWER", drawer)
-    reply = yield from ctx.meet(cabinet_uri, request, timeout=timeout)
+    reply = yield from ctx.meet(cabinet, request, timeout=timeout)
     if reply.get_text(wellknown.STATUS) != "ok":
         raise TaxError(
             f"no checkpoint in drawer {drawer!r}: "
@@ -117,27 +115,14 @@ def recover(ctx, cabinet: "str | AgentUri", drawer: str,
             bumped = 1
         checkpoint.drop(wellknown.INCARNATION)
         checkpoint.put(wellknown.INCARNATION, str(bumped))
-    vm_uri = vm_target if isinstance(vm_target, AgentUri) \
-        else AgentUri.parse(vm_target)
     # The relaunch is a migration like any other: it carries a landing
     # id so a duplicated or retried transport lands exactly once, and an
     # ambiguous failure poisons the landing rather than leaking a twin.
-    landing = ctx._new_landing_id()
-    previous_landing = ctx._outbound_landing
-    ctx._outbound_landing = landing
     try:
-        launch_reply = yield from ctx.meet(vm_uri, checkpoint,
-                                           timeout=timeout)
+        uri = yield from ctx.transport("recover", vm_target, checkpoint,
+                                       timeout)
     except (TaxError, NetworkError) as exc:
-        ctx._abort_landing(vm_uri, landing, "recover")
         raise MigrationError(f"recovery relaunch failed: {exc}") from exc
-    finally:
-        ctx._outbound_landing = previous_landing
-    if launch_reply.get_text(wellknown.STATUS) != "ok":
-        raise MigrationError(
-            f"recovery relaunch failed: "
-            f"{launch_reply.get_text(wellknown.ERROR)}")
-    uri = launch_reply.get_text("AGENT-URI")
     telemetry = ctx.kernel.telemetry
     if telemetry.enabled:
         telemetry.metrics.inc("recovery.relaunches", drawer=drawer)

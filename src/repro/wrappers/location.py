@@ -65,12 +65,10 @@ class LocationWrapper(AgentWrapper):
 def resolve(ctx, registry: "str | AgentUri", logical: str,
             timeout: float = 30.0) -> AgentUri:
     """Look a logical name up in a locator registry (generator)."""
-    target = registry if isinstance(registry, AgentUri) \
-        else AgentUri.parse(registry)
     request = Briefcase()
     request.put(wellknown.OP, "lookup")
     request.put(wellknown.ARGS, {"name": logical})
-    reply = yield from ctx.meet(target, request, timeout=timeout)
+    reply = yield from ctx.meet(registry, request, timeout=timeout)
     if reply.get_text(wellknown.STATUS) != "ok":
         raise AgentNotFoundError(
             f"locator has no entry for {logical!r}: "

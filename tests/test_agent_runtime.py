@@ -5,6 +5,7 @@ import pytest
 from repro.core.briefcase import Briefcase
 from repro.core.errors import (
     CommTimeoutError,
+    LaunchRejected,
     MigrationError,
     TaxError,
 )
@@ -12,7 +13,13 @@ from repro.core.uri import AgentUri
 from repro.core import wellknown
 from repro.agent.mailbox import Mailbox
 from repro.firewall.message import Message, SenderInfo
+from repro.firewall.policy import OP_LAUNCH
+from repro.obs.telemetry import Telemetry
+from repro.sim.network import BANDWIDTH_100MBIT, LATENCY_LAN
+from repro.system.cluster import TaxCluster
 from repro.vm import loader
+from repro.wrappers.base import AgentWrapper
+from repro.wrappers.stack import WrapperStack
 
 
 def make_message(kernel, text="x", target="someone"):
@@ -311,3 +318,225 @@ class TestAgentContext:
                        briefcase=Briefcase({wellknown.MEET_TOKEN: ["zzz"]}),
                        sender=SenderInfo("s", "h"))
         assert not driver.is_pending_reply(fake)
+
+
+class TestContextEdges:
+    def test_post_logs_failures_instead_of_raising(self, single_cluster):
+        node = single_cluster.node("solo.test")
+        driver = node.driver()
+
+        def scenario():
+            process = driver.post(
+                AgentUri.parse("tacoma://no.such.host/x"), Briefcase())
+            yield single_cluster.kernel.timeout(1)
+            return process.triggered
+        assert single_cluster.run(scenario()) is True
+        assert any("async send" in text and "failed" in text
+                   for _t, text in node.firewall.events)
+
+    def test_string_targets_accepted_everywhere(self, single_cluster):
+        driver = single_cluster.node("solo.test").driver()
+
+        def scenario():
+            request = Briefcase()
+            request.put(wellknown.OP, "list")
+            reply = yield from driver.meet("firewall", request, timeout=30)
+            return reply.get_text(wellknown.STATUS)
+        assert single_cluster.run(scenario()) == "ok"
+
+    def test_meet_raises_when_wrapper_swallows_send(self, single_cluster):
+        class Muzzle(AgentWrapper):
+            def on_send(self, ctx, target, briefcase):
+                return None
+        driver = single_cluster.node("solo.test").driver()
+        driver.wrappers = WrapperStack([Muzzle()])
+        from repro.core.errors import CommTimeoutError
+
+        def scenario():
+            with pytest.raises(CommTimeoutError, match="dropped"):
+                yield from driver.meet("firewall", Briefcase(), timeout=5)
+            return "done"
+        assert single_cluster.run(scenario()) == "done"
+
+
+class TestLaunch:
+    """``AgentContext.launch``: the one client of the VM's reply
+    contract (ack with a URI, or nack with a reason)."""
+
+    def test_returns_the_launched_agents_uri(self, single_cluster):
+        node = single_cluster.node("solo.test")
+        briefcase = Briefcase()
+        loader.install_payload(briefcase, loader.pack_ref(echo_agent),
+                               agent_name="echo")
+        uri = AgentUri.parse(single_cluster.run(node.driver().launch(
+            single_cluster.vm_uri("solo.test"), briefcase, timeout=30)))
+        assert uri.name == "echo"
+        assert node.firewall.registry.by_instance(uri.instance) is not None
+
+    def test_policy_denial_raises_the_vms_reason(self, single_cluster):
+        node = single_cluster.node("solo.test")
+        node.firewall.policy.deny("pariah", OP_LAUNCH)
+        driver = node.driver(name="pariah-drv", principal="pariah")
+        briefcase = Briefcase()
+        loader.install_payload(briefcase, loader.pack_ref(echo_agent))
+        with pytest.raises(MigrationError) as raised:
+            single_cluster.run(driver.launch(
+                single_cluster.vm_uri("solo.test"), briefcase, timeout=30))
+        assert isinstance(raised.value, LaunchRejected)
+        assert str(raised.value) == "policy denies launch by 'pariah'"
+
+    def test_missing_payload_raises_the_vms_reason(self, single_cluster):
+        driver = single_cluster.node("solo.test").driver()
+        with pytest.raises(MigrationError) as raised:
+            single_cluster.run(driver.launch(
+                single_cluster.vm_uri("solo.test"),
+                Briefcase({"JUNK": ["no code here"]}), timeout=30))
+        assert isinstance(raised.value, LaunchRejected)
+        assert str(raised.value) == \
+            "briefcase carries no CODE/CODE-KIND payload"
+
+
+    def test_an_ok_that_names_no_agent_is_not_a_launch(self,
+                                                       single_cluster):
+        """Whoever answered ``ok`` without an AGENT-URI was not a VM."""
+        driver = single_cluster.node("solo.test").driver()
+        request = Briefcase()
+        request.put(wellknown.OP, "list")
+        with pytest.raises(LaunchRejected, match="without an agent URI"):
+            single_cluster.run(driver.launch("firewall", request,
+                                             timeout=30))
+
+
+def hop_agent(ctx, bc):
+    """Tries one hop (``MODE``: go / spawn) to ``TARGET``; whichever
+    instance is left running afterwards reports home."""
+    report = Briefcase({"HOST": [ctx.host_name]})
+    target = bc.get_text("TARGET")
+    if target is not None:
+        bc.drop("TARGET")
+        hop = ctx.go if bc.get_text("MODE") == "go" else ctx.spawn_to
+        try:
+            clone = yield from hop(target)
+            report.put("CLONE", str(clone))
+        except MigrationError as exc:
+            report.put("FAILED", str(exc))
+    yield from ctx.send(bc.get_text("HOME"), report)
+    yield from ctx.sleep(60)
+
+
+class TestHops:
+    """``go`` and ``spawn_to`` are two finishes over one hop body: same
+    failure texts, span outcomes and counters; only the ending differs."""
+
+    @pytest.fixture
+    def traced_pair(self):
+        cluster = TaxCluster(telemetry=Telemetry(enabled=True))
+        cluster.add_node("alpha.test")
+        cluster.add_node("beta.test")
+        cluster.network.link("alpha.test", "beta.test",
+                             latency=LATENCY_LAN,
+                             bandwidth=BANDWIDTH_100MBIT)
+        return cluster
+
+    def run_hop(self, cluster, mode, target, reports=1):
+        """Launch a hop_agent at alpha.test; returns alpha's change
+        events and the ``reports`` briefcases that came home."""
+        alpha = cluster.node("alpha.test")
+        events = []
+        alpha.firewall.changes.subscribe(
+            lambda kind, fields: events.append((kind, dict(fields))))
+        driver = alpha.driver()
+        briefcase = Briefcase({"MODE": [mode], "TARGET": [target],
+                               "HOME": [str(driver.uri)]})
+        loader.install_payload(briefcase, loader.pack_ref(hop_agent),
+                               agent_name="hopper")
+
+        def scenario():
+            yield from driver.launch(cluster.vm_uri("alpha.test"),
+                                     briefcase, timeout=30)
+            inbound = []
+            for _ in range(reports):
+                inbound.append((yield from driver.recv(timeout=30)).briefcase)
+            # A landed agent's report can beat its own ack home: let the
+            # origin finish the hop before anything is read.
+            yield cluster.kernel.timeout(1.0)
+            return inbound
+        return events, cluster.run(scenario())
+
+    @pytest.mark.parametrize("mode", ["go", "spawn"])
+    def test_ambiguous_failure_text_span_and_tombstone(self, traced_pair,
+                                                       mode):
+        """The transport dies on the way: ``failed``, and the landing
+        is tombstoned because it may have run."""
+        target = "tacoma://nowhere.test/vm_python"
+        events, (report,) = self.run_hop(traced_pair, mode, target)
+        assert report.get_text("FAILED") == (
+            f"{mode}(tacoma://nowhere.test//vm_python) failed: "
+            "unknown host 'nowhere.test'")
+        (span,) = traced_pair.telemetry.tracer.find(name=mode)
+        assert span.args["outcome"] == "failed"
+        metrics = traced_pair.telemetry.metrics
+        assert metrics.value("agent.migration_failures", op=mode) == 1
+        assert metrics.value("agent.landing_aborts", op=mode) == 1
+        assert metrics.get("agent.migrations") is None
+        kinds = [kind for kind, _ in events
+                 if kind.startswith("depart")]
+        assert kinds == (["depart-intent", "depart-failed"]
+                         if mode == "go" else [])
+
+    @pytest.mark.parametrize("mode", ["go", "spawn"])
+    def test_nack_text_span_and_no_tombstone(self, traced_pair, mode):
+        """The VM answers no: ``rejected`` with its reason, and nothing
+        to tombstone — the destination already released the slot."""
+        target = "tacoma://beta.test/vm_bin"
+        events, (report,) = self.run_hop(traced_pair, mode, target)
+        assert report.get_text("FAILED") == (
+            f"{mode}(tacoma://beta.test//vm_bin) rejected: vm_bin cannot "
+            "execute 'py-ref' payloads (accepts ['binary'])")
+        (span,) = traced_pair.telemetry.tracer.find(name=mode)
+        assert span.args["outcome"] == "rejected"
+        metrics = traced_pair.telemetry.metrics
+        assert metrics.value("agent.migration_failures", op=mode) == 1
+        assert metrics.get("agent.landing_aborts") is None
+        assert traced_pair.node("beta.test").firewall.landings.aborts == 0
+        kinds = [kind for kind, _ in events
+                 if kind.startswith("depart")]
+        assert kinds == (["depart-intent", "depart-failed"]
+                         if mode == "go" else [])
+
+    def test_go_unregisters_the_origin_as_moved(self, traced_pair):
+        events, (report,) = self.run_hop(
+            traced_pair, "go", "tacoma://beta.test/vm_python")
+        assert report.get_text("HOST") == "beta.test"
+        (span,) = traced_pair.telemetry.tracer.find(name="go")
+        assert span.args["outcome"] == "ok" and "clone" not in span.args
+        alpha = traced_pair.node("alpha.test").firewall
+        assert not [r for r in alpha.admin_list() if r.name == "hopper"]
+        departs = [fields for kind, fields in events
+                   if kind == "agent-depart"]
+        assert [d["reason"] for d in departs] == ["moved"]
+        intent = [fields for kind, fields in events
+                  if kind == "depart-intent"]
+        assert intent == [{"instance": departs[0]["instance"],
+                           "landing": f"alpha.test:"
+                                      f"{departs[0]['instance']}:1"}]
+        assert traced_pair.telemetry.metrics.value(
+            "agent.migrations", op="go") == 1
+
+    def test_spawn_to_leaves_the_parent_registered(self, traced_pair):
+        events, reports = self.run_hop(
+            traced_pair, "spawn", "tacoma://beta.test/vm_python",
+            reports=2)
+        by_host = {r.get_text("HOST"): r for r in reports}
+        clone = AgentUri.parse(by_host["alpha.test"].get_text("CLONE"))
+        assert clone.host == "beta.test" and clone.name == "hopper"
+        (span,) = traced_pair.telemetry.tracer.find(name="spawn")
+        assert span.args["outcome"] == "ok"
+        assert span.args["clone"] == str(clone)
+        alpha = traced_pair.node("alpha.test").firewall
+        assert [r.name for r in alpha.admin_list()
+                if r.name == "hopper"] == ["hopper"]
+        assert not [kind for kind, _ in events
+                    if kind.startswith("depart") or kind == "agent-depart"]
+        assert traced_pair.telemetry.metrics.value(
+            "agent.migrations", op="spawn") == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.briefcase import Briefcase
+from repro.core.errors import CommTimeoutError
 from repro.core import wellknown
 from repro.core.uri import AgentUri
 from repro.agent import streams
@@ -158,3 +159,25 @@ class TestStreams:
         # First burst is exactly the window.
         assert sent_seqs[:streams.DEFAULT_WINDOW] == \
             list(range(streams.DEFAULT_WINDOW))
+
+
+class TestStreamFailures:
+    def test_send_stream_times_out_without_receiver(self, single_cluster):
+        driver = single_cluster.node("solo.test").driver()
+        ghost = "tacoma://solo.test//nobody-listens"
+
+        def scenario():
+            with pytest.raises(CommTimeoutError):
+                yield from streams.send_stream(driver, ghost, b"data",
+                                               timeout=3)
+            return "done"
+        assert single_cluster.run(scenario()) == "done"
+
+    def test_recv_stream_times_out_without_sender(self, single_cluster):
+        driver = single_cluster.node("solo.test").driver()
+
+        def scenario():
+            with pytest.raises(CommTimeoutError):
+                yield from streams.recv_stream(driver, timeout=3)
+            return "done"
+        assert single_cluster.run(scenario()) == "done"

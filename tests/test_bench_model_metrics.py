@@ -112,3 +112,15 @@ class TestReportRendering:
     def test_paper_claim_render(self):
         claim = PaperClaim("E9", "paper says", "we saw", True)
         assert "paper says" in claim.render()
+
+
+class TestRunnerJson:
+    def test_json_output(self, tmp_path, capsys):
+        from repro.cli import main
+        out = tmp_path / "results.json"
+        assert main(["experiments", "F5", "--json", str(out)]) == 0
+        import json
+        data = json.loads(out.read_text())
+        assert data["experiments"][0]["experiment"] == "F5"
+        assert data["experiments"][0]["reproduced"] is True
+        assert data["experiments"][0]["rows"]

@@ -226,3 +226,14 @@ class TestDecodeLimitsNone:
         reference = reference_decode(wire, limits=None)
         fast = codec.decode(wire, limits=None)
         assert reference == fast == briefcase
+
+
+class TestCodecGuards:
+    def test_implausible_element_count(self):
+        import struct
+        folder = (struct.pack(">H", 1) + b"F" +
+                  struct.pack(">I", codec.MAX_ELEMENTS + 1))
+        wire = (codec.MAGIC + struct.pack(">B", codec.VERSION) +
+                struct.pack(">I", 1) + folder)
+        with pytest.raises(CodecError, match="implausible element count"):
+            codec.decode(wire)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.briefcase import Briefcase
-from repro.core.errors import CommTimeoutError
+from repro.core.errors import CommTimeoutError, LaunchRejected
 from repro.core.uri import AgentUri
 from repro.core import wellknown
 from repro.firewall.dedup import (
@@ -364,6 +364,15 @@ def resident_agent(ctx, bc):
         yield from ctx.recv()
 
 
+def landing_echo_agent(ctx, bc):
+    """Answers each request with the landing id its envelope carried."""
+    while True:
+        message = yield from ctx.recv()
+        reply = Briefcase()
+        reply.put("BODY", message.landing_id or "")
+        yield from ctx.reply(message, reply)
+
+
 class TestLandingHandshake:
     def _launch_briefcase(self, name="lander"):
         briefcase = Briefcase()
@@ -379,19 +388,15 @@ class TestLandingHandshake:
         vm_uri = metered_pair.vm_uri("beta.test")
 
         def scenario():
-            driver._outbound_landing = "alpha.test:drv:1"
-            try:
-                first = yield from driver.meet(
-                    vm_uri, self._launch_briefcase(), timeout=30)
-                second = yield from driver.meet(
-                    vm_uri, self._launch_briefcase(), timeout=30)
-            finally:
-                driver._outbound_landing = None
+            first = yield from driver.transport(
+                "go", vm_uri, self._launch_briefcase(), timeout=30,
+                landing="alpha.test:drv:1")
+            second = yield from driver.transport(
+                "go", vm_uri, self._launch_briefcase(), timeout=30,
+                landing="alpha.test:drv:1")
             return first, second
         first, second = metered_pair.run(scenario())
-        assert first.get_text(wellknown.STATUS) == "ok"
-        assert second.get_text(wellknown.STATUS) == "ok"
-        assert first.get_text("AGENT-URI") == second.get_text("AGENT-URI")
+        assert first == second
         assert beta.landings.duplicate_landings == 1
         assert beta.landings.launches == 1
         assert _landed(beta, "lander") == 1
@@ -405,13 +410,9 @@ class TestLandingHandshake:
         def scenario():
             uris = []
             for n in (1, 2):
-                driver._outbound_landing = f"alpha.test:drv:{n}"
-                try:
-                    reply = yield from driver.meet(
-                        vm_uri, self._launch_briefcase(), timeout=30)
-                finally:
-                    driver._outbound_landing = None
-                uris.append(reply.get_text("AGENT-URI"))
+                uris.append((yield from driver.transport(
+                    "go", vm_uri, self._launch_briefcase(), timeout=30,
+                    landing=f"alpha.test:drv:{n}")))
             return uris
         uris = metered_pair.run(scenario())
         assert len(set(uris)) == 2
@@ -436,16 +437,11 @@ class TestLandingHandshake:
                 AgentUri(host="beta.test", name="firewall"), request,
                 timeout=10)
             assert reply.get_text(wellknown.STATUS) == "ok"
-            driver._outbound_landing = "alpha.test:drv:9"
-            try:
-                launch = yield from driver.meet(
-                    vm_uri, self._launch_briefcase(), timeout=30)
-            finally:
-                driver._outbound_landing = None
-            return launch
-        launch = metered_pair.run(scenario())
-        assert launch.get_text(wellknown.STATUS) == "error"
-        assert "landing refused" in launch.get_text(wellknown.ERROR)
+            yield from driver.transport(
+                "go", vm_uri, self._launch_briefcase(), timeout=30,
+                landing="alpha.test:drv:9")
+        with pytest.raises(LaunchRejected, match="landing refused"):
+            metered_pair.run(scenario())
         assert beta.landings.tombstone_refusals == 1
         assert _landed(beta, "lander") == 0
 
@@ -458,13 +454,9 @@ class TestLandingHandshake:
         vm_uri = metered_pair.vm_uri("beta.test")
 
         def scenario():
-            driver._outbound_landing = "alpha.test:drv:5"
-            try:
-                launch = yield from driver.meet(
-                    vm_uri, self._launch_briefcase(), timeout=30)
-            finally:
-                driver._outbound_landing = None
-            assert launch.get_text(wellknown.STATUS) == "ok"
+            yield from driver.transport(
+                "go", vm_uri, self._launch_briefcase(), timeout=30,
+                landing="alpha.test:drv:5")
             request = Briefcase()
             request.put(wellknown.OP, "tombstone")
             request.put(wellknown.ARGS,
@@ -485,19 +477,91 @@ class TestLandingHandshake:
         node = metered_pair.node("beta.test")
         vm_uri = metered_pair.vm_uri("beta.test")
 
-        def scenario():
-            driver._outbound_landing = "alpha.test:drv:3"
-            try:
-                launch = yield from driver.meet(
-                    vm_uri, self._launch_briefcase(), timeout=30)
-            finally:
-                driver._outbound_landing = None
-            assert launch.get_text(wellknown.STATUS) == "ok"
-            return "ok"
-        metered_pair.run(scenario())
+        metered_pair.run(driver.transport(
+            "go", vm_uri, self._launch_briefcase(), timeout=30,
+            landing="alpha.test:drv:3"))
         node.crash()
         assert node.firewall.landings.acquire("alpha.test:drv:3") == \
             ("tombstoned", "host-crash")
+
+
+    def test_nack_through_transport_tombstones_nothing(self, metered_pair):
+        """A nack means the VM released the slot itself: the origin has
+        nothing to abort, and a corrected retry of the id may land."""
+        driver = metered_pair.node("alpha.test").driver()
+        driver.configure_signing(metered_pair.keychain)
+        beta = metered_pair.node("beta.test").firewall
+        vm_uri = metered_pair.vm_uri("beta.test")
+
+        def scenario():
+            with pytest.raises(LaunchRejected, match="no CODE"):
+                yield from driver.transport(
+                    "go", vm_uri, Briefcase({"JUNK": ["no code"]}),
+                    timeout=30, landing="alpha.test:drv:1")
+            yield metered_pair.kernel.timeout(2.0)
+            return (yield from driver.transport(
+                "go", vm_uri, self._launch_briefcase(), timeout=30,
+                landing="alpha.test:drv:1"))
+        assert "lander" in metered_pair.run(scenario())
+        assert metered_pair.telemetry.metrics.get(
+            "agent.landing_aborts") is None
+        assert beta.landings.aborts == 0
+        assert beta.landings.snapshot()["tombstones_now"] == 0
+        assert _landed(beta, "lander") == 1
+
+    def test_lost_ack_through_transport_tombstones_once(self, metered_pair):
+        """The transport lands, the ack is eaten: the origin cannot
+        tell, so it poisons the landing and the twin is killed."""
+        driver = metered_pair.node("alpha.test").driver()
+        driver.configure_signing(metered_pair.keychain)
+        beta = metered_pair.node("beta.test").firewall
+        metered_pair.network.set_link_up_oneway(
+            "beta.test", "alpha.test", False)
+
+        def scenario():
+            with pytest.raises(CommTimeoutError):
+                yield from driver.transport(
+                    "go", metered_pair.vm_uri("beta.test"),
+                    self._launch_briefcase(), timeout=2,
+                    landing="alpha.test:drv:1")
+            landed = _landed(beta, "lander")
+            yield metered_pair.kernel.timeout(2.0)
+            return landed
+        assert metered_pair.run(scenario()) == 1
+        assert _counter(metered_pair, "agent.landing_aborts") == 1
+        assert beta.landings.aborts == 1
+        assert beta.landings.status("alpha.test:drv:1") == "tombstoned"
+        assert _landed(beta, "lander") == 0
+
+    def test_transport_restores_the_landing_it_found_pinned(
+            self, metered_pair):
+        """Recovery transports from inside a guard whose own hop may be
+        in flight: when the inner transport ends, the outer hop's
+        re-sends must still present the outer landing id."""
+        echo_uri = _launch(metered_pair, "alpha.test",
+                           landing_echo_agent, "landing-echo")
+        driver = metered_pair.node("alpha.test").driver()
+        # beta's acks are eaten, so the outer transport stays in flight.
+        metered_pair.network.set_link_up_oneway(
+            "beta.test", "alpha.test", False)
+
+        def outer():
+            yield from driver.transport(
+                "go", metered_pair.vm_uri("beta.test"),
+                self._launch_briefcase("outer"), timeout=60,
+                landing="alpha.test:drv:1")
+
+        def inner():
+            yield metered_pair.kernel.timeout(1.0)
+            yield from driver.transport(
+                "recover", metered_pair.vm_uri("alpha.test"),
+                self._launch_briefcase("inner"), timeout=30,
+                landing="alpha.test:drv:2")
+            reply = yield from driver.meet(echo_uri, Briefcase(),
+                                           timeout=30)
+            return reply.get_text("BODY")
+        metered_pair.kernel.spawn(outer(), name="outer-hop")
+        assert metered_pair.run(inner()) == "alpha.test:drv:1"
 
 
 class TestTombstoneAuthorization:

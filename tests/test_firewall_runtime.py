@@ -417,3 +417,21 @@ class TestTelemetryCounters:
 def sleeper_agent(ctx, bc):
     yield from ctx.sleep(10_000)
     return "overslept"
+
+
+class TestHopGuard:
+    def test_looping_message_rejected(self, pair_cluster):
+        from repro.firewall.message import MAX_HOPS, Message, SenderInfo
+        alpha = pair_cluster.node("alpha.test")
+        message = Message(
+            target=AgentUri.parse("tacoma://beta.test/ag_fs"),
+            briefcase=Briefcase(),
+            sender=SenderInfo("system", "alpha.test"),
+            hops=MAX_HOPS)
+
+        def scenario():
+            ok = yield from alpha.firewall.submit(message)
+            return ok
+        assert pair_cluster.run(scenario()) is False
+        assert any("looping" in text
+                   for _t, text in alpha.firewall.events)

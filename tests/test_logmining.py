@@ -145,3 +145,12 @@ class TestWorkload:
         mobile = run_log_mobile(testbed, site.host)
         assert stationary.reports[0] == mobile.reports[0]
         assert mobile.remote_bytes < stationary.remote_bytes
+
+    def test_mobile_run_reports_a_crashed_site_host(self):
+        """The agent cannot fly its one hop, so its report home carries
+        no result and one ``go`` failure — which must not be dropped."""
+        testbed = build_linkcheck_testbed(spec=small_site_spec())
+        testbed.cluster.node("www.cs.uit.no").crash()
+        mobile = run_log_mobile(testbed, "www.cs.uit.no")
+        assert mobile.reports == []
+        assert [f["phase"] for f in mobile.failures] == ["go"]

@@ -291,3 +291,65 @@ class TestDeadLinkReport:
         assert merged.pages_scanned == 20
         assert merged.dead_count == 2
         assert merged.site == "campus"
+
+
+class TestWebbotConfigPassthrough:
+    def test_run_webbot_honors_all_args(self):
+        fetched = []
+
+        class Resp:
+            status = 200
+            ok = True
+            body = "<html></html>"
+            location = None
+            content_type = "text/html"
+            age_days = None
+
+        class Http:
+            def get(self, url):
+                fetched.append(url)
+                return Resp()
+        from repro.robot.webbot import run_webbot
+
+        class Env:
+            http = Http()
+        result = run_webbot({"start_url": "http://s/",
+                             "honor_robots": False,
+                             "max_redirects": 0,
+                             "max_pages": 5,
+                             "max_depth": 2}, Env)
+        assert result["max_depth"] == 2
+        assert "http://s/robots.txt" not in fetched
+
+
+class TestCrawlDeterminism:
+    def test_same_site_same_result(self, small_testbed):
+        from repro.robot.webbot import Webbot, WebbotConfig
+        from repro.sim.ledger import CostLedger
+        from repro.web.client import SimHttpClient
+        site = small_testbed.site_of("www.cs.uit.no")
+
+        def crawl():
+            http = SimHttpClient(small_testbed.server.host,
+                                 small_testbed.network,
+                                 small_testbed.deployment, CostLedger())
+            config = WebbotConfig(site.root_url,
+                                  prefix=f"http://{site.host}/",
+                                  max_depth=12)
+            return Webbot(config, http).run()
+        assert crawl() == crawl()
+
+    def test_checkbot_deterministic_too(self, small_testbed):
+        from repro.robot.checkbot import Checkbot, CheckbotConfig
+        from repro.sim.ledger import CostLedger
+        from repro.web.client import SimHttpClient
+        site = small_testbed.site_of("www.cs.uit.no")
+
+        def crawl():
+            http = SimHttpClient(small_testbed.server.host,
+                                 small_testbed.network,
+                                 small_testbed.deployment, CostLedger())
+            config = CheckbotConfig([site.root_url],
+                                    allowed_hosts=[site.host])
+            return Checkbot(config, http).run()
+        assert crawl() == crawl()

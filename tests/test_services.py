@@ -369,3 +369,25 @@ class TestServiceProtocol:
         with pytest.raises(TaxError):
             call(single_cluster, "ag_fs", "bogus")
         assert service.requests_failed == before_failed + 1
+
+
+class TestServiceEdges:
+    def test_activate_style_request_gets_no_reply(self, single_cluster):
+        """A request without REPLY-TO is processed but never answered."""
+        node = single_cluster.node("solo.test")
+        service = node.services["ag_locator"]
+        driver = node.driver()
+        handled_before = service.requests_handled
+
+        def scenario():
+            request = Briefcase()
+            request.put(wellknown.OP, "update")
+            request.put(wellknown.ARGS, {"name": "fire-and-forget",
+                                         "uri": "tacoma://solo.test//x"})
+            yield from driver.send(AgentUri.parse("ag_locator"), request)
+            yield single_cluster.kernel.timeout(1)
+            from repro.core.errors import CommTimeoutError
+            with pytest.raises(CommTimeoutError):
+                yield from driver.recv(timeout=2)
+            return service.requests_handled
+        assert single_cluster.run(scenario()) == handled_before + 1

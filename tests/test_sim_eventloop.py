@@ -588,3 +588,51 @@ class TestSlotsAndFastDrain:
         kernel.run()  # the remaining events are all still schedulable
         assert fired == list(range(100))
         assert kernel.processed_events == 101
+
+
+class TestCombinatorEdges:
+    def test_any_of_with_already_processed_event(self, kernel):
+        done = kernel.event()
+        done.succeed("early")
+        kernel.run()  # process it fully
+        pending = kernel.event()
+
+        def proc():
+            result = yield kernel.any_of([done, pending])
+            return result
+        result = kernel.run_process(proc())
+        assert result[done] == "early"
+
+    def test_all_of_with_mixed_readiness(self, kernel):
+        ready = kernel.event()
+        ready.succeed(1)
+
+        def proc():
+            later = kernel.timeout(5, value=2)
+            done = yield kernel.all_of([ready, later])
+            return sorted(done.values())
+        assert kernel.run_process(proc()) == [1, 2]
+        assert kernel.now == 5
+
+    def test_nested_any_of(self, kernel):
+        def proc():
+            inner = kernel.any_of([kernel.timeout(1, "a"),
+                                   kernel.timeout(9, "b")])
+            outer = yield kernel.any_of([inner, kernel.timeout(5, "c")])
+            return list(outer)[0].value
+        value = kernel.run_process(proc())
+        assert list(value.values()) == ["a"]
+
+    def test_process_chain_of_spawns(self, kernel):
+        def leaf():
+            yield kernel.timeout(1)
+            return 1
+
+        def middle():
+            value = yield kernel.spawn(leaf())
+            return value + 1
+
+        def root():
+            value = yield kernel.spawn(middle())
+            return value + 1
+        assert kernel.run_process(root()) == 3

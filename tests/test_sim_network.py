@@ -144,3 +144,13 @@ class TestTransfer:
         lan.charge("a", "b", 1000)
         assert lan.stats_between("a", "b").busy_seconds == \
             pytest.approx(2.002)
+
+
+class TestNetworkDefaults:
+    def test_partial_defaults_do_not_create_links(self, kernel):
+        from repro.sim.network import Network, NoRouteError
+        net = Network(kernel, default_latency=0.01)  # no bandwidth
+        net.add_host("x")
+        net.add_host("y")
+        with pytest.raises(NoRouteError):
+            net.link_between("x", "y")

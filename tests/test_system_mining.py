@@ -210,3 +210,17 @@ class TestStrategies:
         metrics = run_stationary(small_testbed, [task])
         row = metrics.summary_row()
         assert "stationary" in row and "dead=" in row
+
+
+class TestBootstrapDetails:
+    def test_external_hosts_reachable_from_both_sides(self, small_testbed):
+        network = small_testbed.network
+        for ext in ("www.w3.org", "www.cornell.edu"):
+            assert network.transfer_time("client.cs.uit.no", ext, 0) > 0
+            assert network.transfer_time("www.cs.uit.no", ext, 0) > 0
+
+    def test_testbed_properties(self, small_testbed):
+        assert small_testbed.kernel is small_testbed.cluster.kernel
+        assert small_testbed.server in small_testbed.servers
+        assert small_testbed.site_of("www.cs.uit.no").host == \
+            "www.cs.uit.no"

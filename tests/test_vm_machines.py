@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.briefcase import Briefcase
+from repro.core.errors import TaxError
 from repro.core import wellknown
 from repro.core.uri import AgentUri
 from repro.vm import loader
@@ -179,3 +180,110 @@ class TestVmSource:
                                host="beta.test")
         assert status == "ok"
         assert trail == ["ran on beta.test via vm_bin"]
+
+
+def crashing_agent(ctx, bc):
+    yield from ctx.sleep(0.1)
+    raise TaxError("deliberate failure")
+
+
+def named_by_entry(ctx, bc):
+    yield from ctx.send(bc.get_text("HOME"),
+                        Briefcase({"MY-NAME": [ctx.name]}))
+    return "ok"
+
+
+class TestVmBaseEdges:
+    def test_crashing_agent_is_unregistered_and_logged(self,
+                                                       single_cluster):
+        node = single_cluster.node("solo.test")
+        driver = node.driver()
+        briefcase = Briefcase()
+        loader.install_payload(briefcase, loader.pack_ref(crashing_agent),
+                               agent_name="crasher")
+
+        def scenario():
+            reply = yield from driver.meet(
+                single_cluster.vm_uri("solo.test"), briefcase, timeout=60)
+            assert reply.get_text(wellknown.STATUS) == "ok"
+            yield single_cluster.kernel.timeout(5)
+            return reply.get_text("AGENT-URI")
+        uri = AgentUri.parse(single_cluster.run(scenario()))
+        assert node.firewall.registry.by_instance(uri.instance) is None
+        assert any("agent failed" in text
+                   for _t, text in node.firewall.events)
+
+    def test_agent_name_defaults_to_entry_name(self, single_cluster):
+        driver = single_cluster.node("solo.test").driver()
+        briefcase = Briefcase()
+        loader.install_payload(briefcase, loader.pack_ref(named_by_entry))
+        briefcase.drop(wellknown.AGENT_NAME)
+        briefcase.put("HOME", str(driver.uri))
+
+        def scenario():
+            yield from driver.meet(single_cluster.vm_uri("solo.test"),
+                                   briefcase, timeout=60)
+            message = yield from driver.recv(timeout=60)
+            return message.briefcase.get_text("MY-NAME")
+        assert single_cluster.run(scenario()) == "named_by_entry"
+
+    def test_launch_policy_denial_nacks(self, single_cluster):
+        from repro.firewall.policy import OP_LAUNCH
+        node = single_cluster.node("solo.test")
+        node.firewall.policy.deny("pariah", OP_LAUNCH)
+        driver = node.driver(name="pariah-drv", principal="pariah")
+        briefcase = Briefcase()
+        loader.install_payload(briefcase, loader.pack_ref(named_by_entry))
+
+        def scenario():
+            reply = yield from driver.meet(
+                single_cluster.vm_uri("solo.test"), briefcase, timeout=60)
+            return (reply.get_text(wellknown.STATUS),
+                    reply.get_text(wellknown.ERROR))
+        status, error = single_cluster.run(scenario())
+        assert status == "error" and "policy denies" in error
+
+    def test_missing_payload_nacks(self, single_cluster):
+        driver = single_cluster.node("solo.test").driver()
+
+        def scenario():
+            reply = yield from driver.meet(
+                single_cluster.vm_uri("solo.test"),
+                Briefcase({"JUNK": ["no code here"]}), timeout=60)
+            return reply.get_text(wellknown.STATUS)
+        assert single_cluster.run(scenario()) == "error"
+
+
+class TestCodeOrigPreservation:
+    SOURCE = (
+        "def orig_code_probe(ctx, bc):\n"
+        "    out = bc.snapshot()\n"
+        "    out.put('KIND', bc.get_text('CODE-KIND'))\n"
+        "    yield from ctx.send(bc.get_text('HOME'), out)\n"
+        "    return 'ok'\n")
+
+    def test_agent_launched_via_chain_still_carries_source(
+            self, single_cluster):
+        """After the vm_source -> vm_bin chain, the *running* agent's
+        briefcase must hold the original py-source payload, not the
+        site-local binary (Figure 3 repeats per landing pad)."""
+        driver = single_cluster.node("solo.test").driver()
+        briefcase = Briefcase()
+        loader.install_payload(
+            briefcase, loader.pack_source(self.SOURCE, "orig_code_probe"),
+            agent_name="probe")
+        briefcase.put("HOME", str(driver.uri))
+
+        def scenario():
+            reply = yield from driver.meet(
+                single_cluster.vm_uri("solo.test", "vm_source"),
+                briefcase, timeout=120)
+            assert reply.get_text(wellknown.STATUS) == "ok", \
+                reply.get_text(wellknown.ERROR)
+            message = yield from driver.recv(timeout=120)
+            inbound = message.briefcase
+            return (inbound.get_text("KIND"),
+                    inbound.has(wellknown.CODE_ORIG))
+        kind, has_orig = single_cluster.run(scenario())
+        assert kind == loader.KIND_SOURCE
+        assert not has_orig  # the stash folder is cleaned up at launch

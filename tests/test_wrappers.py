@@ -3,10 +3,13 @@
 import pytest
 
 from repro.core.briefcase import Briefcase
+from repro.core.errors import TaxError
 from repro.core import wellknown
 from repro.core.uri import AgentUri
+from repro.agent.objagent import ObjectAgent, launch_briefcase
 from repro.firewall.message import Message, SenderInfo
 from repro.vm import loader
+from repro.wrappers import mobility
 from repro.wrappers.base import AgentWrapper
 from repro.wrappers.groupcomm import GroupCommWrapper, group_send
 from repro.wrappers.location import LocationWrapper, resolve, send_via
@@ -462,3 +465,86 @@ class TestLocation:
                                    "nobody")
             return "done"
         assert single_cluster.run(scenario()) == "done"
+
+
+class TestMobilityUnits:
+    def test_program_round_trip(self):
+        briefcase = Briefcase()
+        payload = loader.pack_source("def f(a, e):\n    return 1\n", "f")
+        mobility.install_program(briefcase, payload)
+        assert mobility.read_program(briefcase) == payload
+
+    def test_missing_program_raises(self):
+        with pytest.raises(TaxError, match="PROGRAM"):
+            mobility.read_program(Briefcase())
+
+    def test_make_task_briefcase_shape(self):
+        payload = loader.pack_source("def f(a, e):\n    return 1\n", "f")
+        briefcase = mobility.make_task_briefcase(
+            payload, [{"vm": "tacoma://h/vm_python", "args": {"k": 1}}],
+            home_uri="tacoma://c//home:1")
+        assert briefcase.get_text(wellknown.AGENT_NAME) == "mw_agent"
+        assert len(briefcase.folder(mobility.ITINERARY)) == 1
+        assert briefcase.get_text(mobility.HOME) == "tacoma://c//home:1"
+        stop = briefcase.folder(mobility.ITINERARY).first().as_json()
+        assert stop == {"args": {"k": 1}, "vm": "tacoma://h/vm_python"}
+
+    def test_postprocess_identity_without_postprocessor(self):
+        result = mobility._postprocess(Briefcase(), {"x": 1}, {})
+        assert result == {"x": 1}
+
+
+class RoamingCounter(ObjectAgent):
+    """Pickled agent that hops once and reports its attribute state."""
+
+    def __init__(self):
+        self.hops = 0
+
+    def run(self, ctx, bc):
+        self.hops += 1
+        nxt = bc.folder("HOSTS").pop_first()
+        if nxt is None:
+            yield from ctx.send(bc.get_text("HOME"),
+                                Briefcase({"HOPS": [str(self.hops)]}))
+            return "done"
+        yield from self.go_with_state(ctx, nxt.as_text())
+
+
+class TestObjectAgentWithWrappers:
+    def test_monitor_wrapper_travels_with_pickled_agent(self,
+                                                        pair_cluster):
+        """Wrapper stacks must survive vm_pickle migration exactly as
+        they do for code agents: the monitor reports from both hosts."""
+        for node in pair_cluster.nodes.values():
+            vm = node.vms["vm_pickle"]
+            vm.allowed_prefixes = vm.allowed_prefixes + ("tests.",)
+        node_a = pair_cluster.node("alpha.test")
+        monitor_log = MonitorLog()
+        node_a.firewall.register_agent(
+            name="obj-monitor", principal="system", vm_name="vm_python",
+            deliver_fn=monitor_log.deliver)
+
+        driver = node_a.driver()
+        briefcase = launch_briefcase(RoamingCounter(), agent_name="roamer")
+        briefcase.folder("HOSTS").push("tacoma://beta.test/vm_pickle")
+        briefcase.put("HOME", str(driver.uri))
+        install_wrappers(briefcase, [WrapperSpec.by_ref(
+            MonitorWrapper,
+            {"monitor": "tacoma://alpha.test//obj-monitor",
+             "tag": "roamer"})])
+
+        def scenario():
+            reply = yield from driver.meet(
+                pair_cluster.vm_uri("alpha.test", "vm_pickle"),
+                briefcase, timeout=60)
+            assert reply.get_text(wellknown.STATUS) == "ok", \
+                reply.get_text(wellknown.ERROR)
+            message = yield from driver.recv(timeout=60)
+            # Drain in-flight async monitor posts before reading the log.
+            yield pair_cluster.kernel.timeout(1)
+            return message.briefcase.get_text("HOPS")
+        assert pair_cluster.run(scenario()) == "2"
+        arrived = [host for _t, host, event in monitor_log.locations()
+                   if event == "arrived"]
+        assert arrived == ["alpha.test", "beta.test"]
+        assert monitor_log.last_known_host("roamer") == "beta.test"
