@@ -50,14 +50,6 @@ class ObjectAgent:
         ctx.briefcase.folder(wellknown.CODE).replace([payload.blob])
         yield from ctx.go(vm_target, timeout=timeout)
 
-    def spawn_with_state(self, ctx, vm_target, timeout: float = 60.0):
-        """Clone this instance (state included) onto another VM."""
-        payload = loader.pack_pickle(self)
-        ctx.briefcase.put(wellknown.CODE_KIND, payload.kind)
-        ctx.briefcase.folder(wellknown.CODE).replace([payload.blob])
-        clone_uri = yield from ctx.spawn_to(vm_target, timeout=timeout)
-        return clone_uri
-
 
 def launch_briefcase(agent: ObjectAgent, agent_name: str = "objagent"):
     """A launch-ready briefcase carrying a pickled object agent."""

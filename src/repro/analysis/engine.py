@@ -245,22 +245,27 @@ class Analyzer:
     per-file (they power unit tests and editor integrations);
     :meth:`analyze_paths` additionally assembles the whole-program
     view (:mod:`repro.analysis.symbols` / ``callgraph`` / ``dataflow``)
-    and runs the interprocedural rule pack over it.  ``cache_dir``
-    enables the content-hash facts cache; ``project_rules=()``
-    disables the interprocedural pass.
+    and runs the interprocedural rule pack over it, from the one
+    :class:`LintContext` each file is parsed into.
+    ``project_rules=()`` disables the interprocedural pass.
     """
 
     def __init__(self, rules: Optional[Sequence[Rule]] = None,
-                 project_rules: Optional[Sequence["ProjectRule"]] = None,
-                 cache_dir: Optional[str] = None):
+                 project_rules: Optional[Sequence["ProjectRule"]] = None):
         self.rules: List[Rule] = list(RULES if rules is None else rules)
         if project_rules is None:
             from repro.analysis.iprules import PROJECT_RULES
             project_rules = PROJECT_RULES
         self.project_rules: List["ProjectRule"] = list(project_rules)
-        self.cache_dir = cache_dir
 
     # -- file discovery -----------------------------------------------------
+
+    @classmethod
+    def _python_files(cls, paths: Iterable[str]) -> List[str]:
+        files: List[str] = []
+        for path in paths:
+            files.extend(cls._iter_python_files(path))
+        return sorted(set(files))
 
     @staticmethod
     def _iter_python_files(path: str) -> List[str]:
@@ -302,13 +307,19 @@ class Analyzer:
 
     # -- analysis -----------------------------------------------------------
 
-    def analyze_source(self, source: str, path: str = "<memory>",
-                       module: str = "") -> List[Finding]:
-        """Run the rules over one source string (suppression-filtered,
-        unsorted, not yet fingerprinted)."""
-        tree = ast.parse(source, filename=path)
-        ctx = LintContext(path=path, module=module or "<memory>",
-                          source=source, tree=tree)
+    def _load_context(self, file_path: str) -> LintContext:
+        """Read and parse one file — the only parse it gets."""
+        with open(file_path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        display = self._display_path(file_path)
+        return LintContext(path=display,
+                           module=self._module_name(file_path),
+                           source=source,
+                           tree=ast.parse(source, filename=display))
+
+    def _check(self, ctx: LintContext) -> List[Finding]:
+        """Run the per-file rules over one context (suppression-
+        filtered, unsorted, not yet fingerprinted)."""
         file_suppressed = ctx.file_suppressed_rules()
         findings: List[Finding] = []
         for rule in self.rules:
@@ -322,32 +333,40 @@ class Analyzer:
                 findings.append(finding)
         return findings
 
+    def analyze_source(self, source: str, path: str = "<memory>",
+                       module: str = "") -> List[Finding]:
+        """Run the rules over one source string (see :meth:`_check`)."""
+        tree = ast.parse(source, filename=path)
+        return self._check(LintContext(
+            path=path, module=module or "<memory>", source=source,
+            tree=tree))
+
     def analyze_file(self, file_path: str) -> List[Finding]:
-        with open(file_path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        return self.analyze_source(
-            source, path=self._display_path(file_path),
-            module=self._module_name(file_path))
+        return self._check(self._load_context(file_path))
 
     def analyze_paths(self, paths: Iterable[str]) -> Report:
         """Analyze files/trees; returns a fingerprinted, sorted report.
 
-        Runs the per-function rules file by file, then the
-        interprocedural pack over the project assembled from the same
-        files.
+        Each file is parsed once: its context feeds the per-function
+        rules and the module facts the interprocedural pack then runs
+        over.
         """
-        files: List[str] = []
-        for path in paths:
-            files.extend(self._iter_python_files(path))
-        files = sorted(set(files))
+        from repro.analysis.callgraph import Project
+        from repro.analysis.symbols import ModuleFacts, extract_module
         findings: List[Finding] = []
         analyzed: List[str] = []
-        for file_path in files:
-            analyzed.append(self._display_path(file_path))
-            findings.extend(self.analyze_file(file_path))
+        modules: Dict[str, ModuleFacts] = {}
+        for file_path in self._python_files(paths):
+            ctx = self._load_context(file_path)
+            analyzed.append(ctx.path)
+            findings.extend(self._check(ctx))
+            if self.project_rules:
+                # Module-name collisions (two loose fixture files
+                # sharing a stem): first in sorted path order wins.
+                modules.setdefault(ctx.module, extract_module(ctx))
         if self.project_rules:
             from repro.analysis.dataflow import Dataflow
-            project = self.build_project(files)
+            project = Project(modules)
             flow = Dataflow(project)
             for rule in self.project_rules:
                 findings.extend(rule.check(project, flow))
@@ -357,37 +376,15 @@ class Analyzer:
 
     def build_project(self, paths: Iterable[str]) -> "Project":
         """Assemble the whole-program view (symbol tables + call graph)
-        for the given files/trees, consulting the facts cache when
-        ``cache_dir`` is set.  Facts are re-extracted whenever the
-        source hash *or* the display path changed, so cache entries
-        never leak stale paths into findings."""
+        for the given files/trees on its own, skipping any file that
+        does not parse."""
         from repro.analysis.callgraph import Project
-        from repro.analysis.summaries import FactsCache, source_digest
         from repro.analysis.symbols import ModuleFacts, extract_module
-        files: List[str] = []
-        for path in paths:
-            files.extend(self._iter_python_files(path))
-        # Kept on the analyzer so callers can observe hit/miss counts
-        # (the cache-equivalence CI check asserts warm runs never parse).
-        cache = self.cache = FactsCache(self.cache_dir)
         modules: Dict[str, ModuleFacts] = {}
-        for file_path in sorted(set(files)):
-            with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            module = self._module_name(file_path)
-            display = self._display_path(file_path)
-            digest = source_digest(source)
-            facts = cache.load(module, digest, display)
-            if facts is None or facts.path != display:
-                try:
-                    tree = ast.parse(source, filename=display)
-                except SyntaxError:
-                    continue
-                ctx = LintContext(path=display, module=module,
-                                  source=source, tree=tree)
-                facts = extract_module(ctx)
-                cache.store(module, digest, facts)
-            # Module-name collisions (two loose fixture files sharing a
-            # stem): first in sorted path order wins, deterministically.
-            modules.setdefault(facts.module, facts)
+        for file_path in self._python_files(paths):
+            try:
+                ctx = self._load_context(file_path)
+            except SyntaxError:
+                continue
+            modules.setdefault(ctx.module, extract_module(ctx))
         return Project(modules)

@@ -97,12 +97,6 @@ class AliasingSanitizer:
 
     # -- tap entry points (called from repro.agent.context) -----------------
 
-    def observe_context(self, ctx: Any) -> None:
-        """A context came to life (or changed registration)."""
-        briefcase = getattr(ctx, "briefcase", None)
-        if briefcase is not None:
-            self.observe_briefcase(ctx, briefcase, op="attach")
-
     def observe_briefcase(self, ctx: Any, briefcase: Any,
                           op: str = "") -> None:
         """``ctx`` is currently holding ``briefcase``: check every folder."""

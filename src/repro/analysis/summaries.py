@@ -4,9 +4,8 @@ The dataflow pass (:mod:`repro.analysis.dataflow`) propagates a small
 closed set of effects bottom-up through the call graph.  This module
 owns that vocabulary, the tables classifying *external* call targets
 (standard-library and third-party names the graph cannot resolve into
-the project), the derivation of a function's *intrinsic* effects from
-its :class:`~repro.analysis.symbols.ModuleFacts`, and the on-disk
-per-module facts cache keyed by source content hash.
+the project), and the derivation of a function's *intrinsic* effects
+from its :class:`~repro.analysis.symbols.ModuleFacts`.
 
 Effect -> rule mapping is one-to-one where a rule exists; effects
 without a consuming rule (``mutates-briefcase``) still propagate and
@@ -21,21 +20,14 @@ not taint every CLI entry point that calls it.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.rules import (
     RNG_SANCTUARY,
     KERNEL_MODULES,
     WALL_CLOCK_CALLS,
 )
-from repro.analysis.symbols import (
-    FACTS_VERSION,
-    FunctionFacts,
-    ModuleFacts,
-)
+from repro.analysis.symbols import FunctionFacts, ModuleFacts
 
 # -- the effect vocabulary --------------------------------------------------
 
@@ -198,78 +190,3 @@ def intrinsic_effects(facts: FunctionFacts,
 
     found.sort(key=lambda e: (e.line, e.col, e.effect))
     return found
-
-
-# -- the per-module facts cache ---------------------------------------------
-
-
-def source_digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-class FactsCache:
-    """Content-hash-keyed cache of serialized :class:`ModuleFacts`.
-
-    One JSON file per module under ``directory``; an entry is valid only
-    when both the schema version and the source sha256 match, so edits
-    and analyzer upgrades invalidate transparently.  The cache holds the
-    *parse products* only — cross-module resolution and dataflow rerun
-    every invocation, which is what keeps cold and warm runs
-    byte-identical (tested in ``tests/test_analysis_project.py``).
-    """
-
-    def __init__(self, directory: Optional[str]) -> None:
-        self.directory = directory
-        self.hits = 0
-        self.misses = 0
-
-    def _entry_path(self, module: str, digest: str, display: str) -> str:
-        # The key folds in the display path as well as the content
-        # digest: same-named modules from different trees (fixture
-        # forests each shipping their own ``repro`` package, often with
-        # byte-identical ``__init__.py`` files) get separate entries
-        # instead of evicting each other every run, and a cached entry
-        # can never leak a stale display path into findings.
-        assert self.directory is not None
-        safe = module.replace(".", "_") or "unnamed"
-        key = hashlib.sha256(
-            f"{display}::{digest}".encode("utf-8")).hexdigest()[:12]
-        return os.path.join(self.directory, f"{safe}-{key}.json")
-
-    def load(self, module: str, digest: str,
-             display: str) -> Optional[ModuleFacts]:
-        if self.directory is None:
-            return None
-        path = self._entry_path(module, digest, display)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(data, dict):
-            return None
-        if data.get("version") != FACTS_VERSION or \
-                data.get("sha256") != digest:
-            return None
-        try:
-            facts = ModuleFacts.from_dict(data["facts"])
-        except (KeyError, TypeError, ValueError, IndexError):
-            return None
-        self.hits += 1
-        return facts
-
-    def store(self, module: str, digest: str, facts: ModuleFacts) -> None:
-        if self.directory is None:
-            return
-        display = facts.path
-        self.misses += 1
-        os.makedirs(self.directory, exist_ok=True)
-        document: Mapping[str, Any] = {
-            "version": FACTS_VERSION,
-            "sha256": digest,
-            "facts": facts.to_dict(),
-        }
-        path = self._entry_path(module, digest, display)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")

@@ -7,11 +7,9 @@ functions a module defines, the classes with their bases and attribute
 types, and every *reference* a function body makes (calls, raises,
 environment reads, reserved wire-folder writes, retry-shaped handlers).
 
-Facts are deliberately JSON-round-trippable (:meth:`ModuleFacts.to_dict`
-/ :meth:`ModuleFacts.from_dict`): the summary cache keys a serialized
-``ModuleFacts`` by the sha256 of the module source, so warm runs skip
-the AST pass entirely while cross-module resolution — a pure function
-of the facts — reruns every invocation and stays byte-identical.
+Facts come out of the same :class:`~repro.analysis.engine.LintContext`
+the per-file rules ran over, so a lint run parses each file once;
+cross-module resolution is a pure function of the facts.
 
 The extractor is where reference *laundering* becomes visible.  The
 local rules in :mod:`repro.analysis.rules` resolve only direct
@@ -25,13 +23,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.engine import LintContext
-
-#: Bump when the extraction schema changes; cache entries with another
-#: version are ignored (see :mod:`repro.analysis.summaries`).
-FACTS_VERSION = 1
 
 #: Reserved wire-only folder names (mirrors ``repro.core.wellknown``;
 #: kept literal so the analyzer never imports the analyzed tree).
@@ -160,7 +154,7 @@ class ClassFacts:
 
 @dataclass
 class ModuleFacts:
-    """The cacheable distillation of one analyzed module."""
+    """The distillation of one analyzed module."""
 
     module: str
     path: str
@@ -189,87 +183,6 @@ class ModuleFacts:
             if facts.qname == qname:
                 return facts
         return None
-
-    # -- cache serialization ------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "functions": [
-                {
-                    "qname": f.qname, "name": f.name, "module": f.module,
-                    "path": f.path, "line": f.line, "cls": f.cls,
-                    "calls": [[c.line, c.col, c.kind, c.target, c.via,
-                               c.bind_line, c.nargs, c.snippet]
-                              for c in f.calls],
-                    "raises": [[r.line, r.exc, r.snippet]
-                               for r in f.raises],
-                    "env_attr_lines": list(f.env_attr_lines),
-                    "reserved_writes": [[w.line, w.col, w.folder, w.snippet]
-                                        for w in f.reserved_writes],
-                    "retry_regions": [
-                        [t.handler_line, t.handler_col, list(t.caught),
-                         t.guarded, t.reraises, t.body_start, t.body_end,
-                         t.snippet] for t in f.retry_regions],
-                    "briefcase_mutations": list(f.briefcase_mutations),
-                } for f in self.functions],
-            "classes": [
-                {
-                    "qname": c.qname, "name": c.name, "module": c.module,
-                    "line": c.line, "bases": list(c.bases),
-                    "transient": c.transient,
-                    "attr_types": dict(sorted(c.attr_types.items())),
-                    "attr_aliases": {k: list(v) for k, v in
-                                     sorted(c.attr_aliases.items())},
-                } for c in self.classes],
-            "aliases": dict(sorted(self.aliases.items())),
-            "module_aliases": {k: list(v) for k, v in
-                               sorted(self.module_aliases.items())},
-            "suppressions": {str(k): list(v) for k, v in
-                             sorted(self.suppressions.items())},
-            "file_suppressed": list(self.file_suppressed),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModuleFacts":
-        facts = cls(module=data["module"], path=data["path"])
-        for f in data["functions"]:
-            fn = FunctionFacts(qname=f["qname"], name=f["name"],
-                               module=f["module"], path=f["path"],
-                               line=f["line"], cls=f["cls"])
-            fn.calls = [CallRef(line=c[0], col=c[1], kind=c[2], target=c[3],
-                                via=c[4], bind_line=c[5], nargs=c[6],
-                                snippet=c[7]) for c in f["calls"]]
-            fn.raises = [RaiseRef(line=r[0], exc=r[1], snippet=r[2])
-                         for r in f["raises"]]
-            fn.env_attr_lines = list(f["env_attr_lines"])
-            fn.reserved_writes = [ReservedWrite(line=w[0], col=w[1],
-                                                folder=w[2], snippet=w[3])
-                                  for w in f["reserved_writes"]]
-            fn.retry_regions = [
-                RetryRegion(handler_line=t[0], handler_col=t[1],
-                            caught=tuple(t[2]), guarded=t[3], reraises=t[4],
-                            body_start=t[5], body_end=t[6], snippet=t[7])
-                for t in f["retry_regions"]]
-            fn.briefcase_mutations = list(f["briefcase_mutations"])
-            facts.functions.append(fn)
-        for c in data["classes"]:
-            klass = ClassFacts(qname=c["qname"], name=c["name"],
-                               module=c["module"], line=c["line"])
-            klass.bases = list(c["bases"])
-            klass.transient = c["transient"]
-            klass.attr_types = dict(c["attr_types"])
-            klass.attr_aliases = {k: (v[0], v[1]) for k, v in
-                                  c["attr_aliases"].items()}
-            facts.classes.append(klass)
-        facts.aliases = dict(data["aliases"])
-        facts.module_aliases = {k: (v[0], v[1], v[2]) for k, v in
-                                data["module_aliases"].items()}
-        facts.suppressions = {int(k): tuple(v) for k, v in
-                              data["suppressions"].items()}
-        facts.file_suppressed = tuple(data["file_suppressed"])
-        return facts
 
 
 class _FunctionCollector:

@@ -26,8 +26,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench.runner import main as experiments_main
-
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
     from repro.mining.strategies import (
@@ -289,7 +287,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.findings import fingerprinted
 
     paths = list(args.paths) or _default_lint_paths()
-    analyzer = Analyzer(cache_dir=args.cache)
+    analyzer = Analyzer()
 
     if args.graph:
         from repro.analysis.callgraph import export_dot, export_json
@@ -552,10 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--graph", default=None, choices=("dot", "json"),
                       help="print the module-qualified call graph with "
                            "propagated effects instead of findings")
-    lint.add_argument("--cache", default=None, metavar="DIR",
-                      help="per-module facts cache directory (keyed by "
-                           "source content hash; output is byte-"
-                           "identical with or without it)")
     return parser
 
 
@@ -563,6 +557,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "experiments":
+        from repro.bench.runner import main as experiments_main
+
         forwarded = list(args.ids) + ["--seed", str(args.seed)]
         if args.json_path:
             forwarded += ["--json", args.json_path]

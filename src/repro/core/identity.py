@@ -93,9 +93,6 @@ class InstanceAllocator:
         self._counter += 1
         return format((self._site << 32) | self._counter, "x")
 
-    def next_id(self, name: str) -> AgentId:
-        return AgentId(name, self.next_instance())
-
 
 @dataclass(frozen=True)
 class Principal:

@@ -10,7 +10,6 @@ This package replaces the paper's physical testbed (Unix workstations on a
 """
 
 from repro.sim.errors import (
-    DeadKernel,
     EventAlreadyTriggered,
     Interrupt,
     SimulationError,
@@ -36,8 +35,7 @@ from repro.sim.rng import RandomStream, stream_from
 
 __all__ = [
     "AllOf", "AnyOf", "Event", "Kernel", "Process", "Timeout",
-    "DeadKernel", "EventAlreadyTriggered", "Interrupt", "SimulationError",
-    "StopProcess",
+    "EventAlreadyTriggered", "Interrupt", "SimulationError", "StopProcess",
     "DEFAULT_ARCH", "HostRegistry", "SimHost",
     "BANDWIDTH_1MBIT", "BANDWIDTH_10MBIT", "BANDWIDTH_100MBIT",
     "LATENCY_LAN", "LATENCY_METRO", "LATENCY_WAN",

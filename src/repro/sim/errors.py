@@ -30,9 +30,5 @@ class StopProcess(BaseException):
         self.value = value
 
 
-class DeadKernel(SimulationError):
-    """An operation was attempted on a kernel that has finished running."""
-
-
 class EventAlreadyTriggered(SimulationError):
     """An event was triggered (succeed/fail) more than once."""

@@ -26,19 +26,17 @@ Example::
 The kernel is deliberately single-threaded and deterministic: events
 scheduled for the same instant fire in scheduling order.
 
-Hot paths (see ``docs/performance.md``): event classes use
-``__slots__``; :meth:`Kernel.run` / :meth:`Kernel.run_until` dispatch
-events through :meth:`Kernel._drain_fast` whenever telemetry is
-disabled — small heaps get a plain inlined pop loop, large heaps get a
-*sorted-batch drain* (sort the pending entries once, walk them
-linearly, merge in a side-heap of newly posted events) — falling back
-to :meth:`Kernel.step`, which pays the metrics cost, the moment
-telemetry is enabled or an ``until`` / ``max_events`` bound is given.
-The regime is chosen only from what the kernel can observe; there is no
-switch.  Same-instant event bursts can be scheduled in one amortised
-call with :meth:`Kernel.succeed_many`.  Tier-1 holds the drains to one
-firing order (``tests/test_sim_eventloop.py``, against each other and
-against the pre-optimisation kernel in ``tests/oracles/kernel.py``).
+Hot paths (see ``docs/performance.md`` §2): event classes use
+``__slots__``, and every event is fired from one pop-and-fire loop,
+:meth:`Kernel._dispatch` — :meth:`Kernel.run` and
+:meth:`Kernel.run_until` only pass it their bounds.  Per event the loop
+pops the heap, checks the instant, advances the clock, counts, writes
+two telemetry values when (and only when) telemetry is enabled, and
+fires: one Python frame per event with telemetry off.  There is no
+second regime to choose — a fast path stays only where a benchmark
+workload reaches it.  Tier-1 holds the loop to one firing order with
+and without bounds and telemetry (``tests/test_sim_eventloop.py``) and
+to the pre-optimisation kernel in ``tests/oracles/kernel.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.obs.telemetry import Telemetry
 from repro.sim.errors import (
-    DeadKernel,
     EventAlreadyTriggered,
     Interrupt,
     SimulationError,
@@ -361,10 +358,11 @@ class Kernel:
     def __init__(self, start_time: float = 0.0,
                  telemetry: Optional[Telemetry] = None):
         self._now = float(start_time)
+        #: Never rebound: :meth:`_dispatch` holds the list in a local
+        #: while callbacks post to it.
         self._heap: List[tuple] = []
         self._sequence = 0
         self._running = False
-        self._dead = False
         self.processed_events = 0
         #: The deployment's telemetry; disabled by default so plain
         #: simulations pay one boolean check per event and nothing else.
@@ -398,8 +396,6 @@ class Kernel:
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from ``generator``."""
-        if self._dead:
-            raise DeadKernel("cannot spawn on a finished kernel")
         return Process(self, generator, name=name)
 
     # -- scheduling ----------------------------------------------------------
@@ -408,190 +404,64 @@ class Kernel:
         heapq.heappush(self._heap, (self._now + delay, self._sequence, event))
         self._sequence += 1
 
-    def _post_many(self, events: List[Event], delay: float = 0.0) -> None:
-        """Schedule a same-instant burst of events in one amortised call.
-
-        Events fire in list order (consecutive sequence numbers).  For a
-        burst at least as large as the existing heap, an extend +
-        ``heapify`` (O(total)) replaces per-event pushes (O(k log n));
-        ordering is unaffected because the heap's total order is the
-        unique (time, sequence) pair, not its internal layout.
-        """
-        when = self._now + delay
-        seq = self._sequence
-        entries = [(when, seq + i, event) for i, event in enumerate(events)]
-        self._sequence = seq + len(entries)
-        heap = self._heap
-        if len(entries) > 8 and len(entries) >= len(heap):
-            heap.extend(entries)
-            heapq.heapify(heap)
-        else:
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
-
-    def succeed_many(self, events: List[Event], value: Any = None) -> None:
-        """Trigger a burst of pending events with one scheduling call.
-
-        Equivalent to ``for e in events: e.succeed(value)`` (same firing
-        order) but pays one :meth:`_post_many` instead of N heap pushes —
-        the batched path for same-instant event bursts (queue flushes,
-        fan-out wake-ups, benchmark setup).
-        """
-        for event in events:
-            if event.triggered:
-                raise EventAlreadyTriggered(f"{event!r} already triggered")
-            event._value = value
-        self._post_many(events)
-
     # -- execution -----------------------------------------------------------
 
-    #: Heap size at which the fast drain switches from a plain pop loop
-    #: to the sorted-batch drain (sorting tiny heaps costs more than it
-    #: saves).
-    _BATCH_MIN = 64
+    def _dispatch(self, stop_event: Optional[Event] = None,
+                  until: Optional[float] = None,
+                  max_events: Optional[int] = None) -> None:
+        """Pop and fire events until the heap drains, ``stop_event``
+        triggers, ``max_events`` have fired, or the next event lies
+        beyond ``until`` — only the last moves the clock (to ``until``,
+        never backwards).
 
-    def _drain_fast(self, stop_event: Optional[Event] = None) -> None:
-        """Dispatch events until the heap drains, ``stop_event``
-        triggers, or telemetry turns on.
-
-        Two regimes, chosen by heap size:
-
-        - **small heap** (< ``_BATCH_MIN``): a plain pop-and-fire loop —
-          :func:`heapq.heappop` on a short heap is already cheap;
-        - **large heap**: the *sorted-batch drain*.  The pending heap is
-          detached and sorted once (Timsort in C, exploiting the heap
-          array's partial order), then walked linearly; events posted
-          *during* the drain go to a fresh side-heap that is merged by
-          comparing its head against the next batch entry.  Because the
-          schedule's total order is the unique ``(time, sequence)`` pair,
-          the merge reproduces exactly the order N individual
-          ``heappop`` calls would have produced — at a fraction of the
-          comparisons.
-
-        On any exit (including an escaping callback error) the leftover
-        batch suffix and side-heap are merged back into ``self._heap``
-        and the dispatch count is written back, so the kernel is always
-        left consistent.
-        """
-        count = self.processed_events
-        pop = heapq.heappop
-        telemetry = self.telemetry
-        batch_min = self._BATCH_MIN
-        try:
-            while True:
-                batch = self._heap
-                n = len(batch)
-                if not n or telemetry.enabled:
-                    return
-                if stop_event is not None and (
-                        stop_event._value is not _PENDING
-                        or stop_event._exception is not None):
-                    return
-                if n < batch_min:
-                    heap = batch
-                    while heap:
-                        when, _seq, event = pop(heap)
-                        if when < self._now:
-                            raise SimulationError(
-                                "event scheduled in the past")
-                        self._now = when
-                        count += 1
-                        event._fire()
-                        if telemetry.enabled:
-                            return
-                        if stop_event is not None and (
-                                stop_event._value is not _PENDING
-                                or stop_event._exception is not None):
-                            return
-                        if len(heap) >= batch_min:
-                            break  # grown enough to be worth batching
-                    continue
-                batch.sort()  # (time, seq) unique: total order, stable
-                self._heap = heap = []
-                i = 0
-                try:
-                    while i < n:
-                        if heap and heap[0] < batch[i]:
-                            when, _seq, event = pop(heap)
-                        else:
-                            when, _seq, event = batch[i]
-                            i += 1
-                        if when < self._now:
-                            raise SimulationError(
-                                "event scheduled in the past")
-                        self._now = when
-                        count += 1
-                        event._fire()
-                        if telemetry.enabled:
-                            return
-                        if stop_event is not None and (
-                                stop_event._value is not _PENDING
-                                or stop_event._exception is not None):
-                            return
-                finally:
-                    if i < n:
-                        # Bail-out mid-batch: merge the unfired suffix
-                        # with whatever was posted during the drain.
-                        del batch[:i]
-                        batch.extend(heap)
-                        heapq.heapify(batch)
-                        self._heap = batch
-                # Batch exhausted; self._heap holds only events posted
-                # during the drain — loop around and re-batch those.
-        finally:
-            self.processed_events = count
-
-    def step(self) -> None:
-        """Process the single next event, advancing the clock to it."""
-        when, _seq, event = heapq.heappop(self._heap)
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        self.processed_events += 1
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.inc("kernel.events_dispatched")
-            metrics.set_gauge("kernel.heap_depth", len(self._heap))
-        event._fire()
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        """Run until the heap is empty, ``until`` is reached, or
-        ``max_events`` events have been processed.  Returns the clock.
-
-        When telemetry is disabled (the default) events are dispatched
-        through :meth:`_drain_fast` — no per-event :meth:`step` call,
-        sorted-batch draining for large heaps — with identical
-        semantics; dispatch falls back to :meth:`step` whenever
-        telemetry is (or becomes) enabled or a bound is given.
+        The telemetry flag is read once per event, so flipping it
+        mid-run counts from the next event; both writes precede the
+        fire, so the gauge is the depth after the pop and before the
+        callbacks post.
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run)")
         self._running = True
-        processed = 0
+        heap = self._heap
+        pop = heapq.heappop
         telemetry = self.telemetry
-        unconstrained = until is None and max_events is None
+        count = self.processed_events
+        limit = None if max_events is None else count + max_events
         try:
-            while self._heap:
-                if unconstrained and not telemetry.enabled:
-                    self._drain_fast()
-                    continue  # re-evaluate regime (telemetry mid-flip)
-                if max_events is not None and processed >= max_events:
+            while heap:
+                if stop_event is not None and (
+                        stop_event._value is not _PENDING
+                        or stop_event._exception is not None):
                     break
-                when = self._heap[0][0]
-                if until is not None and when > until:
+                if limit is not None and count >= limit:
+                    break
+                if until is not None and heap[0][0] > until:
                     if until > self._now:
                         self._now = until
                     break
-                self.step()
-                processed += 1
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
+                when, _seq, event = pop(heap)
+                if when < self._now:
+                    raise SimulationError("event scheduled in the past")
+                self._now = when
+                count += 1
+                if telemetry.enabled:
+                    metrics = telemetry.metrics
+                    metrics.inc("kernel.events_dispatched")
+                    metrics.set_gauge("kernel.heap_depth", len(heap))
+                event._fire()
         finally:
+            self.processed_events = count
             self._running = False
+
+    def run(self, until: Optional[float] = None,
+            max_events: Optional[int] = None) -> float:
+        """Run until the heap is empty, ``until`` is reached, or
+        ``max_events`` events have been processed.  Returns the clock,
+        which ends at ``until`` when the heap drained before it.
+        """
+        self._dispatch(until=until, max_events=max_events)
+        if until is not None and not self._heap and until > self._now:
+            self._now = until
         return self._now
 
     def run_until(self, event: Event, until: Optional[float] = None) -> None:
@@ -599,26 +469,9 @@ class Kernel:
 
         Unlike :meth:`run`, this leaves later-scheduled events (stale
         timeouts, idle service loops) unprocessed, so the clock reflects
-        when the awaited event actually happened.  Uses the same
-        :meth:`_drain_fast` dispatch fast path as :meth:`run`.
+        when the awaited event actually happened.
         """
-        if self._running:
-            raise SimulationError("kernel is already running (re-entrant run)")
-        self._running = True
-        telemetry = self.telemetry
-        try:
-            while self._heap and not event.triggered:
-                if until is None and not telemetry.enabled:
-                    self._drain_fast(stop_event=event)
-                    continue  # re-evaluate regime (telemetry mid-flip)
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    if until > self._now:
-                        self._now = until
-                    break
-                self.step()
-        finally:
-            self._running = False
+        self._dispatch(stop_event=event, until=until)
 
     def run_process(self, generator: Generator, name: str = "",
                     until: Optional[float] = None) -> Any:

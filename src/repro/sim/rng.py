@@ -83,9 +83,6 @@ class RandomStream:
     def lognormal(self, mu: float, sigma: float) -> float:
         return self._random.lognormvariate(mu, sigma)
 
-    def pareto(self, alpha: float, scale: float = 1.0) -> float:
-        return scale * self._random.paretovariate(alpha)
-
     def choice(self, seq: Sequence):
         return self._random.choice(seq)
 

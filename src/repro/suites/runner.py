@@ -17,6 +17,10 @@ Check expressions (the cell verdict language)::
                                 # the right side is a JSON literal
 
 A missing path fails the check (and reports the value as ``null``).
+
+A cell whose plugin raises is reported, not propagated: its envelope
+has ``status: "error"`` and the exception's type and message, it counts
+as failed, and the cells after it still run.
 """
 
 from __future__ import annotations
@@ -123,12 +127,35 @@ def cell_seed(suite_seed: int, cell: CellSpec) -> int:
     return derive_seed(suite_seed, f"cell/{cell.cell_id}")
 
 
+def _envelope(cell: CellSpec, index: int, seed: Optional[int],
+              status: str, checks: Optional[List[Dict[str, Any]]] = None,
+              digest: Optional[str] = None) -> Dict[str, Any]:
+    """The shared cell envelope; a cell that produced no document
+    (skipped, or its plugin raised) has no checks and no digest."""
+    return {
+        "id": cell.cell_id,
+        "index": index,
+        "plugin": cell.plugin,
+        "params": cell.params_dict(),
+        "seed": seed,
+        "status": status,
+        "checks": checks or [],
+        "digest": digest,
+    }
+
+
 def run_cell(cell: CellSpec, suite_seed: int, index: int = 0,
              include_document: bool = True) -> Dict[str, Any]:
     """Run one cell and wrap the result in the shared envelope."""
     plugin = get_plugin(cell.plugin)
     seed = cell_seed(suite_seed, cell)
-    document = plugin.run_cell(seed, cell.params_dict())
+    try:
+        document = plugin.run_cell(seed, cell.params_dict())
+    except Exception as exc:  # one bad cell must not cost the suite
+        envelope = _envelope(cell, index, seed, "error")
+        envelope["error"] = {"type": type(exc).__name__,
+                             "message": str(exc)}
+        return envelope
     results = []
     failed = 0
     for check in cell.checks:
@@ -136,32 +163,12 @@ def run_cell(cell: CellSpec, suite_seed: int, index: int = 0,
         if not ok:
             failed += 1
         results.append({"check": check, "ok": ok, "value": value})
-    envelope: Dict[str, Any] = {
-        "id": cell.cell_id,
-        "index": index,
-        "plugin": cell.plugin,
-        "params": cell.params_dict(),
-        "seed": seed,
-        "status": "failed" if failed else "passed",
-        "checks": results,
-        "digest": document_digest(document),
-    }
+    envelope = _envelope(cell, index, seed,
+                         "failed" if failed else "passed", results,
+                         document_digest(document))
     if include_document:
         envelope["document"] = document
     return envelope
-
-
-def _skipped_cell(cell: CellSpec, index: int) -> Dict[str, Any]:
-    return {
-        "id": cell.cell_id,
-        "index": index,
-        "plugin": cell.plugin,
-        "params": cell.params_dict(),
-        "seed": None,
-        "status": "skipped",
-        "checks": [],
-        "digest": None,
-    }
 
 
 def run_suite(spec: SuiteSpec, seed: Optional[int] = None,
@@ -170,7 +177,7 @@ def run_suite(spec: SuiteSpec, seed: Optional[int] = None,
 
     ``seed`` overrides the suite file's default seed.  Under the
     ``first-failure`` early-stop policy, cells after the first failed
-    one are recorded as ``skipped`` and never executed.
+    (or errored) one are recorded as ``skipped`` and never executed.
     """
     suite_seed = spec.seed if seed is None else seed
     cells: List[Dict[str, Any]] = []
@@ -178,13 +185,13 @@ def run_suite(spec: SuiteSpec, seed: Optional[int] = None,
     stop = False
     for index, cell in enumerate(spec.cells):
         if stop:
-            cells.append(_skipped_cell(cell, index))
+            cells.append(_envelope(cell, index, None, "skipped"))
             skipped += 1
             continue
         envelope = run_cell(cell, suite_seed, index,
                             include_document=include_documents)
         cells.append(envelope)
-        if envelope["status"] == "failed":
+        if envelope["status"] != "passed":
             failed += 1
             if spec.early_stop == "first-failure":
                 stop = True

@@ -8,7 +8,7 @@ top-level object experiments build (usually through
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.identity import SYSTEM_PRINCIPAL
 from repro.core.uri import AgentUri
@@ -93,9 +93,6 @@ class TaxCluster:
             return self.nodes[host_name]
         except KeyError:
             raise KeyError(f"no TAX node on host {host_name!r}") from None
-
-    def node_names(self) -> List[str]:
-        return sorted(self.nodes)
 
     def configure_breakers(self, config) -> None:
         """Install circuit breakers (a

@@ -124,9 +124,6 @@ class Site:
     def root_url(self) -> str:
         return f"http://{self.host}{self.root_path}"
 
-    def has_path(self, path: str) -> bool:
-        return path in self.pages
-
 
 def _page_paths(n_pages: int, rng: RandomStream) -> List[str]:
     """Paths arranged into a few directories, root first."""

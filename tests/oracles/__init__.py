@@ -6,7 +6,9 @@ readable or pre-optimisation twin of one product hot path:
 - :mod:`tests.oracles.codec` — the cursor-based briefcase decoder
   (``reference_decode``) and the deterministic codec workload;
 - :mod:`tests.oracles.kernel` — the pre-optimisation event kernel
-  (dict-based events, one ``step()`` per event) and its timer workload;
+  (dict-based events, a ``run()`` that calls its own ``step()`` once
+  per event — the product kernel has one dispatch loop and no
+  ``step``) and its timer workload;
 - :mod:`tests.oracles.web` — the simulated HTTP exchange before it
   became one pass (``ReferenceClient`` / ``ReferenceServer`` /
   ``ReferenceNetwork`` / ``ReferenceHost`` and

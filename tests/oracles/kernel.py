@@ -1,5 +1,5 @@
-"""The pre-optimisation event kernel: the oracle ``Kernel``'s drains are
-tested against.
+"""The pre-optimisation event kernel: the oracle ``Kernel``'s dispatch
+loop is tested against.
 
 Transcribed from the pre-optimisation eventloop and moved here unchanged
 from the retired perf harness: no ``__slots__`` (every event carries an
@@ -90,7 +90,6 @@ class _BaselineKernel:
 
 
 def _timer_delays(n_events: int, seed: int) -> List[float]:
-    """Shuffled delays: fair to both legs (the sorted-batch drain must
-    pay a real sort, the heap baseline real sift-downs)."""
+    """Shuffled delays, so both kernels pay real sift-downs."""
     rng = random.Random(seed)
     return [rng.random() * 100.0 for _ in range(n_events)]

@@ -138,32 +138,6 @@ def test_project_findings_are_byte_deterministic():
     assert first == second
 
 
-def test_cold_and_warm_cache_are_byte_identical(tmp_path):
-    cache = str(tmp_path / "facts-cache")
-    cold = render_json(
-        Analyzer(cache_dir=cache).analyze_paths([IPA]))
-    assert os.listdir(cache)  # the cold run populated the cache
-    warm_analyzer = Analyzer(cache_dir=cache)
-    warm = render_json(warm_analyzer.analyze_paths([IPA]))
-    uncached = render_json(Analyzer().analyze_paths([IPA]))
-    assert cold == warm == uncached
-    assert warm_analyzer.cache.hits > 0
-    assert warm_analyzer.cache.misses == 0
-
-
-def test_cache_invalidates_on_source_change(tmp_path):
-    tree = tmp_path / "tree"
-    shutil.copytree(os.path.join(IPA, "det001_alias"), str(tree))
-    cache = str(tmp_path / "cache")
-    target = tree / "pipeline.py"
-    before = Analyzer(cache_dir=cache).analyze_paths([str(tree)])
-    target.write_text(target.read_text().replace(
-        "_clock = time.time", "_clock = len"))
-    after = Analyzer(cache_dir=cache).analyze_paths([str(tree)])
-    assert [f.line for f in by_rule(before.findings, "DET001")] == [16, 28]
-    assert [f.line for f in by_rule(after.findings, "DET001")] == [28]
-
-
 def test_witness_does_not_feed_the_fingerprint(tmp_path):
     """A baselined transitive finding survives edits to its callers:
     the witness chain is reporting detail, not identity."""

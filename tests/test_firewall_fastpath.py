@@ -257,8 +257,15 @@ ELEMENT_VALUES = [
 ]
 
 
+def element_id(value):
+    """``repr``, except for a memoryview, whose repr is its address."""
+    if isinstance(value, memoryview):
+        return f"memoryview({bytes(value)!r})"
+    return repr(value)
+
+
 class TestElementOf:
-    @pytest.mark.parametrize("value", ELEMENT_VALUES, ids=repr)
+    @pytest.mark.parametrize("value", ELEMENT_VALUES, ids=element_id)
     def test_agrees_with_the_branch_order_it_replaced(self, value):
         element = Element.of(value)
         expected = of_by_definition(value)
@@ -280,7 +287,7 @@ class TestElementOf:
         with pytest.raises(BriefcaseError):
             Element.of(value)
 
-    @pytest.mark.parametrize("value", ELEMENT_VALUES, ids=repr)
+    @pytest.mark.parametrize("value", ELEMENT_VALUES, ids=element_id)
     def test_push_and_append_take_the_same_encoding(self, value):
         briefcase = Briefcase()
         briefcase.append("F", value)

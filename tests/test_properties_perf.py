@@ -11,10 +11,11 @@ Four invariants underwrite the hot-path work:
    bytes.
 3. Memo invisibility: a metrics registry that remembers canonical label
    keys records exactly what one that canonicalises on every call does.
-4. Drain invisibility: ``Kernel.run()`` fires any schedule in the same
-   order, to the same instant and count, whether it goes through the
-   fast drain, through ``step()`` because a bound was given, or through
-   ``step()`` because telemetry is on.
+4. Drain invisibility: the kernel's one dispatch loop fires any
+   schedule in the same order, to the same instant and count, with or
+   without a bound and with telemetry on or off; ``run(until=…)`` and
+   ``run_until(event)`` fire a prefix of that order and leave the clock
+   where the clock rules say.
 """
 
 import json
@@ -217,16 +218,23 @@ class TestLabelKeyMemo:
 tick = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5])
 
 #: (delay, fanout, child delay): a timer whose callback posts ``fanout``
-#: more timers.  The start of the schedule lands on either side of
-#: ``Kernel._BATCH_MIN`` and a fanout of 70 grows a small heap past it
-#: from inside the drain.
+#: more timers; a fanout of 70 grows the heap well past the schedule's
+#: own size from inside the loop.
 schedules = st.lists(
     st.tuples(tick, st.sampled_from([0, 0, 0, 1, 3, 70]), tick),
-    max_size=2 * Kernel._BATCH_MIN)
+    max_size=128)
+
+#: Deadlines on, between and beyond the instants ``tick`` can produce
+#: (the latest is 2.5 + 2.5).
+deadlines = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 2.5, 3.5, 5.0, 9.0])
 
 
-def fire(schedule, telemetry=False, **bounds):
-    """Run ``schedule`` on a fresh kernel: firing order, clock, count."""
+def fire(schedule, telemetry=False, stop=None, **bounds):
+    """Run ``schedule`` on a fresh kernel: firing order, clock, count.
+
+    ``stop(kernel, timers)`` names the event to ``run_until``; without
+    it the kernel is ``run``.
+    """
     kernel = Kernel(telemetry=Telemetry(enabled=telemetry))
     fired = []
 
@@ -246,10 +254,20 @@ def fire(schedule, telemetry=False, **bounds):
                     lambda _e: fired.append((kernel.now, i, j, "echo")))
         return callback
 
+    timers = []
     for i, (delay, fanout, child_delay) in enumerate(schedule):
-        kernel.timeout(delay).add_callback(parent(i, fanout, child_delay))
-    kernel.run(**bounds)
+        timers.append(kernel.timeout(delay))
+        timers[-1].add_callback(parent(i, fanout, child_delay))
+    if stop is None:
+        kernel.run(**bounds)
+    else:
+        kernel.run_until(stop(kernel, timers), **bounds)
     return fired, kernel.now, kernel.processed_events
+
+
+def last_instant(fired):
+    """Where the clock stands after ``fired`` if nothing moved it since."""
+    return fired[-1][0] if fired else 0.0
 
 
 class TestDrainRegimes:
@@ -260,3 +278,57 @@ class TestDrainRegimes:
         assert fire(schedule, max_events=10**9) == fast
         assert fire(schedule, telemetry=True) == fast
         assert fast[2] == len(fast[0])
+
+    @given(schedule=schedules, until=deadlines,
+           max_events=st.integers(0, 300), telemetry=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_run_until_a_deadline_fires_a_prefix(
+            self, schedule, until, max_events, telemetry):
+        whole = fire(schedule)[0]
+        due = [entry for entry in whole if entry[0] <= until]
+        # ``run(until=T)`` ends at T whether the heap drained or the
+        # next event lies beyond T.
+        assert fire(schedule, telemetry, until=until) == (
+            due, until, len(due))
+        # A ``max_events`` stop never moves the clock.
+        fired, now, count = fire(schedule, telemetry, until=until,
+                                 max_events=max_events)
+        assert fired == due[:max_events] and count == len(fired)
+        stopped_by_count = max_events < len(due) or (
+            max_events == len(due) and len(due) < len(whole))
+        assert now == (last_instant(fired) if stopped_by_count else until)
+
+    @given(schedule=schedules.filter(len), data=st.data(),
+           until=st.none() | deadlines, telemetry=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_run_until_an_event_fires_a_prefix(
+            self, schedule, data, until, telemetry):
+        whole = fire(schedule)[0]
+        i = data.draw(st.integers(0, len(schedule) - 1))
+        instant = schedule[i][0]
+        fired, now, count = fire(
+            schedule, telemetry, stop=lambda _k, timers: timers[i],
+            until=until)
+        assert count == len(fired)
+        if until is None or instant <= until:
+            # Stops right after the awaited timer, at its instant.
+            assert fired == whole[:whole.index((instant, i)) + 1]
+            assert now == instant
+        else:
+            # The awaited timer itself lies beyond the deadline.
+            assert fired == [e for e in whole if e[0] <= until]
+            assert now == until
+
+    @given(schedule=schedules, until=deadlines)
+    @settings(max_examples=100, deadline=None)
+    def test_run_until_moves_the_clock_only_past_a_pending_event(
+            self, schedule, until):
+        whole = fire(schedule)[0]
+        due = [entry for entry in whole if entry[0] <= until]
+        fired, now, _count = fire(
+            schedule, stop=lambda kernel, _t: kernel.event(), until=until)
+        assert fired == due
+        # Heap drained before the deadline: the clock stays at the last
+        # event; something still pending beyond it: the clock is there.
+        assert now == (until if len(due) < len(whole)
+                       else last_instant(fired))

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import sys
+
 import pytest
 
 from repro.sim.errors import (
@@ -436,58 +438,6 @@ class TestCombinatorsWithProcessedChildren:
         assert isinstance(process.exception, KeyError)
 
 
-class TestBatchedScheduling:
-    def test_succeed_many_fires_in_list_order(self, kernel):
-        order = []
-        events = [kernel.event() for _ in range(20)]
-        for i, event in enumerate(events):
-            event.add_callback(lambda _e, i=i: order.append(i))
-        kernel.succeed_many(events, value="v")
-        drain(kernel)
-        assert order == list(range(20))
-        assert all(e.value == "v" for e in events)
-
-    def test_succeed_many_interleaves_with_heap_by_sequence(self, kernel):
-        order = []
-        kernel.timeout(0.0).add_callback(lambda _e: order.append("timer"))
-        events = [kernel.event() for _ in range(3)]
-        for i, event in enumerate(events):
-            event.add_callback(lambda _e, i=i: order.append(i))
-        kernel.succeed_many(events)
-        drain(kernel)
-        # The zero-delay timeout was scheduled first, so it keeps its
-        # place ahead of the batch.
-        assert order == ["timer", 0, 1, 2]
-
-    def test_succeed_many_rejects_triggered_event(self, kernel):
-        ready = kernel.event()
-        ready.succeed(1)
-        fresh = kernel.event()
-        with pytest.raises(EventAlreadyTriggered):
-            kernel.succeed_many([fresh, ready])
-
-    def test_large_burst_uses_heapify_and_keeps_order(self, kernel):
-        # > 8 entries and >= heap size triggers the extend+heapify path.
-        order = []
-        events = [kernel.event() for _ in range(200)]
-        for i, event in enumerate(events):
-            event.add_callback(lambda _e, i=i: order.append(i))
-        kernel.succeed_many(events)
-        drain(kernel)
-        assert order == list(range(200))
-
-    def test_post_many_with_delay(self, kernel):
-        order = []
-        events = [kernel.event() for _ in range(5)]
-        for i, event in enumerate(events):
-            event._value = i
-            event.add_callback(lambda _e, i=i: order.append(i))
-        kernel._post_many(events, delay=2.5)
-        drain(kernel)
-        assert order == [0, 1, 2, 3, 4]
-        assert kernel.now == pytest.approx(2.5)
-
-
 class TestSlotsAndFastDrain:
     def test_event_classes_have_no_instance_dict(self, kernel):
         from repro.sim.eventloop import AllOf, AnyOf, Event, Process, Timeout
@@ -526,22 +476,21 @@ class TestSlotsAndFastDrain:
             return fired, kernel.now, kernel.processed_events
 
         fast = build_and_run()
-        # A bound, or telemetry, sends every event through step().
+        # Neither a bound nor telemetry changes what fires, or when.
         assert build_and_run(max_events=10**9) == fast
         assert build_and_run(telemetry=True) == fast
 
     def test_drain_survives_batch_growth_past_threshold(self):
-        # Start below the sorted-batch threshold, then grow the heap far
-        # beyond it from inside a callback: the drain must switch modes
-        # without dropping or reordering anything.
+        # A callback that posts 500 events: the loop holds the heap
+        # across the fire and must see every one of them, in order.
         kernel = Kernel()
         seen = []
 
         def explode(_event):
-            events = [kernel.event() for _ in range(500)]
-            for i, event in enumerate(events):
+            for i in range(500):
+                event = kernel.event()
                 event.add_callback(lambda _e, i=i: seen.append(i))
-            kernel.succeed_many(events)
+                event.succeed()
 
         trigger = kernel.event()
         trigger.add_callback(explode)
@@ -566,9 +515,9 @@ class TestSlotsAndFastDrain:
         kernel.run()
         assert kernel.processed_events == 301
         assert kernel.now == 299.0
-        # Events after the flip (t=101..299) went through step(), which
-        # counts them; the 101+1 events up to and including the flip
-        # were dispatched by the fast drain and are not.
+        # The flag is read once per event, before the fire: events after
+        # the flip (t=101..299) are counted; the 101+1 up to and
+        # including the flip are not.
         counted = telemetry.metrics.value("kernel.events_dispatched",
                                           default=0)
         assert counted == 199
@@ -588,6 +537,46 @@ class TestSlotsAndFastDrain:
         kernel.run()  # the remaining events are all still schedulable
         assert fired == list(range(100))
         assert kernel.processed_events == 101
+
+
+#: Python frames the kernel spends per dispatched event: ``_fire`` alone
+#: with telemetry off; with it on, ``inc`` and ``set_gauge`` and a
+#: ``Metric._key`` under each.
+DISPATCH_FRAMES = {False: 1, True: 5}
+
+
+@pytest.mark.parametrize("bounds", [{}, {"max_events": 10**9}],
+                         ids=["unbounded", "bounded"])
+@pytest.mark.parametrize("telemetry", [False, True],
+                         ids=["telemetry-off", "telemetry-on"])
+def test_dispatch_stays_within_its_frame_budget(telemetry, bounds):
+    """``count.py_calls`` of the repo benchmark, for the kernel's share
+    of one event, where CI runs it: a call added back inside the
+    dispatch loop fails here in seconds, on any host."""
+    from repro.obs.telemetry import Telemetry
+
+    events = 1000
+    kernel = Kernel(telemetry=Telemetry(enabled=telemetry))
+    kernel.timeout(0.0)
+    kernel.run()                # first use of every lazy path
+    for i in range(events):
+        kernel.timeout(i * 0.001)
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        kernel.run(**bounds)
+    finally:
+        sys.setprofile(previous)
+    assert kernel.processed_events == events + 1
+    # ``run`` and ``_dispatch`` are the two frames not per event.
+    assert calls <= events * DISPATCH_FRAMES[telemetry] + 2
 
 
 class TestCombinatorEdges:

@@ -234,6 +234,37 @@ def test_early_stop_skips_after_first_failure():
         ["failed", "passed"]
 
 
+def test_a_cell_that_raises_is_reported_and_the_rest_still_run(
+        monkeypatch):
+    from repro.suites import registry
+
+    def explode(seed, mode):
+        raise ValueError("element is not JSON")
+    chaos = {"plugin": "chaos", "params": {"plan": "none"}}
+    spec = make_suite([{"plugin": "overload"}, chaos])
+    monkeypatch.setitem(
+        registry._REGISTRY, "overload",
+        dataclasses.replace(get_plugin("overload"), run=explode))
+    document = run_suite(spec)
+    errored, passed = document["cells"]
+    assert errored == {
+        "id": spec.cells[0].cell_id, "index": 0, "plugin": "overload",
+        "params": spec.cells[0].params_dict(),
+        "seed": cell_seed(spec.seed, spec.cells[0]),
+        "status": "error", "checks": [], "digest": None,
+        "error": {"type": "ValueError",
+                  "message": "element is not JSON"}}
+    assert passed == run_suite(make_suite([chaos]))["cells"][0] | {
+        "index": 1}
+    assert document["summary"] == {"planned": 2, "executed": 2,
+                                   "passed": 1, "failed": 1,
+                                   "skipped": 0, "ok": False}
+    # An error stops a first-failure suite like any failed cell.
+    stopped = run_suite(dataclasses.replace(spec,
+                                            early_stop="first-failure"))
+    assert [c["status"] for c in stopped["cells"]] == ["error", "skipped"]
+
+
 def test_custom_checks_replace_and_expect_extends():
     spec = make_suite([{
         "plugin": "chaos",
@@ -321,6 +352,28 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def test_importing_the_cli_imports_no_command(tmp_path):
+    """Each command imports what it runs when it runs; the experiment
+    harness used to be imported at module level and brought 17 modules
+    with it (``setup_s`` is a bounded benchmark metric)."""
+    import os
+    import subprocess
+    import sys
+    script = ("import sys, repro.cli\n"
+              "print('\\n'.join(sorted(m for m in sys.modules\n"
+              "                        if m.startswith('repro.'))))\n")
+    source_root = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], check=True, timeout=60,
+        capture_output=True, text=True, cwd=str(tmp_path),
+        env=dict(os.environ, PYTHONPATH=source_root)).stdout.split()
+    assert "repro.cli" in loaded
+    assert [m for m in loaded if m.split(".")[1] in (
+        "analysis", "bench", "chaos", "durability", "mining", "robot",
+        "suites")] == []
+
+
 def test_cli_overload_list_and_unknown(capsys):
     code, out, _ = run_cli(["overload", "--list"], capsys)
     assert code == 0 and "governed" in out and "ungoverned" in out
@@ -404,6 +457,23 @@ def test_cli_overload_failed_invariant_exits_one(capsys, monkeypatch):
                         dataclasses.replace(real, run=starved))
     code, out, _ = run_cli(["overload"], capsys)
     assert code == 1 and '"completion_rate": 0.5' in out
+
+
+def test_cli_suite_run_prints_its_document_when_a_cell_raises(capsys):
+    # Suite seed 159 bit-flips the partition-storm report into
+    # non-JSON (ROADMAP item 1, mechanism A2) and the home driver
+    # raises: the command used to die there with a traceback.
+    import os
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "benchmarks", "e2e", "durable.suite.yaml")
+    code, out, _ = run_cli(
+        ["suite", "run", path, "--seed", "159", "--digests-only"], capsys)
+    cells = json.loads(out)["cells"]
+    assert code == 1 and len(cells) == 8
+    assert [(c["id"], c["error"]) for c in cells
+            if c["status"] != "passed"] == [
+        ("partition[scenario=partition-storm,workers=3]",
+         {"type": "BriefcaseError", "message": "element is not JSON"})]
 
 
 def test_cli_suite_validate_and_errors(tmp_path, capsys):
