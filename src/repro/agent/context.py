@@ -108,6 +108,12 @@ class AgentContext:
         #: happened to issue.  Tokens stay unique per mailbox because
         #: they embed the instance id.
         self._token_counter = itertools.count(1)
+        #: What outbound messages say of their origin, built on the
+        #: first send of a residency (see :meth:`_sender_info`).
+        self._sender: Optional[SenderInfo] = None
+        #: This agent's ``agent.messages_out`` series, held from the
+        #: first counted send until the next :meth:`attach`.
+        self._messages_out = None
         self._sanitize(briefcase, "attach")
 
     def _sanitize(self, briefcase: Optional[Briefcase], op: str) -> None:
@@ -143,6 +149,7 @@ class AgentContext:
     def attach(self, registration, mailbox: Mailbox) -> None:
         self.registration = registration
         self.mailbox = mailbox
+        self._messages_out = None
 
     # -- introspection ----------------------------------------------------------------
 
@@ -187,8 +194,17 @@ class AgentContext:
         return AgentUri.parse(target)
 
     def _sender_info(self) -> SenderInfo:
-        return SenderInfo(principal=self.principal, host=self.host_name,
-                          uri=self.uri, authenticated=True)
+        """Host, port, principal, name and instance cannot change while
+        a registration lives, so one frozen :class:`SenderInfo` serves
+        every message of the residency — rebuilt only if the context is
+        attached to another registration or given another principal."""
+        sender = self._sender
+        if sender is None or sender.principal != self.principal \
+                or sender.uri is not self.registration.full_uri:
+            sender = self._sender = SenderInfo(
+                principal=self.principal, host=self.host_name,
+                uri=self.uri, authenticated=True)
+        return sender
 
     def _count_retry(self, op: str) -> None:
         telemetry = self.kernel.telemetry
@@ -282,7 +298,11 @@ class AgentContext:
                 yield from self._retry_wait("send", retries)
                 retries += 1
         if ok and telemetry.enabled and self.registration is not None:
-            telemetry.metrics.inc("agent.messages_out", agent=self.name)
+            series = self._messages_out
+            if series is None:
+                series = self._messages_out = telemetry.metrics.counter(
+                    "agent.messages_out").labels(agent=self.name)
+            series.inc()
         return ok
 
     def post(self, target: Target, briefcase: Optional[Briefcase] = None):

@@ -172,6 +172,10 @@ class Firewall:
         #: Next outbound sequence per destination host (stamped once per
         #: message in :meth:`_forward_remote`; retries reuse the stamp).
         self._send_seqs: Dict[str, int] = {}
+        #: Metric series this firewall writes, held from their first
+        #: write, by ``(family name, *label values)`` — every family
+        #: here has one set of label names, and the host label is fixed.
+        self._series: Dict[tuple, object] = {}
         self.stats = DeliveryStats()
         self.events: List[Tuple[float, str]] = []
         #: VM name → object implementing launch_agent(); set by the node.
@@ -188,8 +192,12 @@ class Firewall:
         """Increment a host-labelled counter (no-op when disabled)."""
         telemetry = self.kernel.telemetry
         if telemetry.enabled:
-            telemetry.metrics.inc(name, amount, host=self.host.name,
-                                  **labels)
+            key = (name, *labels.values())
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = telemetry.metrics.counter(
+                    name).labels(host=self.host.name, **labels)
+            series.inc(amount)
 
     def _flight(self, kind: str, **detail) -> None:
         """Append one event to this host's flight-recorder ring."""
@@ -205,10 +213,14 @@ class Firewall:
         telemetry = self.kernel.telemetry
         if not telemetry.enabled:
             return
-        telemetry.metrics.histogram(
-            "fw.admission_bytes",
-            buckets=ADMISSION_BYTE_BUCKETS).observe(
-                wire_bytes, host=self.host.name, decision=decision)
+        key = ("fw.admission_bytes", decision)
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = telemetry.metrics.histogram(
+                "fw.admission_bytes",
+                buckets=ADMISSION_BYTE_BUCKETS).labels(
+                    host=self.host.name, decision=decision)
+        series.observe(wire_bytes)
         if decision == "admitted":
             self._flight("admitted", target=str(message.target),
                          principal=message.sender.principal,
@@ -244,9 +256,9 @@ class Firewall:
         principal's resident-agent quota is exhausted (the launch path
         turns this into a nack the sender can back off on).
         """
-        resident = sum(1 for r in self.registry.all()
-                       if r.principal == principal)
-        self.governor.admit_agent(principal, resident)
+        if self.governor.resident_quota(principal) is not None:
+            self.governor.admit_agent(
+                principal, self.registry.resident_count(principal))
         agent_id = AgentId(name, instance or self.instances.next_instance())
         registration = Registration(
             agent_id=agent_id, principal=principal, vm_name=vm_name,
@@ -370,14 +382,23 @@ class Firewall:
         self.stats.forwarded_remote += 1
         telemetry = self.kernel.telemetry
         if telemetry.enabled:
-            telemetry.metrics.inc("fw.forwarded_remote",
-                                  src=self.host.name,
-                                  dst=peer.host.name)
+            held = self._series
+            key = ("fw.forwarded_remote", peer.host.name)
+            series = held.get(key)
+            if series is None:
+                series = held[key] = telemetry.metrics.counter(
+                    "fw.forwarded_remote").labels(
+                        src=self.host.name, dst=peer.host.name)
+            series.inc()
             sender_name = message.sender.uri.name \
                 if message.sender.uri is not None else None
             if sender_name:
-                telemetry.metrics.inc("agent.bytes_out", wire_bytes,
-                                      agent=sender_name)
+                key = ("agent.bytes_out", sender_name)
+                series = held.get(key)
+                if series is None:
+                    series = held[key] = telemetry.metrics.counter(
+                        "agent.bytes_out").labels(agent=sender_name)
+                series.inc(wire_bytes)
         transported = message.snapshot_for_transport()
         injector = self.network.fault_injector
         fault = None
@@ -641,9 +662,13 @@ class Firewall:
             self.stats.delivered += 1
             telemetry = self.kernel.telemetry
             if telemetry.enabled:
-                telemetry.metrics.inc("fw.delivered", host=self.host.name)
-                telemetry.metrics.inc("agent.messages_in",
-                                      agent=registration.name)
+                self._count("fw.delivered")
+                key = ("agent.messages_in", registration.name)
+                series = self._series.get(key)
+                if series is None:
+                    series = self._series[key] = telemetry.metrics.counter(
+                        "agent.messages_in").labels(agent=registration.name)
+                series.inc()
         else:
             self.stats.dropped_by_wrapper += 1
             self._count("fw.dropped_by_wrapper")
@@ -721,10 +746,14 @@ class Firewall:
 
     def uri_for(self, registration: Registration) -> AgentUri:
         """The full remote-usable URI of a local registration."""
-        return AgentUri(host=self.host.name, port=self.port,
-                        principal=registration.principal,
-                        name=registration.name,
-                        instance=registration.instance)
+        uri = registration.full_uri
+        if uri is None:
+            uri = registration.full_uri = AgentUri(
+                host=self.host.name, port=self.port,
+                principal=registration.principal,
+                name=registration.name,
+                instance=registration.instance)
+        return uri
 
     def find_registration(self, target: AgentUri,
                           sender_principal: Optional[str] = None

@@ -219,16 +219,19 @@ class Governor:
                     f"exceed the {quota.max_bytes_in_flight}-byte quota")
         self.admitted += 1
 
+    def resident_quota(self, principal: str) -> Optional[int]:
+        """The principal's ``max_resident_agents`` (None: unlimited)."""
+        quota = self.quota_for(principal)
+        return None if quota is None else quota.max_resident_agents
+
     def admit_agent(self, principal: str, resident_count: int) -> None:
         """Admit one more resident agent registration or raise."""
-        quota = self.quota_for(principal)
-        if quota is None or quota.max_resident_agents is None:
-            return
-        if resident_count >= quota.max_resident_agents:
+        limit = self.resident_quota(principal)
+        if limit is not None and resident_count >= limit:
             self._reject(
                 "resident-agents", principal,
                 f"{resident_count} resident agents already "
-                f"(quota {quota.max_resident_agents})")
+                f"(quota {limit})")
 
     def admit_cabinet(self, principal: str, stored_bytes: int,
                       new_bytes: int) -> None:

@@ -147,6 +147,11 @@ class PendingQueue:
         self.evicted = 0
         self.claimed = 0
         self.crashed = 0
+        #: Metric series held from their first write (the host label
+        #: is fixed): the four depth / bytes gauges, and
+        #: ``fw.queue_wait_seconds`` by outcome.
+        self._watermarks: Optional[tuple] = None
+        self._wait_seconds: dict = {}
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -171,13 +176,19 @@ class PendingQueue:
         telemetry = self.kernel.telemetry
         if not telemetry.enabled:
             return
-        metrics = telemetry.metrics
+        series = self._watermarks
+        if series is None:
+            metrics = telemetry.metrics
+            series = self._watermarks = tuple(
+                metrics.gauge(name).labels(host=self.host)
+                for name in ("fw.queue_depth", "fw.queue_bytes",
+                             "fw.queue_peak_depth", "fw.queue_peak_bytes"))
+        queue_depth, queue_bytes, peak_depth, peak_bytes = series
         depth = len(self._pending)
-        metrics.set_gauge("fw.queue_depth", depth, host=self.host)
-        metrics.set_gauge("fw.queue_bytes", self._bytes, host=self.host)
-        metrics.gauge("fw.queue_peak_depth").set_max(depth, host=self.host)
-        metrics.gauge("fw.queue_peak_bytes").set_max(self._bytes,
-                                                     host=self.host)
+        queue_depth.set(depth)
+        queue_bytes.set(self._bytes)
+        peak_depth.set_max(depth)
+        peak_bytes.set_max(self._bytes)
 
     # -- admission -------------------------------------------------------------------
 
@@ -280,10 +291,13 @@ class PendingQueue:
         if entry.span is not None:
             entry.span.end(outcome=outcome)
         if telemetry.enabled:
-            telemetry.metrics.observe(
-                "fw.queue_wait_seconds",
-                self.kernel.now - entry.enqueued_at,
-                host=self.host, outcome=outcome)
+            series = self._wait_seconds.get(outcome)
+            if series is None:
+                series = self._wait_seconds[outcome] = \
+                    telemetry.metrics.histogram(
+                        "fw.queue_wait_seconds").labels(
+                            host=self.host, outcome=outcome)
+            series.observe(self.kernel.now - entry.enqueued_at)
 
     def _dead_letter(self, entry: _Pending, reason: str) -> DeadLetter:
         record = DeadLetter(message=entry.message,

@@ -40,6 +40,10 @@ class Registration:
     paused: bool = False
     meta: Dict[str, str] = field(default_factory=dict)
     _paused_backlog: List[Message] = field(default_factory=list)
+    #: The remote-usable address, kept by ``Firewall.uri_for`` on first
+    #: use: none of its five components changes while this lives.
+    full_uri: Optional[AgentUri] = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def name(self) -> str:
@@ -98,6 +102,11 @@ class Registry:
 
     def __len__(self) -> int:
         return len(self._by_instance)
+
+    def resident_count(self, principal: str) -> int:
+        """How many registrations ``principal`` owns here."""
+        return sum(1 for registration in self._by_instance.values()
+                   if registration.principal == principal)
 
     def matches(self, target: AgentUri,
                 sender_principal: Optional[str]) -> List[Registration]:

@@ -18,8 +18,15 @@ Naming follows the ``subsystem.metric`` convention
 (``fw.messages_queued``, ``net.bytes_on_wire``); labels are free-form
 keyword arguments (``host=...``, ``agent=...``).  Label values are
 stringified, and label *order* never matters — ``inc("x", a="1", b="2")``
-and ``inc("x", b="2", a="1")`` hit the same series.  A repeated sample
-costs two dictionary look-ups (family, then :meth:`Metric._key`);
+and ``inc("x", b="2", a="1")`` hit the same series.
+
+A series is an object: ``family.labels(**labels)`` hands out the one
+:class:`CounterSeries` / :class:`GaugeSeries` / :class:`HistogramSeries`
+of that label set, and every write — the registry's recorders and the
+family methods included — is ``labels(...)`` plus a method of that
+object, which holds its own value.  An owner whose labels never change
+(the kernel, a link, a firewall) resolves its series on first write and
+keeps it; a write through a held series is one attribute update.
 ``docs/observability.md`` ("What a sample costs") has the numbers.
 """
 
@@ -99,107 +106,62 @@ def summarize_sample(sample: dict) -> dict:
     }
 
 
-class Metric:
-    """One named family of series, distinguished by label sets."""
+class _Series:
+    """One label set of one family: the value, and the writes to it.
 
-    kind = "metric"
+    ``value`` is None until the first write and again after
+    :meth:`MetricsRegistry.reset`; a series without a value appears in
+    no sample list, so resolving one (and holding it) shows nothing.
+    Every write checks the registry's switch first.
+    """
 
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 help: str = ""):
-        self.registry = registry
-        self.name = name
-        self.help = help
-        self._series: Dict[LabelKey, object] = {}
-        #: Keyword items as a call site passes them -> their canonical
-        #: key, so a repeated label set is resolved by one look-up.
-        self._key_memo: Dict[tuple, LabelKey] = {}
+    __slots__ = ("registry", "family", "value")
 
-    def _key(self, labels: Dict[str, object]) -> LabelKey:
-        """:func:`_label_key` of ``labels``, remembered per keyword order.
+    def __init__(self, family: "Metric"):
+        self.registry = family.registry
+        self.family = family
+        self.value = None
 
-        Only label sets whose values are all exactly ``str`` are
-        remembered: ``1``, ``True`` and ``1.0`` are one dict key but
-        stringify to three series, and a ``str`` subclass may override
-        ``__str__``.  Anything else is canonicalised on every call.
-        """
-        if not labels:
-            return ()
-        for value in labels.values():
-            if type(value) is not str:
-                return _label_key(labels)
-        items = tuple(labels.items())
-        key = self._key_memo.get(items)
-        if key is None:
-            key = self._key_memo[items] = _label_key(labels)
-        return key
-
-    # -- introspection -------------------------------------------------------
-
-    def series(self) -> Dict[LabelKey, object]:
-        return dict(self._series)
-
-    def value(self, **labels):
-        """The series value for exactly these labels (None if absent)."""
-        return self._series.get(_label_key(labels))
-
-    def samples(self) -> List[dict]:
-        """Sorted, JSON-able ``{"labels": ..., "value": ...}`` samples."""
-        return [{"labels": dict(key), "value": self._sample_value(raw)}
-                for key, raw in sorted(self._series.items())]
-
-    def _sample_value(self, raw):
-        return raw
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "help": self.help,
-                "samples": self.samples()}
-
-    def clear(self) -> None:
-        """Drop every series (counts, watermarks, histograms) and the
-        label-key memo while the family itself stays registered — see
-        :meth:`MetricsRegistry.reset`."""
-        self._series.clear()
-        self._key_memo.clear()
+    def __repr__(self) -> str:
+        return (f"<{type(self).__name__} {self.family.name!r} "
+                f"value={self.value!r}>")
 
 
-class Counter(Metric):
+class CounterSeries(_Series):
     """Monotonically increasing value (int or float)."""
 
-    kind = "counter"
+    __slots__ = ()
 
-    def inc(self, amount: float = 1, **labels) -> None:
+    def inc(self, amount: float = 1) -> None:
         if not self.registry.enabled:
             return
         if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        key = self._key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
+            raise ValueError(
+                f"counter {self.family.name!r} cannot decrease")
+        value = self.value
+        self.value = (0 if value is None else value) + amount
 
 
-class Gauge(Metric):
+class GaugeSeries(_Series):
     """A value that can go up and down (queue depths, temperatures)."""
 
-    kind = "gauge"
+    __slots__ = ()
 
-    def set(self, value: float, **labels) -> None:
-        if not self.registry.enabled:
-            return
-        self._series[self._key(labels)] = value
+    def set(self, value: float) -> None:
+        if self.registry.enabled:
+            self.value = value
 
-    def add(self, delta: float, **labels) -> None:
-        if not self.registry.enabled:
-            return
-        key = self._key(labels)
-        self._series[key] = self._series.get(key, 0) + delta
+    def add(self, delta: float) -> None:
+        if self.registry.enabled:
+            value = self.value
+            self.value = (0 if value is None else value) + delta
 
-    def set_max(self, value: float, **labels) -> None:
+    def set_max(self, value: float) -> None:
         """Raise the series to ``value`` if higher (high-watermark)."""
-        if not self.registry.enabled:
-            return
-        key = self._key(labels)
-        current = self._series.get(key)
-        if current is None or value > current:
-            self._series[key] = value
+        if self.registry.enabled:
+            current = self.value
+            if current is None or value > current:
+                self.value = value
 
 
 class _HistogramState:
@@ -213,10 +175,145 @@ class _HistogramState:
         self.bucket_counts = [0] * (n_buckets + 1)  # last = +inf
 
 
+class HistogramSeries(_Series):
+    """Distribution of observed values over the family's buckets."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        if not self.registry.enabled:
+            return
+        buckets = self.family.buckets
+        state = self.value
+        if state is None:
+            state = self.value = _HistogramState(len(buckets))
+        state.count += 1
+        state.total += value
+        if state.minimum is None or value < state.minimum:
+            state.minimum = value
+        if state.maximum is None or value > state.maximum:
+            state.maximum = value
+        # The first bound with ``value <= bound``; past the last one is
+        # the +inf slot.
+        state.bucket_counts[bisect_left(buckets, value)] += 1
+
+
+class Metric:
+    """One named family of series, distinguished by label sets."""
+
+    kind = "metric"
+    _series_class = _Series
+
+    def __init__(self, registry: "MetricsRegistry", name: str,
+                 help: str = ""):
+        self.registry = registry
+        self.name = name
+        self.help = help
+        #: Every series handed out, written or not, by canonical key.
+        self._series: Dict[LabelKey, _Series] = {}
+        #: Keyword items as a call site passes them -> their series, so
+        #: a repeated label set is resolved by one look-up.
+        self._as_passed: Dict[tuple, _Series] = {}
+
+    def labels(self, **labels):
+        """The one series of this label set, created on first request.
+
+        Label sets whose values are all exactly ``str`` are remembered
+        per keyword order; anything else is canonicalised by
+        :func:`_label_key` on every call — ``1``, ``True`` and ``1.0``
+        are one dict key but stringify to three series, and a ``str``
+        subclass may override ``__str__``.
+
+        Hold the result only where the labels are fixed for the
+        holder's lifetime; it stays live across
+        :meth:`MetricsRegistry.reset`.
+        """
+        for value in labels.values():
+            if type(value) is not str:
+                items = None
+                break
+        else:
+            items = tuple(labels.items())
+            series = self._as_passed.get(items)
+            if series is not None:
+                return series
+        key = _label_key(labels)
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = self._series_class(self)
+        if items is not None:
+            self._as_passed[items] = series
+        return series
+
+    # -- introspection -------------------------------------------------------
+
+    def series(self) -> Dict[LabelKey, object]:
+        """Raw value of every written series, by canonical key."""
+        return {key: series.value for key, series in self._series.items()
+                if series.value is not None}
+
+    def value(self, **labels):
+        """The series value for exactly these labels (None if absent)."""
+        series = self._series.get(_label_key(labels))
+        return None if series is None else series.value
+
+    def samples(self) -> List[dict]:
+        """Sorted, JSON-able ``{"labels": ..., "value": ...}`` samples."""
+        return [{"labels": dict(key), "value": self._sample_value(raw)}
+                for key, raw in sorted(self.series().items())]
+
+    def _sample_value(self, raw):
+        return raw
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, "help": self.help,
+                "samples": self.samples()}
+
+    def clear(self) -> None:
+        """Forget every value (counts, watermarks, histograms) while
+        the family stays registered and its series objects stay the
+        ones :meth:`labels` hands out — see
+        :meth:`MetricsRegistry.reset`."""
+        for series in self._series.values():
+            series.value = None
+
+
+class Counter(Metric):
+    """Monotonically increasing value (int or float)."""
+
+    kind = "counter"
+    _series_class = CounterSeries
+
+    def inc(self, amount: float = 1, **labels) -> None:
+        if self.registry.enabled:
+            self.labels(**labels).inc(amount)
+
+
+class Gauge(Metric):
+    """A value that can go up and down (queue depths, temperatures)."""
+
+    kind = "gauge"
+    _series_class = GaugeSeries
+
+    def set(self, value: float, **labels) -> None:
+        if self.registry.enabled:
+            self.labels(**labels).set(value)
+
+    def add(self, delta: float, **labels) -> None:
+        if self.registry.enabled:
+            self.labels(**labels).add(delta)
+
+    def set_max(self, value: float, **labels) -> None:
+        """Raise the series to ``value`` if higher (high-watermark)."""
+        if self.registry.enabled:
+            self.labels(**labels).set_max(value)
+
+
 class Histogram(Metric):
     """Distribution of observed values over fixed buckets."""
 
     kind = "histogram"
+    _series_class = HistogramSeries
 
     def __init__(self, registry: "MetricsRegistry", name: str,
                  help: str = "",
@@ -227,23 +324,8 @@ class Histogram(Metric):
             raise ValueError("histogram needs at least one bucket bound")
 
     def observe(self, value: float, **labels) -> None:
-        if not self.registry.enabled:
-            return
-        self._record(value, self._key(labels))
-
-    def _record(self, value: float, key: LabelKey) -> None:
-        state = self._series.get(key)
-        if state is None:
-            state = self._series[key] = _HistogramState(len(self.buckets))
-        state.count += 1
-        state.total += value
-        if state.minimum is None or value < state.minimum:
-            state.minimum = value
-        if state.maximum is None or value > state.maximum:
-            state.maximum = value
-        # The first bound with ``value <= bound``; past the last one is
-        # the +inf slot.
-        state.bucket_counts[bisect_left(self.buckets, value)] += 1
+        if self.registry.enabled:
+            self.labels(**labels).observe(value)
 
     def _sample_value(self, raw: _HistogramState) -> dict:
         buckets = {f"{bound:g}": count for bound, count
@@ -302,9 +384,10 @@ class MetricsRegistry:
 
     # -- convenience recorders ----------------------------------------------
     #
-    # These run once per recorded sample on every hot path, so an
-    # existing family of the right kind is written to directly; only a
-    # first use or a kind conflict goes through the constructors above.
+    # ``labels(...)`` plus the series' own write, behind a family
+    # look-up: an existing family of the right kind is used directly;
+    # only a first use or a kind conflict goes through the constructors
+    # above.  A disabled registry does not even create the family.
 
     def inc(self, name: str, amount: float = 1, **labels) -> None:
         if not self.enabled:
@@ -312,11 +395,7 @@ class MetricsRegistry:
         family = self._families.get(name)
         if type(family) is not Counter:
             family = self.counter(name)
-        if amount < 0:
-            raise ValueError(f"counter {name!r} cannot decrease")
-        key = family._key(labels)
-        series = family._series
-        series[key] = series.get(key, 0) + amount
+        family.labels(**labels).inc(amount)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         if not self.enabled:
@@ -324,7 +403,7 @@ class MetricsRegistry:
         family = self._families.get(name)
         if type(family) is not Gauge:
             family = self.gauge(name)
-        family._series[family._key(labels)] = value
+        family.labels(**labels).set(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
         if not self.enabled:
@@ -332,7 +411,7 @@ class MetricsRegistry:
         family = self._families.get(name)
         if type(family) is not Histogram:
             family = self.histogram(name)
-        family._record(value, family._key(labels))
+        family.labels(**labels).observe(value)
 
     # -- reading -------------------------------------------------------------
 
@@ -373,19 +452,22 @@ class MetricsRegistry:
                 for name in sorted(self._families)}
 
     def reset(self) -> None:
-        """The explicit **per-run reset**: clear every series in place.
+        """The explicit **per-run reset**: forget every value in place.
 
-        Families stay registered and — crucially — any family object a
-        call site still holds (``gauge = metrics.gauge("fw.queue_peak_
-        depth")``) stays *live*.  The registry used to drop the family
-        dict wholesale, which orphaned such held references: their
-        writes after the reset landed in a detached object and silently
-        vanished from snapshots, while cumulative state recorded before
-        the reset (peak watermarks via :meth:`Gauge.set_max`, counter
-        totals) could leak into the next in-process run whenever the
-        reset was skipped.  Back-to-back scenario cells in one process
-        (the suite matrix runner) must either construct a fresh registry
-        or call this; see ``docs/experiments.md``.
+        Families stay registered and — crucially — any family or series
+        object a call site still holds (``gauge = metrics.gauge(
+        "fw.queue_peak_depth")``, ``series = gauge.labels(host=...)``)
+        stays *live*: it vanishes from every sample list now and
+        reappears with its next write.  The registry used to drop the
+        family dict wholesale, which orphaned such held references:
+        their writes after the reset landed in a detached object and
+        silently vanished from snapshots, while cumulative state
+        recorded before the reset (peak watermarks via
+        :meth:`GaugeSeries.set_max`, counter totals) could leak into
+        the next in-process run whenever the reset was skipped.
+        Back-to-back scenario cells in one process (the suite matrix
+        runner) must either construct a fresh registry or call this;
+        see ``docs/experiments.md``.
         """
         for family in self._families.values():
             family.clear()

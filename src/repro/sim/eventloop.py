@@ -30,13 +30,14 @@ Hot paths (see ``docs/performance.md`` §2): event classes use
 ``__slots__``, and every event is fired from one pop-and-fire loop,
 :meth:`Kernel._dispatch` — :meth:`Kernel.run` and
 :meth:`Kernel.run_until` only pass it their bounds.  Per event the loop
-pops the heap, checks the instant, advances the clock, counts, writes
-two telemetry values when (and only when) telemetry is enabled, and
-fires: one Python frame per event with telemetry off.  There is no
-second regime to choose — a fast path stays only where a benchmark
-workload reaches it.  Tier-1 holds the loop to one firing order with
-and without bounds and telemetry (``tests/test_sim_eventloop.py``) and
-to the pre-optimisation kernel in ``tests/oracles/kernel.py``.
+pops the heap, checks the instant, advances the clock, counts — in two
+more locals while telemetry is enabled — and fires: one Python frame
+per event, telemetry on or off.  The kernel's two series are written
+once, when the loop returns.  There is no second regime to choose — a
+fast path stays only where a benchmark workload reaches it.  Tier-1
+holds the loop to one firing order with and without bounds and
+telemetry (``tests/test_sim_eventloop.py``) and to the pre-optimisation
+kernel in ``tests/oracles/kernel.py``.
 """
 
 from __future__ import annotations
@@ -369,6 +370,9 @@ class Kernel:
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry(enabled=False)
         self.telemetry.bind_clock(lambda: self._now)
+        #: ``kernel.events_dispatched`` and ``kernel.heap_depth``, held
+        #: from the first :meth:`_dispatch` that counted an event.
+        self._dispatch_series: Optional[tuple] = None
         #: Runtime briefcase sanitizer, or None (the usual case); agent
         #: contexts check this once per tap.
         self.sanitizer: Optional[Any] = _ambient_sanitizer
@@ -414,10 +418,12 @@ class Kernel:
         beyond ``until`` — only the last moves the clock (to ``until``,
         never backwards).
 
-        The telemetry flag is read once per event, so flipping it
-        mid-run counts from the next event; both writes precede the
-        fire, so the gauge is the depth after the pop and before the
-        callbacks post.
+        The telemetry flag is read once per event, before the fire, so
+        flipping it mid-run counts from the next event.  Events seen
+        with it on are counted in a local, beside the heap depth after
+        the latest such pop, and both reach the registry once, when the
+        loop returns: a reader inside a callback sees the two kernel
+        series as of the previous return.
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run)")
@@ -427,6 +433,7 @@ class Kernel:
         telemetry = self.telemetry
         count = self.processed_events
         limit = None if max_events is None else count + max_events
+        counted = depth = 0
         try:
             while heap:
                 if stop_event is not None and (
@@ -445,13 +452,33 @@ class Kernel:
                 self._now = when
                 count += 1
                 if telemetry.enabled:
-                    metrics = telemetry.metrics
-                    metrics.inc("kernel.events_dispatched")
-                    metrics.set_gauge("kernel.heap_depth", len(heap))
+                    counted += 1
+                    depth = len(heap)
                 event._fire()
         finally:
             self.processed_events = count
             self._running = False
+            if counted:
+                self._record_dispatched(counted, depth)
+
+    def _record_dispatched(self, counted: int, depth: int) -> None:
+        """Write the loop's two series, once per :meth:`_dispatch`.
+
+        ``counted`` events were seen with telemetry on, so they are
+        recorded even if a callback has switched it off since — what a
+        write per event would have left behind.
+        """
+        metrics = self.telemetry.metrics
+        series = self._dispatch_series
+        if series is None:
+            series = self._dispatch_series = (
+                metrics.counter("kernel.events_dispatched").labels(),
+                metrics.gauge("kernel.heap_depth").labels())
+        events_dispatched, heap_depth = series
+        was_enabled, metrics.enabled = metrics.enabled, True
+        events_dispatched.inc(counted)
+        heap_depth.set(depth)
+        metrics.enabled = was_enabled
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:

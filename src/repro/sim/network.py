@@ -102,6 +102,11 @@ class Link:
     bandwidth: float
     up: bool = True
     stats: LinkStats = field(default_factory=LinkStats)
+    #: ``net.bytes_on_wire``, ``net.messages`` and
+    #: ``net.transfer_seconds`` of this direction, held from the first
+    #: transfer recorded with telemetry on.
+    series: Optional[tuple] = field(default=None, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if self.latency < 0:
@@ -308,11 +313,18 @@ class Network:
                         seconds: float) -> None:
         """Telemetry for one completed transfer (callers check
         ``telemetry.enabled`` first, so the disabled case costs no call)."""
-        metrics = self.kernel.telemetry.metrics
-        metrics.inc("net.bytes_on_wire", nbytes, src=link.src, dst=link.dst)
-        metrics.inc("net.messages", src=link.src, dst=link.dst)
-        metrics.observe("net.transfer_seconds", seconds,
-                        src=link.src, dst=link.dst)
+        series = link.series
+        if series is None:
+            metrics = self.kernel.telemetry.metrics
+            ends = {"src": link.src, "dst": link.dst}
+            series = link.series = (
+                metrics.counter("net.bytes_on_wire").labels(**ends),
+                metrics.counter("net.messages").labels(**ends),
+                metrics.histogram("net.transfer_seconds").labels(**ends))
+        bytes_on_wire, messages, transfer_seconds = series
+        bytes_on_wire.inc(nbytes)
+        messages.inc()
+        transfer_seconds.observe(seconds)
 
     def transfer(self, src: str, dst: str, nbytes: int):
         """A process step that spends the transfer time and records stats.

@@ -9,6 +9,9 @@ readable or pre-optimisation twin of one product hot path:
   (dict-based events, a ``run()`` that calls its own ``step()`` once
   per event — the product kernel has one dispatch loop and no
   ``step``) and its timer workload;
+- :mod:`tests.oracles.metrics` — the metrics registry as one
+  dictionary per family that canonicalises the labels of every call
+  (``ReferenceRegistry``): no remembered label sets, no series objects;
 - :mod:`tests.oracles.web` — the simulated HTTP exchange before it
   became one pass (``ReferenceClient`` / ``ReferenceServer`` /
   ``ReferenceNetwork`` / ``ReferenceHost`` and

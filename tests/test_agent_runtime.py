@@ -359,6 +359,48 @@ class TestContextEdges:
         assert single_cluster.run(scenario()) == "done"
 
 
+class TestSenderIdentity:
+    """One frozen ``SenderInfo`` (and one ``AgentUri``) per residency."""
+
+    @staticmethod
+    def sender_of_next_send(cluster, ctx, collector):
+        run = cluster.kernel.run_process
+        assert run(ctx.send(AgentUri(name="collector"), Briefcase()))
+        return run(collector.recv(timeout=1)).sender
+
+    def test_sends_of_one_residency_share_the_sender_info(
+            self, single_cluster):
+        node = single_cluster.node("solo.test")
+        collector = node.driver(name="collector")
+        ctx = node.driver(name="feeder")
+        first = self.sender_of_next_send(single_cluster, ctx, collector)
+        assert first is self.sender_of_next_send(
+            single_cluster, ctx, collector)
+        assert first == SenderInfo(
+            principal=ctx.principal, host="solo.test", uri=ctx.uri,
+            authenticated=True)
+        assert first.uri is ctx.uri is node.firewall.uri_for(
+            ctx.registration)
+        assert str(first.uri) == \
+            f"tacoma://solo.test:27017/system/feeder:{ctx.instance}"
+
+    def test_another_registration_or_principal_is_another_sender(
+            self, single_cluster):
+        node = single_cluster.node("solo.test")
+        collector = node.driver(name="collector")
+        ctx = node.driver(name="feeder")
+        first = self.sender_of_next_send(single_cluster, ctx, collector)
+        ctx.attach(node.driver(name="understudy").registration,
+                   ctx.mailbox)
+        second = self.sender_of_next_send(single_cluster, ctx, collector)
+        assert second is not first and second.uri.name == "understudy"
+        assert second is self.sender_of_next_send(
+            single_cluster, ctx, collector)
+        ctx.principal = "alice"
+        third = self.sender_of_next_send(single_cluster, ctx, collector)
+        assert third.principal == "alice" and third.uri is second.uri
+
+
 class TestLaunch:
     """``AgentContext.launch``: the one client of the VM's reply
     contract (ack with a URI, or nack with a reason)."""

@@ -222,6 +222,17 @@ class TestRegistry:
         assert registry.remove(reg.agent_id) is None
         assert len(registry) == 0
 
+    def test_resident_count_is_per_principal(self):
+        registry = Registry()
+        registry.add(registration("a", "1", principal="alice"))
+        registry.add(registration("b", "2", principal="alice"))
+        gone = registry.add(registration("c", "3", principal="alice"))
+        registry.add(registration("d", "4", principal="bob"))
+        registry.remove(gone.agent_id)
+        assert registry.resident_count("alice") == 2
+        assert registry.resident_count("bob") == 1
+        assert registry.resident_count("carol") == 0
+
     def test_pause_buffers_and_resume_flushes(self):
         delivered = []
         reg = registration(delivered=delivered)

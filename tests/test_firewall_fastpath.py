@@ -31,6 +31,7 @@ from repro.firewall.policy import Policy  # noqa: E402
 from repro.firewall.routing import Registration, Registry  # noqa: E402
 from repro.obs.propagation import TraceContext  # noqa: E402
 from repro.system.cluster import TaxCluster  # noqa: E402
+from tests.test_obs_metrics import count_frames  # noqa: E402
 
 
 # -- Registry.matches ----------------------------------------------------------
@@ -354,3 +355,40 @@ def test_one_frame_stays_within_its_call_budget():
     assert calls <= FRAME_CALLS_BUDGET, (
         f"{calls} Python calls for one frame; {FRAME_CALLS_MEASURED} "
         f"when the budget of {FRAME_CALLS_BUDGET} was set")
+
+
+#: Frames inside ``repro/obs/metrics.py`` for one ``ctx.send`` across a
+#: link to a governed host, admitted and delivered, telemetry on: the
+#: thirteen series the send writes (three of the link, two of the
+#: forwarding firewall, five of the receiving one, one of the sending
+#: agent, the kernel's two), each through an object its owner holds.
+#: 38 when every write was ``registry.inc(name, **labels)``.
+SEND_METRIC_FRAMES = 13
+SEND_METRIC_FRAMES_BEFORE = 38
+
+
+def test_one_governed_send_writes_each_series_in_one_frame():
+    cluster = TaxCluster()
+    cluster.telemetry.enable()
+    governor = GovernorConfig(
+        queue_limits=QueueLimits(max_messages=64),
+        wire_limits=WireLimits(max_encoded_bytes=65_536))
+    cluster.add_node("target.example",
+                     policy=Policy(governor=governor)).driver(
+                         name="collector")
+    sender = cluster.add_node("source.example").driver(name="feeder")
+    cluster.network.link("source.example", "target.example")
+    target = AgentUri(host="target.example", name="collector")
+    delivered = cluster.telemetry.metrics.counter("fw.delivered").labels(
+        host="target.example")
+
+    def send():
+        briefcase = Briefcase()
+        briefcase.append("PAYLOAD", bytes(120))
+        assert cluster.kernel.run_process(sender.send(target, briefcase))
+
+    send()                      # first use: every series is resolved
+    calls = count_frames(send)
+    assert delivered.value == 2
+    assert calls <= SEND_METRIC_FRAMES <= SEND_METRIC_FRAMES_BEFORE // 2, (
+        f"{calls} frames in obs/metrics.py for one send")

@@ -2,17 +2,23 @@
 
 import json
 import math
+import os
+import sys
 
 import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
+    CounterSeries,
     Gauge,
+    GaugeSeries,
     Histogram,
+    HistogramSeries,
     MetricError,
     MetricsRegistry,
 )
+from repro.obs.openmetrics import render_openmetrics
 
 
 class TestCounter:
@@ -74,7 +80,7 @@ class TestCounter:
         registry.inc("c", path=["a", "b"])
         assert registry.value("c", path="['a', 'b']") == 2
 
-    def test_repeated_label_sets_are_memoised_per_keyword_order(self):
+    def test_repeated_label_sets_resolve_to_one_series_in_any_order(self):
         registry = MetricsRegistry()
         counter = registry.counter("c")
         for _ in range(3):
@@ -84,9 +90,12 @@ class TestCounter:
             counter.inc(a=1)
         assert counter.series() == {(("a", "1"), ("b", "2")): 6, (): 3,
                                     (("a", "1"),): 3}
-        assert counter._key_memo == {
-            (("a", "1"), ("b", "2")): (("a", "1"), ("b", "2")),
-            (("b", "2"), ("a", "1")): (("a", "1"), ("b", "2"))}
+        series = counter.labels(a="1", b="2")
+        assert series is counter.labels(b="2", a="1")
+        assert series is not counter.labels(a="1")
+        assert counter.labels(a=1) is counter.labels(a="1")
+        assert counter.labels() is counter.labels()
+        assert (series.value, counter.labels().value) == (6, 3)
 
     def test_counters_cannot_decrease(self):
         registry = MetricsRegistry()
@@ -265,20 +274,151 @@ class TestRegistry:
         [sample] = registry.snapshot()["x"]["samples"]
         assert sample["value"] == 2
 
-    def test_reset_drops_the_key_memo_with_the_series(self):
+    def test_reset_clears_held_series_and_later_writes_reappear(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("g")
-        gauge.set_max(7, host="a")
-        registry.inc("c", host="a")
-        registry.observe("h", 0.5, host="a")
-        families = [registry.get(name) for name in ("g", "c", "h")]
-        assert all(family._key_memo for family in families)
+        peak = registry.gauge("g").labels(host="a")
+        peak.set_max(7)
+        count = registry.counter("c").labels(host="a")
+        count.inc(5)
+        waits = registry.histogram("h").labels(host="a")
+        waits.observe(0.5)
         registry.reset()
-        assert not any(family._key_memo or family.series()
-                       for family in families)
-        gauge.set_max(3, host="a")
-        assert registry.snapshot()["g"]["samples"] == \
+        assert [s.value for s in (peak, count, waits)] == [None] * 3
+        assert [registry.get(name).series() for name in "gch"] == [{}] * 3
+        # Held series stay live, as held families do: the watermark and
+        # the total start over instead of leaking into the next run.
+        peak.set_max(3)
+        count.inc()
+        assert registry.gauge("g").labels(host="a") is peak
+        snapshot = registry.snapshot()
+        assert snapshot["g"]["samples"] == \
             [{"labels": {"host": "a"}, "value": 3}]
+        assert snapshot["c"]["samples"] == \
+            [{"labels": {"host": "a"}, "value": 1}]
+        assert snapshot["h"]["samples"] == []
+
+
+class TestSeries:
+    def test_each_kind_hands_out_its_series_class(self):
+        registry = MetricsRegistry()
+        assert type(registry.counter("c").labels()) is CounterSeries
+        assert type(registry.gauge("g").labels()) is GaugeSeries
+        assert type(registry.histogram("h").labels()) is HistogramSeries
+
+    def test_writes_through_a_series_are_the_family_s(self):
+        registry = MetricsRegistry()
+        total = registry.counter("c").labels(host="a")
+        total.inc()
+        total.inc(2.5)
+        depth = registry.gauge("g").labels(host="a")
+        depth.set(10)
+        depth.add(-3)
+        depth.set_max(5)
+        depth.set_max(9)
+        lat = registry.histogram("h", buckets=(1, 2)).labels(host="a")
+        lat.observe(1.5)
+        assert registry.value("c", host="a") == 3.5
+        assert registry.value("g", host="a") == 9
+        [sample] = registry.get("h").samples()
+        assert sample["value"]["buckets"] == {"1": 0, "2": 1, "+inf": 0}
+        with pytest.raises(ValueError, match="'c' cannot decrease"):
+            total.inc(-1)
+
+    def test_an_unwritten_or_reset_series_is_absent_everywhere(self):
+        registry = MetricsRegistry()
+        held = [registry.counter("c").labels(host="a"),
+                registry.gauge("g").labels(host="a"),
+                registry.histogram("h").labels(host="a")]
+
+        def assert_absent():
+            for name in "cgh":
+                family = registry.get(name)
+                assert family.samples() == [] and family.series() == {}
+                assert family.value(host="a") is None
+                assert registry.value(name, "gone", host="a") == "gone"
+            assert registry.collect("") == []
+            assert [f["samples"] for f in registry.snapshot().values()] \
+                == [[], [], []]
+            assert render_openmetrics(registry.snapshot()) == (
+                "# TYPE c counter\n# TYPE g gauge\n"
+                "# TYPE h histogram\n# EOF\n")
+
+        assert_absent()
+        held[0].inc()
+        held[1].set(0)
+        held[2].observe(0.5)
+        assert len(registry.collect("", host="a")) == 3
+        registry.reset()
+        assert_absent()
+
+    def test_non_str_label_values_land_where_label_key_says(self):
+        class Loud(str):
+            def __str__(self):
+                return self.upper()
+
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        for value in (1, True, 1.0, Loud("x"), "x", 1):
+            counter.labels(n=value).inc()
+        assert counter.series() == {(("n", "1"),): 2, (("n", "True"),): 1,
+                                    (("n", "1.0"),): 1, (("n", "X"),): 1,
+                                    (("n", "x"),): 1}
+        assert counter.labels(n=["a"]) is counter.labels(n="['a']")
+
+    def test_a_held_series_follows_the_switch(self):
+        registry = MetricsRegistry(enabled=False)
+        series = registry.counter("c").labels(host="a")
+        series.inc()
+        assert series.value is None
+        registry.enabled = True
+        series.inc()
+        registry.enabled = False
+        series.inc()
+        assert registry.value("c", host="a") == 1
+
+
+def count_frames(write, *args, **kwargs):
+    """Python frames (``sys.setprofile`` call events) one write spends
+    in ``obs/metrics.py`` — a ``gc.callbacks`` hook that happens to run
+    meanwhile is not the write's."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.endswith(
+                os.path.join("repro", "obs", "metrics.py")):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        write(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestFrameBudget:
+    """``layer.obs.metrics.calls_per_op`` of the repo benchmark, for
+    one write, where CI runs it."""
+
+    def test_a_held_write_is_one_frame(self):
+        registry = MetricsRegistry()
+        writes = [(registry.counter("c").labels(a="1", b="2").inc, 1),
+                  (registry.gauge("g").labels(a="1", b="2").set, 1),
+                  (registry.histogram("h").labels(a="1", b="2").observe,
+                   0.5)]
+        for write, value in writes:
+            write(value)            # the histogram's first-write state
+            assert count_frames(write, value) == 1
+
+    def test_a_write_by_name_is_at_most_three(self):
+        registry = MetricsRegistry()
+        for write in (registry.inc, registry.set_gauge, registry.observe):
+            name = write.__name__
+            for labels in ({"a": "1", "b": "2"}, {}):
+                write(name, 1, **labels)    # family, series, memo entry
+                assert count_frames(write, name, 1, **labels) <= 3
 
 
 class TestDisabledRegistry:
@@ -295,7 +435,7 @@ class TestDisabledRegistry:
         counter.inc(100)
         assert counter.value() is None
 
-    def test_disabled_recorders_leave_every_memo_empty(self):
+    def test_disabled_registry_stores_nothing_through_any_route(self):
         registry = MetricsRegistry(enabled=False)
         counter = registry.counter("c")
         gauge = registry.gauge("g")
@@ -308,10 +448,18 @@ class TestDisabledRegistry:
         gauge.add(1, host="a")
         gauge.set_max(1, host="a")
         histogram.observe(0.5, host="a")
+        counter.labels(host="a").inc()
+        gauge.labels(host="a").set(1)
+        gauge.labels(host="a").add(1)
+        gauge.labels(host="a").set_max(1)
+        histogram.labels(host="a").observe(0.5)
         for family in (counter, gauge, histogram):
-            assert family.series() == {} and family._key_memo == {}
+            assert family.series() == {} and family.samples() == []
+            assert family.labels(host="a").value is None
         registry.inc("never.declared", host="a")
         assert registry.get("never.declared") is None
+        registry.enabled = True
+        assert registry.collect("") == []
 
     def test_reenabling_records_again(self):
         registry = MetricsRegistry(enabled=False)

@@ -289,6 +289,30 @@ class TestGovernor:
         with pytest.raises(QuotaExceededError):
             governor.admit_cabinet("alice", 50, 51)
 
+    def test_resident_quota_through_register_agent(self):
+        from repro.firewall.policy import Policy
+        from repro.system.cluster import TaxCluster
+
+        cluster = TaxCluster()
+        node = cluster.add_node("h.example", policy=Policy(
+            governor=GovernorConfig(
+                default_quota=QuotaSpec(max_resident_agents=2))))
+        residents_before = len(node.firewall.registry)
+        node.driver(name="a1", principal="alice")
+        second = node.driver(name="a2", principal="alice")
+        with pytest.raises(
+                QuotaExceededError,
+                match=r"'alice' at h.example: 2 resident agents already "
+                      r"\(quota 2\)"):
+            node.driver(name="a3", principal="alice")
+        assert node.firewall.governor.rejections == {"resident-agents": 1}
+        # Another principal has its own count; the system has no quota.
+        node.driver(name="b1", principal="bob")
+        node.driver(name="s1")
+        node.firewall.unregister_agent(second.registration.agent_id)
+        node.driver(name="a3", principal="alice")
+        assert len(node.firewall.registry) == residents_before + 4
+
     def test_snapshot_is_deterministic_and_jsonable(self):
         import json
         governor, _ = self.governor(

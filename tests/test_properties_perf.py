@@ -1,5 +1,5 @@
 """Property tests for the codec fast paths, the encoding cache, the
-metrics label-key memo and the kernel's drains.
+metrics registry's held series and the kernel's drains.
 
 Four invariants underwrite the hot-path work:
 
@@ -9,8 +9,10 @@ Four invariants underwrite the hot-path work:
 2. Cache soundness: every mutating ``Folder`` / ``Briefcase`` operation
    invalidates the cached encoding, so ``encode`` never serves stale
    bytes.
-3. Memo invisibility: a metrics registry that remembers canonical label
-   keys records exactly what one that canonicalises on every call does.
+3. Series invisibility: writing by name, through a held family or
+   through series held across resets and switches records exactly what
+   a registry that canonicalises the labels of every call does, and
+   raises what it raises.
 4. Drain invisibility: the kernel's one dispatch loop fires any
    schedule in the same order, to the same instant and count, with or
    without a bound and with telemetry on or off; ``run(until=…)`` and
@@ -20,23 +22,24 @@ Four invariants underwrite the hot-path work:
 
 import json
 import string
-from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (  # noqa: E402
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 from repro.core import codec  # noqa: E402
 from repro.core.briefcase import Briefcase  # noqa: E402
-from repro.obs.metrics import (  # noqa: E402
-    Metric,
-    MetricsRegistry,
-    _label_key,
-)
+from repro.obs.metrics import MetricError, MetricsRegistry  # noqa: E402
 from repro.obs.telemetry import Telemetry  # noqa: E402
 from repro.sim.eventloop import Kernel  # noqa: E402
 from tests.oracles.codec import reference_decode  # noqa: E402
+from tests.oracles.metrics import ReferenceRegistry  # noqa: E402
 
 folder_names = st.text(
     alphabet=string.ascii_letters + string.digits + "-_.",
@@ -169,48 +172,114 @@ label_items = st.dictionaries(
     st.sampled_from(["a", "b"]), label_values, max_size=2,
 ).flatmap(lambda labels: st.permutations(list(labels.items())))
 
-RECORDERS = ["inc", "set_gauge", "observe", "Counter.inc", "Gauge.set",
-             "Gauge.add", "Gauge.set_max", "Histogram.observe"]
+#: One step of a registry's life: a write (the op names of
+#: ``ReferenceRegistry.OPS``), the per-run reset, the switch, or an
+#: attempt to use the counter as a gauge.
+WRITES = ["inc", "set", "add", "set_max", "observe"]
+STEPS = WRITES * 5 + ["reset", "reset", "disable", "enable", "conflict"]
 
-#: (recorder, value, label items in the keyword order of the call); long
+#: (step, value, label items in the keyword order of the call); long
 #: enough that most calls repeat, or collide with, an earlier label set.
+#: -1 is the amount a counter refuses.
 metric_calls = st.lists(
     st.tuples(
-        st.sampled_from(RECORDERS * 4 + ["reset"]),
-        st.integers(min_value=0, max_value=9),
+        st.sampled_from(STEPS),
+        st.integers(min_value=-1, max_value=9),
         label_items),
     min_size=20, max_size=60)
 
+#: write op → the family each route writes it to.
+FAMILY_OF = {"inc": "c", "set": "g", "add": "g", "set_max": "g",
+             "observe": "h"}
+H_BUCKETS = (1, 4, 8)
 
-def replay(calls) -> str:
-    """Feed ``calls`` to a fresh registry; its snapshot as JSON."""
-    registry = MetricsRegistry()
-    held = {"Counter.inc": registry.counter("c.held").inc,
-            "Gauge.set": registry.gauge("g.held").set,
-            "Gauge.add": registry.gauge("g.held").add,
-            "Gauge.set_max": registry.gauge("g.held").set_max,
-            "Histogram.observe": registry.histogram(
-                "h.held", buckets=(1, 4, 8)).observe}
-    for recorder, value, items in calls:
+
+def by_name(registry):
+    """Every write looks its family up by name: the registry's three
+    recorders, and get-or-create for the two ops they do not cover."""
+    def write(op, value, items):
         labels = dict(items)
-        if recorder == "reset":
-            registry.reset()
-        elif recorder in held:
-            held[recorder](value, **labels)
+        if op == "inc":
+            registry.inc("c", value, **labels)
+        elif op == "set":
+            registry.set_gauge("g", value, **labels)
+        elif op == "observe":
+            registry.observe("h", value, **labels)
         else:
-            getattr(registry, recorder)(recorder, value, **labels)
-    return json.dumps(registry.snapshot(), sort_keys=True)
+            getattr(registry.gauge("g"), op)(value, **labels)
+    return write
 
 
-class TestLabelKeyMemo:
+def by_family(registry):
+    """Family objects held across the whole call list."""
+    held = {"c": registry.counter("c"), "g": registry.gauge("g"),
+            "h": registry.histogram("h")}
+
+    def write(op, value, items):
+        getattr(held[FAMILY_OF[op]], op)(value, **dict(items))
+    return write
+
+
+def by_series(registry):
+    """Series objects resolved once per label set *as passed* and held
+    across the whole call list — resets, switches and all."""
+    held = {}
+
+    def write(op, value, items):
+        name = FAMILY_OF[op]
+        key = (name, repr(items))
+        if key not in held:
+            held[key] = registry.get(name).labels(**dict(items))
+        getattr(held[key], op)(value)
+    return write
+
+
+def by_reference(reference):
+    def write(op, value, items):
+        reference.write(op, FAMILY_OF[op], value, dict(items))
+    return write
+
+
+def replay(calls, registry, route):
+    """Feed ``calls`` to ``registry`` through ``route``: what each call
+    raised, and the final snapshot as JSON."""
+    registry.counter("c")
+    registry.gauge("g")
+    registry.histogram("h", buckets=H_BUCKETS)
+    write = route(registry)
+    raised = []
+    for step, value, items in calls:
+        try:
+            if step == "reset":
+                registry.reset()
+            elif step in ("disable", "enable"):
+                registry.enabled = step == "enable"
+            elif step == "conflict":
+                registry.gauge("c")
+            else:
+                write(step, value, items)
+        except (MetricError, ValueError) as exc:
+            raised.append((type(exc).__name__, str(exc)))
+        else:
+            raised.append(None)
+    return raised, json.dumps(registry.snapshot(), sort_keys=True)
+
+
+class TestHeldSeriesAreTheRegistry:
     @given(calls=metric_calls)
+    @example(calls=[(op, 2, [("a", value)]) for op in WRITES
+                    for value in (1, True, 1.0, "1")]
+             + [("reset", 0, []), ("inc", 1, [("a", True)]),
+                ("disable", 0, []), ("inc", -1, [("a", 1)]),
+                ("enable", 0, []), ("inc", -1, [("a", 1)]),
+                ("conflict", 0, []), ("set_max", 0, [("b", "x"), ("a", 1)]),
+                ("set_max", -1, [("a", 1), ("b", "x")])])
     @settings(max_examples=200, deadline=None)
-    def test_memoised_registry_matches_canonicalising_every_call(
-            self, calls):
-        with mock.patch.object(
-                Metric, "_key", lambda self, labels: _label_key(labels)):
-            reference = replay(calls)
-        assert replay(calls) == reference
+    def test_every_route_matches_canonicalising_every_call(self, calls):
+        reference = replay(calls, ReferenceRegistry(), by_reference)
+        for route in (by_name, by_family, by_series):
+            assert replay(calls, MetricsRegistry(), route) == reference, \
+                route.__name__
 
 
 #: Few distinct delays, so that instants tie across timers, their

@@ -522,6 +522,47 @@ class TestSlotsAndFastDrain:
                                           default=0)
         assert counted == 199
 
+    def test_telemetry_switched_off_mid_drain_keeps_what_was_counted(self):
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry(enabled=True)
+        kernel = Kernel(telemetry=telemetry)
+        for i in range(300):
+            kernel.timeout(float(i))
+        kernel.timeout(100.5).add_callback(lambda _e: telemetry.disable())
+        kernel.run()
+        assert kernel.processed_events == 301
+        # The 101 + 1 events up to and including the one that switched
+        # telemetry off were seen with it on; the depth is the one
+        # after that event's pop.  Both are written when the loop
+        # returns, by which time the registry is disabled.
+        assert not telemetry.metrics.enabled
+        metrics = telemetry.metrics
+        assert metrics.value("kernel.events_dispatched") == 102
+        assert metrics.value("kernel.heap_depth") == 199
+
+    def test_kernel_series_are_written_when_the_loop_returns(self):
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry(enabled=True)
+        kernel = Kernel(telemetry=telemetry)
+        seen = []
+        for i in range(5):
+            kernel.timeout(float(i)).add_callback(
+                lambda _e: seen.append(telemetry.metrics.value(
+                    "kernel.events_dispatched", default=0)))
+        kernel.run(max_events=2)
+        kernel.run()
+        # A reader inside a callback sees the value as of the previous
+        # return; after a return it is exact.
+        assert seen == [0, 0, 2, 2, 2]
+        assert telemetry.metrics.value("kernel.events_dispatched") == 5
+        assert telemetry.metrics.value("kernel.heap_depth") == 0
+        telemetry.metrics.reset()
+        kernel.timeout(1.0)
+        kernel.run()
+        assert telemetry.metrics.value("kernel.events_dispatched") == 1
+
     def test_callback_error_leaves_heap_consistent(self):
         kernel = Kernel()
         fired = []
@@ -539,10 +580,14 @@ class TestSlotsAndFastDrain:
         assert kernel.processed_events == 101
 
 
-#: Python frames the kernel spends per dispatched event: ``_fire`` alone
-#: with telemetry off; with it on, ``inc`` and ``set_gauge`` and a
-#: ``Metric._key`` under each.
-DISPATCH_FRAMES = {False: 1, True: 5}
+#: Python frames the kernel spends per dispatched event: ``_fire``
+#: alone, telemetry on or off — the two kernel series are written once
+#: per ``_dispatch`` call.
+DISPATCH_FRAMES = {False: 1, True: 1}
+
+#: Frames not per event: ``run`` and ``_dispatch``; with telemetry on,
+#: ``_record_dispatched`` and its two series writes.
+DISPATCH_CALL_FRAMES = {False: 2, True: 5}
 
 
 @pytest.mark.parametrize("bounds", [{}, {"max_events": 10**9}],
@@ -575,8 +620,8 @@ def test_dispatch_stays_within_its_frame_budget(telemetry, bounds):
     finally:
         sys.setprofile(previous)
     assert kernel.processed_events == events + 1
-    # ``run`` and ``_dispatch`` are the two frames not per event.
-    assert calls <= events * DISPATCH_FRAMES[telemetry] + 2
+    assert calls <= events * DISPATCH_FRAMES[telemetry] \
+        + DISPATCH_CALL_FRAMES[telemetry]
 
 
 class TestCombinatorEdges:
