@@ -8,6 +8,10 @@ and will be waiting when it lands.
 
 Each queued message carries its own expiry; when an agent registers, the
 firewall offers it every queued message and delivers the matching ones.
+A queue keeps **one** kernel timer, armed for the earliest deadline
+among its parked messages — a parked message is a list entry, not a
+process — and messages that fall due at the same instant expire in the
+order they were parked.
 
 The queue is **bounded and backpressured**: configurable capacity in
 both message count and encoded bytes (:class:`~repro.core.limits.
@@ -57,26 +61,32 @@ from repro.firewall.governor import (
 )
 from repro.firewall.message import Message
 from repro.obs.propagation import link_args
-from repro.sim.eventloop import Kernel
+from repro.sim.eventloop import Event, Kernel
 
 #: Retained dead-letter records per queue (kept as the historical name;
 #: the limit is per-queue configurable now).
 DEAD_LETTER_LIMIT = DEFAULT_DEAD_LETTER_LIMIT
 
 
-@dataclass
+@dataclass(eq=False)
 class _Pending:
+    """One parked message.  An entry is itself (``eq=False``): finding
+    or removing it in the queue compares identities, never messages and
+    briefcases field by field."""
+
+    __slots__ = ("message", "enqueued_at", "expires_at", "wire_bytes",
+                 "retransmits", "park_id", "span")
+
     message: Message
     enqueued_at: float
     expires_at: float
-    wire_bytes: int = 0
-    expired: bool = False
-    span: object = None
+    wire_bytes: int
     #: Times this message has already been retransmitted after dying.
-    retransmits: int = 0
+    retransmits: int
     #: Per-queue monotonic park id; park / claim / dead-letter change
     #: events (and so the write-ahead journal's records) are keyed by it.
-    park_id: int = 0
+    park_id: int
+    span: object
 
 
 @dataclass
@@ -108,6 +118,14 @@ class PendingQueue:
     firewall's track (``host`` label), closed with the outcome —
     delivered, expired, evicted, or crashed — so queue residency is
     visible in traces.
+
+    Expiry is one kernel :class:`~repro.sim.eventloop.Timeout` per
+    queue, not a process per message: :meth:`park` arms it when the
+    queue was empty or the new message falls due before the armed
+    deadline, and when it fires every message due by then expires,
+    oldest park first, and it is re-armed for the earliest deadline
+    left.  The kernel has no cancel: a superseded timer, or one whose
+    queue was emptied meanwhile, still fires — onto nothing.
     """
 
     def __init__(self, kernel: Kernel,
@@ -131,6 +149,11 @@ class PendingQueue:
         self.log = log
         self._pending: List[_Pending] = []
         self._bytes = 0
+        #: The armed expiry timer and the deadline it was armed for,
+        #: never later than any parked ``expires_at`` while a message
+        #: is parked.  A timer this no longer names fires stale.
+        self._timer: Optional[Event] = None
+        self._timer_deadline = 0.0
         self.changes = changes if changes is not None else ChangeStream()
         #: Next park id (monotonic across restarts — replay re-anchors
         #: it from the journal).
@@ -265,26 +288,28 @@ class PendingQueue:
         # that is neither accepted nor rejected yet.
         self.offered += 1
         self.accepted += 1
+        kernel = self.kernel
+        # The clock's field, not the ``now`` property: a park that arms
+        # no timer spends no frame in the kernel.
+        now = kernel._now
+        expires_at = now + message.queue_timeout
         entry = _Pending(
-            message=message,
-            enqueued_at=self.kernel.now,
-            expires_at=self.kernel.now + message.queue_timeout,
-            wire_bytes=wire_bytes,
-            retransmits=retransmits,
-            park_id=self.park_seq)
+            message, now, expires_at, wire_bytes, retransmits, self.park_seq,
+            kernel.telemetry.tracer.begin(
+                "fw.queue_wait", category="fw", track=f"fw:{self.host}",
+                target=str(message.target), **link_args(message.trace)))
         self.park_seq += 1
-        entry.span = self.kernel.telemetry.tracer.begin(
-            "fw.queue_wait", category="fw", track=f"fw:{self.host}",
-            target=str(message.target), **link_args(message.trace))
         self._pending.append(entry)
         self._bytes += wire_bytes
         if self.changes.sinks:
             self.changes.emit(
                 "queue-park", message=message, park=entry.park_id,
-                expires_at=entry.expires_at, retransmits=retransmits)
+                expires_at=expires_at, retransmits=retransmits)
         self._update_watermarks()
-        self.kernel.spawn(self._expiry_watch(entry),
-                          name=f"queue-ttl:{message.target}")
+        # A queue that was empty has no timer worth keeping: whatever
+        # was armed for the messages that left it fires stale.
+        if len(self._pending) == 1 or expires_at < self._timer_deadline:
+            self._arm(expires_at)
 
     def _observe_wait(self, entry: _Pending, outcome: str) -> None:
         telemetry = self.kernel.telemetry
@@ -334,18 +359,36 @@ class PendingQueue:
                                   reason=reason)
         return record
 
-    def _expiry_watch(self, entry: _Pending):
-        yield self.kernel.timeout(entry.expires_at - self.kernel.now)
-        if entry in self._pending:
+    def _arm(self, deadline: float) -> None:
+        """Point the queue's one expiry timer at ``deadline``."""
+        kernel = self.kernel
+        self._timer = kernel.timeout(deadline - kernel._now)
+        self._timer_deadline = deadline
+        self._timer.add_callback(self._on_timer)
+
+    def _on_timer(self, timer: Event) -> None:
+        """Expire what is due, oldest park first; re-arm for the rest."""
+        if timer is not self._timer:
+            return
+        self._timer = None
+        # The timer fires at ``armed_at + (deadline - armed_at)``, which
+        # can round to an ulp short of ``deadline``: the message it was
+        # armed for is due when its timer fires, whatever the clock says.
+        due = max(self.kernel.now, self._timer_deadline)
+        for entry in [e for e in self._pending if e.expires_at <= due]:
+            # One at a time, as separate timers would: a change sink
+            # that snapshots the queue at this entry's dead letter
+            # still finds the later ones parked.
             self._pending.remove(entry)
             self._bytes -= entry.wire_bytes
-            entry.expired = True
             self.expired_count += 1
             self._observe_wait(entry, "expired")
             self._dead_letter(entry, "expired")
             self._update_watermarks()
             if self.on_expire is not None:
                 self.on_expire(entry.message)
+        if self._pending:
+            self._arm(min(entry.expires_at for entry in self._pending))
 
     def claim(self, accepts: Callable[[AgentUri], bool]) -> List[Message]:
         """Remove and return all queued messages whose target the new

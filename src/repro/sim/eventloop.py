@@ -32,17 +32,32 @@ Hot paths (see ``docs/performance.md`` §2): event classes use
 :meth:`Kernel.run_until` only pass it their bounds.  Per event the loop
 pops the heap, checks the instant, advances the clock, counts — in two
 more locals while telemetry is enabled — and fires: one Python frame
-per event, telemetry on or off.  The kernel's two series are written
-once, when the loop returns.  There is no second regime to choose — a
-fast path stays only where a benchmark workload reaches it.  Tier-1
-holds the loop to one firing order with and without bounds and
-telemetry (``tests/test_sim_eventloop.py``) and to the pre-optimisation
+per *dispatch* (``_fire``), telemetry on or off.  The kernel's two
+series are written once, when the loop returns.  There is no second
+regime to choose — a fast path stays only where a benchmark workload
+reaches it.
+
+The frames around a dispatch are per *creation* and per *resume*, and
+the three hot event kinds write their lives out: ``Timeout.__init__``
+and ``Process.__init__`` store the four :class:`Event` fields and push
+themselves, the process bootstrap is built with its callback in place,
+``succeed`` / ``fail`` push, and ``Process._resume`` reads fields and
+appends itself to the event it was handed.  ``triggered``, ``ok``,
+``add_callback``, :meth:`Kernel._post` and ``Process._wait_for`` remain
+the API and say what the written-out lines mean; the hot methods do not
+call them.  The rule: every event gets the ``(time, sequence)`` the
+helpers would have given it — one bump of ``_sequence`` per push, in
+the same order — so nothing fires earlier or later than before.
+
+Tier-1 holds the loop to one firing order with and without bounds and
+telemetry, and each primitive to a frame budget
+(``tests/test_sim_eventloop.py``), and the loop to the pre-optimisation
 kernel in ``tests/oracles/kernel.py``.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.obs.telemetry import Telemetry
@@ -123,21 +138,25 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._value = value
-        self.kernel._post(self)
+        kernel = self.kernel
+        heappush(kernel._heap, (kernel._now, kernel._sequence, self))
+        kernel._sequence += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
         self._value = None
-        self.kernel._post(self)
+        kernel = self.kernel
+        heappush(kernel._heap, (kernel._now, kernel._sequence, self))
+        kernel._sequence += 1
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -176,12 +195,18 @@ class Timeout(Event):
     __slots__ = ("delay", "_deferred_value")
 
     def __init__(self, kernel: "Kernel", delay: float, value: Any = None):
-        if delay < 0:
+        # ``not >=`` rather than ``<``: NaN must not reach the heap,
+        # where it orders against nothing and would become the clock.
+        if not delay >= 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(kernel)
+        self.kernel = kernel
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
         self.delay = delay
         self._deferred_value = value
-        kernel._post(self, delay=delay)
+        heappush(kernel._heap, (kernel._now + delay, kernel._sequence, self))
+        kernel._sequence += 1
 
     def _fire(self) -> None:
         if self._value is _PENDING and self._exception is None:
@@ -261,16 +286,24 @@ class Process(Event):
     __slots__ = ("generator", "name", "_waiting_on")
 
     def __init__(self, kernel: "Kernel", generator: Generator, name: str = ""):
-        super().__init__(kernel)
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"spawn() requires a generator, got {generator!r}")
+        self.kernel = kernel
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        # Kick off the process at the current instant.
-        bootstrap = Event(kernel)
-        bootstrap.add_callback(self._resume)
-        bootstrap.succeed(None)
+        # Kick off the process at the current instant: an event already
+        # succeeded with None, whose one callback is the first resume.
+        bootstrap = Event.__new__(Event)
+        bootstrap.kernel = kernel
+        bootstrap.callbacks = [self._resume]
+        bootstrap._value = None
+        bootstrap._exception = None
+        heappush(kernel._heap, (kernel._now, kernel._sequence, bootstrap))
+        kernel._sequence += 1
 
     @property
     def is_alive(self) -> bool:
@@ -292,9 +325,10 @@ class Process(Event):
         wake.succeed(None)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return
-        if self._waiting_on is not None and event is not self._waiting_on:
+        waiting_on = self._waiting_on
+        if waiting_on is not None and event is not waiting_on:
             # Stale wake-up: the process was interrupted (or re-waited)
             # while this event was pending and has since moved on to a
             # different target.  Resuming here would send the wrong
@@ -302,10 +336,12 @@ class Process(Event):
             return
         self._waiting_on = None
         try:
-            if event.ok:
+            # ``event`` has fired, so it is triggered: it succeeded
+            # unless it carries an exception.
+            if event._exception is None:
                 target = self.generator.send(event._value)
             else:
-                target = self.generator.throw(event.exception)
+                target = self.generator.throw(event._exception)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -316,7 +352,17 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - escaping process error
             self.fail(exc)
             return
-        self._wait_for(target)
+        if isinstance(target, Event) and target.kernel is self.kernel:
+            # :meth:`_wait_for`, written out for the one case a running
+            # simulation takes.
+            self._waiting_on = target
+            callbacks = target.callbacks
+            if callbacks is None:
+                self._resume(target)
+            else:
+                callbacks.append(self._resume)
+        else:
+            self._wait_for(target)
 
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:
@@ -354,7 +400,14 @@ class Process(Event):
 
 
 class Kernel:
-    """The event loop: a heap of (time, sequence, event) triples."""
+    """The event loop: a heap of (time, sequence, event) triples.
+
+    ``processed_events`` and the two series ``kernel.events_dispatched``
+    / ``kernel.heap_depth`` count what owners scheduled, not what it
+    meant: an owner that needs fewer events for the same behaviour (a
+    pending queue arms one expiry timer where it once ran a process per
+    parked message) reads lower here and nowhere else.
+    """
 
     def __init__(self, start_time: float = 0.0,
                  telemetry: Optional[Telemetry] = None):
@@ -405,7 +458,14 @@ class Kernel:
     # -- scheduling ----------------------------------------------------------
 
     def _post(self, event: Event, delay: float = 0.0) -> None:
-        heapq.heappush(self._heap, (self._now + delay, self._sequence, event))
+        """Schedule ``event`` to fire ``delay`` from now, after every
+        event already scheduled for that instant.
+
+        :class:`Timeout`, :class:`Process`, :meth:`Event.succeed` and
+        :meth:`Event.fail` write this push out; every way onto the heap
+        bumps ``_sequence`` once, so scheduling order is firing order.
+        """
+        heappush(self._heap, (self._now + delay, self._sequence, event))
         self._sequence += 1
 
     # -- execution -----------------------------------------------------------
@@ -429,7 +489,7 @@ class Kernel:
             raise SimulationError("kernel is already running (re-entrant run)")
         self._running = True
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         telemetry = self.telemetry
         count = self.processed_events
         limit = None if max_events is None else count + max_events

@@ -9,6 +9,10 @@ readable or pre-optimisation twin of one product hot path:
   (dict-based events, a ``run()`` that calls its own ``step()`` once
   per event — the product kernel has one dispatch loop and no
   ``step``) and its timer workload;
+- :mod:`tests.oracles.msgqueue` — the pending queue with a
+  ``queue-ttl:*`` watcher process and a ``Timeout`` per parked message
+  (``ReferencePendingQueue``), where the product arms one timer per
+  queue;
 - :mod:`tests.oracles.metrics` — the metrics registry as one
   dictionary per family that canonicalises the labels of every call
   (``ReferenceRegistry``): no remembered label sets, no series objects;

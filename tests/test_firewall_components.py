@@ -287,3 +287,87 @@ class TestPendingQueue:
         queue.park(second)
         claimed = queue.claim(lambda target: True)
         assert claimed == [first, second]
+
+
+class TestPendingQueueExpiryTimer:
+    """One kernel timer per queue stands in for a watcher per message."""
+
+    def test_a_later_park_with_an_earlier_deadline_expires_first(
+            self, kernel):
+        expired = []
+        queue = PendingQueue(
+            kernel, on_expire=lambda m: expired.append(
+                (kernel.now, m.target.name)))
+        queue.park(message(target="slow", timeout=10.0))
+        superseded = queue._timer
+        kernel.run(until=1)
+        queue.park(message(target="fast", timeout=2.0))
+        assert queue._timer is not superseded
+        kernel.run(until=5)
+        assert expired == [(3, "fast")]
+        # The superseded timer is still on the heap (the kernel has no
+        # cancel); at t=10 it does nothing, and the live one expires
+        # "slow" once.
+        kernel.run()
+        assert superseded.processed
+        assert expired == [(3, "fast"), (10, "slow")]
+        assert queue.expired_count == 2 and len(queue) == 0
+
+    def test_the_timer_rearms_after_a_partial_expiry(self, kernel):
+        expired = []
+        queue = PendingQueue(
+            kernel, on_expire=lambda m: expired.append(
+                (kernel.now, m.target.name)))
+        for name, ttl in (("a", 2.0), ("b", 5.0), ("c", 2.0), ("d", 9.0)):
+            queue.park(message(target=name, timeout=ttl))
+        first = queue._timer
+        kernel.run(until=2)
+        # Same-instant expiries leave in park order; the rest stay.
+        assert expired == [(2, "a"), (2, "c")]
+        assert [t.name for t in queue.peek_targets()] == ["b", "d"]
+        assert queue._timer is not first and queue._timer_deadline == 5.0
+        kernel.run()
+        assert expired == [(2, "a"), (2, "c"), (5, "b"), (9, "d")]
+        assert queue._timer is None
+        # Four parks, three instants: three timers, nothing else.
+        assert kernel.processed_events == 3
+
+    @pytest.mark.parametrize("empty", [
+        lambda queue: queue.claim(lambda target: True),
+        lambda queue: queue.crash_flush(),
+        lambda queue: queue.restore_durable({}, [], 1),
+    ], ids=["claim", "crash_flush", "restore_durable"])
+    def test_an_emptied_queue_leaves_a_timer_that_fires_onto_nothing(
+            self, kernel, empty):
+        expired = []
+        queue = PendingQueue(kernel, on_expire=expired.append)
+        queue.park(message(timeout=4.0))
+        stale = queue._timer
+        empty(queue)
+        kernel.run(until=1)
+        # The next park arms its own timer, even for a later deadline:
+        # the armed one belonged to messages that have left.
+        queue.park(message(target="next", timeout=5.0))
+        assert queue._timer is not stale
+        before = queue.accounting(), list(queue.dead_letters)
+        kernel.run(until=4)
+        assert stale.processed and expired == []
+        assert (queue.accounting(), queue.dead_letters) == before
+        kernel.run()
+        assert [m.target.name for m in expired] == ["next"]
+        assert kernel.now == 6
+
+    def test_no_process_lives_per_parked_message(self, kernel):
+        from repro.sim.eventloop import Process, Timeout
+
+        queue = PendingQueue(kernel)
+        for index in range(100):
+            queue.park(message(target=f"t{index}"))
+        # A hundred open parks, one deadline order: one event on the
+        # heap, and it is a plain timeout.
+        assert [type(event) for _when, _seq, event in kernel._heap] == \
+            [Timeout]
+        kernel.run(until=1)
+        assert kernel.processed_events == 0
+        assert not any(isinstance(event, Process)
+                       for _when, _seq, event in kernel._heap)

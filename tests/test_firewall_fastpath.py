@@ -32,6 +32,7 @@ from repro.firewall.routing import Registration, Registry  # noqa: E402
 from repro.obs.propagation import TraceContext  # noqa: E402
 from repro.system.cluster import TaxCluster  # noqa: E402
 from tests.test_obs_metrics import count_frames  # noqa: E402
+from tests.test_sim_eventloop import count_kernel_frames  # noqa: E402
 
 
 # -- Registry.matches ----------------------------------------------------------
@@ -392,3 +393,43 @@ def test_one_governed_send_writes_each_series_in_one_frame():
     assert delivered.value == 2
     assert calls <= SEND_METRIC_FRAMES <= SEND_METRIC_FRAMES_BEFORE // 2, (
         f"{calls} frames in obs/metrics.py for one send")
+
+
+#: Frames inside ``repro/sim/eventloop.py`` for one ``PendingQueue.park``:
+#: none when the queue's armed deadline already covers the new message
+#: (the clock is read as a field), and ``Kernel.timeout`` ->
+#: ``Timeout.__init__`` plus ``add_callback`` when the park arms the
+#: timer.  A ``queue-ttl:*`` watcher per message was 8 for its spawn and
+#: another 19 before it slept on its timeout.
+PARK_KERNEL_FRAMES = 0
+PARK_ARMING_KERNEL_FRAMES = 3
+
+
+@pytest.mark.parametrize("telemetry", [False, True],
+                         ids=["telemetry-off", "telemetry-on"])
+def test_a_park_spends_kernel_frames_only_to_arm_the_timer(telemetry):
+    from repro.firewall.msgqueue import PendingQueue
+    from repro.obs.telemetry import Telemetry
+    from repro.sim.eventloop import Kernel
+
+    kernel = Kernel(telemetry=Telemetry(enabled=False))
+    queue = PendingQueue(kernel, host="h")
+    sender = SenderInfo(principal="p", host="h")
+
+    def park(ttl):
+        message = Message(target=AgentUri.parse("absent"),
+                          briefcase=Briefcase(), sender=sender,
+                          queue_timeout=ttl)
+        return count_kernel_frames(lambda: queue.park(message, wire_bytes=8))
+
+    if telemetry:
+        # Metrics and the queue's gauges on; the span tracer stays off —
+        # an open span reads the clock through the kernel, one frame.
+        kernel.telemetry.enable()
+        kernel.telemetry.tracer.enabled = False
+    assert park(30.0) <= PARK_ARMING_KERNEL_FRAMES     # empty queue: arms
+    assert park(30.0) == PARK_KERNEL_FRAMES
+    assert park(60.0) == PARK_KERNEL_FRAMES
+    assert park(5.0) <= PARK_ARMING_KERNEL_FRAMES      # earlier: re-arms
+    assert park(5.0) == PARK_KERNEL_FRAMES
+    assert len(queue) == 5 and len(kernel._heap) == 2

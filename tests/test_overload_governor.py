@@ -386,6 +386,28 @@ class TestBoundedQueue:
         with pytest.raises(QueueFullError, match="no lower-priority"):
             queue.park(message(target="also-high", priority=5))
 
+    def test_eviction_removes_the_entry_itself_not_an_equal_one(
+            self, kernel, monkeypatch):
+        # Entries used to compare by value: removing the mid-queue
+        # victim walked ``Message.__eq__`` -> ``Briefcase.__eq__`` over
+        # every earlier entry until ``park_id``, the last field, differed.
+        def refuse(self, other):
+            raise AssertionError("a parked entry was compared by value")
+        monkeypatch.setattr(Briefcase, "__eq__", refuse)
+        monkeypatch.setattr(Message, "__eq__", refuse)
+        queue = PendingQueue(kernel, limits=QueueLimits(max_messages=8),
+                             overflow="shed-priority")
+        # Eight messages with equal briefcases; the fifth is the only
+        # one a priority-1 arrival may shed.
+        for index in range(8):
+            queue.park(message(priority=0 if index == 4 else 1))
+        ids = [entry.park_id for entry in queue.parked_entries()]
+        queue.park(message(target="vip", priority=1))
+        assert [entry.park_id for entry in queue.parked_entries()] == \
+            ids[:4] + ids[5:] + [9]
+        assert [record.park_id for record in queue.dead_letters] == [5]
+        assert queue.evicted == 1
+
     def test_watermarks_track_peak(self):
         kernel = telemetry_kernel()
         queue = PendingQueue(kernel, host="h",

@@ -1,7 +1,8 @@
 """Property tests for the codec fast paths, the encoding cache, the
-metrics registry's held series and the kernel's drains.
+metrics registry's held series, the kernel's drains and the pending
+queue's expiry timer.
 
-Four invariants underwrite the hot-path work:
+Five invariants underwrite the hot-path work:
 
 1. Round-trip byte identity: for any briefcase, ``encode`` produces the
    same bytes regardless of which decoder (fast or reference) built the
@@ -18,6 +19,11 @@ Four invariants underwrite the hot-path work:
    without a bound and with telemetry on or off; ``run(until=…)`` and
    ``run_until(event)`` fire a prefix of that order and leave the clock
    where the clock rules say.
+5. Timer invisibility: a pending queue that arms one expiry timer
+   expires the same messages at the same instants in the same order —
+   and leaves the same counters, ledger, change records, spans and
+   metrics — as one that spawns a watcher process per parked message;
+   only the kernel's event count is lower.
 """
 
 import json
@@ -35,11 +41,18 @@ from hypothesis import (  # noqa: E402
 
 from repro.core import codec  # noqa: E402
 from repro.core.briefcase import Briefcase  # noqa: E402
+from repro.core.errors import QueueFullError  # noqa: E402
+from repro.core.limits import QueueLimits  # noqa: E402
+from repro.core.uri import AgentUri  # noqa: E402
+from repro.firewall.changes import ChangeStream  # noqa: E402
+from repro.firewall.message import Message, SenderInfo  # noqa: E402
+from repro.firewall.msgqueue import PendingQueue  # noqa: E402
 from repro.obs.metrics import MetricError, MetricsRegistry  # noqa: E402
 from repro.obs.telemetry import Telemetry  # noqa: E402
 from repro.sim.eventloop import Kernel  # noqa: E402
 from tests.oracles.codec import reference_decode  # noqa: E402
 from tests.oracles.metrics import ReferenceRegistry  # noqa: E402
+from tests.oracles.msgqueue import ReferencePendingQueue  # noqa: E402
 
 folder_names = st.text(
     alphabet=string.ascii_letters + string.digits + "-_.",
@@ -401,3 +414,128 @@ class TestDrainRegimes:
         # event; something still pending beyond it: the clock is there.
         assert now == (until if len(due) < len(whole)
                        else last_instant(fired))
+
+
+# -- 5. one expiry timer == one watcher per parked message ---------------------------------
+
+#: TTLs and clock steps are dyadic, so every deadline and firing instant
+#: is exact in binary floating point and the two queues can be held to
+#: equal instants (a timer re-armed at another instant than the park's
+#: computes ``now + (deadline - now)`` from a different ``now``).  The
+#: sets are small so that deadlines tie, and a later park often carries
+#: an earlier deadline than what is already parked.
+queue_ttls = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0])
+queue_steps = st.sampled_from([0.25, 0.5, 1.0, 3.0])
+queue_targets = st.sampled_from(["a", "b", "c"])
+
+queue_parks = st.tuples(st.just("park"), queue_ttls, queue_targets,
+                        st.integers(0, 2))     # ..., priority
+queue_ops = st.lists(st.one_of(
+    queue_parks, queue_parks,   # twice: a third of all operations park
+    st.tuples(st.just("advance"), queue_steps),
+    st.tuples(st.just("claim"), queue_targets),
+    st.tuples(st.just("crash")),
+    st.tuples(st.just("restore")),
+), max_size=40)
+
+#: Unbounded, and a bound of three messages under each overflow policy.
+queue_regimes = st.sampled_from([
+    (None, "reject"), (3, "reject"), (3, "drop-oldest"),
+    (3, "shed-priority")])
+
+
+def drive_queue(queue_class, ops, regime):
+    """Run ``ops`` against a fresh ``queue_class`` on its own kernel,
+    then let every deadline pass; everything an observer of the queue
+    can see.
+    """
+    max_messages, overflow = regime
+    kernel = Kernel(telemetry=Telemetry(enabled=True))
+    changes = ChangeStream()
+    records = []
+    changes.subscribe(lambda kind, fields: records.append((
+        kernel.now, kind,
+        {name: value.briefcase.get_text("N")
+         if isinstance(value, Message) else value
+         for name, value in fields.items()})))
+    expiries = []
+    timers = []
+    queue = queue_class(
+        kernel, host="h", overflow=overflow, changes=changes,
+        limits=QueueLimits(max_messages=max_messages),
+        on_expire=lambda message: expiries.append(
+            (kernel.now, message.briefcase.get_text("N"))))
+    make_timeout = kernel.timeout
+    kernel.timeout = lambda *args: (
+        timers.append(make_timeout(*args)) or timers[-1])
+    verdicts = []
+    for number, op in enumerate(ops):
+        if op[0] == "park":
+            _, ttl, target, priority = op
+            briefcase = Briefcase()
+            briefcase.put("N", str(number))
+            try:
+                queue.park(Message(
+                    target=AgentUri.parse(target), briefcase=briefcase,
+                    sender=SenderInfo(principal="p", host="h"),
+                    queue_timeout=ttl, priority=priority))
+                verdicts.append("parked")
+            except QueueFullError as exc:
+                verdicts.append(str(exc))
+        elif op[0] == "advance":
+            kernel.run(until=kernel.now + op[1])
+        elif op[0] == "claim":
+            verdicts.append([
+                message.briefcase.get_text("N") for message in
+                queue.claim(lambda target: target.name == op[1])])
+        elif op[0] == "crash":
+            verdicts.append(len(queue.crash_flush()))
+        else:
+            queue.restore_durable(queue.accounting(),
+                                  list(queue.dead_letters), queue.park_seq)
+    # Past the longest TTL: every watcher and every timer has fired.
+    kernel.run(until=kernel.now + 8.0)
+    metrics = kernel.telemetry.metrics.snapshot()
+    kernel_series = {name: metrics.pop(name, None) for name in
+                     ("kernel.events_dispatched", "kernel.heap_depth")}
+    seen = {
+        "verdicts": verdicts,
+        "expiries": expiries,
+        "accounting": queue.accounting(),
+        "ledger": [(record.park_id, record.to_dict())
+                   for record in queue.dead_letters],
+        "changes": records,
+        "spans": kernel.telemetry.tracer.to_jsonl(),
+        "metrics": metrics,
+    }
+    return seen, kernel, kernel_series, len(timers)
+
+
+class TestOneExpiryTimerIsTheWatchers:
+    @given(ops=queue_ops, regime=queue_regimes)
+    @settings(max_examples=200, deadline=None)
+    @example(ops=[("park", 4.0, "a", 0), ("park", 1.0, "b", 0),
+                  ("park", 1.0, "c", 1), ("advance", 3.0)],
+             regime=(None, "reject"))
+    def test_same_expiries_counters_ledger_changes_and_metrics(
+            self, ops, regime):
+        product, kernel, series, timers = drive_queue(
+            PendingQueue, ops, regime)
+        oracle, oracle_kernel, oracle_series, watchers = drive_queue(
+            ReferencePendingQueue, ops, regime)
+        assert product == oracle
+        # What the timer saves, exactly: a watcher is three events per
+        # accepted park once the heap has drained (its bootstrap, its
+        # timeout, its own completion); the product's only events are
+        # the timers it armed, at most one per park and one per instant
+        # at which something expired.
+        accepted = product["accounting"]["accepted"]
+        assert watchers == accepted
+        assert oracle_kernel.processed_events == 3 * accepted
+        assert kernel.processed_events == timers <= accepted + len(
+            {instant for instant, _ in product["expiries"]})
+        for counted, events in ((series, timers),
+                                (oracle_series, 3 * accepted)):
+            if events:
+                assert counted["kernel.events_dispatched"]["samples"][0][
+                    "value"] == events

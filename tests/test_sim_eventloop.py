@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import os
 import sys
 
 import pytest
@@ -89,6 +90,17 @@ class TestTimeout:
     def test_negative_delay_rejected(self, kernel):
         with pytest.raises(ValueError):
             kernel.timeout(-1)
+
+    def test_nan_delay_rejected(self, kernel):
+        # NaN is neither less nor greater than anything: on the heap it
+        # breaks the ordering silently, and popped it becomes the clock.
+        with pytest.raises(ValueError, match="negative timeout delay: nan"):
+            kernel.timeout(float("nan"))
+        assert not kernel._heap
+        never = kernel.timeout(float("inf"))    # "never" stays legal
+        kernel.timeout(1)
+        kernel.run(until=10)
+        assert kernel.now == 10 and not never.triggered
 
     def test_timeout_value_passthrough(self, kernel):
         event = kernel.timeout(1, value="payload")
@@ -622,6 +634,169 @@ def test_dispatch_stays_within_its_frame_budget(telemetry, bounds):
     assert kernel.processed_events == events + 1
     assert calls <= events * DISPATCH_FRAMES[telemetry] \
         + DISPATCH_CALL_FRAMES[telemetry]
+
+
+def count_kernel_frames(action):
+    """Python frames (``sys.setprofile`` call events) ``action`` spends
+    in ``sim/eventloop.py``; frames of the caller's own code, of
+    generators defined in a test and of ``gc`` hooks are not the
+    kernel's."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.endswith(
+                os.path.join("repro", "sim", "eventloop.py")):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestEventFrameBudget:
+    """``layer.sim.eventloop.calls_per_op`` of the repo benchmark, one
+    primitive at a time, where CI runs it.  The loop's own two frames
+    (``run`` and ``_dispatch``, see ``DISPATCH_CALL_FRAMES``) are
+    subtracted where a budget spans a run.  Before the hot methods wrote
+    out what they need: 4, 8, 3, 11 and 28."""
+
+    TIMEOUT_FRAMES = 2          # Kernel.timeout, Timeout.__init__
+    SPAWN_FRAMES = 2            # Kernel.spawn, Process.__init__
+    SUCCEED_FRAMES = 1          # Event.succeed
+    #: timeout + __init__, then _fire and the _resume that re-arms.
+    YIELDED_TIMEOUT_FRAMES = 4
+    #: spawn (2), bootstrap _fire + _resume (2), the timeout's cycle (4),
+    #: then succeed and the process's own _fire.
+    WAIT_ONCE_FRAMES = 10
+
+    def test_creating_a_timeout(self, kernel):
+        assert count_kernel_frames(
+            lambda: kernel.timeout(1.0)) <= self.TIMEOUT_FRAMES
+
+    def test_spawning_a_process(self, kernel):
+        def proc():
+            yield kernel.timeout(1.0)
+        generator = proc()
+        assert count_kernel_frames(
+            lambda: kernel.spawn(generator)) <= self.SPAWN_FRAMES
+
+    def test_triggering_an_event(self, kernel):
+        event = kernel.event()
+        assert count_kernel_frames(event.succeed) <= self.SUCCEED_FRAMES
+
+    def test_one_yielded_timeout_from_creation_to_the_next_wait(self, kernel):
+        cycles = 50
+
+        def proc():
+            for _ in range(cycles + 1):
+                yield kernel.timeout(1.0)
+        kernel.spawn(proc())
+        kernel.run(until=0.5)   # parked on its first timeout
+        # Each of the next ``cycles`` instants fires one timeout, whose
+        # resume creates and waits on the next.
+        calls = count_kernel_frames(lambda: kernel.run(until=cycles + 0.5))
+        assert kernel.processed_events == 1 + cycles
+        assert calls - DISPATCH_CALL_FRAMES[False] \
+            <= cycles * self.YIELDED_TIMEOUT_FRAMES
+
+    def test_a_process_that_waits_once(self, kernel):
+        def proc():
+            yield kernel.timeout(1.0)
+
+        def whole_life():
+            kernel.spawn(proc())
+            kernel.run()
+        calls = count_kernel_frames(whole_life)
+        assert kernel.processed_events == 3
+        assert calls - DISPATCH_CALL_FRAMES[False] <= self.WAIT_ONCE_FRAMES
+
+
+class TestResumeKeepsItsContract:
+    """What ``Process._resume`` did through ``triggered`` / ``ok`` /
+    ``_wait_for`` / ``add_callback`` and now does on fields."""
+
+    def test_yielding_a_processed_event_resumes_at_once(self, kernel):
+        done = kernel.timeout(1, value="early")
+        drain(kernel)
+        assert done.processed
+        seen = []
+
+        def proc():
+            seen.append(((yield done), kernel.now))
+            seen.append(((yield done), kernel.now))
+            yield kernel.timeout(2)
+            return "end"
+        process = kernel.spawn(proc())
+        kernel.run(max_events=1)    # the bootstrap alone
+        # Both waits were satisfied inside that one resume.
+        assert seen == [("early", 1), ("early", 1)]
+        drain(kernel)
+        assert process.value == "end" and kernel.now == 3
+
+    def test_yielding_a_processed_failed_event_throws_it_in(self, kernel):
+        bad = kernel.event()
+        bad.fail(KeyError("nope"))
+        drain(kernel)
+
+        def proc():
+            try:
+                yield bad
+            except KeyError as exc:
+                return f"caught {exc}"
+        assert kernel.run_process(proc()) == "caught 'nope'"
+
+    def test_a_non_event_is_an_error_the_generator_can_catch(self, kernel):
+        def proc():
+            try:
+                yield 42
+            except SimulationError as exc:
+                assert "non-event" in str(exc)
+            value = yield kernel.timeout(1, value="carried on")
+            return value
+        assert kernel.run_process(proc()) == "carried on"
+
+    def test_a_foreign_event_is_an_error_the_generator_can_catch(
+            self, kernel):
+        other = Kernel()
+
+        def proc():
+            try:
+                yield other.event()
+            except SimulationError as exc:
+                return str(exc)
+        assert "another kernel" in kernel.run_process(proc())
+
+    def test_a_finished_process_ignores_a_late_wake_up(self, kernel):
+        def proc():
+            try:
+                yield kernel.timeout(5, value="stale")
+            except Interrupt:
+                return "interrupted"
+        process = kernel.spawn(proc())
+        kernel.timeout(1).add_callback(lambda _e: process.interrupt())
+        drain(kernel)               # the t=5 timeout fires onto nothing
+        assert process.value == "interrupted" and kernel.now == 5
+
+    def test_every_way_onto_the_heap_takes_the_next_sequence(self, kernel):
+        def proc():
+            yield kernel.timeout(0)
+        before = kernel._sequence
+        kernel.timeout(0)                       # 1
+        kernel.event().succeed()                # 1
+        kernel.event().fail(ValueError())       # 1
+        kernel.spawn(proc())                    # 1: the bootstrap
+        kernel._post(kernel.event())            # 1: the helper they wrote out
+        assert kernel._sequence == before + 5
+        assert [(when, seq) for when, seq, _event in sorted(kernel._heap)] \
+            == [(0.0, before + i) for i in range(5)]
+        drain(kernel)
+        # ... and the timeout the process yielded, and its completion.
+        assert kernel._sequence == before + 7
 
 
 class TestCombinatorEdges:
