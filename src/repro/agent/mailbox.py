@@ -13,7 +13,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.errors import CommTimeoutError
 from repro.firewall.message import Message
-from repro.sim.eventloop import Kernel
+from repro.sim.eventloop import Event, Kernel
 
 MatchFn = Callable[[Message], bool]
 
@@ -25,7 +25,7 @@ class Mailbox:
         self.kernel = kernel
         self.capacity = capacity
         self._queue: List[Message] = []
-        self._waiters: List[Tuple[Optional[MatchFn], object]] = []
+        self._waiters: List[Tuple[Optional[MatchFn], Event]] = []
         self.delivered_count = 0
         self.dropped_count = 0
         self.closed = False
@@ -61,6 +61,10 @@ class Mailbox:
         """Blocking receive: ``message = yield from mailbox.receive()``.
 
         Raises :class:`CommTimeoutError` when ``timeout`` elapses first.
+        A receive that leaves without its message — timed out,
+        interrupted, or closed with its world — withdraws its waiter on
+        the way out, so the next matching message queues for the next
+        receive instead of waking one nobody waits on.
         """
         message = self._take_queued(match)
         if message is not None:
@@ -69,23 +73,38 @@ class Mailbox:
         waiter = self.kernel.event()
         entry = (match, waiter)
         self._waiters.append(entry)
-        if timeout is None:
-            message = yield waiter
+        try:
+            if timeout is None:
+                message = yield waiter
+            else:
+                expiry = self.kernel.timeout(timeout)
+                fired = yield self.kernel.any_of([waiter, expiry])
+                message = fired.get(waiter)
+                if message is None:
+                    raise CommTimeoutError(
+                        f"no matching message within {timeout:g}s")
             return message
-        expiry = self.kernel.timeout(timeout)
-        fired = yield self.kernel.any_of([waiter, expiry])
-        if waiter in fired:
-            return fired[waiter]
-        # Timed out: withdraw the waiter so a late message queues instead.
-        if entry in self._waiters:
-            self._waiters.remove(entry)
-        raise CommTimeoutError(
-            f"no matching message within {timeout:g}s")
+        finally:
+            if message is None and self._withdraw(entry):
+                # Nothing can trigger the waiter now: forget whom it
+                # would wake (the AnyOf over it), so the two are no
+                # reference cycle.
+                waiter.callbacks.clear()
 
     def try_receive(self, match: Optional[MatchFn] = None
                     ) -> Optional[Message]:
         """Non-blocking receive; None when nothing matches."""
         return self._take_queued(match)
+
+    def _withdraw(self, entry: Tuple[Optional[MatchFn], Event]) -> bool:
+        """Remove one receive's waiter entry, found by identity; False
+        when it was no longer waiting (a delivery or :meth:`close` took
+        it, and triggered its event)."""
+        for i, waiting in enumerate(self._waiters):
+            if waiting is entry:
+                del self._waiters[i]
+                return True
+        return False
 
     def _take_queued(self, match: Optional[MatchFn]) -> Optional[Message]:
         for i, message in enumerate(self._queue):

@@ -138,8 +138,18 @@ def _poison_buffers() -> List[bytes]:
 
 def run_overload(seed: int = 7, governed: bool = True,
                  recv_deadline: float = COLLECT_DEADLINE) -> Dict:
-    """Run the flood once; return the deterministic JSON document."""
+    """Run the flood once; return the deterministic JSON document,
+    built before the cluster is closed."""
     cluster = build_overload_cluster(governed)
+    try:
+        return _flood(cluster, seed, governed, recv_deadline)
+    finally:
+        cluster.close()
+
+
+def _flood(cluster: TaxCluster, seed: int, governed: bool,
+           recv_deadline: float) -> Dict:
+    """:func:`run_overload` on a built cluster: run, then document."""
     kernel = cluster.kernel
     target_node = cluster.node(TARGET_HOST)
     target_fw = target_node.firewall

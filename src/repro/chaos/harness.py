@@ -217,8 +217,18 @@ def run_scenario(scenario: Scenario, seed: int = 7, workers: int = 3,
     The construction order (auditor, durability, home endpoint, fault
     engine start, guard watch) is part of the seeded behaviour: kernel
     events and registrations are numbered in the order they are made.
+    The document is built before the cluster is closed.
     """
     cluster, worker_names = build_chaos_cluster(workers)
+    try:
+        return _survey(cluster, worker_names, scenario, seed, recv_timeout)
+    finally:
+        cluster.close()
+
+
+def _survey(cluster: TaxCluster, worker_names: List[str],
+            scenario: Scenario, seed: int, recv_timeout: float) -> Dict:
+    """:func:`run_scenario` on a built cluster: run, then document."""
     fault_plan = scenario.plan(worker_names)
     engine = ChaosEngine(cluster, fault_plan, seed=seed)
     auditor = cluster.enable_conservation()

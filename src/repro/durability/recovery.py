@@ -527,6 +527,12 @@ class HostDurability:
                           name=f"replay-launch:{instance}")
         return True
 
+    def _unlink(self) -> None:
+        """The journal stops asking this controller for snapshots (for
+        :meth:`~repro.system.cluster.TaxCluster.close`); disk and
+        journal stay readable."""
+        self.journal.state_provider = None
+
     def stats(self) -> Dict[str, Any]:
         return {
             "disk": self.disk.stats(),

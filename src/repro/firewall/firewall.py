@@ -709,6 +709,18 @@ class Firewall:
                  f"{tombstoned} landings tombstoned")
         return killed
 
+    def _unlink(self) -> None:
+        """Let go of what only a running world needs (for
+        :meth:`~repro.system.cluster.TaxCluster.close`): every
+        registration — each dropping its delivery closure — the VMs,
+        the pending queue's two callbacks into this firewall, and the
+        directory of peers.  Counters, ledgers and snapshots stay
+        readable."""
+        self.registry._remove_all()
+        self.vms = {}
+        self.pending.on_expire = self.pending.log = None
+        self.directory = FirewallDirectory()
+
     def retransmit_dead_letters(self, max_retransmits: int = 2) -> int:
         """Redeliver dead letters after a restart instead of losing them.
 

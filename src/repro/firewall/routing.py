@@ -26,6 +26,11 @@ from repro.core.uri import AgentUri
 from repro.firewall.message import Message
 
 
+def _departed(message: Message) -> bool:
+    """The delivery of a registration no longer in its registry: drop."""
+    return False
+
+
 @dataclass
 class Registration:
     """One agent known to the local firewall."""
@@ -92,7 +97,22 @@ class Registry:
         return registration
 
     def remove(self, agent_id: AgentId) -> Optional[Registration]:
-        return self._by_instance.pop(agent_id.instance, None)
+        """Unregister; the registration drops its delivery closure.
+
+        Nothing delivers to a registration outside the registry, and the
+        closure (over the agent's context, which holds the registration)
+        would otherwise keep the two in a reference cycle.
+        """
+        registration = self._by_instance.pop(agent_id.instance, None)
+        if registration is not None:
+            registration.deliver_fn = _departed
+        return registration
+
+    def _remove_all(self) -> None:
+        """:meth:`remove` every registration (a world being closed)."""
+        registrations, self._by_instance = self._by_instance, {}
+        for registration in registrations.values():
+            registration.deliver_fn = _departed
 
     def by_instance(self, instance: str) -> Optional[Registration]:
         return self._by_instance.get(instance.lower())

@@ -106,24 +106,40 @@ def summarize_sample(sample: dict) -> dict:
     }
 
 
+class _Switch:
+    """A registry's on/off flag, shared with every family and series it
+    hands out.
+
+    They read the switch, never the registry: the registry holds them,
+    so a family or series holding the registry back would make every
+    registry a reference cycle only the cycle collector could free.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __init__(self, enabled: bool):
+        self.enabled = enabled
+
+
 class _Series:
     """One label set of one family: the value, and the writes to it.
 
     ``value`` is None until the first write and again after
     :meth:`MetricsRegistry.reset`; a series without a value appears in
     no sample list, so resolving one (and holding it) shows nothing.
-    Every write checks the registry's switch first.
+    Every write checks the registry's switch first.  A series keeps the
+    family's name, not the family (which holds it).
     """
 
-    __slots__ = ("registry", "family", "value")
+    __slots__ = ("switch", "name", "value")
 
     def __init__(self, family: "Metric"):
-        self.registry = family.registry
-        self.family = family
+        self.switch = family.switch
+        self.name = family.name
         self.value = None
 
     def __repr__(self) -> str:
-        return (f"<{type(self).__name__} {self.family.name!r} "
+        return (f"<{type(self).__name__} {self.name!r} "
                 f"value={self.value!r}>")
 
 
@@ -133,11 +149,11 @@ class CounterSeries(_Series):
     __slots__ = ()
 
     def inc(self, amount: float = 1) -> None:
-        if not self.registry.enabled:
+        if not self.switch.enabled:
             return
         if amount < 0:
             raise ValueError(
-                f"counter {self.family.name!r} cannot decrease")
+                f"counter {self.name!r} cannot decrease")
         value = self.value
         self.value = (0 if value is None else value) + amount
 
@@ -148,17 +164,17 @@ class GaugeSeries(_Series):
     __slots__ = ()
 
     def set(self, value: float) -> None:
-        if self.registry.enabled:
+        if self.switch.enabled:
             self.value = value
 
     def add(self, delta: float) -> None:
-        if self.registry.enabled:
+        if self.switch.enabled:
             value = self.value
             self.value = (0 if value is None else value) + delta
 
     def set_max(self, value: float) -> None:
         """Raise the series to ``value`` if higher (high-watermark)."""
-        if self.registry.enabled:
+        if self.switch.enabled:
             current = self.value
             if current is None or value > current:
                 self.value = value
@@ -178,12 +194,16 @@ class _HistogramState:
 class HistogramSeries(_Series):
     """Distribution of observed values over the family's buckets."""
 
-    __slots__ = ()
+    __slots__ = ("buckets",)
+
+    def __init__(self, family: "Histogram"):
+        super().__init__(family)
+        self.buckets = family.buckets
 
     def observe(self, value: float) -> None:
-        if not self.registry.enabled:
+        if not self.switch.enabled:
             return
-        buckets = self.family.buckets
+        buckets = self.buckets
         state = self.value
         if state is None:
             state = self.value = _HistogramState(len(buckets))
@@ -206,7 +226,7 @@ class Metric:
 
     def __init__(self, registry: "MetricsRegistry", name: str,
                  help: str = ""):
-        self.registry = registry
+        self.switch = registry._switch
         self.name = name
         self.help = help
         #: Every series handed out, written or not, by canonical key.
@@ -285,7 +305,7 @@ class Counter(Metric):
     _series_class = CounterSeries
 
     def inc(self, amount: float = 1, **labels) -> None:
-        if self.registry.enabled:
+        if self.switch.enabled:
             self.labels(**labels).inc(amount)
 
 
@@ -296,16 +316,16 @@ class Gauge(Metric):
     _series_class = GaugeSeries
 
     def set(self, value: float, **labels) -> None:
-        if self.registry.enabled:
+        if self.switch.enabled:
             self.labels(**labels).set(value)
 
     def add(self, delta: float, **labels) -> None:
-        if self.registry.enabled:
+        if self.switch.enabled:
             self.labels(**labels).add(delta)
 
     def set_max(self, value: float, **labels) -> None:
         """Raise the series to ``value`` if higher (high-watermark)."""
-        if self.registry.enabled:
+        if self.switch.enabled:
             self.labels(**labels).set_max(value)
 
 
@@ -324,7 +344,7 @@ class Histogram(Metric):
             raise ValueError("histogram needs at least one bucket bound")
 
     def observe(self, value: float, **labels) -> None:
-        if self.registry.enabled:
+        if self.switch.enabled:
             self.labels(**labels).observe(value)
 
     def _sample_value(self, raw: _HistogramState) -> dict:
@@ -346,8 +366,17 @@ class MetricsRegistry:
     """
 
     def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+        self._switch = _Switch(enabled)
         self._families: Dict[str, Metric] = {}
+
+    @property
+    def enabled(self) -> bool:
+        """The switch every family and series of this registry reads."""
+        return self._switch.enabled
+
+    @enabled.setter
+    def enabled(self, enabled: bool) -> None:
+        self._switch.enabled = enabled
 
     # -- family construction -------------------------------------------------
 
@@ -390,7 +419,7 @@ class MetricsRegistry:
     # above.  A disabled registry does not even create the family.
 
     def inc(self, name: str, amount: float = 1, **labels) -> None:
-        if not self.enabled:
+        if not self._switch.enabled:
             return
         family = self._families.get(name)
         if type(family) is not Counter:
@@ -398,7 +427,7 @@ class MetricsRegistry:
         family.labels(**labels).inc(amount)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        if not self.enabled:
+        if not self._switch.enabled:
             return
         family = self._families.get(name)
         if type(family) is not Gauge:
@@ -406,7 +435,7 @@ class MetricsRegistry:
         family.labels(**labels).set(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
-        if not self.enabled:
+        if not self._switch.enabled:
             return
         family = self._families.get(name)
         if type(family) is not Histogram:
@@ -473,6 +502,6 @@ class MetricsRegistry:
             family.clear()
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
+        state = "enabled" if self._switch.enabled else "disabled"
         return (f"<MetricsRegistry {state} "
                 f"families={len(self._families)}>")

@@ -34,12 +34,17 @@ DEFAULT_MAX_SPANS = 200_000
 
 
 class Span:
-    """One open or finished interval on a track."""
+    """One open or finished interval on a track.
+
+    An open span holds its tracer, to read the clock and be kept when it
+    ends; a finished one is kept *by* the tracer and forgets it, so a
+    tracer and its spans are no reference cycle.
+    """
 
     __slots__ = ("tracer", "name", "category", "track", "start", "end_time",
                  "args")
 
-    def __init__(self, tracer: "Tracer", name: str, category: str,
+    def __init__(self, tracer: Optional["Tracer"], name: str, category: str,
                  track: str, start: float, args: Dict):
         self.tracer = tracer
         self.name = name
@@ -69,8 +74,9 @@ class Span:
         if self.end_time is not None:
             return self
         self.args.update(args)
-        self.end_time = self.tracer.clock() if at is None else at
-        self.tracer._finish(self)
+        tracer, self.tracer = self.tracer, None
+        self.end_time = tracer.clock() if at is None else at
+        tracer._finish(self)
         return self
 
     def to_dict(self) -> dict:
@@ -144,7 +150,7 @@ class Tracer:
             return NULL_SPAN
         if end < start:
             raise ValueError(f"span {name!r} ends before it starts")
-        span = Span(self, name, category, track, start, args)
+        span = Span(None, name, category, track, start, args)
         span.end_time = end
         self._keep(span)
         return span

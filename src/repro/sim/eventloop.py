@@ -57,8 +57,9 @@ kernel in ``tests/oracles/kernel.py``.
 
 from __future__ import annotations
 
+import traceback
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.obs.telemetry import Telemetry
 from repro.sim.errors import (
@@ -221,7 +222,9 @@ class AnyOf(Event):
 
     The value is a dict mapping each already-triggered event to its value
     (in the common case, a single entry).  A failing child fails the
-    AnyOf with the same exception.
+    AnyOf with the same exception.  Once triggered it forgets its
+    children (``events`` becomes empty): a child still pending keeps a
+    callback into the AnyOf, and the AnyOf must not hold it back.
     """
 
     __slots__ = ("events",)
@@ -237,19 +240,19 @@ class AnyOf(Event):
     def _child_done(self, event: Event) -> None:
         if self.triggered:
             return
+        events, self.events = self.events, ()
         if not event.ok:
             self.fail(event.exception)
             return
-        done = {e: e._value for e in self.events
-                if e.triggered and e.ok}
-        self.succeed(done)
+        self.succeed({e: e._value for e in events if e.triggered and e.ok})
 
 
 class AllOf(Event):
     """Triggers when every one of ``events`` has triggered.
 
     The value is a dict mapping each event to its value, in the original
-    order.  A failing child fails the AllOf immediately.
+    order.  A failing child fails the AllOf immediately.  Like
+    :class:`AnyOf`, a triggered AllOf holds no children.
     """
 
     __slots__ = ("events", "_remaining")
@@ -268,11 +271,13 @@ class AllOf(Event):
         if self.triggered:
             return
         if not event.ok:
+            self.events = ()
             self.fail(event.exception)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed({e: e._value for e in self.events})
+            events, self.events = self.events, ()
+            self.succeed({e: e._value for e in events})
 
 
 class Process(Event):
@@ -295,6 +300,7 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
+        kernel._live[self] = None
         # Kick off the process at the current instant: an event already
         # succeeded with None, whose one callback is the first resume.
         bootstrap = Event.__new__(Event)
@@ -321,8 +327,14 @@ class Process(Event):
         if self.triggered:
             return
         wake = Event(self.kernel)
-        wake.add_callback(lambda _e: self._throw(Interrupt(cause)))
-        wake.succeed(None)
+        wake.add_callback(self._interrupted)
+        wake.succeed(cause)
+
+    def _interrupted(self, wake: Event) -> None:
+        # A bound method, not a closure over the process: a failure's
+        # traceback keeps this frame's function, and a closure would
+        # hold the process that holds the failure.
+        self._throw(Interrupt(wake._value))
 
     def _resume(self, event: Event) -> None:
         if self._value is not _PENDING or self._exception is not None:
@@ -343,13 +355,18 @@ class Process(Event):
             else:
                 target = self.generator.throw(event._exception)
         except StopIteration as stop:
+            del self.kernel._live[self]
             self.succeed(stop.value)
             return
         except StopProcess as stop:
+            del self.kernel._live[self]
             self.generator.close()
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - escaping process error
+            kernel = self.kernel
+            del kernel._live[self]
+            kernel._failed.append(self)
             self.fail(exc)
             return
         if isinstance(target, Event) and target.kernel is self.kernel:
@@ -371,15 +388,26 @@ class Process(Event):
         try:
             target = self.generator.throw(exc)
         except StopIteration as stop:
+            del self.kernel._live[self]
             self.succeed(stop.value)
             return
         except StopProcess as stop:
+            del self.kernel._live[self]
             self.generator.close()
             self.succeed(stop.value)
             return
         except BaseException as escaped:  # noqa: BLE001
+            kernel = self.kernel
+            del kernel._live[self]
+            kernel._failed.append(self)
             self.fail(escaped)
             return
+        finally:
+            # The generator's frames may keep this one as their
+            # ``f_back`` (Python 3.12 does), and a traceback keeps
+            # theirs: holding ``exc`` past the throw would close the
+            # loop exception → traceback → frames → ``exc``.
+            del exc
         self._wait_for(target)
 
     def _wait_for(self, target: Any) -> None:
@@ -407,6 +435,12 @@ class Kernel:
     meant: an owner that needs fewer events for the same behaviour (a
     pending queue arms one expiry timer where it once ran a process per
     parked message) reads lower here and nowhere else.
+
+    The kernel knows its live processes, in spawn order, and the ones
+    that failed: a process enters the first in ``Process.__init__`` and
+    leaves it where its generator finishes, a dict write each way.
+    :meth:`close` ends the world with them (see "World lifecycle" in
+    ``docs/architecture.md``).
     """
 
     def __init__(self, start_time: float = 0.0,
@@ -417,6 +451,11 @@ class Kernel:
         self._heap: List[tuple] = []
         self._sequence = 0
         self._running = False
+        self._closed = False
+        #: Processes whose generators have not finished, in spawn order
+        #: (a dict used as an ordered set), and the processes that failed.
+        self._live: Dict[Process, None] = {}
+        self._failed: List[Process] = []
         self.processed_events = 0
         #: The deployment's telemetry; disabled by default so plain
         #: simulations pay one boolean check per event and nothing else.
@@ -487,6 +526,8 @@ class Kernel:
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run)")
+        if self._closed:
+            raise SimulationError("kernel is closed: its world has ended")
         self._running = True
         heap = self._heap
         pop = heappop
@@ -526,19 +567,18 @@ class Kernel:
 
         ``counted`` events were seen with telemetry on, so they are
         recorded even if a callback has switched it off since — what a
-        write per event would have left behind.
+        write per event would have left behind: the two values are
+        written past the registry's switch.
         """
-        metrics = self.telemetry.metrics
         series = self._dispatch_series
         if series is None:
+            metrics = self.telemetry.metrics
             series = self._dispatch_series = (
                 metrics.counter("kernel.events_dispatched").labels(),
                 metrics.gauge("kernel.heap_depth").labels())
         events_dispatched, heap_depth = series
-        was_enabled, metrics.enabled = metrics.enabled, True
-        events_dispatched.inc(counted)
-        heap_depth.set(depth)
-        metrics.enabled = was_enabled
+        events_dispatched.value = (events_dispatched.value or 0) + counted
+        heap_depth.value = depth
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
@@ -576,3 +616,78 @@ class Kernel:
                 f"process {proc.name!r} did not finish "
                 f"(deadlock or until={until!r} too small)")
         return proc.value
+
+    # -- the end of the world ------------------------------------------------
+
+    def close(self) -> None:
+        """End this world, so reference counting can free it.
+
+        Every live generator is closed, in spawn order: its ``finally``
+        blocks run now and once, not whenever the collector gets to it.
+        A process spawned while closing is closed too, and nothing is
+        fired.  An exception escaping a closing generator becomes that
+        process's failure instead of leaving ``close``.  Every process
+        ends triggered (``is_alive`` is False), waiting on nothing and
+        with nobody to wake.  Failed processes keep their exception and
+        where it was raised, but their traceback frames drop their
+        locals.  The heap goes with the subscriptions of the events on
+        it, the telemetry clock stops at the final instant, and the
+        kernel forgets its processes.  A later ``run`` / ``run_until``
+        / ``run_process`` raises :class:`SimulationError`; the clock
+        and ``processed_events`` stay readable.  Closing twice is a
+        no-op.
+        """
+        if self._running:
+            raise SimulationError("cannot close a running kernel")
+        if self._closed:
+            return
+        self._closed = True
+        live, failed = self._live, self._failed
+        while live:
+            process = next(iter(live))
+            del live[process]
+            process._waiting_on = None
+            try:
+                process.generator.close()
+            except BaseException as exc:  # noqa: BLE001 - kept as failure
+                process._exception = exc
+                failed.append(process)
+            if process._value is _PENDING:
+                process._value = None
+            process.callbacks = []
+        for process in failed:
+            _clear_traceback_frames(process._exception)
+        self._failed = []
+        for _when, _seq, event in self._heap:
+            event.callbacks = []
+        self._heap.clear()
+        now = self._now
+        self.telemetry.bind_clock(lambda: now)
+
+
+def _clear_traceback_frames(exc: Optional[BaseException]) -> None:
+    """Drop the locals of every frame in ``exc``'s traceback and in the
+    tracebacks of the exceptions it was raised from or during — and of
+    the finished frames each was called from, which a traceback frame
+    keeps as ``f_back``.  The file and line of each frame stay."""
+    pending: List[Optional[BaseException]] = [exc]
+    chain: List[BaseException] = []
+    cleared: set = set()    # frames (hashed by identity), held here
+    while pending:
+        exc = pending.pop()
+        if exc is None or any(exc is seen for seen in chain):
+            continue
+        chain.append(exc)
+        traceback.clear_frames(exc.__traceback__)
+        tb = exc.__traceback__
+        while tb is not None:
+            frame = tb.tb_frame.f_back
+            while frame is not None and frame not in cleared:
+                cleared.add(frame)
+                try:
+                    frame.clear()
+                except RuntimeError:    # still executing, and its callers
+                    break
+                frame = frame.f_back
+            tb = tb.tb_next
+        pending += (exc.__cause__, exc.__context__)

@@ -275,9 +275,13 @@ class Network:
         key = (src, dst)
         breaker = self._breakers.get(key)
         if breaker is None:
+            # The hook captures the kernel, not this network: the
+            # network holds the breaker, which holds the hook.
+            kernel = self.kernel
+
             def note(old: str, new: str, now: float,
                      _src: str = src, _dst: str = dst) -> None:
-                telemetry = self.kernel.telemetry
+                telemetry = kernel.telemetry
                 if telemetry.enabled:
                     telemetry.metrics.inc("net.breaker_transitions",
                                           src=_src, dst=_dst,
@@ -373,7 +377,8 @@ class Network:
         except NetworkError as exc:
             self._breaker_failure(breaker, exc)
             span.end(outcome="failed", error=str(exc))
-            return self._record_failure(link, exc)
+            self._record_failure(link, exc)
+            raise
         if breaker is not None:
             breaker.record_success(self.kernel.now)
         link.stats.record(nbytes, seconds)
@@ -382,13 +387,14 @@ class Network:
         span.end(outcome="ok")
         return seconds
 
-    def _record_failure(self, link: Link, exc: NetworkError):
+    def _record_failure(self, link: Link, exc: NetworkError) -> None:
+        # The caller re-raises: raised from here, the traceback would
+        # hold this frame, which holds ``exc`` — a reference cycle.
         telemetry = self.kernel.telemetry
         if telemetry.enabled:
             telemetry.metrics.inc("net.transfer_failures",
                                   src=link.src, dst=link.dst,
                                   kind=type(exc).__name__)
-        raise exc
 
     def charge(self, src: str, dst: str, nbytes: int) -> float:
         """Record a transfer and return its duration *without* waiting.

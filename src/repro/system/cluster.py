@@ -3,7 +3,9 @@
 The cluster owns the kernel, the network, the shared key/trust material,
 and the firewall directory; nodes are added per host.  This is the
 top-level object experiments build (usually through
-:mod:`repro.system.bootstrap`).
+:mod:`repro.system.bootstrap`).  A world's life is build → run → read
+the document → :meth:`TaxCluster.close` (see "World lifecycle" in
+``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ from repro.system.node import TaxNode
 
 
 class TaxCluster:
-    """All the TAX nodes of one simulated world."""
+    """All the TAX nodes of one simulated world.
+
+    Build it, run it, read what the document needs, then :meth:`close`
+    it: a closed world holds no reference cycle, so it is freed the
+    moment the last outside reference goes, not by the collector.
+    """
 
     def __init__(self, kernel: Optional[Kernel] = None,
                  network: Optional[Network] = None,
@@ -144,3 +151,21 @@ class TaxCluster:
             until: Optional[float] = None):
         """Run a top-level scenario process to completion."""
         return self.kernel.run_process(generator, name=name, until=until)
+
+    def close(self) -> None:
+        """End this world once its document is built, so reference
+        counting frees it the moment the last outside reference goes.
+
+        The hosts stop announcing first — tearing a world down is no
+        host event, so no journal record or conservation verdict moves
+        — then :meth:`Kernel.close` ends every live process, then each
+        node lets go of what only a running world needs (VMs, services,
+        durability controller, registrations, the firewall's queue
+        callbacks and peer directory).  Counters, ledgers, journals,
+        telemetry and the clock stay readable; running again raises.
+        """
+        for node in self.nodes.values():
+            node.firewall.changes.sinks.clear()
+        self.kernel.close()
+        for node in self.nodes.values():
+            node._unlink()

@@ -174,6 +174,17 @@ class TaxNode:
             f"({retransmitted} dead letters retransmitted)")
         return self
 
+    def _unlink(self) -> None:
+        """Let go of the owners that point back at this node — VMs,
+        services, the durability controller — and unlink the firewall
+        (for :meth:`~repro.system.cluster.TaxCluster.close`)."""
+        self.firewall._unlink()
+        self.vms = {}
+        self.services = {}
+        if self.durability is not None:
+            self.durability._unlink()
+            self.durability = None
+
     # -- driving the node from outside (experiments, tests) -----------------------------
 
     def driver(self, name: str = "driver",
