@@ -6,9 +6,11 @@ literature singles out: two agents observing the same mutable
 :class:`~repro.core.folder.Folder` object.  The briefcase contract says
 everything that crosses an agent boundary is a snapshot (``send`` and
 ``go``/``spawn`` snapshot, the codec materialises fresh folders), so any
-folder visible from two live agents means a copy was skipped somewhere —
-exactly the cross-host state-capture bug class that is invisible to unit
-tests until a second agent mutates shared state.
+folder *owned* by the briefcases of two live agents means a copy was
+skipped somewhere — exactly the cross-host state-capture bug class that
+is invisible to unit tests until a second agent mutates shared state.
+(A copy-on-write snapshot shares its lender's folders without owning
+them; it copies them before any write, so they are not observed.)
 
 Mechanism: the sanitizer rides the folder/briefcase *version counters*
 introduced for the wire-encoding cache.  Agent contexts present their
@@ -104,8 +106,13 @@ class AliasingSanitizer:
         if folders is None:
             return
         now = float(ctx.kernel.now)
+        lender = briefcase._lender
         for folder in tuple(folders.values()):
-            self._observe_folder(ctx, folder, now, op)
+            # A copy-on-write snapshot still shares its lender's folders
+            # but cannot write them (it takes copies first), so a
+            # borrowed folder is not aliased; every other one can be.
+            if folder._cell is not lender:
+                self._observe_folder(ctx, folder, now, op)
 
     # -- core bookkeeping ---------------------------------------------------
 

@@ -184,14 +184,14 @@ def check_briefcase(briefcase: Briefcase, limits: WireLimits) -> int:
     checked (the original implementation encoded every name twice — once
     to check its length, once again inside :func:`encoded_size`).
     """
-    folders = list(briefcase)
+    folders = briefcase._folders
     if len(folders) > limits.max_folders:
         raise BriefcaseTooLargeError(
             f"briefcase has {len(folders)} folders "
             f"(limit {limits.max_folders})")
     total_elements = 0
     size = _HEADER_BYTES
-    for folder in folders:
+    for folder in folders.values():
         n = len(folder)
         if n > limits.max_elements_per_folder:
             raise BriefcaseTooLargeError(
@@ -220,7 +220,10 @@ def check_briefcase(briefcase: Briefcase, limits: WireLimits) -> int:
         raise BriefcaseTooLargeError(
             f"briefcase encodes to {size} bytes "
             f"(limit {limits.max_encoded_bytes})")
-    briefcase._wire_cache_store(None, size)
+    if briefcase._wire_cached_size() is None:
+        # A current cache entry already holds this size, and perhaps
+        # the bytes too: keep them.
+        briefcase._wire_cache_store(None, size)
     return size
 
 

@@ -22,18 +22,35 @@ _FOLDER_FRAMING_BYTES = 2 + 4
 _ELEMENT_FRAMING_BYTES = 4
 
 
+def _unshare(cell: list) -> None:
+    """Let every live snapshot still sharing ``cell``'s folders take its
+    own copies, before one of those folders changes."""
+    sharers = cell[1]
+    cell[1] = None
+    for ref in sharers:
+        borrower = ref()
+        if borrower is not None and borrower._lender is cell:
+            borrower._own()
+
+
 class Folder:
     """An ordered list of :class:`Element` values with a name.
 
     Every mutation bumps two counters.  ``_version`` is this folder's
     own (the aliasing sanitizer reads it to attribute writes).
-    ``_cell`` is a one-slot list holding the mutation count of whatever
-    owns the folder: a :class:`~repro.core.briefcase.Briefcase` points
-    every folder it holds at its own cell, so its cached wire encoding
-    is valid exactly while the count it was taken at still stands.  The
+    ``_cell`` is a two-slot list ``[count, sharers]`` of whatever owns
+    the folder: a :class:`~repro.core.briefcase.Briefcase` points every
+    folder it holds at its own cell, so its cached wire encoding is
+    valid exactly while the count it was taken at still stands.  The
     folder knows the cell, never the briefcase — a back-reference would
     make every briefcase a reference cycle.  Neither counter means
     anything beyond "changed since it was last read".
+
+    ``sharers`` is None, or weak references to the copy-on-write
+    snapshots that still share the owner's folders: every mutation
+    first lets them take their own copies (:func:`_unshare`), so a
+    snapshot never sees a later write — not even one made through a
+    handle taken before the snapshot was.
     """
 
     __slots__ = ("name", "_elements", "_version", "_cell")
@@ -43,9 +60,10 @@ class Folder:
         if not isinstance(name, str) or not name:
             raise BriefcaseError("folder name must be a non-empty string")
         self.name = name
-        self._elements: List[Element] = [Element.of(e) for e in elements]
+        self._elements: List[Element] = \
+            [Element.of(e) for e in elements] if elements else []
         self._version = 0
-        self._cell = [0]
+        self._cell: list = [0, None]
 
     # -- mutation ---------------------------------------------------------------
 
@@ -56,24 +74,33 @@ class Folder:
             element._data = value
         else:
             element = Element.of(value)
+        cell = self._cell
+        if cell[1]:
+            _unshare(cell)
         self._elements.append(element)
         self._version += 1
-        self._cell[0] += 1
+        cell[0] += 1
         return element
 
     def push_all(self, values: Iterable[Any]) -> None:
         # Encoded before the first append: ``values`` may be this folder.
         elements = [Element.of(value) for value in values]
         if elements:
+            cell = self._cell
+            if cell[1]:
+                _unshare(cell)
             self._elements.extend(elements)
             self._version += 1
-            self._cell[0] += 1
+            cell[0] += 1
 
     def insert(self, index: int, value: Any) -> Element:
         element = Element.of(value)
+        cell = self._cell
+        if cell[1]:
+            _unshare(cell)
         self._elements.insert(index, element)
         self._version += 1
-        self._cell[0] += 1
+        cell[0] += 1
         return element
 
     def pop_first(self) -> Optional[Element]:
@@ -84,18 +111,27 @@ class Folder:
         """
         if not self._elements:
             return None
+        cell = self._cell
+        if cell[1]:
+            _unshare(cell)
         self._version += 1
-        self._cell[0] += 1
+        cell[0] += 1
         return self._elements.pop(0)
 
     def pop_last(self) -> Optional[Element]:
         if not self._elements:
             return None
+        cell = self._cell
+        if cell[1]:
+            _unshare(cell)
         self._version += 1
-        self._cell[0] += 1
+        cell[0] += 1
         return self._elements.pop()
 
     def remove_at(self, index: int) -> Element:
+        cell = self._cell
+        if cell[1]:
+            _unshare(cell)
         try:
             element = self._elements.pop(index)
         except IndexError as exc:
@@ -103,19 +139,26 @@ class Folder:
                 f"folder {self.name!r} has no element at index {index}"
             ) from exc
         self._version += 1
-        self._cell[0] += 1
+        cell[0] += 1
         return element
 
     def clear(self) -> None:
+        cell = self._cell
+        if cell[1]:
+            _unshare(cell)
         self._elements.clear()
         self._version += 1
-        self._cell[0] += 1
+        cell[0] += 1
 
     def replace(self, values: Iterable[Any]) -> None:
         """Replace the entire contents with freshly-encoded values."""
-        self._elements = [Element.of(v) for v in values]
+        elements = [Element.of(v) for v in values]
+        cell = self._cell
+        if cell[1]:
+            _unshare(cell)
+        self._elements = elements
         self._version += 1
-        self._cell[0] += 1
+        cell[0] += 1
 
     # -- access -------------------------------------------------------------------
 
@@ -148,7 +191,7 @@ class Folder:
         folder.name = self.name
         folder._elements = self._elements.copy()
         folder._version = 0
-        folder._cell = [0]
+        folder._cell = [0, None]
         return folder
 
     # -- sequence protocol -----------------------------------------------------------

@@ -45,7 +45,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core import wellknown
-from repro.core.errors import BriefcaseError
 from repro.firewall.changes import ChangeStream
 
 #: Sequence numbers remembered per peer; anything older than
@@ -389,16 +388,10 @@ def extract_seq(briefcase) -> Tuple[Optional[str], Optional[int]]:
     """Pop the sequence folder off a just-decoded briefcase.
 
     Always strips the folder when present; malformed contents (a hostile
-    wire peer) are treated as "no stamp" rather than crashing.
+    wire peer, or a corruption in flight into non-UTF8) are treated as
+    "no stamp" rather than crashing.
     """
-    if not briefcase.has(wellknown.DELIVERY_SEQ):
-        return None, None
-    try:
-        text = briefcase.get_text(wellknown.DELIVERY_SEQ)
-    except BriefcaseError:
-        # Corrupted in flight into non-UTF8: no stamp.
-        text = None
-    briefcase.drop(wellknown.DELIVERY_SEQ)
+    text = briefcase.pop_text(wellknown.DELIVERY_SEQ)
     if not text:
         return None, None
     parts = text.split(" ", 1)
@@ -419,11 +412,4 @@ def inject_landing(briefcase, landing_id: Optional[str]) -> None:
 
 
 def extract_landing(briefcase) -> Optional[str]:
-    if not briefcase.has(wellknown.LANDING_ID):
-        return None
-    try:
-        landing_id = briefcase.get_text(wellknown.LANDING_ID)
-    except BriefcaseError:
-        landing_id = None
-    briefcase.drop(wellknown.LANDING_ID)
-    return landing_id or None
+    return briefcase.pop_text(wellknown.LANDING_ID) or None

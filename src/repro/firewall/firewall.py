@@ -27,8 +27,14 @@ resolve against the briefcase's cached encoding (see
 :mod:`repro.core.codec`), so one briefcase is encoded at most once per
 mutation instead of once per accounting site; ``receive_wire`` seeds the
 cache with the decoded buffer, the cached size follows the strip of the
-wire-only folders (``Briefcase.drop`` subtracts what it removes), and
-``snapshot_for_transport`` propagates the cache across the hop.
+wire-only folders (``Briefcase.pop_text`` subtracts what it removes),
+and ``snapshot_for_transport`` propagates the cache across the hop.
+
+A remote send builds one envelope for the receiver:
+``snapshot_for_transport`` copies the sender's (whose retry loop keeps
+it) around a copy-on-write snapshot of its briefcase, and from there on
+the arrival belongs to the receiving firewall, which authenticates it
+and makes its target local in place.
 """
 
 from __future__ import annotations
@@ -206,10 +212,12 @@ class Firewall:
             telemetry.flight.record(self.host.name, kind, **detail)
 
     def _admission(self, decision: str, wire_bytes: int,
-                   message: Message) -> None:
+                   message: Message, addressed: AgentUri) -> None:
         """Record one admission decision: the SLO histogram, the flight
         recorder, and (for rejections) a trace-linked instant so the
-        rejection shows up in the sender's causal tree."""
+        rejection shows up in the sender's causal tree.  ``addressed``
+        is the target as the sender wrote it, before local dispatch
+        stripped its remote part."""
         telemetry = self.kernel.telemetry
         if not telemetry.enabled:
             return
@@ -222,7 +230,7 @@ class Firewall:
                     host=self.host.name, decision=decision)
         series.observe(wire_bytes)
         if decision == "admitted":
-            self._flight("admitted", target=str(message.target),
+            self._flight("admitted", target=str(addressed),
                          principal=message.sender.principal,
                          wire_bytes=wire_bytes)
         else:
@@ -231,7 +239,7 @@ class Firewall:
                 track=f"fw:{self.host.name}", reason=decision,
                 **propagation.link_args(message.trace))
             self._flight("admission-rejected", reason=decision,
-                         target=str(message.target),
+                         target=str(addressed),
                          principal=message.sender.principal,
                          wire_bytes=wire_bytes)
 
@@ -541,7 +549,7 @@ class Firewall:
                 return False
         tracked = message.seq is not None and message.seq_src
         try:
-            message = self._authenticate(message)
+            self._authenticate(message)
         except TrustError as exc:
             self.stats.rejected += 1
             self._count("fw.auth", outcome="rejected")
@@ -552,7 +560,7 @@ class Firewall:
         self._count("fw.auth", outcome="verified"
                     if message.sender.authenticated else "unsigned")
         try:
-            delivered = self._dispatch_local(message)
+            delivered = self._dispatch_local(message, owned=True)
         except TaxError:
             # The message was refused (quota, queue-full, policy …): it
             # was never processed, so its sequence must not be
@@ -565,38 +573,46 @@ class Firewall:
             self.dedup.forget(message.seq_src, message.seq)
         return delivered
 
-    def _authenticate(self, message: Message) -> Message:
+    def _authenticate(self, message: Message) -> None:
         """First-level authentication of an arriving briefcase.
 
         A valid signature over the agent core authenticates the signing
         principal.  An *invalid* signature is rejected outright.  No
         signature means the claimed principal stays unauthenticated.
+        The arriving message belongs to this firewall: its sender is
+        updated in place.
         """
         briefcase = message.briefcase
-        sender = message.sender
         signature_text = briefcase.get_text(wellknown.SIGNATURE)
         if signature_text is not None:
+            sender = message.sender
             signature = Signature.from_text(signature_text)
             # Code-carrying briefcases sign their CODE; codeless requests
             # (cross-host admin ops) sign the whole request.
             data = code_signing_bytes(briefcase)
             if not data:
                 data = request_signing_bytes(briefcase)
-            sender = SenderInfo(self.trust_store.verify(signature, data),
-                                sender.host, sender.uri, True)
-        elif sender.authenticated:
-            sender = SenderInfo(sender.principal, sender.host, sender.uri,
-                                False)
-        return Message(message.target, briefcase, sender,
-                       message.queue_timeout, message.hops,
-                       message.priority, message.trace, message.seq,
-                       message.seq_src, message.landing_id)
+            message.sender = SenderInfo(
+                self.trust_store.verify(signature, data), sender.host,
+                sender.uri, True)
+        elif message.sender.authenticated:
+            message.sender = message.sender.unauthenticated
 
     def _dispatch_local(self, message: Message,
                         retransmits: int = 0,
-                        admitted: bool = False) -> bool:
-        target = message.target.local()
-        local_message = message.with_target(target)
+                        admitted: bool = False,
+                        owned: bool = False) -> bool:
+        """Admit, then deliver to a local mailbox or park.  An ``owned``
+        message (an arrival) has its target made local in place; a
+        local sender's own message is left alone, and a copy with the
+        local target is delivered instead."""
+        addressed = message.target
+        target = addressed.local()
+        if target is not addressed:
+            if owned:
+                message.target = target
+            else:
+                message = message.with_target(target)
         # Cache-served after the first accounting site touches this
         # briefcase (encode on the forward path seeds it; so does
         # decode on the receive_wire path).
@@ -613,29 +629,30 @@ class Firewall:
                     pending=self.pending)
             except QuotaExceededError as exc:
                 self.stats.rejected += 1
-                self._admission("quota", wire_bytes, message)
+                self._admission("quota", wire_bytes, message, addressed)
                 self.log(f"governor rejected "
                          f"{message.sender.principal!r}: {exc}")
                 raise
             except BriefcaseTooLargeError:
                 self.stats.rejected += 1
                 self._count("fw.rejected", reason="oversized")
-                self._admission("oversized", wire_bytes, message)
+                self._admission("oversized", wire_bytes, message, addressed)
                 raise
-            self._admission("admitted", wire_bytes, message)
+            self._admission("admitted", wire_bytes, message, addressed)
         try:
             registration = self.registry.resolve_one(
                 target, message.sender.principal)
         except AgentNotFoundError:
             if message.queue_timeout > 0:
                 try:
-                    self.pending.park(local_message,
+                    self.pending.park(message,
                                       retransmits=retransmits,
                                       wire_bytes=wire_bytes)
                 except QueueFullError:
                     self.stats.rejected += 1
                     self._count("fw.rejected", reason="queue-full")
-                    self._admission("queue-full", wire_bytes, message)
+                    self._admission("queue-full", wire_bytes, message,
+                                    addressed)
                     self.log(f"queue full; rejected message for {target}")
                     raise
                 self.stats.queued += 1
@@ -657,7 +674,7 @@ class Firewall:
             raise AccessDeniedError(
                 f"{message.sender.principal!r} may not send to "
                 f"{registration.agent_id}")
-        delivered = registration.deliver(local_message)
+        delivered = registration.deliver(message)
         if delivered:
             self.stats.delivered += 1
             telemetry = self.kernel.telemetry

@@ -10,6 +10,7 @@ it may wait in a queue for an absent receiver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.core.briefcase import Briefcase
@@ -36,6 +37,13 @@ class SenderInfo:
     host: str
     uri: Optional[AgentUri] = None
     authenticated: bool = False
+
+    @cached_property
+    def unauthenticated(self) -> "SenderInfo":
+        """The same origin with its claim left unproven: what a peer
+        host knows of an unsigned arrival.  Built once per sender, not
+        once per message."""
+        return SenderInfo(self.principal, self.host, self.uri, False)
 
 
 @dataclass

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core import wellknown
-from repro.core.errors import BriefcaseError
 
 #: Version nibble of the header line (mirrors W3C traceparent "00-").
 HEADER_VERSION = "00"
@@ -126,19 +125,12 @@ def inject(briefcase, context: Optional[TraceContext]) -> None:
 def extract(briefcase) -> Optional[TraceContext]:
     """Pop the trace folder off a just-decoded briefcase.
 
-    Returns the parsed context (None when absent or malformed).  The
-    folder is *always* stripped when present — resident briefcases never
-    carry it, so telemetry state cannot leak into agent-visible wire
-    bytes on the next hop.
+    Returns the parsed context (None when absent or malformed, including
+    corrupted in flight into non-UTF8).  The folder is *always* stripped
+    when present — resident briefcases never carry it, so telemetry
+    state cannot leak into agent-visible wire bytes on the next hop.
     """
-    if not briefcase.has(wellknown.TRACE_CONTEXT):
-        return None
-    try:
-        header = briefcase.get_text(wellknown.TRACE_CONTEXT)
-    except BriefcaseError:
-        # Corrupted in flight into non-UTF8: no context.
-        header = None
-    briefcase.drop(wellknown.TRACE_CONTEXT)
+    header = briefcase.pop_text(wellknown.TRACE_CONTEXT)
     if header is None:
         return None
     return TraceContext.from_header(header)

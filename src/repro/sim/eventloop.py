@@ -43,11 +43,11 @@ and ``Process.__init__`` store the four :class:`Event` fields and push
 themselves, the process bootstrap is built with its callback in place,
 ``succeed`` / ``fail`` push, and ``Process._resume`` reads fields and
 appends itself to the event it was handed.  ``triggered``, ``ok``,
-``add_callback``, :meth:`Kernel._post` and ``Process._wait_for`` remain
-the API and say what the written-out lines mean; the hot methods do not
-call them.  The rule: every event gets the ``(time, sequence)`` the
-helpers would have given it — one bump of ``_sequence`` per push, in
-the same order — so nothing fires earlier or later than before.
+``add_callback`` and ``Process._wait_for`` remain the API and say what
+the written-out lines mean; the hot methods do not call them.  The
+rule: every way onto the heap pushes ``(now + delay, _sequence, event)``
+and bumps ``_sequence`` once, in that order, so scheduling order is
+firing order and nothing fires earlier or later than before.
 
 Tier-1 holds the loop to one firing order with and without bounds and
 telemetry, and each primitive to a frame budget
@@ -493,19 +493,6 @@ class Kernel:
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
-
-    # -- scheduling ----------------------------------------------------------
-
-    def _post(self, event: Event, delay: float = 0.0) -> None:
-        """Schedule ``event`` to fire ``delay`` from now, after every
-        event already scheduled for that instant.
-
-        :class:`Timeout`, :class:`Process`, :meth:`Event.succeed` and
-        :meth:`Event.fail` write this push out; every way onto the heap
-        bumps ``_sequence`` once, so scheduling order is firing order.
-        """
-        heappush(self._heap, (self._now + delay, self._sequence, event))
-        self._sequence += 1
 
     # -- execution -----------------------------------------------------------
 

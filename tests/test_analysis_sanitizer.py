@@ -70,6 +70,44 @@ def test_snapshot_does_not_fire():
     assert sanitizer.observations > 0
 
 
+def test_a_copy_on_write_snapshot_is_not_aliasing():
+    """A snapshot shares its lender's Folder objects until either side
+    writes, and cannot write them itself: two live agents holding a
+    lender and its snapshot alias nothing, before or after the copy."""
+    with sanitizing("cow") as sanitizer:
+        node = _Node(Kernel())
+        original = Briefcase()
+        original.put("DATA", "hello")
+        original.put("MORE", "world")
+        alice = _context(node, "vm-a", original, principal="alice")
+        borrowed = original.snapshot()
+        assert borrowed._folders["DATA"] is original._folders["DATA"]
+        bob = _context(node, "vm-b", borrowed, principal="bob")
+        alice._sanitize(original, "send")
+        bob._sanitize(borrowed, "recv")
+        borrowed.put("DATA", "bob's")           # bob takes his copies
+        original.get("MORE").push("alice's")
+        alice._sanitize(original, "send")
+        bob._sanitize(borrowed, "send")
+    assert sanitizer.clean
+    assert sanitizer.observations > 0
+
+
+def test_one_owned_folder_in_two_live_agents_still_fires_san001():
+    """What the sanitizer skips is a *borrowed* folder; a Folder that
+    two briefcases each hold as their own is the skipped-copy bug."""
+    with sanitizing("owned") as sanitizer:
+        node = _Node(Kernel())
+        original = Briefcase()
+        original.put("DATA", "hello")
+        original.snapshot()                     # a borrower, long gone
+        leaked = Briefcase()
+        leaked._folders["DATA"] = original.get("DATA")
+        _context(node, "vm-a", original, principal="alice")
+        _context(node, "vm-b", leaked, principal="bob")
+    assert [f.rule for f in sanitizer.findings] == [RULE_ALIASING]
+
+
 def test_same_instant_conflicting_writes_fire_san002():
     with sanitizing("conflict") as sanitizer:
         node = _Node(Kernel())

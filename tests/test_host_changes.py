@@ -41,7 +41,7 @@ def _interval_cells():
                     "record, so recovery falls back, as designed, to the "
                     "segment written before the agent arrived: the "
                     "arrival is lost with the storage, not with the "
-                    "order of a record (ROADMAP item 1, the explorer)"))
+                    "order of a record (ROADMAP item 3, the explorer)"))
             yield pytest.param(name, interval, marks=marks,
                                id=f"{name}@{interval}")
 
@@ -161,7 +161,7 @@ def _durable_cells():
         "compaction appends its `switch` behind the torn frame and its "
         "snapshot onto the stale same-named segment-000001.wal, so "
         "active_segment() reads segment-000000.wal for the rest of the "
-        "run and every later snapshot is unreachable (ROADMAP item 1; "
+        "run and every later snapshot is unreachable (ROADMAP item 3; "
         "the fix moves the torn-journal-tail documents, so it is its "
         "own PR)"))
     tables = (("crashtest", CRASHTEST_SCENARIOS),
@@ -204,7 +204,7 @@ def _folded_view(journal, now):
 
 
 class TestReplayEquivalence:
-    """ROADMAP item 1's oracle, as one more subscriber: whenever a
+    """ROADMAP item 3's oracle, as one more subscriber: whenever a
     durable host journals a change, folding its active segment gives
     back the state the host holds at that instant."""
 

@@ -26,7 +26,7 @@ from hypothesis.stateful import (  # noqa: E402
 from repro.core import codec  # noqa: E402
 from repro.core.briefcase import Briefcase  # noqa: E402
 from repro.core.folder import Folder  # noqa: E402
-from repro.core.limits import WireLimits  # noqa: E402
+from repro.core.limits import DEFAULT_WIRE_LIMITS, WireLimits  # noqa: E402
 
 #: Few names, so that drops, re-creations and merges collide; one is
 #: two bytes a character on the wire.
@@ -242,6 +242,35 @@ class TestSizeFollowsDrop:
         handle.push(b"written through a stale handle")
         assert briefcase._wire_cached_size() == size
         assert codec.encode(briefcase) is wire
+        assert_cache_is_truthful(briefcase)
+
+
+class TestCheckKeepsTheBuffer:
+    """``check_briefcase`` walks the briefcase for its limits; a cache
+    entry that is still current already holds the size it computes, and
+    perhaps the bytes — it must not trade them for a size-only entry."""
+
+    def test_encode_under_limits_reuses_the_buffer(self):
+        briefcase = Briefcase({"A": [b"x"], "søk": ["æ", "ø"]})
+        wire = codec.encode(briefcase)
+        assert codec.encode(briefcase, limits=DEFAULT_WIRE_LIMITS) is wire
+
+    def test_a_decoded_briefcase_keeps_the_buffer_it_was_decoded_from(self):
+        wire = codec.encode(Briefcase({"ID": [b"f0001"],
+                                       "PAYLOAD": [bytes(120)]}))
+        arrived = codec.decode(wire)
+        assert codec.check_briefcase(arrived, DEFAULT_WIRE_LIMITS) == \
+            len(wire)
+        assert arrived._wire_cache_valid()
+        assert codec.encode(arrived) is wire
+
+    def test_a_stale_entry_gives_way_to_the_size(self):
+        briefcase = Briefcase({"A": [b"x"]})
+        codec.encode(briefcase)
+        briefcase.append("A", b"y")
+        size = codec.check_briefcase(briefcase, DEFAULT_WIRE_LIMITS)
+        assert briefcase._wire_cached_size() == size
+        assert briefcase._wire_cached_bytes() is None
         assert_cache_is_truthful(briefcase)
 
 
