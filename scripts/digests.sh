@@ -31,6 +31,12 @@ variants() {
 
 digest metrics
 digest report
+# `repro trace` writes its spans to a file, not stdout: the line is the
+# digest of the JSONL export, so a moved span shows here.
+trace_jsonl="$(mktemp)"
+trap 'rm -f "$trace_jsonl"' EXIT
+python -m repro trace --jsonl "$trace_jsonl" > /dev/null
+printf '%s\t%s\n' "trace --jsonl" "$(sha256sum < "$trace_jsonl" | cut -c1-16)"
 digest overload --seed 7
 digest overload --seed 7 --mode ungoverned
 for plan in $(variants chaos); do

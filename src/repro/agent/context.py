@@ -272,9 +272,10 @@ class AgentContext:
         if telemetry.enabled:
             # A hop in progress pins every transport attempt to the hop's
             # causal node; ordinary sends each get a child node of this
-            # residency.  Envelope-only: zero wire bytes either way.
-            trace = self._outbound_trace or \
-                telemetry.child_context(self._current_trace())
+            # residency, minted in one frame.  Envelope-only: zero wire
+            # bytes either way.
+            trace = self._outbound_trace or telemetry.ids.child(
+                self.trace or self._current_trace())
         message = Message(target=target, briefcase=briefcase.snapshot(),
                           sender=self._sender_info(),
                           queue_timeout=queue_timeout,

@@ -136,7 +136,28 @@ class AgentUri:
 
     # -- formatting ---------------------------------------------------------------
 
+    #: The text :meth:`__str__` built, kept on the instance after its
+    #: first call.  Not a field (no annotation): ``==``, ``hash``,
+    #: ``repr`` and ``dataclasses.replace`` never see it, and
+    #: :meth:`__getstate__` leaves it out of the pickled state, so a
+    #: pickle does not depend on whether the address was ever printed.
+    _text = None
+
     def __str__(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._format()
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_text" in state:
+            state = dict(state)
+            del state["_text"]
+        return state
+
+    def _format(self) -> str:
         parts: List[str] = []
         if self.host is not None:
             parts.append(SCHEME)

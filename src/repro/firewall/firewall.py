@@ -194,16 +194,27 @@ class Firewall:
     def telemetry(self):
         return self.kernel.telemetry
 
+    def _counter(self, name: str, **labels):
+        """This host's series of counter ``name`` with ``labels``,
+        resolved on first use and held in :attr:`_series` — by
+        ``name`` alone when there are no labels, by ``(name, *label
+        values)`` otherwise.  Callers read the held series themselves
+        (``_series.get(key) or _counter(...)``) and call this only on a
+        miss, which costs the message path no frame."""
+        key = (name, *labels.values()) if labels else name
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = \
+                self.kernel.telemetry.metrics.counter(name).labels(
+                    host=self.host.name, **labels)
+        return series
+
     def _count(self, name: str, amount: float = 1, **labels) -> None:
         """Increment a host-labelled counter (no-op when disabled)."""
-        telemetry = self.kernel.telemetry
-        if telemetry.enabled:
-            key = (name, *labels.values())
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = telemetry.metrics.counter(
-                    name).labels(host=self.host.name, **labels)
-            series.inc(amount)
+        if self.kernel.telemetry.enabled:
+            key = (name, *labels.values()) if labels else name
+            (self._series.get(key)
+             or self._counter(name, **labels)).inc(amount)
 
     def _flight(self, kind: str, **detail) -> None:
         """Append one event to this host's flight-recorder ring."""
@@ -211,37 +222,39 @@ class Firewall:
         if telemetry.enabled:
             telemetry.flight.record(self.host.name, kind, **detail)
 
-    def _admission(self, decision: str, wire_bytes: int,
-                   message: Message, addressed: AgentUri) -> None:
-        """Record one admission decision: the SLO histogram, the flight
-        recorder, and (for rejections) a trace-linked instant so the
-        rejection shows up in the sender's causal tree.  ``addressed``
-        is the target as the sender wrote it, before local dispatch
-        stripped its remote part."""
-        telemetry = self.kernel.telemetry
-        if not telemetry.enabled:
-            return
+    def _admission_bytes(self, decision: str):
+        """The held ``fw.admission_bytes`` series of one decision (the
+        SLO histogram), resolved on a miss."""
         key = ("fw.admission_bytes", decision)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = telemetry.metrics.histogram(
-                "fw.admission_bytes",
-                buckets=ADMISSION_BYTE_BUCKETS).labels(
-                    host=self.host.name, decision=decision)
-        series.observe(wire_bytes)
-        if decision == "admitted":
-            self._flight("admitted", target=str(addressed),
-                         principal=message.sender.principal,
-                         wire_bytes=wire_bytes)
-        else:
-            telemetry.tracer.instant(
-                "fw.admission_rejected", category="fw",
-                track=f"fw:{self.host.name}", reason=decision,
-                **propagation.link_args(message.trace))
-            self._flight("admission-rejected", reason=decision,
-                         target=str(addressed),
-                         principal=message.sender.principal,
-                         wire_bytes=wire_bytes)
+            series = self._series[key] = \
+                self.kernel.telemetry.metrics.histogram(
+                    "fw.admission_bytes",
+                    buckets=ADMISSION_BYTE_BUCKETS).labels(
+                        host=self.host.name, decision=decision)
+        return series
+
+    def _admission_rejected(self, decision: str, wire_bytes: int,
+                            message: Message, addressed: AgentUri) -> None:
+        """Record one rejected admission: the SLO histogram, the flight
+        recorder, and a trace-linked instant so the rejection shows up
+        in the sender's causal tree.  ``addressed`` is the target as
+        the sender wrote it, before local dispatch stripped its remote
+        part.  (:meth:`_dispatch_local` records an admitted message
+        itself.)"""
+        telemetry = self.kernel.telemetry
+        if not telemetry.enabled:
+            return
+        self._admission_bytes(decision).observe(wire_bytes)
+        telemetry.tracer.instant(
+            "fw.admission_rejected", category="fw",
+            track=f"fw:{self.host.name}", reason=decision,
+            **propagation.link_args(message.trace))
+        self._flight("admission-rejected", reason=decision,
+                     target=str(addressed),
+                     principal=message.sender.principal,
+                     wire_bytes=wire_bytes)
 
     def log(self, text: str) -> None:
         if len(self.events) < EVENT_LOG_LIMIT:
@@ -293,10 +306,13 @@ class Firewall:
         return False
 
     def _flush_pending_for(self, registration: Registration) -> None:
+        telemetry = self.kernel.telemetry
         for message in self.pending.claim(
                 lambda target: self._pending_match(registration, target)):
             self.stats.delivered += 1
-            self._count("fw.queue_flushed")
+            if telemetry.enabled:
+                (self._series.get("fw.queue_flushed")
+                 or self._counter("fw.queue_flushed")).inc()
             registration.deliver(message)
 
     def _pending_match(self, registration: Registration,
@@ -557,8 +573,11 @@ class Firewall:
             if tracked:
                 self.dedup.forget(message.seq_src, message.seq)
             return False
-        self._count("fw.auth", outcome="verified"
-                    if message.sender.authenticated else "unsigned")
+        if self.kernel.telemetry.enabled:
+            outcome = "verified" if message.sender.authenticated \
+                else "unsigned"
+            (self._series.get(("fw.auth", outcome))
+             or self._counter("fw.auth", outcome=outcome)).inc()
         try:
             delivered = self._dispatch_local(message, owned=True)
         except TaxError:
@@ -617,6 +636,7 @@ class Firewall:
         # briefcase (encode on the forward path seeds it; so does
         # decode on the receive_wire path).
         wire_bytes = codec.encoded_size(message.briefcase)
+        telemetry = self.kernel.telemetry
         if not admitted:
             # The dispatching firewall protects its own host: every
             # message — local send, remote arrival — passes the governor
@@ -629,16 +649,24 @@ class Firewall:
                     pending=self.pending)
             except QuotaExceededError as exc:
                 self.stats.rejected += 1
-                self._admission("quota", wire_bytes, message, addressed)
+                self._admission_rejected("quota", wire_bytes, message,
+                                         addressed)
                 self.log(f"governor rejected "
                          f"{message.sender.principal!r}: {exc}")
                 raise
             except BriefcaseTooLargeError:
                 self.stats.rejected += 1
                 self._count("fw.rejected", reason="oversized")
-                self._admission("oversized", wire_bytes, message, addressed)
+                self._admission_rejected("oversized", wire_bytes, message,
+                                         addressed)
                 raise
-            self._admission("admitted", wire_bytes, message, addressed)
+            if telemetry.enabled:
+                (self._series.get(("fw.admission_bytes", "admitted"))
+                 or self._admission_bytes("admitted")).observe(wire_bytes)
+                telemetry.flight.record(
+                    self.host.name, "admitted", target=str(addressed),
+                    principal=message.sender.principal,
+                    wire_bytes=wire_bytes)
         try:
             registration = self.registry.resolve_one(
                 target, message.sender.principal)
@@ -651,18 +679,22 @@ class Firewall:
                 except QueueFullError:
                     self.stats.rejected += 1
                     self._count("fw.rejected", reason="queue-full")
-                    self._admission("queue-full", wire_bytes, message,
-                                    addressed)
+                    self._admission_rejected("queue-full", wire_bytes,
+                                             message, addressed)
                     self.log(f"queue full; rejected message for {target}")
                     raise
                 self.stats.queued += 1
-                self._count("fw.messages_queued")
+                if telemetry.enabled:
+                    (self._series.get("fw.messages_queued")
+                     or self._counter("fw.messages_queued")).inc()
                 self.log(f"queued message for absent {target}")
                 return True
             self.stats.rejected += 1
             self._count("fw.rejected", reason="absent")
             return False
-        self._count("fw.routing_resolved")
+        if telemetry.enabled:
+            (self._series.get("fw.routing_resolved")
+             or self._counter("fw.routing_resolved")).inc()
         if not self.policy.can_send(message.sender, registration):
             self.stats.rejected += 1
             self._count("fw.policy_rejected")
@@ -677,14 +709,16 @@ class Firewall:
         delivered = registration.deliver(message)
         if delivered:
             self.stats.delivered += 1
-            telemetry = self.kernel.telemetry
             if telemetry.enabled:
-                self._count("fw.delivered")
-                key = ("agent.messages_in", registration.name)
-                series = self._series.get(key)
+                held = self._series
+                (held.get("fw.delivered")
+                 or self._counter("fw.delivered")).inc()
+                name = registration.agent_id.name
+                key = ("agent.messages_in", name)
+                series = held.get(key)
                 if series is None:
-                    series = self._series[key] = telemetry.metrics.counter(
-                        "agent.messages_in").labels(agent=registration.name)
+                    series = held[key] = telemetry.metrics.counter(
+                        "agent.messages_in").labels(agent=name)
                 series.inc()
         else:
             self.stats.dropped_by_wrapper += 1

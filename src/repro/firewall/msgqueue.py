@@ -46,7 +46,7 @@ evicted message's sender and target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import QueueFullError
 from repro.core.limits import QueueLimits
@@ -147,8 +147,14 @@ class PendingQueue:
         self.overflow = overflow
         self.dead_letter_limit = dead_letter_limit
         self.log = log
+        #: The tracer track of this queue's ``fw.queue_wait`` spans.
+        self._track = f"fw:{host}"
         self._pending: List[_Pending] = []
         self._bytes = 0
+        #: Parked bytes per sender principal (the governor's
+        #: bytes-in-flight quota input), kept by every change of
+        #: ``_pending``.
+        self._principal_bytes: Dict[str, int] = {}
         #: The armed expiry timer and the deadline it was armed for,
         #: never later than any parked ``expires_at`` while a message
         #: is parked.  A timer this no longer names fires stale.
@@ -186,8 +192,7 @@ class PendingQueue:
 
     def bytes_for_principal(self, principal: str) -> int:
         """Parked bytes owned by one sender principal (quota input)."""
-        return sum(entry.wire_bytes for entry in self._pending
-                   if entry.message.sender.principal == principal)
+        return self._principal_bytes.get(principal, 0)
 
     # -- telemetry helpers -----------------------------------------------------------
 
@@ -222,6 +227,8 @@ class PendingQueue:
     def _evict_entry(self, entry: _Pending, policy: str) -> None:
         self._pending.remove(entry)
         self._bytes -= entry.wire_bytes
+        self._principal_bytes[entry.message.sender.principal] -= \
+            entry.wire_bytes
         self.evicted += 1
         self._observe_wait(entry, "evicted")
         self._dead_letter(entry, "evicted")
@@ -293,14 +300,19 @@ class PendingQueue:
         # no timer spends no frame in the kernel.
         now = kernel._now
         expires_at = now + message.queue_timeout
+        tracer = kernel.telemetry.tracer
         entry = _Pending(
             message, now, expires_at, wire_bytes, retransmits, self.park_seq,
-            kernel.telemetry.tracer.begin(
-                "fw.queue_wait", category="fw", track=f"fw:{self.host}",
-                target=str(message.target), **link_args(message.trace)))
+            tracer.begin(
+                "fw.queue_wait", category="fw", track=self._track,
+                target=str(message.target), **link_args(message.trace))
+            if tracer.enabled else None)
         self.park_seq += 1
         self._pending.append(entry)
         self._bytes += wire_bytes
+        principal = message.sender.principal
+        totals = self._principal_bytes
+        totals[principal] = totals.get(principal, 0) + wire_bytes
         if self.changes.sinks:
             self.changes.emit(
                 "queue-park", message=message, park=entry.park_id,
@@ -322,7 +334,7 @@ class PendingQueue:
                     telemetry.metrics.histogram(
                         "fw.queue_wait_seconds").labels(
                             host=self.host, outcome=outcome)
-            series.observe(self.kernel.now - entry.enqueued_at)
+            series.observe(self.kernel._now - entry.enqueued_at)
 
     def _dead_letter(self, entry: _Pending, reason: str) -> DeadLetter:
         record = DeadLetter(message=entry.message,
@@ -381,6 +393,8 @@ class PendingQueue:
             # still finds the later ones parked.
             self._pending.remove(entry)
             self._bytes -= entry.wire_bytes
+            self._principal_bytes[entry.message.sender.principal] -= \
+                entry.wire_bytes
             self.expired_count += 1
             self._observe_wait(entry, "expired")
             self._dead_letter(entry, "expired")
@@ -394,10 +408,13 @@ class PendingQueue:
         """Remove and return all queued messages whose target the new
         registration ``accepts`` (oldest first)."""
         claimed, remaining, released = [], [], 0
+        totals = self._principal_bytes
         for entry in self._pending:
-            if accepts(entry.message.target):
+            message = entry.message
+            if accepts(message.target):
                 claimed.append(entry)
                 released += entry.wire_bytes
+                totals[message.sender.principal] -= entry.wire_bytes
             else:
                 remaining.append(entry)
         self._pending = remaining
@@ -420,6 +437,7 @@ class PendingQueue:
         """Host crash: every parked message becomes a dead letter."""
         crashed, self._pending = self._pending, []
         self._bytes = 0
+        self._principal_bytes = {}
         records = []
         for entry in crashed:
             self.crashed += 1
@@ -466,6 +484,7 @@ class PendingQueue:
         """
         self._pending = []
         self._bytes = 0
+        self._principal_bytes = {}
         self.offered = int(counters.get("offered", 0))
         self.accepted = int(counters.get("accepted", 0))
         self.rejected = int(counters.get("rejected", 0))

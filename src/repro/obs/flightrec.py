@@ -12,12 +12,22 @@ their JSON documents.
 Everything is gated on ``enabled`` and timestamps come from the bound
 virtual clock, so the disabled path allocates nothing and dumps are
 deterministic for a fixed seed.
+
+A ring holds events *raw* — ``(clock reading, kind, detail kwargs)`` —
+and :meth:`FlightRecorder.snapshot` renders them into the documented
+``{"t", "kind", **sorted detail}`` dicts.  Most events are overwritten
+unread, so rounding and sorting happen only for the ones a dump
+freezes.  Detail values are scalars (``str``, numbers, ``bool``,
+``None``), so what a later read renders is what was recorded.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
+
+#: One raw ring entry: the clock reading, the kind, the detail kwargs.
+RawEvent = Tuple[float, str, dict]
 
 #: Events retained per host before the oldest are overwritten.
 DEFAULT_CAPACITY = 64
@@ -38,7 +48,7 @@ class FlightRecorder:
         self.capacity = capacity
         self.enabled = enabled
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
-        self._rings: Dict[str, Deque[dict]] = {}
+        self._rings: Dict[str, Deque[RawEvent]] = {}
         #: Frozen post-mortems, oldest first (bounded by MAX_DUMPS).
         self.dumps: List[dict] = []
         self.dumps_evicted = 0
@@ -51,19 +61,21 @@ class FlightRecorder:
             return
         ring = self._rings.get(host)
         if ring is None:
-            ring = deque(maxlen=self.capacity)
-            self._rings[host] = ring
-        event = {"t": round(self.clock(), 9), "kind": kind}
-        if detail:
-            event.update(sorted(detail.items()))
-        ring.append(event)
+            ring = self._rings[host] = deque(maxlen=self.capacity)
+        ring.append((self.clock(), kind, detail))
 
     # -- reading -------------------------------------------------------------
 
     def snapshot(self, host: str) -> List[dict]:
-        """The host's ring, oldest first (copies; ring keeps recording)."""
-        ring = self._rings.get(host)
-        return [dict(event) for event in ring] if ring else []
+        """The host's ring, oldest first, rendered (fresh dicts; the ring
+        keeps recording)."""
+        events = []
+        for t, kind, detail in self._rings.get(host, ()):
+            event = {"t": round(t, 9), "kind": kind}
+            if detail:
+                event.update(sorted(detail.items()))
+            events.append(event)
+        return events
 
     def hosts(self) -> List[str]:
         return sorted(self._rings)

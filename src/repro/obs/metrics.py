@@ -181,13 +181,15 @@ class GaugeSeries(_Series):
 
 
 class _HistogramState:
+    """A histogram series' value, created by its first observation: the
+    extremes start at that value, so no later one tests for None."""
+
     __slots__ = ("count", "total", "minimum", "maximum", "bucket_counts")
 
-    def __init__(self, n_buckets: int):
+    def __init__(self, n_buckets: int, first: float):
         self.count = 0
         self.total = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
+        self.minimum = self.maximum = first
         self.bucket_counts = [0] * (n_buckets + 1)  # last = +inf
 
 
@@ -206,12 +208,13 @@ class HistogramSeries(_Series):
         buckets = self.buckets
         state = self.value
         if state is None:
-            state = self.value = _HistogramState(len(buckets))
+            state = self.value = _HistogramState(len(buckets), value)
         state.count += 1
         state.total += value
-        if state.minimum is None or value < state.minimum:
+        # minimum <= maximum: a new minimum is never a new maximum.
+        if value < state.minimum:
             state.minimum = value
-        if state.maximum is None or value > state.maximum:
+        elif value > state.maximum:
             state.maximum = value
         # The first bound with ``value <= bound``; past the last one is
         # the +inf slot.
@@ -239,10 +242,11 @@ class Metric:
         """The one series of this label set, created on first request.
 
         Label sets whose values are all exactly ``str`` are remembered
-        per keyword order; anything else is canonicalised by
-        :func:`_label_key` on every call — ``1``, ``True`` and ``1.0``
-        are one dict key but stringify to three series, and a ``str``
-        subclass may override ``__str__``.
+        per keyword order, and their canonical key is their sorted
+        items (what :func:`_label_key` makes of them); anything else is
+        canonicalised by :func:`_label_key` on every call — ``1``,
+        ``True`` and ``1.0`` are one dict key but stringify to three
+        series, and a ``str`` subclass may override ``__str__``.
 
         Hold the result only where the labels are fixed for the
         holder's lifetime; it stays live across
@@ -251,13 +255,14 @@ class Metric:
         for value in labels.values():
             if type(value) is not str:
                 items = None
+                key = _label_key(labels)
                 break
         else:
             items = tuple(labels.items())
             series = self._as_passed.get(items)
             if series is not None:
                 return series
-        key = _label_key(labels)
+            key = tuple(sorted(items))
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = self._series_class(self)

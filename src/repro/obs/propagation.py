@@ -31,8 +31,7 @@ identical ids and every exported artifact diffs byte-for-byte.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.core import wellknown
 
@@ -40,9 +39,13 @@ from repro.core import wellknown
 HEADER_VERSION = "00"
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """One causal node of an itinerary: (trace, span, parent, hop)."""
+class TraceContext(NamedTuple):
+    """One causal node of an itinerary: (trace, span, parent, hop).
+
+    Immutable, compared and hashed field by field.  A tuple, so that
+    :meth:`TraceIdAllocator.child` builds one without running Python
+    code (``tuple.__new__``).
+    """
 
     trace_id: str
     span_id: str
@@ -78,6 +81,9 @@ class TraceContext:
                    hop=hop)
 
 
+_new_context = tuple.__new__
+
+
 class TraceIdAllocator:
     """Deterministic id mint shared by one Telemetry instance."""
 
@@ -99,12 +105,13 @@ class TraceIdAllocator:
     def child(self, parent: TraceContext,
               advance_hop: bool = False) -> TraceContext:
         """A child node of ``parent``: fresh span id, linked parentage.
-        ``advance_hop`` marks a host boundary (go/spawn/launch)."""
-        return TraceContext(
-            trace_id=parent.trace_id,
-            span_id=self.new_span_id(),
-            parent_span_id=parent.span_id,
-            hop=parent.hop + (1 if advance_hop else 0))
+        ``advance_hop`` marks a host boundary (go/spawn/launch).
+
+        One frame per mint: the span id (:meth:`new_span_id`) and the
+        context are built here."""
+        return _new_context(TraceContext, (
+            parent.trace_id, f"s{next(self._spans):08x}", parent.span_id,
+            parent.hop + 1 if advance_hop else parent.hop))
 
     def reset(self) -> None:
         self._traces = itertools.count(1)

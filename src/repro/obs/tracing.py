@@ -16,9 +16,16 @@ Two export formats:
   (https://ui.perfetto.dev) or ``chrome://tracing``.  Virtual seconds
   map to trace microseconds.
 
-Like the metrics registry, a disabled tracer is a true no-op:
+Like the metrics registry, a disabled tracer records nothing:
 :meth:`begin` hands back a shared null span whose ``end`` does nothing,
-so instrumentation never needs an ``if`` at the call site.
+so occasional instrumentation needs no ``if`` at the call site.  The
+per-message sites (the pending queue's ``fw.queue_wait``, the network's
+``net.transfer``) test :attr:`Tracer.enabled` first instead: a call to
+the null span still costs its frames and its arguments.
+
+With tracing on, :meth:`Tracer.begin` and :meth:`Span.end` are one
+frame each (plus the clock read, which the kernel binds as a C-level
+callable).
 """
 
 from __future__ import annotations
@@ -70,13 +77,23 @@ class Span:
         return self
 
     def end(self, at: Optional[float] = None, **args) -> "Span":
-        """Finish the span at ``at`` (default: now).  Idempotent."""
+        """Finish the span at ``at`` (default: now).  Idempotent.
+
+        One frame: the tracer's bookkeeping (one span fewer open, kept
+        or counted as dropped past ``max_spans``) is written out here.
+        """
         if self.end_time is not None:
             return self
-        self.args.update(args)
+        if args:
+            self.args.update(args)
         tracer, self.tracer = self.tracer, None
         self.end_time = tracer.clock() if at is None else at
-        tracer._finish(self)
+        tracer._open -= 1
+        spans = tracer.spans
+        if len(spans) < tracer.max_spans:
+            spans.append(self)
+        else:
+            tracer.dropped += 1
         return self
 
     def to_dict(self) -> dict:
@@ -114,6 +131,8 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+_new_span = object.__new__
+
 
 class Tracer:
     """Collects spans and instant events against a virtual clock."""
@@ -140,7 +159,16 @@ class Tracer:
         if not self.enabled:
             return NULL_SPAN
         self._open += 1
-        return Span(self, name, category, track, self.clock(), args)
+        # ``Span.__init__`` written out: one frame per span begun.
+        span = _new_span(Span)
+        span.tracer = self
+        span.name = name
+        span.category = category
+        span.track = track
+        span.start = self.clock()
+        span.end_time = None
+        span.args = args
+        return span
 
     def record(self, name: str, start: float, end: float,
                category: str = "", track: str = "main", **args):
@@ -172,10 +200,6 @@ class Tracer:
              **args):
         """Context manager for spans that do not straddle a yield."""
         return _SpanContext(self, name, category, track, args)
-
-    def _finish(self, span: Span) -> None:
-        self._open -= 1
-        self._keep(span)
 
     def _keep(self, span: Span) -> None:
         if len(self.spans) >= self.max_spans:

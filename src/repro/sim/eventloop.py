@@ -58,6 +58,7 @@ kernel in ``tests/oracles/kernel.py``.
 from __future__ import annotations
 
 import traceback
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
@@ -461,7 +462,9 @@ class Kernel:
         #: simulations pay one boolean check per event and nothing else.
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry(enabled=False)
-        self.telemetry.bind_clock(lambda: self._now)
+        # ``getattr(self, "_now")`` through ``partial``: the clock every
+        # span, instant and flight record reads runs no Python frame.
+        self.telemetry.bind_clock(partial(getattr, self, "_now"))
         #: ``kernel.events_dispatched`` and ``kernel.heap_depth``, held
         #: from the first :meth:`_dispatch` that counted an event.
         self._dispatch_series: Optional[tuple] = None

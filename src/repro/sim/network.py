@@ -107,12 +107,15 @@ class Link:
     #: transfer recorded with telemetry on.
     series: Optional[tuple] = field(default=None, repr=False,
                                     compare=False)
+    #: The tracer track of this direction's ``net.transfer`` spans.
+    track: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.latency < 0:
             raise ValueError("latency must be non-negative")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
+        self.track = f"net:{self.src}->{self.dst}"
 
     def transfer_time(self, nbytes: int) -> float:
         """Seconds to move ``nbytes`` over this link."""
@@ -313,22 +316,17 @@ class Network:
         """Cost in seconds of moving ``nbytes`` from src to dst (no effect)."""
         return self.link_between(src, dst).transfer_time(nbytes)
 
-    def _record_traffic(self, link: Link, nbytes: int,
-                        seconds: float) -> None:
-        """Telemetry for one completed transfer (callers check
-        ``telemetry.enabled`` first, so the disabled case costs no call)."""
-        series = link.series
-        if series is None:
-            metrics = self.kernel.telemetry.metrics
-            ends = {"src": link.src, "dst": link.dst}
-            series = link.series = (
-                metrics.counter("net.bytes_on_wire").labels(**ends),
-                metrics.counter("net.messages").labels(**ends),
-                metrics.histogram("net.transfer_seconds").labels(**ends))
-        bytes_on_wire, messages, transfer_seconds = series
-        bytes_on_wire.inc(nbytes)
-        messages.inc()
-        transfer_seconds.observe(seconds)
+    def _link_series(self, link: Link) -> tuple:
+        """Resolve ``link``'s three traffic series (its first transfer
+        recorded with telemetry on); :meth:`transfer` and :meth:`charge`
+        write them."""
+        metrics = self.kernel.telemetry.metrics
+        ends = {"src": link.src, "dst": link.dst}
+        series = link.series = (
+            metrics.counter("net.bytes_on_wire").labels(**ends),
+            metrics.counter("net.messages").labels(**ends),
+            metrics.histogram("net.transfer_seconds").labels(**ends))
+        return series
 
     def transfer(self, src: str, dst: str, nbytes: int):
         """A process step that spends the transfer time and records stats.
@@ -360,9 +358,11 @@ class Network:
         if self.fault_injector is not None and src != dst:
             verdict = self.fault_injector.verdict(src, dst, nbytes)
         seconds = link.transfer_time(nbytes)
-        span = self.kernel.telemetry.tracer.begin(
-            "net.transfer", category="net", track=f"net:{src}->{dst}",
-            bytes=nbytes)
+        telemetry = self.kernel.telemetry
+        tracer = telemetry.tracer
+        span = tracer.begin("net.transfer", category="net",
+                            track=link.track, bytes=nbytes) \
+            if tracer.enabled else None
         yield self.kernel.timeout(seconds)
         try:
             # An endpoint that crashed while the bytes were in flight
@@ -376,15 +376,21 @@ class Network:
                     f"payload {src} -> {dst} failed its integrity check")
         except NetworkError as exc:
             self._breaker_failure(breaker, exc)
-            span.end(outcome="failed", error=str(exc))
+            if span is not None:
+                span.end(outcome="failed", error=str(exc))
             self._record_failure(link, exc)
             raise
         if breaker is not None:
             breaker.record_success(self.kernel.now)
         link.stats.record(nbytes, seconds)
-        if self.kernel.telemetry.enabled:
-            self._record_traffic(link, nbytes, seconds)
-        span.end(outcome="ok")
+        if telemetry.enabled:
+            bytes_on_wire, messages, transfer_seconds = \
+                link.series or self._link_series(link)
+            bytes_on_wire.inc(nbytes)
+            messages.inc()
+            transfer_seconds.observe(seconds)
+        if span is not None:
+            span.end(outcome="ok")
         return seconds
 
     def _record_failure(self, link: Link, exc: NetworkError) -> None:
@@ -424,7 +430,11 @@ class Network:
         stats.payload_bytes += nbytes
         stats.busy_seconds += seconds
         if self.kernel.telemetry.enabled:
-            self._record_traffic(link, nbytes, seconds)
+            bytes_on_wire, messages, transfer_seconds = \
+                link.series or self._link_series(link)
+            bytes_on_wire.inc(nbytes)
+            messages.inc()
+            transfer_seconds.observe(seconds)
         return seconds
 
     # -- accounting -----------------------------------------------------------

@@ -12,6 +12,11 @@ difference in any expiry instant, order, counter, change record or
 metric is the timer's.  (The product entry lost its write-only
 ``expired`` flag with the watcher; the one line that set it is the only
 line not carried over.)
+
+``bytes_for_principal`` is the scan over the parked entries that the
+product replaced with a running total per principal.  ``park`` still
+adds to that total, because the inherited ``claim`` / eviction paths
+subtract from it; the oracle itself never reads it.
 """
 
 from typing import Optional
@@ -22,6 +27,10 @@ from repro.obs.propagation import link_args
 
 
 class ReferencePendingQueue(PendingQueue):
+    def bytes_for_principal(self, principal: str) -> int:
+        return sum(entry.wire_bytes for entry in self._pending
+                   if entry.message.sender.principal == principal)
+
     def park(self, message: Message, retransmits: int = 0,
              wire_bytes: Optional[int] = None) -> None:
         if wire_bytes is None:
@@ -45,6 +54,9 @@ class ReferencePendingQueue(PendingQueue):
             target=str(message.target), **link_args(message.trace))
         self._pending.append(entry)
         self._bytes += wire_bytes
+        principal = message.sender.principal
+        self._principal_bytes[principal] = \
+            self._principal_bytes.get(principal, 0) + wire_bytes
         if self.changes.sinks:
             self.changes.emit(
                 "queue-park", message=message, park=entry.park_id,

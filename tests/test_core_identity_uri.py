@@ -1,5 +1,9 @@
 """Unit tests for principals, agent ids, and the Figure-2 URI grammar."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.errors import IdentityError, UriSyntaxError
@@ -183,3 +187,49 @@ class TestUriSemantics:
     def test_for_agent_helper(self):
         uri = AgentUri.for_agent("svc", host="h")
         assert str(uri) == "tacoma://h//svc"
+
+
+#: The paper's three examples plus the shapes between them.
+TEXT_SHAPES = [
+    "tacoma://cl2.cs.uit.no:27017//vm_c:933821661",
+    "tacoma://cl2.cs.uit.no/tacoma@cl2.cs.uit.no/ag_cron",
+    "tacomaproject/:933821661",
+    "ag_fs", ":1a", "alice/w:1f", "tacoma://h//svc",
+]
+
+
+class TestUriTextCache:
+    """``str(uri)`` is built once and kept on the instance; nothing else
+    may tell whether it was: object agents ship by ``pickle``, so a
+    pickled URI must not carry the text."""
+
+    @staticmethod
+    def observable(uri):
+        return ([pickle.dumps(uri, protocol)
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)],
+                repr(uri), hash(uri), uri == AgentUri.parse(str(uri)))
+
+    @pytest.mark.parametrize("text", TEXT_SHAPES)
+    def test_printing_changes_nothing_observable(self, text):
+        for uri in (AgentUri.parse(text), AgentUri.parse(text).local()):
+            before = self.observable(uri)
+            rendered = str(uri)
+            assert str(uri) is rendered
+            assert f"{uri}" == rendered
+            assert self.observable(uri) == before
+            never_printed = AgentUri(uri.host, uri.port, uri.principal,
+                                     uri.name, uri.instance)
+            assert pickle.dumps(uri) == pickle.dumps(never_printed)
+
+    @pytest.mark.parametrize("text", TEXT_SHAPES)
+    def test_copies_render_their_own_fields(self, text):
+        uri = AgentUri.parse(text)
+        rendered = str(uri)
+        assert rendered == text
+        assert str(pickle.loads(pickle.dumps(uri))) == rendered
+        assert str(copy.deepcopy(uri)) == rendered
+        renamed = dataclasses.replace(uri, name="other")
+        assert str(renamed) == str(AgentUri(
+            uri.host, uri.port, uri.principal, "other", uri.instance))
+        assert str(uri.with_principal("bob")) == str(AgentUri(
+            uri.host, uri.port, "bob", uri.name, uri.instance))

@@ -427,9 +427,12 @@ class TestDrainRegimes:
 queue_ttls = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0])
 queue_steps = st.sampled_from([0.25, 0.5, 1.0, 3.0])
 queue_targets = st.sampled_from(["a", "b", "c"])
+#: Sender principals, independent of the target a message is for.
+QUEUE_PRINCIPALS = ("p", "q")
 
 queue_parks = st.tuples(st.just("park"), queue_ttls, queue_targets,
-                        st.integers(0, 2))     # ..., priority
+                        st.integers(0, 2),     # ..., priority
+                        st.sampled_from(QUEUE_PRINCIPALS))
 queue_ops = st.lists(st.one_of(
     queue_parks, queue_parks,   # twice: a third of all operations park
     st.tuples(st.just("advance"), queue_steps),
@@ -447,7 +450,8 @@ queue_regimes = st.sampled_from([
 def drive_queue(queue_class, ops, regime):
     """Run ``ops`` against a fresh ``queue_class`` on its own kernel,
     then let every deadline pass; everything an observer of the queue
-    can see.
+    can see — including each principal's parked bytes (the governor's
+    quota input) after every operation.
     """
     max_messages, overflow = regime
     kernel = Kernel(telemetry=Telemetry(enabled=True))
@@ -469,15 +473,16 @@ def drive_queue(queue_class, ops, regime):
     kernel.timeout = lambda *args: (
         timers.append(make_timeout(*args)) or timers[-1])
     verdicts = []
+    principal_bytes = []
     for number, op in enumerate(ops):
         if op[0] == "park":
-            _, ttl, target, priority = op
+            _, ttl, target, priority, principal = op
             briefcase = Briefcase()
             briefcase.put("N", str(number))
             try:
                 queue.park(Message(
                     target=AgentUri.parse(target), briefcase=briefcase,
-                    sender=SenderInfo(principal="p", host="h"),
+                    sender=SenderInfo(principal=principal, host="h"),
                     queue_timeout=ttl, priority=priority))
                 verdicts.append("parked")
             except QueueFullError as exc:
@@ -493,8 +498,14 @@ def drive_queue(queue_class, ops, regime):
         else:
             queue.restore_durable(queue.accounting(),
                                   list(queue.dead_letters), queue.park_seq)
+        principal_bytes.append(tuple(
+            queue.bytes_for_principal(principal)
+            for principal in QUEUE_PRINCIPALS + ("nobody",)))
     # Past the longest TTL: every watcher and every timer has fired.
     kernel.run(until=kernel.now + 8.0)
+    principal_bytes.append(tuple(
+        queue.bytes_for_principal(principal)
+        for principal in QUEUE_PRINCIPALS + ("nobody",)))
     metrics = kernel.telemetry.metrics.snapshot()
     kernel_series = {name: metrics.pop(name, None) for name in
                      ("kernel.events_dispatched", "kernel.heap_depth")}
@@ -507,6 +518,7 @@ def drive_queue(queue_class, ops, regime):
         "changes": records,
         "spans": kernel.telemetry.tracer.to_jsonl(),
         "metrics": metrics,
+        "principal_bytes": principal_bytes,
     }
     return seen, kernel, kernel_series, len(timers)
 
@@ -514,9 +526,14 @@ def drive_queue(queue_class, ops, regime):
 class TestOneExpiryTimerIsTheWatchers:
     @given(ops=queue_ops, regime=queue_regimes)
     @settings(max_examples=200, deadline=None)
-    @example(ops=[("park", 4.0, "a", 0), ("park", 1.0, "b", 0),
-                  ("park", 1.0, "c", 1), ("advance", 3.0)],
+    @example(ops=[("park", 4.0, "a", 0, "p"), ("park", 1.0, "b", 0, "q"),
+                  ("park", 1.0, "c", 1, "p"), ("advance", 3.0)],
              regime=(None, "reject"))
+    @example(ops=[("park", 2.0, "a", 0, "p"), ("park", 2.0, "b", 1, "q"),
+                  ("park", 4.0, "c", 2, "q"), ("park", 1.0, "a", 2, "p"),
+                  ("claim", "b"), ("advance", 1.0), ("crash",),
+                  ("park", 1.0, "a", 0, "q"), ("restore",)],
+             regime=(3, "shed-priority"))
     def test_same_expiries_counters_ledger_changes_and_metrics(
             self, ops, regime):
         product, kernel, series, timers = drive_queue(

@@ -14,7 +14,9 @@ Each artifact is read when the scenario closes its cluster, before
 :meth:`~repro.system.cluster.TaxCluster.close` runs.  A change to how
 telemetry *records* (raw values rendered on read, held series, spans
 finished in one frame) must leave every line equal; a line that moved
-names the scenario and the artifact.
+names the scenario and the artifact.  The same scenarios also hold every
+flight-recorder detail value to a scalar, which is what lets a ring
+render its records when read.
 
 Regenerate, only for an intended change, with::
 
@@ -31,6 +33,7 @@ from typing import Callable, Dict, List
 from repro.bench.overload import run_overload
 from repro.chaos.crashtest import run_crashtest
 from repro.chaos.scenario import run_chaos
+from repro.obs.flightrec import FlightRecorder
 from repro.system.cluster import TaxCluster
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -116,6 +119,30 @@ def test_telemetry_artifacts_match_the_committed_digests():
                  for line in produced if line.startswith(label + "\t")}
         assert {"trace.jsonl", "trace.chrome", "metrics.snapshot"} <= names
         assert any(name.startswith("flight.ring[") for name in names)
+
+
+#: What a flight-recorder detail value may be.  A ring keeps each
+#: record's detail dict as passed and renders it when read, so a value
+#: that could change after the record (a list, a dict, an object) would
+#: show its later state in a dump.
+SCALARS = (str, int, float, bool, type(None))
+
+
+def test_every_flight_record_detail_is_a_scalar(monkeypatch):
+    seen = set()
+    record = FlightRecorder.record
+
+    def checking_record(self, host, kind, **detail):
+        for key, value in detail.items():
+            seen.add((kind, key, type(value)))
+        record(self, host, kind, **detail)
+
+    monkeypatch.setattr(FlightRecorder, "record", checking_record)
+    for run in SCENARIOS.values():
+        run()
+    kinds = {kind for kind, _, _ in seen}
+    assert {"admitted", "admission-rejected", "crash", "hop"} <= kinds
+    assert not [entry for entry in seen if entry[2] not in SCALARS]
 
 
 if __name__ == "__main__":
