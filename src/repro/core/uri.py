@@ -143,13 +143,6 @@ class AgentUri:
     #: pickle does not depend on whether the address was ever printed.
     _text = None
 
-    def __str__(self) -> str:
-        text = self._text
-        if text is None:
-            text = self._format()
-            object.__setattr__(self, "_text", text)
-        return text
-
     def __getstate__(self) -> dict:
         state = self.__dict__
         if "_text" in state:
@@ -157,7 +150,10 @@ class AgentUri:
             del state["_text"]
         return state
 
-    def _format(self) -> str:
+    def __str__(self) -> str:
+        text = self._text
+        if text is not None:
+            return text
         parts: List[str] = []
         if self.host is not None:
             parts.append(SCHEME)
@@ -174,7 +170,9 @@ class AgentUri:
             parts.append(self.name)
         if self.instance is not None:
             parts.append(f":{self.instance}")
-        return "".join(parts)
+        text = "".join(parts)
+        object.__setattr__(self, "_text", text)
+        return text
 
     # -- derivation helpers ----------------------------------------------------------
 
