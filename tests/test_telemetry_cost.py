@@ -10,7 +10,7 @@ calls is what the observer costs:
   flight recorder rendered each record on arrival, a trace mint took
   three frames and a finished span three, the firewall's message-path
   counters each went through ``_count`` and the clock was a lambda;
-  28.3 / 28.5 after, on CPython 3.11.
+  27.6 / 27.1 after, on CPython 3.11.
 - **off**: at most ``OFF_OBS_CALLS_BUDGET`` calls into ``repro/obs``
   per offered message — cluster construction and the document's reads,
   nothing per message.  3.4 / 5.1 while the pending queue and the
