@@ -13,6 +13,7 @@ site ordinal and a counter.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -30,26 +31,54 @@ _INSTANCE_RE = re.compile(r"^[0-9a-fA-F]+$")
 _PRINCIPAL_RE = re.compile(r"^[A-Za-z0-9_.-]+(@[A-Za-z0-9_.-]+)?$")
 
 
-def validate_agent_name(name: str) -> str:
-    """Check an agent name against the Figure-2 grammar (alphanumeric,
-    extended with ``_ . -`` which the paper's own examples use)."""
+# Each validator below checks a given ``str`` once: its checker keeps
+# the result for each of the last 1 024 distinct strings.  A string that
+# fails is not kept (it raises on every call), and any other input — a
+# ``str`` subclass, ``None``, a number, an unhashable list — goes to the
+# checker's unremembered function, so it raises what it always raised.
+
+
+@functools.lru_cache(maxsize=1024)
+def _checked_name(name: str) -> str:
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise IdentityError(f"invalid agent name {name!r}")
     return name
 
 
-def validate_instance(instance: str) -> str:
-    """Check an instance string (hex digits); returns it lowercased."""
+@functools.lru_cache(maxsize=1024)
+def _checked_instance(instance: str) -> str:
     if not isinstance(instance, str) or not _INSTANCE_RE.match(instance):
         raise IdentityError(f"invalid instance {instance!r} (must be hex)")
     return instance.lower()
 
 
-def validate_principal(principal: str) -> str:
-    """Check a principal name (``user`` or ``user@host``)."""
+@functools.lru_cache(maxsize=1024)
+def _checked_principal(principal: str) -> str:
     if not isinstance(principal, str) or not _PRINCIPAL_RE.match(principal):
         raise IdentityError(f"invalid principal {principal!r}")
     return principal
+
+
+def validate_agent_name(name: str) -> str:
+    """Check an agent name against the Figure-2 grammar (alphanumeric,
+    extended with ``_ . -`` which the paper's own examples use)."""
+    if type(name) is str:
+        return _checked_name(name)
+    return _checked_name.__wrapped__(name)
+
+
+def validate_instance(instance: str) -> str:
+    """Check an instance string (hex digits); returns it lowercased."""
+    if type(instance) is str:
+        return _checked_instance(instance)
+    return _checked_instance.__wrapped__(instance)
+
+
+def validate_principal(principal: str) -> str:
+    """Check a principal name (``user`` or ``user@host``)."""
+    if type(principal) is str:
+        return _checked_principal(principal)
+    return _checked_principal.__wrapped__(principal)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ partial-name matching.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
@@ -80,7 +81,20 @@ class AgentUri:
 
     @classmethod
     def parse(cls, text: str) -> "AgentUri":
-        """Parse the Figure-2 grammar."""
+        """Parse the Figure-2 grammar.
+
+        An address is immutable, so a ``str`` is parsed once into an
+        :class:`AgentUri` that every caller shares: the last 256 distinct
+        texts are remembered.  A text that does not parse is not: it
+        raises on every call.  Any other input, and any subclass, is
+        parsed afresh.
+        """
+        if cls is AgentUri and type(text) is str:
+            return _parse_text(text)
+        return cls._parse(text)
+
+    @classmethod
+    def _parse(cls, text: str) -> "AgentUri":
         if not isinstance(text, str) or not text:
             raise UriSyntaxError("empty agent URI")
         rest = text
@@ -243,6 +257,9 @@ class AgentUri:
         """How many of (name, instance, principal) are pinned down."""
         return sum(1 for field in (self.name, self.instance, self.principal)
                    if field is not None)
+
+
+_parse_text = functools.lru_cache(maxsize=256)(AgentUri._parse)
 
 
 def parse(text: str) -> AgentUri:

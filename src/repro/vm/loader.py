@@ -36,6 +36,7 @@ on the wire.
 from __future__ import annotations
 
 import base64
+import copy
 import functools
 import importlib
 import inspect
@@ -297,22 +298,35 @@ def materialize_ref(payload: Payload) -> Callable:
     return obj
 
 
+@functools.lru_cache(maxsize=8)
+def _unpack_marshal(payload: Payload
+                    ) -> Tuple[types.CodeType, str, Optional[str], Any]:
+    """(code, style, entry, shipped globals) of a py-marshal payload.
+
+    A pure function of an immutable payload, so each of the last few
+    distinct payloads is unpacked once (a corrupt one is not
+    remembered).  The shipped globals are never handed out: each launch
+    takes its own deep copy.
+    """
+    data = _parse_json(payload.blob, KIND_MARSHAL)
+    try:
+        code = marshal.loads(base64.b64decode(data["code_b64"]))
+    except (KeyError, ValueError, EOFError, TypeError) as exc:
+        raise UnsupportedPayloadError("corrupt marshalled code") from exc
+    return (code, data.get("style", STYLE_FUNCTION), data.get("entry"),
+            data.get("globals", {}))
+
+
 def materialize_marshal(payload: Payload,
                         sandbox: Optional[Sandbox] = None) -> Callable:
     """Reconstruct a by-value function inside a sandboxed namespace."""
     if payload.kind != KIND_MARSHAL:
         raise UnsupportedPayloadError(
             f"expected {KIND_MARSHAL}, got {payload.kind}")
-    data = _parse_json(payload.blob, KIND_MARSHAL)
-    try:
-        code = marshal.loads(base64.b64decode(data["code_b64"]))
-    except (KeyError, ValueError, EOFError, TypeError) as exc:
-        raise UnsupportedPayloadError("corrupt marshalled code") from exc
+    code, style, entry, shipped = _unpack_marshal(payload)
     sandbox = sandbox or Sandbox()
     namespace = sandbox.make_globals()
-    namespace.update(data.get("globals", {}))
-    style = data.get("style", STYLE_FUNCTION)
-    entry = data.get("entry")
+    namespace.update(copy.deepcopy(shipped))
     if style == STYLE_FUNCTION:
         func = types.FunctionType(code, namespace, entry or "agent_main")
         return func

@@ -23,8 +23,9 @@ containment.
 from __future__ import annotations
 
 import builtins as _builtins
-import importlib
+import functools
 import sys
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterable, Optional, Set
 
 from repro.core.errors import SandboxViolation
@@ -83,8 +84,9 @@ class Sandbox:
             raise SandboxViolation(
                 f"import of {name!r} denied (whitelist: "
                 f"{sorted(self.allowed_imports)})")
-        return importlib.import_module(name) if not fromlist else \
-            importlib.import_module(name)
+        # The real ``__import__``: ``import a.b`` binds the package ``a``,
+        # ``from a import b`` gets ``a`` with its submodule ``b`` loaded.
+        return _builtins.__import__(name, globals, locals, fromlist, level)
 
     def make_builtins(self) -> Dict[str, Any]:
         table: Dict[str, Any] = {}
@@ -137,11 +139,21 @@ class TrustedSandbox(Sandbox):
     """
 
     def make_builtins(self) -> Dict[str, Any]:
-        return {name: getattr(_builtins, name) for name in dir(_builtins)
-                if not name.startswith("_")} | {
-                    "__build_class__": _builtins.__build_class__,
-                    "__import__": _builtins.__import__,
-                }
+        # Every namespace gets its own copy of the one table, so an agent
+        # that rebinds a builtin changes only its own namespace.
+        return _trusted_builtins().copy()
+
+
+@functools.lru_cache(maxsize=1)
+def _trusted_builtins() -> MappingProxyType[str, Any]:
+    """The real builtins as a trusted namespace sees them: built on first
+    use (not at import), then shared read-only."""
+    return MappingProxyType({
+        name: getattr(_builtins, name) for name in dir(_builtins)
+        if not name.startswith("_")} | {
+            "__build_class__": _builtins.__build_class__,
+            "__import__": _builtins.__import__,
+        })
 
 
 def run_limited(func: Callable, args: tuple = (), kwargs: Optional[dict] = None,

@@ -51,7 +51,7 @@ _FILLER_WORDS = (
 ).split()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(_FILLER_WORDS))
 def _filler_cycle(start: int) -> str:
     """One period of the words from ``start`` in steps of 7, each followed
     by a space (at most ``len(_FILLER_WORDS)`` distinct starts)."""

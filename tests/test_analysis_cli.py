@@ -72,7 +72,8 @@ def test_sarif_document(tmp_path, capsys):
     code, _out = run_lint(capsys, CASES, "--json", "--no-baseline",
                           "--sarif", sarif_path)
     assert code == 1
-    document = json.loads(open(sarif_path).read())
+    with open(sarif_path) as handle:
+        document = json.load(handle)
     assert document["version"] == "2.1.0"
     run = document["runs"][0]
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}

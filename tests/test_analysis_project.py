@@ -228,7 +228,8 @@ def test_cli_json_includes_witness_and_sarif_related_locations(
     finding = json.loads(out)["findings"][0]
     assert [step["function"] for step in finding["witness"]][-1] == \
         "repro.util.envsrc.default_region"
-    sarif = json.loads(open(sarif_path).read())
+    with open(sarif_path) as handle:
+        sarif = json.load(handle)
     result = sarif["runs"][0]["results"][0]
     assert len(result["relatedLocations"]) == 4
     rule_ids = {rule["id"] for rule in

@@ -166,7 +166,8 @@ def test_file_wide_suppression():
 
 
 def test_fingerprints_survive_line_drift():
-    source = open(os.path.join(CASES, "det006_popitem.py")).read()
+    with open(os.path.join(CASES, "det006_popitem.py")) as handle:
+        source = handle.read()
     analyzer = Analyzer()
     before = fingerprinted(analyzer.analyze_source(source, path="x.py"))
     drifted = fingerprinted(analyzer.analyze_source(

@@ -231,10 +231,28 @@ class TestSandbox:
         namespace = sandbox.exec_source("import json\nx = json.dumps([1])")
         assert namespace["x"] == "[1]"
 
+    def test_dotted_import_binds_the_package(self):
+        namespace = Sandbox().exec_source(
+            "import collections.abc\n"
+            "ok = issubclass(dict, collections.abc.Mapping)")
+        import collections
+        assert namespace["collections"] is collections
+        assert namespace["ok"] is True
+
+    def test_from_import_gets_the_submodule(self):
+        namespace = Sandbox().exec_source(
+            "from collections import abc\n"
+            "ok = issubclass(dict, abc.Mapping)")
+        import collections.abc
+        assert namespace["abc"] is collections.abc
+        assert namespace["ok"] is True
+
     def test_non_whitelisted_import_denied(self):
         sandbox = Sandbox()
         with pytest.raises(SandboxViolation, match="denied"):
             sandbox.exec_source("import os")
+        with pytest.raises(SandboxViolation, match="denied"):
+            sandbox.exec_source("import os.path")
 
     def test_relative_import_denied(self):
         sandbox = Sandbox()
