@@ -34,18 +34,16 @@ Quick start::
 
 __version__ = "1.0.0"
 
-from repro.core import AgentUri, Briefcase, Element, Folder  # noqa: F401
-from repro.system import (  # noqa: F401
-    TaxCluster,
-    TaxNode,
-    Testbed,
-    build_campus_testbed,
-    build_linkcheck_testbed,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "Briefcase", "AgentUri", "Element", "Folder",
-    "TaxCluster", "TaxNode", "Testbed",
-    "build_campus_testbed", "build_linkcheck_testbed",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".core.briefcase": "Briefcase",
+    ".core.uri": "AgentUri",
+    ".core.element": "Element",
+    ".core.folder": "Folder",
+    ".system.cluster": "TaxCluster",
+    ".system.node": "TaxNode",
+    ".system.bootstrap": (
+        "Testbed build_campus_testbed build_linkcheck_testbed"),
+})
+__all__.append("__version__")

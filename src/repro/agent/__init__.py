@@ -1,13 +1,11 @@
 """Agent-side runtime: mailboxes, the TAX library context, the
 paper-named API, and object agents."""
 
-from repro.agent import api, streams
-from repro.agent.context import (
-    DEFAULT_MEET_TIMEOUT,
-    AgentContext,
-)
-from repro.agent.mailbox import Mailbox
-from repro.agent.objagent import ObjectAgent, launch_briefcase
+from repro._namespace import lazy_namespace
 
-__all__ = ["api", "streams", "AgentContext", "DEFAULT_MEET_TIMEOUT",
-           "Mailbox", "ObjectAgent", "launch_briefcase"]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".": "api streams",
+    ".context": "AgentContext DEFAULT_MEET_TIMEOUT",
+    ".mailbox": "Mailbox",
+    ".objagent": "ObjectAgent launch_briefcase",
+})

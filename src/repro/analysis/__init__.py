@@ -7,55 +7,18 @@ and a dynamic briefcase-aliasing sanitizer that rides the folder version
 counters at runtime.
 """
 
-from repro.analysis.engine import (
-    Analyzer,
-    LintContext,
-    Rule,
-    RULES,
-    register,
-    rule_index,
-)
-from repro.analysis.findings import (
-    Finding,
-    Report,
-    WitnessStep,
-    render_json,
-    render_sarif,
-    render_text,
-)
-from repro.analysis.callgraph import Project, export_dot, export_json
-from repro.analysis.dataflow import Dataflow
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-    write_baseline,
-)
-from repro.analysis.sanitizer import (
-    AliasingSanitizer,
-    RULE_ALIASING,
-    RULE_CONFLICT,
-    SANITIZER_RULES,
-    run_sanitized_scenarios,
-    sanitizing,
-)
-from repro.analysis import rules as _rules  # registers the rule pack
-from repro.analysis import iprules as _iprules  # registers project rules
-from repro.analysis.iprules import (
-    PROJECT_RULES,
-    ProjectRule,
-    project_rule_index,
-    register_project,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "Analyzer", "LintContext", "Rule", "RULES", "register", "rule_index",
-    "Finding", "Report", "WitnessStep",
-    "render_json", "render_sarif", "render_text",
-    "Project", "Dataflow", "export_dot", "export_json",
-    "PROJECT_RULES", "ProjectRule", "project_rule_index",
-    "register_project",
-    "apply_baseline", "load_baseline", "render_baseline", "write_baseline",
-    "AliasingSanitizer", "RULE_ALIASING", "RULE_CONFLICT",
-    "SANITIZER_RULES", "run_sanitized_scenarios", "sanitizing",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".engine": "Analyzer LintContext Rule RULES register rule_index",
+    ".findings": (
+        "Finding Report WitnessStep render_json render_sarif render_text"),
+    ".callgraph": "Project export_dot export_json",
+    ".dataflow": "Dataflow",
+    ".iprules": (
+        "PROJECT_RULES ProjectRule project_rule_index register_project"),
+    ".baseline": "apply_baseline load_baseline render_baseline write_baseline",
+    ".sanitizer": (
+        "AliasingSanitizer RULE_ALIASING RULE_CONFLICT SANITIZER_RULES "
+        "run_sanitized_scenarios sanitizing"),
+})

@@ -388,3 +388,8 @@ class Analyzer:
                 continue
             modules.setdefault(ctx.module, extract_module(ctx))
         return Project(modules)
+
+
+# The default pack registers itself into RULES on import; loading it here
+# keeps RULES full wherever the registry is reached from.
+from repro.analysis import rules as _rules  # noqa: E402,F401

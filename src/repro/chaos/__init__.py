@@ -14,7 +14,9 @@
   ``crashtest`` scenario tables behind the commands of the same names.
 """
 
-from repro.chaos.engine import ChaosEngine
-from repro.chaos.rearguard import RearGuard
+from repro._namespace import lazy_namespace
 
-__all__ = ["ChaosEngine", "RearGuard"]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".engine": "ChaosEngine",
+    ".rearguard": "RearGuard",
+})

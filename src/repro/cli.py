@@ -215,7 +215,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     hint."""
     import json
 
-    from repro.suites import evaluate_check, get_plugin
+    from repro.suites.registry import get_plugin
+    from repro.suites.runner import evaluate_check
 
     command = args.command
     plugin = get_plugin(command)
@@ -272,19 +273,13 @@ def _default_baseline_path() -> str:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import os
 
-    from repro.analysis import (
-        Analyzer,
-        SANITIZER_RULES,
-        apply_baseline,
-        load_baseline,
-        render_json,
-        render_sarif,
-        render_text,
-        rule_index,
-        run_sanitized_scenarios,
-        write_baseline,
-    )
-    from repro.analysis.findings import fingerprinted
+    from repro.analysis.baseline import (
+        apply_baseline, load_baseline, write_baseline)
+    from repro.analysis.engine import Analyzer, rule_index
+    from repro.analysis.findings import (
+        fingerprinted, render_json, render_sarif, render_text)
+    from repro.analysis.sanitizer import (
+        SANITIZER_RULES, run_sanitized_scenarios)
 
     paths = list(args.paths) or _default_lint_paths()
     analyzer = Analyzer()
@@ -347,10 +342,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    from repro.suites import (SuiteError, cell_seed, get_plugin,
-                              load_suite, plugin_descriptions,
-                              plugin_names, render_suite_json, run_suite,
-                              suite_ok)
+    from repro.suites.registry import (
+        SuiteError, get_plugin, plugin_descriptions, plugin_names)
+    from repro.suites.runner import (
+        cell_seed, render_suite_json, run_suite, suite_ok)
+    from repro.suites.schema import load_suite
 
     def load():
         try:

@@ -5,46 +5,20 @@ everything agents exchange or carry is a briefcase, and everything a
 briefcase contains is uninterpreted bytes.
 """
 
-from repro.core import codec, wellknown
-from repro.core.briefcase import Briefcase
-from repro.core.element import Element
-from repro.core.errors import (
-    AccessDeniedError,
-    AgentNotFoundError,
-    AmbiguousAgentError,
-    BriefcaseError,
-    CodecError,
-    CommTimeoutError,
-    FolderNotFoundError,
-    IdentityError,
-    MigrationError,
-    SandboxViolation,
-    ServiceError,
-    TaxError,
-    TrustError,
-    UnsupportedPayloadError,
-    UriSyntaxError,
-    VMError,
-)
-from repro.core.folder import Folder
-from repro.core.identity import (
-    ANONYMOUS_PRINCIPAL,
-    SYSTEM_PRINCIPAL,
-    AgentId,
-    InstanceAllocator,
-    Principal,
-)
-from repro.core.uri import DEFAULT_PORT, AgentUri
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "codec", "wellknown",
-    "Briefcase", "Element", "Folder",
-    "AgentId", "InstanceAllocator", "Principal",
-    "ANONYMOUS_PRINCIPAL", "SYSTEM_PRINCIPAL",
-    "AgentUri", "DEFAULT_PORT",
-    "AccessDeniedError", "AgentNotFoundError", "AmbiguousAgentError",
-    "BriefcaseError", "CodecError", "CommTimeoutError",
-    "FolderNotFoundError", "IdentityError", "MigrationError",
-    "SandboxViolation", "ServiceError", "TaxError", "TrustError",
-    "UnsupportedPayloadError", "UriSyntaxError", "VMError",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".": "codec wellknown",
+    ".briefcase": "Briefcase",
+    ".element": "Element",
+    ".folder": "Folder",
+    ".identity": (
+        "AgentId InstanceAllocator Principal ANONYMOUS_PRINCIPAL "
+        "SYSTEM_PRINCIPAL"),
+    ".uri": "AgentUri DEFAULT_PORT",
+    ".errors": (
+        "AccessDeniedError AgentNotFoundError AmbiguousAgentError "
+        "BriefcaseError CodecError CommTimeoutError FolderNotFoundError "
+        "IdentityError MigrationError SandboxViolation ServiceError TaxError "
+        "TrustError UnsupportedPayloadError UriSyntaxError VMError"),
+})

@@ -20,10 +20,11 @@ from in-process object identity:
   ends in exactly one terminal bucket.
 """
 
-from repro.durability.conservation import ConservationAuditor
-from repro.durability.journal import HostJournal
-from repro.durability.recovery import HostDurability
-from repro.durability.store import VirtualDisk
+from repro._namespace import lazy_namespace
 
-__all__ = ["ConservationAuditor", "HostDurability", "HostJournal",
-           "VirtualDisk"]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".conservation": "ConservationAuditor",
+    ".recovery": "HostDurability",
+    ".journal": "HostJournal",
+    ".store": "VirtualDisk",
+})

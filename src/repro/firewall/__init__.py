@@ -1,33 +1,17 @@
 """The TAX firewall: reference monitor, routing, queues, auth, policy."""
 
-from repro.firewall.admin import FirewallAdmin
-from repro.firewall.auth import KeyChain, Signature, TrustStore, \
-    build_shared_trust
-from repro.firewall.firewall import (
-    Firewall,
-    FirewallDirectory,
-    LOCAL_DISPATCH_SECONDS,
-    code_signing_bytes,
-)
-from repro.firewall.message import (
-    DEFAULT_QUEUE_TIMEOUT,
-    ENVELOPE_OVERHEAD_BYTES,
-    DeliveryStats,
-    Message,
-    SenderInfo,
-)
-from repro.firewall.msgqueue import PendingQueue
-from repro.firewall.policy import Policy, closed_policy, open_policy
-from repro.firewall.routing import Registration, Registry
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "FirewallAdmin",
-    "KeyChain", "Signature", "TrustStore", "build_shared_trust",
-    "Firewall", "FirewallDirectory", "LOCAL_DISPATCH_SECONDS",
-    "code_signing_bytes",
-    "DEFAULT_QUEUE_TIMEOUT", "ENVELOPE_OVERHEAD_BYTES", "DeliveryStats",
-    "Message", "SenderInfo",
-    "PendingQueue",
-    "Policy", "closed_policy", "open_policy",
-    "Registration", "Registry",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".admin": "FirewallAdmin",
+    ".auth": "KeyChain Signature TrustStore build_shared_trust",
+    ".firewall": (
+        "Firewall FirewallDirectory LOCAL_DISPATCH_SECONDS "
+        "code_signing_bytes"),
+    ".message": (
+        "DEFAULT_QUEUE_TIMEOUT ENVELOPE_OVERHEAD_BYTES DeliveryStats Message "
+        "SenderInfo"),
+    ".msgqueue": "PendingQueue",
+    ".policy": "Policy closed_policy open_policy",
+    ".routing": "Registration Registry",
+})

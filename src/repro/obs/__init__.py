@@ -20,44 +20,20 @@ Seven pieces, all zero-dependency and deterministic:
 
 See ``docs/observability.md`` for the metric catalog and trace schema.
 (:mod:`repro.obs.demo` — the traced quickstart scenario behind ``repro
-trace`` — is deliberately *not* imported here: it pulls in the system
-layer, which itself imports this package.)
+trace`` — is deliberately *not* exported here: it pulls in the system
+layer.)
 """
 
-from repro.obs.metrics import (  # noqa: F401
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    estimate_quantile,
-    summarize_sample,
-)
-from repro.obs.tracing import (  # noqa: F401
-    NULL_SPAN,
-    Span,
-    Tracer,
-)
-from repro.obs.propagation import (  # noqa: F401
-    TraceContext,
-    TraceIdAllocator,
-)
-from repro.obs.flightrec import FlightRecorder  # noqa: F401
-from repro.obs.report import (  # noqa: F401
-    build_report,
-    render_report_html,
-    render_report_json,
-)
-from repro.obs.openmetrics import render_openmetrics  # noqa: F401
-from repro.obs.telemetry import Telemetry  # noqa: F401
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricError", "MetricsRegistry",
-    "DEFAULT_BUCKETS", "estimate_quantile", "summarize_sample",
-    "Span", "Tracer", "NULL_SPAN",
-    "TraceContext", "TraceIdAllocator", "FlightRecorder",
-    "build_report", "render_report_html", "render_report_json",
-    "render_openmetrics",
-    "Telemetry",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".metrics": (
+        "Counter Gauge Histogram MetricError MetricsRegistry DEFAULT_BUCKETS "
+        "estimate_quantile summarize_sample"),
+    ".tracing": "Span Tracer NULL_SPAN",
+    ".propagation": "TraceContext TraceIdAllocator",
+    ".flightrec": "FlightRecorder",
+    ".report": "build_report render_report_html render_report_json",
+    ".openmetrics": "render_openmetrics",
+    ".telemetry": "Telemetry",
+})

@@ -7,30 +7,14 @@
 - :mod:`repro.robot.report` — condensed dead-link reports.
 """
 
-from repro.robot.checkbot import Checkbot, CheckbotConfig, run_checkbot
-from repro.robot.linkcheck import (
-    CHECKABLE_REASONS,
-    probe_url,
-    validate_rejected,
-)
-from repro.robot.loganalyzer import analyze_log, parse_log_line, \
-    run_log_analysis
-from repro.robot.report import DeadLinkReport, merge_reports
-from repro.robot.webbot import (
-    WEBBOT_VERSION,
-    Webbot,
-    WebbotConfig,
-    extract_links,
-    join_url,
-    parse_robots_txt,
-    run_webbot,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "Checkbot", "CheckbotConfig", "run_checkbot",
-    "analyze_log", "parse_log_line", "run_log_analysis",
-    "CHECKABLE_REASONS", "probe_url", "validate_rejected",
-    "DeadLinkReport", "merge_reports",
-    "WEBBOT_VERSION", "Webbot", "WebbotConfig", "extract_links",
-    "join_url", "parse_robots_txt", "run_webbot",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".checkbot": "Checkbot CheckbotConfig run_checkbot",
+    ".loganalyzer": "analyze_log parse_log_line run_log_analysis",
+    ".linkcheck": "CHECKABLE_REASONS probe_url validate_rejected",
+    ".report": "DeadLinkReport merge_reports",
+    ".webbot": (
+        "WEBBOT_VERSION Webbot WebbotConfig extract_links join_url "
+        "parse_robots_txt run_webbot"),
+})

@@ -1,15 +1,14 @@
 """Standard service agents installed at every TAX landing pad."""
 
-from repro.services.ag_cabinet import AgCabinet
-from repro.services.ag_cc import AgCc
-from repro.services.ag_cron import AgCron
-from repro.services.ag_exec import AgExec, ExecEnv
-from repro.services.ag_fs import AgFs
-from repro.services.ag_locator import AgLocator
-from repro.services.base import ServiceAgent
-from repro.services.vfs import VirtualFS
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "AgCabinet", "AgCc", "AgCron", "AgExec", "ExecEnv", "AgFs",
-    "AgLocator", "ServiceAgent", "VirtualFS",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".ag_cabinet": "AgCabinet",
+    ".ag_cc": "AgCc",
+    ".ag_cron": "AgCron",
+    ".ag_exec": "AgExec ExecEnv",
+    ".ag_fs": "AgFs",
+    ".ag_locator": "AgLocator",
+    ".base": "ServiceAgent",
+    ".vfs": "VirtualFS",
+})

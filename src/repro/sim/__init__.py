@@ -9,37 +9,15 @@ This package replaces the paper's physical testbed (Unix workstations on a
 - :mod:`repro.sim.rng` — seeded, forkable random streams.
 """
 
-from repro.sim.errors import (
-    EventAlreadyTriggered,
-    Interrupt,
-    SimulationError,
-    StopProcess,
-)
-from repro.sim.eventloop import AllOf, AnyOf, Event, Kernel, Process, Timeout
-from repro.sim.host import DEFAULT_ARCH, HostRegistry, SimHost
-from repro.sim.network import (
-    BANDWIDTH_1MBIT,
-    BANDWIDTH_10MBIT,
-    BANDWIDTH_100MBIT,
-    LATENCY_LAN,
-    LATENCY_METRO,
-    LATENCY_WAN,
-    Link,
-    LinkDownError,
-    LinkStats,
-    Network,
-    NetworkError,
-    NoRouteError,
-)
-from repro.sim.rng import RandomStream, stream_from
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "AllOf", "AnyOf", "Event", "Kernel", "Process", "Timeout",
-    "EventAlreadyTriggered", "Interrupt", "SimulationError", "StopProcess",
-    "DEFAULT_ARCH", "HostRegistry", "SimHost",
-    "BANDWIDTH_1MBIT", "BANDWIDTH_10MBIT", "BANDWIDTH_100MBIT",
-    "LATENCY_LAN", "LATENCY_METRO", "LATENCY_WAN",
-    "Link", "LinkDownError", "LinkStats", "Network", "NetworkError",
-    "NoRouteError",
-    "RandomStream", "stream_from",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".eventloop": "AllOf AnyOf Event Kernel Process Timeout",
+    ".errors": "EventAlreadyTriggered Interrupt SimulationError StopProcess",
+    ".host": "DEFAULT_ARCH HostRegistry SimHost",
+    ".network": (
+        "BANDWIDTH_1MBIT BANDWIDTH_10MBIT BANDWIDTH_100MBIT LATENCY_LAN "
+        "LATENCY_METRO LATENCY_WAN Link LinkDownError LinkStats Network "
+        "NetworkError NoRouteError"),
+    ".rng": "RandomStream stream_from",
+})

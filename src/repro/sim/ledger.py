@@ -27,7 +27,8 @@ class CostLedger:
     events: int = 0
 
     def add(self, category: str, seconds: float, nbytes: int = 0) -> None:
-        if seconds < 0 or nbytes < 0:
+        # ``not >=`` rather than ``<``: a NaN would poison every total.
+        if not seconds >= 0 or nbytes < 0:
             raise ValueError("costs must be non-negative")
         self.seconds_by_category[category] = \
             self.seconds_by_category.get(category, 0.0) + seconds

@@ -111,9 +111,11 @@ class Link:
     track: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.latency < 0:
+        # ``not >=`` / ``not >`` rather than ``<`` / ``<=``: a NaN
+        # fails every comparison and would turn each transfer time NaN.
+        if not self.latency >= 0:
             raise ValueError("latency must be non-negative")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
         self.track = f"net:{self.src}->{self.dst}"
 

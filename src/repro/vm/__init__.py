@@ -8,21 +8,14 @@
   :mod:`repro.vm.vm_bin` — the three standard engines.
 """
 
-from repro.vm import loader
-from repro.vm.base import VirtualMachine
-from repro.vm.sandbox import (
-    DEFAULT_ALLOWED_IMPORTS,
-    Sandbox,
-    TrustedSandbox,
-    run_limited,
-)
-from repro.vm.vm_bin import VmBin
-from repro.vm.vm_pickle import VmPickle
-from repro.vm.vm_python import VmPython
-from repro.vm.vm_source import VmSource
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "loader",
-    "VirtualMachine", "VmBin", "VmPickle", "VmPython", "VmSource",
-    "DEFAULT_ALLOWED_IMPORTS", "Sandbox", "TrustedSandbox", "run_limited",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".": "loader",
+    ".base": "VirtualMachine",
+    ".vm_bin": "VmBin",
+    ".vm_pickle": "VmPickle",
+    ".vm_python": "VmPython",
+    ".vm_source": "VmSource",
+    ".sandbox": "DEFAULT_ALLOWED_IMPORTS Sandbox TrustedSandbox run_limited",
+})

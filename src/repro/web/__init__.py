@@ -5,35 +5,14 @@ with a parameterised synthetic equivalent; ``paper_site_spec()`` is the
 exact E1 configuration (917 pages, 3 MB).
 """
 
-from repro.web import urls
-from repro.web.client import ClientModel, ClientResponse, SimHttpClient
-from repro.web.page import Page, make_filler, render_page
-from repro.web.server import (
-    HttpRequest,
-    HttpResponse,
-    ServerModel,
-    WebDeployment,
-    WebServer,
-)
-from repro.web.site import (
-    PAPER_MAX_DEPTH,
-    PAPER_N_PAGES,
-    PAPER_TOTAL_BYTES,
-    Site,
-    SiteSpec,
-    SiteTruth,
-    external_stub_site,
-    generate_site,
-    paper_site_spec,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "urls",
-    "ClientModel", "ClientResponse", "SimHttpClient",
-    "Page", "make_filler", "render_page",
-    "HttpRequest", "HttpResponse", "ServerModel", "WebDeployment",
-    "WebServer",
-    "PAPER_MAX_DEPTH", "PAPER_N_PAGES", "PAPER_TOTAL_BYTES",
-    "Site", "SiteSpec", "SiteTruth", "external_stub_site", "generate_site",
-    "paper_site_spec",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".": "urls",
+    ".client": "ClientModel ClientResponse SimHttpClient",
+    ".page": "Page make_filler render_page",
+    ".server": "HttpRequest HttpResponse ServerModel WebDeployment WebServer",
+    ".site": (
+        "PAPER_MAX_DEPTH PAPER_N_PAGES PAPER_TOTAL_BYTES Site SiteSpec "
+        "SiteTruth external_stub_site generate_site paper_site_spec"),
+})

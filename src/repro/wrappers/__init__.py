@@ -11,39 +11,20 @@
 - :mod:`repro.wrappers.fault` — checkpoint/recover.
 """
 
-from repro.wrappers.base import AgentWrapper
-from repro.wrappers.fault import CheckpointWrapper, recover
-from repro.wrappers.groupcomm import GroupCommWrapper, group_send
-from repro.wrappers.location import LocationWrapper, resolve, send_via
-from repro.wrappers.logwrap import LoggingWrapper
-from repro.wrappers.mobility import (
-    add_stop,
-    install_program,
-    make_task_briefcase,
-    mobile_task_agent,
-    read_program,
-    set_home,
-    set_postprocessor,
-)
-from repro.wrappers.monitor import MonitorLog, MonitorWrapper
-from repro.wrappers.sealing import SealingWrapper
-from repro.wrappers.stack import (
-    WrapperSpec,
-    WrapperStack,
-    build_stack,
-    install_wrappers,
-    read_wrapper_specs,
-)
+from repro._namespace import lazy_namespace
 
-__all__ = [
-    "AgentWrapper",
-    "CheckpointWrapper", "recover",
-    "GroupCommWrapper", "group_send",
-    "LocationWrapper", "resolve", "send_via",
-    "LoggingWrapper",
-    "add_stop", "install_program", "make_task_briefcase",
-    "mobile_task_agent", "read_program", "set_home", "set_postprocessor",
-    "MonitorLog", "MonitorWrapper", "SealingWrapper",
-    "WrapperSpec", "WrapperStack", "build_stack", "install_wrappers",
-    "read_wrapper_specs",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(globals(), {
+    ".base": "AgentWrapper",
+    ".fault": "CheckpointWrapper recover",
+    ".groupcomm": "GroupCommWrapper group_send",
+    ".location": "LocationWrapper resolve send_via",
+    ".logwrap": "LoggingWrapper",
+    ".mobility": (
+        "add_stop install_program make_task_briefcase mobile_task_agent "
+        "read_program set_home set_postprocessor"),
+    ".monitor": "MonitorLog MonitorWrapper",
+    ".sealing": "SealingWrapper",
+    ".stack": (
+        "WrapperSpec WrapperStack build_stack install_wrappers "
+        "read_wrapper_specs"),
+})

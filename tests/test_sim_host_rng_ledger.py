@@ -140,6 +140,14 @@ class TestCostLedger:
         with pytest.raises(ValueError):
             ledger.add("x", 1.0, -5)
 
+    def test_nan_seconds_rejected(self):
+        # ``seconds < 0`` accepted NaN, and a crawl's elapsed time then
+        # became NaN without an error anywhere.
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match="non-negative"):
+            ledger.add("x", float("nan"))
+        assert ledger.events == 0 and not ledger.seconds_by_category
+
     def test_merge_combines_categories(self):
         a = CostLedger()
         a.add_cpu(1.0)

@@ -77,6 +77,16 @@ class TestCostModel:
         with pytest.raises(ValueError):
             Link("a", "b", latency=0, bandwidth=0)
 
+    def test_nan_latency_rejected(self):
+        # A NaN compares false both ways: ``latency < 0`` let it through
+        # and every transfer over the link then took NaN seconds.
+        with pytest.raises(ValueError, match="latency"):
+            Link("a", "b", latency=float("nan"), bandwidth=1e6)
+
+    def test_nan_bandwidth_rejected(self):
+        with pytest.raises(ValueError, match="bandwidth"):
+            Link("a", "b", latency=0.001, bandwidth=float("nan"))
+
     def test_100mbit_constant(self, kernel):
         net = Network(kernel)
         net.link("a", "b", latency=0, bandwidth=BANDWIDTH_100MBIT)

@@ -154,6 +154,40 @@ def test_yaml_and_json_files_load_identically(tmp_path):
         load_suite(str(tmp_path / "missing.yaml"))
 
 
+def test_a_json_suite_runs_without_pyyaml(tmp_path):
+    """PyYAML is a test dependency, not a product one (``dependencies =
+    []``): with ``yaml`` unimportable a ``.json`` suite runs to the
+    document the in-process runner prints, and a ``.yaml`` one exits 2
+    naming the way out."""
+    import os
+    import subprocess
+    import sys
+    body = {"suite": "t", "seed": 3, "cells": [{"plugin": "overload"}]}
+    json_path = tmp_path / "s.json"
+    json_path.write_text(json.dumps(body))
+    (tmp_path / "s.yaml").write_text("suite: t\ncells: []\n")
+    script = ("import sys\n"
+              "sys.modules['yaml'] = None\n"
+              "from repro.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    source_root = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+
+    def run(path):
+        return subprocess.run(
+            [sys.executable, "-c", script, "suite", "run", path],
+            timeout=120, capture_output=True, text=True, cwd=str(tmp_path),
+            env=dict(os.environ, PYTHONPATH=source_root))
+
+    result = run("s.json")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == render_suite_json(
+        run_suite(load_suite(str(json_path)))) + "\n"
+    result = run("s.yaml")
+    assert result.returncode == 2
+    assert "PyYAML is not installed" in result.stderr
+
+
 # ---------------------------------------------------------------- checks
 
 
@@ -355,23 +389,22 @@ def run_cli(argv, capsys):
 def test_importing_the_cli_imports_no_command(tmp_path):
     """Each command imports what it runs when it runs; the experiment
     harness used to be imported at module level and brought 17 modules
-    with it (``setup_s`` is a bounded benchmark metric)."""
+    with it, and an eager ``repro/__init__`` brought 81 (``setup_s`` is
+    a bounded benchmark metric).  Importing the CLI loads the package,
+    its lazy-namespace helper and the CLI itself, nothing else."""
     import os
     import subprocess
     import sys
     script = ("import sys, repro.cli\n"
               "print('\\n'.join(sorted(m for m in sys.modules\n"
-              "                        if m.startswith('repro.'))))\n")
+              "                        if m.split('.')[0] == 'repro')))\n")
     source_root = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     loaded = subprocess.run(
         [sys.executable, "-c", script], check=True, timeout=60,
         capture_output=True, text=True, cwd=str(tmp_path),
         env=dict(os.environ, PYTHONPATH=source_root)).stdout.split()
-    assert "repro.cli" in loaded
-    assert [m for m in loaded if m.split(".")[1] in (
-        "analysis", "bench", "chaos", "durability", "mining", "robot",
-        "suites")] == []
+    assert loaded == ["repro", "repro._namespace", "repro.cli"]
 
 
 def test_cli_overload_list_and_unknown(capsys):
