@@ -53,3 +53,6 @@ digest suite run examples/smoke.suite.yaml --seed 7
 digest suite run benchmarks/e2e/durable.suite.yaml
 digest experiments R2
 digest experiments E1 F5 F3
+# The site generator's own document: the paper-scale site with
+# redirects and robots rules, and every planted dead link.
+digest site --seed 7 --redirects 0.05 --robots --show-truth

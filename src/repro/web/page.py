@@ -72,6 +72,18 @@ def make_filler(nbytes: int, salt: int = 0) -> str:
     return text[:-1] if text.endswith(" ") else text
 
 
+def _escaped(texts: List[str]) -> List[str]:
+    """``texts`` with each one escaped as ``html.escape`` does, or as
+    given when none holds a character it replaces: one scan of the
+    joined list, where the generator's hrefs and anchor texts almost
+    never hold one."""
+    joined = "".join(texts)
+    if ("&" in joined or "<" in joined or ">" in joined or '"' in joined
+            or "'" in joined):
+        return [_html.escape(text) for text in texts]
+    return texts
+
+
 def render_page(path: str, title: str, links: List[str],
                 anchor_texts: List[str], target_bytes: int) -> Page:
     """Render a page containing the given hrefs, padded to ~target size.
@@ -81,21 +93,15 @@ def render_page(path: str, title: str, links: List[str],
     """
     if len(links) != len(anchor_texts):
         raise ValueError("links and anchor_texts must align")
-    items = "\n".join(
-        f'  <li><a href="{_html.escape(href, quote=True)}">'
-        f"{_html.escape(text)}</a></li>"
-        for href, text in zip(links, anchor_texts))
-    skeleton = (
-        "<!DOCTYPE html>\n"
-        f"<html>\n<head><title>{_html.escape(title)}</title></head>\n"
-        "<body>\n"
-        f"<h1>{_html.escape(title)}</h1>\n"
-        "<p>{filler}</p>\n"
-        "<ul>\n"
-        f"{items}\n"
-        "</ul>\n"
-        "</body>\n</html>\n")
-    overhead = len(skeleton.format(filler="").encode("utf-8"))
+    items = "\n".join([f'  <li><a href="{href}">{text}</a></li>'
+                       for href, text in zip(_escaped(links),
+                                             _escaped(anchor_texts))])
+    title = _html.escape(title)
+    # Concatenated, never used as a format string: a brace in a title,
+    # href or anchor text is text.
+    head = (f"<!DOCTYPE html>\n<html>\n<head><title>{title}</title></head>\n"
+            f"<body>\n<h1>{title}</h1>\n<p>")
+    tail = f"</p>\n<ul>\n{items}\n</ul>\n</body>\n</html>\n"
+    overhead = len(head.encode("utf-8")) + len(tail.encode("utf-8"))
     filler = make_filler(max(0, target_bytes - overhead), salt=len(path))
-    return Page(path=path, html=skeleton.format(filler=filler),
-                links=list(links))
+    return Page(path=path, html=head + filler + tail, links=list(links))

@@ -73,6 +73,11 @@ class SiteSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("links_per_page", "cross_link_factor", "size_sigma",
+                     "max_age_days"):
+            # ``not >=`` rather than ``<``: NaN fails every comparison.
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.private_pages and not self.robots_disallow:
             raise ValueError("private_pages need robots_disallow prefixes")
         if self.private_pages < 0:
@@ -167,6 +172,7 @@ def generate_site(spec: SiteSpec,
     truth.depth_of = {paths[i]: d for i, d in depth.items()}
 
     link_rng = rng.fork("links")
+    pick_page = link_rng.index_draw(spec.n_pages)
     outgoing: Dict[int, List[str]] = {i: [] for i in range(spec.n_pages)}
     for i in range(spec.n_pages):
         outgoing[i].extend(paths[c] for c in children[i])
@@ -175,15 +181,15 @@ def generate_site(spec: SiteSpec,
     n_cross = int(spec.n_pages * spec.links_per_page *
                   spec.cross_link_factor)
     for _ in range(n_cross):
-        src = link_rng.randint(0, spec.n_pages - 1)
-        dst = link_rng.randint(0, spec.n_pages - 1)
+        src = pick_page()
+        dst = pick_page()
         outgoing[src].append(paths[dst])
 
     # Dead internal links: hrefs to paths nothing generates.
     n_links_planned = sum(len(v) for v in outgoing.values())
     n_dead = int(n_links_planned * spec.dead_internal_fraction)
     for d in range(n_dead):
-        src = link_rng.randint(0, spec.n_pages - 1)
+        src = pick_page()
         href = f"/missing/gone{d:04d}.html"
         outgoing[src].append(href)
         truth.dead_internal.append((paths[src], href))
@@ -193,13 +199,13 @@ def generate_site(spec: SiteSpec,
     redirects: Dict[str, str] = {}
     n_redirects = int(n_links_planned * spec.redirect_fraction)
     for r in range(n_redirects):
-        src = link_rng.randint(0, spec.n_pages - 1)
+        src = pick_page()
         redirect_path = f"/moved/r{r:04d}.html"
         if link_rng.chance(spec.redirect_dead_fraction):
             redirects[redirect_path] = f"/missing/rt{r:04d}.html"
             truth.redirect_dead.append((paths[src], redirect_path))
         else:
-            target = paths[link_rng.randint(0, spec.n_pages - 1)]
+            target = paths[pick_page()]
             redirects[redirect_path] = target
             truth.redirect_alive.append((paths[src], redirect_path))
         outgoing[src].append(redirect_path)
@@ -213,7 +219,7 @@ def generate_site(spec: SiteSpec,
             ("/style/s{:03d}.css", "text/css")
         asset_path = kind[0].format(a)
         asset_specs.append((asset_path, kind[1]))
-        src = link_rng.randint(0, spec.n_pages - 1)
+        src = pick_page()
         outgoing[src].append(asset_path)
 
     # Robots-disallowed pages: alive, linked, but off limits.
@@ -226,7 +232,7 @@ def generate_site(spec: SiteSpec,
         for k in range(spec.private_pages):
             private_path = f"{base}/s{k:03d}.html"
             private_paths.append(private_path)
-            src = link_rng.randint(0, spec.n_pages - 1)
+            src = pick_page()
             outgoing[src].append(private_path)
             truth.robots_blocked.append((paths[src], private_path))
 
@@ -234,7 +240,7 @@ def generate_site(spec: SiteSpec,
     if spec.external_hosts:
         n_external = int(n_links_planned * spec.external_link_fraction)
         for e in range(n_external):
-            src = link_rng.randint(0, spec.n_pages - 1)
+            src = pick_page()
             ext_host = spec.external_hosts[
                 link_rng.zipf_index(len(spec.external_hosts), skew=0.5)]
             if link_rng.chance(spec.external_dead_fraction):

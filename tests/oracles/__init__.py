@@ -19,5 +19,8 @@ readable or pre-optimisation twin of one product hot path:
 - :mod:`tests.oracles.web` — the simulated HTTP exchange before it
   became one pass (``ReferenceClient`` / ``ReferenceServer`` /
   ``ReferenceNetwork`` / ``ReferenceHost`` and
-  ``reference_normalize_path``).
+  ``reference_normalize_path``);
+- :mod:`tests.oracles.site` — the site generator before pages were
+  concatenated and link draws bound once (``reference_render_page`` /
+  ``reference_generate_site``).
 """

@@ -105,6 +105,14 @@ class TestRandomStream:
         assert not any(stream.chance(0.0) for _ in range(50))
         assert all(stream.chance(1.0) for _ in range(50))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 917, 1000, 2**31 - 1, 2**32,
+                                   2**32 + 1, 3**25, 2**40])
+    def test_index_draw_is_randint_below_n(self, n):
+        draw = RandomStream(11, "draw").index_draw(n)
+        reference = RandomStream(11, "draw")
+        assert [draw() for _ in range(200)] == \
+            [reference.randint(0, n - 1) for _ in range(200)]
+
     def test_stream_from_coercions(self):
         assert isinstance(stream_from(5, "x"), RandomStream)
         parent = RandomStream(5)

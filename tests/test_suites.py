@@ -354,7 +354,7 @@ def test_retry_stream_is_named_not_arithmetic():
     stream = retry_stream(7, "flood-0")
     assert stream.name == "retry/flood-0"
     assert stream.seed == 7
-    assert retry_stream(7, "flood-0").random() == stream.random() or True
+    assert retry_stream(7, "flood-0").random() == stream.random()
     # Derivation goes through the named-stream hash, byte-compatible
     # with RandomStream(seed, name=...).
     reference = RandomStream(7, name="retry/flood-0")

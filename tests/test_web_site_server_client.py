@@ -97,6 +97,19 @@ class TestSiteGenerator:
         with pytest.raises(ValueError):
             SiteSpec(dead_internal_fraction=1.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), -10.0, -1e-9])
+    @pytest.mark.parametrize("name", ["links_per_page", "cross_link_factor",
+                                      "size_sigma", "max_age_days"])
+    def test_spec_rejects_nan_and_negative(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SiteSpec(**{name: value})
+
+    def test_spec_accepts_zero(self):
+        site = generate_site(SiteSpec(
+            n_pages=5, total_bytes=5_000, links_per_page=0.0,
+            cross_link_factor=0.0, size_sigma=0.0, max_age_days=0.0))
+        assert all(page.age_days == 0.0 for page in site.pages.values())
+
     def test_paper_spec_scale(self):
         site = generate_site(paper_site_spec())
         assert site.n_pages == 917

@@ -1,5 +1,7 @@
 """Unit tests for URL handling and page rendering."""
 
+import html
+
 import pytest
 
 from repro.web import urls
@@ -115,3 +117,18 @@ class TestPageRendering:
     def test_page_size_is_utf8_bytes(self):
         page = render_page("/p", "Tø", [], [], 0)
         assert page.size == len(page.html.encode("utf-8"))
+
+    @pytest.mark.parametrize("escape", ["", "&"])
+    @pytest.mark.parametrize("text", ["{", "}", "{x}", "{0}"])
+    @pytest.mark.parametrize("where", ["href", "anchor", "title"])
+    def test_braces_are_text(self, where, text, escape):
+        # A brace is text in every slot, never a format field, whether
+        # or not the slot has something to escape.
+        parts = {"href": "/a.html", "anchor": "ref 0", "title": "T"}
+        parts[where] = f"{parts[where]}{text}{escape}"
+        page = render_page("/p.html", parts["title"], [parts["href"]],
+                           [parts["anchor"]], target_bytes=2000)
+        assert html.escape(parts[where]) in page.html
+        assert page.links == [parts["href"]]
+        assert page.size == len(page.html.encode("utf-8"))
+        assert abs(page.size - 2000) < 10
