@@ -182,9 +182,6 @@ class AgentContext:
     def now(self) -> float:
         return self.kernel.now
 
-    def log(self, text: str) -> None:
-        self.firewall.log(f"[{self.name}:{self.instance}] {text}")
-
     # -- helpers ---------------------------------------------------------------------
 
     @staticmethod
@@ -237,7 +234,6 @@ class AgentContext:
             telemetry.tracer.instant(
                 "transport.retry", category="agent", track=track,
                 op=op, attempt=retry_index + 1, **link_args(trace))
-        self.log(f"{op} retry #{retry_index + 1} in {delay:.3f}s")
         yield self.kernel.timeout(delay)
 
     # -- communication primitives ------------------------------------------------------
@@ -309,14 +305,17 @@ class AgentContext:
     def post(self, target: Target, briefcase: Optional[Briefcase] = None):
         """Asynchronous send: runs in its own process, returns immediately.
 
-        Usable from non-process code (wrapper hooks); errors are logged
-        rather than raised.
+        Usable from non-process code (wrapper hooks); a failure is not
+        raised but counted in ``agent.post_failures`` (telemetry on).
         """
         def _poster():
             try:
                 yield from self.send(target, briefcase)
-            except (TaxError, NetworkError) as exc:
-                self.log(f"async send to {target} failed: {exc}")
+            except (TaxError, NetworkError):
+                telemetry = self.kernel.telemetry
+                if telemetry.enabled:
+                    telemetry.metrics.inc("agent.post_failures",
+                                          agent=self.name)
         return self.kernel.spawn(_poster(), name=f"post:{target}")
 
     def recv(self, timeout: Optional[float] = None,
@@ -579,14 +578,13 @@ class AgentContext:
         pattern becomes ``try: yield from ctx.go(...) except
         MigrationError``.
         """
-        uri = yield from self._hop("go", vm_target, timeout)
+        yield from self._hop("go", vm_target, timeout)
         # The move succeeded: terminate this instance.
         self.moved = True
         self.firewall.unregister_agent(self.registration.agent_id,
                                        reason="moved")
         if self.mailbox is not None:
             self.mailbox.close()
-        self.log(f"moved to {uri}")
         raise StopProcess("moved")
 
     def spawn_to(self, vm_target: Target,

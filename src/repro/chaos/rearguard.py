@@ -134,9 +134,6 @@ class RearGuard:
         instance = agent.rsplit(":", 1)[-1] if ":" in agent else None
         if host is None or instance is None:
             return
-        self.ctx.log(f"rear guard: orphan twin {agent} on {host} "
-                     f"(incarnation {event.get('incarnation')}, "
-                     f"expected {self.expected_incarnation}), killing")
         self.twin_kills_pending += 1
         kernel.spawn(self._kill_twin(agent, host, instance),
                      name=f"twin-kill:{agent}")
@@ -149,23 +146,20 @@ class RearGuard:
             reply = yield from self.ctx.meet(
                 AgentUri(host=host, name="firewall"), request,
                 timeout=self.heartbeat_timeout * 4)
-        except (TaxError, NetworkError) as exc:
+        except (TaxError, NetworkError):
             # Let the next heartbeat from the twin trigger another try.
             self._twin_kills_sent.discard(agent)
-            self.ctx.log(f"rear guard: twin kill of {agent} failed: {exc}")
             return
         finally:
             self.twin_kills_pending -= 1
         results = reply.get_json(wellknown.RESULTS, {})
         killed = bool(results.get("killed")) \
             if isinstance(results, dict) else False
+        # Not killed means already gone (crashed with its host, or
+        # finished): fine — exactly-once only needs it not to be running.
         telemetry = self.node.kernel.telemetry
         if telemetry.enabled and killed:
             telemetry.metrics.inc("recovery.twins_killed")
-        if not killed:
-            # Already gone (crashed with its host, or finished): fine —
-            # exactly-once only needs it not to be running.
-            self.ctx.log(f"rear guard: twin {agent} already gone")
 
     # -- introspection ---------------------------------------------------------------
 
@@ -217,7 +211,6 @@ class RearGuard:
             if self.silence() <= self.heartbeat_timeout:
                 continue
             if len(self.relaunches) >= self.max_relaunches:
-                self.ctx.log("rear guard: relaunch budget spent, giving up")
                 return
             yield from self._recover_once()
 
@@ -229,8 +222,6 @@ class RearGuard:
                                   "error": "no live candidate host"})
             self.last_seen = kernel.now  # back off one full timeout
             return
-        self.ctx.log(f"rear guard: agent silent for "
-                     f"{self.silence():.3f}s, recovering onto {vm}")
         try:
             uri = yield from recover(self.ctx, self.cabinet, self.drawer, vm)
         except (TaxError, NetworkError) as exc:

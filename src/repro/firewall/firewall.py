@@ -39,7 +39,7 @@ and makes its target local in place.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core import codec
 from repro.core.briefcase import Briefcase
@@ -88,9 +88,6 @@ from repro.sim.network import Network, NetworkError
 #: Cost of brokering one local message through the firewall (two IPC hops
 #: through the reference monitor).
 LOCAL_DISPATCH_SECONDS = 0.0002
-
-#: Maximum retained event-log entries per firewall.
-EVENT_LOG_LIMIT = 10_000
 
 #: Retained quarantine records for poison (undecodable) wire messages.
 QUARANTINE_LIMIT = 100
@@ -164,8 +161,8 @@ class Firewall:
         #: never learns who listens.
         self.changes = ChangeStream()
         self.pending = PendingQueue(kernel, on_expire=self._on_expire,
-                                    host=host.name, log=self.log,
-                                    changes=self.changes, **queue_kwargs)
+                                    host=host.name, changes=self.changes,
+                                    **queue_kwargs)
         #: Poison wire messages that failed to decode (newest last).
         self.quarantine: List[dict] = []
         #: Idempotent-receive state (``self.dedup``/``self.landings``).
@@ -183,12 +180,11 @@ class Firewall:
         #: here has one set of label names, and the host label is fixed.
         self._series: Dict[tuple, object] = {}
         self.stats = DeliveryStats()
-        self.events: List[Tuple[float, str]] = []
         #: VM name → object implementing launch_agent(); set by the node.
         self.vms: Dict[str, object] = {}
         self.directory.add(self)
 
-    # -- logging --------------------------------------------------------------------
+    # -- telemetry --------------------------------------------------------------------
 
     @property
     def telemetry(self):
@@ -221,6 +217,13 @@ class Firewall:
         telemetry = self.kernel.telemetry
         if telemetry.enabled:
             telemetry.flight.record(self.host.name, kind, **detail)
+
+    def _reject(self, reason: str, **detail) -> None:
+        """Record one refused forward: the tally, ``fw.rejected`` and a
+        ``rejected`` flight record carrying ``detail``."""
+        self.stats.rejected += 1
+        self._count("fw.rejected", reason=reason)
+        self._flight("rejected", reason=reason, **detail)
 
     def _admission_bytes(self, decision: str):
         """The held ``fw.admission_bytes`` series of one decision (the
@@ -256,14 +259,9 @@ class Firewall:
                      principal=message.sender.principal,
                      wire_bytes=wire_bytes)
 
-    def log(self, text: str) -> None:
-        if len(self.events) < EVENT_LOG_LIMIT:
-            self.events.append((self.kernel.now, text))
-
     def _on_expire(self, message: Message) -> None:
         self.stats.expired += 1
         self._count("fw.queue_expired")
-        self.log(f"expired queued message for {message.target}")
 
     # -- registration (called by VMs) --------------------------------------------------
 
@@ -290,7 +288,6 @@ class Firewall:
             self.changes.emit("agent-spawn", instance=agent_id.instance,
                               name=name, principal=principal)
         self._count("fw.registrations", vm=vm_name)
-        self.log(f"registered {agent_id} principal={principal} vm={vm_name}")
         self._flush_pending_for(registration)
         return registration
 
@@ -301,7 +298,6 @@ class Firewall:
             if self.changes.sinks:
                 self.changes.emit("agent-depart",
                                   instance=agent_id.instance, reason=reason)
-            self.log(f"unregistered {agent_id} ({reason})")
             return True
         return False
 
@@ -348,20 +344,11 @@ class Firewall:
 
     def _forward_remote(self, message: Message):
         if message.hops >= MAX_HOPS:
-            self.stats.rejected += 1
-            self._count("fw.rejected", reason="looping")
-            self._flight("rejected", reason="looping",
-                         target=str(message.target))
-            self.log(f"dropped looping message for {message.target} "
-                     f"(hops={message.hops})")
+            self._reject("looping", target=str(message.target))
             return False
         peer = self.directory.lookup(message.target.host)
         if peer is None:
-            self.stats.rejected += 1
-            self._count("fw.rejected", reason="no-route")
-            self._flight("rejected", reason="no-route",
-                         target=str(message.target))
-            self.log(f"no route to host {message.target.host!r}")
+            self._reject("no-route", target=str(message.target))
             raise AgentNotFoundError(
                 f"unknown host {message.target.host!r}")
         if message.seq is None:
@@ -378,30 +365,17 @@ class Firewall:
         try:
             self.governor.check_wire(wire_bytes)
         except BriefcaseTooLargeError:
-            self.stats.rejected += 1
-            self._count("fw.rejected", reason="oversized")
-            self._flight("rejected", reason="oversized",
-                         target=str(message.target),
+            self._reject("oversized", target=str(message.target),
                          wire_bytes=wire_bytes)
-            self.log(f"rejected oversized message for {message.target} "
-                     f"({wire_bytes} wire bytes)")
             raise
         try:
             yield from self.network.transfer(
                 self.host.name, peer.host.name, wire_bytes)
         except CircuitOpenError:
-            self.stats.rejected += 1
-            self._count("fw.rejected", reason="circuit-open")
-            self._flight("rejected", reason="circuit-open",
-                         dst=peer.host.name)
-            self.log(f"circuit to {peer.host.name} is open; fast-failed")
+            self._reject("circuit-open", dst=peer.host.name)
             raise
         except NetworkError:
-            self.stats.rejected += 1
-            self._count("fw.rejected", reason="link-down")
-            self._flight("rejected", reason="link-down",
-                         dst=peer.host.name)
-            self.log(f"transfer to {peer.host.name} failed")
+            self._reject("link-down", dst=peer.host.name)
             raise
         self.stats.forwarded_remote += 1
         telemetry = self.kernel.telemetry
@@ -457,14 +431,12 @@ class Firewall:
         def _delayed():
             yield self.kernel.timeout(delay)
             if not self.network.host_is_up(peer.host.name):
-                self.log(f"delayed delivery to {peer.host.name} lost "
-                         f"(host down)")
+                self._count("fw.delayed_lost", outcome="host-down")
                 return
             try:
                 peer.receive_remote(message)
-            except (TaxError, NetworkError) as exc:
-                self.log(f"delayed delivery to {peer.host.name} "
-                         f"refused: {exc}")
+            except (TaxError, NetworkError):
+                self._count("fw.delayed_lost", outcome="refused")
         self.kernel.spawn(_delayed(),
                           name=f"delayed:{self.host.name}->"
                                f"{peer.host.name}")
@@ -535,8 +507,6 @@ class Firewall:
                 error=type(exc).__name__)
             telemetry.flight.dump(self.host.name,
                                   reason="poison-quarantine")
-        self.log(f"quarantined poison message from "
-                 f"{sender.principal!r}@{sender.host}: {exc}")
 
     def receive_remote(self, message: Message) -> bool:
         """Entry point for messages arriving from a peer firewall."""
@@ -550,8 +520,6 @@ class Firewall:
                 self._count("fw.dedup", outcome="duplicate")
                 self._flight("dedup-duplicate", src=message.seq_src,
                              seq=message.seq)
-                self.log(f"suppressed duplicate seq={message.seq} "
-                         f"from {message.seq_src}")
                 return True
             if verdict == "reject":
                 # Below the window: freshness can no longer be proven,
@@ -560,16 +528,13 @@ class Firewall:
                 self._count("fw.dedup", outcome="reject")
                 self._flight("dedup-reject", src=message.seq_src,
                              seq=message.seq)
-                self.log(f"rejected out-of-window seq={message.seq} "
-                         f"from {message.seq_src}")
                 return False
         tracked = message.seq is not None and message.seq_src
         try:
             self._authenticate(message)
-        except TrustError as exc:
+        except TrustError:
             self.stats.rejected += 1
             self._count("fw.auth", outcome="rejected")
-            self.log(f"rejected remote message: {exc}")
             if tracked:
                 self.dedup.forget(message.seq_src, message.seq)
             return False
@@ -647,12 +612,10 @@ class Firewall:
                 self.governor.admit_message(
                     message.sender.principal, wire_bytes,
                     pending=self.pending)
-            except QuotaExceededError as exc:
+            except QuotaExceededError:
                 self.stats.rejected += 1
                 self._admission_rejected("quota", wire_bytes, message,
                                          addressed)
-                self.log(f"governor rejected "
-                         f"{message.sender.principal!r}: {exc}")
                 raise
             except BriefcaseTooLargeError:
                 self.stats.rejected += 1
@@ -681,13 +644,11 @@ class Firewall:
                     self._count("fw.rejected", reason="queue-full")
                     self._admission_rejected("queue-full", wire_bytes,
                                              message, addressed)
-                    self.log(f"queue full; rejected message for {target}")
                     raise
                 self.stats.queued += 1
                 if telemetry.enabled:
                     (self._series.get("fw.messages_queued")
                      or self._counter("fw.messages_queued")).inc()
-                self.log(f"queued message for absent {target}")
                 return True
             self.stats.rejected += 1
             self._count("fw.rejected", reason="absent")
@@ -701,8 +662,6 @@ class Firewall:
             self._flight("rejected", reason="policy",
                          principal=message.sender.principal,
                          target=str(registration.agent_id))
-            self.log(f"policy rejected {message.sender.principal} -> "
-                     f"{registration.agent_id}")
             raise AccessDeniedError(
                 f"{message.sender.principal!r} may not send to "
                 f"{registration.agent_id}")
@@ -723,7 +682,6 @@ class Firewall:
         else:
             self.stats.dropped_by_wrapper += 1
             self._count("fw.dropped_by_wrapper")
-            self.log(f"delivery to {registration.agent_id} dropped")
         return delivered
 
     # -- crash / restart (driven by the node) -------------------------------------------------
@@ -755,21 +713,18 @@ class Firewall:
         self._count("fw.crashes")
         self._flight("crash", reason=reason, killed=killed,
                      dead_lettered=len(records), tombstoned=tombstoned)
-        self.log(f"crashed: {killed} registrations destroyed, "
-                 f"{len(records)} parked messages dead-lettered, "
-                 f"{tombstoned} landings tombstoned")
         return killed
 
     def _unlink(self) -> None:
         """Let go of what only a running world needs (for
         :meth:`~repro.system.cluster.TaxCluster.close`): every
         registration — each dropping its delivery closure — the VMs,
-        the pending queue's two callbacks into this firewall, and the
+        the pending queue's callback into this firewall, and the
         directory of peers.  Counters, ledgers and snapshots stay
         readable."""
         self.registry._remove_all()
         self.vms = {}
-        self.pending.on_expire = self.pending.log = None
+        self.pending.on_expire = None
         self.directory = FirewallDirectory()
 
     def retransmit_dead_letters(self, max_retransmits: int = 2) -> int:
@@ -794,15 +749,13 @@ class Firewall:
                     **propagation.link_args(record.message.trace))
             self._flight("retransmit", reason=record.reason,
                          target=str(record.message.target))
-            self.log(f"retransmitting dead letter for "
-                     f"{record.message.target} (reason={record.reason})")
             try:
                 self._dispatch_local(record.message,
                                      retransmits=record.retransmits + 1,
                                      admitted=True)
                 redelivered += 1
-            except TaxError as exc:
-                self.log(f"retransmit failed: {exc}")
+            except TaxError:
+                self._count("fw.retransmit_failures", reason=record.reason)
         return redelivered
 
     # -- addressing helpers ------------------------------------------------------------------
@@ -859,8 +812,6 @@ class Firewall:
         self._count("fw.landing_tombstoned", reason=reason)
         self._flight("landing-tombstone", landing_id=landing_id,
                      reason=reason, killed=killed)
-        self.log(f"tombstoned landing {landing_id} "
-                 f"(reason={reason}, killed={killed})")
         return {"tombstoned": True, "killed": killed}
 
     def admin_kill(self, instance: str) -> bool:
@@ -877,7 +828,6 @@ class Firewall:
             self.changes.emit("agent-depart",
                               instance=registration.instance,
                               reason="killed")
-        self.log(f"killed {registration.agent_id}")
         return True
 
     def admin_pause(self, instance: str) -> bool:
@@ -885,7 +835,6 @@ class Firewall:
         if registration is None:
             return False
         registration.pause()
-        self.log(f"paused {registration.agent_id}")
         return True
 
     def admin_resume(self, instance: str) -> bool:
@@ -893,6 +842,4 @@ class Firewall:
         if registration is None:
             return False
         flushed = registration.resume()
-        self.log(f"resumed {registration.agent_id} "
-                 f"(flushed {flushed} messages)")
         return True

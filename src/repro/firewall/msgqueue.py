@@ -134,7 +134,6 @@ class PendingQueue:
                  limits: Optional[QueueLimits] = None,
                  overflow: str = OVERFLOW_REJECT,
                  dead_letter_limit: int = DEAD_LETTER_LIMIT,
-                 log: Optional[Callable[[str], None]] = None,
                  changes: Optional[ChangeStream] = None):
         if overflow not in OVERFLOW_POLICIES:
             raise ValueError(f"unknown overflow policy {overflow!r}")
@@ -146,7 +145,6 @@ class PendingQueue:
         self.limits = limits or QueueLimits()
         self.overflow = overflow
         self.dead_letter_limit = dead_letter_limit
-        self.log = log
         #: The tracer track of this queue's ``fw.queue_wait`` spans.
         self._track = f"fw:{host}"
         self._pending: List[_Pending] = []
@@ -196,10 +194,6 @@ class PendingQueue:
 
     # -- telemetry helpers -----------------------------------------------------------
 
-    def _note(self, text: str) -> None:
-        if self.log is not None:
-            self.log(text)
-
     def _update_watermarks(self) -> None:
         telemetry = self.kernel.telemetry
         if not telemetry.enabled:
@@ -236,8 +230,6 @@ class PendingQueue:
         if telemetry.enabled:
             telemetry.metrics.inc("fw.queue_evictions", host=self.host,
                                   policy=policy)
-        self._note(f"queue evicted message for {entry.message.target} "
-                   f"(policy={policy})")
 
     def _reject(self, message: Message, wire_bytes: int,
                 reason: str) -> None:
@@ -361,11 +353,6 @@ class PendingQueue:
             if telemetry.enabled:
                 telemetry.metrics.inc("fw.dead_letter_evictions",
                                       host=self.host)
-            self._note(
-                f"dead-letter ledger full ({self.dead_letter_limit}): "
-                f"dropped record from "
-                f"{trimmed.message.sender.principal!r} for "
-                f"{trimmed.message.target} (reason={trimmed.reason})")
         if telemetry.enabled:
             telemetry.metrics.inc("fw.dead_letters", host=self.host,
                                   reason=reason)

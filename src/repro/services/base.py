@@ -63,8 +63,6 @@ class ServiceAgent:
 
     def _handle_one(self, message: Message):
         op = message.briefcase.get_text(wellknown.OP)
-        self.firewall.log(
-            f"{self.name} op={op} from={message.sender.principal}")
         try:
             if not self.authorize(message, op):
                 raise ServiceError(

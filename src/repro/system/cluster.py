@@ -161,7 +161,7 @@ class TaxCluster:
         — then :meth:`Kernel.close` ends every live process, then each
         node lets go of what only a running world needs (VMs, services,
         durability controller, registrations, the firewall's queue
-        callbacks and peer directory).  Counters, ledgers, journals,
+        callback and peer directory).  Counters, ledgers, journals,
         telemetry and the clock stay readable; running again raises.
         """
         for node in self.nodes.values():

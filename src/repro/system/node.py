@@ -137,7 +137,6 @@ class TaxNode:
             # The black box: freeze this host's recent-event ring into a
             # post-mortem dump the chaos/overload documents can embed.
             telemetry.flight.dump(self.host.name, reason=reason)
-        self.firewall.log(f"host {self.host.name} crashed ({reason})")
         return killed
 
     def restart(self) -> "TaxNode":
@@ -169,9 +168,6 @@ class TaxNode:
         if telemetry.enabled:
             telemetry.flight.record(self.host.name, "restart",
                                     retransmitted=retransmitted)
-        self.firewall.log(
-            f"host {self.host.name} restarted "
-            f"({retransmitted} dead letters retransmitted)")
         return self
 
     def _unlink(self) -> None:

@@ -266,12 +266,10 @@ class VirtualMachine:
             # The agent moved away with go(); cleanup already happened.
             outcome = "moved"
             return "moved"
-        except Interrupt as interrupt:
-            ctx.log(f"interrupted: {interrupt.cause}")
+        except Interrupt:
             outcome = "killed"
             return "killed"
-        except TaxError as exc:
-            ctx.log(f"agent failed: {exc}")
+        except TaxError:
             outcome = "failed"
             raise
         finally:
@@ -295,7 +293,6 @@ class VirtualMachine:
         yield from self.ctx.reply(message, response)
 
     def _nack(self, message: Message, error: str):
-        self.firewall.log(f"{self.name} launch failed: {error}")
         if message.briefcase.get_text(wellknown.REPLY_TO) is None:
             return
         response = Briefcase()

@@ -40,7 +40,6 @@ class LocationWrapper(AgentWrapper):
         if "registry" not in self.config or "logical" not in self.config:
             raise ValueError(
                 "location wrapper needs 'registry' and 'logical' config")
-        self.updates_sent = 0
 
     def _registry(self) -> AgentUri:
         return AgentUri.parse(self.config["registry"])
@@ -53,7 +52,6 @@ class LocationWrapper(AgentWrapper):
             "uri": str(ctx.uri),
         })
         ctx.post(self._registry(), request)
-        self.updates_sent += 1
 
     def on_detach(self, ctx) -> None:
         request = Briefcase()

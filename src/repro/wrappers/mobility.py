@@ -188,7 +188,6 @@ def mobile_task_agent(ctx, briefcase: Briefcase):
             try:
                 yield from ctx.go(stop["vm"], timeout=patience)
             except MigrationError as exc:
-                ctx.log(f"unable to resume at {stop['vm']}: {exc}")
                 briefcase.drop(CURRENT_STOP)
                 briefcase.append(FAILURES, {
                     "host": planned, "phase": "go", "error": str(exc)})
@@ -200,7 +199,6 @@ def mobile_task_agent(ctx, briefcase: Briefcase):
             condensed = _postprocess(briefcase, raw, stop.get("args", {}))
             briefcase.append(wellknown.RESULTS, condensed)
         except TaxError as exc:
-            ctx.log(f"program execution failed: {exc}")
             briefcase.append(FAILURES, {
                 "host": ctx.host_name, "phase": "exec", "error": str(exc)})
     while True:
@@ -212,8 +210,7 @@ def mobile_task_agent(ctx, briefcase: Briefcase):
         try:
             yield from ctx.go(stop["vm"], timeout=patience)
         except MigrationError as exc:
-            # "Unable to reach %s": log it and try the next stop.
-            ctx.log(f"unable to reach {stop['vm']}: {exc}")
+            # "Unable to reach %s": record it and try the next stop.
             briefcase.drop(CURRENT_STOP)
             briefcase.append(FAILURES, {
                 "host": _stop_host(stop) or stop["vm"], "phase": "go",

@@ -59,7 +59,6 @@ class MonitorWrapper(AgentWrapper):
     def __init__(self, config: Optional[dict] = None):
         super().__init__(config)
         self.messages_forwarded = 0
-        self.queries_answered = 0
 
     # -- reporting ------------------------------------------------------------------
 
@@ -145,7 +144,6 @@ class MonitorWrapper(AgentWrapper):
 
     def on_receive(self, ctx, message: Message) -> Optional[Message]:
         if message.briefcase.get_text(wellknown.OP) == OP_STATUS_QUERY:
-            self.queries_answered += 1
             reply_to = message.briefcase.get_text(wellknown.REPLY_TO)
             if reply_to is not None:
                 response = Briefcase()

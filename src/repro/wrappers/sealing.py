@@ -95,7 +95,6 @@ class SealingWrapper(AgentWrapper):
         self.require_sealed = bool(self.config.get("require_sealed", False))
         self._nonce_counter = 0
         self.sealed_count = 0
-        self.unsealed_count = 0
         self.rejected_count = 0
 
     @staticmethod
@@ -155,5 +154,4 @@ class SealingWrapper(AgentWrapper):
         briefcase.drop(SEALED_FOLDER)
         briefcase.drop(MAC_FOLDER)
         briefcase.merge(restored)
-        self.unsealed_count += 1
         return message

@@ -4,11 +4,21 @@ import pytest
 
 from repro.core import codec, wellknown
 from repro.core.briefcase import Briefcase
-from repro.core.errors import AccessDeniedError
+from repro.core.errors import (
+    AccessDeniedError,
+    AgentNotFoundError,
+    BriefcaseTooLargeError,
+    CircuitOpenError,
+)
+from repro.core.limits import BreakerConfig, WireLimits
 from repro.core.uri import AgentUri
 from repro.firewall.firewall import code_signing_bytes
-from repro.firewall.message import Message, SenderInfo
-from repro.firewall.policy import OP_SEND
+from repro.firewall.governor import GovernorConfig
+from repro.firewall.message import MAX_HOPS, Message, SenderInfo
+from repro.firewall.policy import OP_SEND, Policy, closed_policy
+from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.network import LinkDownError
+from repro.system.cluster import TaxCluster
 from repro.vm import loader
 
 
@@ -421,7 +431,7 @@ def sleeper_agent(ctx, bc):
 
 class TestHopGuard:
     def test_looping_message_rejected(self, pair_cluster):
-        from repro.firewall.message import MAX_HOPS, Message, SenderInfo
+        pair_cluster.telemetry.enable()
         alpha = pair_cluster.node("alpha.test")
         message = Message(
             target=AgentUri.parse("tacoma://beta.test/ag_fs"),
@@ -433,5 +443,130 @@ class TestHopGuard:
             ok = yield from alpha.firewall.submit(message)
             return ok
         assert pair_cluster.run(scenario()) is False
-        assert any("looping" in text
-                   for _t, text in alpha.firewall.events)
+        assert alpha.firewall.stats.rejected == 1
+        assert pair_cluster.telemetry.metrics.value(
+            "fw.rejected", host="alpha.test", reason="looping") == 1
+
+
+class TestForwardRejections:
+    """A refused forward is recorded by one call: the ``stats.rejected``
+    tally, ``fw.rejected{reason}`` and a ``rejected`` flight record."""
+
+    @staticmethod
+    def governed_pair():
+        cluster = TaxCluster()
+        cluster.telemetry.enable()
+        governor = GovernorConfig(
+            wire_limits=WireLimits(max_encoded_bytes=1024))
+        cluster.add_node("alpha.test", policy=Policy(governor=governor))
+        cluster.add_node("beta.test")
+        cluster.network.link("alpha.test", "beta.test")
+        return cluster
+
+    @pytest.mark.parametrize("reason, raised, detail", [
+        ("looping", None, {"target"}),
+        ("no-route", AgentNotFoundError, {"target"}),
+        ("oversized", BriefcaseTooLargeError, {"target", "wire_bytes"}),
+        ("circuit-open", CircuitOpenError, {"dst"}),
+        ("link-down", LinkDownError, {"dst"}),
+    ])
+    def test_each_reason_writes_tally_counter_and_flight_record(
+            self, reason, raised, detail):
+        cluster = self.governed_pair()
+        network = cluster.network
+        host, hops, briefcase = "beta.test", 0, Briefcase()
+        if reason == "looping":
+            hops = MAX_HOPS
+        elif reason == "no-route":
+            host = "nowhere.test"
+        elif reason == "oversized":
+            briefcase.append("PAYLOAD", bytes(2048))
+        elif reason == "circuit-open":
+            network.configure_breakers(BreakerConfig(failure_threshold=1))
+            network.breaker_between("alpha.test", "beta.test") \
+                .record_failure(cluster.kernel.now)
+        else:
+            network.set_link_up("alpha.test", "beta.test", False)
+        message = Message(
+            target=AgentUri.parse(f"tacoma://{host}/sink"),
+            briefcase=briefcase,
+            sender=SenderInfo("system", "alpha.test"), hops=hops)
+        firewall = cluster.node("alpha.test").firewall
+        before = firewall.stats.rejected
+
+        def scenario():
+            return (yield from firewall.submit(message))
+        if raised is None:
+            assert cluster.run(scenario()) is False
+        else:
+            with pytest.raises(raised):
+                cluster.run(scenario())
+        assert firewall.stats.rejected == before + 1
+        assert cluster.telemetry.metrics.value(
+            "fw.rejected", host="alpha.test", reason=reason) == 1
+        newest = cluster.telemetry.flight.snapshot("alpha.test")[-1]
+        assert newest["kind"] == "rejected"
+        assert newest["reason"] == reason
+        assert set(newest) - {"t", "kind", "reason"} == detail
+
+
+class TestSwallowedFailures:
+    """A failure the firewall catches and does not raise still leaves
+    exactly one record: a counter, written while telemetry is on."""
+
+    @staticmethod
+    def delaying_pair(beta_policy=None):
+        """alpha → beta with every forward held back one second."""
+        cluster = TaxCluster()
+        cluster.telemetry.enable()
+        cluster.add_node("alpha.test")
+        beta = cluster.add_node("beta.test", policy=beta_policy)
+        cluster.network.link("alpha.test", "beta.test")
+        cluster.network.fault_injector = FaultInjector(
+            FaultPlan(reorder_probability=1.0, reorder_delay=(1.0, 1.0)),
+            seed_or_stream=7)
+        collector(beta)
+        return cluster, beta
+
+    def send_held_back(self, cluster, after_send=None):
+        driver = cluster.node("alpha.test").driver(principal="alice")
+
+        def scenario():
+            ok = yield from driver.send(
+                AgentUri.parse("tacoma://beta.test/sink"), Briefcase())
+            if after_send is not None:
+                after_send()
+            yield cluster.kernel.timeout(5)
+            return ok
+        assert cluster.run(scenario()) is True
+
+    def test_delayed_delivery_to_a_crashed_host_is_counted(self):
+        cluster, beta = self.delaying_pair()
+        self.send_held_back(cluster, after_send=beta.crash)
+        assert cluster.telemetry.metrics.value(
+            "fw.delayed_lost", host="alpha.test", outcome="host-down") == 1
+        assert beta.firewall.stats.received_remote == 0
+
+    def test_delayed_delivery_the_peer_refuses_is_counted(self):
+        cluster, beta = self.delaying_pair(beta_policy=closed_policy())
+        self.send_held_back(cluster)
+        assert cluster.telemetry.metrics.value(
+            "fw.delayed_lost", host="alpha.test", outcome="refused") == 1
+        assert beta.firewall.stats.rejected == 1
+
+    def test_failed_retransmit_is_counted(self):
+        cluster = TaxCluster()
+        cluster.telemetry.enable()
+        node = cluster.add_node("locked.test", policy=closed_policy())
+        driver = node.driver(principal="alice")
+        assert cluster.run(driver.send(
+            AgentUri.parse("late"), Briefcase(), queue_timeout=100))
+        node.crash()
+        # The target exists by the time the restart retransmits, and
+        # the closed policy refuses alice's dead letter.
+        collector(node, "late")
+        node.restart()
+        assert node.firewall.stats.rejected == 1
+        assert cluster.telemetry.metrics.value(
+            "fw.retransmit_failures", host="locked.test",
+            reason="host-crash") == 1

@@ -196,6 +196,7 @@ def named_by_entry(ctx, bc):
 class TestVmBaseEdges:
     def test_crashing_agent_is_unregistered_and_logged(self,
                                                        single_cluster):
+        single_cluster.telemetry.enable()
         node = single_cluster.node("solo.test")
         driver = node.driver()
         briefcase = Briefcase()
@@ -210,8 +211,8 @@ class TestVmBaseEdges:
             return reply.get_text("AGENT-URI")
         uri = AgentUri.parse(single_cluster.run(scenario()))
         assert node.firewall.registry.by_instance(uri.instance) is None
-        assert any("agent failed" in text
-                   for _t, text in node.firewall.events)
+        spans = single_cluster.telemetry.tracer.find(name="run:crasher")
+        assert [span.args["outcome"] for span in spans] == ["failed"]
 
     def test_agent_name_defaults_to_entry_name(self, single_cluster):
         driver = single_cluster.node("solo.test").driver()
