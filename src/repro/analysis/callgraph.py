@@ -77,12 +77,6 @@ class Project:
 
     # -- name resolution ----------------------------------------------------
 
-    def module_facts(self, qname: str) -> Optional[ModuleFacts]:
-        function = self.functions.get(qname)
-        if function is None:
-            return None
-        return self.modules.get(function.module)
-
     def resolve(self, dotted: str) -> Tuple[str, str]:
         """Resolve a dotted reference to ``(kind, name)`` where kind is
         ``"function"``, ``"class"``, or ``"external"``.

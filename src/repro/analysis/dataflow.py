@@ -21,8 +21,9 @@ sanctioned this":
 For every (function, effect) the pass records the *first* cause found
 — an intrinsic origin or the call edge it arrived through — in
 deterministic processing order, and :meth:`Dataflow.chain` replays
-cause links into the witness path rendered with interprocedural
-findings.
+cause links into the witness path rendered with findings.  Every
+intrinsic origin is kept too (:attr:`Dataflow.origins`): a rule
+reports each one, not only the first.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.analysis.callgraph import Edge, Project
 from repro.analysis.summaries import (
     EFFECT_RULE,
     RAISES_PERMANENT,
+    IntrinsicEffect,
     in_sanctuary,
     intrinsic_effects,
 )
@@ -51,9 +53,6 @@ class Cause:
     note: str
     #: Callee qname for ``"edge"`` causes, else "".
     callee: str = ""
-    #: Intrinsic only: True when the local rule pack can already see
-    #: this origin (a direct resolvable call on an unsuppressed line).
-    visible: bool = False
     snippet: str = ""
     #: Machine-readable payload (the resolved exception class qname for
     #: ``raises-permanent`` origins — ERR002 checks catchability).
@@ -67,6 +66,8 @@ class Dataflow:
         self.project = project
         #: qname -> effect -> first cause.
         self.effects: Dict[str, Dict[str, Cause]] = {}
+        #: qname -> every intrinsic origin, by (line, col, effect).
+        self.origins: Dict[str, List[IntrinsicEffect]] = {}
         self._propagate()
 
     # -- seeding ------------------------------------------------------------
@@ -75,12 +76,13 @@ class Dataflow:
         function = self.project.functions[qname]
         module_facts = self.project.modules[function.module]
         seeded: Dict[str, Cause] = {}
-        for intrinsic in intrinsic_effects(function, module_facts):
+        self.origins[qname] = intrinsic_effects(function, module_facts)
+        for intrinsic in self.origins[qname]:
             if intrinsic.effect not in seeded:
                 seeded[intrinsic.effect] = Cause(
                     kind="intrinsic", line=intrinsic.line,
                     col=intrinsic.col, note=intrinsic.note,
-                    visible=intrinsic.visible, snippet=intrinsic.snippet)
+                    snippet=intrinsic.snippet)
         permanent = self._permanent_raise(qname)
         if permanent is not None and RAISES_PERMANENT not in seeded:
             seeded[RAISES_PERMANENT] = permanent
@@ -103,7 +105,7 @@ class Dataflow:
             short = resolved.rsplit(".", 1)[-1]
             return Cause(kind="intrinsic", line=raise_ref.line, col=1,
                          note=f"raises {short} (transient=False)",
-                         visible=False, snippet=raise_ref.snippet,
+                         snippet=raise_ref.snippet,
                          detail=resolved)
         return None
 

@@ -3,7 +3,9 @@
 Rules are small classes registered with :func:`register`; the
 :class:`Analyzer` parses each file once, annotates the tree with parent
 links and an import-alias table, and hands a :class:`LintContext` to
-every applicable rule.  Findings flow through inline suppressions
+every applicable rule — and the same context to the whole-program view
+(:mod:`repro.analysis.symbols` / ``callgraph`` / ``dataflow``) the
+project rules run over.  Findings flow through inline suppressions
 (``# lint: disable=RULE`` on the offending line, or
 ``# lint: disable-file=RULE`` anywhere in the file) before they are
 fingerprinted and, optionally, filtered against a committed baseline
@@ -28,22 +30,16 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Type,
 )
 
-if TYPE_CHECKING:  # circular at runtime (iprules -> rules -> engine)
+if TYPE_CHECKING:  # circular at runtime (symbols -> engine)
     from repro.analysis.callgraph import Project
-    from repro.analysis.iprules import ProjectRule
+    from repro.analysis.dataflow import Dataflow
 
-from repro.analysis.findings import (
-    Finding,
-    Report,
-    fingerprinted,
-    sort_findings,
-)
+from repro.analysis.findings import Finding, Report, fingerprinted
 
 #: Rule lists are comma-separated ids; anything after the list (a
 #: justification, ``- why this is fine``) is ignored.
@@ -231,53 +227,32 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def rule_index(rules: Optional[Sequence[Rule]] = None
-               ) -> Dict[str, Tuple[str, str]]:
+def rule_index() -> Dict[str, Tuple[str, str]]:
     """rule id -> (severity, description), for SARIF and docs."""
-    return {rule.id: (rule.severity, rule.description)
-            for rule in (RULES if rules is None else rules)}
+    return {rule.id: (rule.severity, rule.description) for rule in RULES}
 
 
 class Analyzer:
-    """Runs a rule set over files / directory trees.
+    """Runs both rule packs over a source string, a file, or trees.
 
-    :meth:`analyze_file` / :meth:`analyze_source` stay strictly
-    per-file (they power unit tests and editor integrations);
-    :meth:`analyze_paths` additionally assembles the whole-program
-    view (:mod:`repro.analysis.symbols` / ``callgraph`` / ``dataflow``)
-    and runs the interprocedural rule pack over it, from the one
-    :class:`LintContext` each file is parsed into.
-    ``project_rules=()`` disables the interprocedural pass.
+    Every entry point is the same single pass (:meth:`_run`): each file
+    is parsed once, the per-file rules run over its
+    :class:`LintContext`, the same context is distilled into the
+    whole-program view, and the project rules run over that.
     """
-
-    def __init__(self, rules: Optional[Sequence[Rule]] = None,
-                 project_rules: Optional[Sequence["ProjectRule"]] = None):
-        self.rules: List[Rule] = list(RULES if rules is None else rules)
-        if project_rules is None:
-            from repro.analysis.iprules import PROJECT_RULES
-            project_rules = PROJECT_RULES
-        self.project_rules: List["ProjectRule"] = list(project_rules)
 
     # -- file discovery -----------------------------------------------------
 
-    @classmethod
-    def _python_files(cls, paths: Iterable[str]) -> List[str]:
+    @staticmethod
+    def _python_files(paths: Iterable[str]) -> List[str]:
         files: List[str] = []
         for path in paths:
-            files.extend(cls._iter_python_files(path))
+            if os.path.isfile(path):
+                files.append(path)
+            for dirpath, _dirnames, filenames in os.walk(path):
+                files.extend(os.path.join(dirpath, name)
+                             for name in filenames if name.endswith(".py"))
         return sorted(set(files))
-
-    @staticmethod
-    def _iter_python_files(path: str) -> List[str]:
-        if os.path.isfile(path):
-            return [path]
-        found: List[str] = []
-        for dirpath, dirnames, filenames in os.walk(path):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if name.endswith(".py"):
-                    found.append(os.path.join(dirpath, name))
-        return found
 
     @staticmethod
     def _module_name(file_path: str) -> str:
@@ -317,77 +292,63 @@ class Analyzer:
                            source=source,
                            tree=ast.parse(source, filename=display))
 
-    def _check(self, ctx: LintContext) -> List[Finding]:
-        """Run the per-file rules over one context (suppression-
-        filtered, unsorted, not yet fingerprinted)."""
-        file_suppressed = ctx.file_suppressed_rules()
-        findings: List[Finding] = []
-        for rule in self.rules:
-            if rule.id in file_suppressed:
-                continue
-            if not rule.applies_to(ctx.module):
-                continue
-            for finding in rule.check(ctx):
-                if rule.id in ctx.suppressed_rules(finding.line):
-                    continue
-                findings.append(finding)
-        return findings
-
-    def analyze_source(self, source: str, path: str = "<memory>",
-                       module: str = "") -> List[Finding]:
-        """Run the rules over one source string (see :meth:`_check`)."""
-        tree = ast.parse(source, filename=path)
-        return self._check(LintContext(
-            path=path, module=module or "<memory>", source=source,
-            tree=tree))
-
-    def analyze_file(self, file_path: str) -> List[Finding]:
-        return self._check(self._load_context(file_path))
-
-    def analyze_paths(self, paths: Iterable[str]) -> Report:
-        """Analyze files/trees; returns a fingerprinted, sorted report.
-
-        Each file is parsed once: its context feeds the per-function
-        rules and the module facts the interprocedural pack then runs
-        over.
-        """
+    @staticmethod
+    def _run(contexts: Iterable[LintContext]
+             ) -> Tuple[List[Finding], List[str], "Project", "Dataflow"]:
+        """The one pass: findings (suppression-filtered, unsorted, not
+        yet fingerprinted), analyzed display paths, and the
+        whole-program view the project rules ran over."""
         from repro.analysis.callgraph import Project
+        from repro.analysis.dataflow import Dataflow
+        from repro.analysis.iprules import PROJECT_RULES
         from repro.analysis.symbols import ModuleFacts, extract_module
         findings: List[Finding] = []
         analyzed: List[str] = []
         modules: Dict[str, ModuleFacts] = {}
-        for file_path in self._python_files(paths):
-            ctx = self._load_context(file_path)
+        for ctx in contexts:
             analyzed.append(ctx.path)
-            findings.extend(self._check(ctx))
-            if self.project_rules:
-                # Module-name collisions (two loose fixture files
-                # sharing a stem): first in sorted path order wins.
-                modules.setdefault(ctx.module, extract_module(ctx))
-        if self.project_rules:
-            from repro.analysis.dataflow import Dataflow
-            project = Project(modules)
-            flow = Dataflow(project)
-            for rule in self.project_rules:
-                findings.extend(rule.check(project, flow))
-        report = Report(findings=fingerprinted(findings), analyzed=analyzed)
-        report.findings = sort_findings(report.findings)
-        return report
-
-    def build_project(self, paths: Iterable[str]) -> "Project":
-        """Assemble the whole-program view (symbol tables + call graph)
-        for the given files/trees on its own, skipping any file that
-        does not parse."""
-        from repro.analysis.callgraph import Project
-        from repro.analysis.symbols import ModuleFacts, extract_module
-        modules: Dict[str, ModuleFacts] = {}
-        for file_path in self._python_files(paths):
-            try:
-                ctx = self._load_context(file_path)
-            except SyntaxError:
-                continue
+            file_suppressed = ctx.file_suppressed_rules()
+            for rule in RULES:
+                if rule.id in file_suppressed or \
+                        not rule.applies_to(ctx.module):
+                    continue
+                findings.extend(
+                    finding for finding in rule.check(ctx)
+                    if rule.id not in ctx.suppressed_rules(finding.line))
+            # Module-name collisions (two loose fixture files sharing a
+            # stem): first in sorted path order wins.
             modules.setdefault(ctx.module, extract_module(ctx))
-        return Project(modules)
+        project = Project(modules)
+        flow = Dataflow(project)
+        for project_rule in PROJECT_RULES:
+            findings.extend(project_rule.check(project, flow))
+        return findings, analyzed, project, flow
+
+    def analyze_source(self, source: str, path: str = "<memory>",
+                       module: str = "") -> List[Finding]:
+        """Run both packs over one source string (see :meth:`_run`)."""
+        tree = ast.parse(source, filename=path)
+        return self._run([LintContext(
+            path=path, module=module or "<memory>", source=source,
+            tree=tree)])[0]
+
+    def analyze_file(self, file_path: str) -> List[Finding]:
+        return self._run([self._load_context(file_path)])[0]
+
+    def analyze_paths(self, paths: Iterable[str]) -> Report:
+        """Analyze files/trees; returns a fingerprinted, sorted report."""
+        return self.run(paths)[0]
+
+    def run(self, paths: Iterable[str]
+            ) -> Tuple[Report, "Project", "Dataflow"]:
+        """:meth:`analyze_paths` plus the whole-program view it built
+        (``repro lint --graph`` renders that)."""
+        findings, analyzed, project, flow = self._run(
+            self._load_context(file_path)
+            for file_path in self._python_files(paths))
+        report = Report(findings=fingerprinted(findings),
+                        analyzed=analyzed)
+        return report, project, flow
 
 
 # The default pack registers itself into RULES on import; loading it here

@@ -1,24 +1,24 @@
-"""The interprocedural rule pack: rules over the whole-program view.
+"""The whole-program rule pack: rules over the call graph and effects.
 
-Two kinds of rules live here.  The *upgraded* determinism rules
-(DET001–003, KER001 — same stable ids as their local counterparts)
-report effects the per-function rules cannot see: a wall-clock read
-laundered through an alias or ``functools.partial``, or an environment
-read reached from deterministic code through a helper module outside
-DET003's scope.  The *new* rules (ERR002, WIRE001, ASY001) only exist
-at this layer — they are properties of paths, not of lines.
+The effect rules follow one effect through the call graph: DET001
+(wall clock), DET002 (unseeded randomness), DET003 (environment reads
+in sim/core), KER001 (scheduling outside the kernel) and ASY001
+(transport-clean code reaching blocking I/O or virtual time).  ERR002
+and WIRE001 are properties of paths, not of lines.
 
-Reporting policy ("innermost uncovered"): an effect chain produces at
-most one finding, at the innermost in-scope function whose origin the
-local rule pack does not already cover.  A visible origin (a direct,
-resolvable call on an unsuppressed line in an in-scope module) is the
-local rule's business — the transitive layer stays silent rather than
-duplicating it.  Suppressed lines and sanctuary modules never enter
-the dataflow at all (see :mod:`repro.analysis.summaries`), so a
-justified ``# lint: disable=`` keeps sanctioning the whole chain.
+Reporting policy: an in-scope function reports each of its own origins
+of the effect, one finding per origin, worded for what the origin
+names (a direct ``time.time()``, an ``import heapq``) or for how it
+was laundered (an alias, a ``functools.partial``, a decorator).  A
+function whose effect only arrives through calls reports the call when
+nothing below it reported — the origin lies outside the rule's scope —
+so a chain yields its findings at the innermost in-scope function.
+Suppressed lines and sanctuary modules never enter the dataflow at all
+(see :mod:`repro.analysis.summaries`), so a justified
+``# lint: disable=`` keeps sanctioning the whole chain.
 
 Every finding carries a witness path: caller context down to the
-reported function, then the cause chain to the origin line.
+reported function, then the steps to the origin line.
 """
 
 from __future__ import annotations
@@ -28,17 +28,21 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 from repro.analysis.callgraph import Project
 from repro.analysis.dataflow import Cause, Dataflow
 from repro.analysis.findings import Finding, WitnessStep
-from repro.analysis.rules import ENV_SCOPES
 from repro.analysis.summaries import (
     BLOCKING_IO,
     ENV_READ,
     KERNEL_BYPASS,
     RAISES_PERMANENT,
+    RANDOM_CALLS,
     READS_WALL_CLOCK,
     SIM_COUPLED,
     UNSEEDED_RANDOM,
+    IntrinsicEffect,
 )
 from repro.analysis.symbols import FunctionFacts, RetryRegion
+
+#: Module prefixes that must stay environment-independent (DET003).
+ENV_SCOPES = ("repro.core", "repro.sim")
 
 #: How many caller-context hops to prepend to a witness chain.
 _CALLER_CONTEXT_HOPS = 3
@@ -115,8 +119,7 @@ def register_project(cls: Type[ProjectRule]) -> Type[ProjectRule]:
 
 
 def project_rule_index() -> Dict[str, Tuple[str, str]]:
-    """rule id -> (severity, description) for SARIF/docs, *excluding*
-    ids shared with the local pack (the local entry wins there)."""
+    """rule id -> (severity, description), for SARIF and docs."""
     return {rule.id: (rule.severity, rule.description)
             for rule in PROJECT_RULES}
 
@@ -157,140 +160,177 @@ def _chain_steps(flow: Dataflow, qname: str,
             for fn, path, line, note in flow.chain(qname, effect)]
 
 
-class TransitiveEffectRule(ProjectRule):
-    """Shared machinery for the upgraded DET/KER/ASY effect rules."""
+class EffectRule(ProjectRule):
+    """Shared machinery for the rules that follow one effect."""
 
     #: The dataflow effect this rule reports.
     effect = ""
-    #: True when a *local* rule can already flag visible origins (the
-    #: transitive layer then defers to it).
-    has_local_rule = True
 
     def in_scope(self, module: str) -> bool:
         return True
 
-    def message(self, project: Project, qname: str, root_qname: str,
-                root: Cause) -> str:
+    def reached(self, note: str, where: str) -> str:
+        """The message for an origin ``note`` (laundered, or reached
+        through calls) in function ``where``."""
         raise NotImplementedError
+
+    def direct(self, origin: IntrinsicEffect, where: str) -> str:
+        """The message for an origin that names its target directly."""
+        return self.reached(origin.note, where)
 
     def check(self, project: Project,
               flow: Dataflow) -> Iterator[Finding]:
         status: Dict[str, str] = {}
         for qname in sorted(project.functions):
-            if flow.cause(qname, self.effect) is None:
-                continue
             if self._status(project, flow, qname, status) != "reported":
                 continue
             cause = flow.cause(qname, self.effect)
             assert cause is not None
-            root = flow.root(qname, self.effect)
-            if root is None:
+            context = _caller_context(project, qname)
+            if cause.kind == "edge":
+                root = flow.root(qname, self.effect)
+                if root is None:
+                    continue
+                root_qname, root_cause = root
+                yield self.finding(
+                    project, qname, cause.line, cause.col,
+                    self.reached(root_cause.note,
+                                 root_qname.rsplit(".", 1)[-1]),
+                    cause.snippet,
+                    context + _chain_steps(flow, qname, self.effect))
                 continue
-            root_qname, root_cause = root
-            witness = _caller_context(project, qname) + \
-                _chain_steps(flow, qname, self.effect)
-            yield self.finding(
-                project, qname, cause.line, cause.col,
-                self.message(project, qname, root_qname, root_cause),
-                cause.snippet, witness)
+            function = project.functions[qname]
+            short = qname.rsplit(".", 1)[-1]
+            for origin in flow.origins[qname]:
+                if origin.effect != self.effect:
+                    continue
+                message = self.direct(origin, short) if origin.target \
+                    else self.reached(origin.note, short)
+                step = WitnessStep(function=qname, path=function.path,
+                                   line=origin.line, note=origin.note)
+                yield self.finding(project, qname, origin.line,
+                                   origin.col, message, origin.snippet,
+                                   context + [step])
 
     def _status(self, project: Project, flow: Dataflow, qname: str,
                 memo: Dict[str, str]) -> str:
-        """``"covered"`` (a local finding or a deeper transitive finding
-        exists), ``"reported"`` (this function gets the finding), or
-        ``"unscoped"`` (tainted, but outside the rule's scope)."""
+        """``"reported"`` (this function gets the findings),
+        ``"covered"`` (untainted, or a function below reported), or
+        ``"unscoped"`` (tainted, but nothing in scope reported yet)."""
         cached = memo.get(qname)
         if cached is not None:
             return cached
         memo[qname] = "covered"  # cycle guard: stay quiet on revisits
         cause = flow.cause(qname, self.effect)
-        if cause is None:
+        if cause is None or (cause.kind == "edge" and self._status(
+                project, flow, cause.callee, memo) != "unscoped"):
             result = "covered"
-        elif cause.kind == "intrinsic":
-            function = project.functions[qname]
-            if not self.in_scope(function.module):
-                result = "unscoped"
-            elif cause.visible and self.has_local_rule:
-                result = "covered"
-            else:
-                result = "reported"
+        elif self.in_scope(project.functions[qname].module):
+            result = "reported"
         else:
-            below = self._status(project, flow, cause.callee, memo)
-            if below in ("covered", "reported"):
-                result = "covered"
-            else:
-                function = project.functions[qname]
-                result = "reported" if self.in_scope(function.module) \
-                    else "unscoped"
+            result = "unscoped"
         memo[qname] = result
         return result
 
 
 @register_project
-class TransitiveWallClockRule(TransitiveEffectRule):
+class WallClockRule(EffectRule):
     id = "DET001"
     severity = "error"
-    description = ("Wall-clock read reached through the call graph "
-                   "(aliased or laundered past the local rule)")
+    description = ("Wall-clock read, direct or through the call graph: "
+                   "virtual time must come from the kernel clock, never "
+                   "the host clock")
     effect = READS_WALL_CLOCK
 
-    def message(self, project: Project, qname: str, root_qname: str,
-                root: Cause) -> str:
-        short = root_qname.rsplit(".", 1)[-1]
-        return (f"reaches a wall-clock read ({root.note} in {short}) "
-                f"invisible to the local rule; deterministic code must "
-                f"use the kernel's virtual clock (kernel.now / ctx.now)")
+    def reached(self, note: str, where: str) -> str:
+        return (f"reaches a wall-clock read ({note} in {where}); "
+                f"deterministic code must use the kernel's virtual clock "
+                f"(kernel.now / ctx.now)")
+
+    def direct(self, origin: IntrinsicEffect, where: str) -> str:
+        return (f"{origin.target}() reads the wall clock; deterministic "
+                f"code must use the kernel's virtual clock "
+                f"(kernel.now / ctx.now)")
 
 
 @register_project
-class TransitiveRandomRule(TransitiveEffectRule):
+class UnseededRandomRule(EffectRule):
     id = "DET002"
     severity = "error"
-    description = ("Unseeded randomness reached through the call graph "
-                   "outside repro.sim.rng")
+    description = ("Unseeded/global randomness outside repro.sim.rng, "
+                   "direct or through the call graph, breaks "
+                   "replayability")
     effect = UNSEEDED_RANDOM
 
-    def message(self, project: Project, qname: str, root_qname: str,
-                root: Cause) -> str:
-        short = root_qname.rsplit(".", 1)[-1]
-        return (f"reaches unseeded randomness ({root.note} in {short}) "
-                f"the simulation cannot replay; route randomness "
-                f"through repro.sim.rng")
+    def reached(self, note: str, where: str) -> str:
+        return (f"reaches unseeded randomness ({note} in {where}) the "
+                f"simulation cannot replay; route randomness through "
+                f"repro.sim.rng")
+
+    def direct(self, origin: IntrinsicEffect, where: str) -> str:
+        target = origin.target
+        if target in RANDOM_CALLS:
+            return (f"{target}() is entropy the simulation cannot "
+                    f"replay; derive values from a seeded "
+                    f"repro.sim.rng.RandomStream")
+        if target == "random.Random":
+            return ("random.Random() without a seed draws from OS "
+                    "entropy; pass an explicit seed")
+        return (f"{target}() uses a global/unseeded stream; route "
+                f"randomness through repro.sim.rng outside the "
+                f"sanctuary module")
 
 
 @register_project
-class TransitiveEnvReadRule(TransitiveEffectRule):
+class EnvReadRule(EffectRule):
     id = "DET003"
     severity = "error"
-    description = ("Environment read reached from sim/core through "
-                   "helpers outside the local rule's scope")
+    description = ("Environment read in sim/core, direct or through "
+                   "helpers, makes runs depend on the invoking shell")
     effect = ENV_READ
 
     def in_scope(self, module: str) -> bool:
         return module.startswith(ENV_SCOPES)
 
-    def message(self, project: Project, qname: str, root_qname: str,
-                root: Cause) -> str:
-        short = root_qname.rsplit(".", 1)[-1]
+    def reached(self, note: str, where: str) -> str:
         return (f"deterministic code reaches an environment read "
-                f"({root.note} in {short}); thread configuration "
+                f"({note} in {where}); thread configuration through "
+                f"explicit parameters instead")
+
+    def direct(self, origin: IntrinsicEffect, where: str) -> str:
+        read = "os.getenv() read" if origin.target == "os.getenv" \
+            else "os.environ access"
+        return (f"{read} in deterministic code; thread configuration "
                 f"through explicit parameters instead")
 
 
 @register_project
-class TransitiveKernelBypassRule(TransitiveEffectRule):
+class KernelBypassRule(EffectRule):
     id = "KER001"
     severity = "error"
-    description = ("Kernel-bypassing scheduling primitive reached "
-                   "through the call graph outside repro.sim.eventloop")
+    description = ("Scheduling primitive outside repro.sim.eventloop "
+                   "(heapq, sched, threading.Timer), direct or through "
+                   "the call graph, bypasses the deterministic kernel")
     effect = KERNEL_BYPASS
 
-    def message(self, project: Project, qname: str, root_qname: str,
-                root: Cause) -> str:
-        short = root_qname.rsplit(".", 1)[-1]
-        return (f"reaches a kernel-bypassing scheduler ({root.note} in "
-                f"{short}); every scheduling decision must flow "
-                f"through repro.sim.eventloop")
+    def reached(self, note: str, where: str) -> str:
+        return (f"reaches a kernel-bypassing scheduler ({note} in "
+                f"{where}); every scheduling decision must flow through "
+                f"repro.sim.eventloop")
+
+    def direct(self, origin: IntrinsicEffect, where: str) -> str:
+        if origin.note.startswith("import "):
+            return (f"{origin.note}: event scheduling belongs in "
+                    f"repro.sim.eventloop; yield kernel events instead "
+                    f"of keeping a private heap")
+        if origin.note.startswith("from "):
+            return (f"{origin.note}: event scheduling belongs in "
+                    f"repro.sim.eventloop")
+        if origin.target == "threading.Timer":
+            return ("threading.Timer schedules on the wall clock "
+                    "outside the kernel; use kernel.timeout()")
+        return (f"{origin.target}() keeps a private heap outside the "
+                f"kernel; yield kernel events instead")
 
 
 @register_project
@@ -469,52 +509,31 @@ class ReservedFolderRule(ProjectRule):
 
 
 @register_project
-class TransportCleanRule(TransitiveEffectRule):
+class TransportCleanRule(EffectRule):
     id = "ASY001"
     severity = "warning"
     description = ("Transport-clean module reaches blocking I/O or the "
                    "virtual-time simulation; the real asyncio backend "
                    "must land on clean ground")
     effect = BLOCKING_IO
-    has_local_rule = False
 
     def in_scope(self, module: str) -> bool:
         return module in ASY001_SCOPES
 
-    def message(self, project: Project, qname: str, root_qname: str,
-                root: Cause) -> str:
-        short = root_qname.rsplit(".", 1)[-1]
+    def reached(self, note: str, where: str) -> str:
         return (f"transport-clean code reaches blocking I/O "
-                f"({root.note} in {short}); the asyncio transport "
+                f"({note} in {where}); the asyncio transport "
                 f"backend cannot run this on its event loop — make the "
                 f"wait explicit at the transport layer")
 
 
 @register_project
-class TransportSimCouplingRule(TransitiveEffectRule):
-    id = "ASY001"
-    severity = "warning"
-    description = ("Transport-clean module reaches blocking I/O or the "
-                   "virtual-time simulation; the real asyncio backend "
-                   "must land on clean ground")
+class TransportSimCouplingRule(TransportCleanRule):
     effect = SIM_COUPLED
-    has_local_rule = False
 
-    def in_scope(self, module: str) -> bool:
-        return module in ASY001_SCOPES
-
-    def message(self, project: Project, qname: str, root_qname: str,
-                root: Cause) -> str:
-        short = root_qname.rsplit(".", 1)[-1]
+    def reached(self, note: str, where: str) -> str:
         return (f"transport-clean code is coupled to virtual time "
-                f"({root.note}, via {short}); the real-transport "
+                f"({note}, via {where}); the real-transport "
                 f"backend shares this code path — inject the clock/"
                 f"scheduler through an interface instead")
 
-
-def all_project_rule_ids() -> Tuple[str, ...]:
-    seen: List[str] = []
-    for rule in PROJECT_RULES:
-        if rule.id not in seen:
-            seen.append(rule.id)
-    return tuple(seen)

@@ -1,4 +1,4 @@
-"""The initial rule pack: this codebase's real invariants, mechanised.
+"""The per-file rule pack: this codebase's real invariants, mechanised.
 
 Every headline guarantee of the reproduction — byte-identical chaos /
 overload / trace / perf documents across CI runs — holds only while the
@@ -9,19 +9,18 @@ kernel (:mod:`repro.sim.eventloop`).  These rules check those invariants
 structurally instead of leaving them to reviewer vigilance.
 
 Rule ids are stable API (they appear in suppression comments, baselines,
-CI artifacts, and docs):
+CI artifacts, and docs).  The rules that follow an effect through calls
+— wall clock, randomness, environment, scheduling — are whole-program
+rules in :mod:`repro.analysis.iprules`; every other id is a property of
+one line and lives here:
 
 ========  ==========================================================
-DET001    wall-clock reads (``time.time``, ``datetime.now``, ...)
-DET002    unseeded randomness outside ``repro.sim.rng``
-DET003    environment reads in deterministic code (sim/core)
 DET004    iteration over bare set displays/constructors
 DET005    process-dependent values: ``id(...)`` ordering/membership,
           builtin ``hash(...)`` outside ``__hash__``
 DET006    ``dict.popitem`` (order-dependent and destructive)
 DUR001    journaled firewall/landing state mutated around the journal
 ERR001    broad ``except`` that swallows the exception object
-KER001    scheduling primitives bypassing the simulation kernel
 MUT001    mutable default argument values
 MUT002    event/message subclasses without ``__slots__``
 OBS001    telemetry backends constructed outside the facade
@@ -35,32 +34,10 @@ the suppression / baseline workflow.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.analysis.engine import LintContext, Rule, register
 from repro.analysis.findings import Finding
-
-#: Call targets that read the wall clock.
-WALL_CLOCK_CALLS = frozenset({
-    "time.time", "time.time_ns", "time.localtime", "time.gmtime",
-    "time.ctime", "time.strftime",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-
-#: ``random`` module-level helpers (the shared, reseedable global
-#: stream).  ``random.Random(seed)`` with an explicit seed is fine and
-#: is what ``repro.sim.rng`` builds on.
-_RANDOM_PREFIXES = ("random.", "numpy.random.", "secrets.")
-
-#: Modules allowed to touch randomness primitives directly.
-RNG_SANCTUARY = ("repro.sim.rng",)
-
-#: Module prefixes that must stay environment-independent.
-ENV_SCOPES = ("repro.core", "repro.sim")
-
-#: The only module allowed to schedule via heapq/sched/threading timers.
-KERNEL_MODULES = ("repro.sim.eventloop",)
 
 #: Base-class names whose subclasses ride the kernel/firewall hot paths
 #: and must declare ``__slots__`` (the event and message hierarchies).
@@ -69,97 +46,6 @@ SLOTTED_BASES = frozenset({
 })
 #: Fully qualified forms, for ``eventloop.Event``-style bases.
 SLOTTED_BASE_MODULES = ("repro.sim.eventloop.", "repro.firewall.message.")
-
-
-def _call_target(ctx: LintContext, node: ast.Call) -> Optional[str]:
-    return ctx.qualified_name(node.func)
-
-
-@register
-class WallClockRule(Rule):
-    id = "DET001"
-    severity = "error"
-    description = ("Wall-clock read: virtual time must come from the "
-                   "kernel clock, never the host clock")
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            target = _call_target(ctx, node)
-            if target in WALL_CLOCK_CALLS:
-                yield self.finding(
-                    ctx, node,
-                    f"{target}() reads the wall clock; deterministic "
-                    f"code must use the kernel's virtual clock "
-                    f"(kernel.now / ctx.now)")
-
-
-@register
-class UnseededRandomRule(Rule):
-    id = "DET002"
-    severity = "error"
-    description = ("Unseeded/global randomness outside repro.sim.rng "
-                   "breaks replayability")
-
-    def applies_to(self, module: str) -> bool:
-        return module not in RNG_SANCTUARY
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            target = _call_target(ctx, node)
-            if target is None:
-                continue
-            if target == "os.urandom" or target == "uuid.uuid4":
-                yield self.finding(
-                    ctx, node,
-                    f"{target}() is entropy the simulation cannot "
-                    f"replay; derive values from a seeded "
-                    f"repro.sim.rng.RandomStream")
-            elif target == "random.Random" and not node.args:
-                yield self.finding(
-                    ctx, node,
-                    "random.Random() without a seed draws from OS "
-                    "entropy; pass an explicit seed")
-            elif target.startswith(_RANDOM_PREFIXES) and \
-                    target != "random.Random":
-                yield self.finding(
-                    ctx, node,
-                    f"{target}() uses a global/unseeded stream; route "
-                    f"randomness through repro.sim.rng outside the "
-                    f"sanctuary module")
-
-
-@register
-class EnvReadRule(Rule):
-    id = "DET003"
-    severity = "error"
-    description = ("Environment reads in sim/core make runs depend on "
-                   "the invoking shell")
-
-    def applies_to(self, module: str) -> bool:
-        return module.startswith(ENV_SCOPES)
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if isinstance(node, ast.Call):
-                target = _call_target(ctx, node)
-                if target == "os.getenv":
-                    yield self.finding(
-                        ctx, node,
-                        "os.getenv() read in deterministic code; "
-                        "thread configuration through explicit "
-                        "parameters instead")
-            elif isinstance(node, ast.Attribute) and node.attr == "environ":
-                target = ctx.qualified_name(node)
-                if target == "os.environ":
-                    yield self.finding(
-                        ctx, node,
-                        "os.environ access in deterministic code; "
-                        "thread configuration through explicit "
-                        "parameters instead")
 
 
 def _iteration_targets(node: ast.AST) -> Iterator[ast.AST]:
@@ -384,45 +270,6 @@ class BroadExceptRule(Rule):
 
 
 @register
-class KernelBypassRule(Rule):
-    id = "KER001"
-    severity = "error"
-    description = ("Direct heapq/sched/timer scheduling bypasses the "
-                   "deterministic kernel in repro.sim.eventloop")
-
-    _BANNED_IMPORTS = frozenset({"heapq", "sched"})
-
-    def applies_to(self, module: str) -> bool:
-        return module not in KERNEL_MODULES
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if isinstance(node, ast.Import):
-                for item in node.names:
-                    if item.name.split(".", 1)[0] in self._BANNED_IMPORTS:
-                        yield self.finding(
-                            ctx, node,
-                            f"import {item.name}: event scheduling "
-                            f"belongs in repro.sim.eventloop; yield "
-                            f"kernel events instead of keeping a "
-                            f"private heap")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module is not None and node.level == 0 and \
-                        node.module.split(".", 1)[0] in self._BANNED_IMPORTS:
-                    yield self.finding(
-                        ctx, node,
-                        f"from {node.module} import ...: event "
-                        f"scheduling belongs in repro.sim.eventloop")
-            elif isinstance(node, ast.Call):
-                target = _call_target(ctx, node)
-                if target == "threading.Timer":
-                    yield self.finding(
-                        ctx, node,
-                        "threading.Timer schedules on the wall clock "
-                        "outside the kernel; use kernel.timeout()")
-
-
-@register
 class MutableDefaultRule(Rule):
     id = "MUT001"
     severity = "error"
@@ -534,7 +381,7 @@ class TelemetryFacadeRule(Rule):
         for node in ctx.walk():
             if not isinstance(node, ast.Call):
                 continue
-            target = _call_target(ctx, node)
+            target = ctx.qualified_name(node.func)
             if target in TELEMETRY_BACKENDS:
                 short = target.rsplit(".", 1)[-1]
                 yield self.finding(
@@ -576,7 +423,7 @@ class ModuleGlobalTelemetryRule(Rule):
                 continue
             if not isinstance(value, ast.Call):
                 continue
-            target = _call_target(ctx, value)
+            target = ctx.qualified_name(value.func)
             if target in TELEMETRY_STATE_TARGETS:
                 short = target.rsplit(".", 1)[-1]
                 yield self.finding(
@@ -586,7 +433,3 @@ class ModuleGlobalTelemetryRule(Rule):
                     f"leak); construct one per run, or call "
                     f"telemetry.reset() at run start")
 
-
-def all_rule_ids() -> Tuple[str, ...]:
-    from repro.analysis.engine import RULES
-    return tuple(rule.id for rule in RULES)

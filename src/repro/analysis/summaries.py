@@ -22,11 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.analysis.rules import (
-    RNG_SANCTUARY,
-    KERNEL_MODULES,
-    WALL_CLOCK_CALLS,
-)
 from repro.analysis.symbols import FunctionFacts, ModuleFacts
 
 # -- the effect vocabulary --------------------------------------------------
@@ -43,13 +38,8 @@ MUTATES_BRIEFCASE = "mutates-briefcase"
 #: must stay clean of it (ASY001).
 SIM_COUPLED = "sim-coupled"
 
-ALL_EFFECTS: Tuple[str, ...] = (
-    BLOCKING_IO, ENV_READ, KERNEL_BYPASS, MUTATES_BRIEFCASE,
-    RAISES_PERMANENT, READS_WALL_CLOCK, SIM_COUPLED, UNSEEDED_RANDOM,
-)
-
 #: Effect -> lint rule id enforcing it (used both for suppression
-#: barriers and for attributing transitive findings).
+#: barriers and for attributing findings).
 EFFECT_RULE: Dict[str, str] = {
     READS_WALL_CLOCK: "DET001",
     UNSEEDED_RANDOM: "DET002",
@@ -59,6 +49,11 @@ EFFECT_RULE: Dict[str, str] = {
     SIM_COUPLED: "ASY001",
     RAISES_PERMANENT: "ERR002",
 }
+
+#: The only module allowed to touch randomness primitives directly.
+RNG_SANCTUARY = ("repro.sim.rng",)
+#: The only module allowed to schedule via heapq/sched/threading timers.
+KERNEL_MODULES = ("repro.sim.eventloop",)
 
 #: Effect -> module prefixes allowed to *originate* it.  Functions in a
 #: sanctuary module never acquire the effect, so nothing propagates out
@@ -70,8 +65,19 @@ EFFECT_SANCTUARIES: Dict[str, Tuple[str, ...]] = {
 
 # -- external call classification -------------------------------------------
 
-#: Entropy sources the simulation cannot replay (mirrors DET002).
-_RANDOM_CALLS = frozenset({"os.urandom", "uuid.uuid4", "uuid.uuid1"})
+#: Call targets that read the wall clock.
+WALL_CLOCK_CALLS = frozenset({
+    "time.time", "time.time_ns", "time.localtime", "time.gmtime",
+    "time.ctime", "time.strftime",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+})
+
+#: Entropy sources the simulation cannot replay.
+RANDOM_CALLS = frozenset({"os.urandom", "uuid.uuid4", "uuid.uuid1"})
+#: ``random`` module-level helpers draw from the shared, reseedable
+#: global stream.  ``random.Random(seed)`` with an explicit seed is
+#: fine: ``repro.sim.rng`` builds on it.
 _RANDOM_PREFIXES = ("random.", "numpy.random.", "secrets.")
 
 #: Calls that block on the host OS — poison for the deterministic sim
@@ -87,24 +93,25 @@ BLOCKING_CALLS = frozenset({
     "input", "sys.stdin.read", "sys.stdin.readline",
 })
 
-#: Scheduling primitives that bypass the kernel (mirrors KER001).
+#: Scheduling modules that bypass the kernel: importing one is already
+#: an origin, and so is calling into it.
+_SCHEDULER_MODULES = ("heapq", "sched")
 _KERNEL_BYPASS_PREFIXES = ("heapq.", "sched.")
 _KERNEL_BYPASS_CALLS = frozenset({"threading.Timer"})
 
 
 def external_effects(target: str, nargs: int) -> Tuple[str, ...]:
-    """Effects of calling the unresolved external ``target``.
-
-    Mirrors the local rules' classification (DET001/DET002/KER001) and
-    adds the blocking-io table; returns a sorted tuple (determinism).
-    """
+    """Effects of calling the unresolved external ``target``; returns
+    a sorted tuple (determinism)."""
     effects: List[str] = []
     if target in WALL_CLOCK_CALLS:
         effects.append(READS_WALL_CLOCK)
-    if target in _RANDOM_CALLS:
+    if target in RANDOM_CALLS:
         effects.append(UNSEEDED_RANDOM)
-    elif target == "random.Random":
-        if nargs == 0:
+    elif target.startswith("random.Random"):
+        # The constructor decides: unseeded it draws OS entropy, and
+        # a seeded instance's methods replay.
+        if target == "random.Random" and nargs == 0:
             effects.append(UNSEEDED_RANDOM)
     elif target.startswith(_RANDOM_PREFIXES):
         effects.append(UNSEEDED_RANDOM)
@@ -123,23 +130,23 @@ def in_sanctuary(effect: str, module: str) -> bool:
 
 
 class IntrinsicEffect:
-    """One effect a function exhibits in its own body."""
+    """One effect a function exhibits in its own body: an origin."""
 
-    __slots__ = ("effect", "line", "col", "note", "visible", "snippet")
+    __slots__ = ("effect", "line", "col", "note", "snippet", "target")
 
     def __init__(self, effect: str, line: int, col: int, note: str,
-                 visible: bool, snippet: str) -> None:
+                 snippet: str, target: str = "") -> None:
         self.effect = effect
         self.line = line
         self.col = col
-        #: Human phrase for witness chains ("time.time() bound to
-        #: _clock at line 12").
+        #: Human phrase for witness chains ("time.time called through
+        #: an alias bound at line 12").
         self.note = note
-        #: True when the *local* rule pack can already see this origin
-        #: (a direct, resolvable call) — the transitive rules then defer
-        #: to the local finding instead of duplicating it.
-        self.visible = visible
         self.snippet = snippet
+        #: What a direct origin names — the called target
+        #: (``time.time``), ``os.environ``, or the imported module;
+        #: "" when the origin is laundered (alias, partial, decorator).
+        self.target = target
 
 
 def intrinsic_effects(facts: FunctionFacts,
@@ -150,24 +157,31 @@ def intrinsic_effects(facts: FunctionFacts,
     """
     found: List[IntrinsicEffect] = []
 
-    def add(effect: str, line: int, col: int, note: str, visible: bool,
-            snippet: str) -> None:
+    def add(effect: str, line: int, col: int, note: str, snippet: str,
+            target: str = "") -> None:
         if in_sanctuary(effect, facts.module):
             return
         rule = EFFECT_RULE.get(effect)
         if rule is not None and module_facts.suppressed(line, rule):
             return
-        found.append(IntrinsicEffect(effect, line, col, note, visible,
-                                     snippet))
+        found.append(IntrinsicEffect(effect, line, col, note, snippet,
+                                     target))
 
     if facts.module.startswith("repro.sim.") or \
             facts.module == "repro.sim":
         add(SIM_COUPLED, facts.line, 1,
-            f"defined in virtual-time module {facts.module}", False, "")
+            f"defined in virtual-time module {facts.module}", "")
+
+    for imported in facts.imports:
+        if imported.module.split(".", 1)[0] in _SCHEDULER_MODULES:
+            note = f"from {imported.module} import ..." \
+                if imported.from_import else f"import {imported.module}"
+            add(KERNEL_BYPASS, imported.line, imported.col, note,
+                imported.snippet, imported.module)
 
     for call in facts.calls:
         for effect in external_effects(call.target, call.nargs):
-            visible = call.via == ""
+            target = call.target if call.via == "" else ""
             note = f"{call.target}()"
             if call.via == "alias":
                 note = (f"{call.target} called through an alias bound at "
@@ -177,16 +191,16 @@ def intrinsic_effects(facts: FunctionFacts,
                         f"bound at line {call.bind_line}")
             elif call.via == "decorator":
                 note = f"{call.target} applied as a decorator"
-            add(effect, call.line, call.col, note, visible, call.snippet)
+            add(effect, call.line, call.col, note, call.snippet, target)
 
-    for line in facts.env_attr_lines:
-        add(ENV_READ, line, 1, "os.environ read", True, "")
+    for line, col, snippet in facts.env_attr_sites:
+        add(ENV_READ, line, col, "os.environ read", snippet, "os.environ")
 
     # Raise permanence needs the project-wide class taxonomy, so
     # RAISES_PERMANENT is attached by the dataflow pass, not here.
 
     for line in sorted(set(facts.briefcase_mutations)):
-        add(MUTATES_BRIEFCASE, line, 1, "briefcase mutated", True, "")
+        add(MUTATES_BRIEFCASE, line, 1, "briefcase mutated", "")
 
     found.sort(key=lambda e: (e.line, e.col, e.effect))
     return found

@@ -11,12 +11,14 @@ Facts come out of the same :class:`~repro.analysis.engine.LintContext`
 the per-file rules ran over, so a lint run parses each file once;
 cross-module resolution is a pure function of the facts.
 
-The extractor is where reference *laundering* becomes visible.  The
-local rules in :mod:`repro.analysis.rules` resolve only direct
-``ast.Call`` targets, so ``clock = time.time; clock()`` or
-``functools.partial(time.time)()`` escapes them; here the binding is
-recorded (``via="alias"`` / ``via="partial"`` with the binding line) and
-the dataflow pass reports it transitively with a witness chain.
+The extractor is also where reference *laundering* becomes visible:
+for ``clock = time.time; clock()`` or ``functools.partial(time.time)()``
+the binding is recorded (``via="alias"`` / ``via="partial"`` with the
+binding line), and the dataflow pass reports the call with a witness
+chain.  Inside a method (and any def nested in one) ``self`` is bound
+to the defining class, so ``self.<m>()``, ``super().<m>()``,
+``self.<attr>.<m>()`` on a typed attribute, and ``self._clock()`` on an
+attribute alias resolve.
 """
 
 from __future__ import annotations
@@ -72,6 +74,17 @@ class CallRef:
 
 
 @dataclass(frozen=True)
+class ImportRef:
+    """An absolute ``import module`` / ``from module import ...``."""
+
+    line: int
+    col: int
+    module: str
+    from_import: bool
+    snippet: str = ""
+
+
+@dataclass(frozen=True)
 class RaiseRef:
     """An explicit ``raise`` of a (statically named) exception class."""
 
@@ -122,9 +135,11 @@ class FunctionFacts:
     #: Defining class qname ("" for module-level functions).
     cls: str = ""
     calls: List[CallRef] = field(default_factory=list)
+    imports: List[ImportRef] = field(default_factory=list)
     raises: List[RaiseRef] = field(default_factory=list)
-    #: Lines with a bare ``os.environ`` attribute access.
-    env_attr_lines: List[int] = field(default_factory=list)
+    #: (line, col, snippet) of each bare ``os.environ`` access.
+    env_attr_sites: List[Tuple[int, int, str]] = \
+        field(default_factory=list)
     reserved_writes: List[ReservedWrite] = field(default_factory=list)
     retry_regions: List[RetryRegion] = field(default_factory=list)
     #: Lines with a briefcase/folder mutator method call.
@@ -178,18 +193,16 @@ class ModuleFacts:
             return True
         return rule in self.suppressions.get(line, ())
 
-    def function(self, qname: str) -> Optional[FunctionFacts]:
-        for facts in self.functions:
-            if facts.qname == qname:
-                return facts
-        return None
-
 
 class _FunctionCollector:
     """Mutable per-scope state while walking one function body."""
 
-    def __init__(self, facts: FunctionFacts) -> None:
+    def __init__(self, facts: FunctionFacts,
+                 self_class: Optional[ClassFacts] = None) -> None:
         self.facts = facts
+        #: The class ``self`` is bound to: the defining class in a
+        #: method, inherited by defs nested in it; None elsewhere.
+        self.self_class = self_class
         #: local name -> (dotted callable target, binding line, via).
         self.aliases: Dict[str, Tuple[str, int, str]] = {}
         #: local name -> dotted class (annotation or constructor call).
@@ -265,15 +278,11 @@ class _Extractor:
         if isinstance(stmt, ast.Raise):
             self._record_raise(stmt, scope)
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            self._record_binding(stmt, scope, class_ctx)
+            self._record_binding(stmt, scope)
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            self._record_import(stmt, scope)
         # Expressions inside this statement (but not nested defs).
-        for node in self._walk_expressions(stmt):
-            if isinstance(node, ast.Call):
-                self._record_call(node, scope, class_ctx)
-            elif isinstance(node, ast.Attribute) and \
-                    node.attr == "environ" and \
-                    self.ctx.qualified_name(node) == "os.environ":
-                scope.facts.env_attr_lines.append(node.lineno)
+        self._record_expressions(self._walk_expressions(stmt), scope)
         # Recurse into child statement blocks within the same scope.
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.stmt):
@@ -283,18 +292,38 @@ class _Extractor:
             elif isinstance(child, ast.withitem):
                 continue
 
+    def _record_expressions(self, nodes: Sequence[ast.expr],
+                            scope: _FunctionCollector) -> None:
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                self._record_call(node, scope)
+            elif isinstance(node, ast.Attribute) and \
+                    node.attr == "environ" and \
+                    self.ctx.qualified_name(node) == "os.environ":
+                scope.facts.env_attr_sites.append(
+                    (node.lineno, node.col_offset + 1,
+                     self.ctx.line_text(node.lineno)))
+
+    def _record_header(self, exprs: Sequence[ast.expr],
+                       scope: _FunctionCollector) -> None:
+        """Record the header expressions of a def or class, which run
+        in the defining ``scope``."""
+        for expr in exprs:
+            self._record_expressions(
+                [expr] + self._walk_expressions(expr), scope)
+
     @staticmethod
-    def _walk_expressions(stmt: ast.stmt) -> List[ast.expr]:
-        """Expression nodes belonging to ``stmt`` itself — stops at
-        nested statements and nested function/class definitions."""
+    def _walk_expressions(root: ast.AST) -> List[ast.expr]:
+        """Expression nodes below ``root`` that belong to its scope —
+        stops at nested statements and nested function/class
+        definitions; a lambda's body counts as the enclosing scope's."""
         found: List[ast.expr] = []
-        stack: List[ast.AST] = [stmt]
+        stack: List[ast.AST] = [root]
         while stack:
             node = stack.pop()
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.stmt, ast.FunctionDef,
-                                      ast.AsyncFunctionDef, ast.ClassDef,
-                                      ast.Lambda)):
+                                      ast.AsyncFunctionDef, ast.ClassDef)):
                     continue
                 if isinstance(child, ast.expr):
                     found.append(child)
@@ -315,10 +344,15 @@ class _Extractor:
             else:
                 qname = f"{parent}.{node.name}"
             cls = ""
-        # Decorator applications run in the defining scope.
+        # Decorators and parameter defaults run in the defining scope.
+        header: List[ast.expr] = list(node.args.defaults) + [
+            d for d in node.args.kw_defaults if d is not None]
         for decorator in node.decorator_list:
-            call_node = decorator.func if isinstance(decorator, ast.Call) \
-                else decorator
+            call_node = decorator
+            if isinstance(decorator, ast.Call):
+                call_node = decorator.func
+                header.extend(decorator.args)
+                header.extend(k.value for k in decorator.keywords)
             target = self.ctx.qualified_name(call_node)
             if target is None and isinstance(call_node, ast.Name) and \
                     call_node.id in self.toplevel:
@@ -328,8 +362,11 @@ class _Extractor:
                     line=decorator.lineno, col=decorator.col_offset + 1,
                     kind="name", target=target, via="decorator",
                     snippet=self.ctx.line_text(decorator.lineno)))
+        self._record_header(header, parent_scope)
         facts = self._new_function(qname, node.name, node.lineno, cls)
-        scope = _FunctionCollector(facts)
+        scope = _FunctionCollector(
+            facts, class_ctx if class_ctx is not None
+            else parent_scope.self_class)
         self._seed_parameter_types(node, scope)
         self._visit_block(node.body, scope, class_ctx=None)
         self.facts.functions.append(facts)
@@ -385,6 +422,9 @@ class _Extractor:
                 dotted = self.toplevel[base.id]
             if dotted is not None:
                 klass.bases.append(dotted)
+        self._record_header(
+            [*node.decorator_list, *node.bases,
+             *(k.value for k in node.keywords)], parent_scope)
         self._prescan_class_body(node, klass)
         self.facts.classes.append(klass)
         # Class-body statements execute in the enclosing scope; methods
@@ -464,8 +504,8 @@ class _Extractor:
 
     # -- reference recording ------------------------------------------------
 
-    def _record_binding(self, stmt: ast.stmt, scope: _FunctionCollector,
-                        class_ctx: Optional[ClassFacts]) -> None:
+    def _record_binding(self, stmt: ast.stmt,
+                        scope: _FunctionCollector) -> None:
         if isinstance(stmt, ast.Assign):
             if len(stmt.targets) != 1 or \
                     not isinstance(stmt.targets[0], ast.Name):
@@ -504,6 +544,19 @@ class _Extractor:
                 if ctor is not None:
                     scope.types.setdefault(name, ctor)
 
+    def _record_import(self, stmt: ast.stmt,
+                       scope: _FunctionCollector) -> None:
+        snippet = self.ctx.line_text(stmt.lineno)
+        col = stmt.col_offset + 1
+        if isinstance(stmt, ast.Import):
+            for item in stmt.names:
+                scope.facts.imports.append(ImportRef(
+                    stmt.lineno, col, item.name, False, snippet))
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module is not None \
+                and stmt.level == 0:
+            scope.facts.imports.append(ImportRef(
+                stmt.lineno, col, stmt.module, True, snippet))
+
     def _record_raise(self, stmt: ast.Raise,
                       scope: _FunctionCollector) -> None:
         exc = stmt.exc
@@ -518,7 +571,8 @@ class _Extractor:
 
     def _record_retry_regions(self, stmt: ast.Try,
                               scope: _FunctionCollector) -> None:
-        if not self._inside_loop(stmt):
+        loop = self._enclosing_loop(stmt)
+        if loop is None or self._iterates(loop, stmt):
             return
         body_lines = [n.lineno for n in stmt.body]
         body_end = max((getattr(n, "end_lineno", n.lineno) or n.lineno)
@@ -534,16 +588,29 @@ class _Extractor:
                 body_start=min(body_lines), body_end=body_end,
                 snippet=self.ctx.line_text(handler.lineno)))
 
-    def _inside_loop(self, stmt: ast.Try) -> bool:
+    def _enclosing_loop(self, stmt: ast.Try) -> Optional[ast.AST]:
         node: Optional[ast.AST] = self.ctx.parent(stmt)
         while node is not None:
             if isinstance(node, (ast.While, ast.For)):
-                return True
+                return node
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                return False
+                return None
             node = self.ctx.parent(node)
-        return False
+        return None
+
+    @staticmethod
+    def _iterates(loop: ast.AST, stmt: ast.Try) -> bool:
+        """A ``for`` loop whose ``try`` body reads the loop target
+        visits distinct items: iteration, not a retry."""
+        if not isinstance(loop, ast.For):
+            return False
+        targets = {node.id for node in ast.walk(loop.target)
+                   if isinstance(node, ast.Name)}
+        return any(isinstance(node, ast.Name) and node.id in targets and
+                   isinstance(node.ctx, ast.Load)
+                   for body_stmt in stmt.body
+                   for node in ast.walk(body_stmt))
 
     def _caught_types(self, handler: ast.ExceptHandler) -> Tuple[str, ...]:
         if handler.type is None:
@@ -576,8 +643,8 @@ class _Extractor:
         last = handler.body[-1]
         return isinstance(last, ast.Raise) and last.exc is None
 
-    def _record_call(self, node: ast.Call, scope: _FunctionCollector,
-                     class_ctx: Optional[ClassFacts]) -> None:
+    def _record_call(self, node: ast.Call,
+                     scope: _FunctionCollector) -> None:
         self._record_reserved_write(node, scope)
         self._record_briefcase_mutation(node, scope)
         snippet = self.ctx.line_text(node.lineno)
@@ -626,35 +693,42 @@ class _Extractor:
             return
 
         if isinstance(func, ast.Attribute):
-            self._record_attribute_call(func, scope, class_ctx, add)
+            self._record_attribute_call(func, scope, add)
             return
 
         add("unknown", "<dynamic>")
 
     def _record_attribute_call(
             self, func: ast.Attribute, scope: _FunctionCollector,
-            class_ctx: Optional[ClassFacts],
             add: Any) -> None:
         receiver = func.value
         method = func.attr
+        klass = scope.self_class
         # self.<x>() — an attribute alias, or a method on our class.
         if isinstance(receiver, ast.Name) and receiver.id == "self" and \
-                class_ctx is not None:
-            alias = class_ctx.attr_aliases.get(method)
+                klass is not None:
+            alias = klass.attr_aliases.get(method)
             if alias is not None:
                 add("name", alias[0], via="alias", bind_line=alias[1])
                 return
-            add("method", f"{class_ctx.qname}.{method}")
+            add("method", f"{klass.qname}.{method}")
             return
         # self.<attr>.<m>() — method on a typed attribute.
         if isinstance(receiver, ast.Attribute) and \
                 isinstance(receiver.value, ast.Name) and \
-                receiver.value.id == "self" and class_ctx is not None:
-            attr_type = class_ctx.attr_types.get(receiver.attr)
+                receiver.value.id == "self" and klass is not None:
+            attr_type = klass.attr_types.get(receiver.attr)
             if attr_type is not None:
                 add("method", f"{attr_type}.{method}")
                 return
             add("unknown", f"self.{receiver.attr}.{method}")
+            return
+        # super().<m>() — best effort: the method on the first base.
+        if isinstance(receiver, ast.Call) and \
+                isinstance(receiver.func, ast.Name) and \
+                receiver.func.id == "super" and klass is not None and \
+                klass.bases:
+            add("method", f"{klass.bases[0]}.{method}")
             return
         # <local>.<m>() — method on an annotated/constructed local.
         if isinstance(receiver, ast.Name):

@@ -282,27 +282,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         SANITIZER_RULES, run_sanitized_scenarios)
 
     paths = list(args.paths) or _default_lint_paths()
-    analyzer = Analyzer()
-
-    if args.graph:
-        from repro.analysis.callgraph import export_dot, export_json
-        from repro.analysis.dataflow import Dataflow
-
-        try:
-            project = analyzer.build_project(paths)
-        except OSError as exc:
-            print(f"lint: cannot analyze: {exc}", file=sys.stderr)
-            return 2
-        flow = Dataflow(project)
-        render = export_dot if args.graph == "dot" else export_json
-        print(render(project, flow.effects), end="")
-        return 0
-
     try:
-        report = analyzer.analyze_paths(paths)
+        report, project, flow = Analyzer().run(paths)
     except (OSError, SyntaxError) as exc:
         print(f"lint: cannot analyze: {exc}", file=sys.stderr)
         return 2
+
+    if args.graph:
+        from repro.analysis.callgraph import export_dot, export_json
+
+        render = export_dot if args.graph == "dot" else export_json
+        print(render(project, flow.effects), end="")
+        return 0
 
     if args.sanitize:
         runtime = run_sanitized_scenarios()

@@ -94,7 +94,6 @@ class SealingWrapper(AgentWrapper):
         self.seal_sends = bool(self.config.get("seal_sends", True))
         self.require_sealed = bool(self.config.get("require_sealed", False))
         self._nonce_counter = 0
-        self.sealed_count = 0
         self.rejected_count = 0
 
     @staticmethod
@@ -128,7 +127,6 @@ class SealingWrapper(AgentWrapper):
                 out.folder(folder.name).push_all(folder)
         out.folder(SEALED_FOLDER).replace([sealed])
         out.put(MAC_FOLDER, mac)
-        self.sealed_count += 1
         return target, out
 
     # -- inbound ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ from sched import scheduler                  # finding: stdlib scheduler
 def ticker(callback):
     timer = threading.Timer(1.0, callback)   # finding: wall-clock timer
     heap = []
-    heapq.heappush(heap, (0.0, callback))
+    heapq.heappush(heap, (0.0, callback))   # finding: private heap push
     return timer, heap
 
 

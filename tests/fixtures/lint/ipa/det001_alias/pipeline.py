@@ -1,7 +1,7 @@
 """DET001 (transitive): wall-clock read laundered through an alias.
 
-The local rule only resolves direct ``ast.Call`` targets, so binding
-``time.time`` to a name and calling the name escapes it.  The
+A direct ``time.time()`` call is reported where it is; binding
+``time.time`` to a name and calling the name is reported too: the
 whole-program pass records the binding and reports at the innermost
 function owning the laundered call, with the binding site in the
 witness chain.
@@ -25,4 +25,4 @@ def deliver(payload):  # caller context for the witness chain
 
 
 def honest_stamp():
-    return time.time()  # finding: DET001 (local rule, direct call)
+    return time.time()  # finding: DET001 (direct call)

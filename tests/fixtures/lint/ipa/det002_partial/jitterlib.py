@@ -1,8 +1,8 @@
 """DET002 (transitive): unseeded randomness through functools.partial.
 
-``functools.partial(random.random)`` produces a callable the local rule
-cannot see through; the whole-program pass unwraps the partial at the
-binding site and reports the laundered draw with a witness chain.
+``functools.partial(random.random)`` produces a callable with no
+visible call to ``random``; the whole-program pass unwraps the partial
+at the binding site and reports the laundered draw with a witness chain.
 """
 
 import functools

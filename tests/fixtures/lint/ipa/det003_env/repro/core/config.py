@@ -1,8 +1,8 @@
 """DET003 (transitive): deterministic code reaching an env read.
 
-The env read itself lives in ``repro.util`` where the local DET003
-never looks; the whole-program pass reports the innermost *in-scope*
-function whose call chain reaches it.
+The env read itself lives in ``repro.util``, outside DET003's scope;
+the whole-program pass reports the innermost *in-scope* function whose
+call chain reaches it.
 """
 
 from repro.util import envsrc

@@ -1,12 +1,12 @@
 """KER001 (transitive): a kernel-bypassing heap laundered via alias.
 
-The import line carries the local KER001 finding; binding
-``heapq.heappush`` to a bare name and calling it is additionally
-reported by the whole-program pass (the alias would survive even if
-the import moved behind a suppressed facade).
+The import line carries one KER001 finding; binding
+``heapq.heappush`` to a bare name and calling it is another (the
+alias would survive even if the import moved behind a suppressed
+facade).
 """
 
-import heapq  # finding: KER001 (local rule, banned import)
+import heapq  # finding: KER001 (banned import)
 
 push = heapq.heappush
 

@@ -104,3 +104,11 @@ def test_syntax_error_exits_2(tmp_path, capsys):
     bad.write_text("def broken(:\n")
     code, _out = run_lint(capsys, str(bad))
     assert code == 2
+
+
+def test_graph_syntax_error_exits_2(tmp_path, capsys):
+    """``--graph`` loads files the way lint does: no silent skips."""
+    bad = tmp_path / "broken.py"
+    bad.write_text("def broken(:\n")
+    code, _out = run_lint(capsys, str(bad), "--graph", "json")
+    assert code == 2

@@ -1,13 +1,12 @@
 """Whole-program analysis: call graph, effect dataflow, witness chains.
 
-Each interprocedural rule has a seeded fixture tree under
-``tests/fixtures/lint/ipa`` where the *local* rule pack sees nothing
-(the offending call is laundered through an alias, a
-``functools.partial``, a cross-module hop, or a retry loop) and only
-the project pass reports it — with the full call chain as a witness.
-These tests pin the rule ids, lines, and witness hops per fixture, plus
-the engine guarantees the workflow depends on: byte-determinism,
-cold/warm cache equivalence, witness-independent fingerprints, and the
+Each whole-program rule has a seeded fixture tree under
+``tests/fixtures/lint/ipa`` where the offending call is laundered
+through an alias, a ``functools.partial``, a cross-module hop, a method
+on ``self``, or a retry loop, and the project pass reports it — with
+the call chain as a witness.  These tests pin the rule ids, lines, and
+witness hops per fixture, plus the engine guarantees the workflow
+depends on: byte-determinism, witness-independent fingerprints, and the
 decorated-``def`` suppression span.
 """
 
@@ -15,18 +14,17 @@ import json
 import os
 import shutil
 
-from repro.analysis import Analyzer, Dataflow, export_dot, export_json
+import repro
+from repro.analysis import PROJECT_RULES, Analyzer, export_json
 from repro.analysis.findings import fingerprinted, render_json, sort_findings
-from repro.analysis.iprules import all_project_rule_ids
 from repro.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
 IPA = os.path.join(FIXTURES, "ipa")
 
 
-def lint_tree(*parts, **kwargs):
-    analyzer = Analyzer(**kwargs)
-    report = analyzer.analyze_paths([os.path.join(IPA, *parts)])
+def lint_tree(*parts):
+    report = Analyzer().analyze_paths([os.path.join(IPA, *parts)])
     return sort_findings(report.findings)
 
 
@@ -39,7 +37,7 @@ def witness_functions(finding):
 
 
 def test_project_rule_pack_registered():
-    assert sorted(all_project_rule_ids()) == [
+    assert sorted({rule.id for rule in PROJECT_RULES}) == [
         "ASY001", "DET001", "DET002", "DET003",
         "ERR002", "KER001", "WIRE001"]
 
@@ -48,14 +46,17 @@ def test_det001_transitive_through_module_alias():
     findings = lint_tree("det001_alias")
     assert [(f.rule, f.line) for f in findings] == [
         ("DET001", 16), ("DET001", 28)]
-    transitive, local = findings
+    transitive, direct = findings
     # The laundered call carries the full chain: callers first, then
     # the hop where the wall-clock read actually happens.
     assert witness_functions(transitive) == [
         "pipeline.deliver", "pipeline.build_record", "pipeline.stamp"]
     assert "alias bound at line 12" in transitive.message
-    # The honest time.time() call stays the local rule's finding.
-    assert local.witness == ()
+    # The honest time.time() call has no callers: its witness is the
+    # one origin step, and it keeps the direct wording.
+    assert witness_functions(direct) == ["pipeline.honest_stamp"]
+    assert direct.witness[0].note == "time.time()"
+    assert direct.message.startswith("time.time() reads the wall clock")
 
 
 def test_det002_transitive_through_partial():
@@ -86,11 +87,38 @@ def test_ker001_transitive_heap_alias():
     findings = lint_tree("ker001_alias")
     assert [(f.rule, f.line) for f in findings] == [
         ("KER001", 9), ("KER001", 15)]
-    local_import, transitive = findings
-    assert local_import.witness == ()
+    direct_import, transitive = findings
+    assert witness_functions(direct_import) == ["heapuser.<module>"]
+    assert direct_import.witness[0].note == "import heapq"
     assert "heapq.heappush called through an alias" in transitive.message
     assert witness_functions(transitive) == [
         "heapuser.schedule_batch", "heapuser.enqueue"]
+
+
+def test_det001_through_methods_on_self():
+    findings = lint_tree("det001_methods")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("DET001", 15), ("DET001", 24)]
+    direct, alias = findings
+    # self._clock() resolves through the attribute alias bound in
+    # __init__; self._stamp() and self.record() resolve to methods,
+    # the latter from a def nested in a method.
+    assert "alias bound at line 21" in alias.message
+    assert witness_functions(alias) == [
+        "ledger.Ledger.replay.one", "ledger.Ledger.record",
+        "ledger.Ledger._stamp"]
+    # self.clock.read() resolves through the attribute's type.
+    assert witness_functions(direct)[-2:] == [
+        "ledger.Ledger._stamp", "ledger.WallClock.read"]
+
+
+def test_src_graph_resolves_calls_on_self():
+    _report, project, _flow = Analyzer().run(
+        [os.path.dirname(repro.__file__)])
+    callees = {edge.callee for edge in project.graph[
+        "repro.vm.base.VirtualMachine.handle_launch_message"]
+        if edge.kind == "call"}
+    assert "repro.vm.base.VirtualMachine.launch_agent" in callees
 
 
 def test_err002_retry_burns_on_permanent_error():
@@ -104,7 +132,8 @@ def test_err002_retry_burns_on_permanent_error():
         "client.open_channel"]
     assert "raises AccessDeniedError" in finding.witness[-1].note
     # Guarded, narrowed, and re-raising retry loops stay silent
-    # (fetch_guarded / fetch_narrow / fetch_reraising in the fixture).
+    # (fetch_guarded / fetch_narrow / fetch_reraising in the fixture),
+    # and so does a loop over distinct items (fetch_each).
 
 
 def test_wire001_reserved_folder_write_without_strip_path():
@@ -189,13 +218,10 @@ def test_suppression_spans_decorated_def_header():
 
 
 def test_graph_json_export_is_deterministic():
-    analyzer = Analyzer()
-    project = analyzer.build_project([IPA])
-    flow = Dataflow(project)
+    _report, project, flow = Analyzer().run([IPA])
     first = export_json(project, flow.effects)
-    repeat = export_json(Analyzer().build_project([IPA]),
-                         Dataflow(Analyzer().build_project([IPA])).effects)
-    assert first == repeat
+    _report, project, flow = Analyzer().run([IPA])
+    assert first == export_json(project, flow.effects)
     document = json.loads(first)
     assert document["tool"] == "repro-lint-graph"
     assert document["summary"]["functions"] == len(document["nodes"])
