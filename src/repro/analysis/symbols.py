@@ -207,6 +207,9 @@ class _FunctionCollector:
         self.aliases: Dict[str, Tuple[str, int, str]] = {}
         #: local name -> dotted class (annotation or constructor call).
         self.types: Dict[str, str] = {}
+        #: name -> qname of each def nested in this function, from its
+        #: ``def`` statement on (statements are walked in order).
+        self.local_defs: Dict[str, str] = {}
 
 
 def extract_module(ctx: LintContext) -> ModuleFacts:
@@ -343,6 +346,7 @@ class _Extractor:
                 qname = f"{self.module}.{node.name}"
             else:
                 qname = f"{parent}.{node.name}"
+                parent_scope.local_defs[node.name] = qname
             cls = ""
         # Decorators and parameter defaults run in the defining scope.
         header: List[ast.expr] = list(node.args.defaults) + [
@@ -676,6 +680,9 @@ class _Extractor:
             if name in scope.aliases:
                 target, bind_line, via = scope.aliases[name]
                 add("name", target, via=via, bind_line=bind_line)
+                return
+            if name in scope.local_defs:
+                add("name", scope.local_defs[name])
                 return
             if name in self.facts.module_aliases and \
                     name not in scope.types:

@@ -1,6 +1,7 @@
 """The experiment suite: every quantitative artifact of the paper.
 
-Each ``run_*`` function builds a fresh testbed, runs the strategies, and
+Each ``run_*`` function builds a fresh testbed, runs the strategies,
+reads what the report needs and closes it, one world at a time, and
 returns an :class:`~repro.bench.metrics.ExperimentReport` with the rows
 the paper reports (or implies) plus explicit paper-vs-measured claims.
 See DESIGN.md section 2 for the experiment inventory.
@@ -10,8 +11,9 @@ All experiments are deterministic (seeded sites, virtual time).
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from repro.bench.metrics import ExperimentReport
 from repro.core.briefcase import Briefcase
@@ -24,6 +26,7 @@ from repro.mining.strategies import (
     run_stationary,
 )
 from repro.mining.webbot_agent import WEBBOT_PRINCIPAL
+from repro.obs.telemetry import Telemetry
 from repro.sim.network import (
     BANDWIDTH_1MBIT,
     BANDWIDTH_10MBIT,
@@ -33,9 +36,11 @@ from repro.sim.network import (
     LATENCY_WAN,
 )
 from repro.system.bootstrap import (
+    Testbed,
     build_campus_testbed,
     build_linkcheck_testbed,
 )
+from repro.system.cluster import TaxCluster
 from repro.vm import loader
 from repro.web.site import SiteSpec, paper_site_spec
 from repro.wrappers.logwrap import LoggingWrapper
@@ -57,10 +62,64 @@ E2_NETWORKS: List[Tuple[str, float, float]] = [
 E3_VOLUMES = (10, 50, 150, 450, 917, 1500)
 
 
-def _task_for(testbed, host: str, check_rejected: bool = True,
-              max_depth: int = 12) -> CrawlTask:
-    return CrawlTask.for_site(testbed.site_of(host), max_depth=max_depth,
-                              check_rejected=check_rejected)
+_T = TypeVar("_T")
+
+
+def _in_world(build: Callable[..., Testbed], run: Callable[[Testbed], _T],
+              **options) -> _T:
+    """Return ``run`` of the testbed ``build(**options)`` makes, then
+    close its world.
+
+    ``run`` reads everything the report needs.  Nothing holds the world
+    once this returns, so a driver has at most one alive at a time and
+    leaves none to the cycle collector (the shape of ``run_overload``).
+    """
+    testbed = build(**options)
+    try:
+        return run(testbed)
+    finally:
+        testbed.cluster.close()
+
+
+class _Crawl(NamedTuple):
+    """One linkcheck world's yield, read before its close."""
+
+    stationary: RunMetrics
+    mobile: RunMetrics
+    site_bytes: int
+    #: The metrics snapshot when the world ran under telemetry.
+    telemetry: Optional[dict]
+
+
+def _crawl_both_ways(spec: SiteSpec, check_rejected: bool = True,
+                     telemetry: bool = False, **network) -> _Crawl:
+    """Crawl ``spec``'s site stationary, then mobile, on one fresh
+    linkcheck testbed (``network`` sets its client-server link)."""
+    hub = Telemetry(enabled=True) if telemetry else None
+
+    def both(testbed: Testbed) -> _Crawl:
+        task = CrawlTask.for_site(testbed.site_of(spec.host),
+                                  check_rejected=check_rejected)
+        stationary = run_stationary(testbed, [task])
+        mobile = run_mobile(testbed, [task])
+        return _Crawl(stationary, mobile,
+                      testbed.site_of(spec.host).total_bytes,
+                      hub.snapshot() if hub is not None else None)
+
+    return _in_world(build_linkcheck_testbed, both, spec=spec,
+                     telemetry=hub, **network)
+
+
+def _audit_campus(strategy: Callable[..., RunMetrics], n_servers: int,
+                  pages_per_server: int, seed: int) -> RunMetrics:
+    """Audit a fresh campus with ``strategy(testbed, tasks)``, one task
+    per site in name order."""
+    def audit(testbed: Testbed) -> RunMetrics:
+        return strategy(testbed, [CrawlTask.for_site(testbed.sites[name])
+                                  for name in sorted(testbed.sites)])
+
+    return _in_world(build_campus_testbed, audit, n_servers=n_servers,
+                     pages_per_server=pages_per_server, seed=seed)
 
 
 def _speedup(stationary: RunMetrics, mobile: RunMetrics) -> float:
@@ -77,8 +136,6 @@ def run_e1(seed: int = 2000, telemetry: bool = False) -> ExperimentReport:
     :class:`~repro.obs.telemetry.Telemetry` and the report's extras gain
     a per-mode metrics snapshot (``extras["telemetry"][mode]``).
     """
-    from repro.obs.telemetry import Telemetry
-
     report = ExperimentReport(
         "E1", "Section 5: local (mobile) vs remote (stationary) Webbot "
         "scan of 917 pages / 3 MB over 100 Mbit")
@@ -88,20 +145,17 @@ def run_e1(seed: int = 2000, telemetry: bool = False) -> ExperimentReport:
     ratios: Dict[str, float] = {}
     snapshots: Dict[str, dict] = {}
     for mode, check_rejected in (("full-task", True), ("scan-only", False)):
-        hub = Telemetry(enabled=True) if telemetry else None
-        testbed = build_linkcheck_testbed(spec=paper_site_spec(seed=seed),
-                                          telemetry=hub)
-        task = _task_for(testbed, "www.cs.uit.no",
-                         check_rejected=check_rejected)
-        stationary = run_stationary(testbed, [task])
-        mobile = run_mobile(testbed, [task])
+        crawl = _crawl_both_ways(paper_site_spec(seed=seed),
+                                 check_rejected=check_rejected,
+                                 telemetry=telemetry)
+        stationary, mobile = crawl.stationary, crawl.mobile
         for metrics in (stationary, mobile):
             report.add_row(mode, metrics.strategy, metrics.elapsed_seconds,
                            metrics.remote_bytes, metrics.pages_scanned,
                            metrics.dead_links_found)
         ratios[mode] = _speedup(stationary, mobile)
-        if hub is not None:
-            snapshots[mode] = hub.snapshot()
+        if crawl.telemetry is not None:
+            snapshots[mode] = crawl.telemetry
         if stationary.dead_links_found != mobile.dead_links_found:
             report.add_claim(
                 "both deployments find the same dead links",
@@ -136,16 +190,12 @@ def run_e2(seed: int = 2000,
     report.headers = ["network", "stationary_s", "mobile_s", "speedup"]
     speedups: List[float] = []
     for label, bandwidth, latency in (networks or E2_NETWORKS):
-        testbed = build_linkcheck_testbed(
-            spec=paper_site_spec(seed=seed),
-            bandwidth=bandwidth, latency=latency)
-        task = _task_for(testbed, "www.cs.uit.no")
-        stationary = run_stationary(testbed, [task])
-        mobile = run_mobile(testbed, [task])
-        speedup = _speedup(stationary, mobile)
+        crawl = _crawl_both_ways(paper_site_spec(seed=seed),
+                                 bandwidth=bandwidth, latency=latency)
+        speedup = _speedup(crawl.stationary, crawl.mobile)
         speedups.append(speedup)
-        report.add_row(label, stationary.elapsed_seconds,
-                       mobile.elapsed_seconds, speedup)
+        report.add_row(label, crawl.stationary.elapsed_seconds,
+                       crawl.mobile.elapsed_seconds, speedup)
     report.extras["speedups"] = speedups
     monotone = all(b >= a * 0.99 for a, b in zip(speedups, speedups[1:]))
     report.add_claim(
@@ -176,16 +226,13 @@ def run_e3(seed: int = 2000,
             total_bytes=max(n_pages * PAPER_BYTES_PER_PAGE, n_pages * 256),
             external_hosts=("www.w3.org", "www.cornell.edu"),
             external_dead_fraction=0.12, seed=seed)
-        testbed = build_linkcheck_testbed(spec=spec, bandwidth=bandwidth,
-                                          latency=latency)
-        task = _task_for(testbed, "www.cs.uit.no")
-        stationary = run_stationary(testbed, [task])
-        mobile = run_mobile(testbed, [task])
-        speedup = _speedup(stationary, mobile)
+        crawl = _crawl_both_ways(spec, bandwidth=bandwidth, latency=latency)
+        speedup = _speedup(crawl.stationary, crawl.mobile)
         speedups.append(speedup)
-        report.add_row(n_pages, testbed.site_of("www.cs.uit.no").total_bytes,
-                       stationary.elapsed_seconds, mobile.elapsed_seconds,
-                       speedup, mobile.remote_bytes)
+        report.add_row(n_pages, crawl.site_bytes,
+                       crawl.stationary.elapsed_seconds,
+                       crawl.mobile.elapsed_seconds, speedup,
+                       crawl.mobile.remote_bytes)
     report.extras["speedups"] = speedups
     report.add_claim(
         "the gain grows with the mined volume (shipping the agent barely "
@@ -209,26 +256,16 @@ def run_e4(n_servers: int = 4, pages_per_server: int = 200,
     report.headers = ["strategy", "elapsed_s", "remote_bytes", "pages",
                       "dead_links", "hops_or_crawls"]
 
-    def fresh():
-        return build_campus_testbed(n_servers=n_servers,
-                                    pages_per_server=pages_per_server,
-                                    seed=seed)
-
-    testbed = fresh()
-    tasks = [CrawlTask.for_site(testbed.sites[name])
-             for name in sorted(testbed.sites)]
-    remote = run_repeated_remote(testbed, tasks)
+    campus = (n_servers, pages_per_server, seed)
+    remote = _audit_campus(run_repeated_remote, *campus)
     report.add_row(remote.strategy, remote.elapsed_seconds,
                    remote.remote_bytes, remote.pages_scanned,
-                   remote.dead_links_found, len(tasks))
+                   remote.dead_links_found, n_servers)
 
-    testbed2 = fresh()
-    tasks2 = [CrawlTask.for_site(testbed2.sites[name])
-              for name in sorted(testbed2.sites)]
-    itinerant = run_mobile(testbed2, tasks2)
+    itinerant = _audit_campus(run_mobile, *campus)
     report.add_row(itinerant.strategy, itinerant.elapsed_seconds,
                    itinerant.remote_bytes, itinerant.pages_scanned,
-                   itinerant.dead_links_found, len(tasks2))
+                   itinerant.dead_links_found, n_servers)
 
     speedup = _speedup(remote, itinerant)
     report.extras["speedup"] = speedup
@@ -255,66 +292,74 @@ def _trivial_agent_source() -> str:
         "    return 'ok'\n")
 
 
+def _launch_each_payload(report: ExperimentReport) -> Dict[str, float]:
+    """F3's world: launch the probe once per payload kind, client to
+    server, one row per launch; returns the latencies and closes it."""
+    cluster = TaxCluster()
+    try:
+        cluster.add_principal(WEBBOT_PRINCIPAL, trusted=True)
+        client = cluster.add_node("client.uit.no")
+        server = cluster.add_node("server.uit.no")
+        cluster.network.link("client.uit.no", "server.uit.no",
+                             latency=LATENCY_LAN,
+                             bandwidth=BANDWIDTH_100MBIT)
+        driver = client.driver(principal=WEBBOT_PRINCIPAL)
+
+        source = _trivial_agent_source()
+        namespace: dict = {}
+        exec(compile(source, "<probe>", "exec"), namespace)  # noqa: S102
+        probe_fn = namespace["chain_probe"]
+
+        source_payload = loader.pack_source(source, "chain_probe")
+        marshal_payload = loader.compile_source(source_payload)
+        binary_payload = loader.pack_binary_list(
+            [(server.host.arch, marshal_payload)],
+            cluster.keychain, WEBBOT_PRINCIPAL)
+        cases = [
+            ("py-ref", "vm_python",
+             loader.pack_ref("repro.bench.experiments:_noop_probe")),
+            ("py-marshal", "vm_python", marshal_payload),
+            ("binary(signed)", "vm_bin", binary_payload),
+            ("py-source", "vm_source", source_payload),
+        ]
+        del probe_fn  # only needed to sanity-check the source compiles
+
+        latencies: Dict[str, float] = {}
+        for label, vm, payload in cases:
+            briefcase = Briefcase()
+            loader.install_payload(briefcase, payload, agent_name="probe")
+            briefcase.put("HOME", str(driver.uri))
+
+            def scenario(briefcase=briefcase, vm=vm):
+                start = cluster.kernel.now
+                yield from driver.launch(
+                    cluster.vm_uri("server.uit.no", vm), briefcase,
+                    timeout=600)
+                launch_latency = cluster.kernel.now - start
+                yield from driver.recv(timeout=600)  # the probe's TRAIL
+                return launch_latency
+
+            latency = cluster.run(scenario(), name=f"f3-{label}")
+            latencies[label] = latency
+            exec_uses = server.services["ag_exec"].executions
+            cc_uses = server.services["ag_cc"].requests_handled
+            report.add_row(label, vm, latency, payload.size,
+                           f"ag_cc={cc_uses} ag_exec_runs={exec_uses}")
+        return latencies
+    finally:
+        cluster.close()
+
+
 def run_f3(seed: int = 2000) -> ExperimentReport:
     """Figure 3: latency of launching the same agent as py-ref /
     py-marshal / signed binary / source-via-compile-chain."""
-    from repro.system.cluster import TaxCluster
-    from repro.sim.network import LATENCY_LAN as _LAT
-
     report = ExperimentReport(
         "F3", "Figure 3: remote activation latency by payload kind "
         "(vm_python vs vm_bin vs the vm_source compile chain)")
     report.headers = ["payload", "vm", "launch_latency_s",
                       "payload_bytes", "chain_services_used"]
 
-    cluster = TaxCluster()
-    cluster.add_principal(WEBBOT_PRINCIPAL, trusted=True)
-    client = cluster.add_node("client.uit.no")
-    server = cluster.add_node("server.uit.no")
-    cluster.network.link("client.uit.no", "server.uit.no",
-                         latency=_LAT, bandwidth=BANDWIDTH_100MBIT)
-    driver = client.driver(principal=WEBBOT_PRINCIPAL)
-
-    source = _trivial_agent_source()
-    namespace: dict = {}
-    exec(compile(source, "<probe>", "exec"), namespace)  # noqa: S102
-    probe_fn = namespace["chain_probe"]
-
-    source_payload = loader.pack_source(source, "chain_probe")
-    marshal_payload = loader.compile_source(source_payload)
-    binary_payload = loader.pack_binary_list(
-        [(server.host.arch, marshal_payload)],
-        cluster.keychain, WEBBOT_PRINCIPAL)
-    cases = [
-        ("py-ref", "vm_python",
-         loader.pack_ref("repro.bench.experiments:_noop_probe")),
-        ("py-marshal", "vm_python", marshal_payload),
-        ("binary(signed)", "vm_bin", binary_payload),
-        ("py-source", "vm_source", source_payload),
-    ]
-    del probe_fn  # only needed to sanity-check the source compiles
-
-    latencies: Dict[str, float] = {}
-    for label, vm, payload in cases:
-        briefcase = Briefcase()
-        loader.install_payload(briefcase, payload, agent_name="probe")
-        briefcase.put("HOME", str(driver.uri))
-
-        def scenario(briefcase=briefcase, vm=vm):
-            start = cluster.kernel.now
-            yield from driver.launch(
-                cluster.vm_uri("server.uit.no", vm), briefcase, timeout=600)
-            launch_latency = cluster.kernel.now - start
-            yield from driver.recv(timeout=600)   # the probe's TRAIL report
-            return launch_latency
-
-        latency = cluster.run(scenario(), name=f"f3-{label}")
-        latencies[label] = latency
-        exec_uses = server.services["ag_exec"].executions
-        cc_uses = server.services["ag_cc"].requests_handled
-        report.add_row(label, vm, latency, payload.size,
-                       f"ag_cc={cc_uses} ag_exec_runs={exec_uses}")
-
+    latencies = _launch_each_payload(report)
     report.extras["latencies"] = latencies
     report.add_claim(
         "the compile-at-destination chain (Figure 3) works and costs "
@@ -354,20 +399,11 @@ def _echo_agent(ctx, bc):
         yield from ctx.reply(message, response)
 
 
-def run_f5(depths: Sequence[int] = (0, 1, 2, 4, 8),
-           round_trips: int = 50) -> ExperimentReport:
-    """Figure 5 / section 4: cost of stacking wrappers 'in arbitrary
-    depth' — per-message overhead per layer."""
-    from repro.system.cluster import TaxCluster
-
-    report = ExperimentReport(
-        "F5", "Wrapper stack ablation: meet() round-trip latency vs "
-        "stack depth (logging wrappers)")
-    report.headers = ["stack_depth", "mean_roundtrip_s", "overhead_vs_0"]
-
-    means: List[float] = []
-    for depth in depths:
-        cluster = TaxCluster()
+def _mean_roundtrip(depth: int, round_trips: int) -> float:
+    """F5's world for one stack depth: the echo agent under ``depth``
+    logging wrappers; returns the mean meet() round trip and closes it."""
+    cluster = TaxCluster()
+    try:
         node = cluster.add_node("host.uit.no")
         driver = node.driver()
         briefcase = Briefcase()
@@ -391,7 +427,23 @@ def run_f5(depths: Sequence[int] = (0, 1, 2, 4, 8),
             yield from driver.send(echo_uri, stop)
             return elapsed / round_trips
 
-        mean = cluster.run(scenario(), name=f"f5-depth{depth}")
+        return cluster.run(scenario(), name=f"f5-depth{depth}")
+    finally:
+        cluster.close()
+
+
+def run_f5(depths: Sequence[int] = (0, 1, 2, 4, 8),
+           round_trips: int = 50) -> ExperimentReport:
+    """Figure 5 / section 4: cost of stacking wrappers 'in arbitrary
+    depth' — per-message overhead per layer."""
+    report = ExperimentReport(
+        "F5", "Wrapper stack ablation: meet() round-trip latency vs "
+        "stack depth (logging wrappers)")
+    report.headers = ["stack_depth", "mean_roundtrip_s", "overhead_vs_0"]
+
+    means: List[float] = []
+    for depth in depths:
+        mean = _mean_roundtrip(depth, round_trips)
         means.append(mean)
         report.add_row(depth, mean, mean - means[0])
 
@@ -419,18 +471,15 @@ def run_a1(seed: int = 2000) -> ExperimentReport:
 
     rows: Dict[str, RunMetrics] = {}
     spec = paper_site_spec(seed=seed)
-    for label, kwargs in (
-            ("stationary", None),
-            ("mobile-condensed", {"condense": True}),
-            ("mobile-raw", {"condense": False})):
-        testbed = build_linkcheck_testbed(
+    for label, strategy in (
+            ("stationary", run_stationary),
+            ("mobile-condensed", partial(run_mobile, condense=True)),
+            ("mobile-raw", partial(run_mobile, condense=False))):
+        metrics = _in_world(
+            build_linkcheck_testbed,
+            lambda testbed: strategy(testbed, [CrawlTask.for_site(
+                testbed.site_of(spec.host))]),
             spec=spec, bandwidth=BANDWIDTH_1MBIT, latency=LATENCY_WAN)
-        task = _task_for(testbed, "www.cs.uit.no")
-        if kwargs is None:
-            metrics = run_stationary(testbed, [task])
-        else:
-            metrics = run_mobile(testbed, [task], **kwargs)
-            metrics.strategy = label
         rows[label] = metrics
         dead = metrics.dead_links_found if label != "mobile-raw" else \
             sum(len(r.get("invalid", ())) +
@@ -471,23 +520,13 @@ def run_e5(n_servers: int = 4, pages_per_server: int = 200,
     report.headers = ["strategy", "elapsed_s", "remote_bytes", "pages",
                       "dead_links"]
 
-    def fresh():
-        return build_campus_testbed(n_servers=n_servers,
-                                    pages_per_server=pages_per_server,
-                                    seed=seed)
-
-    testbed = fresh()
-    tasks = [CrawlTask.for_site(testbed.sites[name])
-             for name in sorted(testbed.sites)]
-    sequential = run_mobile(testbed, tasks)
+    campus = (n_servers, pages_per_server, seed)
+    sequential = _audit_campus(run_mobile, *campus)
     report.add_row(sequential.strategy, sequential.elapsed_seconds,
                    sequential.remote_bytes, sequential.pages_scanned,
                    sequential.dead_links_found)
 
-    testbed2 = fresh()
-    tasks2 = [CrawlTask.for_site(testbed2.sites[name])
-              for name in sorted(testbed2.sites)]
-    parallel = run_parallel_mobile(testbed2, tasks2)
+    parallel = _audit_campus(run_parallel_mobile, *campus)
     report.add_row(parallel.strategy, parallel.elapsed_seconds,
                    parallel.remote_bytes, parallel.pages_scanned,
                    parallel.dead_links_found)
@@ -526,18 +565,22 @@ def run_d1(seed: int = 2000,
     report.headers = ["log_lines", "log_bytes", "stationary_s",
                       "mobile_s", "speedup", "mobile_remote_bytes"]
 
-    speedups: List[float] = []
-    agree = True
-    for n_requests in log_sizes:
-        spec = paper_site_spec(seed=seed)
-        testbed = build_linkcheck_testbed(
-            spec=spec, bandwidth=BANDWIDTH_1MBIT, latency=LATENCY_WAN)
+    spec = paper_site_spec(seed=seed)
+
+    def mine(testbed: Testbed, n_requests: int):
         site = testbed.site_of(spec.host)
         log_text = generate_access_log(site, n_requests, seed=seed)
         publish_log(site, log_text)
+        return (len(log_text.encode()),
+                run_log_stationary(testbed, spec.host),
+                run_log_mobile(testbed, spec.host))
 
-        stationary = run_log_stationary(testbed, spec.host)
-        mobile = run_log_mobile(testbed, spec.host)
+    speedups: List[float] = []
+    agree = True
+    for n_requests in log_sizes:
+        log_bytes, stationary, mobile = _in_world(
+            build_linkcheck_testbed, partial(mine, n_requests=n_requests),
+            spec=spec, bandwidth=BANDWIDTH_1MBIT, latency=LATENCY_WAN)
         speedup = _speedup(stationary, mobile)
         speedups.append(speedup)
         s_stats = dict(stationary.reports[0])
@@ -546,7 +589,7 @@ def run_d1(seed: int = 2000,
                for key in ("hits", "unique_visitors", "bytes_served",
                            "top_pages")):
             agree = False
-        report.add_row(n_requests, len(log_text.encode()),
+        report.add_row(n_requests, log_bytes,
                        stationary.elapsed_seconds, mobile.elapsed_seconds,
                        speedup, mobile.remote_bytes)
 
@@ -580,18 +623,20 @@ def run_g1(seed: int = 2000) -> ExperimentReport:
                       "distinct_dead"]
 
     spec = paper_site_spec(seed=seed)
-    testbed = build_linkcheck_testbed(spec=spec)
-    site = testbed.site_of(spec.host)
-    webbot = run_mobile(testbed, [CrawlTask.for_site(site,
-                                                     max_depth=10_000)])
+    webbot = _in_world(
+        build_linkcheck_testbed,
+        lambda testbed: run_mobile(testbed, [CrawlTask.for_site(
+            testbed.site_of(spec.host), max_depth=10_000)]),
+        spec=spec)
     webbot_dead = {record["url"] for rep in webbot.reports
                    for record in rep["invalid"]}
     report.add_row("Webbot (DFS, prefix, 2nd pass)",
                    webbot.elapsed_seconds, webbot.remote_bytes,
                    webbot.pages_scanned, len(webbot_dead))
 
-    testbed2 = build_linkcheck_testbed(spec=spec)
-    checkbot = run_checkbot_mobile(testbed2, spec.host)
+    checkbot = _in_world(
+        build_linkcheck_testbed,
+        lambda testbed: run_checkbot_mobile(testbed, spec.host), spec=spec)
     checkbot_dead = {record["url"] for rep in checkbot.reports
                      for record in rep["invalid"]}
     report.add_row("Checkbot (BFS, host list, inline)",
@@ -624,7 +669,6 @@ def run_r1(n_servers: int = 3, pages_per_server: int = 150,
     tests.
     """
     from repro.wrappers.fault import CheckpointWrapper
-    from repro.wrappers.stack import WrapperSpec
 
     report = ExperimentReport(
         "R1", "Ablation: checkpoint-to-cabinet wrapper on the campus "
@@ -632,27 +676,20 @@ def run_r1(n_servers: int = 3, pages_per_server: int = 150,
     report.headers = ["variant", "elapsed_s", "remote_bytes",
                       "dead_links"]
 
-    def fresh():
-        return build_campus_testbed(n_servers=n_servers,
-                                    pages_per_server=pages_per_server,
-                                    seed=seed)
+    def insured_mobile(testbed: Testbed, tasks) -> RunMetrics:
+        cabinet_uri = (f"tacoma://{testbed.client.host.name}"
+                       "//ag_cabinet")
+        spec = WrapperSpec.by_ref(CheckpointWrapper, {
+            "cabinet": cabinet_uri, "drawer": "r1-audit",
+            "on": ["arrive"]})
+        return run_mobile(testbed, tasks, extra_wrappers=[spec])
 
-    testbed = fresh()
-    tasks = [CrawlTask.for_site(testbed.sites[name])
-             for name in sorted(testbed.sites)]
-    bare = run_mobile(testbed, tasks)
+    campus = (n_servers, pages_per_server, seed)
+    bare = _audit_campus(run_mobile, *campus)
     report.add_row("no-checkpointing", bare.elapsed_seconds,
                    bare.remote_bytes, bare.dead_links_found)
 
-    testbed2 = fresh()
-    tasks2 = [CrawlTask.for_site(testbed2.sites[name])
-              for name in sorted(testbed2.sites)]
-    cabinet_uri = (f"tacoma://{testbed2.client.host.name}"
-                   "//ag_cabinet")
-    spec = WrapperSpec.by_ref(CheckpointWrapper, {
-        "cabinet": cabinet_uri, "drawer": "r1-audit",
-        "on": ["arrive"]})
-    insured = run_mobile(testbed2, tasks2, extra_wrappers=[spec])
+    insured = _audit_campus(insured_mobile, *campus)
     report.add_row("checkpoint-per-hop", insured.elapsed_seconds,
                    insured.remote_bytes, insured.dead_links_found)
 
@@ -697,12 +734,9 @@ def run_m1(seed: int = 2000) -> ExperimentReport:
                 ("10Mbit-metro", BANDWIDTH_10MBIT, LATENCY_METRO),
                 ("1Mbit-WAN", BANDWIDTH_1MBIT, LATENCY_WAN)]
     for label, bandwidth, latency in networks:
-        testbed = build_linkcheck_testbed(
-            spec=paper_site_spec(seed=seed),
+        stationary, mobile, _, _ = _crawl_both_ways(
+            paper_site_spec(seed=seed), check_rejected=False,
             bandwidth=bandwidth, latency=latency)
-        task = _task_for(testbed, "www.cs.uit.no", check_rejected=False)
-        stationary = run_stationary(testbed, [task])
-        mobile = run_mobile(testbed, [task])
 
         crawl = stationary.reports[0]
         invalid = len(crawl.get("invalid", ()))

@@ -40,21 +40,24 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     testbed = build_linkcheck_testbed(
         spec=spec, bandwidth=args.bandwidth_mbit * 1_000_000 / 8,
         latency=args.latency_ms / 1000.0)
-    site = testbed.site_of(spec.host)
-    print(f"site: {site.n_pages} pages, {site.total_bytes:,d} bytes, "
-          f"{site.truth.dead_total} planted dead links")
-    task = CrawlTask.for_site(site, max_depth=args.max_depth)
-    rows = []
-    if args.strategy in ("stationary", "both"):
-        rows.append(run_stationary(testbed, [task]))
-    if args.strategy in ("mobile", "both"):
-        rows.append(run_mobile(testbed, [task], monitor=args.monitor))
-    for metrics in rows:
-        print(metrics.summary_row())
-    if len(rows) == 2:
-        ratio = rows[0].elapsed_seconds / rows[1].elapsed_seconds
-        print(f"speedup (stationary/mobile): {ratio:.3f}")
-    return 0
+    try:
+        site = testbed.site_of(spec.host)
+        print(f"site: {site.n_pages} pages, {site.total_bytes:,d} bytes, "
+              f"{site.truth.dead_total} planted dead links")
+        task = CrawlTask.for_site(site, max_depth=args.max_depth)
+        rows = []
+        if args.strategy in ("stationary", "both"):
+            rows.append(run_stationary(testbed, [task]))
+        if args.strategy in ("mobile", "both"):
+            rows.append(run_mobile(testbed, [task], monitor=args.monitor))
+        for metrics in rows:
+            print(metrics.summary_row())
+        if len(rows) == 2:
+            ratio = rows[0].elapsed_seconds / rows[1].elapsed_seconds
+            print(f"speedup (stationary/mobile): {ratio:.3f}")
+        return 0
+    finally:
+        testbed.cluster.close()
 
 
 def _cmd_site(args: argparse.Namespace) -> int:
@@ -90,28 +93,31 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.demo import run_traced_quickstart
 
     cluster, result = run_traced_quickstart()
-    tracer = cluster.telemetry.tracer
-    greetings = result.folder("GREETINGS").texts()
-    print(f"quickstart itinerary finished at t={cluster.kernel.now:.4f}s "
-          f"virtual; {len(greetings)} greetings, "
-          f"{len(tracer.spans)} spans, {len(tracer.instants)} instants")
-    wrote = False
     try:
-        if args.chrome:
-            n = tracer.export_chrome(args.chrome)
-            print(f"wrote {n} trace events to {args.chrome} "
-                  "(load in https://ui.perfetto.dev)")
-            wrote = True
-        if args.jsonl:
-            n = tracer.export_jsonl(args.jsonl)
-            print(f"wrote {n} JSONL rows to {args.jsonl}")
-            wrote = True
-    except OSError as exc:
-        print(f"cannot write trace: {exc}", file=sys.stderr)
-        return 1
-    if not wrote:
-        print("(no output file requested; use --chrome and/or --jsonl)")
-    return 0
+        tracer = cluster.telemetry.tracer
+        greetings = result.folder("GREETINGS").texts()
+        print(f"quickstart itinerary finished at t={cluster.kernel.now:.4f}s "
+              f"virtual; {len(greetings)} greetings, "
+              f"{len(tracer.spans)} spans, {len(tracer.instants)} instants")
+        wrote = False
+        try:
+            if args.chrome:
+                n = tracer.export_chrome(args.chrome)
+                print(f"wrote {n} trace events to {args.chrome} "
+                      "(load in https://ui.perfetto.dev)")
+                wrote = True
+            if args.jsonl:
+                n = tracer.export_jsonl(args.jsonl)
+                print(f"wrote {n} JSONL rows to {args.jsonl}")
+                wrote = True
+        except OSError as exc:
+            print(f"cannot write trace: {exc}", file=sys.stderr)
+            return 1
+        if not wrote:
+            print("(no output file requested; use --chrome and/or --jsonl)")
+        return 0
+    finally:
+        cluster.close()
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -120,8 +126,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         build_report, render_report_html, render_report_json)
 
     cluster, _ = run_traced_quickstart()
-    document = build_report(cluster.telemetry,
-                            meta={"scenario": "traced-quickstart"})
+    try:
+        document = build_report(cluster.telemetry,
+                                meta={"scenario": "traced-quickstart"})
+    finally:
+        cluster.close()
     rendered = render_report_json(document)
     print(rendered)
     try:
@@ -146,7 +155,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs.openmetrics import render_openmetrics
 
     cluster, _ = run_traced_quickstart()
-    rendered = render_openmetrics(cluster.telemetry.metrics.snapshot())
+    try:
+        rendered = render_openmetrics(cluster.telemetry.metrics.snapshot())
+    finally:
+        cluster.close()
     print(rendered, end="")
     if args.out:
         try:

@@ -63,6 +63,20 @@ def _denied(name: str) -> Callable:
     return guard
 
 
+def _restricted_import(allowed: Set[str], name: str, globals=None,
+                       locals=None, fromlist=(), level: int = 0):
+    if level != 0:
+        raise SandboxViolation("relative imports are not allowed "
+                               "in shipped code")
+    root = name.split(".", 1)[0]
+    if root not in allowed:
+        raise SandboxViolation(
+            f"import of {name!r} denied (whitelist: {sorted(allowed)})")
+    # The real ``__import__``: ``import a.b`` binds the package ``a``,
+    # ``from a import b`` gets ``a`` with its submodule ``b`` loaded.
+    return _builtins.__import__(name, globals, locals, fromlist, level)
+
+
 class Sandbox:
     """A reusable factory for restricted global namespaces."""
 
@@ -74,27 +88,17 @@ class Sandbox:
 
     # -- namespace construction ---------------------------------------------------
 
-    def _restricted_import(self, name: str, globals=None, locals=None,
-                           fromlist=(), level: int = 0):
-        if level != 0:
-            raise SandboxViolation("relative imports are not allowed "
-                                   "in shipped code")
-        root = name.split(".", 1)[0]
-        if root not in self.allowed_imports:
-            raise SandboxViolation(
-                f"import of {name!r} denied (whitelist: "
-                f"{sorted(self.allowed_imports)})")
-        # The real ``__import__``: ``import a.b`` binds the package ``a``,
-        # ``from a import b`` gets ``a`` with its submodule ``b`` loaded.
-        return _builtins.__import__(name, globals, locals, fromlist, level)
-
     def make_builtins(self) -> Dict[str, Any]:
         table: Dict[str, Any] = {}
         for name in _SAFE_BUILTIN_NAMES:
             table[name] = getattr(_builtins, name)
         # Class definition support.
         table["__build_class__"] = _builtins.__build_class__
-        table["__import__"] = self._restricted_import
+        # Bound to the whitelist, not to the sandbox: a loaded module's
+        # functions and namespace hold each other, and that cycle must
+        # not keep a closed world's VM sandbox alive.
+        table["__import__"] = functools.partial(_restricted_import,
+                                                self.allowed_imports)
         for name in ("open", "eval", "exec", "input", "compile",
                      "globals", "locals", "breakpoint", "memoryview",
                      "exit", "quit"):

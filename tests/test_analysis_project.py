@@ -14,6 +14,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 import repro
 from repro.analysis import PROJECT_RULES, Analyzer, export_json
 from repro.analysis.findings import fingerprinted, render_json, sort_findings
@@ -102,23 +104,39 @@ def test_det001_through_methods_on_self():
     direct, alias = findings
     # self._clock() resolves through the attribute alias bound in
     # __init__; self._stamp() and self.record() resolve to methods,
-    # the latter from a def nested in a method.
+    # the latter from a def nested in a method, and the method's call
+    # of that nested def resolves to it.
     assert "alias bound at line 21" in alias.message
     assert witness_functions(alias) == [
-        "ledger.Ledger.replay.one", "ledger.Ledger.record",
-        "ledger.Ledger._stamp"]
+        "ledger.Ledger.replay", "ledger.Ledger.replay.one",
+        "ledger.Ledger.record", "ledger.Ledger._stamp"]
     # self.clock.read() resolves through the attribute's type.
     assert witness_functions(direct)[-2:] == [
         "ledger.Ledger._stamp", "ledger.WallClock.read"]
 
 
-def test_src_graph_resolves_calls_on_self():
+@pytest.fixture(scope="module")
+def src_graph():
     _report, project, _flow = Analyzer().run(
         [os.path.dirname(repro.__file__)])
-    callees = {edge.callee for edge in project.graph[
-        "repro.vm.base.VirtualMachine.handle_launch_message"]
-        if edge.kind == "call"}
-    assert "repro.vm.base.VirtualMachine.launch_agent" in callees
+    return project.graph
+
+
+def call_targets(graph, caller):
+    return {edge.callee for edge in graph[caller] if edge.kind == "call"}
+
+
+def test_src_graph_resolves_calls_on_self(src_graph):
+    assert "repro.vm.base.VirtualMachine.launch_agent" in call_targets(
+        src_graph, "repro.vm.base.VirtualMachine.handle_launch_message")
+
+
+def test_src_graph_resolves_calls_to_nested_defs(src_graph):
+    # ``itinerary`` is nested in ``_survey``; ``_poster`` in a method.
+    assert "repro.chaos.harness._survey.itinerary" in call_targets(
+        src_graph, "repro.chaos.harness._survey")
+    assert "repro.agent.context.AgentContext.post._poster" in \
+        call_targets(src_graph, "repro.agent.context.AgentContext.post")
 
 
 def test_err002_retry_burns_on_permanent_error():
