@@ -14,7 +14,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-export PYTHONPATH=src
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 digest() {
     local sum

@@ -38,6 +38,7 @@ from repro.core.errors import (
     OverloadError,
     TaxError,
 )
+from repro.core.fold import fold_sum
 from repro.core.limits import BreakerConfig, QueueLimits, WireLimits
 from repro.core.retry import RetryPolicy
 from repro.core.uri import AgentUri
@@ -255,7 +256,7 @@ def _flood(cluster: TaxCluster, seed: int, governed: bool,
             "latency": {
                 "min": round(latencies[0], 6) if latencies else None,
                 "max": round(latencies[-1], 6) if latencies else None,
-                "mean": round(sum(latencies) / len(latencies), 6)
+                "mean": round(fold_sum(latencies) / len(latencies), 6)
                 if latencies else None,
             },
         },

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.errors import CommTimeoutError
+from repro.core.fold import fold_sum
 from repro.core.retry import RetryPolicy, install_retry
 from repro.core.uri import AgentUri
 from repro.core import wellknown
@@ -178,7 +179,7 @@ def counter_total(metrics, name: str) -> int:
     metric = metrics.get(name)
     if metric is None:
         return 0
-    return int(sum(sample["value"] for sample in metric.samples()))
+    return int(fold_sum(sample["value"] for sample in metric.samples()))
 
 
 def flight_recorder_block(telemetry) -> Dict:

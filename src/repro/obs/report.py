@@ -24,6 +24,7 @@ import html
 import json
 from typing import Dict, List, Optional
 
+from repro.core.fold import fold_sum
 from repro.obs.metrics import summarize_sample
 from repro.obs.telemetry import Telemetry
 
@@ -138,7 +139,7 @@ def build_report(telemetry: Telemetry, meta: Optional[dict] = None) -> dict:
         family = telemetry.metrics.get(counter_name)
         if family is None:
             continue
-        overview[counter_name] = sum(
+        overview[counter_name] = fold_sum(
             sample["value"] for sample in family.samples())
 
     document = {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from repro.core.fold import fold_sum
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.propagation import TraceContext, TraceIdAllocator
@@ -97,7 +98,7 @@ class Telemetry:
         ``ledger`` is duck-typed: anything with ``seconds_by_category``
         and ``bytes_by_category`` dicts works.
         """
-        total = sum(ledger.seconds_by_category.values())
+        total = fold_sum(ledger.seconds_by_category.values())
         if not self.enabled:
             return total
         cursor = self.tracer.clock() if start is None else start
@@ -138,7 +139,7 @@ class Telemetry:
                                   agent=agent_name),
             "bytes_out": value("agent.bytes_out", 0, agent=agent_name),
             "hops": value("agent.hops", 0, agent=agent_name),
-            "cost_seconds": sum(
+            "cost_seconds": fold_sum(
                 s["value"] for s in self.metrics.collect(
                     "cost.seconds", agent=agent_name)),
         }

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.core.fold import fold_sum
+
 
 @dataclass
 class CostLedger:
@@ -48,7 +50,7 @@ class CostLedger:
 
     @property
     def total_seconds(self) -> float:
-        return sum(self.seconds_by_category.values())
+        return fold_sum(self.seconds_by_category.values())
 
     @property
     def total_bytes(self) -> int:

@@ -16,33 +16,25 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 
 class _ZipfTable:
-    """Zipf weights ``1 / (i + 1) ** skew`` and their left-to-right
-    running sums, grown on demand and shared by every ``n``: both are
-    prefix-stable, so the first ``n`` entries are exactly the lists a
-    fresh build for ``n`` would give."""
+    """The left-to-right running sums of the Zipf weights
+    ``1 / (i + 1) ** skew``, grown on demand and shared by every ``n``:
+    they are prefix-stable, so the first ``n`` entries are exactly the
+    list a fresh build for ``n`` would give."""
 
     def __init__(self, skew: float):
         self.skew = skew
-        self.weights: List[float] = []
         self.running: List[float] = []
-        self._totals: Dict[int, float] = {}
 
     def total(self, n: int) -> float:
-        """``sum`` of the first ``n`` weights, growing the table to ``n``.
-        Not ``running[n - 1]``: ``sum`` is compensated from Python 3.12
-        on and the running sum is not, so the two can differ in the last
-        bit — enough to move a draw."""
-        total = self._totals.get(n)
-        if total is None:
-            weights, running = self.weights, self.running
-            acc = running[-1] if running else 0.0
-            for i in range(len(weights), n):
-                w = 1.0 / (i + 1) ** self.skew
-                acc += w
-                weights.append(w)
-                running.append(acc)
-            total = self._totals[n] = sum(weights[:n])
-        return total
+        """The first ``n`` weights' left fold (what
+        :func:`~repro.core.fold.fold_sum` gives), growing the table to
+        ``n``."""
+        running = self.running
+        acc = running[-1] if running else 0.0
+        for i in range(len(running), n):
+            acc += 1.0 / (i + 1) ** self.skew
+            running.append(acc)
+        return running[n - 1]
 
 
 #: One table per skew in use (three in the product), shared by all streams.
@@ -117,9 +109,8 @@ class RandomStream:
         if table is None:
             table = _ZIPF_TABLES[skew] = _ZipfTable(skew)
         point = self._random.random() * table.total(n)
-        # The first ``i`` with ``point <= running[i]``; ``total`` may sit a
-        # bit above ``running[n - 1]``, so a point past it is the last index.
-        return min(bisect_left(table.running, point, 0, n), n - 1)
+        # The first ``i`` with ``point <= running[i]``.
+        return bisect_left(table.running, point, 0, n)
 
     def __repr__(self) -> str:
         return f"<RandomStream seed={self.seed} name={self.name!r}>"

@@ -11,8 +11,8 @@ Python VMs understand and the pack/unpack machinery:
     distribution itself.
 
 ``py-marshal``
-    A function or module shipped **by value**: the marshalled CPython
-    code object plus a JSON dict of constant globals.  This is the
+    A module shipped **by value**: the marshalled CPython code object
+    and the name of its entry point.  This is the
     "compiled binary" of the Python world — opaque bytes that only a
     matching VM can execute — and the output format of the ag_cc
     compilation chain.
@@ -36,15 +36,12 @@ on the wire.
 from __future__ import annotations
 
 import base64
-import copy
 import functools
 import importlib
-import inspect
 import io
 import json
 import marshal
 import pickle
-import textwrap
 import types
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -63,7 +60,6 @@ KIND_PICKLE = "py-pickle"
 
 ALL_KINDS = (KIND_REF, KIND_MARSHAL, KIND_SOURCE, KIND_BINARY, KIND_PICKLE)
 
-STYLE_FUNCTION = "func"
 STYLE_MODULE = "module"
 
 
@@ -103,28 +99,6 @@ def pack_ref(obj_or_path) -> Payload:
     return Payload(KIND_REF, blob)
 
 
-def pack_function(func: Callable,
-                  shipped_globals: Optional[Dict[str, Any]] = None) -> Payload:
-    """Ship a plain function by value (marshalled code object).
-
-    The function must be closure-free; any module-level names it uses
-    must be passed as JSON-constant ``shipped_globals``.
-    """
-    if not isinstance(func, types.FunctionType):
-        raise VMError(f"can only ship plain functions, got {func!r}")
-    if func.__closure__:
-        raise VMError(f"{func.__name__} has a closure and cannot be shipped "
-                      "by value; lift captured values into shipped_globals")
-    payload = {
-        "style": STYLE_FUNCTION,
-        "entry": func.__name__,
-        "code_b64": base64.b64encode(
-            marshal.dumps(func.__code__)).decode("ascii"),
-        "globals": shipped_globals or {},
-    }
-    return Payload(KIND_MARSHAL, json.dumps(payload).encode("utf-8"))
-
-
 def pack_module_code(code: types.CodeType, entry: str) -> Payload:
     """Ship a compiled module: executed at the destination, then ``entry``
     is looked up in the resulting namespace.  (ag_cc's output format.)"""
@@ -142,24 +116,6 @@ def pack_source(source: str, entry: str,
     """Ship raw source text with a named entry point."""
     payload = {"source": source, "entry": entry, "origin": origin}
     return Payload(KIND_SOURCE, json.dumps(payload).encode("utf-8"))
-
-
-def pack_module_source(module, entry: str) -> Payload:
-    """Ship an imported module's *source text* by value.
-
-    This is how the mobility wrapper carries the Webbot: the module's
-    real source is read, travels in the briefcase, and is compiled and
-    executed at the destination.
-    """
-    source = inspect.getsource(module)
-    return pack_source(source, entry, origin=module.__name__)
-
-
-def pack_function_source(func: Callable) -> Payload:
-    """Ship a single function's source text (dedented) by value."""
-    source = textwrap.dedent(inspect.getsource(func))
-    return pack_source(source, func.__name__,
-                       origin=f"{func.__module__}:{func.__qualname__}")
 
 
 #: Module prefixes a restricted unpickle may resolve classes from, by
@@ -299,45 +255,44 @@ def materialize_ref(payload: Payload) -> Callable:
 
 
 @functools.lru_cache(maxsize=8)
-def _unpack_marshal(payload: Payload
-                    ) -> Tuple[types.CodeType, str, Optional[str], Any]:
-    """(code, style, entry, shipped globals) of a py-marshal payload.
+def _unpack_marshal(payload: Payload) -> Tuple[types.CodeType, Optional[str]]:
+    """(code, entry) of a py-marshal payload.
 
     A pure function of an immutable payload, so each of the last few
     distinct payloads is unpacked once (a corrupt one is not
-    remembered).  The shipped globals are never handed out: each launch
-    takes its own deep copy.
+    remembered).  The payload comes from outside, so anything but what
+    ag_cc emits — a module with no shipped globals — is refused.
     """
     data = _parse_json(payload.blob, KIND_MARSHAL)
+    if not isinstance(data, dict):
+        raise UnsupportedPayloadError(f"malformed {KIND_MARSHAL} payload")
+    style = data.get("style")
+    if style != STYLE_MODULE:
+        raise UnsupportedPayloadError(f"unknown marshal style {style!r}")
+    if data.get("globals"):
+        raise UnsupportedPayloadError("a shipped module carries no globals")
     try:
         code = marshal.loads(base64.b64decode(data["code_b64"]))
     except (KeyError, ValueError, EOFError, TypeError) as exc:
         raise UnsupportedPayloadError("corrupt marshalled code") from exc
-    return (code, data.get("style", STYLE_FUNCTION), data.get("entry"),
-            data.get("globals", {}))
+    return code, data.get("entry")
 
 
 def materialize_marshal(payload: Payload,
                         sandbox: Optional[Sandbox] = None) -> Callable:
-    """Reconstruct a by-value function inside a sandboxed namespace."""
+    """Run a shipped module in a fresh sandboxed namespace and return
+    its entry point."""
     if payload.kind != KIND_MARSHAL:
         raise UnsupportedPayloadError(
             f"expected {KIND_MARSHAL}, got {payload.kind}")
-    code, style, entry, shipped = _unpack_marshal(payload)
-    sandbox = sandbox or Sandbox()
-    namespace = sandbox.make_globals()
-    namespace.update(copy.deepcopy(shipped))
-    if style == STYLE_FUNCTION:
-        func = types.FunctionType(code, namespace, entry or "agent_main")
-        return func
-    if style == STYLE_MODULE:
-        exec(code, namespace)  # noqa: S102 - sandboxed namespace
-        try:
-            return namespace[entry]
-        except KeyError as exc:
-            raise UnsupportedPayloadError(
-                f"entry {entry!r} not defined by shipped module") from exc
-    raise UnsupportedPayloadError(f"unknown marshal style {style!r}")
+    code, entry = _unpack_marshal(payload)
+    namespace = (sandbox or Sandbox()).make_globals()
+    exec(code, namespace)  # noqa: S102 - sandboxed namespace
+    try:
+        return namespace[entry]
+    except KeyError as exc:
+        raise UnsupportedPayloadError(
+            f"entry {entry!r} not defined by shipped module") from exc
 
 
 def parse_source(payload: Payload) -> "tuple[str, str, str]":

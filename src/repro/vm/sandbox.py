@@ -114,24 +114,6 @@ class Sandbox:
         namespace.update(self.extra_globals)
         return namespace
 
-    # -- execution ------------------------------------------------------------------
-
-    def exec_code(self, code, module_name: str = "tax_agent"
-                  ) -> Dict[str, Any]:
-        """Execute a compiled module code object; returns its namespace."""
-        namespace = self.make_globals(module_name)
-        exec(code, namespace)  # noqa: S102 - the namespace is the sandbox
-        return namespace
-
-    def exec_source(self, source: str, filename: str = "<shipped>",
-                    module_name: str = "tax_agent") -> Dict[str, Any]:
-        try:
-            code = compile(source, filename, "exec")
-        except SyntaxError as exc:
-            raise SandboxViolation(f"shipped source does not compile: {exc}"
-                                   ) from exc
-        return self.exec_code(code, module_name)
-
 
 class TrustedSandbox(Sandbox):
     """A non-restricting "sandbox" for code whose signer is trusted.

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.fold import fold_sum
 from repro.sim.rng import RandomStream, derive_seed, stream_from
 from repro.web.page import Page, make_filler, render_page
 
@@ -145,7 +146,7 @@ def _page_sizes(spec: SiteSpec, rng: RandomStream) -> List[int]:
     """Lognormal sizes rescaled to sum exactly to the byte budget."""
     raws = [rng.bounded_lognormal(0.0, spec.size_sigma, 0.05, 20.0)
             for _ in range(spec.n_pages)]
-    scale = spec.total_bytes / sum(raws)
+    scale = spec.total_bytes / fold_sum(raws)
     sizes = [max(200, int(raw * scale)) for raw in raws]
     # Nudge the first page to absorb rounding drift.
     sizes[0] = max(200, sizes[0] + spec.total_bytes - sum(sizes))

@@ -11,12 +11,9 @@ import json
 import os
 
 from repro.bench.runner import main as experiments_main
+from tests.golden import REGENERATE, ROOT
 
-GOLDEN = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "results.json")
-REGENERATE = ("if the change is intended, regenerate with "
-              "`PYTHONPATH=src python -m repro experiments --json "
-              "results.json` and review the diff")
+GOLDEN = os.path.join(ROOT, "results.json")
 
 
 def differences(expected, actual, where="results"):

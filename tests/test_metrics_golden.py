@@ -4,26 +4,20 @@
 ``repro metrics`` is a pure function of that scenario, so its stdout is
 compared with the committed text line by line: a sample that moved, a
 family that appeared or a count that changed is a diff that names its
-family, not a changed digest.  CI diffs the same file after its
-twice-run determinism gate.
+family, not a changed digest.  ``scripts/goldens.sh --check`` diffs
+the same file in CI.
 """
 
 import difflib
-import os
 
 from repro.cli import main
-
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "golden", "metrics.txt")
-REGENERATE = ("if the change is intended, regenerate with "
-              "`PYTHONPATH=src python -m repro metrics > "
-              "tests/golden/metrics.txt` and review the diff")
+from tests.golden import REGENERATE, path
 
 
 def test_metrics_match_the_committed_text(capsys):
     assert main(["metrics"]) == 0
     produced = capsys.readouterr().out.splitlines()
-    with open(GOLDEN, encoding="utf-8") as handle:
+    with open(path("metrics.txt"), encoding="utf-8") as handle:
         golden = handle.read().splitlines()
     diff = list(difflib.unified_diff(
         golden, produced, "tests/golden/metrics.txt", "repro metrics",

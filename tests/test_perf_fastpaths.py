@@ -3,8 +3,6 @@ oracle, briefcase encoding cache, site-generation tables, the kernel vs
 its pre-optimisation oracle, and the literal digests that pin "faster
 never means different"."""
 
-import hashlib
-import json
 import random
 import struct
 
@@ -12,11 +10,15 @@ import pytest
 
 from repro.core import codec
 from repro.core.briefcase import Briefcase
+from repro.core.fold import fold_sum
 from repro.core.limits import WireLimits
 from repro.obs.telemetry import Telemetry
 from repro.sim.eventloop import Kernel
 from repro.sim.rng import RandomStream
 from repro.web.page import _FILLER_WORDS, make_filler
+from tests.golden import REGENERATE, literal
+from tests.golden.pins import (codec_wire_digest, e1_report_digest,
+                               timer_drain_now)
 from tests.oracles.codec import (differential_decode, make_codec_workload,
                                  reference_decode)
 from tests.oracles.kernel import _BaselineKernel, _timer_delays
@@ -191,8 +193,7 @@ def reference_make_filler(nbytes: int, salt: int = 0) -> str:
 def reference_zipf_index(stream: RandomStream, n: int, skew: float) -> int:
     """The per-call weight list and linear scan ``zipf_index`` replaced."""
     weights = [1.0 / (i + 1) ** skew for i in range(n)]
-    total = sum(weights)
-    point = stream.random() * total
+    point = stream.random() * fold_sum(weights)
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
@@ -226,10 +227,6 @@ class TestSiteGenerationTables:
                 reference_zipf_index(reference, n, skew), (n, skew)
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 class TestPerfHarness:
     """What the retired perf harness checked about its own workloads and
     baselines, now against ``tests/oracles`` (the class keeps its name:
@@ -261,29 +258,21 @@ class TestPerfHarness:
 
 class TestSemanticsLiterals:
     """The ``semantics`` block of the retired ``BENCH_perf.json``, pinned
-    to the literals it held: a hot-path change that moves any observable
-    byte, count or instant fails here.  (The e2e benchmark checks the
-    same per workload with ``semantics_sha256``.)"""
+    in ``tests/golden/literals.json``: a hot-path change that moves any
+    observable byte, count or instant fails here.  (The e2e benchmark
+    checks the same per workload with ``semantics_sha256``.)"""
 
-    @pytest.mark.parametrize("telemetry, digest", [
-        (False, "72a240622a3fe3cd9dcb7fbd2320c591"
-                "bed63009a05454a233ab74d50cbfe568"),
-        (True, "268d560a7834afe824384d3b99b70024"
-               "1348dc7e4c5918c737935a8e1fd496a6"),
-    ], ids=["telemetry-off", "telemetry-on"])
-    def test_e1_report_digest(self, telemetry, digest):
-        from repro.bench.experiments import run_e1
-        from repro.bench.runner import report_to_dict
-
-        report = report_to_dict(run_e1(seed=2000, telemetry=telemetry))
-        assert sha256_text(json.dumps(
-            report, indent=2, sort_keys=True)) == digest
+    @pytest.mark.parametrize("telemetry", [False, True],
+                             ids=["telemetry-off", "telemetry-on"])
+    def test_e1_report_digest(self, telemetry):
+        key = "telemetry-on" if telemetry else "telemetry-off"
+        assert e1_report_digest(telemetry) == \
+            literal("e1_report_sha256")[key], REGENERATE
 
     def test_codec_workload_wire_digest(self):
         wire = codec.encode(make_codec_workload())
-        assert sha256_text(wire.hex()) == (
-            "2558c7ebb20039d1b3aa51fff3f3f340"
-            "ad14236354d7f3079e2645a768cf3a7d")
+        assert codec_wire_digest() == \
+            literal("codec_workload_wire_sha256"), REGENERATE
         assert codec._encode_parts(codec.decode(wire)) == wire
         assert codec._encode_parts(reference_decode(wire)) == wire
 
@@ -295,11 +284,6 @@ class TestSemanticsLiterals:
         else:
             kernel = Kernel(telemetry=Telemetry(
                 enabled=regime == "telemetry"))
-        for delay in _timer_delays(10_000, 2000):
-            kernel.timeout(delay)
-        if regime == "step":
-            kernel.run(max_events=10**9)
-        else:
-            kernel.run()
+        now = timer_drain_now(kernel, step=regime == "step")
         assert kernel.processed_events == 10000
-        assert round(kernel.now, 9) == 99.974591714
+        assert now == literal("timer_drain_now"), REGENERATE

@@ -1,10 +1,14 @@
-"""Unit tests for hosts, random streams, and cost ledgers."""
+"""Unit tests for hosts, random streams, cost ledgers, and the one
+float total they share."""
+
+import math
 
 import pytest
 
+from repro.core.fold import fold_sum
 from repro.sim.host import HostRegistry, SimHost
 from repro.sim.ledger import CostLedger
-from repro.sim.rng import RandomStream, stream_from
+from repro.sim.rng import RandomStream, _ZipfTable, stream_from
 
 
 class TestSimHost:
@@ -179,3 +183,28 @@ class TestCostLedger:
         ledger.add_cpu(1.0)
         ledger.reset()
         assert ledger.total_seconds == 0 and ledger.events == 0
+
+
+class TestOneFloatTotal:
+    """Each total is the left fold, which ``sum`` stopped being on
+    CPython 3.12 (it compensates there).  Every vector below is one on
+    which the left fold and the exact sum differ, so a compensated
+    total fails."""
+
+    def test_the_helper_folds_left_to_right(self):
+        values = [1e16, 1.0, -1e16]
+        assert math.fsum(values) == 1.0
+        assert fold_sum(values) == 0.0
+        assert fold_sum([]) == 0 and fold_sum(iter([0.5, 0.25])) == 0.75
+
+    def test_a_ledger_total_is_the_fold(self):
+        ledger = CostLedger()
+        for category, seconds in (("a", 1.0), ("b", 1e-16), ("c", 1e-16)):
+            ledger.add(category, seconds)
+        assert math.fsum(ledger.seconds_by_category.values()) > 1.0
+        assert ledger.total_seconds == 1.0
+
+    def test_a_zipf_total_is_the_fold(self):
+        weights = [1.0 / (i + 1) for i in range(4)]
+        assert math.fsum(weights) != ((1.0 + 0.5) + weights[2]) + 0.25
+        assert _ZipfTable(1.0).total(4) == ((1.0 + 0.5) + weights[2]) + 0.25

@@ -1,5 +1,8 @@
 """Unit tests for code shipping and the sandbox."""
 
+import inspect
+import json
+
 import pytest
 
 from repro.core.briefcase import Briefcase
@@ -18,8 +21,12 @@ def shippable(x, y):
     return x + y
 
 
-def with_global(x):
-    return x * FACTOR  # noqa: F821 - provided via shipped globals
+def shipped_namespace(source, sandbox=None):
+    """The namespace ``source`` leaves behind when shipped as py-source
+    and loaded (in ``sandbox``, or a fresh restricted one)."""
+    payload = loader.pack_source(source + "\ndef entry():\n    pass\n",
+                                 "entry")
+    return loader.materialize_source(payload, sandbox).__globals__
 
 
 class TestPackRef:
@@ -56,57 +63,54 @@ class TestPackRef:
             loader.materialize_ref(payload)
 
 
-class TestPackFunction:
-    def test_by_value_round_trip(self):
-        payload = loader.pack_function(shippable)
-        func = loader.materialize_marshal(payload)
-        assert func(4, 5) == 9
-
-    def test_shipped_globals(self):
-        payload = loader.pack_function(with_global, {"FACTOR": 10})
-        func = loader.materialize_marshal(payload)
-        assert func(3) == 30
-
-    def test_closure_rejected(self):
-        captured = 42
-
-        def closure():
-            return captured
-        with pytest.raises(VMError, match="closure"):
-            loader.pack_function(closure)
-
-    def test_non_function_rejected(self):
-        with pytest.raises(VMError):
-            loader.pack_function("not a function")
-
-    def test_shipped_code_is_sandboxed(self):
-        def naughty():
-            return open("/etc/passwd")  # noqa: SIM115
-        payload = loader.pack_function(naughty)
-        func = loader.materialize_marshal(payload)
-        with pytest.raises(SandboxViolation):
-            func()
-
-    def test_corrupt_marshal_rejected(self):
-        payload = loader.Payload(
-            loader.KIND_MARSHAL,
-            b'{"style": "func", "entry": "f", "code_b64": "AAAA",'
-            b' "globals": {}}')
-        with pytest.raises(UnsupportedPayloadError):
-            loader.materialize_marshal(payload)
-
-    def test_malformed_json_rejected(self):
-        payload = loader.Payload(loader.KIND_MARSHAL, b"not-json")
-        with pytest.raises(UnsupportedPayloadError):
-            loader.materialize_marshal(payload)
-
-
 SOURCE = """
 GREETING = "hi"
 
 def entry(name):
     return GREETING + " " + name
 """
+
+
+class TestMarshalPayload:
+    def test_shipped_code_is_sandboxed(self):
+        payload = loader.pack_source(
+            "def naughty():\n    return open('/etc/passwd')\n", "naughty")
+        func = loader.materialize_source(payload)
+        with pytest.raises(SandboxViolation):
+            func()
+
+    def test_corrupt_marshal_rejected(self):
+        payload = loader.Payload(
+            loader.KIND_MARSHAL,
+            b'{"style": "module", "entry": "f", "code_b64": "AAAA",'
+            b' "globals": {}}')
+        with pytest.raises(UnsupportedPayloadError, match="corrupt"):
+            loader.materialize_marshal(payload)
+
+    @pytest.mark.parametrize("style", ["func", None])
+    def test_any_style_but_module_rejected(self, style):
+        compiled = loader.compile_source(loader.pack_source(SOURCE, "entry"))
+        data = json.loads(compiled.blob)
+        data["style"] = style
+        payload = loader.Payload(loader.KIND_MARSHAL,
+                                 json.dumps(data).encode())
+        with pytest.raises(UnsupportedPayloadError, match="style"):
+            loader.materialize_marshal(payload)
+
+    def test_shipped_globals_rejected(self):
+        compiled = loader.compile_source(loader.pack_source(SOURCE, "entry"))
+        data = json.loads(compiled.blob)
+        data["globals"] = {"GREETING": "ho"}
+        payload = loader.Payload(loader.KIND_MARSHAL,
+                                 json.dumps(data).encode())
+        with pytest.raises(UnsupportedPayloadError, match="globals"):
+            loader.materialize_marshal(payload)
+
+    def test_malformed_json_rejected(self):
+        for blob in (b"not-json", b"[1, 2]"):
+            payload = loader.Payload(loader.KIND_MARSHAL, blob)
+            with pytest.raises(UnsupportedPayloadError):
+                loader.materialize_marshal(payload)
 
 
 class TestPackSource:
@@ -133,16 +137,12 @@ class TestPackSource:
         with pytest.raises(UnsupportedPayloadError, match="ghost_entry"):
             loader.materialize_marshal(compiled)
 
-    def test_pack_module_source(self):
+    def test_a_real_module_ships_as_source(self):
         from repro.robot import webbot
-        payload = loader.pack_module_source(webbot, "run_webbot")
+        payload = loader.pack_source(inspect.getsource(webbot), "run_webbot",
+                                     origin=webbot.__name__)
         func = loader.materialize_source(payload, TrustedSandbox())
         assert callable(func)
-
-    def test_pack_function_source(self):
-        payload = loader.pack_function_source(shippable)
-        func = loader.materialize_source(payload)
-        assert func(1, 2) == 3
 
     def test_parse_source_fields(self):
         payload = loader.pack_source(SOURCE, "entry", origin="unit-test")
@@ -227,12 +227,11 @@ class TestSandbox:
                 namespace["__builtins__"][name]()
 
     def test_whitelisted_import_works(self):
-        sandbox = Sandbox()
-        namespace = sandbox.exec_source("import json\nx = json.dumps([1])")
+        namespace = shipped_namespace("import json\nx = json.dumps([1])")
         assert namespace["x"] == "[1]"
 
     def test_dotted_import_binds_the_package(self):
-        namespace = Sandbox().exec_source(
+        namespace = shipped_namespace(
             "import collections.abc\n"
             "ok = issubclass(dict, collections.abc.Mapping)")
         import collections
@@ -240,7 +239,7 @@ class TestSandbox:
         assert namespace["ok"] is True
 
     def test_from_import_gets_the_submodule(self):
-        namespace = Sandbox().exec_source(
+        namespace = shipped_namespace(
             "from collections import abc\n"
             "ok = issubclass(dict, abc.Mapping)")
         import collections.abc
@@ -248,11 +247,10 @@ class TestSandbox:
         assert namespace["ok"] is True
 
     def test_non_whitelisted_import_denied(self):
-        sandbox = Sandbox()
         with pytest.raises(SandboxViolation, match="denied"):
-            sandbox.exec_source("import os")
+            shipped_namespace("import os")
         with pytest.raises(SandboxViolation, match="denied"):
-            sandbox.exec_source("import os.path")
+            shipped_namespace("import os.path")
 
     def test_relative_import_denied(self):
         sandbox = Sandbox()
@@ -261,8 +259,7 @@ class TestSandbox:
             import_fn("x", level=1)
 
     def test_class_definitions_work(self):
-        sandbox = Sandbox()
-        namespace = sandbox.exec_source(
+        namespace = shipped_namespace(
             "class A:\n"
             "    def f(self):\n"
             "        return 7\n"
@@ -270,12 +267,12 @@ class TestSandbox:
         assert namespace["value"] == 7
 
     def test_syntax_error_wrapped(self):
-        with pytest.raises(SandboxViolation, match="does not compile"):
-            Sandbox().exec_source("def (")
+        with pytest.raises(VMError, match="compilation failed"):
+            shipped_namespace("def (")
 
     def test_extra_globals_injected(self):
         sandbox = Sandbox(extra_globals={"INJECTED": 5})
-        namespace = sandbox.exec_source("y = INJECTED * 2")
+        namespace = shipped_namespace("y = INJECTED * 2", sandbox)
         assert namespace["y"] == 10
 
     def test_trusted_sandbox_has_real_builtins(self):
