@@ -35,6 +35,9 @@ _KNOWN_BUILTINS = frozenset({
 
 _RESOLVE_DEPTH_LIMIT = 16
 
+#: The root of the error taxonomy every TAX component raises.
+TAX_ERROR = "repro.core.errors.TaxError"
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -170,6 +173,15 @@ class Project:
             if facts is not None and facts.transient != "unset":
                 return facts.transient
         return "unset"
+
+    def catches_only_tax_errors(self, caught: Tuple[str, ...]) -> bool:
+        """Every caught name is a project class below ``TaxError``: such
+        a handler lets any untyped exception through."""
+        for entry in caught:
+            kind, resolved = self.resolve(entry)
+            if kind != "class" or TAX_ERROR not in self.mro(resolved):
+                return False
+        return True
 
     # -- graph construction -------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.analysis.callgraph import Edge, Project
 from repro.analysis.summaries import (
     EFFECT_RULE,
     RAISES_PERMANENT,
+    RAISES_UNTYPED,
     IntrinsicEffect,
     in_sanctuary,
     intrinsic_effects,
@@ -76,7 +77,10 @@ class Dataflow:
         function = self.project.functions[qname]
         module_facts = self.project.modules[function.module]
         seeded: Dict[str, Cause] = {}
-        self.origins[qname] = intrinsic_effects(function, module_facts)
+        self.origins[qname] = [
+            origin for origin in intrinsic_effects(function, module_facts)
+            if origin.effect != RAISES_UNTYPED or
+            not self.converts(qname, origin.line)]
         for intrinsic in self.origins[qname]:
             if intrinsic.effect not in seeded:
                 seeded[intrinsic.effect] = Cause(
@@ -204,6 +208,8 @@ class Dataflow:
                 continue
             if in_sanctuary(effect, callee_function.module):
                 continue
+            if effect == RAISES_UNTYPED and self.converts(caller, edge.line):
+                continue
             rule = EFFECT_RULE.get(effect)
             if rule is not None and \
                     module_facts.suppressed(edge.line, rule):
@@ -223,6 +229,15 @@ class Dataflow:
                 callee=edge.callee, snippet=edge.snippet)
             gained = True
         return gained
+
+    def converts(self, qname: str, line: int) -> bool:
+        """``line`` of ``qname`` lies in the body of a ``try`` with a
+        handler for something other than a ``TaxError``: an untyped
+        raise there is converted (or handled) on the spot."""
+        return any(
+            region.body_start <= line <= region.body_end and
+            not self.project.catches_only_tax_errors(region.caught)
+            for region in self.project.functions[qname].try_regions)
 
     # -- witnesses ----------------------------------------------------------
 

@@ -3,7 +3,8 @@
 The effect rules follow one effect through the call graph: DET001
 (wall clock), DET002 (unseeded randomness), DET003 (environment reads
 in sim/core), KER001 (scheduling outside the kernel) and ASY001
-(transport-clean code reaching blocking I/O or virtual time).  ERR002
+(transport-clean code reaching blocking I/O or virtual time).  ERR003
+follows an untyped raise up to a ``TaxError``-only handler.  ERR002
 and WIRE001 are properties of paths, not of lines.
 
 Reporting policy: an in-scope function reports each of its own origins
@@ -33,13 +34,14 @@ from repro.analysis.summaries import (
     ENV_READ,
     KERNEL_BYPASS,
     RAISES_PERMANENT,
+    RAISES_UNTYPED,
     RANDOM_CALLS,
     READS_WALL_CLOCK,
     SIM_COUPLED,
     UNSEEDED_RANDOM,
     IntrinsicEffect,
 )
-from repro.analysis.symbols import FunctionFacts, RetryRegion
+from repro.analysis.symbols import FunctionFacts, RetryRegion, TryRegion
 
 #: Module prefixes that must stay environment-independent (DET003).
 ENV_SCOPES = ("repro.core", "repro.sim")
@@ -459,6 +461,76 @@ class RetryBurnRule(ProjectRule):
             if entry in mro:
                 return True
         return False
+
+
+@register_project
+class UntypedRaiseRule(EffectRule):
+    id = "ERR003"
+    severity = "error"
+    description = ("A try whose handlers catch only TaxError reaches a "
+                   "parser that raises untyped (json.loads, "
+                   "base64.b64decode, marshal.loads, struct.unpack, "
+                   "pickle.loads): malformed input escapes the handler "
+                   "and ends the process")
+    effect = RAISES_UNTYPED
+
+    def reached(self, note: str, where: str) -> str:
+        return (f"this handler catches only TaxError, but its try body "
+                f"reaches an untyped raise ({note} in {where}); read "
+                f"carried content through a typed reader "
+                f"(Element.as_json) or convert the error")
+
+    def check(self, project: Project,
+              flow: Dataflow) -> Iterator[Finding]:
+        for qname in sorted(project.functions):
+            function = project.functions[qname]
+            module_facts = project.modules[function.module]
+            for region in function.try_regions:
+                if not project.catches_only_tax_errors(region.caught) or \
+                        module_facts.suppressed(region.handler_line,
+                                                self.id):
+                    continue
+                hit = self._reached(project, flow, qname, region)
+                if hit is None:
+                    continue
+                root_qname, root_cause, steps = hit
+                yield self.finding(
+                    project, qname, region.handler_line,
+                    region.handler_col,
+                    self.reached(root_cause.note,
+                                 root_qname.rsplit(".", 1)[-1]),
+                    region.snippet,
+                    _caller_context(project, qname) + steps)
+
+    def _reached(self, project: Project, flow: Dataflow, qname: str,
+                 region: TryRegion) -> Optional[
+                     Tuple[str, Cause, List[WitnessStep]]]:
+        """The first untyped raise the ``try`` body reaches: an origin
+        in it, or a call into a function that carries the effect."""
+        function = project.functions[qname]
+        inside = range(region.body_start, region.body_end + 1)
+        for origin in flow.origins[qname]:
+            if origin.effect == self.effect and origin.line in inside:
+                cause = Cause(kind="intrinsic", line=origin.line,
+                              col=origin.col, note=origin.note)
+                return qname, cause, [WitnessStep(
+                    function=qname, path=function.path,
+                    line=origin.line, note=origin.note)]
+        for edge in project.graph[qname]:
+            if edge.kind != "call" or edge.line not in inside or \
+                    flow.converts(qname, edge.line) or \
+                    flow.cause(edge.callee, self.effect) is None:
+                continue
+            root = flow.root(edge.callee, self.effect)
+            if root is None:
+                continue
+            short = edge.callee.rsplit(".", 1)[-1]
+            steps = [WitnessStep(function=qname, path=function.path,
+                                 line=edge.line,
+                                 note=f"calls {short}() in the try")]
+            return root[0], root[1], \
+                steps + _chain_steps(flow, edge.callee, self.effect)
+        return None
 
 
 @register_project

@@ -33,6 +33,9 @@ BLOCKING_IO = "blocking-io"
 KERNEL_BYPASS = "kernel-bypass"
 RAISES_PERMANENT = "raises-permanent"
 MUTATES_BRIEFCASE = "mutates-briefcase"
+#: Raises an exception outside the TAX taxonomy on malformed input
+#: (ERR003): parsing that no ``TaxError`` handler can catch.
+RAISES_UNTYPED = "raises-untyped"
 #: Pseudo-effect: the function lives in (or transitively enters) the
 #: virtual-time simulation — code slated for the real transport backend
 #: must stay clean of it (ASY001).
@@ -48,6 +51,7 @@ EFFECT_RULE: Dict[str, str] = {
     BLOCKING_IO: "ASY001",
     SIM_COUPLED: "ASY001",
     RAISES_PERMANENT: "ERR002",
+    RAISES_UNTYPED: "ERR003",
 }
 
 #: The only module allowed to touch randomness primitives directly.
@@ -93,6 +97,13 @@ BLOCKING_CALLS = frozenset({
     "input", "sys.stdin.read", "sys.stdin.readline",
 })
 
+#: Parsers whose malformed-input errors are untyped (``ValueError``,
+#: ``binascii.Error``, ``struct.error``, ``pickle.UnpicklingError``).
+UNTYPED_RAISE_CALLS = frozenset({
+    "json.loads", "base64.b64decode", "marshal.loads", "struct.unpack",
+    "pickle.loads",
+})
+
 #: Scheduling modules that bypass the kernel: importing one is already
 #: an origin, and so is calling into it.
 _SCHEDULER_MODULES = ("heapq", "sched")
@@ -122,6 +133,8 @@ def external_effects(target: str, nargs: int) -> Tuple[str, ...]:
     if target in _KERNEL_BYPASS_CALLS or \
             target.startswith(_KERNEL_BYPASS_PREFIXES):
         effects.append(KERNEL_BYPASS)
+    if target in UNTYPED_RAISE_CALLS:
+        effects.append(RAISES_UNTYPED)
     return tuple(sorted(effects))
 
 

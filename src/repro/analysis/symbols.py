@@ -123,6 +123,19 @@ class RetryRegion:
     snippet: str = ""
 
 
+@dataclass(frozen=True)
+class TryRegion:
+    """A ``try`` with handlers: its body's line span and every class
+    any of its handlers catches (dotted, "" for a bare ``except:``)."""
+
+    body_start: int
+    body_end: int
+    caught: Tuple[str, ...]
+    handler_line: int
+    handler_col: int
+    snippet: str = ""
+
+
 @dataclass
 class FunctionFacts:
     """Everything the dataflow pass needs about one function."""
@@ -142,6 +155,7 @@ class FunctionFacts:
         field(default_factory=list)
     reserved_writes: List[ReservedWrite] = field(default_factory=list)
     retry_regions: List[RetryRegion] = field(default_factory=list)
+    try_regions: List[TryRegion] = field(default_factory=list)
     #: Lines with a briefcase/folder mutator method call.
     briefcase_mutations: List[int] = field(default_factory=list)
 
@@ -277,7 +291,7 @@ class _Extractor:
             self._visit_class_def(stmt, scope, class_ctx)
             return
         if isinstance(stmt, ast.Try):
-            self._record_retry_regions(stmt, scope)
+            self._record_try_regions(stmt, scope)
         if isinstance(stmt, ast.Raise):
             self._record_raise(stmt, scope)
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -573,14 +587,23 @@ class _Extractor:
             line=stmt.lineno, exc=dotted or "",
             snippet=self.ctx.line_text(stmt.lineno)))
 
-    def _record_retry_regions(self, stmt: ast.Try,
-                              scope: _FunctionCollector) -> None:
-        loop = self._enclosing_loop(stmt)
-        if loop is None or self._iterates(loop, stmt):
-            return
+    def _record_try_regions(self, stmt: ast.Try,
+                            scope: _FunctionCollector) -> None:
         body_lines = [n.lineno for n in stmt.body]
         body_end = max((getattr(n, "end_lineno", n.lineno) or n.lineno)
                        for n in stmt.body)
+        if stmt.handlers:
+            first = stmt.handlers[0]
+            scope.facts.try_regions.append(TryRegion(
+                body_start=min(body_lines), body_end=body_end,
+                caught=tuple(entry for handler in stmt.handlers
+                             for entry in self._caught_types(handler)),
+                handler_line=first.lineno,
+                handler_col=first.col_offset + 1,
+                snippet=self.ctx.line_text(first.lineno)))
+        loop = self._enclosing_loop(stmt)
+        if loop is None or self._iterates(loop, stmt):
+            return
         for handler in stmt.handlers:
             caught = self._caught_types(handler)
             guarded = self._references_guard(handler)

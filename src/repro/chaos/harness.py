@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.errors import CommTimeoutError
+from repro.core.errors import BriefcaseError, CommTimeoutError
 from repro.core.fold import fold_sum
 from repro.core.retry import RetryPolicy, install_retry
 from repro.core.uri import AgentUri
@@ -298,11 +298,18 @@ def _survey(cluster: TaxCluster, worker_names: List[str],
         timed_out = False
         try:
             message = yield from ctx.recv(
-                timeout=recv_timeout,
-                match=lambda m: not ctx.is_pending_reply(m))
-            report = message.briefcase
-            results = [e.as_json() for e in report.folder(wellknown.RESULTS)]
-            failures = [e.as_json() for e in report.folder(FAILURES)]
+                timeout=recv_timeout, match=lambda m: (
+                    not ctx.is_pending_reply(m) and (
+                        m.briefcase.has(wellknown.RESULTS) or
+                        m.briefcase.has(FAILURES))))
+            folder = message.briefcase.folder
+            try:
+                results = [e.as_object() for e in folder(wellknown.RESULTS)]
+                failures = [e.as_object("host") for e in folder(FAILURES)]
+            except BriefcaseError as exc:
+                # An unreadable report is the agent's failure, not home's.
+                failures = [{"host": HOME_HOST, "phase": "report",
+                             "error": str(exc)}]
         except CommTimeoutError:
             # The agent was lost and nobody brought it back.
             timed_out = True

@@ -19,7 +19,6 @@ same context can launch the agent, run recoveries, and receive results.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from repro.core.briefcase import Briefcase
@@ -30,7 +29,7 @@ from repro.agent.context import AgentContext
 from repro.agent.mailbox import Mailbox
 from repro.sim.network import NetworkError
 from repro.wrappers.fault import recover
-from repro.wrappers.monitor import EVENT_FOLDER, MonitorLog
+from repro.wrappers.monitor import EVENT_FOLDER, MonitorLog, read_event
 
 
 class RearGuard:
@@ -80,12 +79,12 @@ class RearGuard:
                            briefcase=Briefcase(), principal=principal)
 
         def deliver(message) -> bool:
-            element = message.briefcase.get_first(EVENT_FOLDER)
-            if element is not None:
-                self._on_event(json.loads(element.as_text()))
-                self.monitor_log.deliver(message)
-                return True
-            return mailbox.deliver(message)
+            if message.briefcase.get_first(EVENT_FOLDER) is None:
+                return mailbox.deliver(message)
+            event = read_event(message)
+            if event is not None:
+                self._on_event(event)
+            return self.monitor_log.deliver(message)
 
         registration = node.firewall.register_agent(
             name=name, principal=principal, vm_name="vm_python",

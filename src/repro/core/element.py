@@ -3,7 +3,7 @@
 Per the paper (section 3.1), *"an element is an uninterpreted sequence of
 bits"*.  An :class:`Element` is therefore an immutable wrapper around
 ``bytes``, plus convenience constructors/accessors for the encodings agents
-actually use (text, integers, JSON-like structures via the stdlib).
+actually use (text, and JSON-like structures via the stdlib).
 
 Interpretation is always the reader's choice — the system never inspects
 element contents, which is what makes briefcases language-independent.
@@ -12,7 +12,7 @@ element contents, which is what makes briefcases language-independent.
 from __future__ import annotations
 
 import json
-from typing import Any, Union
+from typing import Any, Dict, Union
 
 from repro.core.errors import BriefcaseError
 
@@ -70,10 +70,6 @@ class Element:
         return cls(text.encode("utf-8"))
 
     @classmethod
-    def from_int(cls, value: int) -> "Element":
-        return cls(str(int(value)).encode("ascii"))
-
-    @classmethod
     def from_json(cls, value: Any) -> "Element":
         return cls(json.dumps(value, sort_keys=True).encode("utf-8"))
 
@@ -90,17 +86,24 @@ class Element:
         except UnicodeDecodeError as exc:
             raise BriefcaseError("element is not valid UTF-8 text") from exc
 
-    def as_int(self) -> int:
-        try:
-            return int(self.as_text())
-        except ValueError as exc:
-            raise BriefcaseError("element is not an integer") from exc
-
     def as_json(self) -> Any:
+        """The element read as JSON: the one reader of carried content.
+
+        Whatever the bytes are, the outcome is a value or a
+        :class:`BriefcaseError` — never an untyped exception.
+        """
         try:
             return json.loads(self.as_text())
         except (json.JSONDecodeError, BriefcaseError) as exc:
             raise BriefcaseError("element is not JSON") from exc
+
+    def as_object(self, *keys: str) -> Dict[str, Any]:
+        """The element read as a JSON object whose ``keys`` hold text."""
+        value = self.as_json()
+        if not isinstance(value, dict) or (keys and not all(
+                isinstance(value.get(key), str) for key in keys)):
+            raise BriefcaseError("element is not the expected JSON object")
+        return value
 
     # -- protocol ---------------------------------------------------------------
 

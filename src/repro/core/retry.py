@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Protocol
 
+from repro.core.errors import BriefcaseError
+
 
 class JitterSource(Protocol):
     """Anything that can draw a uniform float (a seeded RandomStream)."""
@@ -83,12 +85,18 @@ class RetryPolicy:
     @classmethod
     def from_config(cls, config: Optional[Dict[str, Any]]
                     ) -> Optional["RetryPolicy"]:
+        """The policy a carried config names (None for no config); a
+        config :func:`install_retry` could not have written is a
+        :class:`BriefcaseError`."""
         if config is None:
             return None
-        known = {f: config[f] for f in
-                 ("max_attempts", "base_delay", "multiplier", "max_delay",
-                  "jitter") if f in config}
-        return cls(**known)
+        try:
+            int(config.get("seed", 0))  # the jitter seed must read too
+            return cls(**{f: config[f] for f in
+                          ("max_attempts", "base_delay", "multiplier",
+                           "max_delay", "jitter") if f in config})
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise BriefcaseError(f"bad retry policy: {exc}") from exc
 
 
 def install_retry(briefcase: Any, policy: "RetryPolicy",

@@ -52,7 +52,6 @@ from repro.core.errors import (
     QueueFullError,
     QuotaExceededError,
     TaxError,
-    TrustError,
 )
 from repro.core.identity import AgentId, InstanceAllocator, SYSTEM_PRINCIPAL
 from repro.core.limits import DEFAULT_WIRE_LIMITS
@@ -532,7 +531,10 @@ class Firewall:
         tracked = message.seq is not None and message.seq_src
         try:
             self._authenticate(message)
-        except TrustError:
+        except TaxError:
+            # A refused signature (untrusted, or unreadable: a bad
+            # principal, non-UTF-8 text) leaves the sequence unclaimed,
+            # so the genuine retry is fresh traffic.
             self.stats.rejected += 1
             self._count("fw.auth", outcome="rejected")
             if tracked:

@@ -13,7 +13,6 @@ per-server crawls to roughly the slowest one (experiment E5).
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.briefcase import Briefcase
@@ -57,8 +56,7 @@ def parallel_audit_agent(ctx, briefcase: Briefcase):
         return "worker-done"
 
     # Root role: fork the fleet.
-    stops = [json.loads(e.as_text())
-             for e in briefcase.folder("ITINERARY")]
+    stops = [e.as_object("vm") for e in briefcase.folder("ITINERARY")]
     briefcase.drop("ITINERARY")
     briefcase.put(ROLE_FOLDER, "worker")
     failures: List[Dict] = []

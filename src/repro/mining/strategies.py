@@ -223,7 +223,7 @@ def run_wrapped(testbed: Testbed, driver, briefcase, strategy: str,
             inbound = (yield from driver.recv(timeout=timeout)).briefcase
             event = inbound.get_first(EVENT_FOLDER)
             if event is not None:
-                monitor_events.append(json.loads(event.as_text()))
+                monitor_events.append(event.as_json())
             elif inbound.has(wellknown.RESULTS) or inbound.has(FAILURES):
                 return ([e.as_json()
                          for e in inbound.folder(wellknown.RESULTS)],

@@ -15,9 +15,11 @@ The launch protocol implemented here:
    folders) arrives addressed to the VM;
 2. the VM charges launch CPU, materialises the entry point
    (subclass-specific: sandbox, signature check, or compile chain);
-3. it rebuilds the wrapper stack, registers the agent with the firewall
-   (which flushes any messages queued ahead of the agent's arrival), and
-   spawns the agent process;
+3. it reads every carried config (the wrapper stack, the retry policy),
+   registers the agent with the firewall (which flushes any messages
+   queued ahead of the agent's arrival), and spawns the agent process —
+   the commit point: the wrappers' attach/arrive hooks are the agent's
+   own first step;
 4. it acks the ``go``/``spawn`` with STATUS=ok and the new agent's URI,
    or STATUS=error and a reason.
 """
@@ -37,6 +39,7 @@ from repro.agent.mailbox import Mailbox
 from repro.firewall.message import Message
 from repro.obs.propagation import link_args, span_args
 from repro.sim.errors import Interrupt, StopProcess
+from repro.sim.network import NetworkError
 from repro.vm import loader
 from repro.vm.sandbox import Sandbox
 from repro.wrappers.stack import WrapperStack, build_stack, read_wrapper_specs
@@ -102,7 +105,12 @@ class VirtualMachine:
     # -- the launch path -------------------------------------------------------------
 
     def handle_launch_message(self, message: Message):
-        """Process one arriving agent briefcase (overridable)."""
+        """Process one arriving agent briefcase (overridable).
+
+        A launch that takes the landing slot leaves it one way: the
+        spawn records it, and the ``finally`` releases it on every other
+        exit — a refusal, an untyped error, or the kernel closing.
+        """
         telemetry = self.kernel.telemetry
         host_name = self.node.host.name
         span = telemetry.tracer.begin(
@@ -124,55 +132,63 @@ class VirtualMachine:
                 if telemetry.enabled:
                     telemetry.metrics.inc("vm.duplicate_landings",
                                           host=host_name, vm=self.name)
-                yield from self._ack(message, info)
+                yield from self._reply(message, "ok", info)
                 return
             if state == "tombstoned":
                 span.end(outcome="tombstoned", error=info)
-                yield from self._nack(
-                    message, f"landing refused ({info}): the origin "
-                    "aborted this migration or the host crashed after "
-                    "it landed")
+                yield from self._reply(
+                    message, "error", f"landing refused ({info}): "
+                    "the origin aborted this migration or the host "
+                    "crashed after it landed")
                 return
-            # state == "new": this launch holds the pending slot and
-            # must resolve it below (record_launch / release).
+        uri = None
         try:
-            if not self.firewall.policy.can_launch(message.sender, self.name):
-                raise VMError(
-                    f"policy denies launch by {message.sender.principal!r}")
-            payload = loader.read_payload(message.briefcase)
-            if payload.kind not in self.accepts:
-                raise VMError(
-                    f"{self.name} cannot execute {payload.kind!r} payloads "
-                    f"(accepts {list(self.accepts)})")
-            yield from self.node.host.compute(
-                LAUNCH_OVERHEAD_SECONDS +
-                payload.size * LAUNCH_PER_BYTE_SECONDS)
+            payload = yield from self._admit(message)
             entry = yield from self.prepare_entry(message, payload)
             # Inside the try: register_agent may raise the transient
             # QuotaExceededError (resident-agent quota), which must nack
             # the go/spawn so the sender can back off, not kill this
             # launch process.
             uri = self.launch_agent(message, entry)
-        except TaxError as exc:
-            self.launch_failures += 1
             if landing is not None:
+                self.firewall.landings.record_launch(landing, uri)
+        except TaxError as exc:
+            refusal = str(exc)
+        finally:
+            if uri is None and landing is not None:
                 # Nothing launched: free the slot so a retry (or a
                 # duplicate still in flight) may try again.
                 self.firewall.landings.release(landing)
+        if uri is None:
+            self.launch_failures += 1
             if telemetry.enabled:
                 telemetry.metrics.inc("vm.launch_failures",
                                       host=host_name, vm=self.name)
-            span.end(outcome="error", error=str(exc))
-            yield from self._nack(message, str(exc))
+            span.end(outcome="error", error=refusal)
+            yield from self._reply(message, "error", refusal)
             return
-        if landing is not None:
-            self.firewall.landings.record_launch(landing, uri)
         span.end(outcome="ok", agent=uri)
         if telemetry.enabled and span.duration is not None:
             telemetry.metrics.observe(
                 "vm.launch_seconds", span.duration,
                 host=host_name, vm=self.name)
-        yield from self._ack(message, uri)
+        yield from self._reply(message, "ok", uri)
+
+    def _admit(self, message: Message) -> loader.Payload:
+        """The launch policy, the payload and its kind, and the launch
+        CPU: what every VM checks and charges before it materialises
+        (generator method; returns the payload)."""
+        if not self.firewall.policy.can_launch(message.sender, self.name):
+            raise VMError(
+                f"policy denies launch by {message.sender.principal!r}")
+        payload = loader.read_payload(message.briefcase)
+        if payload.kind not in self.accepts:
+            raise VMError(
+                f"{self.name} cannot execute {payload.kind!r} payloads "
+                f"(accepts {list(self.accepts)})")
+        yield from self.node.host.compute(
+            LAUNCH_OVERHEAD_SECONDS + payload.size * LAUNCH_PER_BYTE_SECONDS)
+        return payload
 
     def prepare_entry(self, message: Message,
                       payload: loader.Payload) -> Callable:
@@ -199,6 +215,8 @@ class VirtualMachine:
         principal = message.sender.principal
         wrappers = build_stack(read_wrapper_specs(briefcase),
                                sandbox=self.sandbox)
+        retry_config = briefcase.get_json(wellknown.RETRY)
+        retry_policy = RetryPolicy.from_config(retry_config)
         ctx = AgentContext(self.node, vm_name=self.name,
                            briefcase=briefcase, principal=principal,
                            wrappers=wrappers)
@@ -222,14 +240,13 @@ class VirtualMachine:
             changes.emit("agent-arrive", instance=registration.instance,
                          name=name, principal=principal, vm=self.name,
                          landing=message.landing_id, briefcase=briefcase)
-        retry_config = briefcase.get_json(wellknown.RETRY)
-        if retry_config is not None:
+        if retry_policy is not None:
             # The policy travels with the agent; the jitter stream is
             # re-derived per instance, so retry schedules stay
             # deterministic across hops without shipping RNG state.
             from repro.sim.rng import RandomStream
             ctx.configure_retry(
-                RetryPolicy.from_config(retry_config),
+                retry_policy,
                 RandomStream(int(retry_config.get("seed", 0)),
                              name=f"retry/{registration.instance}"))
         process = self.kernel.spawn(
@@ -250,14 +267,16 @@ class VirtualMachine:
             track=f"host:{self.node.host.name}",
             agent=name, instance=registration.instance,
             vm=self.name, principal=principal, **span_args(ctx.trace))
-        wrappers.on_attach(ctx)
-        wrappers.on_arrive(ctx)
         self.launched += 1
         return str(self.firewall.uri_for(registration))
 
     def _run_agent(self, ctx: AgentContext, entry: Callable):
         outcome = "done"
         try:
+            # The spawn committed the launch: a hook that fails from
+            # here on fails the agent, never the acked landing.
+            ctx.wrappers.on_attach(ctx)
+            ctx.wrappers.on_arrive(ctx)
             result = entry(ctx, ctx.briefcase)
             if inspect.isgenerator(result):
                 result = yield from result
@@ -282,20 +301,25 @@ class VirtualMachine:
                 if ctx.mailbox is not None:
                     ctx.mailbox.close()
 
-    # -- acks ----------------------------------------------------------------------------
+    # -- the reply ---------------------------------------------------------------------
 
-    def _ack(self, message: Message, agent_uri: str):
-        if message.briefcase.get_text(wellknown.REPLY_TO) is None:
-            return
-        response = Briefcase()
-        response.put(wellknown.STATUS, "ok")
-        response.put(wellknown.AGENT_URI, agent_uri)
-        yield from self.ctx.reply(message, response)
+    def _reply(self, message: Message, status: str, detail: str):
+        """Answer the launch: STATUS=ok with the agent's URI as
+        ``detail``, or STATUS=error with the reason.
 
-    def _nack(self, message: Message, error: str):
-        if message.briefcase.get_text(wellknown.REPLY_TO) is None:
-            return
-        response = Briefcase()
-        response.put(wellknown.STATUS, "error")
-        response.put(wellknown.ERROR, error)
-        yield from self.ctx.reply(message, response)
+        A reply that cannot leave (a down link, an unreadable REPLY-TO)
+        is a lost ack: the landing registry answers the sender's retry.
+        """
+        try:
+            if message.briefcase.get_text(wellknown.REPLY_TO) is None:
+                return
+            response = Briefcase()
+            response.put(wellknown.STATUS, status)
+            response.put(wellknown.AGENT_URI if status == "ok"
+                         else wellknown.ERROR, detail)
+            yield from self.ctx.reply(message, response)
+        except (TaxError, NetworkError):
+            telemetry = self.kernel.telemetry
+            if telemetry.enabled:
+                telemetry.metrics.inc("vm.reply_failures",
+                                      host=self.node.host.name, vm=self.name)

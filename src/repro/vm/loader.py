@@ -47,7 +47,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.briefcase import Briefcase
-from repro.core.errors import UnsupportedPayloadError, VMError
+from repro.core.element import Element
+from repro.core.errors import BriefcaseError, UnsupportedPayloadError, VMError
 from repro.core import wellknown
 from repro.firewall.auth import KeyChain, Signature, TrustStore
 from repro.vm.sandbox import Sandbox
@@ -226,8 +227,8 @@ def read_payload(briefcase: Briefcase) -> Payload:
 
 def _parse_json(blob: bytes, kind: str) -> dict:
     try:
-        return json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return Element.of(blob).as_object()
+    except BriefcaseError as exc:
         raise UnsupportedPayloadError(
             f"malformed {kind} payload") from exc
 
@@ -264,8 +265,6 @@ def _unpack_marshal(payload: Payload) -> Tuple[types.CodeType, Optional[str]]:
     ag_cc emits — a module with no shipped globals — is refused.
     """
     data = _parse_json(payload.blob, KIND_MARSHAL)
-    if not isinstance(data, dict):
-        raise UnsupportedPayloadError(f"malformed {KIND_MARSHAL} payload")
     style = data.get("style")
     if style != STYLE_MODULE:
         raise UnsupportedPayloadError(f"unknown marshal style {style!r}")
@@ -353,7 +352,7 @@ def list_binaries(payload: Payload) -> List[SignedBinary]:
                 payload=Payload(item["kind"],
                                 base64.b64decode(item["blob_b64"])),
                 signature=Signature.from_text(item["signature"])))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise UnsupportedPayloadError("corrupt binary list entry") from exc
     if not entries:
         raise UnsupportedPayloadError("empty binary list")

@@ -28,11 +28,7 @@ from repro.core.uri import AgentUri
 from repro.core import wellknown
 from repro.firewall.message import Message
 from repro.vm import loader
-from repro.vm.base import (
-    LAUNCH_OVERHEAD_SECONDS,
-    LAUNCH_PER_BYTE_SECONDS,
-    VirtualMachine,
-)
+from repro.vm.base import VirtualMachine
 
 
 class VmSource(VirtualMachine):
@@ -43,17 +39,7 @@ class VmSource(VirtualMachine):
 
     def handle_launch_message(self, message: Message):
         try:
-            if not self.firewall.policy.can_launch(message.sender, self.name):
-                raise VMError(
-                    f"policy denies launch by {message.sender.principal!r}")
-            payload = loader.read_payload(message.briefcase)
-            if payload.kind not in self.accepts:
-                raise VMError(
-                    f"{self.name} executes source agents only, "
-                    f"got {payload.kind!r}")
-            yield from self.node.host.compute(
-                LAUNCH_OVERHEAD_SECONDS +
-                payload.size * LAUNCH_PER_BYTE_SECONDS)
+            payload = yield from self._admit(message)
 
             # Steps 2-6: ag_cc -> ag_exec -> compiled payload.
             request = Briefcase()
@@ -68,7 +54,7 @@ class VmSource(VirtualMachine):
                 self.node.keychain, SYSTEM_PRINCIPAL)
         except TaxError as exc:
             self.launch_failures += 1
-            yield from self._nack(message, str(exc))
+            yield from self._reply(message, "error", str(exc))
             return
 
         # Step 7: hand the rewritten briefcase to vm_bin, which launches
@@ -84,7 +70,7 @@ class VmSource(VirtualMachine):
         ok = yield from self.ctx.send(
             AgentUri.for_agent("vm_bin"), transport)
         if not ok:
-            yield from self._nack(message, "vm_bin unavailable")
+            yield from self._reply(message, "error", "vm_bin unavailable")
 
     def prepare_entry(self, message: Message,
                       payload: loader.Payload) -> Callable:

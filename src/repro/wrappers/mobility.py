@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterable, Optional
 
 from repro.agent.context import DEFAULT_MEET_TIMEOUT
 from repro.core.briefcase import Briefcase
-from repro.core.errors import MigrationError, TaxError
+from repro.core.errors import BriefcaseError, MigrationError, TaxError
 from repro.core.uri import AgentUri
 from repro.core import wellknown
 from repro.vm import loader
@@ -176,7 +176,8 @@ def mobile_task_agent(ctx, briefcase: Briefcase):
     briefcase.append(wellknown.TRAIL,
                      json.dumps({"host": ctx.host_name, "t": ctx.now}))
     patience = hop_timeout(briefcase, DEFAULT_MEET_TIMEOUT)
-    stop = briefcase.get_json(CURRENT_STOP)
+    current = briefcase.get_first(CURRENT_STOP)
+    stop = None if current is None else current.as_object("vm")
     if stop is not None:
         planned = _stop_host(stop)
         if planned is not None and planned != ctx.host_name:
@@ -205,7 +206,13 @@ def mobile_task_agent(ctx, briefcase: Briefcase):
         entry = briefcase.folder(ITINERARY).pop_first()
         if entry is None:
             return (yield from _report_home(ctx, briefcase))
-        stop = json.loads(entry.as_text())
+        try:
+            stop = entry.as_object("vm")
+        except BriefcaseError as exc:
+            briefcase.append(FAILURES, {
+                "host": ctx.host_name, "phase": "itinerary",
+                "error": str(exc)})
+            continue
         briefcase.put(CURRENT_STOP, stop)
         try:
             yield from ctx.go(stop["vm"], timeout=patience)

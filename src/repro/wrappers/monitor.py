@@ -25,10 +25,10 @@ reconstructs per-host residency spans from arrival/departure events.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional
 
 from repro.core.briefcase import Briefcase
+from repro.core.errors import BriefcaseError
 from repro.core.uri import AgentUri
 from repro.core import wellknown
 from repro.firewall.message import Message
@@ -158,6 +158,15 @@ class MonitorWrapper(AgentWrapper):
         return message
 
 
+def read_event(message: Message) -> Optional[dict]:
+    """The monitor report ``message`` carries; None if none or unreadable."""
+    element = message.briefcase.get_first(EVENT_FOLDER)
+    try:
+        return None if element is None else element.as_object()
+    except BriefcaseError:
+        return None
+
+
 class MonitorLog:
     """The monitoring tool: collects reports sent by MonitorWrappers.
 
@@ -180,12 +189,10 @@ class MonitorLog:
         self._arrivals: Dict[str, dict] = {}
 
     def deliver(self, message: Message) -> bool:
-        element = message.briefcase.get_first(EVENT_FOLDER)
-        if element is None:
-            return True
-        event = json.loads(element.as_text())
-        self.events.append(event)
-        self._trace(event)
+        event = read_event(message)
+        if event is not None:
+            self.events.append(event)
+            self._trace(event)
         return True
 
     def _trace(self, event: dict) -> None:
@@ -204,7 +211,9 @@ class MonitorLog:
             # the pending arrival, or residency spans would break.
             return
         arrival = self._arrivals.pop(tag, None)
-        if arrival is not None:
+        # A report overtaken in flight can arrive after its successor:
+        # a residency that would end before it starts is skipped.
+        if arrival is not None and arrival.get("t", when) <= when:
             self.tracer.record(
                 f"at:{arrival.get('host')}", arrival.get("t", when), when,
                 category="monitor", track=track,

@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.core import codec
 from repro.core.briefcase import Briefcase
+from repro.core.errors import CodecError
 from repro.core import wellknown
 from repro.core.uri import AgentUri
 from repro.firewall.message import Message
@@ -146,7 +147,9 @@ class SealingWrapper(AgentWrapper):
             return None
         try:
             restored = codec.decode(plaintext)
-        except Exception:  # lint: disable=ERR001 - hostile payloads: any decode failure is a rejection, never a retry
+        except CodecError:
+            # A hostile payload's decode failure is a rejection, never
+            # a retry.
             self.rejected_count += 1
             return None
         briefcase.drop(SEALED_FOLDER)

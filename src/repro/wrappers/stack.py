@@ -17,10 +17,11 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Union
 
 from repro.core.briefcase import Briefcase
-from repro.core.errors import VMError
+from repro.core.element import Element
+from repro.core.errors import BriefcaseError, VMError
 from repro.core.uri import AgentUri
 from repro.core import wellknown
 from repro.firewall.message import Message
@@ -49,11 +50,16 @@ class WrapperSpec:
         }, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "WrapperSpec":
-        data = json.loads(text)
-        payload = loader.Payload(
-            data["kind"], base64.b64decode(data["blob_b64"]))
-        return cls(payload, dict(data.get("config", {})))
+    def from_json(cls, text: Union[str, Element]) -> "WrapperSpec":
+        """The spec :meth:`to_json` wrote (as text or as the carried
+        element); anything else is a :class:`BriefcaseError`."""
+        data = Element.of(text).as_object("kind", "blob_b64")
+        try:
+            payload = loader.Payload(
+                data["kind"], base64.b64decode(data["blob_b64"]))
+            return cls(payload, dict(data.get("config", {})))
+        except (TypeError, ValueError) as exc:
+            raise BriefcaseError(f"malformed wrapper spec: {exc}") from exc
 
 
 def install_wrappers(briefcase: Briefcase,
@@ -66,7 +72,7 @@ def install_wrappers(briefcase: Briefcase,
 def read_wrapper_specs(briefcase: Briefcase) -> List[WrapperSpec]:
     if not briefcase.has(wellknown.WRAPPERS):
         return []
-    return [WrapperSpec.from_json(element.as_text())
+    return [WrapperSpec.from_json(element)
             for element in briefcase.get(wellknown.WRAPPERS)]
 
 
@@ -87,7 +93,11 @@ def build_stack(specs: Iterable[WrapperSpec],
     layers: List[AgentWrapper] = []
     for spec in specs:
         factory = _materialize_factory(spec.payload, sandbox)
-        wrapper = factory(spec.config)
+        try:
+            wrapper = factory(spec.config)
+        except (KeyError, TypeError, ValueError) as exc:
+            # A carried config the wrapper cannot use refuses the launch.
+            raise VMError(f"wrapper config rejected: {exc}") from exc
         if not isinstance(wrapper, AgentWrapper) and not (
                 hasattr(wrapper, "on_send") and hasattr(wrapper, "on_receive")):
             raise VMError(f"{factory!r} did not produce a wrapper")

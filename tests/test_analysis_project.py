@@ -41,7 +41,7 @@ def witness_functions(finding):
 def test_project_rule_pack_registered():
     assert sorted({rule.id for rule in PROJECT_RULES}) == [
         "ASY001", "DET001", "DET002", "DET003",
-        "ERR002", "KER001", "WIRE001"]
+        "ERR002", "ERR003", "KER001", "WIRE001"]
 
 
 def test_det001_transitive_through_module_alias():
@@ -152,6 +152,19 @@ def test_err002_retry_burns_on_permanent_error():
     # Guarded, narrowed, and re-raising retry loops stay silent
     # (fetch_guarded / fetch_narrow / fetch_reraising in the fixture),
     # and so does a loop over distinct items (fetch_each).
+
+
+def test_err003_tax_error_handler_reaches_untyped_parse():
+    findings = lint_tree("err003_untyped")
+    assert [(f.rule, f.line) for f in findings] == [("ERR003", 35)]
+    finding = findings[0]
+    assert "json.loads() in read_spec" in finding.message
+    assert witness_functions(finding) == [
+        "repro.launcher.land", "repro.launcher.read_specs",
+        "repro.launcher.read_spec"]
+    # A parse inside a try that converts its error (read_typed) carries
+    # no effect, and a handler that is not TaxError-only (land_broadly)
+    # is no finding.
 
 
 def test_wire001_reserved_folder_write_without_strip_path():

@@ -203,6 +203,104 @@ class TestWireDeliveryFaults:
         assert len(firewall.quarantine) == quarantined
         assert firewall.dedup.conservation_holds()
 
+    @pytest.mark.parametrize("signature", [b"pe\x01r:ab", b"\xff:ab"])
+    def test_unreadable_signature_leaves_the_sequence_fresh(
+            self, single_cluster, signature):
+        """A frame whose SIGNATURE names no valid principal, or is not
+        text, is refused without claiming its sequence: the genuine
+        frame with the same sequence still reaches the agent."""
+        from repro.core import wellknown
+        from repro.firewall.dedup import inject_seq
+        firewall = single_cluster.node("solo.test").firewall
+        seen = []
+        registration = firewall.register_agent(
+            name="probe", principal="system", vm_name="vm_python",
+            deliver_fn=lambda message: (seen.append(message), True)[1])
+        target = firewall.uri_for(registration).local()
+        forged = Briefcase()
+        forged.folder("BODY").push(b"payload")
+        forged.folder(wellknown.SIGNATURE).push(signature)
+        inject_seq(forged, "peer.test", 1)
+        assert firewall.receive_wire(codec.encode(forged), target,
+                                     self._sender()) is False
+        assert firewall.receive_wire(self._frame(seq=1), target,
+                                     self._sender()) is True
+        assert len(seen) == 1
+        assert firewall.dedup.conservation_holds()
+
+    def test_flipped_go_transports_never_leak_a_landing(self):
+        """Sampled single-bit flips of one wrapped ``go`` transport
+        (monitor and checkpoint wrappers, a carried retry policy), each
+        fed through ``receive_wire`` into a real vm_python.  Whatever a
+        flip hits, the frame is quarantined, refused, or launched: no
+        call raises untyped, no process dies of anything but a
+        ``TaxError`` or ``Interrupt``, and no landing slot stays
+        pending once the world drains."""
+        from repro.chaos.harness import (
+            CHAOS_PRINCIPAL, CHAOS_RETRY, HOME_HOST, build_chaos_cluster,
+            build_survey_program)
+        from repro.core import wellknown
+        from repro.core.errors import TaxError
+        from repro.core.retry import install_retry
+        from repro.core.uri import AgentUri
+        from repro.firewall.dedup import inject_landing, inject_seq
+        from repro.firewall.message import SenderInfo
+        from repro.sim.errors import Interrupt
+        from repro.wrappers.fault import CheckpointWrapper
+        from repro.wrappers.mobility import (
+            CURRENT_STOP, ITINERARY, make_task_briefcase)
+        from repro.wrappers.monitor import MonitorWrapper
+        from repro.wrappers.stack import WrapperSpec, install_wrappers
+
+        cluster, (worker,) = build_chaos_cluster(1)
+        home = cluster.node(HOME_HOST).driver(
+            name="home", principal=CHAOS_PRINCIPAL)
+        vm = cluster.vm_uri(worker)
+        transport = make_task_briefcase(
+            build_survey_program(cluster.keychain),
+            [{"vm": str(vm), "args": {"site": worker, "work": 0.1}}],
+            home_uri=str(home.uri), agent_name="survey")
+        # As the agent's go() leaves home: its stop taken, wrapped.
+        transport.put(CURRENT_STOP,
+                      transport.folder(ITINERARY).pop_first().as_json())
+        install_wrappers(transport, [
+            WrapperSpec.by_ref(MonitorWrapper, {
+                "monitor": str(home.uri), "tag": "survey",
+                "heartbeat": 0.5}),
+            WrapperSpec.by_ref(CheckpointWrapper, {
+                "cabinet": str(AgentUri(host=HOME_HOST,
+                                        name="ag_cabinet")),
+                "drawer": "survey"}),
+        ])
+        install_retry(transport, CHAOS_RETRY, seed=7)
+        transport.put(wellknown.REPLY_TO, str(home.uri))
+        transport.put(wellknown.MEET_TOKEN, "go-1")
+        sender = SenderInfo(principal=CHAOS_PRINCIPAL, host=HOME_HOST)
+        firewall = cluster.node(worker).firewall
+        kernel = cluster.kernel
+        rng = RandomStream(37, name="fuzz/go-flip")
+        try:
+            for seq in range(1, 161):
+                frame = transport.snapshot()
+                inject_seq(frame, "home.test", seq)
+                inject_landing(frame, f"home.test:1:{seq}")
+                wire = bytearray(codec.encode(frame))
+                wire[rng.randint(0, len(wire) - 1)] ^= \
+                    1 << rng.randint(0, 7)
+                try:
+                    firewall.receive_wire(bytes(wire), vm, sender)
+                except TaxError:
+                    pass
+                kernel.run(until=kernel.now + 20.0)
+                assert firewall.landings.snapshot()["pending_now"] == 0, \
+                    f"flip {seq} leaked a landing slot"
+            untyped = [(p.name, repr(p._exception)) for p in kernel._failed
+                       if not isinstance(p._exception,
+                                         (TaxError, Interrupt))]
+            assert untyped == []
+        finally:
+            cluster.close()
+
     def test_wire_folders_never_reach_the_agent(self, single_cluster):
         """DELIVERY-SEQ is wire-only: the dispatched briefcase must not
         carry it (it would otherwise ride along on the next hop)."""

@@ -37,13 +37,6 @@ class TestElement:
         element = Element(b"x")
         assert Element.of(element) is element
 
-    def test_int_round_trip(self):
-        assert Element.from_int(42).as_int() == 42
-
-    def test_as_int_rejects_garbage(self):
-        with pytest.raises(BriefcaseError):
-            Element(b"not-a-number").as_int()
-
     def test_as_text_rejects_binary(self):
         with pytest.raises(BriefcaseError):
             Element(b"\xff\xfe").as_text()

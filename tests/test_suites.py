@@ -492,15 +492,26 @@ def test_cli_overload_failed_invariant_exits_one(capsys, monkeypatch):
     assert code == 1 and '"completion_rate": 0.5' in out
 
 
-def test_cli_suite_run_prints_its_document_when_a_cell_raises(capsys):
-    # Suite seed 159 bit-flips the partition-storm report into
-    # non-JSON (ROADMAP item 1, mechanism A2) and the home driver
-    # raises: the command used to die there with a traceback.
+def test_cli_suite_run_prints_its_document_when_a_cell_raises(
+        capsys, monkeypatch):
+    # A plugin that raises costs its cell, not the command: the suite
+    # document is still printed, with the exception in the envelope.
     import os
+    from repro.core.errors import BriefcaseError
+    from repro.suites import registry
+
+    real = get_plugin("partition")
+
+    def storm_raises(seed, scenario, **params):
+        if scenario == "partition-storm":
+            raise BriefcaseError("element is not JSON")
+        return real.run(seed=seed, scenario=scenario, **params)
+
+    monkeypatch.setitem(registry._REGISTRY, "partition",
+                        dataclasses.replace(real, run=storm_raises))
     path = os.path.join(os.path.dirname(__file__), os.pardir,
                         "benchmarks", "e2e", "durable.suite.yaml")
-    code, out, _ = run_cli(
-        ["suite", "run", path, "--seed", "159", "--digests-only"], capsys)
+    code, out, _ = run_cli(["suite", "run", path, "--digests-only"], capsys)
     cells = json.loads(out)["cells"]
     assert code == 1 and len(cells) == 8
     assert [(c["id"], c["error"]) for c in cells

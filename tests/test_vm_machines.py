@@ -254,6 +254,31 @@ class TestVmBaseEdges:
             return reply.get_text(wellknown.STATUS)
         assert single_cluster.run(scenario()) == "error"
 
+    def test_a_hook_failing_after_the_spawn_fails_the_agent_not_the_launch(
+            self, single_cluster):
+        # The spawn commits the landing: the checkpoint wrapper's arrive
+        # hook cannot parse its cabinet, but the agent is already
+        # running, so the go is acked (a nack would free the slot for a
+        # retry to launch a twin) and the hook fails the agent itself.
+        from repro.wrappers.fault import CheckpointWrapper
+        from repro.wrappers.stack import WrapperSpec, install_wrappers
+        node = single_cluster.node("solo.test")
+        driver = node.driver(name="hook-drv")
+        briefcase = Briefcase()
+        loader.install_payload(briefcase, loader.pack_ref(sync_agent),
+                               agent_name="hooked")
+        install_wrappers(briefcase, [WrapperSpec.by_ref(
+            CheckpointWrapper, {"cabinet": "tacoma:/bad//x",
+                                "drawer": "d"})])
+        uri = single_cluster.run(driver.transport(
+            "go", single_cluster.vm_uri("solo.test"), briefcase,
+            landing="hook-landing"))
+        vm = node.vms["vm_python"]
+        assert AgentUri.parse(uri).name == "hooked"
+        assert (vm.launched, vm.launch_failures) == (1, 0)
+        landings = node.firewall.landings.snapshot()
+        assert (landings["launched_now"], landings["pending_now"]) == (1, 0)
+
 
 class TestCodeOrigPreservation:
     SOURCE = (

@@ -390,6 +390,34 @@ class TestMonitorLog:
         assert log.tracer.instants[0]["name"] == "monitor.arrived"
         assert log.tracer.instants[0]["t"] == 1.0
 
+    def test_reordered_reports_skip_the_backwards_residency(self):
+        # A departure overtaken in flight by the next arrival: the pair
+        # would end before it starts, so no residency is recorded for
+        # it, and delivery (inside the sender's post) never raises.
+        log = MonitorLog()
+        for event, host, t in (("arrived", "a.test", 1.0),
+                               ("departing", "a.test", 3.0),
+                               ("arrived", "b.test", 4.0),
+                               ("departing", "a.test", 3.5),
+                               ("arrived", "c.test", 5.0),
+                               ("finished", "c.test", 6.0)):
+            assert log.deliver(self._event_message(event, host, t))
+        assert [(s.name, s.start, s.end_time)
+                for s in log.residency_spans("bot")] == \
+            [("at:a.test", 1.0, 3.0), ("at:c.test", 5.0, 6.0)]
+        assert len(log.locations()) == 6
+
+    @pytest.mark.parametrize("body", [b"\xff{", b"{not json", b"[1, 2]"])
+    def test_unreadable_reports_are_dropped(self, body):
+        from repro.wrappers.monitor import EVENT_FOLDER
+        log = MonitorLog()
+        briefcase = Briefcase()
+        briefcase.folder(EVENT_FOLDER).push(body)
+        assert log.deliver(Message(target=AgentUri.parse("monitor-tool"),
+                                   briefcase=briefcase,
+                                   sender=SenderInfo("system", "a.test")))
+        assert log.events == []
+
     def test_shared_tracer_is_used(self):
         from repro.obs.tracing import Tracer
         tracer = Tracer(enabled=True)
