@@ -64,8 +64,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 from weakref import ref
 
 from repro.core.element import Element
-from repro.core.errors import FolderNotFoundError
-from repro.core.folder import Folder, _unshare
+from repro.core.errors import BriefcaseError, FolderNotFoundError
+from repro.core.folder import Folder, _unshare, _wrap
 
 
 class Briefcase:
@@ -158,7 +158,7 @@ class Briefcase:
         if not elements:
             return None
         try:
-            return elements[0]._data.decode("utf-8")
+            return elements[0].decode("utf-8")
         except UnicodeDecodeError:
             return None
 
@@ -195,19 +195,26 @@ class Briefcase:
             self._own()
         folder = self._folders.get(folder_name)
         if folder is None:
-            self._add(folder_name).push(value)
+            self._add(folder_name)._push(value)
         else:
             folder.replace((value,))
 
     def get_first(self, folder_name: str) -> Optional[Element]:
         """The first element of a folder, or None if folder absent/empty."""
         folder = self._folders.get(folder_name)
-        return folder.first() if folder else None
+        if folder is None or not folder._elements:
+            return None
+        return _wrap(folder._elements[0])
 
     def get_text(self, folder_name: str, default: Optional[str] = None
                  ) -> Optional[str]:
-        element = self.get_first(folder_name)
-        return element.as_text() if element is not None else default
+        folder = self._folders.get(folder_name)
+        if folder is None or not folder._elements:
+            return default
+        try:
+            return folder._elements[0].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BriefcaseError("element is not valid UTF-8 text") from exc
 
     def get_json(self, folder_name: str, default: Any = None) -> Any:
         element = self.get_first(folder_name)
@@ -219,7 +226,7 @@ class Briefcase:
         folder = self._folders.get(folder_name)
         if folder is None:
             folder = self._add(folder_name)
-        folder.push(value)
+        folder._push(value)
 
     # -- wire-encoding cache (maintained by repro.core.codec) ---------------------
 
@@ -324,7 +331,7 @@ class Briefcase:
 
     def to_dict(self) -> Dict[str, List[bytes]]:
         """A plain-dict view, mostly for tests and debugging."""
-        return {name: [e.data for e in folder]
+        return {name: folder._elements.copy()
                 for name, folder in self._folders.items()}
 
     @classmethod

@@ -59,7 +59,6 @@ import struct
 from typing import Optional, Tuple, Union
 
 from repro.core.briefcase import Briefcase
-from repro.core.element import Element
 from repro.core.errors import (
     BriefcaseTooLargeError,
     CodecError,
@@ -126,8 +125,7 @@ def _encode_parts(briefcase: Briefcase) -> bytes:
         append(_PACK_U16(len(name_bytes)))
         append(name_bytes)
         append(_PACK_U32(len(elements)))
-        for element in elements:
-            data = element._data
+        for data in elements:
             append(_PACK_U32(len(data)))
             append(data)
     return b"".join(parts)
@@ -192,7 +190,8 @@ def check_briefcase(briefcase: Briefcase, limits: WireLimits) -> int:
     total_elements = 0
     size = _HEADER_BYTES
     for folder in folders.values():
-        n = len(folder)
+        elements = folder._elements
+        n = len(elements)
         if n > limits.max_elements_per_folder:
             raise BriefcaseTooLargeError(
                 f"folder {folder.name!r} has {n} elements "
@@ -204,8 +203,8 @@ def check_briefcase(briefcase: Briefcase, limits: WireLimits) -> int:
                 f"folder name {folder.name[:40]!r}... exceeds "
                 f"{limits.max_name_bytes} bytes")
         size += _U16.size + name_len + _U32.size
-        for element in folder:
-            element_len = len(element)
+        for data in elements:
+            element_len = len(data)
             if element_len > limits.max_element_bytes:
                 raise BriefcaseTooLargeError(
                     f"element of {element_len} bytes in folder "
@@ -294,8 +293,8 @@ def _decode_fast(data: Buffer,
     Validation order and every raised error match the reference cursor
     decoder (``tests/oracles/codec.py``); the only differences are
     mechanical — ``unpack_from`` at an offset instead of
-    slice-then-unpack, and element and folder objects assembled directly
-    (the decoder produces exact ``bytes`` and validated names by
+    slice-then-unpack, and folders assembled directly (the decoder
+    produces exact ``bytes`` payloads and validated names by
     construction).
     """
     max_folders, max_per_folder, max_total, max_element = caps
@@ -327,8 +326,7 @@ def _decode_fast(data: Buffer,
     briefcase = Briefcase()
     folders = briefcase._folders
     cell = briefcase._cell
-    new_element = Element.__new__
-    # A slice of exact ``bytes`` is already the element's payload; any
+    # A slice of exact ``bytes`` is already an element's payload; any
     # other buffer is copied out once.
     exact_bytes = type(data) is bytes
     total_elements = 0
@@ -380,10 +378,7 @@ def _decode_fast(data: Buffer,
                 raise MalformedBriefcaseError(
                     f"truncated briefcase: declared element size {size} "
                     f"exceeds the {n - pos} bytes left")
-            element = new_element(Element)
-            element._data = data[pos:end] if exact_bytes \
-                else bytes(data[pos:end])
-            append(element)
+            append(data[pos:end] if exact_bytes else bytes(data[pos:end]))
             pos = end
         folder = Folder.__new__(Folder)
         folder.name = name

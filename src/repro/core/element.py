@@ -55,15 +55,9 @@ class Element:
             return element
         if isinstance(value, Element):
             return value
-        if isinstance(value, (bytes, bytearray, memoryview)):
-            return cls(bytes(value))
-        if isinstance(value, str):
-            return cls(value.encode("utf-8"))
-        try:
-            return cls(json.dumps(value, sort_keys=True).encode("utf-8"))
-        except (TypeError, ValueError) as exc:
-            raise BriefcaseError(
-                f"cannot encode {type(value).__name__} as an element") from exc
+        element = cls.__new__(cls)
+        element._data = element_bytes(value)
+        return element
 
     @classmethod
     def from_text(cls, text: str) -> "Element":
@@ -124,3 +118,19 @@ class Element:
         preview = self._data[:32]
         suffix = "..." if len(self._data) > 32 else ""
         return f"Element({preview!r}{suffix}, {len(self._data)} bytes)"
+
+
+def element_bytes(value: Any) -> bytes:
+    """The exact bytes :meth:`Element.of` encodes ``value`` to, without
+    building the element (a folder holds these)."""
+    if isinstance(value, Element):
+        return value._data
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes(value)
+    if isinstance(value, str):
+        return value.encode("utf-8")
+    try:
+        return json.dumps(value, sort_keys=True).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise BriefcaseError(
+            f"cannot encode {type(value).__name__} as an element") from exc

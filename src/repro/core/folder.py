@@ -10,9 +10,9 @@ agents actually use (``push``/``pop_first``).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional, Union
 
-from repro.core.element import Element
+from repro.core.element import Element, element_bytes
 from repro.core.errors import BriefcaseError
 
 #: Wire bytes a folder costs besides its name and payload (u16 name
@@ -20,6 +20,23 @@ from repro.core.errors import BriefcaseError
 #: per-folder part of the layout in :mod:`repro.core.codec`.
 _FOLDER_FRAMING_BYTES = 2 + 4
 _ELEMENT_FRAMING_BYTES = 4
+
+_new_element = Element.__new__
+
+
+def _wrap(data: bytes) -> Element:
+    """The :class:`Element` a reader is handed for a held payload."""
+    element = _new_element(Element)
+    element._data = data
+    return element
+
+
+def _payloads(values: Iterable[Any]) -> List[bytes]:
+    """The payloads of ``values``, a folder's taken as they are held."""
+    if isinstance(values, Folder):
+        return values._elements.copy()
+    return [value if type(value) is bytes else element_bytes(value)
+            for value in values]
 
 
 def _unshare(cell: list) -> None:
@@ -34,7 +51,14 @@ def _unshare(cell: list) -> None:
 
 
 class Folder:
-    """An ordered list of :class:`Element` values with a name.
+    """An ordered list of element payloads with a name.
+
+    A folder holds each element as its exact ``bytes`` — the paper's
+    "uninterpreted sequence of bits" — and hands a reader an
+    :class:`Element` only when asked for one (``first``, indexing,
+    iteration, ``pop_first``, the return value of ``push``).  Writers,
+    the text readers and the codec work on the bytes themselves, so
+    appending, encoding or decoding builds no object per element.
 
     Every mutation bumps two counters.  ``_version`` is this folder's
     own (the aliasing sanitizer reads it to attribute writes).
@@ -60,48 +84,46 @@ class Folder:
         if not isinstance(name, str) or not name:
             raise BriefcaseError("folder name must be a non-empty string")
         self.name = name
-        self._elements: List[Element] = \
-            [Element.of(e) for e in elements] if elements else []
+        self._elements: List[bytes] = _payloads(elements) if elements \
+            else []
         self._version = 0
         self._cell: list = [0, None]
 
     # -- mutation ---------------------------------------------------------------
 
     def push(self, value: Any) -> Element:
-        """Append a value (encoded with :meth:`Element.of`) to the end."""
-        if type(value) is bytes:
-            element = Element.__new__(Element)
-            element._data = value
+        """Append a value (encoded as :meth:`Element.of` would) to the
+        end, and return it as an element."""
+        self._push(value)
+        return _wrap(self._elements[-1])
+
+    def _push(self, value: Any) -> None:
+        """:meth:`push` for the library's own writers, which discard
+        the element."""
+        kind = type(value)
+        if kind is bytes:
+            data = value
+        elif kind is str:
+            data = value.encode("utf-8")
         else:
-            element = Element.of(value)
+            data = element_bytes(value)
         cell = self._cell
         if cell[1]:
             _unshare(cell)
-        self._elements.append(element)
+        self._elements.append(data)
         self._version += 1
         cell[0] += 1
-        return element
 
     def push_all(self, values: Iterable[Any]) -> None:
         # Encoded before the first append: ``values`` may be this folder.
-        elements = [Element.of(value) for value in values]
-        if elements:
+        payloads = _payloads(values)
+        if payloads:
             cell = self._cell
             if cell[1]:
                 _unshare(cell)
-            self._elements.extend(elements)
+            self._elements.extend(payloads)
             self._version += 1
             cell[0] += 1
-
-    def insert(self, index: int, value: Any) -> Element:
-        element = Element.of(value)
-        cell = self._cell
-        if cell[1]:
-            _unshare(cell)
-        self._elements.insert(index, element)
-        self._version += 1
-        cell[0] += 1
-        return element
 
     def pop_first(self) -> Optional[Element]:
         """Remove and return the first element, or None when empty.
@@ -116,31 +138,7 @@ class Folder:
             _unshare(cell)
         self._version += 1
         cell[0] += 1
-        return self._elements.pop(0)
-
-    def pop_last(self) -> Optional[Element]:
-        if not self._elements:
-            return None
-        cell = self._cell
-        if cell[1]:
-            _unshare(cell)
-        self._version += 1
-        cell[0] += 1
-        return self._elements.pop()
-
-    def remove_at(self, index: int) -> Element:
-        cell = self._cell
-        if cell[1]:
-            _unshare(cell)
-        try:
-            element = self._elements.pop(index)
-        except IndexError as exc:
-            raise BriefcaseError(
-                f"folder {self.name!r} has no element at index {index}"
-            ) from exc
-        self._version += 1
-        cell[0] += 1
-        return element
+        return _wrap(self._elements.pop(0))
 
     def clear(self) -> None:
         cell = self._cell
@@ -152,41 +150,41 @@ class Folder:
 
     def replace(self, values: Iterable[Any]) -> None:
         """Replace the entire contents with freshly-encoded values."""
-        elements = [Element.of(v) for v in values]
+        payloads = _payloads(values)
         cell = self._cell
         if cell[1]:
             _unshare(cell)
-        self._elements = elements
+        self._elements = payloads
         self._version += 1
         cell[0] += 1
 
     # -- access -------------------------------------------------------------------
 
     def first(self) -> Optional[Element]:
-        return self._elements[0] if self._elements else None
-
-    def last(self) -> Optional[Element]:
-        return self._elements[-1] if self._elements else None
+        return _wrap(self._elements[0]) if self._elements else None
 
     def texts(self) -> List[str]:
         """All elements decoded as UTF-8 text."""
-        return [e.as_text() for e in self._elements]
+        try:
+            return [data.decode("utf-8") for data in self._elements]
+        except UnicodeDecodeError as exc:
+            raise BriefcaseError("element is not valid UTF-8 text") from exc
 
     def byte_size(self) -> int:
         """Total payload bytes held by this folder."""
-        return sum(len(e) for e in self._elements)
+        return sum(map(len, self._elements))
 
     def _wire_size(self) -> int:
         """The bytes this folder occupies in the codec's wire image."""
         elements = self._elements
         size = _FOLDER_FRAMING_BYTES + len(self.name.encode("utf-8")) + \
             _ELEMENT_FRAMING_BYTES * len(elements)
-        for element in elements:
-            size += len(element._data)
+        for data in elements:
+            size += len(data)
         return size
 
     def copy(self) -> "Folder":
-        """A snapshot copy (elements are immutable, so sharing is safe)."""
+        """A snapshot copy (payloads are immutable, so sharing is safe)."""
         folder = Folder.__new__(Folder)
         folder.name = self.name
         folder._elements = self._elements.copy()
@@ -196,16 +194,18 @@ class Folder:
 
     # -- sequence protocol -----------------------------------------------------------
 
-    def __getitem__(self, index: int) -> Element:
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        if type(index) is slice:
+            return [_wrap(data) for data in self._elements[index]]
         try:
-            return self._elements[index]
+            return _wrap(self._elements[index])
         except IndexError as exc:
             raise BriefcaseError(
                 f"folder {self.name!r} has no element at index {index}"
             ) from exc
 
     def __iter__(self) -> Iterator[Element]:
-        return iter(self._elements)
+        return map(_wrap, self._elements)
 
     def __len__(self) -> int:
         return len(self._elements)

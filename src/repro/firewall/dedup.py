@@ -42,7 +42,8 @@ will need, where a process crash destroys the objects outright.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import wellknown
 from repro.firewall.changes import ChangeStream
@@ -67,6 +68,11 @@ class DedupWindow:
       delivery can no longer be proven fresh, so it is refused — the
       invariant is *never double-deliver*, even at the cost of a
       retransmit falling on the floor.
+
+    Each peer's remembered sequences are one ascending list: membership
+    is a bisection, and the trim that keeps the window bounded cuts the
+    list's head at one bisection.  ``tests/oracles/dedup.py`` holds the
+    set-based reference window.
     """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW_CAPACITY,
@@ -76,7 +82,8 @@ class DedupWindow:
         self.capacity = capacity
         self.changes = changes if changes is not None else ChangeStream()
         self._max_seen: Dict[str, int] = {}
-        self._seen: Dict[str, Set[int]] = {}
+        #: Per peer, the remembered sequences in ascending order.
+        self._seen: Dict[str, List[int]] = {}
         self.offered = 0
         self.accepted = 0
         self.duplicates = 0
@@ -97,19 +104,23 @@ class DedupWindow:
             self.rejected += 1
             return "reject"
         max_seen = self._max_seen.get(peer, 0)
-        seen = self._seen.setdefault(peer, set())
-        if seq in seen:
+        seen = self._seen.get(peer)
+        if seen is None:
+            seen = self._seen[peer] = []
+        at = bisect_left(seen, seq)
+        if at < len(seen) and seen[at] == seq:
             self.duplicates += 1
             return "duplicate"
-        if seq <= max_seen - self.capacity:
+        capacity = self.capacity
+        if seq <= max_seen - capacity:
             self.rejected += 1
             return "reject"
-        seen.add(seq)
+        seen.insert(at, seq)
         if seq > max_seen:
             self._max_seen[peer] = max_seen = seq
-        floor = max_seen - self.capacity
-        if floor > 0 and len(seen) > self.capacity:
-            self._seen[peer] = {s for s in seen if s > floor}
+        floor = max_seen - capacity
+        if floor > 0 and len(seen) > capacity:
+            del seen[:bisect_right(seen, floor)]
         self.accepted += 1
         return "accept"
 
@@ -123,8 +134,11 @@ class DedupWindow:
         still holds.
         """
         seen = self._seen.get(peer)
-        if seen is not None and seq in seen:
-            seen.discard(seq)
+        if seen is None:
+            return
+        at = bisect_left(seen, seq)
+        if at < len(seen) and seen[at] == seq:
+            del seen[at]
             self.accepted -= 1
             self.rejected += 1
             if self.changes.sinks:
@@ -161,7 +175,7 @@ class DedupWindow:
             "rejected": self.rejected,
             "max_seen": {peer: self._max_seen[peer]
                          for peer in sorted(self._max_seen)},
-            "seen": {peer: sorted(seqs)
+            "seen": {peer: list(seqs)
                      for peer, seqs in sorted(self._seen.items())},
         }
 
@@ -176,8 +190,8 @@ class DedupWindow:
         self.rejected = int(state.get("rejected", 0))
         self._max_seen = {peer: int(value) for peer, value in
                           state.get("max_seen", {}).items()}
-        self._seen = {peer: {int(s) for s in seqs} for peer, seqs in
-                      state.get("seen", {}).items()}
+        self._seen = {peer: sorted({int(s) for s in seqs}) for peer, seqs
+                      in state.get("seen", {}).items()}
         return self
 
     @classmethod

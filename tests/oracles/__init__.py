@@ -13,6 +13,9 @@ readable or pre-optimisation twin of one product hot path:
   ``queue-ttl:*`` watcher process and a ``Timeout`` per parked message
   (``ReferencePendingQueue``), where the product arms one timer per
   queue;
+- :mod:`tests.oracles.dedup` — the dedup window as one set per peer,
+  rebuilt on every accept past capacity (``ReferenceDedupWindow``),
+  where the product keeps an ascending list and cuts its head;
 - :mod:`tests.oracles.metrics` — the metrics registry as one
   dictionary per family that canonicalises the labels of every call
   (``ReferenceRegistry``): no remembered label sets, no series objects;

@@ -38,17 +38,8 @@ class RefFolder:
     def push_all(self, values: Iterable[Any]) -> None:
         self.elements.extend([payload(value) for value in values])
 
-    def insert(self, index: int, value: Any) -> None:
-        self.elements.insert(index, payload(value))
-
     def pop_first(self) -> Optional[bytes]:
         return self.elements.pop(0) if self.elements else None
-
-    def pop_last(self) -> Optional[bytes]:
-        return self.elements.pop() if self.elements else None
-
-    def remove_at(self, index: int) -> bytes:
-        return self.elements.pop(index)
 
     def clear(self) -> None:
         self.elements.clear()

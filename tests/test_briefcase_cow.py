@@ -121,30 +121,12 @@ class CopyOnWriteMachine(RuleBasedStateMachine):
             if len(folder) <= SMALL:
                 folder.push_all(folder)
 
-    @rule(pick=picks, value=values)
-    def insert(self, pick, value):
-        for folder in self.handle(pick):
-            folder.insert(0, value)
-
     @rule(pick=picks)
     def pop_first(self, pick):
         product, reference = self.handle(pick)
         popped = product.pop_first()
         assert (popped.data if popped is not None else None) == \
             reference.pop_first()
-
-    @rule(pick=picks)
-    def pop_last(self, pick):
-        product, reference = self.handle(pick)
-        popped = product.pop_last()
-        assert (popped.data if popped is not None else None) == \
-            reference.pop_last()
-
-    @rule(pick=picks)
-    def remove_at(self, pick):
-        product, reference = self.handle(pick)
-        if reference.elements:
-            assert product.remove_at(-1).data == reference.remove_at(-1)
 
     @rule(pick=picks)
     def clear(self, pick):

@@ -79,28 +79,31 @@ class TestFolder:
         assert folder.pop_first().as_text() == "b"
         assert folder.pop_first() is None
 
-    def test_pop_last(self):
-        folder = Folder("F", ["a", "b"])
-        assert folder.pop_last().as_text() == "b"
+    def test_every_reader_is_handed_elements(self):
+        folder = Folder("F", [b"\xff", "t", 7])
+        assert folder[0:2] == [Element(b"\xff"), Element(b"t")]
+        assert [type(e) for e in folder[:]] == [Element] * 3
+        assert list(folder) == [Element(b"\xff"), Element(b"t"),
+                                Element(b"7")]
+        assert folder.first() == Element(b"\xff")
+        assert type(folder.push(b"x")) is Element
+        assert folder.pop_first().data == b"\xff"
 
-    def test_insert_and_remove_at(self):
-        folder = Folder("F", ["a", "c"])
-        folder.insert(1, "b")
-        assert folder.texts() == ["a", "b", "c"]
-        removed = folder.remove_at(1)
-        assert removed.as_text() == "b"
-
-    def test_remove_at_out_of_range(self):
-        with pytest.raises(BriefcaseError):
-            Folder("F").remove_at(0)
+    def test_text_readers_refuse_what_as_text_refuses(self):
+        briefcase = Briefcase({"F": [b"\xff"]})
+        for read in (lambda: briefcase.get("F").texts(),
+                     lambda: briefcase.get_text("F"),
+                     lambda: briefcase.get_first("F").as_text()):
+            with pytest.raises(BriefcaseError,
+                               match="not valid UTF-8 text"):
+                read()
 
     def test_getitem_out_of_range(self):
         with pytest.raises(BriefcaseError):
             Folder("F")[3]
 
-    def test_first_last_empty(self):
-        folder = Folder("F")
-        assert folder.first() is None and folder.last() is None
+    def test_first_empty(self):
+        assert Folder("F").first() is None
 
     def test_replace(self):
         folder = Folder("F", ["old"])

@@ -26,6 +26,7 @@ from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import BANDWIDTH_100MBIT, LATENCY_LAN
 from repro.system.cluster import TaxCluster
 from repro.vm import loader
+from tests.oracles.dedup import ReferenceDedupWindow
 
 
 # -- DedupWindow units ------------------------------------------------------------
@@ -132,6 +133,71 @@ class TestDedupWindowProperties:
                     assert seq not in live
                     live.add(seq)
             assert window.conservation_holds()
+
+
+#: One step of a dedup window's life: an arrival (sequences below 1
+#: included, which are refused), a sender's run of consecutive
+#: sequences, a forgotten dispatch, or a restart that restores the
+#: window from its own durable image.
+dedup_steps = st.one_of(
+    st.tuples(st.just("observe"), st.sampled_from(["a", "b"]),
+              st.integers(min_value=-1, max_value=40)),
+    st.tuples(st.just("run"), st.sampled_from(["a", "b"]),
+              st.integers(min_value=1, max_value=40),
+              st.integers(min_value=1, max_value=12)),
+    st.tuples(st.just("forget"), st.sampled_from(["a", "b"]),
+              st.integers(min_value=-1, max_value=40)),
+    st.tuples(st.just("restore")))
+
+
+class TestDedupWindowAgainstTheSetOracle:
+    @given(capacity=st.integers(min_value=1, max_value=8),
+           steps=st.lists(dedup_steps, max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_every_verdict_count_image_and_record_matches(
+            self, capacity, steps):
+        product, reference = [], []
+        window = DedupWindow(capacity=capacity)
+        oracle = ReferenceDedupWindow(capacity=capacity)
+        window.changes.subscribe(lambda kind, fields:
+                                 product.append((kind, fields)))
+        oracle.changes.subscribe(lambda kind, fields:
+                                 reference.append((kind, fields)))
+        for step in steps:
+            if step[0] == "observe":
+                assert window.observe(*step[1:]) == \
+                    oracle.observe(*step[1:])
+            elif step[0] == "run":
+                _, peer, start, length = step
+                for seq in range(start, start + length):
+                    assert window.observe(peer, seq) == \
+                        oracle.observe(peer, seq)
+            elif step[0] == "forget":
+                window.forget(*step[1:])
+                oracle.forget(*step[1:])
+            else:
+                window.restore_durable(window.to_durable())
+                oracle.restore_durable(oracle.to_durable())
+            assert window.snapshot() == oracle.snapshot()
+            assert window.to_durable() == oracle.to_durable()
+            for peer in ("a", "b"):
+                assert window.window_size(peer) == oracle.window_size(peer)
+        assert product == reference
+
+    @given(capacity=st.integers(min_value=1, max_value=8),
+           seqs=st.lists(st.integers(min_value=1, max_value=40),
+                         max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_each_restores_the_others_image(self, capacity, seqs):
+        window = DedupWindow(capacity=capacity)
+        oracle = ReferenceDedupWindow(capacity=capacity)
+        for seq in seqs:
+            window.observe("a", seq)
+            oracle.observe("a", seq)
+        assert DedupWindow.from_durable(oracle.to_durable()).to_durable() \
+            == oracle.to_durable()
+        assert ReferenceDedupWindow.from_durable(
+            window.to_durable()).to_durable() == window.to_durable()
 
 
 # -- LandingRegistry units ---------------------------------------------------------

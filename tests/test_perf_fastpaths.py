@@ -1,8 +1,10 @@
 """Tests for the hot-path optimisations: the decoder vs its reference
-oracle, briefcase encoding cache, site-generation tables, the kernel vs
+oracle, briefcase encoding cache, no object kept per element,
+site-generation tables, the kernel vs
 its pre-optimisation oracle, and the literal digests that pin "faster
 never means different"."""
 
+import gc
 import random
 import struct
 
@@ -10,6 +12,7 @@ import pytest
 
 from repro.core import codec
 from repro.core.briefcase import Briefcase
+from repro.core.element import Element
 from repro.core.fold import fold_sum
 from repro.core.limits import WireLimits
 from repro.obs.telemetry import Telemetry
@@ -173,6 +176,74 @@ class TestEncodingCache:
         size = codec.check_briefcase(briefcase, WireLimits())
         assert briefcase._wire_cached_size() == size
         assert codec.encoded_size(briefcase) == size
+
+
+def tracked_growth(build) -> int:
+    """GC-tracked objects that what ``build`` returns keeps alive.
+
+    An :class:`~repro.core.element.Element` is GC-tracked and its
+    payload ``bytes`` are not, so the count is the same on every host
+    and shows an object per element wherever one is kept.
+    """
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        kept = build()
+        growth = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    del kept
+    return growth
+
+
+#: Values of each kind a writer encodes: exact bytes, text, JSON.
+ELEMENT_KINDS = [b"raw \x00 bytes", "text", {"json": [1, 2]}]
+
+
+class TestNoObjectPerElement:
+    """A folder holds its payload bytes: decoding, appending or putting
+    keeps no object per element alive."""
+
+    @pytest.mark.parametrize("per_folder", [16, 64])
+    def test_decode_keeps_one_set_of_objects_per_folder(self, per_folder):
+        def frame(n):
+            return wire_of({name: [b"%s-%d" % (name.encode(), i)
+                                   for i in range(n)]
+                            for name in ("ID", "SENT-AT", "PAYLOAD")})
+
+        one, many = frame(1), frame(per_folder)
+        assert tracked_growth(lambda: codec.decode(many)) == \
+            tracked_growth(lambda: codec.decode(one))
+
+    @pytest.mark.parametrize("value", ELEMENT_KINDS, ids=repr)
+    def test_append_to_a_folder_keeps_nothing(self, value):
+        briefcase = Briefcase({"F": [value]})
+
+        def append_many():
+            for _ in range(64):
+                briefcase.append("F", value)
+
+        assert tracked_growth(append_many) == 0
+        assert len(briefcase.get("F")) == 65
+
+    @pytest.mark.parametrize("value", ELEMENT_KINDS, ids=repr)
+    def test_put_costs_only_its_folder(self, value):
+        names = [f"F{i}" for i in range(64)]
+        empty, filled = Briefcase(), Briefcase()
+
+        def create():
+            for name in names:
+                empty.folder(name)
+
+        def put():
+            for name in names:
+                filled.put(name, value)
+
+        assert tracked_growth(put) == tracked_growth(create)
+        assert filled.get_first("F7") == Element.of(value)
 
 
 def reference_make_filler(nbytes: int, salt: int = 0) -> str:

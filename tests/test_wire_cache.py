@@ -155,23 +155,9 @@ class WireCacheMachine(RuleBasedStateMachine):
         folder.push_all(folder)
         assert list(folder) == before + before
 
-    @rule(pick=picks, value=values)
-    def insert(self, pick, value):
-        self.folder(pick).insert(0, value)
-
     @rule(pick=picks)
     def pop_first(self, pick):
         self.folder(pick).pop_first()
-
-    @rule(pick=picks)
-    def pop_last(self, pick):
-        self.folder(pick).pop_last()
-
-    @rule(pick=picks)
-    def remove_at(self, pick):
-        folder = self.folder(pick)
-        if folder:
-            folder.remove_at(len(folder) - 1)
 
     @rule(pick=picks)
     def clear(self, pick):
