@@ -2,7 +2,8 @@
 
 Commands (``docs/`` has the long form of each):
 
-- ``experiments [E1 E2 ...]`` — the paper-vs-measured tables;
+- ``experiments [E1 E2 ...]`` — the paper suite: each experiment's
+  table and claims (``--json``: the suite document, ``results.json``);
 - ``crawl`` — one ad-hoc stationary-vs-mobile link-check comparison;
 - ``site`` — generate a synthetic site and print its statistics;
 - ``trace`` — the traced quickstart as Chrome ``trace_event`` / JSONL;
@@ -25,6 +26,18 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
+
+
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; if that fails, say so on stderr and
+    return False (the command then exits 1)."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
@@ -133,20 +146,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         cluster.close()
     rendered = render_report_json(document)
     print(rendered)
-    try:
-        if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8") as handle:
-                handle.write(rendered + "\n")
-            print(f"wrote report JSON to {args.json_path}",
-                  file=sys.stderr)
-        if args.html_path:
-            with open(args.html_path, "w", encoding="utf-8") as handle:
-                handle.write(render_report_html(document))
-            print(f"wrote report HTML to {args.html_path}",
-                  file=sys.stderr)
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return 1
+    if args.json_path:
+        if not _write(args.json_path, rendered + "\n"):
+            return 1
+        print(f"wrote report JSON to {args.json_path}", file=sys.stderr)
+    if args.html_path:
+        if not _write(args.html_path, render_report_html(document)):
+            return 1
+        print(f"wrote report HTML to {args.html_path}", file=sys.stderr)
     return 0
 
 
@@ -161,14 +168,38 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         cluster.close()
     print(rendered, end="")
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            print(f"cannot write metrics: {exc}", file=sys.stderr)
+        if not _write(args.out, rendered):
             return 1
         print(f"wrote OpenMetrics text to {args.out}", file=sys.stderr)
     return 0
+
+
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    """``repro experiments``: the paper suite — one ``experiment`` cell
+    per id at ``--seed`` — through the suite runner; each cell's
+    document is printed as its table and claims, and ``--json`` writes
+    the suite document."""
+    from repro.bench.experiments import EXPERIMENTS
+    from repro.bench.metrics import render_report
+    from repro.suites.schema import parse_suite
+
+    ids = [name.upper() for name in args.ids] or sorted(EXPERIMENTS)
+    spec = _suite_spec("experiments", lambda: parse_suite({
+        "suite": "paper", "description": "every paper experiment at one seed",
+        "seed": args.seed, "cells": [{
+            "plugin": "experiment",
+            "matrix": {"id": ids, "seed": [args.seed]}}],
+    }, source="arguments"))
+    if spec is None:
+        return 2
+
+    def show(document) -> None:
+        for cell in document["cells"]:
+            print(render_report(cell["document"]) if "document" in cell
+                  else f"=== {cell['id']}: {cell['error']['type']}: "
+                       f"{cell['error']['message']} ===")
+            print()
+    return _run_suite(spec, show, args.json_path)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -176,20 +207,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.bench.experiments import run_e1
-    from repro.bench.runner import report_to_dict
+    from repro.bench.metrics import render_report
 
     wall_start = time.perf_counter()
     report = run_e1(seed=args.seed, telemetry=True)
     wall = time.perf_counter() - wall_start
-    print(report.render())
-    document = report_to_dict(report)
+    document = report.to_dict()
+    print(render_report(document))
     document["wall_seconds"] = wall
     if args.json_path:
-        try:
-            with open(args.json_path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
+        if not _write(args.json_path,
+                      json.dumps(document, indent=2, sort_keys=True)):
             return 1
         print(f"\nwrote report ({wall:.1f}s wall) to {args.json_path}")
     return 0
@@ -250,15 +278,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 2
     print(plugin.render(document))
     path = getattr(args, "journal_dump", "")
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                for record in document["journal_sample"]["tail"]:
-                    handle.write(json.dumps(record, sort_keys=True))
-                    handle.write("\n")
-        except OSError as exc:
-            print(f"cannot write journal dump: {exc}", file=sys.stderr)
-            return 1
+    if path and not _write(path, "".join(
+            json.dumps(record, sort_keys=True) + "\n"
+            for record in document["journal_sample"]["tail"])):
+        return 1
     return 0 if all(evaluate_check(check, document)[0]
                     for check in plugin.checks) else 1
 
@@ -344,34 +367,56 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+def _suite_spec(command: str, load):
+    """``load()``'s suite spec, or None once a bad suite is reported."""
+    from repro.suites.registry import SuiteError
+
+    try:
+        return load()
+    except SuiteError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return None
+
+
+def _run_suite(spec, show, json_path: Optional[str], **options) -> int:
+    """Run ``spec`` through the suite runner: ``show`` prints its
+    document, ``json_path`` (if given) gets it as JSON and the summary
+    goes to stderr; exits 1 unless every cell passed."""
+    from repro.suites.runner import render_suite_json, run_suite, suite_ok
+
+    document = run_suite(spec, **options)
+    show(document)
+    if json_path:
+        if not _write(json_path, render_suite_json(document) + "\n"):
+            return 1
+        print(f"wrote suite document to {json_path}", file=sys.stderr)
+    summary = document["summary"]
+    print(f"suite {spec.name!r}: {summary['passed']}/"
+          f"{summary['planned']} passed, {summary['failed']} failed, "
+          f"{summary['skipped']} skipped", file=sys.stderr)
+    return 0 if suite_ok(document) else 1
+
+
 def _cmd_suite(args: argparse.Namespace) -> int:
     from repro.suites.registry import (
-        SuiteError, get_plugin, plugin_descriptions, plugin_names)
-    from repro.suites.runner import (
-        cell_seed, render_suite_json, run_suite, suite_ok)
+        get_plugin, plugin_descriptions, plugin_names)
+    from repro.suites.runner import cell_seed, render_suite_json
     from repro.suites.schema import load_suite
 
-    def load():
-        try:
-            return load_suite(args.file)
-        except SuiteError as exc:
-            print(f"repro suite: {exc}", file=sys.stderr)
-            return None
-
+    if args.suite_command == "list" and not args.file:
+        print("scenario plugins:")
+        _print_name_table(plugin_descriptions())
+        for name in plugin_names():
+            plugin = get_plugin(name)
+            variants = plugin.variants()
+            if variants:
+                print(f"  {name} --{plugin.variant_param}: "
+                      f"{', '.join(str(v) for v in variants)}")
+        return 0
+    spec = _suite_spec("suite", lambda: load_suite(args.file))
+    if spec is None:
+        return 2
     if args.suite_command == "list":
-        if not args.file:
-            print("scenario plugins:")
-            _print_name_table(plugin_descriptions())
-            for name in plugin_names():
-                plugin = get_plugin(name)
-                variants = plugin.variants()
-                if variants:
-                    print(f"  {name} --{plugin.variant_param}: "
-                          f"{', '.join(str(v) for v in variants)}")
-            return 0
-        spec = load()
-        if spec is None:
-            return 2
         print(f"suite {spec.name!r} ({spec.source}): "
               f"{len(spec.cells)} cell(s), seed {spec.seed}, "
               f"early_stop {spec.early_stop}")
@@ -379,34 +424,15 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             print(f"  [{index}] {cell.cell_id} "
                   f"seed={cell_seed(spec.seed, cell)}")
         return 0
-
-    spec = load()
-    if spec is None:
-        return 2
     if args.suite_command == "validate":
         print(f"{spec.source}: OK — suite {spec.name!r}, "
               f"{len(spec.cells)} cell(s)")
         return 0
 
-    document = run_suite(spec, seed=args.seed,
-                         include_documents=not args.digests_only)
-    rendered = render_suite_json(document)
-    print(rendered)
-    if args.json_path:
-        try:
-            with open(args.json_path, "w", encoding="utf-8") as handle:
-                handle.write(rendered + "\n")
-        except OSError as exc:
-            print(f"cannot write {args.json_path}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"wrote suite document to {args.json_path}",
-              file=sys.stderr)
-    summary = document["summary"]
-    print(f"suite {spec.name!r}: {summary['passed']}/"
-          f"{summary['planned']} passed, {summary['failed']} failed, "
-          f"{summary['skipped']} skipped", file=sys.stderr)
-    return 0 if suite_ok(document) else 1
+    return _run_suite(
+        spec, lambda document: print(render_suite_json(document)),
+        args.json_path, seed=args.seed,
+        include_documents=not args.digests_only)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,9 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the paper-reproduction experiments")
     exp.add_argument("ids", nargs="*", default=[],
                      help="experiment ids (default: all)")
-    exp.add_argument("--seed", type=int, default=2000)
+    exp.add_argument("--seed", type=int, default=2000,
+                     help="the seed of every cell")
     exp.add_argument("--json", dest="json_path", default=None,
-                     help="also write machine-readable results here")
+                     help="also write the suite document here")
 
     crawl = sub.add_parser("crawl", help="ad-hoc link-check comparison")
     crawl.add_argument("--pages", type=int, default=200)
@@ -556,12 +583,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "experiments":
-        from repro.bench.runner import main as experiments_main
-
-        forwarded = list(args.ids) + ["--seed", str(args.seed)]
-        if args.json_path:
-            forwarded += ["--json", args.json_path]
-        return experiments_main(forwarded)
+        return _cmd_experiments(args)
     if args.command == "crawl":
         return _cmd_crawl(args)
     if args.command == "site":

@@ -301,14 +301,27 @@ class Firewall:
         return False
 
     def _flush_pending_for(self, registration: Registration) -> None:
+        """Deliver every parked message that ``registration`` matches.
+
+        The claim has already taken the whole batch off the queue, so a
+        delivery that raises is a wrapper drop and the rest still go.
+        """
         telemetry = self.kernel.telemetry
         for message in self.pending.claim(
                 lambda target: self._pending_match(registration, target)):
+            try:
+                registration.deliver(message)
+            except TaxError:
+                self._dropped_by_wrapper()
+                continue
             self.stats.delivered += 1
             if telemetry.enabled:
                 (self._series.get("fw.queue_flushed")
                  or self._counter("fw.queue_flushed")).inc()
-            registration.deliver(message)
+
+    def _dropped_by_wrapper(self, count: int = 1) -> None:
+        self.stats.dropped_by_wrapper += count
+        self._count("fw.dropped_by_wrapper", count)
 
     def _pending_match(self, registration: Registration,
                        target: AgentUri) -> bool:
@@ -682,8 +695,7 @@ class Firewall:
                         "agent.messages_in").labels(agent=name)
                 series.inc()
         else:
-            self.stats.dropped_by_wrapper += 1
-            self._count("fw.dropped_by_wrapper")
+            self._dropped_by_wrapper()
         return delivered
 
     # -- crash / restart (driven by the node) -------------------------------------------------
@@ -843,5 +855,7 @@ class Firewall:
         registration = self.registry.by_instance(instance)
         if registration is None:
             return False
-        flushed = registration.resume()
+        failed = registration.resume()
+        if failed:
+            self._dropped_by_wrapper(failed)
         return True

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.core.errors import AgentNotFoundError
+from repro.core.errors import AgentNotFoundError, TaxError
 from repro.core.identity import SYSTEM_PRINCIPAL, AgentId
 from repro.core.uri import AgentUri
 from repro.firewall.message import Message
@@ -68,12 +68,17 @@ class Registration:
         self.paused = True
 
     def resume(self) -> int:
-        """Un-pause and flush the backlog; returns messages flushed."""
+        """Un-pause and deliver the backlog; returns how many of its
+        deliveries raised (each is dropped, and the rest still go)."""
         self.paused = False
         backlog, self._paused_backlog = self._paused_backlog, []
+        failed = 0
         for message in backlog:
-            self.deliver_fn(message)
-        return len(backlog)
+            try:
+                self.deliver_fn(message)
+            except TaxError:
+                failed += 1
+        return failed
 
     def uri(self, host: Optional[str] = None) -> AgentUri:
         return AgentUri(host=host, principal=self.principal,

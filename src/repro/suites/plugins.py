@@ -20,7 +20,6 @@ from typing import Any, Dict, Mapping
 from repro.bench.experiments import (EXPERIMENTS, SEEDED_EXPERIMENTS,
                                      run_experiment)
 from repro.bench.overload import MODE_DESCRIPTIONS, run_overload_mode
-from repro.bench.runner import report_to_dict
 from repro.chaos.crashtest import CRASHTEST_SCENARIOS, run_crashtest
 from repro.chaos.harness import WORKER_HOSTS, Scenario, render_document
 from repro.chaos.partition import PARTITION_SCENARIOS, run_partition
@@ -41,7 +40,7 @@ def _descriptions(table: Mapping[str, Scenario]) -> Dict[str, str]:
 def _run_experiment(seed: int, id: str) -> Dict[str, Any]:
     kwargs: Dict[str, int] = \
         {"seed": seed} if id in SEEDED_EXPERIMENTS else {}
-    return report_to_dict(run_experiment(id, **kwargs))
+    return run_experiment(id, **kwargs).to_dict()
 
 
 register_plugin(ScenarioPlugin(
@@ -118,7 +117,7 @@ register_plugin(ScenarioPlugin(
 register_plugin(ScenarioPlugin(
     name="experiment",
     description="one paper-reproduction experiment (E1, E2, ...) as a "
-                "suite cell; the check is its paper-vs-measured verdict",
+                "suite cell; the check is its claims' verdict",
     run=_run_experiment,
     render=render_document,
     params={

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.rng import derive_seed
 from repro.suites.registry import SuiteError, get_plugin
@@ -36,7 +37,10 @@ from repro.suites.schema import CellSpec, SuiteSpec
 
 SUITE_SCHEMA = "repro.suite/1"
 
-_COMPARATORS = ("==", "!=", ">=", "<=", ">", "<")
+#: Each comparator and its test, in parsing order (">=" before ">").
+_COMPARATORS: Dict[str, Callable[[Any, Any], Any]] = {
+    "==": operator.eq, "!=": operator.ne, ">=": operator.ge,
+    "<=": operator.le, ">": operator.gt, "<": operator.lt}
 _PATH_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z0-9_]+)*$")
 
 
@@ -97,17 +101,7 @@ def evaluate_check(expression: str,
     if op == "!":
         return not value, value
     try:
-        if op == "==":
-            return value == literal, value
-        if op == "!=":
-            return value != literal, value
-        if op == ">=":
-            return value >= literal, value
-        if op == "<=":
-            return value <= literal, value
-        if op == ">":
-            return value > literal, value
-        return value < literal, value
+        return bool(_COMPARATORS[op](value, literal)), value
     except TypeError:
         return False, value
 

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List
 
 from repro.bench.experiments import run_e1
 from repro.bench.overload import run_overload
-from repro.bench.runner import report_to_dict
 from repro.chaos.crashtest import run_crashtest
 from repro.chaos.scenario import run_chaos
 from repro.core import codec
@@ -113,9 +112,10 @@ def telemetry_lines() -> List[str]:
 # -- literals.json: the single figures tests assert ----------------------------
 
 def e1_report_digest(telemetry: bool) -> str:
-    """sha256 of E1's report at seed 2000, as ``repro bench`` renders it."""
-    report = report_to_dict(run_e1(seed=2000, telemetry=telemetry))
-    return sha256_text(json.dumps(report, indent=2, sort_keys=True))
+    """sha256 of E1's report document at seed 2000 (what ``repro bench
+    --json`` writes, less its wall time), as indented sorted-keys JSON."""
+    document = run_e1(seed=2000, telemetry=telemetry).to_dict()
+    return sha256_text(json.dumps(document, indent=2, sort_keys=True))
 
 
 def codec_wire_digest() -> str:

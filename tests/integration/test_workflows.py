@@ -83,10 +83,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "REPRODUCED" in out and "F5" in out
 
-    def test_unknown_experiment_errors(self):
+    def test_unknown_experiment_errors(self, capsys):
         from repro.cli import main
-        with pytest.raises(KeyError):
-            main(["experiments", "Z9"])
+        assert main(["experiments", "Z9"]) == 2
+        assert "'Z9'" in capsys.readouterr().err
 
     def test_parser_rejects_missing_command(self):
         from repro.cli import build_parser

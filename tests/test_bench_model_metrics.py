@@ -3,8 +3,10 @@
 import pytest
 
 from repro.bench import model
-from repro.bench.metrics import ExperimentReport, PaperClaim, render_table
+from repro.bench.metrics import (ExperimentReport, PaperClaim, check_slack,
+                                 render_report, render_table)
 from repro.sim.network import BANDWIDTH_1MBIT, BANDWIDTH_100MBIT
+from repro.suites.runner import CheckSyntaxError
 
 
 WORKLOAD = model.CrawlWorkload(pages=900, total_page_bytes=3_000_000)
@@ -98,20 +100,80 @@ class TestReportRendering:
         report = ExperimentReport("X1", "demo")
         report.headers = ["k", "v"]
         report.add_row("speed", 1.5)
-        report.add_claim("it works", "it did", True)
-        text = report.render()
+        report.extras["speedup"] = 1.5
+        report.add_claim("it works", "speedup>1")
+        document = report.to_dict()
+        text = render_report(document)
         assert "X1" in text and "REPRODUCED" in text and "speed" in text
-        assert report.all_claims_hold
+        assert "speedup>1" in text and "margin +0.500" in text
+        assert document["reproduced"] is True
 
-    def test_diverged_claim_renders_and_flags(self):
-        report = ExperimentReport("X2", "demo")
-        report.add_claim("should hold", "did not", False)
-        assert not report.all_claims_hold
-        assert "DIVERGED" in report.render()
 
-    def test_paper_claim_render(self):
-        claim = PaperClaim("E9", "paper says", "we saw", True)
-        assert "paper says" in claim.render()
+def decided(checks, **extras):
+    """The record of one claim with ``checks`` over ``extras``."""
+    report = ExperimentReport("X9", "claims")
+    report.extras.update(extras)
+    report.add_claim("paper says", *checks)
+    return report.to_dict()["claims"][0]
+
+
+class TestPaperClaims:
+    def test_holding_claim_records_values_verdict_and_margin(self):
+        record = decided(["ratio>=1.05", "ratio<=1.35"], ratio=1.175)
+        assert record["holds"] is True
+        assert [check["value"] for check in record["checks"]] == \
+            [1.175, 1.175]
+        # The smallest slack: (1.175 - 1.05) / 1.05 against
+        # (1.35 - 1.175) / 1.35.
+        assert record["margin"] == pytest.approx(0.125 / 1.05)
+
+    def test_failing_check_gives_negative_margin(self):
+        record = decided(["speedup>2"], speedup=1.5)
+        assert record["holds"] is False
+        assert record["checks"][0]["ok"] is False
+        assert record["margin"] == pytest.approx(-0.25)
+        report = ExperimentReport("X9", "claims")
+        report.extras["speedup"] = 1.5
+        report.add_claim("paper says", "speedup>2")
+        document = report.to_dict()
+        assert document["reproduced"] is False
+        assert "DIVERGED" in render_report(document)
+
+    @pytest.mark.parametrize("check, value, slack", [
+        ("x>2", 3, 0.5), ("x>=2", 1, -0.5),
+        ("x<2", 1, 0.5), ("x<=2", 3, -0.5),
+        ("x<-2", -3, 0.5), ("x>-2", -3, -0.5),
+    ])
+    def test_slack_is_signed_to_hold(self, check, value, slack):
+        assert check_slack(check, value) == pytest.approx(slack)
+        assert (decided([check], x=value)["margin"] > 0) == (slack > 0)
+
+    def test_check_on_missing_path_fails(self):
+        record = decided(["absent>1"], present=2)
+        assert record["holds"] is False
+        assert record["checks"][0] == {"check": "absent>1", "ok": False,
+                                       "value": None}
+        assert record["margin"] is None
+
+    @pytest.mark.parametrize("check", [
+        "agree", "!timed_out", "count==1", "count>0"])
+    def test_boolean_equality_and_zero_checks_carry_no_margin(self, check):
+        record = decided([check], agree=True, timed_out=False, count=1)
+        assert record["holds"] is True
+        assert record["margin"] is None
+
+    def test_margin_ignores_checks_without_slack(self):
+        record = decided(["agree", "ratio<2.0"], agree=True, ratio=1.5)
+        assert record["margin"] == pytest.approx(0.25)
+
+    def test_claim_without_checks_is_refused(self):
+        report = ExperimentReport("X9", "claims")
+        with pytest.raises(ValueError, match="no checks"):
+            report.add_claim("paper says")
+
+    def test_claim_with_bad_check_is_refused(self):
+        with pytest.raises(CheckSyntaxError):
+            PaperClaim("X9", "paper says", ("ratio>=not-json",))
 
 
 class TestRunnerJson:
@@ -121,6 +183,9 @@ class TestRunnerJson:
         assert main(["experiments", "F5", "--json", str(out)]) == 0
         import json
         data = json.loads(out.read_text())
-        assert data["experiments"][0]["experiment"] == "F5"
-        assert data["experiments"][0]["reproduced"] is True
-        assert data["experiments"][0]["rows"]
+        [cell] = data["cells"]
+        assert cell["id"] == "experiment[id=F5,seed=2000]"
+        assert cell["status"] == "passed"
+        assert cell["document"]["experiment"] == "F5"
+        assert cell["document"]["reproduced"] is True
+        assert cell["document"]["rows"]

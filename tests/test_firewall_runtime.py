@@ -9,6 +9,7 @@ from repro.core.errors import (
     AgentNotFoundError,
     BriefcaseTooLargeError,
     CircuitOpenError,
+    UriSyntaxError,
 )
 from repro.core.limits import BreakerConfig, WireLimits
 from repro.core.uri import AgentUri
@@ -570,3 +571,67 @@ class TestSwallowedFailures:
         assert cluster.telemetry.metrics.value(
             "fw.retransmit_failures", host="locked.test",
             reason="host-crash") == 1
+
+
+class TestOneBadDelivery:
+    """A delivery that raises loses its own message only: the rest of a
+    claimed batch or of a paused backlog still arrives, and the failure
+    is counted as a wrapper drop."""
+
+    @staticmethod
+    def failing_second(arrived):
+        """A delivery that raises on its second message (a monitor
+        wrapper refusing a flipped REPLY-TO) and keeps the others."""
+        calls = []
+
+        def deliver(message):
+            calls.append(message)
+            if len(calls) == 2:
+                raise UriSyntaxError("flipped REPLY-TO")
+            arrived.append(message.briefcase.get_text("N"))
+            return True
+        return deliver
+
+    @staticmethod
+    def send_three(cluster, name):
+        driver = cluster.node("solo.test").driver(name="d3")
+
+        def scenario():
+            for number in ("1", "2", "3"):
+                yield from driver.send(AgentUri.parse(name),
+                                       Briefcase({"N": [number]}),
+                                       queue_timeout=30)
+        cluster.run(scenario())
+
+    def test_parked_batch_survives_a_raising_delivery(self, single_cluster):
+        single_cluster.telemetry.enable()
+        firewall = single_cluster.node("solo.test").firewall
+        self.send_three(single_cluster, "late")
+        assert firewall.stats.queued == 3
+        arrived = []
+        registration = firewall.register_agent(
+            name="late", principal="system", vm_name="vm_python",
+            deliver_fn=self.failing_second(arrived))
+        assert registration.name == "late"
+        assert arrived == ["1", "3"]
+        assert firewall.stats.dropped_by_wrapper == 1
+        assert firewall.stats.delivered == 2
+        assert single_cluster.telemetry.metrics.value(
+            "fw.dropped_by_wrapper", host="solo.test") == 1
+
+    def test_paused_backlog_survives_a_raising_delivery(self,
+                                                        single_cluster):
+        single_cluster.telemetry.enable()
+        firewall = single_cluster.node("solo.test").firewall
+        arrived = []
+        registration = firewall.register_agent(
+            name="pausee", principal="system", vm_name="vm_python",
+            deliver_fn=self.failing_second(arrived))
+        assert firewall.admin_pause(registration.instance)
+        self.send_three(single_cluster, "pausee")
+        assert arrived == []
+        assert firewall.admin_resume(registration.instance)
+        assert arrived == ["1", "3"]
+        assert firewall.stats.dropped_by_wrapper == 1
+        assert single_cluster.telemetry.metrics.value(
+            "fw.dropped_by_wrapper", host="solo.test") == 1
