@@ -304,14 +304,17 @@ class Firewall:
         """Deliver every parked message that ``registration`` matches.
 
         The claim has already taken the whole batch off the queue, so a
-        delivery that raises is a wrapper drop and the rest still go.
+        delivery that is refused or raises is a wrapper drop, as on the
+        live path, and the rest still go.
         """
         telemetry = self.kernel.telemetry
         for message in self.pending.claim(
                 lambda target: self._pending_match(registration, target)):
             try:
-                registration.deliver(message)
+                delivered = registration.deliver(message)
             except TaxError:
+                delivered = False
+            if not delivered:
                 self._dropped_by_wrapper()
                 continue
             self.stats.delivered += 1

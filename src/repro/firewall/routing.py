@@ -69,14 +69,17 @@ class Registration:
 
     def resume(self) -> int:
         """Un-pause and deliver the backlog; returns how many of its
-        deliveries raised (each is dropped, and the rest still go)."""
+        deliveries were refused or raised (each is dropped, and the rest
+        still go)."""
         self.paused = False
         backlog, self._paused_backlog = self._paused_backlog, []
         failed = 0
         for message in backlog:
             try:
-                self.deliver_fn(message)
+                delivered = self.deliver_fn(message)
             except TaxError:
+                delivered = False
+            if not delivered:
                 failed += 1
         return failed
 

@@ -69,8 +69,9 @@ class SimHost:
         """Record CPU time and return its duration without waiting.
 
         The synchronous counterpart of :meth:`compute`, for code that
-        accumulates cost into a ledger (see `repro.bench.metrics`).
-        Two of these per simulated HTTP request: one frame, with
+        accumulates cost into a ledger (see `repro.bench.metrics`).  A
+        simulated HTTP request makes one on each side (the server's
+        service time, the client's handling), so it is one frame, with
         :meth:`cpu_seconds` written out.
         """
         if reference_seconds < 0:

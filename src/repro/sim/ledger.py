@@ -15,7 +15,7 @@ paper (a single crawl at a time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional, Sequence
 
 from repro.core.fold import fold_sum
 
@@ -38,6 +38,51 @@ class CostLedger:
             self.bytes_by_category[category] = \
                 self.bytes_by_category.get(category, 0) + nbytes
         self.events += 1
+
+    def add_exchange(self, network: Sequence[float], nbytes: int,
+                     server: Optional[float] = None,
+                     cpu: Optional[float] = None,
+                     connect_fail: Optional[float] = None) -> None:
+        """Book one simulated HTTP exchange in one call.
+
+        ``network`` holds the seconds of each link crossing made, in the
+        order they were made, and ``nbytes`` their payload total; then
+        come the server's service time, the client's handling CPU and —
+        for a connection that failed — the connect timeout, each booked
+        only when given.  Every total accumulates in the order one
+        :meth:`add` per cost would accumulate it, with one event per
+        cost; a cost that fails :meth:`add`'s guard books none of them.
+        """
+        seconds_by_category = self.seconds_by_category
+        total = seconds_by_category.get("network", 0.0)
+        # ``not >=`` rather than ``<``: a NaN would poison every total.
+        for seconds in network:
+            if not seconds >= 0:
+                raise ValueError("costs must be non-negative")
+            total += seconds
+        if nbytes < 0 or not (server is None or server >= 0) \
+                or not (cpu is None or cpu >= 0) \
+                or not (connect_fail is None or connect_fail >= 0):
+            raise ValueError("costs must be non-negative")
+        events = len(network)
+        if network:
+            seconds_by_category["network"] = total
+            if nbytes:
+                self.bytes_by_category["network"] = \
+                    self.bytes_by_category.get("network", 0) + nbytes
+        if server is not None:
+            seconds_by_category["server"] = \
+                seconds_by_category.get("server", 0.0) + server
+            events += 1
+        if cpu is not None:
+            seconds_by_category["cpu"] = \
+                seconds_by_category.get("cpu", 0.0) + cpu
+            events += 1
+        if connect_fail is not None:
+            seconds_by_category["connect-fail"] = \
+                seconds_by_category.get("connect-fail", 0.0) + connect_fail
+            events += 1
+        self.events += events
 
     def add_network(self, seconds: float, nbytes: int) -> None:
         self.add("network", seconds, nbytes)

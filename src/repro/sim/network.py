@@ -320,7 +320,7 @@ class Network:
 
     def _link_series(self, link: Link) -> tuple:
         """Resolve ``link``'s three traffic series (its first transfer
-        recorded with telemetry on); :meth:`transfer` and :meth:`charge`
+        recorded with telemetry on); :meth:`transfer` and :meth:`cross`
         write them."""
         metrics = self.kernel.telemetry.metrics
         ends = {"src": link.src, "dst": link.dst}
@@ -404,26 +404,38 @@ class Network:
                                   src=link.src, dst=link.dst,
                                   kind=type(exc).__name__)
 
-    def charge(self, src: str, dst: str, nbytes: int) -> float:
-        """Record a transfer and return its duration *without* waiting.
+    def route(self, src: str, dst: str) -> Tuple[Link, Link]:
+        """Both directions of the src–dst path: ``(src→dst, dst→src)``.
 
-        Used by synchronous code (e.g. the stationary robot's HTTP client)
-        that accumulates cost into a ledger and sleeps once at the end.
-        Raises if the link is partitioned or an endpoint is down.
-
-        Four of these per simulated HTTP request: one frame, with
-        :meth:`link_between`, :meth:`_check_endpoints`,
-        :meth:`Link.transfer_time` and :meth:`LinkStats.record` written
-        out in the order those helpers run.
+        Resolved as :meth:`link_between` resolves them (a loopback or
+        default link is made on first use; no link raises
+        :class:`NoRouteError`), for a caller that crosses the path more
+        than once — an HTTP exchange crosses it four times.
         """
-        link = self._links.get((src, dst))
-        if link is None:
-            # First loopback use, a default link to create, or no route.
-            link = self.link_between(src, dst)
+        links = self._links
+        out = links.get((src, dst))
+        if out is None:
+            out = self.link_between(src, dst)
+        back = links.get((dst, src))
+        if back is None:
+            back = self.link_between(dst, src)
+        return out, back
+
+    def cross(self, link: Link, nbytes: int) -> float:
+        """Record one crossing of ``link`` by ``nbytes`` and return its
+        duration *without* waiting.
+
+        Raises if the link is partitioned, then if an endpoint is down,
+        then on a negative size; otherwise counts the crossing in the
+        link's :class:`LinkStats` and, with telemetry on, its three
+        ``net.*`` series.  :meth:`Link.transfer_time` and
+        :meth:`LinkStats.record` are written out in the order they run.
+        """
         if not link.up:
-            raise LinkDownError(f"link {src} -> {dst} is partitioned")
+            raise LinkDownError(
+                f"link {link.src} -> {link.dst} is partitioned")
         if self._down_hosts:
-            self._check_endpoints(src, dst)
+            self._check_endpoints(link.src, link.dst)
         if nbytes < 0:
             raise ValueError("cannot transfer a negative number of bytes")
         seconds = link.latency + nbytes / link.bandwidth
@@ -438,6 +450,21 @@ class Network:
             messages.inc()
             transfer_seconds.observe(seconds)
         return seconds
+
+    def charge(self, src: str, dst: str, nbytes: int) -> float:
+        """Record a src→dst transfer and return its duration *without*
+        waiting: :meth:`cross` on the link :meth:`link_between` resolves.
+
+        Used by synchronous code that accumulates cost into a ledger and
+        sleeps once at the end (the HTTP client resolves its path once
+        with :meth:`route` and crosses it directly).  Raises if there is
+        no route, the link is partitioned or an endpoint is down.
+        """
+        link = self._links.get((src, dst))
+        if link is None:
+            # First loopback use, a default link to create, or no route.
+            link = self.link_between(src, dst)
+        return self.cross(link, nbytes)
 
     # -- accounting -----------------------------------------------------------
 

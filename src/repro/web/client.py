@@ -27,7 +27,13 @@ from repro.sim.host import SimHost
 from repro.sim.ledger import CostLedger
 from repro.sim.network import HostDownError, LinkDownError, Network
 from repro.web import urls
-from repro.web.server import HttpRequest, WebDeployment
+from repro.web.server import (REQUEST_OVERHEAD_BYTES,
+                              RESPONSE_OVERHEAD_BYTES, HttpRequest,
+                              WebDeployment)
+
+#: Builds a record from its full field tuple without the generated
+#: ``__new__``'s Python frame.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -93,46 +99,61 @@ class SimHttpClient:
 
         A host that is unknown, partitioned away or crashed costs one
         connect timeout and answers with ``status == 0``.
+
+        One pass: the path is resolved once (:meth:`Network.route`),
+        each crossing — SYN and SYN-ACK per handshake round trip, the
+        request, the response — is checked and recorded by
+        :meth:`Network.cross` in that order, and the exchange's costs
+        reach the ledger in one :meth:`CostLedger.add_exchange` — those
+        of an exchange that fails part-way too.
         """
         self.requests_made += 1
         try:
             parsed = urls.parse(url)
         except urls.UrlError:
-            return ClientResponse(url=url, status=0)
+            return _new(ClientResponse, (url, 0, "", None, "text/html", None))
         server = self.deployment.resolve(parsed)
-        ledger = self.ledger
         model = self.model
-        if server is None:
-            ledger.add("connect-fail", model.connect_fail_seconds)
-            return ClientResponse(url=str(parsed), status=0)
-
-        request = HttpRequest(method, parsed.path)
-        request_bytes = request.wire_bytes
-        charge = self.network.charge
-        src = self.origin_host.name
-        dst = server.host.name
+        crossings = []
+        nbytes = 0
+        service_seconds = handling_seconds = connect_fail = None
         try:
-            for _ in range(model.handshake_rtts):
-                # TCP setup: two latency-only crossings (SYN / SYN-ACK).
-                ledger.add("network", charge(src, dst, 0))
-                ledger.add("network", charge(dst, src, 0))
-            seconds_out = charge(src, dst, request_bytes)
-        except (LinkDownError, HostDownError):
-            ledger.add("connect-fail", model.connect_fail_seconds)
-            return ClientResponse(url=str(parsed), status=0)
-        ledger.add("network", seconds_out, request_bytes)
+            if server is not None:
+                path = parsed.path
+                # HttpRequest.wire_bytes
+                request_bytes = REQUEST_OVERHEAD_BYTES + len(method) + \
+                    len(path)
+                network = self.network
+                cross = network.cross
+                out, back = network.route(self.origin_host.name,
+                                          server.host.name)
+                try:
+                    for _ in range(model.handshake_rtts):
+                        # TCP setup: two latency-only crossings.
+                        crossings.append(cross(out, 0))
+                        crossings.append(cross(back, 0))
+                    crossings.append(cross(out, request_bytes))
+                except (LinkDownError, HostDownError):
+                    server = None   # no connection: as for an unknown host
+            if server is None:
+                connect_fail = model.connect_fail_seconds
+                return _new(ClientResponse,
+                            (str(parsed), 0, "", None, "text/html", None))
+            nbytes = request_bytes
 
-        response, service_seconds = server.handle(request)
-        ledger.add("server", service_seconds)
-
-        response_bytes = response.wire_bytes
-        ledger.add("network", charge(dst, src, response_bytes),
-                   response_bytes)
-
-        ledger.add("cpu", self.origin_host.charge_compute(
-            model.per_request_cpu +
-            response.body_bytes * model.per_byte_cpu))
-
-        return ClientResponse(str(parsed), response.status, response.body,
-                              response.location, response.content_type,
-                              response.age_days)
+            response, service_seconds = server.handle(
+                _new(HttpRequest, (method, path)))
+            body_bytes = response.body_bytes
+            # HttpResponse.wire_bytes, on the size handle measured.
+            response_bytes = RESPONSE_OVERHEAD_BYTES + body_bytes
+            crossings.append(cross(back, response_bytes))
+            nbytes += response_bytes
+            handling_seconds = self.origin_host.charge_compute(
+                model.per_request_cpu + body_bytes * model.per_byte_cpu)
+        finally:
+            self.ledger.add_exchange(crossings, nbytes, service_seconds,
+                                     handling_seconds, connect_fail)
+        return _new(ClientResponse,
+                    (str(parsed), response.status, response.body,
+                     response.location, response.content_type,
+                     response.age_days))

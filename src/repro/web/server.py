@@ -22,6 +22,10 @@ from repro.web.site import Site
 REQUEST_OVERHEAD_BYTES = 80
 RESPONSE_OVERHEAD_BYTES = 160
 
+#: Builds a record from its full field tuple without the generated
+#: ``__new__``'s Python frame.
+_new = tuple.__new__
+
 
 class HttpRequest(NamedTuple):
     """A parsed request as the server sees it."""
@@ -131,9 +135,9 @@ class WebServer:
                 else:
                     if get:
                         body, nbytes = page.html, page.size
-                    response = HttpResponse(
+                    response = _new(HttpResponse, (
                         200, body, page.size, None, page.content_type,
-                        page.age_days, nbytes)
+                        page.age_days, nbytes))
         self.bytes_served += nbytes
         model = self.model
         # ServerModel.service_seconds, on the size already in hand.

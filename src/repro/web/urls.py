@@ -19,10 +19,16 @@ class UrlError(ValueError):
 
 DEFAULT_HTTP_PORT = 80
 
+#: Builds a record from its full field tuple without the generated
+#: ``__new__``'s Python frame.
+_new = tuple.__new__
+
 
 class Url(NamedTuple):
     """An absolute http URL, normalised (immutable; built once per
-    request, so a tuple rather than a frozen dataclass)."""
+    request, so a tuple rather than a frozen dataclass — and built by
+    :func:`parse` and :meth:`with_path` with ``tuple.__new__``, which
+    skips the generated ``__new__``'s Python frame)."""
 
     host: str
     port: int
@@ -39,7 +45,7 @@ class Url(NamedTuple):
         return f"{self.host}{port}"
 
     def with_path(self, path: str) -> "Url":
-        return Url(self.host, self.port, normalize_path(path))
+        return _new(Url, (self.host, self.port, normalize_path(path)))
 
 
 def normalize_path(path: str) -> str:
@@ -89,7 +95,7 @@ def parse(text: str) -> Url:
     else:
         port = DEFAULT_HTTP_PORT
     full_path = "/" + path if slash else "/"
-    return Url(host.lower(), port, normalize_path(full_path))
+    return _new(Url, (host.lower(), port, normalize_path(full_path)))
 
 
 def is_absolute(text: str) -> bool:

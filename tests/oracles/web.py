@@ -16,6 +16,11 @@ product, ``request`` treats a crashed endpoint as a failed connection
 (the parent let ``HostDownError`` escape — a bug fixed in the same
 change).
 
+The product has since resolved the path once (``Network.route``),
+crossed it through ``Network.cross`` and booked the exchange in one
+``CostLedger.add_exchange``; the oracle still charges crossing by
+crossing and entry by entry, which is what it pins.
+
 The ``Reference*`` classes subclass the product's and override only the
 method under test, so a world built from them is wired exactly like a
 world built from the product classes.

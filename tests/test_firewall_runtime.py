@@ -593,6 +593,20 @@ class TestOneBadDelivery:
         return deliver
 
     @staticmethod
+    def refusing_second(arrived):
+        """A delivery that returns False on its second message (a wrapper
+        or a full mailbox refusing it) and keeps the others."""
+        calls = []
+
+        def deliver(message):
+            calls.append(message)
+            if len(calls) == 2:
+                return False
+            arrived.append(message.briefcase.get_text("N"))
+            return True
+        return deliver
+
+    @staticmethod
     def send_three(cluster, name):
         driver = cluster.node("solo.test").driver(name="d3")
 
@@ -630,6 +644,38 @@ class TestOneBadDelivery:
         assert firewall.admin_pause(registration.instance)
         self.send_three(single_cluster, "pausee")
         assert arrived == []
+        assert firewall.admin_resume(registration.instance)
+        assert arrived == ["1", "3"]
+        assert firewall.stats.dropped_by_wrapper == 1
+        assert single_cluster.telemetry.metrics.value(
+            "fw.dropped_by_wrapper", host="solo.test") == 1
+
+    def test_parked_batch_counts_a_refused_delivery_as_a_drop(
+            self, single_cluster):
+        single_cluster.telemetry.enable()
+        firewall = single_cluster.node("solo.test").firewall
+        self.send_three(single_cluster, "late")
+        arrived = []
+        firewall.register_agent(
+            name="late", principal="system", vm_name="vm_python",
+            deliver_fn=self.refusing_second(arrived))
+        assert arrived == ["1", "3"]
+        assert firewall.stats.dropped_by_wrapper == 1
+        assert firewall.stats.delivered == 2
+        metrics = single_cluster.telemetry.metrics
+        assert metrics.value("fw.dropped_by_wrapper", host="solo.test") == 1
+        assert metrics.value("fw.queue_flushed", host="solo.test") == 2
+
+    def test_paused_backlog_counts_a_refused_delivery_as_a_drop(
+            self, single_cluster):
+        single_cluster.telemetry.enable()
+        firewall = single_cluster.node("solo.test").firewall
+        arrived = []
+        registration = firewall.register_agent(
+            name="pausee", principal="system", vm_name="vm_python",
+            deliver_fn=self.refusing_second(arrived))
+        assert firewall.admin_pause(registration.instance)
+        self.send_three(single_cluster, "pausee")
         assert firewall.admin_resume(registration.instance)
         assert arrived == ["1", "3"]
         assert firewall.stats.dropped_by_wrapper == 1

@@ -115,31 +115,36 @@ BRIEFCASE_MUTATIONS = {
 ALL_MUTATIONS = {**FOLDER_MUTATIONS, **BRIEFCASE_MUTATIONS}
 
 
-class TestCacheInvalidation:
-    @pytest.mark.parametrize("op", sorted(ALL_MUTATIONS))
-    @given(briefcase=briefcases)
-    @settings(max_examples=25, deadline=None)
-    def test_mutation_invalidates_cached_encoding(self, op, briefcase):
-        # Guarantee folder "A" exists with at least one element so every
-        # operation is applicable.
-        briefcase.put("A", b"seed")
-        before = codec.encode(briefcase)
-        assert briefcase._wire_cache_valid()
-        ALL_MUTATIONS[op](briefcase)
-        after = codec.encode(briefcase)
-        # The cache must reflect the mutated state: re-decoding the
-        # fresh bytes reproduces the briefcase exactly.
-        assert codec.decode(after) == briefcase
-        assert codec.encoded_size(briefcase) == len(after)
-        assert reference_decode(after) == briefcase
-        if after == before:
-            # A mutation may restore the identical logical state (e.g.
-            # replace on a folder that already held that value); bytes
-            # then legitimately match.  It must still decode correctly,
-            # which the asserts above covered.
-            return
-        assert after != before
+# A function, not a method: pytest gives each parametrized case of a
+# method its own instance, and Hypothesis's ``differing_executors``
+# health check refuses one ``@given`` test run from several instances
+# (it fires under CPython 3.12 and later).
+@pytest.mark.parametrize("op", sorted(ALL_MUTATIONS))
+@given(briefcase=briefcases)
+@settings(max_examples=25, deadline=None)
+def test_mutation_invalidates_cached_encoding(op, briefcase):
+    # Guarantee folder "A" exists with at least one element so every
+    # operation is applicable.
+    briefcase.put("A", b"seed")
+    before = codec.encode(briefcase)
+    assert briefcase._wire_cache_valid()
+    ALL_MUTATIONS[op](briefcase)
+    after = codec.encode(briefcase)
+    # The cache must reflect the mutated state: re-decoding the fresh
+    # bytes reproduces the briefcase exactly.
+    assert codec.decode(after) == briefcase
+    assert codec.encoded_size(briefcase) == len(after)
+    assert reference_decode(after) == briefcase
+    if after == before:
+        # A mutation may restore the identical logical state (e.g.
+        # replace on a folder that already held that value); bytes then
+        # legitimately match.  It must still decode correctly, which the
+        # asserts above covered.
+        return
+    assert after != before
 
+
+class TestCacheInvalidation:
     @pytest.mark.parametrize("op", sorted(ALL_MUTATIONS))
     def test_mutation_drops_cached_buffer(self, op):
         briefcase = Briefcase({"A": [b"one", b"two"], "B": [b"three"]})
