@@ -55,34 +55,3 @@ def test_meet_round_trip_throughput(benchmark):
         return cluster.run(scenario())
     count = benchmark(do_50_admin_meets)
     assert count == 50
-
-
-def stream_sink_agent(ctx, bc):
-    from repro.agent import streams
-    payload = yield from streams.recv_stream(ctx, timeout=600)
-    yield from ctx.send(bc.get_text("HOME"),
-                        Briefcase({"SIZE": [str(len(payload))]}))
-    return "done"
-
-
-def test_stream_transfer_real_cost(benchmark):
-    from repro.agent import streams
-
-    def stream_100kb():
-        cluster = TaxCluster()
-        cluster.add_node("bench.test")
-        driver = cluster.node("bench.test").driver()
-        briefcase = Briefcase()
-        loader.install_payload(briefcase, loader.pack_ref(stream_sink_agent),
-                               agent_name="sink")
-        briefcase.put("HOME", str(driver.uri))
-
-        def scenario():
-            reply = yield from driver.meet(cluster.vm_uri("bench.test"),
-                                           briefcase, timeout=60)
-            sink = reply.get_text("AGENT-URI")
-            yield from streams.send_stream(driver, sink, b"b" * 100_000)
-            message = yield from driver.recv(timeout=600)
-            return int(message.briefcase.get_text("SIZE"))
-        return cluster.run(scenario())
-    assert benchmark(stream_100kb) == 100_000

@@ -91,11 +91,6 @@ class Mailbox:
                 # reference cycle.
                 waiter.callbacks.clear()
 
-    def try_receive(self, match: Optional[MatchFn] = None
-                    ) -> Optional[Message]:
-        """Non-blocking receive; None when nothing matches."""
-        return self._take_queued(match)
-
     def _withdraw(self, entry: Tuple[Optional[MatchFn], Event]) -> bool:
         """Remove one receive's waiter entry, found by identity; False
         when it was no longer waiting (a delivery or :meth:`close` took

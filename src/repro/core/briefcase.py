@@ -42,13 +42,12 @@ first pays for the copies:
 
 - the borrower takes its own copy of every folder (:meth:`_own`) before
   any access that can write — anything that hands out a
-  :class:`Folder` (``folder``, ``get``, iteration) or adds to or
-  merges into the map (``put``, ``append``, ``merge``);
+  :class:`Folder` (``folder``, ``get``, iteration) or adds to the
+  map (``put``, ``append``);
 - the lender lets every live borrower do so
   (:func:`~repro.core.folder._unshare`) before any of its folders
-  changes or leaves it (every :class:`Folder` mutator, ``drop``, the
-  replacing ``merge``) — so a handle taken *before* the snapshot can
-  never write into it.
+  changes or leaves it (every :class:`Folder` mutator, ``drop``) — so
+  a handle taken *before* the snapshot can never write into it.
 
 Reads (``has``, ``names``, ``get_text`` and friends, ``==``, the codec)
 stay on the shared folders, and a borrower that only drops folders never
@@ -230,11 +229,6 @@ class Briefcase:
 
     # -- wire-encoding cache (maintained by repro.core.codec) ---------------------
 
-    def _wire_cache_valid(self) -> bool:
-        """Is a cached wire buffer held, and still this briefcase's?"""
-        return self._wire_bytes is not None and \
-            self._wire_stamp == self._cell[0]
-
     def _wire_cache_store(self, data: Optional[bytes],
                           size: int) -> None:
         """Record the current encoding (bytes may be None: size only)."""
@@ -300,30 +294,6 @@ class Briefcase:
             duplicate._cell = cell
 
     # -- whole-briefcase operations ----------------------------------------------------
-
-    def merge(self, other: "Briefcase", append: bool = True) -> None:
-        """Fold another briefcase's folders into this one.
-
-        With ``append=True`` (default) elements are appended to existing
-        folders; with ``append=False`` same-named folders are replaced.
-        """
-        if self._lender is not None:
-            self._own()
-        cell = self._cell
-        folders = self._folders
-        # A list: ``other`` may be this briefcase.
-        for name, folder in list(other._folders.items()):
-            mine = folders.get(name)
-            if mine is not None:
-                if append:
-                    mine.push_all(folder)
-                    continue
-                if cell[1]:
-                    _unshare(cell)
-                mine._cell = [0, None]
-            folders[name] = duplicate = folder.copy()
-            duplicate._cell = cell
-            cell[0] += 1
 
     def payload_bytes(self) -> int:
         """Total element bytes across all folders (excludes framing)."""

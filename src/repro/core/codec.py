@@ -73,7 +73,7 @@ from repro.core.limits import (
     WireLimits,
 )
 
-__all__ = ["encode", "decode", "encoded_size", "check_briefcase",
+__all__ = ["encode", "decode", "encoded_size",
            "MAGIC", "VERSION", "ABSOLUTE_MAX_WIRE_BYTES",
            "MAX_FOLDERS", "MAX_ELEMENTS", "MAX_ELEMENT_BYTES"]
 
@@ -131,19 +131,12 @@ def _encode_parts(briefcase: Briefcase) -> bytes:
     return b"".join(parts)
 
 
-def encode(briefcase: Briefcase,
-           limits: Optional[WireLimits] = None) -> bytes:
+def encode(briefcase: Briefcase) -> bytes:
     """Serialise a briefcase to its wire representation.
-
-    With ``limits`` the encoded form is checked against them first
-    (raising :class:`BriefcaseTooLargeError`) so an agent cannot even
-    *construct* an over-limit wire image.
 
     The result is cached on the briefcase and reused until the briefcase
     (or any of its folders) is mutated.
     """
-    if limits is not None:
-        check_briefcase(briefcase, limits)
     cached = briefcase._wire_cached_bytes()
     if cached is not None:
         return cached
@@ -166,63 +159,6 @@ def encoded_size(briefcase: Briefcase) -> int:
     for folder in briefcase._folders.values():
         size += folder._wire_size()
     briefcase._wire_cache_store(None, size)
-    return size
-
-
-def check_briefcase(briefcase: Briefcase, limits: WireLimits) -> int:
-    """Validate a (decoded) briefcase against wire limits.
-
-    Returns the exact encoded size; raises
-    :class:`BriefcaseTooLargeError` on any violation.  Used by firewall
-    admission so oversized payloads are rejected before they spend
-    network time.
-
-    Single pass over the briefcase: each folder name is encoded once and
-    the exact wire size is accumulated while the structural caps are
-    checked (the original implementation encoded every name twice — once
-    to check its length, once again inside :func:`encoded_size`).
-    """
-    folders = briefcase._folders
-    if len(folders) > limits.max_folders:
-        raise BriefcaseTooLargeError(
-            f"briefcase has {len(folders)} folders "
-            f"(limit {limits.max_folders})")
-    total_elements = 0
-    size = _HEADER_BYTES
-    for folder in folders.values():
-        elements = folder._elements
-        n = len(elements)
-        if n > limits.max_elements_per_folder:
-            raise BriefcaseTooLargeError(
-                f"folder {folder.name!r} has {n} elements "
-                f"(limit {limits.max_elements_per_folder})")
-        total_elements += n
-        name_len = len(folder.name.encode("utf-8"))
-        if name_len > limits.max_name_bytes:
-            raise BriefcaseTooLargeError(
-                f"folder name {folder.name[:40]!r}... exceeds "
-                f"{limits.max_name_bytes} bytes")
-        size += _U16.size + name_len + _U32.size
-        for data in elements:
-            element_len = len(data)
-            if element_len > limits.max_element_bytes:
-                raise BriefcaseTooLargeError(
-                    f"element of {element_len} bytes in folder "
-                    f"{folder.name!r} (limit {limits.max_element_bytes})")
-            size += _U32.size + element_len
-    if total_elements > limits.max_total_elements:
-        raise BriefcaseTooLargeError(
-            f"briefcase has {total_elements} elements in total "
-            f"(limit {limits.max_total_elements})")
-    if limits.max_encoded_bytes is not None and \
-            size > limits.max_encoded_bytes:
-        raise BriefcaseTooLargeError(
-            f"briefcase encodes to {size} bytes "
-            f"(limit {limits.max_encoded_bytes})")
-    if briefcase._wire_cached_size() is None:
-        # A current cache entry already holds this size, and perhaps
-        # the bytes too: keep them.
-        briefcase._wire_cache_store(None, size)
     return size
 
 

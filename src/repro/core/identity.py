@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.errors import IdentityError
 
@@ -132,20 +131,5 @@ class Principal:
     def __post_init__(self) -> None:
         validate_principal(self.name)
 
-    @property
-    def is_system(self) -> bool:
-        return self.name == SYSTEM_PRINCIPAL
-
     def __str__(self) -> str:
         return self.name
-
-
-def principal_name(value: Optional[object]) -> Optional[str]:
-    """Coerce a Principal | str | None into a validated name or None."""
-    if value is None:
-        return None
-    if isinstance(value, Principal):
-        return value.name
-    if isinstance(value, str):
-        return validate_principal(value)
-    raise IdentityError(f"not a principal: {value!r}")

@@ -56,12 +56,10 @@ class WireLimits:
     #: Elements summed over all folders.
     max_total_elements: int = MAX_ELEMENTS
     max_element_bytes: int = MAX_ELEMENT_BYTES
-    max_name_bytes: int = 0xFFFF
 
     def __post_init__(self) -> None:
         for name in ("max_folders", "max_elements_per_folder",
-                     "max_total_elements", "max_element_bytes",
-                     "max_name_bytes"):
+                     "max_total_elements", "max_element_bytes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.max_encoded_bytes is not None and self.max_encoded_bytes < 0:
@@ -77,7 +75,7 @@ class WireLimits:
             return None
         fields = ("max_encoded_bytes", "max_folders",
                   "max_elements_per_folder", "max_total_elements",
-                  "max_element_bytes", "max_name_bytes")
+                  "max_element_bytes")
         return cls(**{f: config[f] for f in fields if f in config})
 
 
@@ -161,17 +159,6 @@ class TokenBucket:
             self.level = max(0.0, self.level - n)
             return True
         return False
-
-    def seconds_until(self, n: float, now: float) -> float:
-        """Virtual seconds until ``n`` tokens will be available (0 if
-        already available; ``inf`` if ``n`` exceeds capacity or rate=0)."""
-        self._refill(now)
-        if self.level >= n:
-            return 0.0
-        if n > self.capacity or self.rate == 0:
-            return float("inf")
-        return (n - self.level) / self.rate
-
 
 # -- circuit breaker ---------------------------------------------------------------
 

@@ -220,9 +220,6 @@ class AgentUri:
         assign(stripped, "instance", self.instance)
         return stripped
 
-    def with_principal(self, principal: Optional[str]) -> "AgentUri":
-        return replace(self, principal=principal)
-
     @classmethod
     def for_agent(cls, name: str, instance: Optional[str] = None,
                   host: Optional[str] = None,
@@ -251,13 +248,6 @@ class AgentUri:
                 self.principal != principal:
             return False
         return True
-
-    @property
-    def specificity(self) -> int:
-        """How many of (name, instance, principal) are pinned down."""
-        return sum(1 for field in (self.name, self.instance, self.principal)
-                   if field is not None)
-
 
 _parse_text = functools.lru_cache(maxsize=256)(AgentUri._parse)
 

@@ -106,9 +106,6 @@ class VirtualDisk:
         parts.extend(entry.unsynced)
         return b"".join(parts)
 
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
     def delete(self, name: str) -> None:
         self._files.pop(name, None)
 

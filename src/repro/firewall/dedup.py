@@ -144,9 +144,6 @@ class DedupWindow:
             if self.changes.sinks:
                 self.changes.emit("dedup-forget", peer=peer, seq=seq)
 
-    def window_size(self, peer: str) -> int:
-        return len(self._seen.get(peer, ()))
-
     def conservation_holds(self) -> bool:
         return self.offered == self.accepted + self.duplicates + \
             self.rejected

@@ -788,12 +788,6 @@ class Firewall:
                 instance=registration.instance)
         return uri
 
-    def find_registration(self, target: AgentUri,
-                          sender_principal: Optional[str] = None
-                          ) -> Optional[Registration]:
-        found = self.registry.matches(target.local(), sender_principal)
-        return found[0] if found else None
-
     # -- admin primitives (used by the admin agent) ---------------------------------------------
 
     def admin_list(self) -> List[Registration]:

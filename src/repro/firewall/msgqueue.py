@@ -485,9 +485,6 @@ class PendingQueue:
         self.park_seq = max(self.park_seq, int(park_seq))
         self._update_watermarks()
 
-    def peek_targets(self) -> List[AgentUri]:
-        return [entry.message.target for entry in self._pending]
-
     def accounting(self) -> dict:
         """The conservation counters (see the class docstring)."""
         return {

@@ -15,13 +15,11 @@ elapsed virtual time and bytes crossing non-loopback links.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import wellknown
 from repro.robot.linkcheck import validate_rejected
-from repro.robot.report import DeadLinkReport
 from repro.robot.webbot import Webbot, WebbotConfig
 from repro.sim.ledger import CostLedger
 from repro.system.bootstrap import Testbed
@@ -86,12 +84,6 @@ class RunMetrics:
         """Hosts the itinerary could not reach (``go``-phase failures)."""
         return sorted({f["host"] for f in self.failures
                        if f.get("phase") == "go"})
-
-    def merged_report(self) -> DeadLinkReport:
-        parts = [DeadLinkReport.from_json(json.dumps(r))
-                 for r in self.reports]
-        from repro.robot.report import merge_reports
-        return merge_reports(parts)
 
     def summary_row(self) -> str:
         return (f"{self.strategy:<22} {self.elapsed_seconds:>10.3f}s "

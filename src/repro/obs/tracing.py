@@ -71,11 +71,6 @@ class Span:
             return None
         return self.end_time - self.start
 
-    def annotate(self, **args) -> "Span":
-        """Attach extra args to the span (e.g. an outcome discovered late)."""
-        self.args.update(args)
-        return self
-
     def end(self, at: Optional[float] = None, **args) -> "Span":
         """Finish the span at ``at`` (default: now).  Idempotent.
 
@@ -118,9 +113,6 @@ class _NullSpan:
     finished = False
     duration: Optional[float] = None
     args: Dict = {}
-
-    def annotate(self, **args) -> "_NullSpan":
-        return self
 
     def end(self, at=None, **args) -> "_NullSpan":
         return self

@@ -22,7 +22,7 @@ cost ledger everything it does is charged to.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.core.briefcase import Briefcase
 from repro.core.errors import ServiceError, TaxError
@@ -76,10 +76,6 @@ class AgExec(ServiceAgent):
             "cc": loader.compile_source,
         }
         self.executions = 0
-
-    def install_tool(self, name: str,
-                     tool: Callable[[loader.Payload], loader.Payload]) -> None:
-        self.tools[name] = tool
 
     # -- op: run a carried binary ---------------------------------------------------
 

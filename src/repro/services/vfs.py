@@ -53,9 +53,6 @@ class VirtualFS:
         self._owner.pop(path, None)
         return self._files.pop(path, None) is not None
 
-    def exists(self, path: str) -> bool:
-        return path in self._files
-
     def owner_of(self, path: str) -> Optional[str]:
         return self._owner.get(path)
 

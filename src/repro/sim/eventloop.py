@@ -89,10 +89,6 @@ def set_ambient_sanitizer(sanitizer: Optional[Any]) -> Optional[Any]:
     return previous
 
 
-def ambient_sanitizer() -> Optional[Any]:
-    return _ambient_sanitizer
-
-
 class Event:
     """A happening at a point in simulated time.
 

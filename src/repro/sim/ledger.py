@@ -84,14 +84,8 @@ class CostLedger:
             events += 1
         self.events += events
 
-    def add_network(self, seconds: float, nbytes: int) -> None:
-        self.add("network", seconds, nbytes)
-
     def add_cpu(self, seconds: float) -> None:
         self.add("cpu", seconds)
-
-    def add_server(self, seconds: float) -> None:
-        self.add("server", seconds)
 
     @property
     def total_seconds(self) -> float:

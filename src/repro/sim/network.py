@@ -468,9 +468,6 @@ class Network:
 
     # -- accounting -----------------------------------------------------------
 
-    def stats_between(self, src: str, dst: str) -> LinkStats:
-        return self.link_between(src, dst).stats
-
     def total_remote_bytes(self) -> int:
         """Total payload bytes that crossed any non-loopback link."""
         return sum(link.stats.payload_bytes
@@ -479,7 +476,3 @@ class Network:
     def total_remote_messages(self) -> int:
         return sum(link.stats.messages
                    for (a, b), link in self._links.items() if a != b)
-
-    def reset_stats(self) -> None:
-        for link in self._links.values():
-            link.stats = LinkStats()

@@ -68,10 +68,6 @@ class ClientResponse(NamedTuple):
     def ok(self) -> bool:
         return 200 <= self.status < 300
 
-    @property
-    def failed_to_connect(self) -> bool:
-        return self.status == 0
-
 
 class SimHttpClient:
     """A synchronous, cost-accounting HTTP client bound to one host."""
@@ -120,7 +116,7 @@ class SimHttpClient:
         try:
             if server is not None:
                 path = parsed.path
-                # HttpRequest.wire_bytes
+                # The request line and headers, then the path.
                 request_bytes = REQUEST_OVERHEAD_BYTES + len(method) + \
                     len(path)
                 network = self.network
@@ -144,7 +140,7 @@ class SimHttpClient:
             response, service_seconds = server.handle(
                 _new(HttpRequest, (method, path)))
             body_bytes = response.body_bytes
-            # HttpResponse.wire_bytes, on the size handle measured.
+            # The status line and headers, then the body handle measured.
             response_bytes = RESPONSE_OVERHEAD_BYTES + body_bytes
             crossings.append(cross(back, response_bytes))
             nbytes += response_bytes

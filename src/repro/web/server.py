@@ -33,10 +33,6 @@ class HttpRequest(NamedTuple):
     method: str
     path: str
 
-    @property
-    def wire_bytes(self) -> int:
-        return REQUEST_OVERHEAD_BYTES + len(self.method) + len(self.path)
-
 
 class HttpResponse(NamedTuple):
     """A server response; ``body`` is empty for HEAD and error statuses.
@@ -60,13 +56,6 @@ class HttpResponse(NamedTuple):
     def ok(self) -> bool:
         return 200 <= self.status < 300
 
-    @property
-    def wire_bytes(self) -> int:
-        nbytes = self.body_bytes
-        if nbytes is None:
-            nbytes = len(self.body.encode("utf-8"))
-        return RESPONSE_OVERHEAD_BYTES + nbytes
-
 
 @dataclass(frozen=True)
 class ServerModel:
@@ -74,10 +63,6 @@ class ServerModel:
 
     per_request_cpu: float = 0.003
     per_kilobyte_cpu: float = 0.0002
-
-    def service_seconds(self, response: HttpResponse) -> float:
-        size_kb = (response.wire_bytes - RESPONSE_OVERHEAD_BYTES) / 1024.0
-        return self.per_request_cpu + size_kb * self.per_kilobyte_cpu
 
 
 class WebServer:
@@ -140,7 +125,7 @@ class WebServer:
                         page.age_days, nbytes))
         self.bytes_served += nbytes
         model = self.model
-        # ServerModel.service_seconds, on the size already in hand.
+        # The model's service time, on the size already in hand.
         seconds = self.host.charge_compute(
             model.per_request_cpu +
             nbytes / 1024.0 * model.per_kilobyte_cpu)

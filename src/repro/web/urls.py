@@ -119,13 +119,3 @@ def join(base: Url, reference: str) -> Url:
         return base.with_path(reference)
     directory = base.path.rsplit("/", 1)[0] + "/"
     return base.with_path(directory + reference)
-
-
-def same_site(a: Url, b: Url) -> bool:
-    return a.host == b.host and a.port == b.port
-
-
-def has_prefix(url: Url, prefix: str) -> bool:
-    """True when the URL string starts with ``prefix`` (Webbot's -prefix
-    constraint compares plain string prefixes of the normalised URL)."""
-    return str(url).startswith(prefix)

@@ -23,7 +23,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(globals(), {
         "add_stop install_program make_task_briefcase mobile_task_agent "
         "read_program set_home set_postprocessor"),
     ".monitor": "MonitorLog MonitorWrapper",
-    ".sealing": "SealingWrapper",
     ".stack": (
         "WrapperSpec WrapperStack build_stack install_wrappers "
         "read_wrapper_specs"),

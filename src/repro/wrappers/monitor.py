@@ -56,10 +56,6 @@ class MonitorWrapper(AgentWrapper):
 
     kind = "monitor"
 
-    def __init__(self, config: Optional[dict] = None):
-        super().__init__(config)
-        self.messages_forwarded = 0
-
     # -- reporting ------------------------------------------------------------------
 
     def _report(self, ctx, event: str, extra: Optional[dict] = None) -> None:
@@ -154,7 +150,6 @@ class MonitorWrapper(AgentWrapper):
                     response.put(wellknown.MEET_TOKEN, token)
                 ctx.post(AgentUri.parse(reply_to), response)
             return None
-        self.messages_forwarded += 1
         return message
 
 
@@ -221,16 +216,3 @@ class MonitorLog:
 
     def locations(self) -> list:
         return [(e["t"], e["host"], e["event"]) for e in self.events]
-
-    def last_known_host(self, tag: Optional[str] = None) -> Optional[str]:
-        for event in reversed(self.events):
-            if tag is None or event.get("tag") == tag:
-                return event["host"]
-        return None
-
-    def residency_spans(self, tag: Optional[str] = None) -> list:
-        """The reconstructed ``at:<host>`` spans (one per visited host)."""
-        spans = self.tracer.find(category="monitor")
-        if tag is not None:
-            spans = [s for s in spans if s.track == f"monitor:{tag}"]
-        return [s for s in spans if s.name.startswith("at:")]

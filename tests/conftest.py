@@ -44,6 +44,12 @@ def single_cluster():
     return cluster
 
 
+def parked_targets(queue):
+    """The target names of the messages a ``PendingQueue`` holds, in
+    queue order."""
+    return [entry.message.target.name for entry in queue._pending]
+
+
 def small_site_spec(**overrides):
     """A small-but-real site spec for fast integration tests."""
     defaults = dict(

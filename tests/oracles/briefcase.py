@@ -6,9 +6,9 @@ each a name and a list of element payloads (``bytes``).  ``snapshot``
 copies every folder at once, so no two reference briefcases ever share
 a folder; a folder handle is the :class:`RefFolder` object itself, and
 it outlives its place in a briefcase exactly as a product
-:class:`~repro.core.folder.Folder` handle does (``drop`` and a replacing
-``merge`` detach it).  ``encode`` writes the wire format from the
-payloads without the product codec.
+:class:`~repro.core.folder.Folder` handle does (``drop`` detaches it).
+``encode`` writes the wire format from the payloads without the product
+codec.
 
 Values enter through :func:`payload`, the product's own
 ``Element.of``: how a Python value becomes bytes is not what is under
@@ -98,14 +98,6 @@ class RefBriefcase:
 
     def append(self, name: str, value: Any) -> None:
         self.folder(name).elements.append(payload(value))
-
-    def merge(self, other: "RefBriefcase", append: bool = True) -> None:
-        for name, folder in list(other.folders.items()):
-            mine = self.folders.get(name)
-            if append and mine is not None:
-                mine.elements.extend(list(folder.elements))
-            else:
-                self.folders[name] = RefFolder(name, folder.elements)
 
     def items(self) -> List[Tuple[str, List[bytes]]]:
         """Names and payloads, in folder order."""

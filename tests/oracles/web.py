@@ -8,10 +8,10 @@ Transcribed from the product at the commit before the one-pass work:
 ``charge_compute`` walks ``cpu_seconds`` → ``CpuStats.record`` →
 ``_record_cpu``, ``handle`` normalises with the segment loop and
 measures the body each time its size is wanted (its responses carry no
-``body_bytes``, so ``wire_bytes`` measures too), and ``request`` charges
-through ``add_network`` / ``add_server`` / ``add_cpu`` — two frames each
-over ``CostLedger.add``, which the product did not change — and reads
-``wire_bytes`` twice per message.  One deliberate difference: like the
+``body_bytes``), and ``request`` books every entry on its own through
+``CostLedger.add`` and ``add_cpu``, and works out each message's size
+twice from ``REQUEST_OVERHEAD_BYTES`` / ``RESPONSE_OVERHEAD_BYTES``.
+One deliberate difference: like the
 product, ``request`` treats a crashed endpoint as a failed connection
 (the parent let ``HostDownError`` escape — a bug fixed in the same
 change).
@@ -30,7 +30,13 @@ from repro.sim.host import SimHost
 from repro.sim.network import HostDownError, LinkDownError, Network
 from repro.web import urls
 from repro.web.client import ClientResponse, SimHttpClient
-from repro.web.server import HttpRequest, HttpResponse, WebServer
+from repro.web.server import (
+    REQUEST_OVERHEAD_BYTES,
+    RESPONSE_OVERHEAD_BYTES,
+    HttpRequest,
+    HttpResponse,
+    WebServer,
+)
 
 
 def reference_normalize_path(path: str) -> str:
@@ -54,6 +60,14 @@ def reference_normalize_path(path: str) -> str:
 
 def _body_bytes(response) -> int:
     return len(response.body.encode("utf-8"))
+
+
+def _request_bytes(request) -> int:
+    return REQUEST_OVERHEAD_BYTES + len(request.method) + len(request.path)
+
+
+def _response_bytes(response) -> int:
+    return RESPONSE_OVERHEAD_BYTES + _body_bytes(response)
 
 
 class ReferenceNetwork(Network):
@@ -152,19 +166,21 @@ class ReferenceClient(SimHttpClient):
         dst = server.host.name
         try:
             for _ in range(self.model.handshake_rtts):
-                self.ledger.add_network(self.network.charge(src, dst, 0), 0)
-                self.ledger.add_network(self.network.charge(dst, src, 0), 0)
-            seconds_out = self.network.charge(src, dst, request.wire_bytes)
+                self.ledger.add("network", self.network.charge(src, dst, 0))
+                self.ledger.add("network", self.network.charge(dst, src, 0))
+            seconds_out = self.network.charge(src, dst,
+                                              _request_bytes(request))
         except (LinkDownError, HostDownError):
             self.ledger.add("connect-fail", self.model.connect_fail_seconds)
             return ClientResponse(url=str(parsed), status=0)
-        self.ledger.add_network(seconds_out, request.wire_bytes)
+        self.ledger.add("network", seconds_out, _request_bytes(request))
 
         response, service_seconds = server.handle(request)
-        self.ledger.add_server(service_seconds)
+        self.ledger.add("server", service_seconds)
 
-        seconds_back = self.network.charge(dst, src, response.wire_bytes)
-        self.ledger.add_network(seconds_back, response.wire_bytes)
+        seconds_back = self.network.charge(dst, src,
+                                           _response_bytes(response))
+        self.ledger.add("network", seconds_back, _response_bytes(response))
 
         handling = self.origin_host.charge_compute(
             self.model.per_request_cpu +

@@ -133,12 +133,6 @@ class TestMailbox:
         assert process.value == "ok"
         assert not mailbox.deliver(make_message(kernel))
 
-    def test_try_receive(self, kernel):
-        mailbox = Mailbox(kernel)
-        assert mailbox.try_receive() is None
-        mailbox.deliver(make_message(kernel, "x"))
-        assert mailbox.try_receive().briefcase.get_text("BODY") == "x"
-
 
 def echo_agent(ctx, bc):
     """Replies to meets; stops on OP=stop."""

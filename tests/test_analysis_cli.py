@@ -112,3 +112,39 @@ def test_graph_syntax_error_exits_2(tmp_path, capsys):
     bad.write_text("def broken(:\n")
     code, _out = run_lint(capsys, str(bad), "--graph", "json")
     assert code == 2
+
+
+def test_sanitize_runs_the_reference_scenarios_clean(capsys):
+    """``--sanitize`` adds the runtime aliasing pass over the quickstart,
+    the chaos mid-crash run and E1; on this tree it finds nothing."""
+    from repro.analysis.sanitizer import run_sanitized_scenarios
+    assert run_sanitized_scenarios() == []
+    code, out = run_lint(capsys, "--sanitize", "--json")
+    document = json.loads(out)
+    assert code == 0
+    assert not any(f["rule"].startswith("SAN")
+                   for f in document["findings"])
+    assert not any(path.startswith("runtime:")
+                   for path in document["analyzed"])
+
+
+def test_a_runtime_finding_fails_the_sanitize_gate(capsys, monkeypatch):
+    from repro.analysis import sanitizer
+    from repro.analysis.findings import Finding
+    finding = Finding(rule="SAN001", severity="error",
+                      path="runtime:probe", line=0, col=0,
+                      message="one folder, two live agents",
+                      snippet="folder=NOTE agents=a|b")
+    monkeypatch.setattr(sanitizer, "run_sanitized_scenarios",
+                        lambda: [finding])
+    path = os.path.join(CASES, "..", "scoped")
+    code, out = run_lint(capsys, path, "--sanitize", "--json",
+                         "--no-baseline")
+    document = json.loads(out)
+    assert code == 1
+    runtime = [f for f in document["findings"]
+               if f["path"] == "runtime:probe"]
+    assert [(f["rule"], f["message"]) for f in runtime] == [
+        ("SAN001", "one folder, two live agents")]
+    assert runtime[0]["fingerprint"]
+    assert "runtime:probe" in document["analyzed"]

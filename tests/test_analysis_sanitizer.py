@@ -21,7 +21,7 @@ from repro.analysis.sanitizer import (
     sanitizing,
 )
 from repro.core.briefcase import Briefcase
-from repro.sim.eventloop import Kernel, ambient_sanitizer
+from repro.sim.eventloop import Kernel
 
 
 class _Node:
@@ -36,11 +36,9 @@ def _context(node, vm_name, briefcase, principal="tester"):
 
 
 def test_ambient_sanitizer_install_and_restore():
-    assert ambient_sanitizer() is None
+    assert Kernel().sanitizer is None
     with sanitizing("probe") as sanitizer:
-        assert ambient_sanitizer() is sanitizer
         assert Kernel().sanitizer is sanitizer
-    assert ambient_sanitizer() is None
     assert Kernel().sanitizer is None
 
 

@@ -46,13 +46,6 @@ class TestFolderBriefcaseMisc:
         assert wellknown.CODE in wellknown.SYSTEM_FOLDERS
         assert wellknown.RESULTS not in wellknown.SYSTEM_FOLDERS
 
-    def test_merge_then_encode_stable(self):
-        from repro.core import codec
-        a = Briefcase({"X": ["1"]})
-        a.merge(Briefcase({"Y": ["2"]}))
-        wire = codec.encode(a)
-        assert codec.decode(wire) == a
-
 
 class TestKernelSurfaces:
     def test_timeout_value_only_after_fire(self):
@@ -101,11 +94,6 @@ class TestUrlSurfaces:
 
 
 class TestUriSurfaces:
-    def test_with_principal(self):
-        uri = AgentUri.parse("w:1").with_principal("alice")
-        assert uri.principal == "alice"
-        assert uri.with_principal(None).principal is None
-
     def test_local_of_local_is_identity(self):
         uri = AgentUri.parse("w:1")
         assert uri.local() == uri
@@ -127,14 +115,12 @@ class TestNodeSurfaces:
         assert node.boot() is node
         assert node.vms == vms_before
 
-    def test_uri_for_and_find_registration(self, single_cluster):
+    def test_uri_for(self, single_cluster):
         firewall = single_cluster.node("solo.test").firewall
-        registration = firewall.find_registration(AgentUri.parse("ag_fs"),
-                                                  "system")
-        assert registration is not None
+        (registration,) = firewall.registry.matches(
+            AgentUri.parse("ag_fs"), "system")
         uri = firewall.uri_for(registration)
         assert uri.host == "solo.test" and uri.port == 27017
-        assert firewall.find_registration(AgentUri.parse("ghost")) is None
 
     def test_node_repr(self, single_cluster):
         text = repr(single_cluster.node("solo.test"))

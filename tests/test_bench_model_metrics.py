@@ -189,3 +189,29 @@ class TestRunnerJson:
         assert cell["document"]["experiment"] == "F5"
         assert cell["document"]["reproduced"] is True
         assert cell["document"]["rows"]
+
+
+class TestBenchCommand:
+    def test_bench_prints_e1_and_writes_its_document(self, tmp_path,
+                                                     capsys):
+        import json
+        from repro.bench.metrics import render_report
+        from repro.cli import main
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--seed", "2000", "--json", str(out)]) == 0
+        printed = capsys.readouterr().out
+        document = json.loads(out.read_text())
+        assert document["experiment"] == "E1"
+        assert document["wall_seconds"] > 0
+        assert document["reproduced"] is True
+        del document["wall_seconds"]
+        assert printed.startswith(render_report(document))
+        assert "wrote report (" in printed and str(out) in printed
+
+    def test_bench_without_json_writes_nothing(self, tmp_path, capsys,
+                                               monkeypatch):
+        from repro.cli import main
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--seed", "2000"]) == 0
+        assert "=== E1:" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []

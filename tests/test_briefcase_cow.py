@@ -6,7 +6,7 @@ Here a Hypothesis state machine runs every briefcase and folder
 operation on product briefcases and, in lockstep, on the deep-copy
 reference in ``tests/oracles/briefcase.py``: snapshots of snapshots,
 writes through folder handles taken *before* a snapshot and after a
-drop, drops / merges / puts on either side, and encodes.  After every
+drop, drops / puts on either side, and encodes.  After every
 step each briefcase and each kept handle must hold what its reference
 holds, and each wire cache must answer what the codec would compute
 from scratch.
@@ -29,7 +29,6 @@ from hypothesis.stateful import (  # noqa: E402
 from repro.core import codec  # noqa: E402
 from repro.core.briefcase import Briefcase  # noqa: E402
 from repro.core.folder import Folder  # noqa: E402
-from repro.core.limits import WireLimits  # noqa: E402
 from tests.oracles.briefcase import RefBriefcase, RefFolder  # noqa: E402
 from tests.test_wire_cache import assert_cache_is_truthful  # noqa: E402
 
@@ -40,8 +39,8 @@ values = st.one_of(st.binary(max_size=12), st.text(max_size=6),
                    st.integers(-5, 5), st.just(b"\xff\xfe"))
 value_lists = st.lists(values, max_size=3)
 picks = st.integers(min_value=0, max_value=1_000)
-#: Doubling rules (a folder pushed onto itself, a self-merge) apply only
-#: below this many elements, so fifty steps stay fifty small steps.
+#: The doubling rule (a folder pushed onto itself) applies only below
+#: this many elements, so fifty steps stay fifty small steps.
 SMALL = 32
 
 
@@ -166,17 +165,6 @@ class CopyOnWriteMachine(RuleBasedStateMachine):
         for briefcase in self.case(pick):
             briefcase.append(name, value)
 
-    @rule(into=picks, source=picks, append=st.booleans())
-    def merge(self, into, source, append):
-        # ``source`` may pick ``into`` itself, or its lender.
-        (product, reference), (other, other_ref) = \
-            self.case(into), self.case(source)
-        if sum(len(folder) for folder in reference.folders.values()) + \
-                sum(len(folder) for folder in other_ref.folders.values()) \
-                <= SMALL:
-            product.merge(other, append=append)
-            reference.merge(other_ref, append=append)
-
     # -- what reads the shared folders ----------------------------------
 
     @rule(pick=picks)
@@ -185,10 +173,9 @@ class CopyOnWriteMachine(RuleBasedStateMachine):
         assert codec.encode(product) == reference.encode()
 
     @rule(pick=picks)
-    def check_briefcase(self, pick):
+    def encoded_size(self, pick):
         product, reference = self.case(pick)
-        assert codec.check_briefcase(product, WireLimits()) == \
-            len(reference.encode())
+        assert codec.encoded_size(product) == len(reference.encode())
 
     @invariant()
     def every_briefcase_holds_its_reference(self):
@@ -232,7 +219,7 @@ class TestSharing:
         assert copy == original and copy.to_dict() == original.to_dict()
         assert copy.payload_bytes() == 2
         assert codec.decode(codec.encode(copy)) == original
-        codec.check_briefcase(copy, WireLimits())
+        assert codec.encoded_size(copy) == len(codec.encode(original))
         assert copy._lender is original._cell
 
     def test_a_borrower_that_only_drops_copies_nothing(self):
@@ -258,7 +245,7 @@ class TestSharing:
         assert original.to_dict() == {"A": [b"a", b"after"]}
 
     @pytest.mark.parametrize("leave", ["drop", "drop_all_except",
-                                       "pop_text", "merge-replace"])
+                                       "pop_text"])
     def test_a_handle_that_left_the_lender_cannot_write_into_a_snapshot(
             self, leave):
         """The folder leaves the lender with the handle, not the
@@ -271,10 +258,8 @@ class TestSharing:
             original.drop("A")
         elif leave == "drop_all_except":
             original.drop_all_except(["B"])
-        elif leave == "pop_text":
-            assert original.pop_text("A") == "a"
         else:
-            original.merge(Briefcase({"A": [b"other"]}), append=False)
+            assert original.pop_text("A") == "a"
         handle.push(b"loose")
         assert copy.to_dict() == {"A": [b"a"], "B": [b"b"]}
 
@@ -283,7 +268,7 @@ class TestSharing:
         wire = codec.encode(original)
         copy = original.snapshot()
         original.get("A").push(b"moves the lender only")
-        assert copy._wire_cache_valid()
+        assert copy._wire_cached_bytes() is wire
         assert codec.encode(copy) is wire
 
 

@@ -188,18 +188,6 @@ class TestBriefcase:
         assert snapshot.get("F").texts() == ["a"]
         assert not snapshot.has("NEW")
 
-    def test_merge_appends(self):
-        a = Briefcase({"F": ["1"]})
-        b = Briefcase({"F": ["2"], "G": ["3"]})
-        a.merge(b)
-        assert a.get("F").texts() == ["1", "2"]
-        assert a.get("G").texts() == ["3"]
-
-    def test_merge_replace_mode(self):
-        a = Briefcase({"F": ["1"]})
-        a.merge(Briefcase({"F": ["2"]}), append=False)
-        assert a.get("F").texts() == ["2"]
-
     def test_payload_bytes(self):
         briefcase = Briefcase({"A": [b"1234"], "B": [b"56"]})
         assert briefcase.payload_bytes() == 6

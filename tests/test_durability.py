@@ -124,7 +124,7 @@ class TestVirtualDisk:
         assert disk.files() == ["a", "b"]
         disk.delete("a")
         assert disk.files() == ["b"]
-        assert not disk.exists("a")
+        assert "a" not in disk.files()
 
 
 class TestFraming:
@@ -202,16 +202,16 @@ class TestHostJournal:
         assert [r["kind"] for r in records] == ["snapshot", "after"]
         assert records[0]["state"] == {"marker": 42}
         # The previous segment is retained as the fallback.
-        assert disk.exists("segment-000000.wal")
+        assert "segment-000000.wal" in disk.files()
 
     def test_compaction_deletes_older_than_previous(self, kernel):
         disk, journal = self.journal(kernel)
         journal.state_provider = lambda: {}
         journal.compact()
         journal.compact()
-        assert not disk.exists("segment-000000.wal")
-        assert disk.exists("segment-000001.wal")
-        assert disk.exists("segment-000002.wal")
+        assert "segment-000000.wal" not in disk.files()
+        assert "segment-000001.wal" in disk.files()
+        assert "segment-000002.wal" in disk.files()
 
     def test_auto_compaction_at_interval(self, kernel):
         disk, journal = self.journal(kernel, snapshot_interval=3)
@@ -480,3 +480,135 @@ class TestReplayImage:
                 "dead": image.dead,
             }, sort_keys=True)
         assert digest() == digest()
+
+
+def _parked_message(**fields):
+    from repro.core.briefcase import Briefcase
+    from repro.core.uri import AgentUri
+    from repro.firewall.message import Message, SenderInfo
+    envelope = dict(
+        target=AgentUri.parse("tacoma://b.test//late"),
+        briefcase=Briefcase({"NOTE": ["once"], "RAW": [b"\x00\xff"]}),
+        sender=SenderInfo("alice", "a.test",
+                          uri=AgentUri.parse("tacoma://a.test/alice/bot"),
+                          authenticated=True),
+        queue_timeout=12.5, hops=3, priority=2, seq=41, seq_src="a.test",
+        landing_id="L-7")
+    envelope.update(fields)
+    return Message(**envelope)
+
+
+class TestMessageRecords:
+    """A parked or dead-lettered message is journaled as flat fields and
+    rebuilt from them when the host restarts."""
+
+    def test_every_envelope_field_survives_the_journal(self):
+        from repro.durability.recovery import (message_from_durable,
+                                               message_to_durable)
+        message = _parked_message()
+        rec = json.loads(json.dumps(message_to_durable(message)))
+        back = message_from_durable(rec)
+        assert back.target == message.target
+        assert back.briefcase == message.briefcase
+        assert back.sender == message.sender
+        assert (back.queue_timeout, back.hops, back.priority, back.seq,
+                back.seq_src, back.landing_id) == (12.5, 3, 2, 41,
+                                                   "a.test", "L-7")
+
+    def test_a_sender_without_a_uri_stays_without_one(self):
+        from repro.core.uri import AgentUri
+        from repro.durability.recovery import (message_from_durable,
+                                               message_to_durable)
+        from repro.firewall.message import SenderInfo
+        message = _parked_message(
+            sender=SenderInfo("bob", "c.test"),
+            target=AgentUri(name="late"), seq=None, seq_src=None,
+            landing_id=None)
+        back = message_from_durable(message_to_durable(message))
+        assert back.sender == SenderInfo("bob", "c.test", uri=None,
+                                         authenticated=False)
+        assert (back.seq, back.seq_src, back.landing_id) == (None,) * 3
+        assert back.target == AgentUri(name="late")
+
+    def test_optional_fields_default_when_a_record_omits_them(self):
+        from repro.durability.recovery import (message_from_durable,
+                                               message_to_durable)
+        from repro.firewall.message import DEFAULT_QUEUE_TIMEOUT
+        rec = message_to_durable(_parked_message())
+        for key in ("sender_uri", "authenticated", "queue_timeout", "hops",
+                    "priority", "seq", "seq_src", "landing"):
+            del rec[key]
+        back = message_from_durable(rec)
+        assert back.sender.uri is None and not back.sender.authenticated
+        assert back.queue_timeout == 30.0 == DEFAULT_QUEUE_TIMEOUT
+        assert (back.hops, back.priority, back.seq, back.seq_src,
+                back.landing_id) == (0, 0, None, None, None)
+
+
+class TestParkedAcrossACrash:
+    """A message parked for an agent that has not arrived yet dies with
+    the host as a dead letter, is rebuilt from the journal, and is
+    parked again for the agent that comes later."""
+
+    @pytest.fixture
+    def restarted(self):
+        from repro.core.briefcase import Briefcase
+        from repro.system.cluster import TaxCluster
+        cluster = TaxCluster()
+        node = cluster.add_node("solo.example")
+        cluster.enable_durability(snapshot_interval=64)
+        sender = node.driver(name="sender")
+        note = Briefcase({"NOTE": ["once"], "RAW": [b"\x00\xff"]})
+        assert cluster.run(sender.send("late", note)) is True
+        assert node.firewall.pending.accounting()["parked_now"] == 1
+        node.crash()
+        node.restart()
+        return node, sender
+
+    def test_the_replay_restores_the_dead_letter(self, restarted):
+        node, _ = restarted
+        stats = node.durability.stats()
+        assert stats["last_replay"]["dead_letters_restored"] == 1
+        assert stats["disk"]["crashes"] == 1
+        assert stats["journal"]["replays"] == 1
+        assert stats["residents"] == 0
+        books = node.firewall.pending.accounting()
+        assert (books["crashed"], books["parked_now"]) == (1, 1)
+
+    def test_the_late_agent_claims_the_rebuilt_message(self, restarted):
+        node, sender = restarted
+        parked, = node.firewall.pending.parked_entries()
+        assert parked.message.sender.uri == sender.uri
+        late = node.driver(name="late")
+        message = late.mailbox._take_queued(None)
+        assert message.briefcase.get_text("NOTE") == "once"
+        assert message.briefcase.get("RAW").first().data == b"\x00\xff"
+        assert late.mailbox._take_queued(None) is None
+        assert node.firewall.pending.accounting()["claimed"] == 1
+
+    @pytest.mark.parametrize("interval", [1, 2, 64])
+    def test_a_rebuilt_message_survives_a_second_crash(self, interval):
+        from repro.core.briefcase import Briefcase
+        from repro.system.cluster import TaxCluster
+        cluster = TaxCluster()
+        node = cluster.add_node("solo.example")
+        cluster.enable_durability(snapshot_interval=interval)
+        sender = node.driver(name="sender")
+        assert cluster.run(sender.send(
+            "late", Briefcase({"NOTE": ["once"]}))) is True
+        for _ in range(2):
+            node.crash()
+            node.restart()
+        assert node.durability.stats()["last_replay"][
+            "dead_letters_restored"] == 1
+        late = node.driver(name="late")
+        notes = []
+        while True:
+            message = late.mailbox._take_queued(None)
+            if message is None:
+                break
+            notes.append(message.briefcase.get_text("NOTE"))
+        assert notes == ["once"]
+        books = node.firewall.pending.accounting()
+        assert (books["accepted"], books["crashed"], books["claimed"],
+                books["parked_now"]) == (3, 2, 1, 0)

@@ -22,6 +22,7 @@ from repro.firewall.policy import (
     open_policy,
 )
 from repro.firewall.routing import Registration, Registry
+from tests.conftest import parked_targets
 
 
 def sender(principal="alice", host="h", authenticated=True):
@@ -222,6 +223,27 @@ class TestRegistry:
         assert registry.remove(reg.agent_id) is None
         assert len(registry) == 0
 
+    def test_a_removed_registration_refuses_what_it_is_handed(self):
+        delivered = []
+        registry = Registry()
+        reg = registry.add(registration("a", "1", delivered=delivered))
+        reg.pause()
+        assert reg.deliver(message()) is True     # held for resume
+        registry.remove(reg.agent_id)
+        assert reg.resume() == 1                  # the backlog is dropped
+        assert reg.deliver(message()) is False
+        assert delivered == []
+
+    def test_removing_all_leaves_every_registration_refusing(self):
+        delivered = []
+        registry = Registry()
+        regs = [registry.add(registration(name, name, delivered=delivered))
+                for name in ("a", "b")]
+        registry._remove_all()
+        assert len(registry) == 0
+        assert [reg.deliver(message()) for reg in regs] == [False, False]
+        assert delivered == []
+
     def test_resident_count_is_per_principal(self):
         registry = Registry()
         registry.add(registration("a", "1", principal="alice"))
@@ -269,7 +291,7 @@ class TestPendingQueue:
         queue.park(message(target="b"))
         claimed = queue.claim(lambda target: target.name == "a")
         assert [m.target.name for m in claimed] == ["a"]
-        assert [t.name for t in queue.peek_targets()] == ["b"]
+        assert parked_targets(queue) == ["b"]
 
     def test_claimed_message_does_not_expire(self, kernel):
         expired = []
@@ -324,7 +346,7 @@ class TestPendingQueueExpiryTimer:
         kernel.run(until=2)
         # Same-instant expiries leave in park order; the rest stay.
         assert expired == [(2, "a"), (2, "c")]
-        assert [t.name for t in queue.peek_targets()] == ["b", "d"]
+        assert parked_targets(queue) == ["b", "d"]
         assert queue._timer is not first and queue._timer_deadline == 5.0
         kernel.run()
         assert expired == [(2, "a"), (2, "c"), (5, "b"), (9, "d")]

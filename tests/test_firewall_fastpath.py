@@ -463,7 +463,7 @@ def test_one_remote_send_builds_no_folder(folders):
 
     send()                      # first use of every lazy path
     assert count_folders_built(send) == SEND_FOLDERS_BUILT
-    arrived = receiver.mailbox.try_receive().briefcase
+    arrived = receiver.mailbox._take_queued(None).briefcase
     assert arrived == briefcase and arrived._lender is briefcase._cell
     assert count_folders_built(lambda: arrived.put("F0", b"mine")) == \
         folders

@@ -122,7 +122,8 @@ class TestRemoteForwarding:
                 AgentUri.parse("tacoma://beta.test/remote-sink"),
                 briefcase)
         pair_cluster.run(scenario())
-        stats = pair_cluster.network.stats_between("alpha.test", "beta.test")
+        stats = pair_cluster.network.link_between("alpha.test",
+                                                  "beta.test").stats
         # The driver's send snapshots and adds nothing, so the wire size
         # is the encoded briefcase + envelope overhead.
         from repro.firewall.message import ENVELOPE_OVERHEAD_BYTES
@@ -142,7 +143,7 @@ class TestRemoteForwarding:
                 AgentUri.parse("tacoma://beta.test/remote-sink"), briefcase)
         pair_cluster.run(scenario())
         briefcase.folder("F").replace(["mutated-after-send"])
-        delivered = mailbox.try_receive()
+        delivered = mailbox._take_queued(None)
         assert delivered.briefcase.get_text("F") == "original"
 
     def test_self_addressed_remote_uri_is_local(self, single_cluster):
@@ -181,7 +182,7 @@ class TestAuthentication:
             yield from driver.send(
                 AgentUri.parse("tacoma://beta.test/sink"), briefcase)
         pair_cluster.run(scenario())
-        message = mailbox.try_receive()
+        message = mailbox._take_queued(None)
         assert message.sender.principal == "alice"
         assert message.sender.authenticated
 
@@ -210,7 +211,7 @@ class TestAuthentication:
                 AgentUri.parse("tacoma://beta.test/sink"),
                 Briefcase({"X": ["unsigned"]}))
         pair_cluster.run(scenario())
-        message = mailbox.try_receive()
+        message = mailbox._take_queued(None)
         assert message.sender.principal == "alice"
         assert not message.sender.authenticated
 

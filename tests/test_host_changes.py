@@ -68,7 +68,7 @@ class TestSnapshotAtAnyRecord:
         received = 0
         for _ in range(2):
             late = node.driver(name="late")     # claims what is parked
-            while late.mailbox.try_receive() is not None:
+            while late.mailbox._take_queued(None) is not None:
                 received += 1
             node.crash()
             node.restart()

@@ -97,8 +97,8 @@ class TestFirewallAccounting:
                 deliver_fn=mailbox.deliver)
             yield kernel.timeout(30.0)
             return sorted(m.briefcase.get_text("TTL")
-                          for m in [mailbox.try_receive(),
-                                    mailbox.try_receive()]
+                          for m in [mailbox._take_queued(None),
+                                    mailbox._take_queued(None)]
                           if m is not None)
         survivors = single_cluster.run(scenario())
         assert survivors == ["15.0", "25.0"]

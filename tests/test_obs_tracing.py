@@ -39,12 +39,11 @@ class TestSpan:
         assert span.end_time == 2.0
         assert len(tracer.spans) == 1
 
-    def test_end_args_and_annotate(self):
+    def test_end_args(self):
         tracer = Tracer(FakeClock())
         span = tracer.begin("w", kind="x")
-        span.annotate(extra=1)
         span.end(outcome="ok")
-        assert span.args == {"kind": "x", "extra": 1, "outcome": "ok"}
+        assert span.args == {"kind": "x", "outcome": "ok"}
 
     def test_record_explicit_times(self):
         tracer = Tracer()
@@ -81,7 +80,6 @@ class TestDisabledTracer:
         span = tracer.begin("w", track="t")
         assert span is NULL_SPAN
         span.end(outcome="whatever")
-        assert span.annotate(x=1) is span
         assert tracer.spans == []
         assert tracer.instants == []
 

@@ -40,6 +40,7 @@ from repro.firewall.message import Message, SenderInfo
 from repro.firewall.msgqueue import PendingQueue
 from repro.obs.telemetry import Telemetry
 from repro.sim.eventloop import Kernel
+from tests.conftest import parked_targets
 
 
 def message(target="svc", principal="alice", timeout=30.0, priority=0,
@@ -91,13 +92,6 @@ class TestTokenBucket:
         bucket = TokenBucket(rate=0.0, capacity=2.0, now=0.0)
         assert not bucket.try_take(3.0, now=0.0)
         assert bucket.peek(0.0) == pytest.approx(2.0)
-
-    def test_seconds_until(self):
-        bucket = TokenBucket(rate=2.0, capacity=10.0, now=0.0, level=0.0)
-        assert bucket.seconds_until(4.0, now=0.0) == pytest.approx(2.0)
-        assert bucket.seconds_until(11.0, now=0.0) == float("inf")
-        assert TokenBucket(rate=0.0, capacity=5.0, level=1.0) \
-            .seconds_until(2.0, now=0.0) == float("inf")
 
     @given(
         rate=st.floats(min_value=0.0, max_value=50.0,
@@ -368,7 +362,7 @@ class TestBoundedQueue:
         queue.park(first)
         queue.park(message(target="b"))
         queue.park(message(target="c"))
-        assert [t.name for t in queue.peek_targets()] == ["b", "c"]
+        assert parked_targets(queue) == ["b", "c"]
         assert queue.evicted == 1
         assert queue.dead_letters[-1].message is first
         assert queue.dead_letters[-1].reason == "evicted"
@@ -381,7 +375,7 @@ class TestBoundedQueue:
         queue.park(message(target="low", priority=0))
         queue.park(message(target="high", priority=5))
         queue.park(message(target="urgent", priority=9))
-        assert [t.name for t in queue.peek_targets()] == ["high", "urgent"]
+        assert parked_targets(queue) == ["high", "urgent"]
         # An equal-priority newcomer is rejected, not shed for.
         with pytest.raises(QueueFullError, match="no lower-priority"):
             queue.park(message(target="also-high", priority=5))

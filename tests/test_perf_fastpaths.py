@@ -171,12 +171,6 @@ class TestEncodingCache:
         assert codec.encode(snapshot) == wire
         assert codec.encode(briefcase) != wire
 
-    def test_check_briefcase_stores_size_for_reuse(self):
-        briefcase = Briefcase({"F": [b"x" * 50]})
-        size = codec.check_briefcase(briefcase, WireLimits())
-        assert briefcase._wire_cached_size() == size
-        assert codec.encoded_size(briefcase) == size
-
 
 def tracked_growth(build) -> int:
     """GC-tracked objects that what ``build`` returns keeps alive.

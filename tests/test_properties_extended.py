@@ -1,4 +1,4 @@
-"""More property-based tests: streams, log analysis, sealing, checkbot."""
+"""More property-based tests: log analysis, checkbot."""
 
 import string
 
@@ -8,28 +8,6 @@ from hypothesis import strategies as st
 from repro.robot.checkbot import absolutize
 from repro.robot.loganalyzer import analyze_log, parse_log_line
 from repro.robot.webbot import join_url
-from repro.wrappers.sealing import seal, unseal
-
-
-class TestSealingProperties:
-    @given(st.binary(max_size=2000), st.binary(min_size=16, max_size=16))
-    @settings(max_examples=100)
-    def test_seal_unseal_identity(self, payload, nonce):
-        key = b"k" * 32
-        sealed, mac = seal(key, nonce, payload)
-        assert unseal(key, sealed, mac) == payload
-
-    @given(st.binary(min_size=1, max_size=500),
-           st.integers(min_value=0, max_value=499))
-    @settings(max_examples=100)
-    def test_any_single_bit_flip_detected(self, payload, position):
-        key = b"k" * 32
-        sealed, mac = seal(key, b"n" * 16, payload)
-        position = position % len(sealed)
-        tampered = (sealed[:position] +
-                    bytes([sealed[position] ^ 0x01]) +
-                    sealed[position + 1:])
-        assert unseal(key, tampered, mac) is None
 
 
 class TestUrlImplementationsAgree:

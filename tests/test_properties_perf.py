@@ -109,7 +109,6 @@ BRIEFCASE_MUTATIONS = {
     "drop_all_except": lambda b: b.drop_all_except([]),
     "put": lambda b: b.put("A", b"exclusive"),
     "append": lambda b: b.append("A", b"tail"),
-    "merge": lambda b: b.merge(Briefcase({"OTHER": [b"z"]})),
 }
 
 ALL_MUTATIONS = {**FOLDER_MUTATIONS, **BRIEFCASE_MUTATIONS}
@@ -127,7 +126,7 @@ def test_mutation_invalidates_cached_encoding(op, briefcase):
     # operation is applicable.
     briefcase.put("A", b"seed")
     before = codec.encode(briefcase)
-    assert briefcase._wire_cache_valid()
+    assert briefcase._wire_cached_bytes() is not None
     ALL_MUTATIONS[op](briefcase)
     after = codec.encode(briefcase)
     # The cache must reflect the mutated state: re-decoding the fresh
@@ -149,9 +148,9 @@ class TestCacheInvalidation:
     def test_mutation_drops_cached_buffer(self, op):
         briefcase = Briefcase({"A": [b"one", b"two"], "B": [b"three"]})
         codec.encode(briefcase)
-        assert briefcase._wire_cache_valid()
+        assert briefcase._wire_cached_bytes() is not None
         ALL_MUTATIONS[op](briefcase)
-        assert not briefcase._wire_cache_valid()
+        assert briefcase._wire_cached_bytes() is None
 
     @given(briefcase=briefcases)
     @settings(max_examples=50, deadline=None)

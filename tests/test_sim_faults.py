@@ -138,7 +138,7 @@ class TestHostDownSemantics:
             yield from lan.transfer("a", "b", 100)
         with pytest.raises(HostDownError):
             kernel.run_process(proc())
-        stats = lan.stats_between("a", "b")
+        stats = lan.link_between("a", "b").stats
         assert stats.messages == 0 and stats.payload_bytes == 0
 
     def test_crash_mid_flight_drops_transfer(self, kernel, lan):
@@ -154,7 +154,7 @@ class TestHostDownSemantics:
         with pytest.raises(HostDownError):
             kernel.run_process(proc())
         assert kernel.now == pytest.approx(0.501)
-        assert lan.stats_between("a", "b").messages == 0
+        assert lan.link_between("a", "b").stats.messages == 0
 
     def test_revived_host_transfers_again(self, kernel, lan):
         lan.set_host_up("b", False)
@@ -163,7 +163,7 @@ class TestHostDownSemantics:
         def proc():
             yield from lan.transfer("a", "b", 100)
         kernel.run_process(proc())
-        assert lan.stats_between("a", "b").messages == 1
+        assert lan.link_between("a", "b").stats.messages == 1
 
     def test_injected_drop_raises_and_not_charged(self, kernel, lan):
         plan = FaultPlan(drop_probability=1.0)
@@ -173,7 +173,7 @@ class TestHostDownSemantics:
             yield from lan.transfer("a", "b", 100)
         with pytest.raises(TransferDroppedError):
             kernel.run_process(proc())
-        assert lan.stats_between("a", "b").messages == 0
+        assert lan.link_between("a", "b").stats.messages == 0
         assert lan.fault_injector.stats()["dropped"] == 1
 
     def test_loopback_exempt_from_injection(self, kernel, lan):

@@ -130,17 +130,17 @@ class TestRandomStream:
 class TestCostLedger:
     def test_totals_accumulate(self):
         ledger = CostLedger()
-        ledger.add_network(1.5, 100)
+        ledger.add("network", 1.5, 100)
         ledger.add_cpu(0.5)
-        ledger.add_server(0.25)
+        ledger.add("server", 0.25)
         assert ledger.total_seconds == pytest.approx(2.25)
         assert ledger.total_bytes == 100
         assert ledger.events == 3
 
     def test_category_breakdown(self):
         ledger = CostLedger()
-        ledger.add_network(1.0, 10)
-        ledger.add_network(2.0, 20)
+        ledger.add("network", 1.0, 10)
+        ledger.add("network", 2.0, 20)
         assert ledger.seconds("network") == pytest.approx(3.0)
         assert ledger.bytes("network") == 30
         assert ledger.seconds("cpu") == 0.0
@@ -165,7 +165,7 @@ class TestCostLedger:
         a.add_cpu(1.0)
         b = CostLedger()
         b.add_cpu(2.0)
-        b.add_network(1.0, 50)
+        b.add("network", 1.0, 50)
         a.merge(b)
         assert a.seconds("cpu") == pytest.approx(3.0)
         assert a.bytes("network") == 50

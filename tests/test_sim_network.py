@@ -108,7 +108,7 @@ class TestTransfer:
         def proc():
             yield from lan.transfer("a", "b", 500)
         kernel.run_process(proc())
-        stats = lan.stats_between("a", "b")
+        stats = lan.link_between("a", "b").stats
         assert stats.messages == 1
         assert stats.payload_bytes == 500
 
@@ -116,7 +116,7 @@ class TestTransfer:
         seconds = lan.charge("a", "b", 500)
         assert seconds == pytest.approx(0.501)
         assert kernel.now == 0
-        assert lan.stats_between("a", "b").messages == 1
+        assert lan.link_between("a", "b").stats.messages == 1
 
     def test_partition_blocks_transfer(self, kernel, lan):
         lan.set_link_up("a", "b", False)
@@ -143,16 +143,10 @@ class TestTransfer:
         assert lan.total_remote_bytes() == 100
         assert lan.total_remote_messages() == 1
 
-    def test_reset_stats(self, lan):
-        lan.charge("a", "b", 100)
-        lan.reset_stats()
-        assert lan.total_remote_bytes() == 0
-        assert lan.stats_between("a", "b").messages == 0
-
     def test_busy_seconds_accumulate(self, lan):
         lan.charge("a", "b", 1000)
         lan.charge("a", "b", 1000)
-        assert lan.stats_between("a", "b").busy_seconds == \
+        assert lan.link_between("a", "b").stats.busy_seconds == \
             pytest.approx(2.002)
 
 

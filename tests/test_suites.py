@@ -576,3 +576,17 @@ def test_cli_suite_run_twice_is_byte_identical(tmp_path, capsys):
     code_c, out_c, _ = run_cli(
         ["suite", "run", str(path), "--seed", "11"], capsys)
     assert code_c == 0 and out_c != out_a
+
+
+def test_cli_suite_list_describes_every_plugin(capsys):
+    from repro.suites.registry import plugin_descriptions
+    descriptions = plugin_descriptions()
+    assert tuple(descriptions) == plugin_names()
+    code, out, _ = run_cli(["suite", "list"], capsys)
+    assert code == 0
+    for name, description in descriptions.items():
+        assert description
+        assert name in out and description in out
+    for name in plugin_names():
+        plugin = get_plugin(name)
+        assert f"{name} --{plugin.variant_param}: " in out

@@ -199,12 +199,6 @@ class TestStrategies:
         itinerant = run_mobile(testbed2, tasks2)
         assert remote.dead_links_found == itinerant.dead_links_found
 
-    def test_merged_report(self, small_testbed):
-        task = CrawlTask.for_site(small_testbed.site_of("www.cs.uit.no"))
-        metrics = run_stationary(small_testbed, [task])
-        merged = metrics.merged_report()
-        assert merged.dead_count == metrics.dead_links_found
-
     def test_summary_row_renders(self, small_testbed):
         task = CrawlTask.for_site(small_testbed.site_of("www.cs.uit.no"))
         metrics = run_stationary(small_testbed, [task])

@@ -115,8 +115,8 @@ class TestBaselinePropagation:
     def test_failed_sends_do_not_charge_the_link(self, pair_cluster):
         echo_uri = launch_local_echo(pair_cluster, "beta.test")
         driver = pair_cluster.node("alpha.test").driver()
-        stats = pair_cluster.network.stats_between("alpha.test",
-                                                   "beta.test")
+        stats = pair_cluster.network.link_between("alpha.test",
+                                                   "beta.test").stats
         before = (stats.messages, stats.payload_bytes)
         pair_cluster.network.set_link_up("alpha.test", "beta.test", False)
 
@@ -165,7 +165,8 @@ class TestRetryLayer:
             return ok
         assert metered_pair.run(scenario()) is True
         assert retry_count(metered_pair, "send") >= 1
-        assert network.stats_between("alpha.test", "beta.test").messages == 1
+        assert network.link_between("alpha.test",
+                                    "beta.test").stats.messages == 1
 
     def test_send_does_not_retry_permanent_failures(self, metered_pair):
         metered_pair.add_node("gamma.test")

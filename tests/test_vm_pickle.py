@@ -136,6 +136,20 @@ class TestVmPickle:
         assert single_cluster.run(scenario()) == "error"
 
 
+def paper_named_hopper(ctx, bc):
+    """Hops once with the paper's ``go`` to ``TARGET``, then reports
+    where it runs and whether any code after ``go`` ran at home."""
+    from repro.agent import api
+    target = bc.get_text("TARGET")
+    if target is not None:
+        bc.drop("TARGET")
+        yield from api.go(ctx, target)
+        bc.put("AFTER-GO", ctx.host_name)   # never reached on success
+    report = Briefcase({"HOST": [ctx.host_name],
+                        "AFTER-GO": bc.folder("AFTER-GO").texts()})
+    yield from api.bc_send(ctx, bc.get_text("HOME"), report)
+
+
 class TestPaperNamedApi:
     def test_paper_names_drive_the_same_machinery(self, single_cluster):
         from repro.agent import api
@@ -152,3 +166,25 @@ class TestPaperNamedApi:
             received = yield from api.await_bc(driver, timeout=30)
             return received.get_text("NOTE")
         assert single_cluster.run(scenario()) == "ping"
+
+    def test_go_moves_the_agent_and_does_not_return(self, pair_cluster):
+        driver = pair_cluster.node("alpha.test").driver()
+        briefcase = Briefcase({
+            "TARGET": [str(pair_cluster.vm_uri("beta.test"))],
+            "HOME": [str(driver.uri)]})
+        loader.install_payload(briefcase,
+                               loader.pack_ref(paper_named_hopper),
+                               agent_name="hopper")
+
+        def scenario():
+            yield from driver.launch(pair_cluster.vm_uri("alpha.test"),
+                                     briefcase, timeout=30)
+            report = (yield from driver.recv(timeout=30)).briefcase
+            yield pair_cluster.kernel.timeout(1.0)
+            return report, driver.mailbox._take_queued(None)
+        report, second = pair_cluster.run(scenario())
+        assert second is None
+        assert report.get_text("HOST") == "beta.test"
+        assert report.folder("AFTER-GO").texts() == []
+        alpha = pair_cluster.node("alpha.test").firewall
+        assert not any(reg.name == "hopper" for reg in alpha.registry.all())

@@ -9,12 +9,7 @@ import pytest
 from repro.sim.host import SimHost
 from repro.sim.ledger import CostLedger
 from repro.web.client import ClientModel, SimHttpClient
-from repro.web.server import (
-    HttpRequest,
-    ServerModel,
-    WebDeployment,
-    WebServer,
-)
+from repro.web.server import HttpRequest, WebDeployment, WebServer
 from repro.web.site import (
     SiteSpec,
     external_stub_site,
@@ -183,11 +178,10 @@ class TestWebServer:
         assert server.requests_served == 2
         assert server.bytes_served > 0
 
-    def test_service_time_scales_with_size(self):
-        model = ServerModel(per_request_cpu=0.001, per_kilobyte_cpu=0.001)
-        from repro.web.server import HttpResponse
-        small = model.service_seconds(HttpResponse(200, "x"))
-        large = model.service_seconds(HttpResponse(200, "x" * 10_240))
+    def test_service_time_scales_with_size(self, served, small_site):
+        server = served[0]
+        _, small = server.handle(HttpRequest("HEAD", small_site.root_path))
+        _, large = server.handle(HttpRequest("GET", small_site.root_path))
         assert large > small
 
     def test_handle_charges_what_the_model_says(self, served, small_site):
@@ -198,10 +192,10 @@ class TestWebServer:
                         HttpRequest("POST", "/x")):
             response, seconds = server.handle(request)
             assert response.body_bytes == len(response.body.encode("utf-8"))
+            model = server.model
             assert seconds == server_host.cpu_seconds(
-                server.model.service_seconds(response))
-            assert response.wire_bytes == \
-                response._replace(body_bytes=None).wire_bytes
+                model.per_request_cpu +
+                response.body_bytes / 1024.0 * model.per_kilobyte_cpu)
 
     def test_deployment_resolution(self, served):
         _, deployment, _, _ = served
@@ -234,7 +228,7 @@ class TestHttpClient:
         client = SimHttpClient(client_host, client_host.network, deployment,
                                CostLedger())
         response = client.get("http://no-such-host/")
-        assert response.status == 0 and response.failed_to_connect
+        assert response.status == 0
         assert client.ledger.seconds("connect-fail") > 0
 
     def test_malformed_url_fails_cleanly(self, served):
@@ -257,7 +251,7 @@ class TestHttpClient:
         client_host.network.set_link_up("client.test", "www.test", False)
         client = SimHttpClient(client_host, client_host.network, deployment,
                                CostLedger())
-        assert client.get(small_site.root_url).failed_to_connect
+        assert client.get(small_site.root_url).status == 0
 
     @pytest.mark.parametrize("handshake_rtts", [1, 0])
     def test_crashed_host_is_connect_fail(self, served, small_site,
@@ -270,7 +264,7 @@ class TestHttpClient:
                                    handshake_rtts=handshake_rtts))
         server_host.set_up(False)
         response = client.get(small_site.root_url)
-        assert response.failed_to_connect
+        assert response.status == 0
         assert response.url == small_site.root_url
         assert client.ledger.seconds("connect-fail") == \
             client.model.connect_fail_seconds

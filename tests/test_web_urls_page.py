@@ -82,12 +82,6 @@ class TestJoin:
     def test_empty_is_self(self):
         assert urls.join(self.BASE, "") == self.BASE
 
-    def test_same_site_and_prefix(self):
-        a = urls.parse("http://h/x")
-        b = urls.parse("http://h:80/y")
-        assert urls.same_site(a, b)
-        assert urls.has_prefix(a, "http://h/")
-
 
 class TestPageRendering:
     def test_links_embedded_and_escaped(self):

@@ -2,9 +2,9 @@
 
 ``tests/test_properties_perf.py`` checks each mutator once against a
 freshly encoded briefcase.  Here a Hypothesis state machine interleaves
-them — across several briefcases that are snapshots, decodes and merge
-sources of one another, and through folder handles kept after the folder
-was dropped — and after every step asks the one question that matters:
+them — across several briefcases that are snapshots and decodes of one
+another, and through folder handles kept after the folder was dropped —
+and after every step asks the one question that matters:
 whatever a briefcase's cache still answers must be what the codec would
 compute from scratch.
 """
@@ -26,9 +26,8 @@ from hypothesis.stateful import (  # noqa: E402
 from repro.core import codec  # noqa: E402
 from repro.core.briefcase import Briefcase  # noqa: E402
 from repro.core.folder import Folder  # noqa: E402
-from repro.core.limits import DEFAULT_WIRE_LIMITS, WireLimits  # noqa: E402
 
-#: Few names, so that drops, re-creations and merges collide; one is
+#: Few names, so that drops and re-creations collide; one is
 #: two bytes a character on the wire.
 NAMES = ["A", "B", "DELIVERY-SEQ", "søk"]
 
@@ -45,8 +44,6 @@ def assert_cache_is_truthful(briefcase):
     data = briefcase._wire_cached_bytes()
     assert size is None or size == len(truth)
     assert data is None or data == truth
-    if briefcase._wire_cache_valid():
-        assert data is not None
 
 
 class WireCacheMachine(RuleBasedStateMachine):
@@ -79,10 +76,6 @@ class WireCacheMachine(RuleBasedStateMachine):
     @rule(pick=picks)
     def encoded_size(self, pick):
         codec.encoded_size(self.case(pick))
-
-    @rule(pick=picks)
-    def check_briefcase(self, pick):
-        codec.check_briefcase(self.case(pick), WireLimits())
 
     # -- new briefcases out of old ones ---------------------------------
 
@@ -133,11 +126,6 @@ class WireCacheMachine(RuleBasedStateMachine):
     def append(self, pick, name, value):
         self.case(pick).append(name, value)
 
-    @rule(into=picks, source=picks, append=st.booleans())
-    def merge(self, into, source, append):
-        # ``source`` may pick ``into`` itself.
-        self.case(into).merge(self.case(source), append=append)
-
     # -- folder mutators, through held and dropped handles alike --------
 
     @rule(pick=picks, value=values)
@@ -183,9 +171,8 @@ class TestSizeFollowsDrop:
         briefcase = Briefcase({"ID": [b"f0001"], "PAYLOAD": [bytes(120)],
                                "DELIVERY-SEQ": ["7 peer.example"]})
         arrived = codec.decode(codec.encode(briefcase))
-        assert arrived._wire_cache_valid()
+        assert arrived._wire_cached_bytes() is not None
         assert arrived.drop("DELIVERY-SEQ")
-        assert not arrived._wire_cache_valid()
         assert arrived._wire_cached_bytes() is None
         size = arrived._wire_cached_size()
         assert size == len(codec._encode_parts(arrived))
@@ -210,8 +197,7 @@ class TestSizeFollowsDrop:
         briefcase.drop("A")
         assert briefcase._wire_cached_size() is None
 
-    @pytest.mark.parametrize("leave", ["drop", "drop_all_except",
-                                       "merge-replace"])
+    @pytest.mark.parametrize("leave", ["drop", "drop_all_except"])
     def test_a_kept_handle_no_longer_speaks_for_the_briefcase(
             self, leave):
         briefcase = Briefcase({"A": [b"one"], "B": [b"two"]})
@@ -219,10 +205,8 @@ class TestSizeFollowsDrop:
         codec.encode(briefcase)
         if leave == "drop":
             briefcase.drop("A")
-        elif leave == "drop_all_except":
-            briefcase.drop_all_except(["B"])
         else:
-            briefcase.merge(Briefcase({"A": [b"other"]}), append=False)
+            briefcase.drop_all_except(["B"])
         size = codec.encoded_size(briefcase)
         wire = codec.encode(briefcase)
         handle.push(b"written through a stale handle")
@@ -231,55 +215,28 @@ class TestSizeFollowsDrop:
         assert_cache_is_truthful(briefcase)
 
 
-class TestCheckKeepsTheBuffer:
-    """``check_briefcase`` walks the briefcase for its limits; a cache
-    entry that is still current already holds the size it computes, and
-    perhaps the bytes — it must not trade them for a size-only entry."""
+def test_a_decoded_briefcase_keeps_the_buffer_it_was_decoded_from():
+    wire = codec.encode(Briefcase({"ID": [b"f0001"],
+                                   "PAYLOAD": [bytes(120)]}))
+    arrived = codec.decode(wire)
+    assert codec.encoded_size(arrived) == len(wire)
+    assert codec.encode(arrived) is wire
 
-    def test_encode_under_limits_reuses_the_buffer(self):
-        briefcase = Briefcase({"A": [b"x"], "søk": ["æ", "ø"]})
-        wire = codec.encode(briefcase)
-        assert codec.encode(briefcase, limits=DEFAULT_WIRE_LIMITS) is wire
 
-    def test_a_decoded_briefcase_keeps_the_buffer_it_was_decoded_from(self):
-        wire = codec.encode(Briefcase({"ID": [b"f0001"],
-                                       "PAYLOAD": [bytes(120)]}))
-        arrived = codec.decode(wire)
-        assert codec.check_briefcase(arrived, DEFAULT_WIRE_LIMITS) == \
-            len(wire)
-        assert arrived._wire_cache_valid()
-        assert codec.encode(arrived) is wire
-
-    def test_a_stale_entry_gives_way_to_the_size(self):
-        briefcase = Briefcase({"A": [b"x"]})
-        codec.encode(briefcase)
-        briefcase.append("A", b"y")
-        size = codec.check_briefcase(briefcase, DEFAULT_WIRE_LIMITS)
-        assert briefcase._wire_cached_size() == size
-        assert briefcase._wire_cached_bytes() is None
-        assert_cache_is_truthful(briefcase)
+def test_a_stale_entry_gives_way_to_a_size_only_entry():
+    briefcase = Briefcase({"A": [b"x"]})
+    codec.encode(briefcase)
+    briefcase.append("A", b"y")
+    size = codec.encoded_size(briefcase)
+    assert briefcase._wire_cached_size() == size
+    assert briefcase._wire_cached_bytes() is None
+    assert_cache_is_truthful(briefcase)
+    assert len(codec.encode(briefcase)) == size
 
 
 class TestSelfSource:
-    """``merge``/``push_all`` fed their own receiver used to append to
-    the list they were iterating, without end."""
-
-    def test_self_merge_doubles_each_folder(self):
-        briefcase = Briefcase({"A": [b"x"], "B": [b"y", b"z"]})
-        codec.encode(briefcase)
-        briefcase.merge(briefcase)
-        assert briefcase.to_dict() == {"A": [b"x", b"x"],
-                                       "B": [b"y", b"z", b"y", b"z"]}
-        assert_cache_is_truthful(briefcase)
-        assert codec.decode(codec.encode(briefcase)) == briefcase
-
-    def test_replacing_self_merge_changes_nothing(self):
-        briefcase = Briefcase({"A": [b"x"], "B": [b"y", b"z"]})
-        wire = codec.encode(briefcase)
-        briefcase.merge(briefcase, append=False)
-        assert briefcase.to_dict() == {"A": [b"x"], "B": [b"y", b"z"]}
-        assert_cache_is_truthful(briefcase)
-        assert codec.encode(briefcase) == wire
+    """``push_all`` fed its own receiver used to append to the list it
+    was iterating, without end."""
 
     def test_push_all_of_itself_doubles_the_folder(self):
         folder = Folder("F", [b"a", b"b"])
@@ -306,7 +263,7 @@ def test_discarded_briefcases_leave_nothing_for_the_cycle_collector():
             briefcase = Briefcase({"ID": [b"%d" % index],
                                    "PAYLOAD": [bytes(64), bytes(64)]})
             wire = codec.encode(briefcase)
-            briefcase.snapshot().merge(briefcase)
+            briefcase.snapshot().append("PAYLOAD", bytes(64))
             arrived = codec.decode(wire)
             handle = arrived.get("ID")
             arrived.drop("ID")

@@ -1,5 +1,7 @@
 """Tests for the wrapper framework and the concrete wrappers."""
 
+import json
+
 import pytest
 
 from repro.core.briefcase import Briefcase
@@ -307,7 +309,8 @@ class TestMonitorWrapper:
         results = single_cluster.run(scenario())
         assert results["host"] == "solo.test"
         assert results["agent"].startswith("watched:")
-        assert monitor_log.last_known_host("watched") == "solo.test"
+        assert {(e["tag"], e["host"]) for e in monitor_log.events} == \
+            {("watched", "solo.test")}
         events = [e["event"] for e in monitor_log.events]
         assert "arrived" in events
 
@@ -315,7 +318,6 @@ class TestMonitorWrapper:
         wrapper = MonitorWrapper({})
         message = make_message()
         assert wrapper.on_receive(None, message) is message
-        assert wrapper.messages_forwarded == 1
 
     def test_status_query_carries_live_telemetry(self, single_cluster):
         single_cluster.telemetry.enable()
@@ -374,13 +376,13 @@ class TestMonitorLog:
                                ("arrived", "b.test", 4.0),
                                ("finished", "b.test", 6.0)):
             log.deliver(self._event_message(event, host, t))
-        spans = log.residency_spans("bot")
+        spans = log.tracer.find(track="monitor:bot")
         assert [(s.name, s.start, s.end_time) for s in spans] == \
             [("at:a.test", 1.0, 3.0), ("at:b.test", 4.0, 6.0)]
         assert [s.args["outcome"] for s in spans] == \
             ["departing", "finished"]
         # The classic location API is untouched.
-        assert log.last_known_host("bot") == "b.test"
+        assert log.events[-1]["host"] == "b.test"
         assert len(log.locations()) == 4
 
     def test_instants_recorded_for_every_report(self):
@@ -403,7 +405,7 @@ class TestMonitorLog:
                                ("finished", "c.test", 6.0)):
             assert log.deliver(self._event_message(event, host, t))
         assert [(s.name, s.start, s.end_time)
-                for s in log.residency_spans("bot")] == \
+                for s in log.tracer.find(track="monitor:bot")] == \
             [("at:a.test", 1.0, 3.0), ("at:c.test", 5.0, 6.0)]
         assert len(log.locations()) == 6
 
@@ -452,6 +454,26 @@ class TestLoggingWrapper:
         single_cluster.run(scenario())
         assert len(driver.briefcase.folder("WRAPLOG")) == 2
         assert wrapper.sent == 5
+
+
+    def test_depart_counts_the_hop_and_traces_its_target(
+            self, single_cluster):
+        driver = single_cluster.node("solo.test").driver()
+        wrapper = LoggingWrapper({"trace": True})
+        target = AgentUri.parse("tacoma://elsewhere.test/vm_python")
+        wrapper.on_depart(driver, target)
+        assert wrapper.hops == 1 and wrapper.counters()["hops"] == 1
+        record, = [json.loads(line) for line
+                   in driver.briefcase.folder("WRAPLOG").texts()]
+        assert record == {"dir": "hop", "to": str(target),
+                          "t": single_cluster.kernel.now}
+
+    def test_depart_without_trace_only_counts(self, single_cluster):
+        driver = single_cluster.node("solo.test").driver()
+        wrapper = LoggingWrapper()
+        wrapper.on_depart(driver, AgentUri.parse("tacoma://x.test/vm"))
+        assert wrapper.hops == 1
+        assert not driver.briefcase.has("WRAPLOG")
 
 
 class TestLocation:
@@ -575,4 +597,4 @@ class TestObjectAgentWithWrappers:
         arrived = [host for _t, host, event in monitor_log.locations()
                    if event == "arrived"]
         assert arrived == ["alpha.test", "beta.test"]
-        assert monitor_log.last_known_host("roamer") == "beta.test"
+        assert monitor_log.events[-1]["host"] == "beta.test"
