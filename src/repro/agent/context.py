@@ -517,7 +517,6 @@ class AgentContext:
         landed agent's URI string."""
         departing = op == "go"
         target = self._resolve(vm_target)
-        transport = self._transport_briefcase()
         telemetry = self.kernel.telemetry
         # The hop's causal node: a child of this residency that every
         # transport attempt (including retries) of this hop carries.
@@ -538,6 +537,9 @@ class AgentContext:
                 # destination) and must not resurrect a twin here.
                 changes.emit("depart-intent", instance=self.instance,
                              landing=landing)
+        # Taken after on_depart, so what a wrapper writes into the
+        # briefcase as the agent leaves (a hop record) travels with it.
+        transport = self._transport_briefcase()
         self._outbound_trace = hop_trace
         try:
             uri = yield from self.transport(op, target, transport,

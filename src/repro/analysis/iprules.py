@@ -49,13 +49,14 @@ ENV_SCOPES = ("repro.core", "repro.sim")
 #: How many caller-context hops to prepend to a witness chain.
 _CALLER_CONTEXT_HOPS = 3
 
-#: Strip sites for the reserved wire-only folders: the PR 6/7 receive
-#: path helpers that remove ``TRACE-CONTEXT`` / ``DELIVERY-SEQ`` /
-#: ``LANDING-ID`` before a briefcase reaches agent code.
+#: Strip sites for the reserved wire-only folders: the arrival decoder
+#: that splits ``TRACE-CONTEXT`` / ``DELIVERY-SEQ`` / ``LANDING-ID`` off
+#: before a briefcase reaches agent code, and the readers of the split-off
+#: texts — a module that reads a folder back may also write it.
 WIRE_STRIP_ROOTS = (
-    "repro.firewall.dedup.extract_landing",
-    "repro.firewall.dedup.extract_seq",
-    "repro.obs.propagation.extract",
+    "repro.core.codec.decode_arrival",
+    "repro.firewall.dedup.parse_seq",
+    "repro.obs.propagation.TraceContext.from_header",
 )
 
 #: Modules the real-transport roadmap item calls transport-clean: the
@@ -569,7 +570,7 @@ class ReservedFolderRule(ProjectRule):
                     function=qname, path=function.path, line=write.line,
                     note=f"writes reserved folder {write.folder} with "
                          f"no path to a strip site "
-                         f"(extract/extract_seq/extract_landing)"))
+                         f"(decode_arrival/parse_seq/from_header)"))
                 yield self.finding(
                     project, qname, write.line, write.col,
                     f"writes reserved wire-only folder {write.folder} "

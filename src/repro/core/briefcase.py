@@ -28,9 +28,10 @@ is one integer compare.  The folders share the cell, not a reference to
 the briefcase: a back-reference would make every briefcase a cycle that
 only the garbage collector can free.  :meth:`Briefcase.drop` is the one
 mutation the cached *size* follows — the buffer goes, the size loses
-the dropped folder's footprint — so stripping the wire-only folders off
-an arriving briefcase (:meth:`Briefcase.pop_text`), or shedding state
-before ``go``, does not cost a re-walk of what is left.
+the dropped folder's footprint — so shedding state before ``go`` does
+not cost a re-walk of what is left.  (The wire-only folders of an
+arriving briefcase never become folders at all: the codec splits them
+off while decoding.)
 ``tests/test_properties_perf.py`` and ``tests/test_wire_cache.py`` pin
 the invariant for every mutator.
 
@@ -62,9 +63,11 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 from weakref import ref
 
-from repro.core.element import Element
+from repro.core.element import Element, element_bytes
 from repro.core.errors import BriefcaseError, FolderNotFoundError
 from repro.core.folder import Folder, _unshare, _wrap
+
+_new_folder = Folder.__new__
 
 
 class Briefcase:
@@ -101,15 +104,10 @@ class Briefcase:
             self._own()
         folder = self._folders.get(name)
         if folder is None:
-            folder = self._add(name)
-        return folder
-
-    def _add(self, name: str) -> Folder:
-        """A new empty folder called ``name``, held by this briefcase."""
-        folder = Folder(name)
-        folder._cell = cell = self._cell
-        cell[0] += 1
-        self._folders[name] = folder
+            folder = Folder(name)
+            folder._cell = cell = self._cell
+            cell[0] += 1
+            self._folders[name] = folder
         return folder
 
     def get(self, name: str) -> Folder:
@@ -144,23 +142,6 @@ class Briefcase:
             self._release(self._folders.pop(name))
         return dropped
 
-    def pop_text(self, name: str) -> Optional[str]:
-        """Drop the folder called ``name`` and return its first element
-        as text: None when the folder is absent or empty, or its first
-        element is not UTF-8.  One lookup strips a wire-only folder off
-        an arriving briefcase."""
-        folder = self._folders.pop(name, None)
-        if folder is None:
-            return None
-        self._release(folder)
-        elements = folder._elements
-        if not elements:
-            return None
-        try:
-            return elements[0].decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-
     def _release(self, folder: Folder) -> None:
         """Account for a folder just removed from ``_folders``.
 
@@ -194,7 +175,7 @@ class Briefcase:
             self._own()
         folder = self._folders.get(folder_name)
         if folder is None:
-            self._add(folder_name)._push(value)
+            self.append(folder_name, value)
         else:
             folder.replace((value,))
 
@@ -223,9 +204,25 @@ class Briefcase:
         if self._lender is not None:
             self._own()
         folder = self._folders.get(folder_name)
-        if folder is None:
-            folder = self._add(folder_name)
-        folder._push(value)
+        if folder is not None:
+            folder._push(value)
+            return
+        # A new folder, built in this frame once its value has encoded:
+        # a refused value leaves no empty folder behind.  It counts as
+        # an add and a push, like folder(name).push(value); the
+        # snapshots sharing the other folders do not share this one.
+        if not isinstance(folder_name, str) or not folder_name:
+            raise BriefcaseError("folder name must be a non-empty string")
+        kind = type(value)
+        data = value if kind is bytes else \
+            value.encode("utf-8") if kind is str else element_bytes(value)
+        folder = _new_folder(Folder)
+        folder.name = folder_name
+        folder._elements = [data]
+        folder._version = 1
+        folder._cell = cell = self._cell
+        cell[0] += 2
+        self._folders[folder_name] = folder
 
     # -- wire-encoding cache (maintained by repro.core.codec) ---------------------
 

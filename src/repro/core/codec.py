@@ -49,14 +49,22 @@ reuse one encoding instead of re-encoding up to three times per hop.  A
 successful :func:`decode` of a ``bytes`` buffer pre-populates the cache
 with the input buffer itself (the format is canonical: every accepted
 wire image re-encodes to itself), and the cached size then follows
-``Briefcase.drop``, so it is still exact after the firewall strips the
-wire-only folders.
+``Briefcase.drop``.
+
+**Arrivals are stripped while they are parsed.**  The firewall's raw
+wire entry decodes with :func:`decode_arrival`: the same parser, given
+the reserved names of :data:`~repro.core.wellknown.WIRE_ONLY_FOLDERS`.
+A reserved folder is read and validated like any other (it still counts
+towards every cap and towards duplicate detection) but no ``Folder`` is
+built for it: its element list goes to the caller, and its wire
+footprint comes off the seeded cache size, which then holds the size
+only — the buffer still carries the stripped folders.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Tuple, Union
 
 from repro.core.briefcase import Briefcase
 from repro.core.errors import (
@@ -72,8 +80,9 @@ from repro.core.limits import (
     MAX_FOLDERS,
     WireLimits,
 )
+from repro.core.wellknown import WIRE_ONLY_FOLDERS
 
-__all__ = ["encode", "decode", "encoded_size",
+__all__ = ["encode", "decode", "decode_arrival", "encoded_size",
            "MAGIC", "VERSION", "ABSOLUTE_MAX_WIRE_BYTES",
            "MAX_FOLDERS", "MAX_ELEMENTS", "MAX_ELEMENT_BYTES"]
 
@@ -106,7 +115,14 @@ _MIN_ELEMENT_BYTES = _U32.size
 
 _HEADER_BYTES = len(MAGIC) + _U8.size + _U32.size
 
+_new_folder = Folder.__new__
+
 Buffer = Union[bytes, bytearray, memoryview]
+
+#: The element lists of the folders a decode split off, by name.
+WireOnly = Dict[str, List[bytes]]
+
+_NOTHING_RESERVED: AbstractSet[str] = frozenset()
 
 
 # -- encoding --------------------------------------------------------------------
@@ -168,18 +184,26 @@ def encoded_size(briefcase: Briefcase) -> int:
 def _decode_caps(data_len: int,
                  limits: Optional[WireLimits]
                  ) -> Tuple[int, int, int, int]:
-    """Resolve the decode caps: (max_folders, max_per_folder, max_total,
-    max_element).
+    """Check the buffer size, then resolve the decode caps:
+    (max_folders, max_per_folder, max_total, max_element).
 
     With ``limits=None`` every configured cap is off; what remains is
     well-formedness — a declared count whose minimum wire footprint
     exceeds the bytes actually present is malformed — plus the absolute
-    :data:`ABSOLUTE_MAX_WIRE_BYTES` buffer backstop checked by
-    :func:`decode` itself.
+    :data:`ABSOLUTE_MAX_WIRE_BYTES` buffer backstop.
     """
     if limits is not None:
+        if limits.max_encoded_bytes is not None and \
+                data_len > limits.max_encoded_bytes:
+            raise BriefcaseTooLargeError(
+                f"wire buffer is {data_len} bytes "
+                f"(limit {limits.max_encoded_bytes})")
         return (limits.max_folders, limits.max_elements_per_folder,
                 limits.max_total_elements, limits.max_element_bytes)
+    if data_len > ABSOLUTE_MAX_WIRE_BYTES:
+        raise BriefcaseTooLargeError(
+            f"wire buffer is {data_len} bytes (absolute backstop "
+            f"{ABSOLUTE_MAX_WIRE_BYTES})")
     body = max(0, data_len - _HEADER_BYTES)
     return (body // _MIN_FOLDER_BYTES,
             body // _MIN_ELEMENT_BYTES,
@@ -202,18 +226,19 @@ def decode(data: Buffer,
     a window into a larger receive buffer); integer fields are read in
     place and only element payloads are copied out.
     """
-    data_len = len(data)
-    if limits is not None:
-        if limits.max_encoded_bytes is not None and \
-                data_len > limits.max_encoded_bytes:
-            raise BriefcaseTooLargeError(
-                f"wire buffer is {data_len} bytes "
-                f"(limit {limits.max_encoded_bytes})")
-    elif data_len > ABSOLUTE_MAX_WIRE_BYTES:
-        raise BriefcaseTooLargeError(
-            f"wire buffer is {data_len} bytes (absolute backstop "
-            f"{ABSOLUTE_MAX_WIRE_BYTES})")
-    return _decode_fast(data, _decode_caps(data_len, limits))
+    return _decode_fast(data, _decode_caps(len(data), limits),
+                        _NOTHING_RESERVED)[0]
+
+
+def decode_arrival(data: Buffer,
+                   limits: Optional[WireLimits] = DEFAULT_WIRE_LIMITS
+                   ) -> Tuple[Briefcase, WireOnly]:
+    """:func:`decode` for a briefcase arriving on the raw wire: the
+    folders of :data:`~repro.core.wellknown.WIRE_ONLY_FOLDERS` are split
+    off while parsing.  Returns the briefcase without them and their
+    element lists by name (only the ones present)."""
+    return _decode_fast(data, _decode_caps(len(data), limits),
+                        WIRE_ONLY_FOLDERS)
 
 
 def _truncated(wanted: int, pos: int, total: int) -> MalformedBriefcaseError:
@@ -222,8 +247,9 @@ def _truncated(wanted: int, pos: int, total: int) -> MalformedBriefcaseError:
         f"buffer has {total}")
 
 
-def _decode_fast(data: Buffer,
-                 caps: Tuple[int, int, int, int]) -> Briefcase:
+def _decode_fast(data: Buffer, caps: Tuple[int, int, int, int],
+                 reserved: AbstractSet[str]
+                 ) -> Tuple[Briefcase, WireOnly]:
     """Allocation-lean decoder: integer fields are unpacked in place.
 
     Validation order and every raised error match the reference cursor
@@ -231,7 +257,9 @@ def _decode_fast(data: Buffer,
     mechanical — ``unpack_from`` at an offset instead of
     slice-then-unpack, and folders assembled directly (the decoder
     produces exact ``bytes`` payloads and validated names by
-    construction).
+    construction).  A folder named in ``reserved`` is parsed and
+    validated the same way, but its element list goes into the second
+    result instead of a ``Folder`` on the briefcase.
     """
     max_folders, max_per_folder, max_total, max_element = caps
     n = len(data)
@@ -265,8 +293,11 @@ def _decode_fast(data: Buffer,
     # A slice of exact ``bytes`` is already an element's payload; any
     # other buffer is copied out once.
     exact_bytes = type(data) is bytes
+    wire_only: WireOnly = {}
+    stripped_bytes = 0
     total_elements = 0
     for _ in range(folder_count):
+        start = pos
         end = pos + 2
         if end > n:
             raise _truncated(2, pos, n)
@@ -283,7 +314,7 @@ def _decode_fast(data: Buffer,
         pos = end
         if not name:
             raise MalformedBriefcaseError("empty folder name on the wire")
-        if name in folders:
+        if name in folders or name in wire_only:
             raise MalformedBriefcaseError(
                 f"duplicate folder {name!r} on the wire")
         end = pos + 4
@@ -316,7 +347,11 @@ def _decode_fast(data: Buffer,
                     f"exceeds the {n - pos} bytes left")
             append(data[pos:end] if exact_bytes else bytes(data[pos:end]))
             pos = end
-        folder = Folder.__new__(Folder)
+        if name in reserved:
+            wire_only[name] = elements
+            stripped_bytes += pos - start
+            continue
+        folder = _new_folder(Folder)
         folder.name = name
         folder._elements = elements
         folder._version = 0
@@ -328,6 +363,13 @@ def _decode_fast(data: Buffer,
     if exact_bytes:
         # The format is canonical: this exact buffer is what encode()
         # would produce, so it seeds the briefcase's encoding cache and
-        # the next hop's admission/transfer/accounting reuse it.
-        briefcase._wire_cache_store(data, n)
-    return briefcase
+        # the next hop's admission/transfer/accounting reuse it.  The
+        # buffer still holds any folder split off, so then only the
+        # size is known.
+        briefcase._wire_stamp = cell[0]
+        if wire_only:
+            briefcase._wire_size = n - stripped_bytes
+        else:
+            briefcase._wire_bytes = data
+            briefcase._wire_size = n
+    return briefcase, wire_only

@@ -71,15 +71,17 @@ RETRY = "RETRY-POLICY"
 
 #: Reserved system folder: the W3C-traceparent-style causal trace
 #: context (see :mod:`repro.obs.propagation`).  It exists only on the
-#: raw wire — firewalls strip it into the message envelope on receipt,
-#: and it is never present while a briefcase is resident on a host.
+#: raw wire — the firewall's decoder strips it into the message envelope
+#: on receipt, and it is never present while a briefcase is resident on
+#: a host.
 TRACE_CONTEXT = "TRACE-CONTEXT"
 
 #: Reserved system folder: the per-sender monotonic sequence number
 #: behind firewall-level duplicate suppression (see
 #: :mod:`repro.firewall.dedup`).  Like TRACE-CONTEXT it exists only on
 #: the raw wire — in-simulation the sequence rides the Message envelope
-#: at zero wire bytes, and ``receive_wire`` always strips the folder.
+#: at zero wire bytes, and ``receive_wire``'s decoder always strips the
+#: folder.
 DELIVERY_SEQ = "DELIVERY-SEQ"
 
 #: Reserved system folder: the unique landing id a ``go``/``spawn``
@@ -93,7 +95,11 @@ LANDING_ID = "LANDING-ID"
 #: rear guard can tell a relaunched agent from an orphaned twin.
 INCARNATION = "INCARNATION"
 
+#: The reserved folders that exist only on the raw wire: the codec
+#: splits them off an arriving briefcase while decoding it
+#: (``codec.decode_arrival``), so no resident briefcase carries one.
+WIRE_ONLY_FOLDERS = frozenset({TRACE_CONTEXT, DELIVERY_SEQ, LANDING_ID})
+
 SYSTEM_FOLDERS = frozenset({
     CODE, CODE_KIND, SIGNATURE, PRINCIPAL, AGENT_NAME, WRAPPERS,
-    TRACE_CONTEXT, DELIVERY_SEQ, LANDING_ID,
-})
+}) | WIRE_ONLY_FOLDERS

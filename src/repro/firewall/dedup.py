@@ -23,7 +23,8 @@ Like the trace context, the sequence number and landing id ride the
 wire bytes — telemetry-off runs stay byte-identical) and travel in the
 reserved wire-only folders :data:`~repro.core.wellknown.DELIVERY_SEQ` /
 :data:`~repro.core.wellknown.LANDING_ID` on the raw-bytes path, which
-``Firewall.receive_wire`` always strips.
+``Firewall.receive_wire``'s decoder always strips (:func:`parse_seq`
+reads the stamp back).
 
 Both structures are deliberately *not* reset by host crash: the firewall
 object survives a :meth:`~repro.firewall.firewall.Firewall.crash`, so a
@@ -395,14 +396,14 @@ def inject_seq(briefcase, seq_src: Optional[str],
     briefcase.put(wellknown.DELIVERY_SEQ, f"{seq} {seq_src}")
 
 
-def extract_seq(briefcase) -> Tuple[Optional[str], Optional[int]]:
-    """Pop the sequence folder off a just-decoded briefcase.
+def parse_seq(text: Optional[str]) -> Tuple[Optional[str], Optional[int]]:
+    """The ``(sender, sequence)`` stamp :func:`inject_seq` wrote, read
+    from the text of a stripped sequence folder.
 
-    Always strips the folder when present; malformed contents (a hostile
-    wire peer, or a corruption in flight into non-UTF8) are treated as
-    "no stamp" rather than crashing.
+    Malformed contents (a hostile wire peer, or a corruption in flight
+    into non-UTF8, which arrives as None) are treated as "no stamp"
+    rather than crashing.
     """
-    text = briefcase.pop_text(wellknown.DELIVERY_SEQ)
     if not text:
         return None, None
     parts = text.split(" ", 1)
@@ -420,7 +421,3 @@ def inject_landing(briefcase, landing_id: Optional[str]) -> None:
         return
     briefcase.drop(wellknown.LANDING_ID)
     briefcase.put(wellknown.LANDING_ID, landing_id)
-
-
-def extract_landing(briefcase) -> Optional[str]:
-    return briefcase.pop_text(wellknown.LANDING_ID) or None

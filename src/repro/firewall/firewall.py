@@ -25,10 +25,10 @@ send path (governor admission in :meth:`Firewall._forward_remote`, the
 wire charge, telemetry's ``agent.bytes_out``) and on local dispatch all
 resolve against the briefcase's cached encoding (see
 :mod:`repro.core.codec`), so one briefcase is encoded at most once per
-mutation instead of once per accounting site; ``receive_wire`` seeds the
-cache with the decoded buffer, the cached size follows the strip of the
-wire-only folders (``Briefcase.pop_text`` subtracts what it removes),
-and ``snapshot_for_transport`` propagates the cache across the hop.
+mutation instead of once per accounting site; ``receive_wire``'s decode
+seeds the cached size (the wire-only folders it splits off already
+subtracted), and ``snapshot_for_transport`` propagates the cache across
+the hop.
 
 A remote send builds one envelope for the receiver:
 ``snapshot_for_transport`` copies the sender's (whose retry loop keeps
@@ -61,11 +61,10 @@ from repro.firewall.auth import (Signature, TrustStore,
                                  request_signing_bytes)
 from repro.firewall.changes import ChangeStream
 from repro.firewall.dedup import (
-    extract_landing,
-    extract_seq,
     inject_landing,
     inject_seq,
     install_delivery_state,
+    parse_seq,
 )
 from repro.firewall.governor import Governor
 from repro.firewall.message import (
@@ -79,6 +78,7 @@ from repro.firewall.message import (
 from repro.firewall.msgqueue import PendingQueue
 from repro.firewall.policy import Policy, open_policy
 from repro.obs import propagation
+from repro.obs.propagation import TraceContext
 from repro.firewall.routing import Registration, Registry
 from repro.sim.eventloop import Kernel
 from repro.sim.host import SimHost
@@ -94,6 +94,15 @@ QUARANTINE_LIMIT = 100
 #: Bucket bounds (bytes) for the admission-decision size histogram.
 ADMISSION_BYTE_BUCKETS = (
     256, 1024, 4096, 16384, 65536, 262144, 1048576)
+
+
+def _first_text(elements: List[bytes]) -> Optional[str]:
+    """The first element of a stripped wire-only folder as text; None
+    when it is not UTF-8 (a hostile peer must not crash the firewall)."""
+    try:
+        return elements[0].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
 
 
 class FirewallDirectory:
@@ -483,19 +492,27 @@ class Firewall:
         """
         limits = self.governor.config.wire_limits or DEFAULT_WIRE_LIMITS
         try:
-            briefcase = codec.decode(data, limits=limits)
+            # The reserved TRACE-CONTEXT / DELIVERY-SEQ / LANDING-ID
+            # folders exist only on the raw wire: the decoder splits them
+            # off (whether or not telemetry is on) so resident briefcases
+            # never carry transport state across the next hop.
+            briefcase, wire_only = codec.decode_arrival(data, limits)
         except CodecError as exc:
             self._quarantine_poison(len(data), sender, exc)
             return False
-        # The reserved TRACE-CONTEXT / DELIVERY-SEQ / LANDING-ID folders
-        # exist only on the raw wire: strip them here (whether or not
-        # telemetry is on) so resident briefcases never carry transport
-        # state across the next hop.
-        trace = propagation.extract(briefcase)
-        if not self.kernel.telemetry.enabled:
-            trace = None
-        seq_src, seq = extract_seq(briefcase)
-        landing_id = extract_landing(briefcase)
+        trace = seq_src = seq = landing_id = None
+        if wire_only:
+            elements = wire_only.get(wellknown.TRACE_CONTEXT)
+            if elements and self.kernel.telemetry.enabled:
+                header = _first_text(elements)
+                if header is not None:
+                    trace = TraceContext.from_header(header)
+            elements = wire_only.get(wellknown.DELIVERY_SEQ)
+            if elements:
+                seq_src, seq = parse_seq(_first_text(elements))
+            elements = wire_only.get(wellknown.LANDING_ID)
+            if elements:
+                landing_id = _first_text(elements) or None
         return self.receive_remote(Message(
             target=target, briefcase=briefcase, sender=sender,
             queue_timeout=queue_timeout, priority=priority, trace=trace,

@@ -19,8 +19,10 @@ Two carriers, one context:
   from outside the simulated world), the context travels in the reserved
   system folder :data:`~repro.core.wellknown.TRACE_CONTEXT` as a single
   traceparent-style header line.  :func:`inject` writes it before
-  encoding; :func:`extract` pops it back onto the envelope after
-  decoding, so the folder never survives past the trust boundary.
+  encoding; the receiving firewall's decoder splits it off
+  (``codec.decode_arrival``) and :meth:`TraceContext.from_header` reads
+  it onto the envelope, so the folder never survives past the trust
+  boundary.
 
 Identifiers are allocated from a deterministic per-:class:`~repro.obs.
 telemetry.Telemetry` counter (never wall-clock or entropy — DET002):
@@ -127,20 +129,6 @@ def inject(briefcase, context: Optional[TraceContext]) -> None:
         return
     briefcase.drop(wellknown.TRACE_CONTEXT)
     briefcase.put(wellknown.TRACE_CONTEXT, context.to_header())
-
-
-def extract(briefcase) -> Optional[TraceContext]:
-    """Pop the trace folder off a just-decoded briefcase.
-
-    Returns the parsed context (None when absent or malformed, including
-    corrupted in flight into non-UTF8).  The folder is *always* stripped
-    when present — resident briefcases never carry it, so telemetry
-    state cannot leak into agent-visible wire bytes on the next hop.
-    """
-    header = briefcase.pop_text(wellknown.TRACE_CONTEXT)
-    if header is None:
-        return None
-    return TraceContext.from_header(header)
 
 
 # -- span annotation helpers -----------------------------------------------

@@ -5,6 +5,11 @@ The simplest useful wrapper — and the paper's Figure-5 diagram shows a
 receive without altering them, keeping counters and (optionally) a trace
 folder inside the agent's own briefcase so the log travels with the
 agent and comes home in the final report.
+
+The counters are per residency: each host rebuilds the wrapper stack
+from the carried specs, so they start at zero on every landing.  The
+trace folder is what travels — its ``hop`` record is written on
+departure, before the transport snapshot is taken.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ dedup/tracing protocol on the next hop.
 
 
 def stamp_trace(briefcase, header):
-    # finding: WIRE001 — no path from here to extract()
+    # finding: WIRE001 — no path from here to a strip site
     briefcase.put("TRACE-CONTEXT", header)
 
 

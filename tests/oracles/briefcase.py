@@ -84,15 +84,6 @@ class RefBriefcase:
             del self.folders[name]
         return dropped
 
-    def pop_text(self, name: str) -> Optional[str]:
-        folder = self.folders.pop(name, None)
-        if folder is None or not folder.elements:
-            return None
-        try:
-            return folder.elements[0].decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-
     def put(self, name: str, value: Any) -> None:
         self.folder(name).elements = [payload(value)]
 

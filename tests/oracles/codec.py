@@ -7,17 +7,23 @@ decoder, moved here unchanged from ``repro.core.codec``.
 door (the buffer-size checks and the resolved caps), so product and
 oracle differ only in the parser; :func:`differential_decode` is the
 comparison every decoder test goes through.
+
+:func:`reference_arrival` is ``codec.decode_arrival`` as it used to be
+done: the whole briefcase decoded, then each wire-only folder popped
+off it again.
 """
 
 import struct
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
-from repro.core import codec
+from repro.core import codec, wellknown
 from repro.core.briefcase import Briefcase
 from repro.core.codec import MAGIC, VERSION, Buffer
 from repro.core.errors import CodecError, MalformedBriefcaseError
 from repro.core.limits import DEFAULT_WIRE_LIMITS, WireLimits
+from repro.core.wellknown import WIRE_ONLY_FOLDERS
+from repro.obs.propagation import TraceContext
 
 # The oracle reads the format's integers with its own structs, not the
 # product's.
@@ -125,8 +131,26 @@ def reference_decode(data: Buffer,
                      ) -> Briefcase:
     """``codec.decode(data, limits)`` with the reference parser behind
     the product's front-door limit checks."""
-    with mock.patch.object(codec, "_decode_fast", _decode_reference):
+    def parse(data, caps, reserved):
+        assert not reserved
+        return _decode_reference(data, caps), {}
+
+    with mock.patch.object(codec, "_decode_fast", parse):
         return codec.decode(data, limits)
+
+
+def reference_arrival(data: Buffer,
+                      limits: Optional[WireLimits] = DEFAULT_WIRE_LIMITS
+                      ) -> Tuple[Briefcase, Dict[str, List[bytes]]]:
+    """:func:`reference_decode`, then every reserved wire-only folder
+    present dropped off the briefcase, its element list kept."""
+    briefcase = reference_decode(data, limits)
+    wire_only = {}
+    for name in sorted(WIRE_ONLY_FOLDERS):
+        if briefcase.has(name):
+            wire_only[name] = briefcase.to_dict()[name]
+            briefcase.drop(name)
+    return briefcase, wire_only
 
 
 def _outcome(decode, data: Buffer,
@@ -148,6 +172,61 @@ def differential_decode(data: Buffer,
     assert product == oracle, (
         f"decoders disagree on {bytes(data)!r}: {product} != {oracle}")
     return product
+
+
+def differential_arrival(data: Buffer,
+                         limits: Optional[WireLimits] = DEFAULT_WIRE_LIMITS
+                         ) -> tuple:
+    """``codec.decode_arrival`` against :func:`reference_arrival`: the
+    same briefcase and split-off element lists, or the same error type
+    and message.  A briefcase decoded from ``bytes`` must also know its
+    exact wire size (the seeded size less what was split off).  Returns
+    ``("ok", briefcase, wire_only)`` or ``("err", type, message)``."""
+    product = _outcome(codec.decode_arrival, data, limits)
+    oracle = _outcome(reference_arrival, data, limits)
+    assert product == oracle, (
+        f"arrival decoders disagree on {bytes(data)!r}: "
+        f"{product} != {oracle}")
+    if product[0] == "err":
+        return product
+    briefcase, wire_only = product[1]
+    fresh = Briefcase.from_dict(briefcase.to_dict())
+    size = briefcase._wire_cached_size()
+    if type(data) is bytes:
+        assert size == codec.encoded_size(fresh)
+    else:
+        assert size is None
+    return ("ok", briefcase, wire_only)
+
+
+def reference_wire_values(briefcase: Briefcase) -> tuple:
+    """What the receive path read off a fully decoded briefcase before
+    the decoder stripped: ``(trace, seq_src, seq, landing_id)``, each
+    wire-only folder popped and its first element taken as text (None
+    when absent, empty or not UTF-8)."""
+    def pop_text(name):
+        if not briefcase.has(name):
+            return None
+        elements = briefcase.to_dict()[name]
+        briefcase.drop(name)
+        try:
+            return elements[0].decode("utf-8") if elements else None
+        except UnicodeDecodeError:
+            return None
+
+    header = pop_text(wellknown.TRACE_CONTEXT)
+    trace = TraceContext.from_header(header) if header is not None \
+        else None
+    seq_src = seq = None
+    text = pop_text(wellknown.DELIVERY_SEQ)
+    parts = text.split(" ", 1) if text else []
+    if len(parts) == 2 and parts[1]:
+        try:
+            seq_src, seq = parts[1], int(parts[0])
+        except ValueError:
+            pass
+    landing_id = pop_text(wellknown.LANDING_ID) or None
+    return trace, seq_src, seq, landing_id
 
 
 def make_codec_workload(folders: int = 48, elements: int = 48,

@@ -172,8 +172,8 @@ def test_wire001_reserved_folder_write_without_strip_path():
     assert [(f.rule, f.line) for f in findings] == [("WIRE001", 12)]
     finding = findings[0]
     assert "TRACE-CONTEXT" in finding.message
-    # inject/extract in repro.obs.propagation is the sanctioned pairing
-    # and produces nothing; the mailer's stray write does.
+    # inject/from_header in repro.obs.propagation is the sanctioned
+    # pairing and produces nothing; the mailer's stray write does.
     assert finding.path.endswith("repro/mailer.py")
     assert witness_functions(finding) == [
         "repro.mailer.send_with_trace", "repro.mailer.stamp_trace"]

@@ -150,11 +150,6 @@ class CopyOnWriteMachine(RuleBasedStateMachine):
         assert product.drop_all_except(keep) == \
             reference.drop_all_except(keep)
 
-    @rule(pick=picks, name=names)
-    def pop_text(self, pick, name):
-        product, reference = self.case(pick)
-        assert product.pop_text(name) == reference.pop_text(name)
-
     @rule(pick=picks, name=names, value=values)
     def put(self, pick, name, value):
         for briefcase in self.case(pick):
@@ -225,7 +220,7 @@ class TestSharing:
     def test_a_borrower_that_only_drops_copies_nothing(self):
         original = Briefcase({"A": [b"a"], "B": [b"b"]})
         copy = original.snapshot()
-        assert copy.pop_text("A") == "a" and copy.drop("B")
+        assert copy.drop("A") and copy.drop("B")
         assert copy._lender is original._cell
         assert original.to_dict() == {"A": [b"a"], "B": [b"b"]}
 
@@ -244,8 +239,7 @@ class TestSharing:
         assert copy.to_dict() == {"A": [b"a"]}
         assert original.to_dict() == {"A": [b"a", b"after"]}
 
-    @pytest.mark.parametrize("leave", ["drop", "drop_all_except",
-                                       "pop_text"])
+    @pytest.mark.parametrize("leave", ["drop", "drop_all_except"])
     def test_a_handle_that_left_the_lender_cannot_write_into_a_snapshot(
             self, leave):
         """The folder leaves the lender with the handle, not the
@@ -256,10 +250,8 @@ class TestSharing:
         copy = original.snapshot()
         if leave == "drop":
             original.drop("A")
-        elif leave == "drop_all_except":
-            original.drop_all_except(["B"])
         else:
-            assert original.pop_text("A") == "a"
+            original.drop_all_except(["B"])
         handle.push(b"loose")
         assert copy.to_dict() == {"A": [b"a"], "B": [b"b"]}
 

@@ -15,12 +15,17 @@ import struct
 
 import pytest
 
-from repro.core import codec
+from repro.core import codec, wellknown
 from repro.core.briefcase import Briefcase
 from repro.core.errors import CodecError, MalformedBriefcaseError
 from repro.core.limits import WireLimits
 from repro.sim.rng import RandomStream
-from tests.oracles.codec import differential_decode
+from tests.oracles.codec import (
+    differential_arrival,
+    differential_decode,
+    reference_decode,
+    reference_wire_values,
+)
 
 #: Exceptions the decoder must never leak.
 FORBIDDEN = (IndexError, KeyError, struct.error, UnicodeDecodeError,
@@ -40,12 +45,28 @@ def random_briefcase(rng: RandomStream) -> Briefcase:
 def try_decode(data: bytes):
     """Decode; typed codec errors are fine, anything else is the bug —
     and so is the product decoder parting from the reference oracle
-    (a different briefcase, error type or message)."""
+    (a different briefcase, error type or message), plain or as an
+    arrival that strips the wire-only folders."""
     try:
         status, briefcase, *_ = differential_decode(data)
+        differential_arrival(data)
     except FORBIDDEN as exc:  # pragma: no cover - the failure we hunt
         pytest.fail(f"decode leaked {type(exc).__name__}: {exc}")
     return briefcase if status == "ok" else None
+
+
+def wire_image(folders) -> bytes:
+    """A wire image built by hand from ``(name, [payload, ...])`` pairs,
+    so that a name may repeat."""
+    parts = [codec.MAGIC, bytes([codec.VERSION]),
+             struct.pack(">I", len(folders))]
+    for name, elements in folders:
+        raw = name.encode("utf-8")
+        parts += [struct.pack(">H", len(raw)), raw,
+                  struct.pack(">I", len(elements))]
+        for element in elements:
+            parts += [struct.pack(">I", len(element)), element]
+    return b"".join(parts)
 
 
 class TestMutationFuzz:
@@ -97,6 +118,148 @@ class TestMutationFuzz:
         for _ in range(25):
             original = random_briefcase(rng)
             assert codec.decode(codec.encode(original)) == original
+
+
+RESERVED = sorted(wellknown.WIRE_ONLY_FOLDERS)
+
+#: Folders an arrival keeps, around which the wire-only ones are placed.
+PLAIN = [("ID", [b"f0001"]), ("PAYLOAD", [bytes(40), b"x"]),
+         ("EMPTY", [])]
+
+#: A well-formed text for each wire-only folder.
+WIRE_TEXTS = {
+    wellknown.TRACE_CONTEXT: b"00-t00000001-s00000002---01",
+    wellknown.DELIVERY_SEQ: b"7 peer.test",
+    wellknown.LANDING_ID: b"peer.test:1:7",
+}
+
+
+class TestArrivalStrip:
+    """``codec.decode_arrival`` against the reference decoder followed by
+    the pops it replaced: the same briefcase, the same split-off element
+    lists, the same error, and an exact cached size."""
+
+    def test_every_wire_only_folder_at_every_position(self):
+        for name in RESERVED:
+            for at in range(len(PLAIN) + 1):
+                folders = PLAIN[:at] + [(name, [WIRE_TEXTS[name]])] + \
+                    PLAIN[at:]
+                status, briefcase, wire_only = \
+                    differential_arrival(wire_image(folders))
+                assert wire_only == {name: [WIRE_TEXTS[name]]}
+                assert briefcase.names() == [n for n, _ in PLAIN]
+
+    def test_all_three_in_any_order_among_the_rest(self):
+        for shift in range(len(RESERVED)):
+            order = RESERVED[shift:] + RESERVED[:shift]
+            folders = list(PLAIN)
+            for step, name in enumerate(order):
+                folders.insert(2 * step, (name, [WIRE_TEXTS[name]]))
+            status, briefcase, wire_only = \
+                differential_arrival(wire_image(folders))
+            assert wire_only == {name: [WIRE_TEXTS[name]]
+                                 for name in RESERVED}
+
+    @pytest.mark.parametrize("name", RESERVED)
+    @pytest.mark.parametrize("elements", [[], [b"\xff\xfe"],
+                                          [b"", b"second"]],
+                             ids=["empty", "not-utf8", "empty-text"])
+    def test_odd_contents_are_split_off_as_they_are(self, name, elements):
+        folders = PLAIN + [(name, elements)]
+        status, briefcase, wire_only = \
+            differential_arrival(wire_image(folders))
+        assert wire_only == {name: elements}
+
+    @pytest.mark.parametrize("name", RESERVED)
+    def test_a_repeated_wire_only_folder_is_malformed(self, name):
+        folders = [(name, [WIRE_TEXTS[name]])] + PLAIN + \
+            [(name, [WIRE_TEXTS[name]])]
+        outcome = differential_arrival(wire_image(folders))
+        assert outcome == ("err", MalformedBriefcaseError,
+                           f"duplicate folder {name!r} on the wire")
+
+    def test_wire_only_folders_count_towards_every_cap(self):
+        folders = PLAIN + [(wellknown.DELIVERY_SEQ, [b"7 peer.test"] * 3)]
+        data = wire_image(folders)
+        for limits in (WireLimits(max_folders=3),
+                       WireLimits(max_elements_per_folder=2),
+                       WireLimits(max_total_elements=5),
+                       WireLimits(max_encoded_bytes=len(data) - 1)):
+            assert differential_arrival(data, limits)[0] == "err"
+
+    def test_memoryview_input(self):
+        data = wire_image(PLAIN[:1] + [(wellknown.LANDING_ID,
+                                        [b"peer.test:1:7"])] + PLAIN[1:])
+        padded = b"\x00" * 7 + data + b"\x00" * 5
+        for view in (memoryview(data),
+                     memoryview(padded)[7:7 + len(data)]):
+            status, briefcase, wire_only = differential_arrival(view)
+            assert wire_only == {wellknown.LANDING_ID: [b"peer.test:1:7"]}
+            assert all(type(element) is bytes
+                       for element in wire_only[wellknown.LANDING_ID])
+
+    def test_flips_and_cuts_around_wire_only_folders(self):
+        rng = RandomStream(48, name="fuzz/arrival")
+        wire = wire_image([(wellknown.TRACE_CONTEXT,
+                            [WIRE_TEXTS[wellknown.TRACE_CONTEXT]])] +
+                          PLAIN +
+                          [(wellknown.DELIVERY_SEQ,
+                            [WIRE_TEXTS[wellknown.DELIVERY_SEQ]]),
+                           (wellknown.LANDING_ID,
+                            [WIRE_TEXTS[wellknown.LANDING_ID]])])
+        for cut in range(len(wire)):
+            try_decode(wire[:cut])
+        for _ in range(200):
+            flipped = bytearray(wire)
+            flipped[rng.randint(0, len(wire) - 1)] ^= 1 << rng.randint(0, 7)
+            try_decode(bytes(flipped))
+
+
+class TestArrivalValues:
+    """What ``receive_wire`` puts on the envelope equals what the three
+    pops read off a fully decoded briefcase."""
+
+    CASES = [
+        {},
+        {wellknown.DELIVERY_SEQ: [b"12 peer.test"]},
+        {wellknown.DELIVERY_SEQ: [b"12"]},
+        {wellknown.DELIVERY_SEQ: [b"x peer.test"]},
+        {wellknown.DELIVERY_SEQ: [b"12 "]},
+        {wellknown.DELIVERY_SEQ: [b""]},
+        {wellknown.DELIVERY_SEQ: []},
+        {wellknown.DELIVERY_SEQ: [b"\xff 12"]},
+        {wellknown.LANDING_ID: [b"h:1:7"]},
+        {wellknown.LANDING_ID: [b""]},
+        {wellknown.LANDING_ID: [b"\xfe"]},
+        {wellknown.TRACE_CONTEXT: [WIRE_TEXTS[wellknown.TRACE_CONTEXT]]},
+        {wellknown.TRACE_CONTEXT: [b"not-a-header"]},
+        {wellknown.TRACE_CONTEXT: [b"\xff"]},
+        {wellknown.TRACE_CONTEXT: []},
+        dict((name, [WIRE_TEXTS[name]]) for name in RESERVED),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: "+".join(
+        f"{name}={elements!r}" for name, elements in case.items()) or
+        "none")
+    def test_the_envelope_carries_what_the_pops_read(self, case):
+        from repro.firewall.message import SenderInfo
+        from repro.obs.telemetry import Telemetry
+        from repro.system.cluster import TaxCluster
+        data = wire_image(PLAIN + list(case.items()))
+        cluster = TaxCluster(telemetry=Telemetry(enabled=True))
+        firewall = cluster.add_node("solo.test").firewall
+        seen = []
+        registration = firewall.register_agent(
+            name="probe", principal="system", vm_name="vm_python",
+            deliver_fn=lambda message: (seen.append(message), True)[1])
+        target = firewall.uri_for(registration).local()
+        assert firewall.receive_wire(data, target, SenderInfo(
+            principal="peer", host="peer.test")) is True
+        message, = seen
+        reference = reference_decode(data)
+        assert (message.trace, message.seq_src, message.seq,
+                message.landing_id) == reference_wire_values(reference)
+        assert message.briefcase == reference
 
 
 class TestHostileAllocations:

@@ -180,6 +180,27 @@ class TestBriefcase:
         briefcase.append("L", "b")
         assert briefcase.get("L").texts() == ["a", "b"]
 
+    @pytest.mark.parametrize("write", ["append", "put"])
+    def test_a_refused_value_leaves_no_folder_behind(self, write):
+        briefcase = Briefcase({"A": ["a"]})
+        count = briefcase._cell[0]
+        with pytest.raises(BriefcaseError, match="cannot encode object"):
+            getattr(briefcase, write)("X", object())
+        assert briefcase.names() == ["A"]
+        assert briefcase._cell[0] == count
+        getattr(briefcase, write)("X", "x")
+        assert briefcase.names() == ["A", "X"]
+        assert briefcase._cell[0] == count + 2
+        assert briefcase.get("X")._version == 1
+
+    @pytest.mark.parametrize("write", ["append", "put"])
+    @pytest.mark.parametrize("name", ["", None, 7])
+    def test_a_new_folder_needs_a_name(self, write, name):
+        briefcase = Briefcase()
+        with pytest.raises(BriefcaseError, match="non-empty string"):
+            getattr(briefcase, write)(name, object())
+        assert briefcase.names() == [] and briefcase._cell[0] == 0
+
     def test_snapshot_isolated(self):
         briefcase = Briefcase({"F": ["a"]})
         snapshot = briefcase.snapshot()

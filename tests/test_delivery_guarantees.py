@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import codec
 from repro.core.briefcase import Briefcase
 from repro.core.errors import CommTimeoutError, LaunchRejected
 from repro.core.uri import AgentUri
@@ -16,10 +17,9 @@ from repro.core import wellknown
 from repro.firewall.dedup import (
     DedupWindow,
     LandingRegistry,
-    extract_landing,
-    extract_seq,
     inject_landing,
     inject_seq,
+    parse_seq,
 )
 from repro.obs.telemetry import Telemetry
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -265,25 +265,35 @@ class TestLandingRegistry:
 
 
 class TestWireFolders:
+    @staticmethod
+    def arrive(briefcase):
+        return codec.decode_arrival(codec.encode(briefcase))
+
     def test_seq_round_trip(self):
         briefcase = Briefcase()
         inject_seq(briefcase, "alpha.test", 42)
-        assert extract_seq(briefcase) == ("alpha.test", 42)
-        assert not briefcase.has(wellknown.DELIVERY_SEQ)
+        arrived, wire_only = self.arrive(briefcase)
+        text = wire_only[wellknown.DELIVERY_SEQ][0].decode()
+        assert parse_seq(text) == ("alpha.test", 42)
+        assert not arrived.has(wellknown.DELIVERY_SEQ)
 
     def test_malformed_seq_is_stripped_not_fatal(self):
         for hostile in ("", "notanumber host", "12", "12 "):
             briefcase = Briefcase()
             briefcase.put(wellknown.DELIVERY_SEQ, hostile)
-            assert extract_seq(briefcase) == (None, None)
-            assert not briefcase.has(wellknown.DELIVERY_SEQ)
+            arrived, wire_only = self.arrive(briefcase)
+            text = wire_only[wellknown.DELIVERY_SEQ][0].decode()
+            assert parse_seq(text) == (None, None)
+            assert not arrived.has(wellknown.DELIVERY_SEQ)
+        assert parse_seq(None) == (None, None)
 
     def test_landing_round_trip(self):
         briefcase = Briefcase()
         inject_landing(briefcase, "h:1:7")
-        assert extract_landing(briefcase) == "h:1:7"
-        assert not briefcase.has(wellknown.LANDING_ID)
-        assert extract_landing(briefcase) is None
+        arrived, wire_only = self.arrive(briefcase)
+        assert wire_only == {wellknown.LANDING_ID: [b"h:1:7"]}
+        assert not arrived.has(wellknown.LANDING_ID)
+        assert self.arrive(arrived)[1] == {}
 
 
 # -- fault injection regression ----------------------------------------------------

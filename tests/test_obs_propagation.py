@@ -101,22 +101,26 @@ class TestWireFolder:
         context = TraceIdAllocator().root()
         briefcase = Briefcase({"DATA": ["payload"]})
         propagation.inject(briefcase, context)
-        decoded = codec.decode(codec.encode(briefcase))
-        assert decoded.has(wellknown.TRACE_CONTEXT)
-        extracted = propagation.extract(decoded)
-        assert extracted == context
-        # Extraction strips the folder: it exists only on the wire.
+        wire = codec.encode(briefcase)
+        assert codec.decode(wire).has(wellknown.TRACE_CONTEXT)
+        decoded, wire_only = codec.decode_arrival(wire)
+        header, = wire_only[wellknown.TRACE_CONTEXT]
+        assert TraceContext.from_header(header.decode()) == context
+        # The arrival decoder strips the folder: it exists only on the
+        # wire.
         assert not decoded.has(wellknown.TRACE_CONTEXT)
         assert decoded.folder("DATA").texts() == ["payload"]
 
     def test_extract_without_folder_is_none(self):
-        assert propagation.extract(Briefcase()) is None
+        assert codec.decode_arrival(codec.encode(Briefcase()))[1] == {}
 
     def test_malformed_folder_is_stripped_and_ignored(self):
         briefcase = Briefcase()
         briefcase.put(wellknown.TRACE_CONTEXT, "not-a-header")
-        assert propagation.extract(briefcase) is None
-        assert not briefcase.has(wellknown.TRACE_CONTEXT)
+        decoded, wire_only = codec.decode_arrival(codec.encode(briefcase))
+        header, = wire_only[wellknown.TRACE_CONTEXT]
+        assert TraceContext.from_header(header.decode()) is None
+        assert not decoded.has(wellknown.TRACE_CONTEXT)
 
     def test_firewall_adopts_trace_from_raw_wire(self):
         cluster = metered_cluster("solo.test")

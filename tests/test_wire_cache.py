@@ -91,6 +91,14 @@ class WireCacheMachine(RuleBasedStateMachine):
         self.cases.append(
             codec.decode(memoryview(wire) if view else wire))
 
+    @precondition(lambda self: len(self.cases) < 6)
+    @rule(pick=picks)
+    def decode_arrival(self, pick):
+        """The firewall's decode: DELIVERY-SEQ is split off, and the
+        seeded size must still be exact."""
+        arrived, _ = codec.decode_arrival(codec.encode(self.case(pick)))
+        self.cases.append(arrived)
+
     # -- briefcase mutators ---------------------------------------------
 
     @rule(pick=picks, name=names)

@@ -8,6 +8,7 @@ from repro.core.briefcase import Briefcase
 from repro.core.errors import TaxError
 from repro.core import wellknown
 from repro.core.uri import AgentUri
+from repro.agent import api
 from repro.agent.objagent import ObjectAgent, launch_briefcase
 from repro.firewall.message import Message, SenderInfo
 from repro.vm import loader
@@ -15,7 +16,7 @@ from repro.wrappers import mobility
 from repro.wrappers.base import AgentWrapper
 from repro.wrappers.groupcomm import GroupCommWrapper, group_send
 from repro.wrappers.location import LocationWrapper, resolve, send_via
-from repro.wrappers.logwrap import LoggingWrapper
+from repro.wrappers.logwrap import LOG_FOLDER, LoggingWrapper
 from repro.wrappers.monitor import MonitorLog, MonitorWrapper
 from repro.wrappers.stack import (
     WrapperSpec,
@@ -474,6 +475,45 @@ class TestLoggingWrapper:
         wrapper.on_depart(driver, AgentUri.parse("tacoma://x.test/vm"))
         assert wrapper.hops == 1
         assert not driver.briefcase.has("WRAPLOG")
+
+
+def hop_logging_agent(ctx, bc):
+    """Goes once to the VM named in NEXT, then sends its WRAPLOG home."""
+    stop = bc.get_text("NEXT")
+    if stop is not None:
+        bc.drop("NEXT")
+        yield from api.go(ctx, stop)
+    yield from ctx.send(bc.get_text("HOME"),
+                        Briefcase({"LOG": bc.folder(LOG_FOLDER).texts()}))
+    return "done"
+
+
+class TestLoggingWrapperTravels:
+    def test_the_hop_record_arrives_with_the_agent(self, pair_cluster):
+        """``on_depart`` writes before the transport snapshot is taken,
+        so the ``hop`` line is in the WRAPLOG the agent lands with."""
+        home = pair_cluster.node("alpha.test").driver(name="home")
+        destination = str(pair_cluster.vm_uri("beta.test"))
+        briefcase = Briefcase()
+        loader.install_payload(briefcase,
+                               loader.pack_ref(hop_logging_agent),
+                               agent_name="hopper")
+        briefcase.put("HOME", str(home.uri))
+        briefcase.put("NEXT", destination)
+        install_wrappers(briefcase, [
+            WrapperSpec.by_ref(LoggingWrapper, {"trace": True})])
+
+        def scenario():
+            reply = yield from home.meet(
+                pair_cluster.vm_uri("alpha.test"), briefcase, timeout=60)
+            assert reply.get_text(wellknown.STATUS) == "ok", \
+                reply.get_text(wellknown.ERROR)
+            message = yield from home.recv(timeout=60)
+            return message.briefcase.folder("LOG").texts()
+        records = [json.loads(line) for line in pair_cluster.run(scenario())]
+        hops = [record for record in records if record["dir"] == "hop"]
+        assert len(hops) == 1
+        assert AgentUri.parse(hops[0]["to"]).host == "beta.test"
 
 
 class TestLocation:
