@@ -58,6 +58,15 @@ def sensor_agent(ctx, bc):
 
 def main():
     cluster = TaxCluster()
+    try:
+        tour(cluster)
+    finally:
+        # Ends every sensor here, while the world can still be torn
+        # down in order, not whenever the collector finds its cycles.
+        cluster.close()
+
+
+def tour(cluster):
     for host in HOSTS:
         cluster.add_node(host)
     for i, a in enumerate(HOSTS):

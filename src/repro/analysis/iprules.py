@@ -52,11 +52,20 @@ _CALLER_CONTEXT_HOPS = 3
 #: Strip sites for the reserved wire-only folders: the arrival decoder
 #: that splits ``TRACE-CONTEXT`` / ``DELIVERY-SEQ`` / ``LANDING-ID`` off
 #: before a briefcase reaches agent code, and the readers of the split-off
-#: texts — a module that reads a folder back may also write it.
+#: texts.
 WIRE_STRIP_ROOTS = (
     "repro.core.codec.decode_arrival",
     "repro.firewall.dedup.parse_seq",
     "repro.obs.propagation.TraceContext.from_header",
+)
+
+#: The writers paired with those readers: what a sending firewall stamps
+#: on the raw wire, the receiving one strips.  Only these may write a
+#: reserved folder without a path to a strip site.
+WIRE_WRITERS = (
+    "repro.firewall.dedup.inject_seq",
+    "repro.firewall.dedup.inject_landing",
+    "repro.obs.propagation.inject",
 )
 
 #: Modules the real-transport roadmap item calls transport-clean: the
@@ -545,8 +554,6 @@ class ReservedFolderRule(ProjectRule):
     def check(self, project: Project,
               flow: Dataflow) -> Iterator[Finding]:
         strippers = project.reaches(WIRE_STRIP_ROOTS, reverse=True)
-        stripper_modules = {project.functions[q].module
-                            for q in strippers}
         for qname in sorted(project.functions):
             function = project.functions[qname]
             if not function.reserved_writes:
@@ -554,8 +561,7 @@ class ReservedFolderRule(ProjectRule):
             module_facts = project.modules[function.module]
             if self.id in module_facts.file_suppressed:
                 continue
-            sanctioned = qname in strippers or \
-                function.module in stripper_modules
+            sanctioned = qname in strippers or qname in WIRE_WRITERS
             if not sanctioned:
                 forward = project.reaches([qname])
                 sanctioned = any(root in forward

@@ -46,10 +46,6 @@ class CrawlWorkload:
     requests_per_page: float = 1.0
     mean_path_bytes: int = 30
 
-    @property
-    def mean_page_bytes(self) -> float:
-        return self.total_page_bytes / max(self.pages, 1)
-
 
 @dataclass(frozen=True)
 class MachineParams:

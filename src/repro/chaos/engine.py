@@ -92,13 +92,3 @@ class ChaosEngine:
         self._count(event.kind)
         self.applied.append(record)
         return record
-
-    # -- reporting ------------------------------------------------------------------
-
-    def report(self) -> dict:
-        """What fired and what the injector rolled (JSON-friendly)."""
-        return {
-            "plan": self.plan.to_dict(),
-            "applied": list(self.applied),
-            "injector": self.injector.stats(),
-        }

@@ -250,8 +250,3 @@ class AgentUri:
         return True
 
 _parse_text = functools.lru_cache(maxsize=256)(AgentUri._parse)
-
-
-def parse(text: str) -> AgentUri:
-    """Module-level convenience alias for :meth:`AgentUri.parse`."""
-    return AgentUri.parse(text)

@@ -187,16 +187,16 @@ class Firewall:
         #: write, by ``(family name, *label values)`` — every family
         #: here has one set of label names, and the host label is fixed.
         self._series: Dict[tuple, object] = {}
-        self.stats = DeliveryStats()
+        self.stats = DeliveryStats(host.name)
+        # The registry reads the ``fw.*`` counters that mirror the
+        # tallies from the tallies themselves (never from the firewall).
+        kernel.telemetry.metrics.collectors.append(
+            (self.stats.FAMILIES, self.stats.mirrors))
         #: VM name → object implementing launch_agent(); set by the node.
         self.vms: Dict[str, object] = {}
         self.directory.add(self)
 
     # -- telemetry --------------------------------------------------------------------
-
-    @property
-    def telemetry(self):
-        return self.kernel.telemetry
 
     def _counter(self, name: str, **labels):
         """This host's series of counter ``name`` with ``labels``,
@@ -213,12 +213,11 @@ class Firewall:
                     host=self.host.name, **labels)
         return series
 
-    def _count(self, name: str, amount: float = 1, **labels) -> None:
+    def _count(self, name: str, **labels) -> None:
         """Increment a host-labelled counter (no-op when disabled)."""
         if self.kernel.telemetry.enabled:
             key = (name, *labels.values()) if labels else name
-            (self._series.get(key)
-             or self._counter(name, **labels)).inc(amount)
+            (self._series.get(key) or self._counter(name, **labels)).inc()
 
     def _flight(self, kind: str, **detail) -> None:
         """Append one event to this host's flight-recorder ring."""
@@ -227,10 +226,9 @@ class Firewall:
             telemetry.flight.record(self.host.name, kind, **detail)
 
     def _reject(self, reason: str, **detail) -> None:
-        """Record one refused forward: the tally, ``fw.rejected`` and a
-        ``rejected`` flight record carrying ``detail``."""
-        self.stats.rejected += 1
-        self._count("fw.rejected", reason=reason)
+        """Record one refused forward or policy refusal: the tally and
+        a ``rejected`` flight record carrying ``detail``."""
+        self.stats.rejections[reason] += 1
         self._flight("rejected", reason=reason, **detail)
 
     def _admission_bytes(self, decision: str):
@@ -248,12 +246,13 @@ class Firewall:
 
     def _admission_rejected(self, decision: str, wire_bytes: int,
                             message: Message, addressed: AgentUri) -> None:
-        """Record one rejected admission: the SLO histogram, the flight
-        recorder, and a trace-linked instant so the rejection shows up
-        in the sender's causal tree.  ``addressed`` is the target as
-        the sender wrote it, before local dispatch stripped its remote
-        part.  (:meth:`_dispatch_local` records an admitted message
-        itself.)"""
+        """Record one rejected admission: the tally (``decision`` is
+        the reason), the SLO histogram, the flight recorder, and a
+        trace-linked instant so the rejection shows up in the sender's
+        causal tree.  ``addressed`` is the target as the sender wrote
+        it, before local dispatch stripped its remote part.
+        (:meth:`_dispatch_local` records an admitted message itself.)"""
+        self.stats.rejections[decision] += 1
         telemetry = self.kernel.telemetry
         if not telemetry.enabled:
             return
@@ -269,7 +268,6 @@ class Firewall:
 
     def _on_expire(self, message: Message) -> None:
         self.stats.expired += 1
-        self._count("fw.queue_expired")
 
     # -- registration (called by VMs) --------------------------------------------------
 
@@ -316,24 +314,16 @@ class Firewall:
         delivery that is refused or raises is a wrapper drop, as on the
         live path, and the rest still go.
         """
-        telemetry = self.kernel.telemetry
         for message in self.pending.claim(
                 lambda target: self._pending_match(registration, target)):
             try:
                 delivered = registration.deliver(message)
             except TaxError:
                 delivered = False
-            if not delivered:
-                self._dropped_by_wrapper()
-                continue
-            self.stats.delivered += 1
-            if telemetry.enabled:
-                (self._series.get("fw.queue_flushed")
-                 or self._counter("fw.queue_flushed")).inc()
-
-    def _dropped_by_wrapper(self, count: int = 1) -> None:
-        self.stats.dropped_by_wrapper += count
-        self._count("fw.dropped_by_wrapper", count)
+            if delivered:
+                self.stats.delivered_flushed += 1
+            else:
+                self.stats.dropped_by_wrapper += 1
 
     def _pending_match(self, registration: Registration,
                        target: AgentUri) -> bool:
@@ -520,7 +510,7 @@ class Firewall:
 
     def _quarantine_poison(self, nbytes: int, sender: SenderInfo,
                            exc: CodecError) -> None:
-        self.stats.rejected += 1
+        self.stats.rejections["poison"] += 1
         self._count("fw.poison_quarantined", kind=type(exc).__name__)
         self.quarantine.append({
             "at": self.kernel.now,
@@ -549,15 +539,13 @@ class Firewall:
                 # Already processed: acknowledge (True) without
                 # re-delivering, so the sender's retry loop settles.
                 self.stats.duplicates += 1
-                self._count("fw.dedup", outcome="duplicate")
                 self._flight("dedup-duplicate", src=message.seq_src,
                              seq=message.seq)
                 return True
             if verdict == "reject":
                 # Below the window: freshness can no longer be proven,
                 # and never-double-deliver wins over at-least-once.
-                self.stats.rejected += 1
-                self._count("fw.dedup", outcome="reject")
+                self.stats.rejections["dedup"] += 1
                 self._flight("dedup-reject", src=message.seq_src,
                              seq=message.seq)
                 return False
@@ -568,7 +556,7 @@ class Firewall:
             # A refused signature (untrusted, or unreadable: a bad
             # principal, non-UTF-8 text) leaves the sequence unclaimed,
             # so the genuine retry is fresh traffic.
-            self.stats.rejected += 1
+            self.stats.rejections["auth"] += 1
             self._count("fw.auth", outcome="rejected")
             if tracked:
                 self.dedup.forget(message.seq_src, message.seq)
@@ -648,13 +636,10 @@ class Firewall:
                     message.sender.principal, wire_bytes,
                     pending=self.pending)
             except QuotaExceededError:
-                self.stats.rejected += 1
                 self._admission_rejected("quota", wire_bytes, message,
                                          addressed)
                 raise
             except BriefcaseTooLargeError:
-                self.stats.rejected += 1
-                self._count("fw.rejected", reason="oversized")
                 self._admission_rejected("oversized", wire_bytes, message,
                                          addressed)
                 raise
@@ -675,47 +660,35 @@ class Firewall:
                                       retransmits=retransmits,
                                       wire_bytes=wire_bytes)
                 except QueueFullError:
-                    self.stats.rejected += 1
-                    self._count("fw.rejected", reason="queue-full")
                     self._admission_rejected("queue-full", wire_bytes,
                                              message, addressed)
                     raise
                 self.stats.queued += 1
-                if telemetry.enabled:
-                    (self._series.get("fw.messages_queued")
-                     or self._counter("fw.messages_queued")).inc()
                 return True
-            self.stats.rejected += 1
-            self._count("fw.rejected", reason="absent")
+            self.stats.rejections["absent"] += 1
             return False
         if telemetry.enabled:
             (self._series.get("fw.routing_resolved")
              or self._counter("fw.routing_resolved")).inc()
         if not self.policy.can_send(message.sender, registration):
-            self.stats.rejected += 1
-            self._count("fw.policy_rejected")
-            self._flight("rejected", reason="policy",
-                         principal=message.sender.principal,
+            self._reject("policy", principal=message.sender.principal,
                          target=str(registration.agent_id))
             raise AccessDeniedError(
                 f"{message.sender.principal!r} may not send to "
                 f"{registration.agent_id}")
         delivered = registration.deliver(message)
         if delivered:
-            self.stats.delivered += 1
+            self.stats.delivered_live += 1
             if telemetry.enabled:
-                held = self._series
-                (held.get("fw.delivered")
-                 or self._counter("fw.delivered")).inc()
                 name = registration.agent_id.name
                 key = ("agent.messages_in", name)
-                series = held.get(key)
+                series = self._series.get(key)
                 if series is None:
-                    series = held[key] = telemetry.metrics.counter(
+                    series = self._series[key] = telemetry.metrics.counter(
                         "agent.messages_in").labels(agent=name)
                 series.inc()
         else:
-            self._dropped_by_wrapper()
+            self.stats.dropped_by_wrapper += 1
         return delivered
 
     # -- crash / restart (driven by the node) -------------------------------------------------
@@ -813,10 +786,12 @@ class Firewall:
     def stats_dict(self) -> dict:
         """Firewall-level stat: delivery counters, queue, dead letters,
         governor admission state, and the poison quarantine."""
-        from dataclasses import asdict
         return {
             "host": self.host.name,
-            "delivery": asdict(self.stats),
+            "delivery": {name: getattr(self.stats, name) for name in (
+                "delivered", "queued", "expired", "rejected",
+                "forwarded_remote", "received_remote", "dropped_by_wrapper",
+                "duplicates")},
             "queued_now": len(self.pending),
             "queue": self.pending.accounting(),
             "dead_letters": self.pending.dead_letter_records(),
@@ -869,7 +844,5 @@ class Firewall:
         registration = self.registry.by_instance(instance)
         if registration is None:
             return False
-        failed = registration.resume()
-        if failed:
-            self._dropped_by_wrapper(failed)
+        self.stats.dropped_by_wrapper += registration.resume()
         return True

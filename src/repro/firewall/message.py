@@ -9,9 +9,10 @@ it may wait in a queue for an absent receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import DefaultDict, Dict, Optional
 
 from repro.core.briefcase import Briefcase
 from repro.core.uri import AgentUri
@@ -95,15 +96,61 @@ class Message:
 
 @dataclass
 class DeliveryStats:
-    """Firewall-level counters."""
+    """Firewall ``host``'s counters: the store the ``fw.*`` counters of
+    :meth:`mirrors` are read from (nothing writes them)."""
 
-    delivered: int = 0
+    #: ``(fw.* counter, labels beside the host)`` → the tally it mirrors.
+    MIRRORS = {("fw.delivered", ()): "delivered_live",
+               ("fw.queue_flushed", ()): "delivered_flushed",
+               ("fw.messages_queued", ()): "queued",
+               ("fw.queue_expired", ()): "expired",
+               ("fw.dropped_by_wrapper", ()): "dropped_by_wrapper",
+               ("fw.dedup", (("outcome", "duplicate"),)): "duplicates"}
+    #: The counter families :meth:`mirrors` feeds: those of
+    #: :attr:`MIRRORS`, and two that only refusals feed.
+    FAMILIES = (*(family for family, _ in MIRRORS), "fw.policy_rejected",
+                "fw.rejected")
+
+    host: str = ""
+    #: Deliveries to a registered agent as the message arrived.
+    delivered_live: int = 0
+    #: Parked messages delivered when their target registered.
+    delivered_flushed: int = 0
     queued: int = 0
     expired: int = 0
-    rejected: int = 0
     forwarded_remote: int = 0
     received_remote: int = 0
     dropped_by_wrapper: int = 0
     #: Remote arrivals suppressed by the dedup window (acked, not
     #: re-delivered).
     duplicates: int = 0
+    #: Refusal reason → count.
+    rejections: DefaultDict[str, int] = field(
+        default_factory=partial(defaultdict, int))
+
+    @property
+    def delivered(self) -> int:
+        return self.delivered_live + self.delivered_flushed
+
+    @property
+    def rejected(self) -> int:
+        return sum(self.rejections.values())
+
+    def mirrors(self) -> Dict[tuple, int]:
+        """``(family, label key)`` → tally for the ``fw.*`` counters
+        (a collector's ``read``)."""
+        key = (("host", self.host),)
+        mirrors = {(family, key + labels): getattr(self, tally)
+                   for (family, labels), tally in self.MIRRORS.items()}
+        for reason, count in self.rejections.items():
+            if reason == "policy":
+                mirrors["fw.policy_rejected", key] = count
+            elif reason == "dedup":
+                mirrors["fw.dedup", key + (("outcome", "reject"),)] = count
+            elif reason not in ("auth", "quota", "poison"):
+                # Those are counted by families whose labels no tally
+                # keeps (``fw.auth{outcome}``, ``fw.quota_rejected
+                # {principal}``, ``fw.poison_quarantined{kind}``),
+                # written where they happen.
+                mirrors["fw.rejected", key + (("reason", reason),)] = count
+        return mirrors

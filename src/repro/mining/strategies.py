@@ -79,12 +79,6 @@ class RunMetrics:
     def pages_scanned(self) -> int:
         return sum(report.get("pages_scanned", 0) for report in self.reports)
 
-    @property
-    def unreachable_hosts(self) -> List[str]:
-        """Hosts the itinerary could not reach (``go``-phase failures)."""
-        return sorted({f["host"] for f in self.failures
-                       if f.get("phase") == "go"})
-
     def summary_row(self) -> str:
         return (f"{self.strategy:<22} {self.elapsed_seconds:>10.3f}s "
                 f"{self.remote_bytes:>12,d}B "

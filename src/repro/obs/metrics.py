@@ -28,12 +28,20 @@ object, which holds its own value.  An owner whose labels never change
 (the kernel, a link, a firewall) resolves its series on first write and
 keeps it; a write through a held series is one attribute update.
 ``docs/observability.md`` ("What a sample costs") has the numbers.
+
+A counter that only mirrors a tally its owner keeps anyway (a
+firewall's ``DeliveryStats``, a link's ``LinkStats``) is not written
+beside it: the owner registers a collector
+(:attr:`MetricsRegistry.collectors`), and a read of the registry that
+needs those families first adds the tallies' growth to their series —
+the custom-collector pattern of the Prometheus clients.  Such a
+:class:`CollectedCounter` reports exactly what a written one would.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Histogram bucket upper bounds (seconds-oriented); +inf is implicit.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -334,6 +342,16 @@ class Gauge(Metric):
             self.labels(**labels).set_max(value)
 
 
+class CollectedCounter(Counter):
+    """A counter family its owners' tallies feed (see
+    :attr:`MetricsRegistry.collectors`): the registry adds their growth
+    to its series when it is read, and nothing writes it."""
+
+    def labels(self, **labels):
+        raise MetricError(
+            f"metric {self.name!r} is read from tallies, never written")
+
+
 class Histogram(Metric):
     """Distribution of observed values over fixed buckets."""
 
@@ -366,13 +384,23 @@ class MetricsRegistry:
 
     Families are created lazily (``counter()``/``gauge()``/
     ``histogram()`` are get-or-create) and the convenience recorders
-    (:meth:`inc`, :meth:`set_gauge`, :meth:`observe`) create the family
-    of the right kind on first use, so call sites need no setup.
+    (:meth:`inc`, :meth:`observe`) create the family of the right kind
+    on first use, so call sites need no setup.
     """
 
     def __init__(self, enabled: bool = True):
         self._switch = _Switch(enabled)
         self._families: Dict[str, Metric] = {}
+        #: ``(families, read)`` per owner whose tallies feed the counter
+        #: ``families``: ``read()`` maps ``(family, label key)`` to a
+        #: tally that never falls.  An owner appends its pair before it
+        #: tallies anything (which runs no Python frame), and hands over
+        #: a reader of its tallies, never itself: the registry keeps it.
+        self.collectors: List[Tuple[Tuple[str, ...],
+                                    Callable[[], Dict[tuple, float]]]] = []
+        #: The tallies as of the latest :meth:`_read_tallies`: what the
+        #: next read adds is their growth since.
+        self._base: Dict[tuple, float] = {}
 
     @property
     def enabled(self) -> bool:
@@ -381,7 +409,33 @@ class MetricsRegistry:
 
     @enabled.setter
     def enabled(self, enabled: bool) -> None:
+        # Growth while off is never counted: it is collected before the
+        # switch goes off and skipped when it comes on.
+        self._read_tallies()
         self._switch.enabled = enabled
+
+    # -- collected counters --------------------------------------------------
+
+    def _read_tallies(self) -> None:
+        """Take the owners' tallies as the new base; while enabled,
+        first add each one's growth since the last base to its
+        :class:`CollectedCounter` series, as a write beside the tally
+        would have.  (While disabled the growth is skipped.)"""
+        tallies: Dict[tuple, float] = {}
+        for _families, read in self.collectors:
+            for key, tally in read().items():
+                tallies[key] = tallies.get(key, 0) + tally
+        base, self._base = self._base, tallies
+        if not self._switch.enabled:
+            return
+        for (name, labels), tally in tallies.items():
+            grown = tally - base.get((name, labels), 0)
+            if grown:
+                # A written family of this name raises: it is one or
+                # the other, never both.
+                family = self._family(CollectedCounter, name)
+                series = Metric.labels(family, **dict(labels))
+                series.value = (series.value or 0) + grown
 
     # -- family construction -------------------------------------------------
 
@@ -431,14 +485,6 @@ class MetricsRegistry:
             family = self.counter(name)
         family.labels(**labels).inc(amount)
 
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        if not self._switch.enabled:
-            return
-        family = self._families.get(name)
-        if type(family) is not Gauge:
-            family = self.gauge(name)
-        family.labels(**labels).set(value)
-
     def observe(self, name: str, value: float, **labels) -> None:
         if not self._switch.enabled:
             return
@@ -450,11 +496,15 @@ class MetricsRegistry:
     # -- reading -------------------------------------------------------------
 
     def get(self, name: str) -> Optional[Metric]:
+        for families, _read in self.collectors:
+            if name in families:
+                self._read_tallies()
+                break
         return self._families.get(name)
 
     def value(self, name: str, default=None, **labels):
         """The current value of one series (``default`` if absent)."""
-        family = self._families.get(name)
+        family = self.get(name)
         if family is None:
             return default
         found = family.value(**labels)
@@ -466,6 +516,7 @@ class MetricsRegistry:
         Each entry is ``{"name", "kind", "labels", "value"}``; used by
         the firewall admin agent to answer per-agent ``stat`` queries.
         """
+        self._read_tallies()
         wanted = {k: str(v) for k, v in label_filter.items()}
         out: List[dict] = []
         for name in sorted(self._families):
@@ -482,6 +533,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, dict]:
         """JSON-able dump of every family (sorted, deterministic)."""
+        self._read_tallies()
         return {name: self._families[name].describe()
                 for name in sorted(self._families)}
 
@@ -501,8 +553,11 @@ class MetricsRegistry:
         the next in-process run whenever the reset was skipped.
         Back-to-back scenario cells in one process (the suite matrix
         runner) must either construct a fresh registry or call this;
-        see ``docs/experiments.md``.
+        see ``docs/experiments.md``.  A collected counter counts on from
+        the owners' tallies as they stand at the reset (while enabled;
+        enabling again takes them as they stand then).
         """
+        self._read_tallies()
         for family in self._families.values():
             family.clear()
 

@@ -117,9 +117,6 @@ class _NullSpan:
     def end(self, at=None, **args) -> "_NullSpan":
         return self
 
-    def to_dict(self) -> dict:
-        return {}
-
 
 NULL_SPAN = _NullSpan()
 

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.errors import CircuitOpenError
 from repro.core.limits import BreakerConfig, CircuitBreaker
+from repro.obs.metrics import HistogramSeries
 from repro.sim.errors import SimulationError
 from repro.sim.eventloop import Kernel
 
@@ -101,12 +102,13 @@ class Link:
     latency: float
     bandwidth: float
     up: bool = True
+    #: The direction's traffic: the store ``net.messages`` and
+    #: ``net.bytes_on_wire`` are read from.
     stats: LinkStats = field(default_factory=LinkStats)
-    #: ``net.bytes_on_wire``, ``net.messages`` and
     #: ``net.transfer_seconds`` of this direction, held from the first
     #: transfer recorded with telemetry on.
-    series: Optional[tuple] = field(default=None, repr=False,
-                                    compare=False)
+    series: Optional[HistogramSeries] = field(default=None, repr=False,
+                                              compare=False)
     #: The tracer track of this direction's ``net.transfer`` spans.
     track: str = field(init=False, repr=False, compare=False)
 
@@ -134,6 +136,17 @@ class Network:
                  default_bandwidth: Optional[float] = None):
         self.kernel = kernel
         self._links: Dict[Tuple[str, str], Link] = {}
+        # ``net.bytes_on_wire`` / ``net.messages`` are read from the
+        # links' tallies, by a reader that holds the links, not this
+        # network.
+        kernel.telemetry.metrics.collectors.append((
+            ("net.bytes_on_wire", "net.messages"),
+            lambda links=self._links: {
+                (family, (("dst", dst), ("src", src))):
+                    getattr(link.stats, tally)
+                for (src, dst), link in links.items() if link.stats.messages
+                for family, tally in (("net.bytes_on_wire", "payload_bytes"),
+                                      ("net.messages", "messages"))}))
         self._hosts: set = set()
         self.default_latency = default_latency
         self.default_bandwidth = default_bandwidth
@@ -158,13 +171,16 @@ class Network:
 
     def link(self, a: str, b: str, latency: float = LATENCY_LAN,
              bandwidth: float = BANDWIDTH_100MBIT) -> None:
-        """Create (or replace) a symmetric link between hosts ``a`` and ``b``."""
+        """Create (or replace) a symmetric link between hosts ``a`` and
+        ``b``; a replaced direction keeps its traffic counters."""
         if a == b:
             raise ValueError("loopback links are implicit; do not create them")
         self.add_host(a)
         self.add_host(b)
-        self._links[(a, b)] = Link(a, b, latency, bandwidth)
-        self._links[(b, a)] = Link(b, a, latency, bandwidth)
+        for key in ((a, b), (b, a)):
+            old = self._links.get(key)
+            self._links[key] = Link(*key, latency, bandwidth,
+                                    stats=old.stats if old else LinkStats())
 
     def link_between(self, src: str, dst: str) -> Link:
         """The link used for src→dst traffic (creating defaults/loopback)."""
@@ -318,17 +334,12 @@ class Network:
         """Cost in seconds of moving ``nbytes`` from src to dst (no effect)."""
         return self.link_between(src, dst).transfer_time(nbytes)
 
-    def _link_series(self, link: Link) -> tuple:
-        """Resolve ``link``'s three traffic series (its first transfer
-        recorded with telemetry on); :meth:`transfer` and :meth:`cross`
-        write them."""
-        metrics = self.kernel.telemetry.metrics
-        ends = {"src": link.src, "dst": link.dst}
-        series = link.series = (
-            metrics.counter("net.bytes_on_wire").labels(**ends),
-            metrics.counter("net.messages").labels(**ends),
-            metrics.histogram("net.transfer_seconds").labels(**ends))
-        return series
+    def _link_series(self, link: Link) -> HistogramSeries:
+        """Resolve ``link``'s ``net.transfer_seconds`` series (its first
+        transfer recorded with telemetry on)."""
+        link.series = self.kernel.telemetry.metrics.histogram(
+            "net.transfer_seconds").labels(src=link.src, dst=link.dst)
+        return link.series
 
     def transfer(self, src: str, dst: str, nbytes: int):
         """A process step that spends the transfer time and records stats.
@@ -386,11 +397,7 @@ class Network:
             breaker.record_success(self.kernel.now)
         link.stats.record(nbytes, seconds)
         if telemetry.enabled:
-            bytes_on_wire, messages, transfer_seconds = \
-                link.series or self._link_series(link)
-            bytes_on_wire.inc(nbytes)
-            messages.inc()
-            transfer_seconds.observe(seconds)
+            (link.series or self._link_series(link)).observe(seconds)
         if span is not None:
             span.end(outcome="ok")
         return seconds
@@ -427,8 +434,8 @@ class Network:
 
         Raises if the link is partitioned, then if an endpoint is down,
         then on a negative size; otherwise counts the crossing in the
-        link's :class:`LinkStats` and, with telemetry on, its three
-        ``net.*`` series.  :meth:`Link.transfer_time` and
+        link's :class:`LinkStats` and, with telemetry on, its
+        ``net.transfer_seconds``.  :meth:`Link.transfer_time` and
         :meth:`LinkStats.record` are written out in the order they run.
         """
         if not link.up:
@@ -444,11 +451,7 @@ class Network:
         stats.payload_bytes += nbytes
         stats.busy_seconds += seconds
         if self.kernel.telemetry.enabled:
-            bytes_on_wire, messages, transfer_seconds = \
-                link.series or self._link_series(link)
-            bytes_on_wire.inc(nbytes)
-            messages.inc()
-            transfer_seconds.observe(seconds)
+            (link.series or self._link_series(link)).observe(seconds)
         return seconds
 
     def charge(self, src: str, dst: str, nbytes: int) -> float:

@@ -54,10 +54,6 @@ class Testbed:
         return self.cluster.network
 
     @property
-    def telemetry(self):
-        return self.cluster.telemetry
-
-    @property
     def server(self) -> TaxNode:
         return self.servers[0]
 

@@ -101,12 +101,6 @@ class TaxCluster:
         except KeyError:
             raise KeyError(f"no TAX node on host {host_name!r}") from None
 
-    def configure_breakers(self, config) -> None:
-        """Install circuit breakers (a
-        :class:`~repro.core.limits.BreakerConfig`) on every inter-host
-        link; ``None`` removes them."""
-        self.network.configure_breakers(config)
-
     # -- durability --------------------------------------------------------------------------
 
     def enable_durability(self, injector=None,

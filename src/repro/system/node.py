@@ -71,11 +71,6 @@ class TaxNode:
         self.alive = True
         self._down_span = None
 
-    @property
-    def telemetry(self):
-        """The system-wide telemetry hub (owned by the kernel)."""
-        return self.kernel.telemetry
-
     # -- boot ---------------------------------------------------------------------
 
     def boot(self) -> "TaxNode":

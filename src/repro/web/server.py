@@ -151,9 +151,6 @@ class WebDeployment:
         """The server answering for this URL, or None (host unknown)."""
         return self._servers.get(url.site)
 
-    def servers(self) -> Iterable[WebServer]:
-        return self._servers.values()
-
     def __contains__(self, site_key: str) -> bool:
         return site_key in self._servers
 

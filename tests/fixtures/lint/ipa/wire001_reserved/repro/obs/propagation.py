@@ -1,7 +1,8 @@
 """The sanctioned inject/strip pair (mirrors the real propagation
 module's shape): ``TraceContext.from_header`` reads the stripped folder
-back and is a strip root, so writes in this module — including
-``inject`` — are part of the wire protocol, not a leak.
+back and is a strip root, and ``inject`` is its named writer, so its
+write is part of the wire protocol.  Sharing the module sanctions no
+other writer: ``leak`` is flagged.
 """
 
 TRACE_CONTEXT = "TRACE-CONTEXT"
@@ -14,6 +15,11 @@ class TraceContext:
         return parts if len(parts) == 5 else None
 
 
-def inject(briefcase, header):  # ok: same module as the strip site
+def inject(briefcase, header):  # ok: a named writer of the strip pair
     briefcase.drop(TRACE_CONTEXT)
+    briefcase.put("TRACE-CONTEXT", header)
+
+
+def leak(briefcase, header):
+    # finding: WIRE001 — a second writer, sanctioned by nothing
     briefcase.put("TRACE-CONTEXT", header)

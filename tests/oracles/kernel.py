@@ -79,7 +79,7 @@ class _BaselineKernel:
         if self.telemetry.enabled:
             metrics = self.telemetry.metrics
             metrics.inc("kernel.events_dispatched")
-            metrics.set_gauge("kernel.heap_depth", len(self._heap))
+            metrics.gauge("kernel.heap_depth").set(len(self._heap))
         event._fire()
 
     def run(self):

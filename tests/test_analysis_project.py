@@ -169,14 +169,19 @@ def test_err003_tax_error_handler_reaches_untyped_parse():
 
 def test_wire001_reserved_folder_write_without_strip_path():
     findings = lint_tree("wire001_reserved")
-    assert [(f.rule, f.line) for f in findings] == [("WIRE001", 12)]
-    finding = findings[0]
-    assert "TRACE-CONTEXT" in finding.message
+    assert [(f.rule, f.path.split("wire001_reserved/")[1], f.line)
+            for f in findings] == [
+        ("WIRE001", "repro/mailer.py", 12),
+        ("WIRE001", "repro/obs/propagation.py", 25)]
+    stray, leak = findings
+    assert "TRACE-CONTEXT" in stray.message
     # inject/from_header in repro.obs.propagation is the sanctioned
-    # pairing and produces nothing; the mailer's stray write does.
-    assert finding.path.endswith("repro/mailer.py")
-    assert witness_functions(finding) == [
+    # pairing and produces nothing; the mailer's stray write does, and
+    # so does a second writer beside the pair (sharing its module
+    # sanctions nothing).
+    assert witness_functions(stray) == [
         "repro.mailer.send_with_trace", "repro.mailer.stamp_trace"]
+    assert witness_functions(leak) == ["repro.obs.propagation.leak"]
 
 
 def test_asy001_transport_clean_scope():

@@ -113,8 +113,9 @@ class TestGauge:
 
     def test_gauges_can_fall(self):
         registry = MetricsRegistry()
-        registry.set_gauge("queue", 5, host="a")
-        registry.set_gauge("queue", 2, host="a")
+        gauge = registry.gauge("queue")
+        gauge.set(5, host="a")
+        gauge.set(2, host="a")
         assert registry.value("queue", host="a") == 2
 
 
@@ -188,8 +189,6 @@ class TestRegistry:
         registry.counter("c")
         registry.gauge("g")
         with pytest.raises(MetricError):
-            registry.set_gauge("c", 1)
-        with pytest.raises(MetricError):
             registry.observe("c", 1.0)
         with pytest.raises(MetricError):
             registry.inc("g")
@@ -241,7 +240,7 @@ class TestRegistry:
         registry.inc("z.last", host="b")
         registry.inc("a.first")
         registry.observe("m.hist", 0.5, host="a")
-        registry.set_gauge("g.now", 3.5)
+        registry.gauge("g.now").set(3.5)
         snapshot = registry.snapshot()
         assert list(snapshot) == sorted(snapshot)
         round_trip = json.loads(json.dumps(snapshot))
@@ -414,7 +413,7 @@ class TestFrameBudget:
 
     def test_a_write_by_name_is_at_most_three(self):
         registry = MetricsRegistry()
-        for write in (registry.inc, registry.set_gauge, registry.observe):
+        for write in (registry.inc, registry.observe):
             name = write.__name__
             for labels in ({"a": "1", "b": "2"}, {}):
                 write(name, 1, **labels)    # family, series, memo entry
@@ -425,7 +424,6 @@ class TestDisabledRegistry:
     def test_recording_is_a_no_op(self):
         registry = MetricsRegistry(enabled=False)
         registry.inc("c", host="a")
-        registry.set_gauge("g", 1)
         registry.observe("h", 0.5)
         assert registry.snapshot() == {}
 
@@ -441,7 +439,6 @@ class TestDisabledRegistry:
         gauge = registry.gauge("g")
         histogram = registry.histogram("h")
         registry.inc("c", host="a")
-        registry.set_gauge("g", 1, host="a")
         registry.observe("h", 0.5, host="a")
         counter.inc(host="a")
         gauge.set(1, host="a")

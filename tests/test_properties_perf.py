@@ -210,14 +210,12 @@ H_BUCKETS = (1, 4, 8)
 
 
 def by_name(registry):
-    """Every write looks its family up by name: the registry's three
-    recorders, and get-or-create for the two ops they do not cover."""
+    """Every write looks its family up by name: the registry's two
+    recorders, and get-or-create for the three ops they do not cover."""
     def write(op, value, items):
         labels = dict(items)
         if op == "inc":
             registry.inc("c", value, **labels)
-        elif op == "set":
-            registry.set_gauge("g", value, **labels)
         elif op == "observe":
             registry.observe("h", value, **labels)
         else:

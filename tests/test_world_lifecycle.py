@@ -9,6 +9,7 @@ does and the structural cuts that keep owners out of reference cycles.
 """
 
 import gc
+import importlib
 import os
 import traceback
 import tracemalloc
@@ -16,6 +17,7 @@ from collections import Counter
 
 import pytest
 
+from repro.agent.context import AgentContext
 from repro.agent.mailbox import Mailbox
 from repro.bench.experiments import EXPERIMENTS, run_e1, run_experiment
 from repro.bench.overload import run_overload
@@ -27,6 +29,7 @@ from repro.sim.eventloop import Kernel, Process
 from repro.suites import load_suite
 from repro.suites.runner import run_cell
 from repro.system.cluster import TaxCluster
+from repro.wrappers.location import LocationWrapper
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SUITES = ("examples/ci.suite.yaml", "benchmarks/e2e/durable.suite.yaml")
@@ -88,6 +91,43 @@ class TestCollectorGuard:
         ["trace"], ["report"], ["metrics"]], ids=" ".join)
     def test_cli_world_leaves_nothing(self, argv):
         assert world_objects_left(lambda: cli_main(argv)) == Counter()
+
+    def test_the_group_demo_closes_its_world(self, monkeypatch, capsys):
+        """The demo's sensors carry a ``LocationWrapper``, whose
+        ``on_detach`` posts a ``remove`` when a sensor ends: the demo's
+        close ends them, a post made while the world closes is closed
+        before it runs (no send leaves a closing world), and a later
+        collection finds nothing to run."""
+        # The sensors launch by reference, so the demo must import.
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "examples"))
+        demo = importlib.import_module("group_wrapper_demo")
+        detached, sent_closing, closed = [], [], []
+        close, send, on_detach = \
+            TaxCluster.close, AgentContext.send, LocationWrapper.on_detach
+
+        def closing(cluster):
+            close(cluster)
+            closed.append(cluster)
+
+        def sending(ctx, target, briefcase=None, **kwargs):
+            if ctx.kernel._closed:
+                sent_closing.append(str(target))
+            return (yield from send(ctx, target, briefcase, **kwargs))
+
+        def detaching(wrapper, ctx):
+            detached.append(bool(closed))
+            on_detach(wrapper, ctx)
+
+        monkeypatch.setattr(TaxCluster, "close", closing)
+        monkeypatch.setattr(AgentContext, "send", sending)
+        monkeypatch.setattr(LocationWrapper, "on_detach", detaching)
+        assert world_objects_left(demo.main) == Counter()
+        gc.collect()
+        assert "fresh reading from its new home" in capsys.readouterr().out
+        assert len(closed) == 1
+        # All three sensors end inside the close, none after it.
+        assert detached == [False, False, False]
+        assert sent_closing == []
 
 
 def test_an_experiment_holds_one_world_at_a_time():
