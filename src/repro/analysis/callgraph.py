@@ -19,7 +19,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.symbols import ClassFacts, FunctionFacts, ModuleFacts
+from repro.analysis.symbols import (
+    CallRef, ClassFacts, FunctionFacts, ModuleFacts)
 
 #: Bare names that resolve to builtins with analyzer-known behaviour;
 #: any other dot-free external target is an unknown callee.
@@ -53,7 +54,6 @@ class Edge:
     #: ``""`` | ``"alias"`` | ``"partial"`` | ``"decorator"``.
     via: str = ""
     bind_line: int = 0
-    nargs: int = 0
     snippet: str = ""
 
 
@@ -188,11 +188,8 @@ class Project:
     def _build(self) -> None:
         for qname in sorted(self.functions):
             function = self.functions[qname]
-            edges = [self._edge_for(call.line, call.col, call.kind,
-                                    call.target, call.via, call.bind_line,
-                                    call.nargs, call.snippet)
-                     for call in function.calls]
-            self.graph[qname] = tuple(edges)
+            self.graph[qname] = tuple(self._edge_for(call)
+                                      for call in function.calls)
         reverse: Dict[str, Set[str]] = {}
         for caller, edges in self.graph.items():
             for edge in edges:
@@ -201,38 +198,32 @@ class Project:
         self.callers = {callee: tuple(sorted(callers))
                         for callee, callers in sorted(reverse.items())}
 
-    def _edge_for(self, line: int, col: int, kind: str, target: str,
-                  via: str, bind_line: int, nargs: int,
-                  snippet: str) -> Edge:
-        if kind == "unknown":
-            return Edge(line, col, "unknown", target, via, bind_line,
-                        nargs, snippet)
-        if kind == "method":
-            class_qname, method = target.rsplit(".", 1)
+    def _edge_for(self, call: CallRef) -> Edge:
+        def edge(kind: str, callee: str) -> Edge:
+            return Edge(call.line, call.col, kind, callee, call.via,
+                        call.bind_line, call.snippet)
+
+        if call.kind == "unknown":
+            return edge("unknown", call.target)
+        if call.kind == "method":
+            class_qname, method = call.target.rsplit(".", 1)
             resolved_kind, resolved = self.resolve(class_qname)
             if resolved_kind == "class":
                 found = self.resolve_method(resolved, method)
                 if found is not None:
-                    return Edge(line, col, "call", found, via, bind_line,
-                                nargs, snippet)
-            return Edge(line, col, "unknown", target, via, bind_line,
-                        nargs, snippet)
-        resolved_kind, resolved = self.resolve(target)
+                    return edge("call", found)
+            return edge("unknown", call.target)
+        resolved_kind, resolved = self.resolve(call.target)
         if resolved_kind == "function":
-            return Edge(line, col, "call", resolved, via, bind_line,
-                        nargs, snippet)
+            return edge("call", resolved)
         if resolved_kind == "class":
             init = self.resolve_method(resolved, "__init__")
             if init is not None:
-                return Edge(line, col, "call", init, via, bind_line,
-                            nargs, snippet)
-            return Edge(line, col, "external", f"{resolved}()", via,
-                        bind_line, nargs, snippet)
+                return edge("call", init)
+            return edge("external", f"{resolved}()")
         if "." not in resolved and resolved not in _KNOWN_BUILTINS:
-            return Edge(line, col, "unknown", resolved, via, bind_line,
-                        nargs, snippet)
-        return Edge(line, col, "external", resolved, via, bind_line,
-                    nargs, snippet)
+            return edge("unknown", resolved)
+        return edge("external", resolved)
 
     # -- reachability (WIRE001 and friends) ---------------------------------
 

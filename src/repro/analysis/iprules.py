@@ -1,15 +1,14 @@
 """The whole-program rule pack: rules over the call graph and effects.
 
-The effect rules follow one effect through the call graph: DET001
-(wall clock), DET002 (unseeded randomness), DET003 (environment reads
-in sim/core), KER001 (scheduling outside the kernel) and ASY001
-(transport-clean code reaching blocking I/O or virtual time).  ERR003
-follows an untyped raise up to a ``TaxError``-only handler.  ERR002
-and WIRE001 are properties of paths, not of lines.
+The effect rules follow one effect through the call graph: KER001
+(scheduling outside the kernel) and ASY001 (transport-clean code
+reaching blocking I/O or virtual time).  ERR003 follows an untyped
+raise up to a ``TaxError``-only handler.  ERR002 and WIRE001 are
+properties of paths, not of lines.
 
 Reporting policy: an in-scope function reports each of its own origins
 of the effect, one finding per origin, worded for what the origin
-names (a direct ``time.time()``, an ``import heapq``) or for how it
+names (a direct ``threading.Timer()``, an ``import heapq``) or for how it
 was laundered (an alias, a ``functools.partial``, a decorator).  A
 function whose effect only arrives through calls reports the call when
 nothing below it reported — the origin lies outside the rule's scope —
@@ -31,20 +30,13 @@ from repro.analysis.dataflow import Cause, Dataflow
 from repro.analysis.findings import Finding, WitnessStep
 from repro.analysis.summaries import (
     BLOCKING_IO,
-    ENV_READ,
     KERNEL_BYPASS,
     RAISES_PERMANENT,
     RAISES_UNTYPED,
-    RANDOM_CALLS,
-    READS_WALL_CLOCK,
     SIM_COUPLED,
-    UNSEEDED_RANDOM,
     IntrinsicEffect,
 )
 from repro.analysis.symbols import FunctionFacts, RetryRegion, TryRegion
-
-#: Module prefixes that must stay environment-independent (DET003).
-ENV_SCOPES = ("repro.core", "repro.sim")
 
 #: How many caller-context hops to prepend to a witness chain.
 _CALLER_CONTEXT_HOPS = 3
@@ -243,77 +235,6 @@ class EffectRule(ProjectRule):
             result = "unscoped"
         memo[qname] = result
         return result
-
-
-@register_project
-class WallClockRule(EffectRule):
-    id = "DET001"
-    severity = "error"
-    description = ("Wall-clock read, direct or through the call graph: "
-                   "virtual time must come from the kernel clock, never "
-                   "the host clock")
-    effect = READS_WALL_CLOCK
-
-    def reached(self, note: str, where: str) -> str:
-        return (f"reaches a wall-clock read ({note} in {where}); "
-                f"deterministic code must use the kernel's virtual clock "
-                f"(kernel.now / ctx.now)")
-
-    def direct(self, origin: IntrinsicEffect, where: str) -> str:
-        return (f"{origin.target}() reads the wall clock; deterministic "
-                f"code must use the kernel's virtual clock "
-                f"(kernel.now / ctx.now)")
-
-
-@register_project
-class UnseededRandomRule(EffectRule):
-    id = "DET002"
-    severity = "error"
-    description = ("Unseeded/global randomness outside repro.sim.rng, "
-                   "direct or through the call graph, breaks "
-                   "replayability")
-    effect = UNSEEDED_RANDOM
-
-    def reached(self, note: str, where: str) -> str:
-        return (f"reaches unseeded randomness ({note} in {where}) the "
-                f"simulation cannot replay; route randomness through "
-                f"repro.sim.rng")
-
-    def direct(self, origin: IntrinsicEffect, where: str) -> str:
-        target = origin.target
-        if target in RANDOM_CALLS:
-            return (f"{target}() is entropy the simulation cannot "
-                    f"replay; derive values from a seeded "
-                    f"repro.sim.rng.RandomStream")
-        if target == "random.Random":
-            return ("random.Random() without a seed draws from OS "
-                    "entropy; pass an explicit seed")
-        return (f"{target}() uses a global/unseeded stream; route "
-                f"randomness through repro.sim.rng outside the "
-                f"sanctuary module")
-
-
-@register_project
-class EnvReadRule(EffectRule):
-    id = "DET003"
-    severity = "error"
-    description = ("Environment read in sim/core, direct or through "
-                   "helpers, makes runs depend on the invoking shell")
-    effect = ENV_READ
-
-    def in_scope(self, module: str) -> bool:
-        return module.startswith(ENV_SCOPES)
-
-    def reached(self, note: str, where: str) -> str:
-        return (f"deterministic code reaches an environment read "
-                f"({note} in {where}); thread configuration through "
-                f"explicit parameters instead")
-
-    def direct(self, origin: IntrinsicEffect, where: str) -> str:
-        read = "os.getenv() read" if origin.target == "os.getenv" \
-            else "os.environ access"
-        return (f"{read} in deterministic code; thread configuration "
-                f"through explicit parameters instead")
 
 
 @register_project

@@ -1,28 +1,26 @@
 """The per-file rule pack: this codebase's real invariants, mechanised.
 
 Every headline guarantee of the reproduction — byte-identical chaos /
-overload / trace / perf documents across CI runs — holds only while the
-code never consults wall-clock time, unseeded randomness, process
-environment, or iteration orders that vary between interpreter runs,
-and while every scheduling decision flows through the deterministic
-kernel (:mod:`repro.sim.eventloop`).  These rules check those invariants
-structurally instead of leaving them to reviewer vigilance.
+overload / trace / perf documents across CI runs — holds only while
+nothing orders by allocation address or pops by insertion order, and
+while every scheduling decision flows through the deterministic kernel
+(:mod:`repro.sim.eventloop`).  These rules check the invariants no run
+can show structurally; a wall-clock read, unseeded randomness, an
+environment read or a hash-ordered set moves the bytes of a perturbed
+rerun, and ``scripts/perturb.py`` gates on that instead.
 
 Rule ids are stable API (they appear in suppression comments, baselines,
 CI artifacts, and docs).  The rules that follow an effect through calls
-— wall clock, randomness, environment, scheduling — are whole-program
-rules in :mod:`repro.analysis.iprules`; every other id is a property of
-one line and lives here:
+— scheduling, blocking I/O, untyped raises — are whole-program rules in
+:mod:`repro.analysis.iprules`; every other id is a property of one line
+and lives here:
 
 ========  ==========================================================
-DET004    iteration over bare set displays/constructors
 DET005    process-dependent values: ``id(...)`` ordering/membership,
           builtin ``hash(...)`` outside ``__hash__``
 DET006    ``dict.popitem`` (order-dependent and destructive)
 DUR001    journaled firewall/landing state mutated around the journal
 ERR001    broad ``except`` that swallows the exception object
-MUT001    mutable default argument values
-MUT002    event/message subclasses without ``__slots__``
 OBS001    telemetry backends constructed outside the facade
 OBS002    module-global telemetry state (leaks across in-process runs)
 ========  ==========================================================
@@ -34,53 +32,10 @@ the suppression / baseline workflow.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.analysis.engine import LintContext, Rule, register
 from repro.analysis.findings import Finding
-
-#: Base-class names whose subclasses ride the kernel/firewall hot paths
-#: and must declare ``__slots__`` (the event and message hierarchies).
-SLOTTED_BASES = frozenset({
-    "Event", "Timeout", "AnyOf", "AllOf", "Process", "Message",
-})
-#: Fully qualified forms, for ``eventloop.Event``-style bases.
-SLOTTED_BASE_MODULES = ("repro.sim.eventloop.", "repro.firewall.message.")
-
-
-def _iteration_targets(node: ast.AST) -> Iterator[ast.AST]:
-    """The expressions a statement iterates over."""
-    if isinstance(node, ast.For):
-        yield node.iter
-    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                           ast.GeneratorExp)):
-        for generator in node.generators:
-            yield generator.iter
-
-
-@register
-class SetIterationRule(Rule):
-    id = "DET004"
-    severity = "warning"
-    description = ("Iterating a set iterates in hash order, which can "
-                   "differ between interpreter runs")
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            for target in _iteration_targets(node):
-                if isinstance(target, (ast.Set, ast.SetComp)):
-                    yield self.finding(
-                        ctx, target,
-                        "iteration over a set literal/comprehension is "
-                        "hash-ordered; iterate a tuple/list or wrap in "
-                        "sorted(...)")
-                elif isinstance(target, ast.Call) and \
-                        ctx.qualified_name(target.func) in ("set",
-                                                            "frozenset"):
-                    yield self.finding(
-                        ctx, target,
-                        "iteration over set(...) is hash-ordered; wrap "
-                        "in sorted(...) or keep the original sequence")
 
 
 @register
@@ -267,85 +222,6 @@ class BroadExceptRule(Rule):
                     node.id == bound and isinstance(node.ctx, ast.Load):
                 return True
         return False
-
-
-@register
-class MutableDefaultRule(Rule):
-    id = "MUT001"
-    severity = "error"
-    description = ("Mutable default argument values are shared across "
-                   "calls (and across migrated agent instances)")
-
-    _MUTABLE_CALLS = frozenset({
-        "list", "dict", "set", "bytearray",
-        "collections.defaultdict", "collections.deque",
-        "collections.OrderedDict", "collections.Counter",
-    })
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None]
-            for default in defaults:
-                if self._is_mutable(ctx, default):
-                    yield self.finding(
-                        ctx, default,
-                        "mutable default value is evaluated once and "
-                        "shared by every call; default to None and "
-                        "construct inside the body")
-
-    def _is_mutable(self, ctx: LintContext, node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.SetComp, ast.DictComp)):
-            return True
-        if isinstance(node, ast.Call):
-            return ctx.qualified_name(node.func) in self._MUTABLE_CALLS
-        return False
-
-
-@register
-class MissingSlotsRule(Rule):
-    id = "MUT002"
-    severity = "warning"
-    description = ("Event/message subclasses without __slots__ grow a "
-                   "__dict__, bloating the kernel and wire hot paths")
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ctx.walk():
-            if not isinstance(node, ast.ClassDef):
-                continue
-            base_name = self._slotted_base(ctx, node)
-            if base_name is None:
-                continue
-            if any(isinstance(stmt, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__slots__"
-                    for t in stmt.targets) for stmt in node.body) or any(
-                    isinstance(stmt, ast.AnnAssign) and
-                    isinstance(stmt.target, ast.Name) and
-                    stmt.target.id == "__slots__" for stmt in node.body):
-                continue
-            yield self.finding(
-                ctx, node,
-                f"class {node.name} subclasses {base_name} without "
-                f"declaring __slots__; hot-path event/message objects "
-                f"must stay dict-free")
-
-    @staticmethod
-    def _slotted_base(ctx: LintContext,
-                      node: ast.ClassDef) -> Optional[str]:
-        for base in node.bases:
-            qualified = ctx.qualified_name(base)
-            if qualified is None:
-                continue
-            if qualified in SLOTTED_BASES:
-                return qualified
-            if qualified.startswith(SLOTTED_BASE_MODULES) and \
-                    qualified.rsplit(".", 1)[-1] in SLOTTED_BASES:
-                return qualified
-        return None
 
 
 #: The only module allowed to construct telemetry backends directly —

@@ -1,8 +1,10 @@
 """The briefcase-aliasing sanitizer: the rule pack's dynamic companion.
 
-The static rules prove the code *reads* no nondeterministic inputs; this
-module watches a live run for the state-sharing hazard the mobile-agent
-literature singles out: two agents observing the same mutable
+``scripts/perturb.py`` shows that a run *reads* no nondeterministic
+input (its output does not move on a rerun, nor when the hash seed, the
+environment or the collector changes); this module watches a live run
+for the state-sharing hazard the mobile-agent literature singles out:
+two agents observing the same mutable
 :class:`~repro.core.folder.Folder` object.  The briefcase contract says
 everything that crosses an agent boundary is a snapshot (``send`` and
 ``go``/``spawn`` snapshot, the codec materialises fresh folders), so any

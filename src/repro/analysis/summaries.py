@@ -26,9 +26,6 @@ from repro.analysis.symbols import FunctionFacts, ModuleFacts
 
 # -- the effect vocabulary --------------------------------------------------
 
-READS_WALL_CLOCK = "reads-wall-clock"
-UNSEEDED_RANDOM = "unseeded-random"
-ENV_READ = "env-read"
 BLOCKING_IO = "blocking-io"
 KERNEL_BYPASS = "kernel-bypass"
 RAISES_PERMANENT = "raises-permanent"
@@ -44,9 +41,6 @@ SIM_COUPLED = "sim-coupled"
 #: Effect -> lint rule id enforcing it (used both for suppression
 #: barriers and for attributing findings).
 EFFECT_RULE: Dict[str, str] = {
-    READS_WALL_CLOCK: "DET001",
-    UNSEEDED_RANDOM: "DET002",
-    ENV_READ: "DET003",
     KERNEL_BYPASS: "KER001",
     BLOCKING_IO: "ASY001",
     SIM_COUPLED: "ASY001",
@@ -54,35 +48,17 @@ EFFECT_RULE: Dict[str, str] = {
     RAISES_UNTYPED: "ERR003",
 }
 
-#: The only module allowed to touch randomness primitives directly.
-RNG_SANCTUARY = ("repro.sim.rng",)
 #: The only module allowed to schedule via heapq/sched/threading timers.
 KERNEL_MODULES = ("repro.sim.eventloop",)
 
 #: Effect -> module prefixes allowed to *originate* it.  Functions in a
 #: sanctuary module never acquire the effect, so nothing propagates out
-#: of them — the kernel may keep its heap, the rng module its entropy.
+#: of them — the kernel may keep its heap.
 EFFECT_SANCTUARIES: Dict[str, Tuple[str, ...]] = {
-    UNSEEDED_RANDOM: RNG_SANCTUARY,
     KERNEL_BYPASS: KERNEL_MODULES,
 }
 
 # -- external call classification -------------------------------------------
-
-#: Call targets that read the wall clock.
-WALL_CLOCK_CALLS = frozenset({
-    "time.time", "time.time_ns", "time.localtime", "time.gmtime",
-    "time.ctime", "time.strftime",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-
-#: Entropy sources the simulation cannot replay.
-RANDOM_CALLS = frozenset({"os.urandom", "uuid.uuid4", "uuid.uuid1"})
-#: ``random`` module-level helpers draw from the shared, reseedable
-#: global stream.  ``random.Random(seed)`` with an explicit seed is
-#: fine: ``repro.sim.rng`` builds on it.
-_RANDOM_PREFIXES = ("random.", "numpy.random.", "secrets.")
 
 #: Calls that block on the host OS — poison for the deterministic sim
 #: and for the planned asyncio transport backend's event loop.
@@ -111,23 +87,10 @@ _KERNEL_BYPASS_PREFIXES = ("heapq.", "sched.")
 _KERNEL_BYPASS_CALLS = frozenset({"threading.Timer"})
 
 
-def external_effects(target: str, nargs: int) -> Tuple[str, ...]:
+def external_effects(target: str) -> Tuple[str, ...]:
     """Effects of calling the unresolved external ``target``; returns
     a sorted tuple (determinism)."""
     effects: List[str] = []
-    if target in WALL_CLOCK_CALLS:
-        effects.append(READS_WALL_CLOCK)
-    if target in RANDOM_CALLS:
-        effects.append(UNSEEDED_RANDOM)
-    elif target.startswith("random.Random"):
-        # The constructor decides: unseeded it draws OS entropy, and
-        # a seeded instance's methods replay.
-        if target == "random.Random" and nargs == 0:
-            effects.append(UNSEEDED_RANDOM)
-    elif target.startswith(_RANDOM_PREFIXES):
-        effects.append(UNSEEDED_RANDOM)
-    if target == "os.getenv":
-        effects.append(ENV_READ)
     if target in BLOCKING_CALLS:
         effects.append(BLOCKING_IO)
     if target in _KERNEL_BYPASS_CALLS or \
@@ -152,12 +115,12 @@ class IntrinsicEffect:
         self.effect = effect
         self.line = line
         self.col = col
-        #: Human phrase for witness chains ("time.time called through
-        #: an alias bound at line 12").
+        #: Human phrase for witness chains ("heapq.heappush called
+        #: through an alias bound at line 11").
         self.note = note
         self.snippet = snippet
         #: What a direct origin names — the called target
-        #: (``time.time``), ``os.environ``, or the imported module;
+        #: (``threading.Timer``) or the imported module;
         #: "" when the origin is laundered (alias, partial, decorator).
         self.target = target
 
@@ -193,7 +156,7 @@ def intrinsic_effects(facts: FunctionFacts,
                 imported.snippet, imported.module)
 
     for call in facts.calls:
-        for effect in external_effects(call.target, call.nargs):
+        for effect in external_effects(call.target):
             target = call.target if call.via == "" else ""
             note = f"{call.target}()"
             if call.via == "alias":
@@ -205,9 +168,6 @@ def intrinsic_effects(facts: FunctionFacts,
             elif call.via == "decorator":
                 note = f"{call.target} applied as a decorator"
             add(effect, call.line, call.col, note, call.snippet, target)
-
-    for line, col, snippet in facts.env_attr_sites:
-        add(ENV_READ, line, col, "os.environ read", snippet, "os.environ")
 
     # Raise permanence needs the project-wide class taxonomy, so
     # RAISES_PERMANENT is attached by the dataflow pass, not here.

@@ -5,19 +5,20 @@ The interprocedural layer (:mod:`repro.analysis.callgraph`,
 needs from a module is distilled here into :class:`ModuleFacts` — the
 functions a module defines, the classes with their bases and attribute
 types, and every *reference* a function body makes (calls, raises,
-environment reads, reserved wire-folder writes, retry-shaped handlers).
+reserved wire-folder writes, retry-shaped handlers).
 
 Facts come out of the same :class:`~repro.analysis.engine.LintContext`
 the per-file rules ran over, so a lint run parses each file once;
 cross-module resolution is a pure function of the facts.
 
 The extractor is also where reference *laundering* becomes visible:
-for ``clock = time.time; clock()`` or ``functools.partial(time.time)()``
+for ``push = heapq.heappush; push()`` or
+``functools.partial(heapq.heappush)()``
 the binding is recorded (``via="alias"`` / ``via="partial"`` with the
 binding line), and the dataflow pass reports the call with a witness
 chain.  Inside a method (and any def nested in one) ``self`` is bound
 to the defining class, so ``self.<m>()``, ``super().<m>()``,
-``self.<attr>.<m>()`` on a typed attribute, and ``self._clock()`` on an
+``self.<attr>.<m>()`` on a typed attribute, and ``self._push()`` on an
 attribute alias resolve.
 """
 
@@ -68,8 +69,6 @@ class CallRef:
     via: str = ""
     #: Binding site for laundered references (0 when direct).
     bind_line: int = 0
-    #: Positional-argument count (``random.Random()`` seededness).
-    nargs: int = 0
     snippet: str = ""
 
 
@@ -150,9 +149,6 @@ class FunctionFacts:
     calls: List[CallRef] = field(default_factory=list)
     imports: List[ImportRef] = field(default_factory=list)
     raises: List[RaiseRef] = field(default_factory=list)
-    #: (line, col, snippet) of each bare ``os.environ`` access.
-    env_attr_sites: List[Tuple[int, int, str]] = \
-        field(default_factory=list)
     reserved_writes: List[ReservedWrite] = field(default_factory=list)
     retry_regions: List[RetryRegion] = field(default_factory=list)
     try_regions: List[TryRegion] = field(default_factory=list)
@@ -177,7 +173,7 @@ class ClassFacts:
     #: or annotation (best effort, first binding wins).
     attr_types: Dict[str, str] = field(default_factory=dict)
     #: ``self.<attr>`` -> (dotted callable reference, binding line) for
-    #: ``self._clock = time.time``-style laundering.
+    #: ``self._push = heapq.heappush``-style laundering.
     attr_aliases: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
 
@@ -193,7 +189,7 @@ class ModuleFacts:
     #: package re-exports (``repro.obs.Tracer``) project-wide.
     aliases: Dict[str, str] = field(default_factory=dict)
     #: Module-level callable bindings: name -> (dotted target, binding
-    #: line, via) for ``_clock = time.time`` ("alias") and
+    #: line, via) for ``_push = heapq.heappush`` ("alias") and
     #: ``draw = functools.partial(...)`` ("partial") laundering.
     module_aliases: Dict[str, Tuple[str, int, str]] = \
         field(default_factory=dict)
@@ -314,12 +310,6 @@ class _Extractor:
         for node in nodes:
             if isinstance(node, ast.Call):
                 self._record_call(node, scope)
-            elif isinstance(node, ast.Attribute) and \
-                    node.attr == "environ" and \
-                    self.ctx.qualified_name(node) == "os.environ":
-                scope.facts.env_attr_sites.append(
-                    (node.lineno, node.col_offset + 1,
-                     self.ctx.line_text(node.lineno)))
 
     def _record_header(self, exprs: Sequence[ast.expr],
                        scope: _FunctionCollector) -> None:
@@ -676,14 +666,13 @@ class _Extractor:
         self._record_briefcase_mutation(node, scope)
         snippet = self.ctx.line_text(node.lineno)
         line, col = node.lineno, node.col_offset + 1
-        nargs = len(node.args)
         func = node.func
 
         def add(kind: str, target: str, via: str = "",
                 bind_line: int = 0) -> None:
             scope.facts.calls.append(CallRef(
                 line=line, col=col, kind=kind, target=target, via=via,
-                bind_line=bind_line, nargs=nargs, snippet=snippet))
+                bind_line=bind_line, snippet=snippet))
 
         # Inline functools.partial(f, ...)(...) application.
         if isinstance(func, ast.Call):

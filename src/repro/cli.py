@@ -18,7 +18,8 @@ Commands (``docs/`` has the long form of each):
 - ``lint`` — the determinism/safety rule pack (``repro.analysis``).
 
 Every JSON/OpenMetrics stdout is a pure function of the arguments: CI
-runs the commands twice and diffs byte-for-byte.
+reruns the commands under ``scripts/perturb.py`` and diffs
+byte-for-byte.
 """
 
 from __future__ import annotations

@@ -125,7 +125,9 @@ class PendingQueue:
     deadline, and when it fires every message due by then expires,
     oldest park first, and it is re-armed for the earliest deadline
     left.  The kernel has no cancel: a superseded timer, or one whose
-    queue was emptied meanwhile, still fires — onto nothing.
+    queue was emptied meanwhile, still fires — onto nothing.  So a
+    deadline that already has a timer pending reuses it rather than
+    arming a second one.
     """
 
     def __init__(self, kernel: Kernel,
@@ -158,6 +160,9 @@ class PendingQueue:
         #: is parked.  A timer this no longer names fires stale.
         self._timer: Optional[Event] = None
         self._timer_deadline = 0.0
+        #: Every timer not yet fired, by the deadline it carries as its
+        #: value, armed or superseded.
+        self._timers: Dict[float, Event] = {}
         self.changes = changes if changes is not None else ChangeStream()
         #: Next park id (monotonic across restarts — replay re-anchors
         #: it from the journal).
@@ -359,14 +364,24 @@ class PendingQueue:
         return record
 
     def _arm(self, deadline: float) -> None:
-        """Point the queue's one expiry timer at ``deadline``."""
-        kernel = self.kernel
-        self._timer = kernel.timeout(deadline - kernel._now)
+        """Point the queue's one expiry timer at ``deadline``, reusing a
+        superseded timer still pending for it.  A reused timer keeps its
+        place in the heap: at that instant it fires before every event
+        scheduled after it was first armed, as a per-park timer armed
+        with the park would.  So a claim scheduled later for that
+        instant finds the message expired."""
+        timer = self._timers.get(deadline)
+        if timer is None:
+            kernel = self.kernel
+            timer = self._timers[deadline] = kernel.timeout(
+                deadline - kernel._now, deadline)
+            timer.add_callback(self._on_timer)
+        self._timer = timer
         self._timer_deadline = deadline
-        self._timer.add_callback(self._on_timer)
 
     def _on_timer(self, timer: Event) -> None:
         """Expire what is due, oldest park first; re-arm for the rest."""
+        del self._timers[timer.value]
         if timer is not self._timer:
             return
         self._timer = None

@@ -25,9 +25,10 @@ Two carriers, one context:
   boundary.
 
 Identifiers are allocated from a deterministic per-:class:`~repro.obs.
-telemetry.Telemetry` counter (never wall-clock or entropy — DET002):
-kernel event order is deterministic, so two identical runs mint
-identical ids and every exported artifact diffs byte-for-byte.
+telemetry.Telemetry` counter (never wall-clock or entropy): kernel
+event order is deterministic, so two identical runs mint identical ids
+and every exported artifact diffs byte-for-byte, under every
+``scripts/perturb.py`` perturbation too.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Fixture: a file-wide suppression silences every DET001 occurrence.
+"""Fixture: a file-wide suppression silences every KER001 occurrence.
 
-# lint: disable-file=DET001
+# lint: disable-file=KER001
 """
 
-import time
+import heapq
 
 
-def stamps():
-    return time.time(), time.time()          # both silenced file-wide
+def pushes(heap):
+    return heapq.heappush(heap, 1), heapq.heappush(heap, 2)  # silenced

@@ -44,8 +44,8 @@ def test_fixture_tree_fails_with_expected_rules(capsys):
     assert code == 1
     document = json.loads(out)
     rules = set(document["summary"]["by_rule"])
-    assert {"DET001", "DET002", "DET004", "DET005", "DET006",
-            "ERR001", "KER001", "MUT001", "MUT002"} <= rules
+    assert {"DET005", "DET006", "DUR001", "ERR001", "KER001", "OBS001",
+            "OBS002"} <= rules
     assert document["summary"]["new"] == document["summary"]["total"] > 0
 
 
@@ -78,7 +78,7 @@ def test_sarif_document(tmp_path, capsys):
     run = document["runs"][0]
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
     # Static pack and sanitizer rules are both declared to the viewer.
-    assert {"DET001", "SAN001", "SAN002"} <= rule_ids
+    assert {"DET005", "SAN001", "SAN002"} <= rule_ids
     assert run["results"]
     assert all(r["baselineState"] == "new" for r in run["results"])
     assert all(r["partialFingerprints"]["reproLint/v1"]

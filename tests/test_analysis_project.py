@@ -40,49 +40,49 @@ def witness_functions(finding):
 
 def test_project_rule_pack_registered():
     assert sorted({rule.id for rule in PROJECT_RULES}) == [
-        "ASY001", "DET001", "DET002", "DET003",
-        "ERR002", "ERR003", "KER001", "WIRE001"]
+        "ASY001", "ERR002", "ERR003", "KER001", "WIRE001"]
 
 
-def test_det001_transitive_through_module_alias():
-    findings = lint_tree("det001_alias")
+def test_ker001_transitive_through_module_alias():
+    findings = lint_tree("ker001_chain")
     assert [(f.rule, f.line) for f in findings] == [
-        ("DET001", 16), ("DET001", 28)]
+        ("KER001", 16), ("KER001", 28)]
     transitive, direct = findings
     # The laundered call carries the full chain: callers first, then
-    # the hop where the wall-clock read actually happens.
+    # the hop where the heap push actually happens.
     assert witness_functions(transitive) == [
         "pipeline.deliver", "pipeline.build_record", "pipeline.stamp"]
     assert "alias bound at line 12" in transitive.message
-    # The honest time.time() call has no callers: its witness is the
-    # one origin step, and it keeps the direct wording.
+    # The honest heapq.heappush() call has no callers: its witness is
+    # the one origin step, and it keeps the direct wording.
     assert witness_functions(direct) == ["pipeline.honest_stamp"]
-    assert direct.witness[0].note == "time.time()"
-    assert direct.message.startswith("time.time() reads the wall clock")
+    assert direct.witness[0].note == "heapq.heappush()"
+    assert direct.message.startswith(
+        "heapq.heappush() keeps a private heap")
 
 
-def test_det002_transitive_through_partial():
-    findings = lint_tree("det002_partial")
-    assert [(f.rule, f.line) for f in findings] == [("DET002", 15)]
+def test_ker001_transitive_through_partial():
+    findings = lint_tree("ker001_partial")
+    assert [(f.rule, f.line) for f in findings] == [("KER001", 15)]
     finding = findings[0]
     assert "functools.partial bound at line 11" in finding.message
     assert witness_functions(finding) == [
         "jitterlib.plan_backoff", "jitterlib.jitter"]
 
 
-def test_det003_cross_module_env_read_scoped():
-    findings = lint_tree("det003_env")
-    # Only the repro.core entry point reports: the out-of-scope helper
-    # module holding os.getenv is not itself a finding.
-    assert [(f.rule, f.path.endswith("repro/core/config.py"), f.line)
-            for f in findings] == [("DET003", True, 15)]
+def test_asy001_cross_module_blocking_call_scoped():
+    findings = lint_tree("asy001_chain")
+    # Only the transport-clean entry point reports: the out-of-scope
+    # helper module holding time.sleep is not itself a finding.
+    assert [(f.rule, f.path.endswith("repro/core/codec.py"), f.line)
+            for f in findings] == [("ASY001", True, 15)]
     finding = findings[0]
     assert witness_functions(finding) == [
-        "repro.core.config.build_config",
-        "repro.core.config.resolve_region",
-        "repro.util.envsrc.deep_default_region",
-        "repro.util.envsrc.default_region"]
-    assert finding.witness[-1].note == "os.getenv()"
+        "repro.core.codec.build_frame",
+        "repro.core.codec.resolve_pause",
+        "repro.util.waits.deep_pause",
+        "repro.util.waits.pause"]
+    assert finding.witness[-1].note == "time.sleep()"
 
 
 def test_ker001_transitive_heap_alias():
@@ -97,12 +97,12 @@ def test_ker001_transitive_heap_alias():
         "heapuser.schedule_batch", "heapuser.enqueue"]
 
 
-def test_det001_through_methods_on_self():
-    findings = lint_tree("det001_methods")
+def test_ker001_through_methods_on_self():
+    findings = lint_tree("ker001_methods")
     assert [(f.rule, f.line) for f in findings] == [
-        ("DET001", 15), ("DET001", 24)]
+        ("KER001", 15), ("KER001", 24)]
     direct, alias = findings
-    # self._clock() resolves through the attribute alias bound in
+    # self._push() resolves through the attribute alias bound in
     # __init__; self._stamp() and self.record() resolve to methods,
     # the latter from a def nested in a method, and the method's call
     # of that nested def resolves to it.
@@ -110,9 +110,9 @@ def test_det001_through_methods_on_self():
     assert witness_functions(alias) == [
         "ledger.Ledger.replay", "ledger.Ledger.replay.one",
         "ledger.Ledger.record", "ledger.Ledger._stamp"]
-    # self.clock.read() resolves through the attribute's type.
+    # self.agenda.next() resolves through the attribute's type.
     assert witness_functions(direct)[-2:] == [
-        "ledger.Ledger._stamp", "ledger.WallClock.read"]
+        "ledger.Ledger._stamp", "ledger.Agenda.next"]
 
 
 @pytest.fixture(scope="module")
@@ -207,12 +207,12 @@ def test_witness_does_not_feed_the_fingerprint(tmp_path):
     """A baselined transitive finding survives edits to its callers:
     the witness chain is reporting detail, not identity."""
     tree = tmp_path / "tree"
-    shutil.copytree(os.path.join(IPA, "det001_alias"), str(tree))
+    shutil.copytree(os.path.join(IPA, "ker001_chain"), str(tree))
 
     def transitive():
         report = Analyzer().analyze_paths([str(tree)])
         finding = fingerprinted(sort_findings(report.findings))[0]
-        assert finding.rule == "DET001" and finding.witness
+        assert finding.rule == "KER001" and finding.witness
         return finding
 
     before = transitive()
@@ -235,22 +235,33 @@ def test_suppression_spans_decorated_def_header():
             "        return fn\n"
             "    return wrap\n")
     analyzer = Analyzer()
-    on_def = ("import time\n" + deco +
-              "@deco(time.time())\n"
-              "def f():  # lint: disable=DET001\n"
+    heapq = "import heapq  # lint: disable=KER001\n"
+    on_def = (heapq + deco +
+              "@deco(heapq.heapify([]))\n"
+              "def f():  # lint: disable=KER001\n"
               "    return 1\n")
     assert analyzer.analyze_source(on_def) == []
-    on_decorator = ("import time\n" + deco +
-                    "@deco(1)  # lint: disable=DET001\n"
-                    "def g(t=time.time()):\n"
+    on_decorator = (heapq + deco +
+                    "@deco(1)  # lint: disable=KER001\n"
+                    "def g(t=heapq.heapify([])):\n"
                     "    return t\n")
     assert analyzer.analyze_source(on_decorator) == []
-    unsuppressed = ("import time\n" + deco +
-                    "@deco(time.time())\n"
+    unsuppressed = (heapq + deco +
+                    "@deco(heapq.heapify([]))\n"
                     "def h():\n"
                     "    return 1\n")
     assert [f.rule for f in analyzer.analyze_source(unsuppressed)] == \
-        ["DET001"]
+        ["KER001"]
+
+
+def test_a_function_applied_as_a_decorator_is_an_origin():
+    source = ("import heapq  # lint: disable=KER001\n"
+              "@heapq.heapify\n"
+              "def tasks():\n"
+              "    return []\n")
+    findings = Analyzer().analyze_source(source)
+    assert [(f.rule, f.line) for f in findings] == [("KER001", 2)]
+    assert "heapq.heapify applied as a decorator" in findings[0].message
 
 
 def test_graph_json_export_is_deterministic():
@@ -262,7 +273,7 @@ def test_graph_json_export_is_deterministic():
     assert document["tool"] == "repro-lint-graph"
     assert document["summary"]["functions"] == len(document["nodes"])
     by_name = {node["function"]: node for node in document["nodes"]}
-    assert "reads-wall-clock" in by_name["pipeline.stamp"]["effects"]
+    assert "kernel-bypass" in by_name["pipeline.stamp"]["effects"]
     assert any(edge["from"] == "pipeline.deliver"
                and edge["to"] == "pipeline.build_record"
                for edge in document["edges"])
@@ -283,13 +294,13 @@ def test_graph_cli_flags(tmp_path, capsys):
 def test_cli_json_includes_witness_and_sarif_related_locations(
         tmp_path, capsys):
     sarif_path = str(tmp_path / "ipa.sarif")
-    code = main(["lint", os.path.join(IPA, "det003_env"), "--json",
+    code = main(["lint", os.path.join(IPA, "asy001_chain"), "--json",
                  "--no-baseline", "--sarif", sarif_path])
     out = capsys.readouterr().out
     assert code == 1
     finding = json.loads(out)["findings"][0]
     assert [step["function"] for step in finding["witness"]][-1] == \
-        "repro.util.envsrc.default_region"
+        "repro.util.waits.pause"
     with open(sarif_path) as handle:
         sarif = json.load(handle)
     result = sarif["runs"][0]["results"][0]

@@ -534,6 +534,18 @@ class TestOneExpiryTimerIsTheWatchers:
                   ("claim", "b"), ("advance", 1.0), ("crash",),
                   ("park", 1.0, "a", 0, "q"), ("restore",)],
              regime=(3, "shed-priority"))
+    # A claim leaves the timer for its entry's deadline stale while the
+    # superseded one for the next deadline is still pending: re-arming
+    # reuses that one instead of arming a fourth timer for three parks.
+    @example(ops=[("park", 0.5, "a", 0, "p"), ("park", 0.0, "b", 0, "p"),
+                  ("claim", "b"), ("advance", 0.25),
+                  ("park", 0.0, "a", 0, "p"), ("crash",)],
+             regime=(None, "reject"))
+    # A claim at the very instant of a superseded deadline: the timer
+    # reused for it has fired by then, so the message expired unclaimed.
+    @example(ops=[("park", 1.0, "a", 0, "p"), ("park", 0.5, "b", 0, "q"),
+                  ("advance", 1.0), ("claim", "a")],
+             regime=(None, "reject"))
     def test_same_expiries_counters_ledger_changes_and_metrics(
             self, ops, regime):
         product, kernel, series, timers = drive_queue(
@@ -556,3 +568,31 @@ class TestOneExpiryTimerIsTheWatchers:
             if events:
                 assert counted["kernel.events_dispatched"]["samples"][0][
                     "value"] == events
+
+    def test_a_reused_timer_fires_in_its_original_arms_order(self):
+        """At a deadline's instant, the timer reused for it fires before
+        any event scheduled after it was first armed — as the per-park
+        watcher armed with that park would — so a claim scheduled for
+        the same instant finds the message already expired."""
+
+        def drive(queue_class):
+            kernel = Kernel()
+            expired, claimed = [], []
+            queue = queue_class(kernel, host="h", on_expire=lambda message:
+                                expired.append(message.target.name))
+            for name, ttl in (("a", 1.0), ("b", 0.5)):
+                queue.park(Message(
+                    target=AgentUri.parse(name), briefcase=Briefcase(),
+                    sender=SenderInfo(principal="p", host="h"),
+                    queue_timeout=ttl))
+            kernel.run(until=0.25)
+            # Scheduled after a's deadline was first armed, for that
+            # very instant; b's expiry at 0.5 re-arms for it in between.
+            kernel.timeout(0.75).add_callback(lambda _: claimed.extend(
+                message.target.name for message in
+                queue.claim(lambda target: target.name == "a")))
+            kernel.run()
+            return expired, claimed
+
+        assert drive(PendingQueue) == drive(ReferencePendingQueue) == (
+            ["b", "a"], [])
