@@ -47,7 +47,7 @@ class SenderInfo:
         return SenderInfo(self.principal, self.host, self.uri, False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One briefcase in flight."""
 

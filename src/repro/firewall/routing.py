@@ -105,15 +105,18 @@ class Registry:
         return registration
 
     def remove(self, agent_id: AgentId) -> Optional[Registration]:
-        """Unregister; the registration drops its delivery closure.
+        """Unregister; the registration drops its delivery closure and
+        its process.
 
-        Nothing delivers to a registration outside the registry, and the
-        closure (over the agent's context, which holds the registration)
-        would otherwise keep the two in a reference cycle.
+        Nothing delivers to or interrupts a registration outside the
+        registry, and the closure (over the agent's context, which holds
+        the registration) or a system agent's residency would otherwise
+        keep the two in a reference cycle.
         """
         registration = self._by_instance.pop(agent_id.instance, None)
         if registration is not None:
             registration.deliver_fn = _departed
+            registration.process = None
         return registration
 
     def _remove_all(self) -> None:
@@ -121,6 +124,7 @@ class Registry:
         registrations, self._by_instance = self._by_instance, {}
         for registration in registrations.values():
             registration.deliver_fn = _departed
+            registration.process = None
 
     def by_instance(self, instance: str) -> Optional[Registration]:
         return self._by_instance.get(instance.lower())

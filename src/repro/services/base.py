@@ -5,63 +5,35 @@ resources other than memory and CPU time are handled by service agents.
 This allows resource allocation mechanisms to handle requests regardless
 of which VM the requesting agent is running on."*
 
-A service agent is a persistent system agent with a request loop: each
-request briefcase carries an OP folder naming the operation; the service
-dispatches to ``op_<name>`` (a generator returning the reply briefcase)
-and answers the ``meet`` with STATUS=ok/error.  Requests are handled
-serially, which models a single-threaded Unix service process.
+A service agent is a persistent system agent with a request loop (started
+by its first request, :mod:`repro.agent.system`): each request briefcase
+carries an OP folder naming the operation; the service dispatches to
+``op_<name>`` (a generator returning the reply briefcase) and answers the
+``meet`` with STATUS=ok/error.  Requests are handled serially, which
+models a single-threaded Unix service process.
 """
 
 from __future__ import annotations
 
 from repro.core.briefcase import Briefcase
 from repro.core.errors import ServiceError, TaxError
-from repro.core.identity import SYSTEM_PRINCIPAL
 from repro.core import wellknown
 from repro.agent.context import AgentContext
-from repro.agent.mailbox import Mailbox
+from repro.agent.system import SystemAgent
 from repro.firewall.message import Message
 
 
-class ServiceAgent:
+class ServiceAgent(SystemAgent):
     """Base class for the ag_* system services."""
 
     name = "ag_base"
 
     def __init__(self, node):
-        self.node = node
-        self.ctx: AgentContext = None
+        super().__init__(node)
         self.requests_handled = 0
         self.requests_failed = 0
 
-    @property
-    def kernel(self):
-        return self.node.kernel
-
-    @property
-    def firewall(self):
-        return self.node.firewall
-
-    def boot(self) -> None:
-        mailbox = Mailbox(self.kernel)
-        self.ctx = AgentContext(self.node, vm_name="vm_python",
-                                briefcase=Briefcase(),
-                                principal=SYSTEM_PRINCIPAL)
-        registration = self.firewall.register_agent(
-            name=self.name, principal=SYSTEM_PRINCIPAL, vm_name="vm_python",
-            deliver_fn=mailbox.deliver)
-        self.ctx.attach(registration, mailbox)
-        process = self.kernel.spawn(
-            self._loop(), name=f"{self.name}@{self.node.host.name}")
-        registration.process = process
-
-    def _loop(self):
-        while True:
-            message = yield from self.ctx.recv(
-                match=lambda m: not self.ctx.is_pending_reply(m))
-            yield from self._handle_one(message)
-
-    def _handle_one(self, message: Message):
+    def _serve(self, ctx: AgentContext, message: Message):
         op = message.briefcase.get_text(wellknown.OP)
         try:
             if not self.authorize(message, op):
@@ -83,7 +55,7 @@ class ServiceAgent:
             response.put(wellknown.STATUS, "error")
             response.put(wellknown.ERROR, str(exc))
         if message.briefcase.get_text(wellknown.REPLY_TO) is not None:
-            yield from self.ctx.reply(message, response)
+            yield from ctx.reply(message, response)
 
     def authorize(self, message: Message, op: str) -> bool:
         """Per-service access check; default allows every sender."""

@@ -47,7 +47,13 @@ appends itself to the event it was handed.  ``triggered``, ``ok``,
 the written-out lines mean; the hot methods do not call them.  The
 rule: every way onto the heap pushes ``(now + delay, _sequence, event)``
 and bumps ``_sequence`` once, in that order, so scheduling order is
-firing order and nothing fires earlier or later than before.
+firing order and nothing fires earlier or later than before.  The one
+exception keeps the rule's order: :meth:`Kernel.hold_place` bumps
+``_sequence`` without pushing, and :meth:`Kernel.spawn_in` pushes a
+process bootstrap at that held sequence while the loop has not fired
+past it (the loop notes the sequence of each event it pops), so the
+process starts where it would have, had it been spawned when the place
+was held.
 
 Tier-1 holds the loop to one firing order with and without bounds and
 telemetry, and each primitive to a frame budget
@@ -60,7 +66,8 @@ from __future__ import annotations
 import traceback
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Tuple)
 
 from repro.obs.telemetry import Telemetry
 from repro.sim.errors import (
@@ -447,6 +454,9 @@ class Kernel:
         #: while callbacks post to it.
         self._heap: List[tuple] = []
         self._sequence = 0
+        #: The sequence number of the latest event popped (what
+        #: :meth:`fired_past` reads).
+        self._fired = -1
         self._running = False
         self._closed = False
         #: Processes whose generators have not finished, in spawn order
@@ -493,6 +503,35 @@ class Kernel:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
+    # -- held places ---------------------------------------------------------
+
+    def hold_place(self) -> Tuple[float, int]:
+        """The place in the firing order an event scheduled now would
+        take, kept free: ``(instant, sequence)``.  Everything scheduled
+        later fires after it.  :meth:`spawn_in` may fill it while
+        :meth:`fired_past` is False."""
+        place = (self._now, self._sequence)
+        self._sequence += 1
+        return place
+
+    def fired_past(self, place: Tuple[float, int]) -> bool:
+        """True once an event at ``place`` would have fired: the clock
+        has left its instant, or an event scheduled after it has fired."""
+        when, sequence = place
+        return self._now > when or self._fired > sequence
+
+    def spawn_in(self, place: Tuple[float, int], generator: Generator,
+                 name: str = "") -> Process:
+        """Start a process whose first step fires at ``place`` (held by
+        :meth:`hold_place`), as if it had been spawned there."""
+        if self.fired_past(place):
+            raise SimulationError(f"place {place!r} has already fired")
+        following, self._sequence = self._sequence, place[1]
+        try:
+            return Process(self, generator, name=name)
+        finally:
+            self._sequence = following
+
     # -- execution -----------------------------------------------------------
 
     def _dispatch(self, stop_event: Optional[Event] = None,
@@ -533,10 +572,11 @@ class Kernel:
                     if until > self._now:
                         self._now = until
                     break
-                when, _seq, event = pop(heap)
+                when, sequence, event = pop(heap)
                 if when < self._now:
                     raise SimulationError("event scheduled in the past")
                 self._now = when
+                self._fired = sequence
                 count += 1
                 if telemetry.enabled:
                     counted += 1

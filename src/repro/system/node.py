@@ -168,8 +168,11 @@ class TaxNode:
     def _unlink(self) -> None:
         """Let go of the owners that point back at this node — VMs,
         services, the durability controller — and unlink the firewall
-        (for :meth:`~repro.system.cluster.TaxCluster.close`)."""
+        and each system agent's registration (for
+        :meth:`~repro.system.cluster.TaxCluster.close`)."""
         self.firewall._unlink()
+        for agent in (*self.vms.values(), *self.services.values()):
+            agent._unlink()
         self.vms = {}
         self.services = {}
         if self.durability is not None:

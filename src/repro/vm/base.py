@@ -31,18 +31,18 @@ from typing import Callable, Optional, Tuple
 
 from repro.core.briefcase import Briefcase
 from repro.core.errors import TaxError, VMError
-from repro.core.identity import SYSTEM_PRINCIPAL
 from repro.core.retry import RetryPolicy
 from repro.core import wellknown
 from repro.agent.context import TRANSPORT_FOLDERS, AgentContext
 from repro.agent.mailbox import Mailbox
+from repro.agent.system import SystemAgent
 from repro.firewall.message import Message
 from repro.obs.propagation import link_args, span_args
 from repro.sim.errors import Interrupt, StopProcess
 from repro.sim.network import NetworkError
 from repro.vm import loader
 from repro.vm.sandbox import Sandbox
-from repro.wrappers.stack import WrapperStack, build_stack, read_wrapper_specs
+from repro.wrappers.stack import build_stack, read_wrapper_specs
 
 #: Launch cost model: fixed overhead + per-payload-byte deserialisation.
 LAUNCH_OVERHEAD_SECONDS = 0.002
@@ -53,7 +53,7 @@ LAUNCH_PER_BYTE_SECONDS = 2e-8
 LANDING_POLL_SECONDS = 0.005
 
 
-class VirtualMachine:
+class VirtualMachine(SystemAgent):
     """Common machinery; subclasses define ``accepts`` and entry prep."""
 
     #: Agent name the VM registers under (e.g. "vm_python").
@@ -62,45 +62,20 @@ class VirtualMachine:
     accepts: Tuple[str, ...] = ()
 
     def __init__(self, node, sandbox: Optional[Sandbox] = None):
-        self.node = node
+        super().__init__(node)
+        #: A VM registers as an agent of its own VM.
+        self.vm_name = self.name
         self.sandbox = sandbox or Sandbox()
-        self.ctx: Optional[AgentContext] = None
         self.launched = 0
         self.launch_failures = 0
 
-    # -- wiring --------------------------------------------------------------------
-
-    @property
-    def kernel(self):
-        return self.node.kernel
-
-    @property
-    def firewall(self):
-        return self.node.firewall
-
-    def boot(self) -> None:
-        """Register the VM as a system agent and start its accept loop."""
-        mailbox = Mailbox(self.kernel)
-        self.ctx = AgentContext(self.node, vm_name=self.name,
-                                briefcase=Briefcase(),
-                                principal=SYSTEM_PRINCIPAL)
-        registration = self.firewall.register_agent(
-            name=self.name, principal=SYSTEM_PRINCIPAL, vm_name=self.name,
-            deliver_fn=mailbox.deliver)
-        self.ctx.attach(registration, mailbox)
-        process = self.kernel.spawn(self._accept_loop(),
-                                    name=f"{self.name}@{self.node.host.name}")
-        registration.process = process
-
-    def _accept_loop(self):
-        # The exclusion predicate keeps the loop from stealing replies to
-        # meets issued by concurrently running launch handlers.
-        while True:
-            message = yield from self.ctx.recv(
-                match=lambda m: not self.ctx.is_pending_reply(m))
-            self.kernel.spawn(
-                self.handle_launch_message(message),
-                name=f"{self.name}-launch@{self.node.host.name}")
+    def _serve(self, ctx: AgentContext, message: Message):
+        """Launches run concurrently: each gets a process of its own."""
+        self.kernel.spawn(
+            self.handle_launch_message(message),
+            name=f"{self.name}-launch@{self.node.host.name}")
+        return
+        yield  # pragma: no cover - makes this a generator
 
     # -- the launch path -------------------------------------------------------------
 

@@ -25,5 +25,9 @@ readable or pre-optimisation twin of one product hot path:
   ``reference_normalize_path``);
 - :mod:`tests.oracles.site` — the site generator before pages were
   concatenated and link draws bound once (``reference_render_page`` /
-  ``reference_generate_site``).
+  ``reference_generate_site``);
+- :mod:`tests.oracles.boot` — the system-agent boot that built every
+  VM's and service's context, mailbox and loop process at registration
+  (``eager_system_agents``), where the product starts a loop on its
+  first delivery.
 """

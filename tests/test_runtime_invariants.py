@@ -7,9 +7,9 @@
   module-level cache that changes results — makes a cell's document
   depend on the cells before it, and the reversed pass shows it.
 - **Hot-path classes stay ``__dict__``-free.**  After importing every
-  ``repro`` module, each subclass of the kernel event classes and of
-  ``Message`` must declare ``__slots__`` in its own class body
-  (docs/architecture.md §9); one without them grows a ``__dict__``.
+  ``repro`` module, the kernel event classes and ``Message``, and each
+  of their subclasses, must declare ``__slots__`` in their own class
+  body (docs/architecture.md §9); one without them grows a ``__dict__``.
 
 Each check is shown to fail on a planted defect.
 """
@@ -104,10 +104,10 @@ def test_a_mutable_default_in_a_plugin_moves_a_digest(monkeypatch, leak):
 
 
 def slotless(bases):
-    """Qualified names of the subclasses of ``bases``, transitively,
+    """Qualified names of ``bases`` and their subclasses, transitively,
     whose own class body declares no ``__slots__``."""
-    found, seen = [], set(bases)
-    stack = [sub for base in bases for sub in base.__subclasses__()]
+    found, seen = [], set()
+    stack = list(bases)
     while stack:
         cls = stack.pop()
         if cls in seen:
@@ -123,6 +123,14 @@ def test_every_event_and_message_class_declares_slots():
     for module in pkgutil.walk_packages(repro.__path__, "repro."):
         importlib.import_module(module.name)
     assert slotless(SLOTTED_BASES) == []
+
+
+def test_a_slotless_base_is_named():
+    class Envelope:
+        pass
+
+    assert slotless((Event, Envelope)) == [
+        f"{__name__}.test_a_slotless_base_is_named.<locals>.Envelope"]
 
 
 def test_a_slotless_subclass_is_named():

@@ -798,6 +798,46 @@ class TestResumeKeepsItsContract:
         assert kernel._sequence == before + 6
 
 
+class TestHeldPlaces:
+    """``hold_place`` / ``fired_past`` / ``spawn_in``: a process may take
+    its first step where it would have, had it been spawned earlier."""
+
+    def test_a_process_spawned_in_a_held_place_fires_there(self, kernel):
+        order = []
+
+        def placed():
+            order.append("placed")
+            yield kernel.timeout(0)
+
+        def fill(_event):
+            order.append("before")
+            assert not kernel.fired_past(place)
+            kernel.spawn_in(place, placed(), name="placed")
+
+        kernel.timeout(0).add_callback(fill)
+        place = kernel.hold_place()
+        kernel.timeout(0).add_callback(lambda _e: order.append("after"))
+        drain(kernel)
+        assert order == ["before", "placed", "after"]
+
+    def test_a_place_is_passed_once_a_later_event_fires(self, kernel):
+        place = kernel.hold_place()
+        seen = []
+        kernel.timeout(0).add_callback(
+            lambda _e: seen.append(kernel.fired_past(place)))
+        assert not kernel.fired_past(place)
+        drain(kernel)
+        assert seen == [True] and kernel.now == 0
+        with pytest.raises(SimulationError, match="already fired"):
+            kernel.spawn_in(place, iter(()))
+
+    def test_a_place_is_passed_when_the_clock_leaves_its_instant(
+            self, kernel):
+        place = kernel.hold_place()
+        kernel.run(until=1)
+        assert kernel.processed_events == 0 and kernel.fired_past(place)
+
+
 class TestCombinatorEdges:
     def test_any_of_with_already_processed_event(self, kernel):
         done = kernel.event()

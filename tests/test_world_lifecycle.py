@@ -22,6 +22,7 @@ from repro.agent.mailbox import Mailbox
 from repro.bench.experiments import EXPERIMENTS, run_e1, run_experiment
 from repro.bench.overload import run_overload
 from repro.cli import main as cli_main
+from repro.core.briefcase import Briefcase
 from repro.core.errors import CommTimeoutError
 from repro.obs.telemetry import Telemetry
 from repro.sim.errors import Interrupt, SimulationError
@@ -29,10 +30,16 @@ from repro.sim.eventloop import Kernel, Process
 from repro.suites import load_suite
 from repro.suites.runner import run_cell
 from repro.system.cluster import TaxCluster
+from repro.vm import loader
 from repro.wrappers.location import LocationWrapper
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SUITES = ("examples/ci.suite.yaml", "benchmarks/e2e/durable.suite.yaml")
+
+
+def finished(ctx, bc):
+    """An agent that is done as soon as it lands."""
+    return "done"
 
 
 def world_objects_left(action) -> Counter:
@@ -238,26 +245,34 @@ class TestKernelClose:
 
     def test_every_process_of_a_closed_world_is_over(self, pair_cluster):
         cluster = pair_cluster
-        ctx = cluster.node("alpha.test").driver(name="listener")
+        alpha = cluster.node("alpha.test")
+        ctx = alpha.driver(name="listener")
+        client = alpha.driver(name="client")
 
         def listen():
             yield from ctx.recv(timeout=60)
 
-        def ping():
+        def use_a_service_and_a_vm():
+            yield from client.call_service("ag_fs", "list")
+            transport = Briefcase()
+            loader.install_payload(transport, loader.pack_ref(finished),
+                                   agent_name="finished")
+            yield from client.meet(cluster.vm_uri("alpha.test"), transport)
             yield cluster.kernel.timeout(1)
-            return "pong"
 
         cluster.kernel.spawn(listen(), name="listener")
-        cluster.run(ping())
+        cluster.run(use_a_service_and_a_vm())
         processes = [obj for obj in gc.get_objects()
                      if isinstance(obj, Process)
                      and getattr(obj, "kernel", None) is cluster.kernel]
-        alive = [p for p in processes if p.is_alive]
-        assert len(alive) > 10     # the listener, VMs and services
+        # The system agents asked run their loops; nothing else of the
+        # two landing pads holds a process.
+        assert sorted(p.name for p in processes if p.is_alive) == [
+            "ag_fs@alpha.test", "listener", "vm_python@alpha.test"]
         cluster.close()
         assert [p for p in processes if p.is_alive] == []
         with pytest.raises(SimulationError):
-            cluster.run(ping())
+            cluster.run(use_a_service_and_a_vm())
 
 
 class TestStructuralCuts:
