@@ -1,10 +1,10 @@
 """repro.analysis: determinism & safety static analysis + sanitizer.
 
 The correctness-tooling layer (architecture §10): an AST rule engine
-with this codebase's invariants as the rule pack (``repro lint``), a
-committed-baseline / inline-suppression workflow, JSON + SARIF output,
-and a dynamic briefcase-aliasing sanitizer that rides the folder version
-counters at runtime.
+with this codebase's invariants as the rule pack (``repro lint``),
+inline suppressions, JSON + SARIF output, and a dynamic
+briefcase-aliasing sanitizer that rides the folder version counters at
+runtime.
 """
 
 from repro._namespace import lazy_namespace
@@ -17,7 +17,6 @@ __all__, __getattr__, __dir__ = lazy_namespace(globals(), {
     ".dataflow": "Dataflow",
     ".iprules": (
         "PROJECT_RULES ProjectRule project_rule_index register_project"),
-    ".baseline": "apply_baseline load_baseline render_baseline write_baseline",
     ".sanitizer": (
         "AliasingSanitizer RULE_ALIASING RULE_CONFLICT SANITIZER_RULES "
         "run_sanitized_scenarios sanitizing"),

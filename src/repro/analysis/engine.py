@@ -8,8 +8,7 @@ every applicable rule — and the same context to the whole-program view
 project rules run over.  Findings flow through inline suppressions
 (``# lint: disable=RULE`` on the offending line, or
 ``# lint: disable-file=RULE`` anywhere in the file) before they are
-fingerprinted and, optionally, filtered against a committed baseline
-(:mod:`repro.analysis.baseline`).
+fingerprinted.
 
 Determinism: files are analyzed in sorted path order, rules run in
 registration order within a file, and the resulting finding list is

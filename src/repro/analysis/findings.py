@@ -49,17 +49,15 @@ class Finding:
     col: int
     message: str
     #: The stripped source line (static) or a stable scenario label
-    #: (dynamic); feeds the fingerprint, so baselines survive pure line
-    #: drift.
+    #: (dynamic); feeds the fingerprint, so it survives pure line drift.
     snippet: str = ""
-    #: Stable identity for baselining; assigned by :func:`fingerprinted`.
+    #: Stable identity (SARIF's ``partialFingerprints``); assigned by
+    #: :func:`fingerprinted`.
     fingerprint: str = ""
-    #: True when a committed baseline grandfathers this finding.
-    baselined: bool = False
     #: Interprocedural findings carry the call chain from the reported
     #: function down to the effect's origin.  Deliberately excluded
-    #: from both the fingerprint and the sort key: a baselined finding
-    #: must survive unrelated callee edits that only reshape the path.
+    #: from both the fingerprint and the sort key: a finding keeps its
+    #: identity across unrelated callee edits that only reshape the path.
     witness: Tuple[WitnessStep, ...] = ()
 
     def sort_key(self) -> Tuple[str, int, int, str, str]:
@@ -77,7 +75,7 @@ def fingerprinted(findings: Iterable[Finding]) -> List[Finding]:
     """Sorted findings with stable fingerprints assigned.
 
     The fingerprint hashes ``(path, rule, snippet, occurrence-index)``:
-    line numbers are deliberately excluded so a baseline entry survives
+    line numbers are deliberately excluded so a fingerprint survives
     unrelated edits above it, while the occurrence index keeps repeated
     identical lines in one file distinct.
     """
@@ -104,12 +102,8 @@ class Report:
     analyzed: List[str] = field(default_factory=list)
 
     @property
-    def new_findings(self) -> List[Finding]:
-        return [f for f in self.findings if not f.baselined]
-
-    @property
     def exit_code(self) -> int:
-        return 1 if self.new_findings else 0
+        return 1 if self.findings else 0
 
     def to_dict(self) -> Dict[str, Any]:
         by_rule: Dict[str, int] = {}
@@ -122,8 +116,6 @@ class Report:
             "findings": [asdict(f) for f in sort_findings(self.findings)],
             "summary": {
                 "total": len(self.findings),
-                "new": len(self.new_findings),
-                "baselined": len(self.findings) - len(self.new_findings),
                 "by_rule": by_rule,
             },
         }
@@ -139,15 +131,12 @@ def render_text(report: Report) -> str:
     indented under their finding)."""
     lines = []
     for finding in sort_findings(report.findings):
-        tag = " (baselined)" if finding.baselined else ""
         lines.append(f"{finding.location()}: {finding.rule} "
-                     f"{finding.severity}: {finding.message}{tag}")
+                     f"{finding.severity}: {finding.message}")
         for step in finding.witness:
             lines.append(f"    via {step.function} "
                          f"({step.path}:{step.line}): {step.note}")
-    summary = report.to_dict()["summary"]
-    lines.append(f"{summary['total']} finding(s): {summary['new']} new, "
-                 f"{summary['baselined']} baselined")
+    lines.append(f"{len(report.findings)} finding(s)")
     return "\n".join(lines) + "\n"
 
 
@@ -176,7 +165,6 @@ def render_sarif(report: Report,
             "level": levels.get(finding.severity, "warning"),
             "message": {"text": finding.message},
             "partialFingerprints": {"reproLint/v1": finding.fingerprint},
-            "baselineState": "unchanged" if finding.baselined else "new",
             "locations": [{
                 "physicalLocation": {
                     "artifactLocation": {"uri": finding.path},

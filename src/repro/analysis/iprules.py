@@ -79,7 +79,7 @@ ASY001_SCOPES = (
     "repro.firewall.dedup",
     # The reference monitor itself is the component the backend swap
     # re-hosts; its one residual edge into the simulated network
-    # (breaker configuration) is baselined against the roadmap item.
+    # (breaker configuration) is left for the roadmap item.
     "repro.firewall.firewall",
     "repro.firewall.message",
     "repro.firewall.policy",

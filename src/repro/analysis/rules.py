@@ -9,8 +9,8 @@ can show structurally; a wall-clock read, unseeded randomness, an
 environment read or a hash-ordered set moves the bytes of a perturbed
 rerun, and ``scripts/perturb.py`` gates on that instead.
 
-Rule ids are stable API (they appear in suppression comments, baselines,
-CI artifacts, and docs).  The rules that follow an effect through calls
+Rule ids are stable API (they appear in suppression comments, CI
+artifacts, and docs).  The rules that follow an effect through calls
 — scheduling, blocking I/O, untyped raises — are whole-program rules in
 :mod:`repro.analysis.iprules`; every other id is a property of one line
 and lives here:
@@ -26,7 +26,7 @@ OBS002    module-global telemetry state (leaks across in-process runs)
 ========  ==========================================================
 
 See ``docs/static-analysis.md`` for the catalogue with rationale and
-the suppression / baseline workflow.
+the inline-suppression workflow.
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ class TelemetryFacadeRule(Rule):
                     ctx, node,
                     f"{short} constructed directly: spans/metrics "
                     f"recorded here never reach exports and ignore "
-                    f"enable()/disable(); go through the Telemetry "
-                    f"facade (kernel.telemetry)")
+                    f"the world's telemetry flag; go through the "
+                    f"Telemetry facade (kernel.telemetry)")
 
 
 #: Constructors whose instances accumulate run state (peak-watermark
@@ -306,6 +306,5 @@ class ModuleGlobalTelemetryRule(Rule):
                     ctx, stmt,
                     f"module-global {short} accumulates state across "
                     f"every run in the process (cumulative registry "
-                    f"leak); construct one per run, or call "
-                    f"telemetry.reset() at run start")
+                    f"leak); construct one per run")
 

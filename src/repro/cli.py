@@ -295,22 +295,7 @@ def _default_lint_paths() -> List[str]:
     return [os.path.dirname(os.path.abspath(repro.__file__))]
 
 
-def _default_baseline_path() -> str:
-    """``lint-baseline.json`` at the repository root (two levels above
-    the package: ``<root>/src/repro``)."""
-    import os
-
-    import repro
-    package = os.path.dirname(os.path.abspath(repro.__file__))
-    root = os.path.dirname(os.path.dirname(package))
-    return os.path.join(root, "lint-baseline.json")
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.analysis.baseline import (
-        apply_baseline, load_baseline, write_baseline)
     from repro.analysis.engine import Analyzer, rule_index
     from repro.analysis.findings import (
         fingerprinted, render_json, render_sarif, render_text)
@@ -337,19 +322,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             list(report.findings) + list(runtime))
         report.analyzed.extend(
             sorted({f.path for f in runtime}))
-
-    baseline_path = args.baseline or _default_baseline_path()
-    if args.write_baseline:
-        count = write_baseline(report.findings, baseline_path)
-        print(f"wrote baseline with {count} finding(s) to {baseline_path}")
-        return 0
-    if not args.no_baseline and os.path.isfile(baseline_path):
-        try:
-            apply_baseline(report, load_baseline(baseline_path))
-        except (OSError, ValueError) as exc:
-            print(f"lint: bad baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
 
     if args.sarif:
         from repro.analysis.iprules import project_rule_index
@@ -516,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
             scenario.add_argument(
                 "--no-recovery", action="store_true",
                 help="drop the recovery kit (monitor/checkpoint/retry/"
-                     "rear-guard): the baseline behaviour")
+                     "rear-guard): the pre-resilience behaviour")
         if name == "crashtest":
             scenario.add_argument(
                 "--journal-dump", metavar="PATH", default="",
@@ -561,16 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "of text")
     lint.add_argument("--sarif", default=None, metavar="OUT.sarif",
                       help="also write a SARIF 2.1.0 document here")
-    lint.add_argument("--baseline", default=None,
-                      metavar="BASELINE.json",
-                      help="baseline file (default: lint-baseline.json "
-                           "at the repository root)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline: every finding fails "
-                           "the gate")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="write the current findings as the baseline "
-                           "and exit 0")
     lint.add_argument("--sanitize", action="store_true",
                       help="also run the reference scenarios under the "
                            "briefcase-aliasing sanitizer")

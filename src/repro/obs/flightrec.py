@@ -104,11 +104,6 @@ class FlightRecorder:
             self.dumps_evicted += 1
         return document
 
-    def reset(self) -> None:
-        self._rings.clear()
-        self.dumps = []
-        self.dumps_evicted = 0
-
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
         return (f"<FlightRecorder {state} hosts={len(self._rings)} "

@@ -33,9 +33,13 @@ A counter that only mirrors a tally its owner keeps anyway (a
 firewall's ``DeliveryStats``, a link's ``LinkStats``) is not written
 beside it: the owner registers a collector
 (:attr:`MetricsRegistry.collectors`), and a read of the registry that
-needs those families first adds the tallies' growth to their series —
-the custom-collector pattern of the Prometheus clients.  Such a
+needs those families first sets their series to the tallies — the
+custom-collector pattern of the Prometheus clients.  Such a
 :class:`CollectedCounter` reports exactly what a written one would.
+
+A registry is on or off from construction on (its world's
+:class:`~repro.obs.telemetry.Telemetry` decides), and every family and
+series it hands out keeps that flag.
 """
 
 from __future__ import annotations
@@ -114,35 +118,19 @@ def summarize_sample(sample: dict) -> dict:
     }
 
 
-class _Switch:
-    """A registry's on/off flag, shared with every family and series it
-    hands out.
-
-    They read the switch, never the registry: the registry holds them,
-    so a family or series holding the registry back would make every
-    registry a reference cycle only the cycle collector could free.
-    """
-
-    __slots__ = ("enabled",)
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-
-
 class _Series:
     """One label set of one family: the value, and the writes to it.
 
-    ``value`` is None until the first write and again after
-    :meth:`MetricsRegistry.reset`; a series without a value appears in
-    no sample list, so resolving one (and holding it) shows nothing.
-    Every write checks the registry's switch first.  A series keeps the
-    family's name, not the family (which holds it).
+    ``value`` is None until the first write; a series without a value
+    appears in no sample list, so resolving one (and holding it) shows
+    nothing.  Every write checks the registry's flag first.  A series
+    keeps the family's name and flag, not the family (which holds it).
     """
 
-    __slots__ = ("switch", "name", "value")
+    __slots__ = ("enabled", "name", "value")
 
     def __init__(self, family: "Metric"):
-        self.switch = family.switch
+        self.enabled = family.enabled
         self.name = family.name
         self.value = None
 
@@ -157,7 +145,7 @@ class CounterSeries(_Series):
     __slots__ = ()
 
     def inc(self, amount: float = 1) -> None:
-        if not self.switch.enabled:
+        if not self.enabled:
             return
         if amount < 0:
             raise ValueError(
@@ -172,17 +160,17 @@ class GaugeSeries(_Series):
     __slots__ = ()
 
     def set(self, value: float) -> None:
-        if self.switch.enabled:
+        if self.enabled:
             self.value = value
 
     def add(self, delta: float) -> None:
-        if self.switch.enabled:
+        if self.enabled:
             value = self.value
             self.value = (0 if value is None else value) + delta
 
     def set_max(self, value: float) -> None:
         """Raise the series to ``value`` if higher (high-watermark)."""
-        if self.switch.enabled:
+        if self.enabled:
             current = self.value
             if current is None or value > current:
                 self.value = value
@@ -211,7 +199,7 @@ class HistogramSeries(_Series):
         self.buckets = family.buckets
 
     def observe(self, value: float) -> None:
-        if not self.switch.enabled:
+        if not self.enabled:
             return
         buckets = self.buckets
         state = self.value
@@ -237,7 +225,7 @@ class Metric:
 
     def __init__(self, registry: "MetricsRegistry", name: str,
                  help: str = ""):
-        self.switch = registry._switch
+        self.enabled = registry.enabled
         self.name = name
         self.help = help
         #: Every series handed out, written or not, by canonical key.
@@ -257,8 +245,7 @@ class Metric:
         series, and a ``str`` subclass may override ``__str__``.
 
         Hold the result only where the labels are fixed for the
-        holder's lifetime; it stays live across
-        :meth:`MetricsRegistry.reset`.
+        holder's lifetime.
         """
         for value in labels.values():
             if type(value) is not str:
@@ -302,14 +289,6 @@ class Metric:
         return {"kind": self.kind, "help": self.help,
                 "samples": self.samples()}
 
-    def clear(self) -> None:
-        """Forget every value (counts, watermarks, histograms) while
-        the family stays registered and its series objects stay the
-        ones :meth:`labels` hands out — see
-        :meth:`MetricsRegistry.reset`."""
-        for series in self._series.values():
-            series.value = None
-
 
 class Counter(Metric):
     """Monotonically increasing value (int or float)."""
@@ -318,7 +297,7 @@ class Counter(Metric):
     _series_class = CounterSeries
 
     def inc(self, amount: float = 1, **labels) -> None:
-        if self.switch.enabled:
+        if self.enabled:
             self.labels(**labels).inc(amount)
 
 
@@ -329,23 +308,23 @@ class Gauge(Metric):
     _series_class = GaugeSeries
 
     def set(self, value: float, **labels) -> None:
-        if self.switch.enabled:
+        if self.enabled:
             self.labels(**labels).set(value)
 
     def add(self, delta: float, **labels) -> None:
-        if self.switch.enabled:
+        if self.enabled:
             self.labels(**labels).add(delta)
 
     def set_max(self, value: float, **labels) -> None:
         """Raise the series to ``value`` if higher (high-watermark)."""
-        if self.switch.enabled:
+        if self.enabled:
             self.labels(**labels).set_max(value)
 
 
 class CollectedCounter(Counter):
     """A counter family its owners' tallies feed (see
-    :attr:`MetricsRegistry.collectors`): the registry adds their growth
-    to its series when it is read, and nothing writes it."""
+    :attr:`MetricsRegistry.collectors`): the registry sets its series
+    to their tallies when it is read, and nothing writes it."""
 
     def labels(self, **labels):
         raise MetricError(
@@ -367,7 +346,7 @@ class Histogram(Metric):
             raise ValueError("histogram needs at least one bucket bound")
 
     def observe(self, value: float, **labels) -> None:
-        if self.switch.enabled:
+        if self.enabled:
             self.labels(**labels).observe(value)
 
     def _sample_value(self, raw: _HistogramState) -> dict:
@@ -389,53 +368,36 @@ class MetricsRegistry:
     """
 
     def __init__(self, enabled: bool = True):
-        self._switch = _Switch(enabled)
+        #: Fixed for the registry's life.  Its families and series keep
+        #: a copy, never the registry: it holds them, so holding it back
+        #: would make every registry a reference cycle.
+        self.enabled = enabled
         self._families: Dict[str, Metric] = {}
         #: ``(families, read)`` per owner whose tallies feed the counter
         #: ``families``: ``read()`` maps ``(family, label key)`` to a
-        #: tally that never falls.  An owner appends its pair before it
-        #: tallies anything (which runs no Python frame), and hands over
-        #: a reader of its tallies, never itself: the registry keeps it.
+        #: tally that never falls.  An owner hands over a reader of its
+        #: tallies, never itself: the registry keeps it.
         self.collectors: List[Tuple[Tuple[str, ...],
                                     Callable[[], Dict[tuple, float]]]] = []
-        #: The tallies as of the latest :meth:`_read_tallies`: what the
-        #: next read adds is their growth since.
-        self._base: Dict[tuple, float] = {}
-
-    @property
-    def enabled(self) -> bool:
-        """The switch every family and series of this registry reads."""
-        return self._switch.enabled
-
-    @enabled.setter
-    def enabled(self, enabled: bool) -> None:
-        # Growth while off is never counted: it is collected before the
-        # switch goes off and skipped when it comes on.
-        self._read_tallies()
-        self._switch.enabled = enabled
 
     # -- collected counters --------------------------------------------------
 
     def _read_tallies(self) -> None:
-        """Take the owners' tallies as the new base; while enabled,
-        first add each one's growth since the last base to its
-        :class:`CollectedCounter` series, as a write beside the tally
-        would have.  (While disabled the growth is skipped.)"""
+        """Set each :class:`CollectedCounter` series to the sum of its
+        owners' tallies, what a write beside each tally would have left
+        there; a tally still at 0 has no series.  (Off, nothing.)"""
+        if not self.enabled:
+            return
         tallies: Dict[tuple, float] = {}
         for _families, read in self.collectors:
             for key, tally in read().items():
                 tallies[key] = tallies.get(key, 0) + tally
-        base, self._base = self._base, tallies
-        if not self._switch.enabled:
-            return
         for (name, labels), tally in tallies.items():
-            grown = tally - base.get((name, labels), 0)
-            if grown:
+            if tally:
                 # A written family of this name raises: it is one or
                 # the other, never both.
                 family = self._family(CollectedCounter, name)
-                series = Metric.labels(family, **dict(labels))
-                series.value = (series.value or 0) + grown
+                Metric.labels(family, **dict(labels)).value = tally
 
     # -- family construction -------------------------------------------------
 
@@ -478,7 +440,7 @@ class MetricsRegistry:
     # above.  A disabled registry does not even create the family.
 
     def inc(self, name: str, amount: float = 1, **labels) -> None:
-        if not self._switch.enabled:
+        if not self.enabled:
             return
         family = self._families.get(name)
         if type(family) is not Counter:
@@ -486,7 +448,7 @@ class MetricsRegistry:
         family.labels(**labels).inc(amount)
 
     def observe(self, name: str, value: float, **labels) -> None:
-        if not self._switch.enabled:
+        if not self.enabled:
             return
         family = self._families.get(name)
         if type(family) is not Histogram:
@@ -537,31 +499,7 @@ class MetricsRegistry:
         return {name: self._families[name].describe()
                 for name in sorted(self._families)}
 
-    def reset(self) -> None:
-        """The explicit **per-run reset**: forget every value in place.
-
-        Families stay registered and — crucially — any family or series
-        object a call site still holds (``gauge = metrics.gauge(
-        "fw.queue_peak_depth")``, ``series = gauge.labels(host=...)``)
-        stays *live*: it vanishes from every sample list now and
-        reappears with its next write.  The registry used to drop the
-        family dict wholesale, which orphaned such held references:
-        their writes after the reset landed in a detached object and
-        silently vanished from snapshots, while cumulative state
-        recorded before the reset (peak watermarks via
-        :meth:`GaugeSeries.set_max`, counter totals) could leak into
-        the next in-process run whenever the reset was skipped.
-        Back-to-back scenario cells in one process (the suite matrix
-        runner) must either construct a fresh registry or call this;
-        see ``docs/experiments.md``.  A collected counter counts on from
-        the owners' tallies as they stand at the reset (while enabled;
-        enabling again takes them as they stand then).
-        """
-        self._read_tallies()
-        for family in self._families.values():
-            family.clear()
-
     def __repr__(self) -> str:
-        state = "enabled" if self._switch.enabled else "disabled"
+        state = "enabled" if self.enabled else "disabled"
         return (f"<MetricsRegistry {state} "
                 f"families={len(self._families)}>")

@@ -116,10 +116,6 @@ class TraceIdAllocator:
             parent.trace_id, f"s{next(self._spans):08x}", parent.span_id,
             parent.hop + 1 if advance_hop else parent.hop))
 
-    def reset(self) -> None:
-        self._traces = itertools.count(1)
-        self._spans = itertools.count(1)
-
 
 # -- briefcase (raw wire) carrier ------------------------------------------
 

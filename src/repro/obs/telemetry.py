@@ -1,10 +1,12 @@
 """Telemetry: the one observability object a deployment owns.
 
 The :class:`Telemetry` facade bundles the metrics registry and the span
-tracer behind a single enabled/disabled switch.  The kernel owns one
-(disabled by default, so plain simulations pay a boolean check and
-nothing else); everything holding a kernel reference —  networks,
-firewalls, VMs, agent contexts — reaches it as ``kernel.telemetry``.
+tracer behind one flag, fixed when the facade is built: a world's
+telemetry is on or off from construction until ``Kernel.close``.  The
+kernel owns one (off by default, so plain simulations pay a boolean
+check and nothing else); everything holding a kernel reference —
+networks, firewalls, VMs, agent contexts — reaches it as
+``kernel.telemetry``.
 
 The clock is bound late (:meth:`bind_clock`) because the telemetry
 object is constructed before the kernel whose virtual clock it reads.
@@ -23,36 +25,15 @@ from repro.obs.tracing import Tracer
 
 class Telemetry:
     """Metrics registry + span tracer + flight recorder behind one
-    switch, plus the deterministic trace-id mint."""
+    flag, plus the deterministic trace-id mint."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 enabled: bool = False,
-                 max_spans: Optional[int] = None):
+                 enabled: bool = False):
         self.enabled = enabled
         self.metrics = MetricsRegistry(enabled=enabled)
-        if max_spans is None:
-            self.tracer = Tracer(clock, enabled=enabled)
-        else:
-            self.tracer = Tracer(clock, enabled=enabled,
-                                 max_spans=max_spans)
+        self.tracer = Tracer(clock, enabled=enabled)
         self.flight = FlightRecorder(enabled=enabled, clock=clock)
         self.ids = TraceIdAllocator()
-
-    # -- switching -----------------------------------------------------------
-
-    def enable(self) -> "Telemetry":
-        self.enabled = True
-        self.metrics.enabled = True
-        self.tracer.enabled = True
-        self.flight.enabled = True
-        return self
-
-    def disable(self) -> "Telemetry":
-        self.enabled = False
-        self.metrics.enabled = False
-        self.tracer.enabled = False
-        self.flight.enabled = False
-        return self
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point the tracer at a virtual clock (done by the kernel)."""
@@ -144,37 +125,20 @@ class Telemetry:
                     "cost.seconds", agent=agent_name)),
         }
 
-    def reset(self) -> None:
-        """The per-run reset: wipe metrics series, spans, flight-recorder
-        rings and the trace-id mint while keeping every registered
-        family (and the enabled/disabled switch) intact.
-
-        Scenario plugins that reuse a telemetry hub across back-to-back
-        in-process runs (the suite matrix runner) must call this between
-        cells — otherwise cumulative state (peak watermarks, counter
-        totals, recorder dumps) from one cell corrupts the next cell's
-        document.  Constructing a fresh :class:`Telemetry` per run is
-        equivalent and is what the built-in scenario drivers do.
-        """
-        self.metrics.reset()
-        self.tracer.reset()
-        self.flight.reset()
-        self.ids.reset()
-
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
         return (f"<Telemetry {state} "
                 f"spans={len(self.tracer.spans)}>")
 
 
-def standalone_tracer(clock=None, enabled: bool = True) -> Tracer:
+def standalone_tracer(clock=None) -> Tracer:
     """A facade-sanctioned span tracer for tools that run *outside* a
     kernel (the monitor log collecting reports in test harnesses).
 
     Everything simulation-attached must go through the kernel's
-    :class:`Telemetry` hub so spans reach exports and honour
-    ``enable()``/``disable()`` (OBS001); a standalone tool has no hub,
-    and this factory is the one sanctioned way for it to own a private
-    timeline instead of constructing :class:`Tracer` directly.
+    :class:`Telemetry` hub so spans reach exports and follow its flag
+    (OBS001); a standalone tool has no hub, and this factory is the one
+    sanctioned way for it to own a private timeline instead of
+    constructing :class:`Tracer` directly.
     """
-    return Tracer(clock, enabled=enabled)
+    return Tracer(clock)

@@ -201,7 +201,7 @@ class Tracer:
     @property
     def open_count(self) -> int:
         """Spans begun but not yet ended."""
-        return max(self._open, 0)
+        return self._open
 
     def find(self, name: Optional[str] = None,
              track: Optional[str] = None,
@@ -210,12 +210,6 @@ class Tracer:
                 if (name is None or s.name == name)
                 and (track is None or s.track == track)
                 and (category is None or s.category == category)]
-
-    def reset(self) -> None:
-        self.spans.clear()
-        self.instants.clear()
-        self.dropped = 0
-        self._open = 0
 
     # -- export --------------------------------------------------------------
 

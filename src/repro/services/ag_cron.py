@@ -3,8 +3,9 @@
 Schedules a briefcase to be sent to a target agent URI after a delay —
 the building block for watchdogs and periodic itinerant launches.  The
 stored briefcase is the request's payload folders (system folders are
-stripped), so an agent can schedule *any* message, including a launch
-briefcase addressed to a VM.
+stripped, and so is a signature that covered them), so an agent can
+schedule *any* message, including a signed launch briefcase addressed
+to a VM.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.core.briefcase import Briefcase
 from repro.core.errors import ServiceError
 from repro.core.uri import AgentUri, UriSyntaxError
 from repro.core import wellknown
+from repro.firewall.firewall import code_signing_bytes
 from repro.firewall.message import Message
 from repro.services.base import ServiceAgent
 
@@ -46,6 +48,12 @@ class AgCron(ServiceAgent):
         deferred = Briefcase()
         skip = {wellknown.OP, wellknown.REPLY_TO, wellknown.MEET_TOKEN,
                 wellknown.ARGS}
+        if not code_signing_bytes(message.briefcase):
+            # A codeless request's signature covers the whole request,
+            # OP and ARGS included, so it would not verify on the job;
+            # a code-carrying launch's covers its CODE, which the job
+            # carries unchanged.
+            skip.add(wellknown.SIGNATURE)
         for folder in message.briefcase.snapshot():
             if folder.name not in skip:
                 deferred.folder(folder.name).push_all(folder)

@@ -30,10 +30,10 @@ Hot paths (see ``docs/performance.md`` §2): event classes use
 ``__slots__``, and every event is fired from one pop-and-fire loop,
 :meth:`Kernel._dispatch` — :meth:`Kernel.run` and
 :meth:`Kernel.run_until` only pass it their bounds.  Per event the loop
-pops the heap, checks the instant, advances the clock, counts — in two
-more locals while telemetry is enabled — and fires: one Python frame
-per *dispatch* (``_fire``), telemetry on or off.  The kernel's two
-series are written once, when the loop returns.  There is no second
+pops the heap, checks the instant, advances the clock, counts — and,
+while telemetry is on, notes the heap depth — and fires: one Python
+frame per *dispatch* (``_fire``), telemetry on or off.  The kernel's
+two series are written once, when the loop returns.  There is no second
 regime to choose — a fast path stays only where a benchmark workload
 reaches it.
 
@@ -472,7 +472,8 @@ class Kernel:
         # span, instant and flight record reads runs no Python frame.
         self.telemetry.bind_clock(partial(getattr, self, "_now"))
         #: ``kernel.events_dispatched`` and ``kernel.heap_depth``, held
-        #: from the first :meth:`_dispatch` that counted an event.
+        #: from the first :meth:`_dispatch` that fired an event with
+        #: telemetry on.
         self._dispatch_series: Optional[tuple] = None
         #: Runtime briefcase sanitizer, or None (the usual case); agent
         #: contexts check this once per tap.
@@ -542,12 +543,10 @@ class Kernel:
         beyond ``until`` — only the last moves the clock (to ``until``,
         never backwards).
 
-        The telemetry flag is read once per event, before the fire, so
-        flipping it mid-run counts from the next event.  Events seen
-        with it on are counted in a local, beside the heap depth after
-        the latest such pop, and both reach the registry once, when the
-        loop returns: a reader inside a callback sees the two kernel
-        series as of the previous return.
+        With telemetry on, the heap depth after each pop is kept in a
+        local; it and the count of events popped reach the registry
+        once, when the loop returns: a reader inside a callback sees the
+        two kernel series as of the previous return.
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run)")
@@ -556,10 +555,10 @@ class Kernel:
         self._running = True
         heap = self._heap
         pop = heappop
-        telemetry = self.telemetry
-        count = self.processed_events
+        telemetry_on = self.telemetry.enabled
+        count = start = self.processed_events
         limit = None if max_events is None else count + max_events
-        counted = depth = 0
+        depth = 0
         try:
             while heap:
                 if stop_event is not None and (
@@ -578,23 +577,18 @@ class Kernel:
                 self._now = when
                 self._fired = sequence
                 count += 1
-                if telemetry.enabled:
-                    counted += 1
+                if telemetry_on:
                     depth = len(heap)
                 event._fire()
         finally:
             self.processed_events = count
             self._running = False
-            if counted:
-                self._record_dispatched(counted, depth)
+            if telemetry_on and count > start:
+                self._record_dispatched(count - start, depth)
 
-    def _record_dispatched(self, counted: int, depth: int) -> None:
-        """Write the loop's two series, once per :meth:`_dispatch`.
-
-        ``counted`` events were seen with telemetry on, so they are
-        recorded even if a callback has switched it off since — what a
-        write per event would have left behind: the two values are
-        written past the registry's switch.
+    def _record_dispatched(self, popped: int, depth: int) -> None:
+        """Write the loop's two series, once per :meth:`_dispatch`:
+        the events it popped, and the heap depth after the last pop.
         """
         series = self._dispatch_series
         if series is None:
@@ -603,7 +597,7 @@ class Kernel:
                 metrics.counter("kernel.events_dispatched").labels(),
                 metrics.gauge("kernel.heap_depth").labels())
         events_dispatched, heap_depth = series
-        events_dispatched.value = (events_dispatched.value or 0) + counted
+        events_dispatched.value = (events_dispatched.value or 0) + popped
         heap_depth.value = depth
 
     def run(self, until: Optional[float] = None,

@@ -114,11 +114,6 @@ class CostLedger:
         return CostLedger(dict(self.seconds_by_category),
                           dict(self.bytes_by_category), self.events)
 
-    def reset(self) -> None:
-        self.seconds_by_category.clear()
-        self.bytes_by_category.clear()
-        self.events = 0
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{cat}={sec:.4f}s"
                           for cat, sec in sorted(self.seconds_by_category.items()))

@@ -14,12 +14,12 @@ Contracts every plugin must honour (recorded in
 ``tests/test_suites.py``):
 
 1. **Fresh registry per run** — the driver constructs its own
-   :class:`~repro.obs.telemetry.Telemetry` (or calls
-   ``telemetry.reset()``) for every invocation.  Cumulative registry
-   state — ``Gauge.set_max`` peak watermarks, counter totals, flight
-   recorder dumps — must never survive from one in-process run into the
-   next, or later matrix cells report the earlier cells' peaks.  Lint
-   rule OBS002 flags module-global telemetry state structurally.
+   :class:`~repro.obs.telemetry.Telemetry` for every invocation.
+   Cumulative registry state — ``Gauge.set_max`` peak watermarks,
+   counter totals, flight recorder dumps — must never survive from one
+   in-process run into the next, or later matrix cells report the
+   earlier cells' peaks.  Lint rule OBS002 flags module-global
+   telemetry state structurally.
 2. **Seeds come in, streams are named** — all randomness must derive
    from the single ``seed`` argument through named
    :class:`~repro.sim.rng.RandomStream`\\ s (use

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.telemetry import Telemetry
 from repro.sim.eventloop import Kernel
 from repro.sim.network import BANDWIDTH_100MBIT, LATENCY_LAN, Network
 from repro.sim.host import SimHost
@@ -25,10 +26,23 @@ def host(kernel, network):
     return SimHost(kernel, network, "host.test")
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "telemetry: build the test's single_cluster or "
+        "pair_cluster with telemetry on")
+
+
+def cluster_telemetry(request):
+    """A cluster fixture's telemetry: on under ``@pytest.mark.telemetry``,
+    off otherwise (a world's telemetry is fixed when it is built)."""
+    marked = request.node.get_closest_marker("telemetry") is not None
+    return Telemetry(enabled=marked)
+
+
 @pytest.fixture
-def pair_cluster():
+def pair_cluster(request):
     """Two booted TAX nodes on a LAN."""
-    cluster = TaxCluster()
+    cluster = TaxCluster(telemetry=cluster_telemetry(request))
     cluster.add_node("alpha.test")
     cluster.add_node("beta.test")
     cluster.network.link("alpha.test", "beta.test",
@@ -37,9 +51,9 @@ def pair_cluster():
 
 
 @pytest.fixture
-def single_cluster():
+def single_cluster(request):
     """One booted TAX node."""
-    cluster = TaxCluster()
+    cluster = TaxCluster(telemetry=cluster_telemetry(request))
     cluster.add_node("solo.test")
     return cluster
 

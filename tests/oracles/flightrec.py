@@ -5,7 +5,7 @@ raw-record ring is tested against.
 it stood before rings kept raw ``(t, kind, detail)`` entries: every
 record rounds the clock reading, sorts its detail and stores the
 finished dict, and a snapshot copies those dicts.  Everything else —
-``dump``, ``hosts``, ``reset``, the dump cap — is the product's own
+``dump``, ``hosts``, the dump cap — is the product's own
 code, inherited, so a difference in any snapshot or dump is the
 deferred rendering's.
 """

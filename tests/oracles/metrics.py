@@ -3,9 +3,9 @@ route into ``repro.obs.metrics`` is tested against.
 
 One dictionary per family, keyed by the canonical label key, and that
 key recomputed on *every* call — no remembered label sets, no series
-objects, nothing held between calls.  Only what a write / reset / switch
-/ snapshot sequence exercises is replicated; ``collect``, ``value`` and
-help strings are not.
+objects, nothing held between calls.  Only what a write / snapshot
+sequence exercises is replicated; ``collect``, ``value`` and help
+strings are not.
 """
 
 from bisect import bisect_left
@@ -21,15 +21,13 @@ def canonical(labels):
 class ReferenceRegistry:
     """``write(op, name, value, labels)`` for ``op`` in :data:`OPS`,
     plus ``counter`` / ``gauge`` / ``histogram`` (declare, or raise on
-    a kind conflict), ``reset``, ``enabled`` and ``snapshot`` with the
-    product's meaning."""
+    a kind conflict) and ``snapshot`` with the product's meaning."""
 
     #: write op → the family kind it needs.
     OPS = {"inc": "counter", "set": "gauge", "add": "gauge",
            "set_max": "gauge", "observe": "histogram"}
 
     def __init__(self):
-        self.enabled = True
         self._families = {}     # name → {"kind", "buckets", "series"}
 
     def _family(self, kind, name, buckets=DEFAULT_BUCKETS):
@@ -53,8 +51,6 @@ class ReferenceRegistry:
         self._family("histogram", name, buckets)
 
     def write(self, op, name, value, labels):
-        if not self.enabled:
-            return
         family = self._family(self.OPS[op], name)
         series = family["series"]
         key = canonical(labels)
@@ -81,10 +77,6 @@ class ReferenceRegistry:
             if state["max"] is None or value > state["max"]:
                 state["max"] = value
             state["per_bucket"][bisect_left(bounds, value)] += 1
-
-    def reset(self):
-        for family in self._families.values():
-            family["series"].clear()
 
     def snapshot(self):
         out = {}

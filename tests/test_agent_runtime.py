@@ -315,8 +315,8 @@ class TestAgentContext:
 
 
 class TestContextEdges:
+    @pytest.mark.telemetry
     def test_post_counts_failures_instead_of_raising(self, single_cluster):
-        single_cluster.telemetry.enable()
         driver = single_cluster.node("solo.test").driver()
 
         def scenario():

@@ -2,14 +2,15 @@
 
 The load-bearing assertions here mirror what CI enforces:
 
-- linting this repository's own source tree is clean modulo the
-  committed baseline (exit 0);
+- linting this repository's own source tree finds nothing (exit 0);
 - the JSON document is byte-identical across runs (CI diffs two runs);
 - seeded fixture files exit non-zero with the expected rule ids.
 """
 
 import json
 import os
+
+import pytest
 
 from repro.cli import main
 
@@ -22,12 +23,12 @@ def run_lint(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def test_self_run_is_clean_modulo_baseline(capsys):
-    """``repro lint`` over src/repro passes with the committed baseline."""
+def test_self_run_is_clean(capsys):
+    """``repro lint`` over src/repro finds nothing."""
     code, out = run_lint(capsys, "--json")
     document = json.loads(out)
     assert code == 0
-    assert document["summary"]["new"] == 0
+    assert document["summary"]["total"] == 0
     assert any(path.endswith("core/errors.py")
                for path in document["analyzed"])
 
@@ -40,18 +41,18 @@ def test_self_run_json_is_byte_identical(capsys):
 
 
 def test_fixture_tree_fails_with_expected_rules(capsys):
-    code, out = run_lint(capsys, CASES, "--json", "--no-baseline")
+    code, out = run_lint(capsys, CASES, "--json")
     assert code == 1
     document = json.loads(out)
     rules = set(document["summary"]["by_rule"])
     assert {"DET005", "DET006", "DUR001", "ERR001", "KER001", "OBS001",
             "OBS002"} <= rules
-    assert document["summary"]["new"] == document["summary"]["total"] > 0
+    assert document["summary"]["total"] > 0
 
 
 def test_single_fixture_exit_and_finding_ids(capsys):
     path = os.path.join(CASES, "det006_popitem.py")
-    code, out = run_lint(capsys, path, "--json", "--no-baseline")
+    code, out = run_lint(capsys, path, "--json")
     assert code == 1
     findings = json.loads(out)["findings"]
     assert [f["rule"] for f in findings] == ["DET006"]
@@ -61,7 +62,7 @@ def test_single_fixture_exit_and_finding_ids(capsys):
 
 def test_text_output_mentions_locations(capsys):
     path = os.path.join(CASES, "det006_popitem.py")
-    code, out = run_lint(capsys, path, "--no-baseline")
+    code, out = run_lint(capsys, path)
     assert code == 1
     assert "det006_popitem.py:5:" in out
     assert "DET006" in out
@@ -69,8 +70,7 @@ def test_text_output_mentions_locations(capsys):
 
 def test_sarif_document(tmp_path, capsys):
     sarif_path = str(tmp_path / "lint.sarif")
-    code, _out = run_lint(capsys, CASES, "--json", "--no-baseline",
-                          "--sarif", sarif_path)
+    code, _out = run_lint(capsys, CASES, "--json", "--sarif", sarif_path)
     assert code == 1
     with open(sarif_path) as handle:
         document = json.load(handle)
@@ -80,23 +80,34 @@ def test_sarif_document(tmp_path, capsys):
     # Static pack and sanitizer rules are both declared to the viewer.
     assert {"DET005", "SAN001", "SAN002"} <= rule_ids
     assert run["results"]
-    assert all(r["baselineState"] == "new" for r in run["results"])
     assert all(r["partialFingerprints"]["reproLint/v1"]
                for r in run["results"])
 
 
-def test_write_then_apply_baseline(tmp_path, capsys):
-    baseline = str(tmp_path / "baseline.json")
-    code, out = run_lint(capsys, CASES, "--write-baseline",
-                         "--baseline", baseline)
+@pytest.mark.parametrize("removed", [
+    ["--baseline", "baseline.json"], ["--no-baseline"],
+    ["--write-baseline"]], ids=["baseline", "no-baseline", "write-baseline"])
+def test_there_is_no_baseline_option(removed, capsys):
+    path = os.path.join(CASES, "det006_popitem.py")
+    with pytest.raises(SystemExit) as refused:
+        main(["lint", path, *removed])
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_an_inline_suppression_is_the_one_way_to_pass(tmp_path, capsys):
+    source = ("def drain(mapping):\n"
+              "    return mapping.popitem(){}\n")
+    module = tmp_path / "drain.py"
+    module.write_text(source.format(""))
+    code, out = run_lint(capsys, str(module))
+    assert code == 1
+    assert "DET006" in out and "1 finding(s)" in out
+    module.write_text(source.format(
+        "  # lint: disable=DET006 - the caller empties the mapping"))
+    code, out = run_lint(capsys, str(module), "--json")
     assert code == 0
-    assert "wrote baseline" in out
-    code, out = run_lint(capsys, CASES, "--json", "--baseline", baseline)
-    assert code == 0
-    document = json.loads(out)
-    assert document["summary"]["new"] == 0
-    assert document["summary"]["baselined"] == \
-        document["summary"]["total"] > 0
+    assert json.loads(out)["summary"]["total"] == 0
 
 
 def test_syntax_error_exits_2(tmp_path, capsys):
@@ -138,8 +149,7 @@ def test_a_runtime_finding_fails_the_sanitize_gate(capsys, monkeypatch):
     monkeypatch.setattr(sanitizer, "run_sanitized_scenarios",
                         lambda: [finding])
     path = os.path.join(CASES, "..", "scoped")
-    code, out = run_lint(capsys, path, "--sanitize", "--json",
-                         "--no-baseline")
+    code, out = run_lint(capsys, path, "--sanitize", "--json")
     document = json.loads(out)
     assert code == 1
     runtime = [f for f in document["findings"]

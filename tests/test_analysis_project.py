@@ -204,8 +204,8 @@ def test_project_findings_are_byte_deterministic():
 
 
 def test_witness_does_not_feed_the_fingerprint(tmp_path):
-    """A baselined transitive finding survives edits to its callers:
-    the witness chain is reporting detail, not identity."""
+    """A transitive finding keeps its fingerprint across edits to its
+    callers: the witness chain is reporting detail, not identity."""
     tree = tmp_path / "tree"
     shutil.copytree(os.path.join(IPA, "ker001_chain"), str(tree))
 
@@ -280,11 +280,11 @@ def test_graph_json_export_is_deterministic():
 
 
 def test_graph_cli_flags(tmp_path, capsys):
-    code = main(["lint", IPA, "--graph", "json", "--no-baseline"])
+    code = main(["lint", IPA, "--graph", "json"])
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["tool"] == "repro-lint-graph"
-    code = main(["lint", IPA, "--graph", "dot", "--no-baseline"])
+    code = main(["lint", IPA, "--graph", "dot"])
     dot = capsys.readouterr().out
     assert code == 0
     assert dot.startswith("digraph callgraph {")
@@ -295,7 +295,7 @@ def test_cli_json_includes_witness_and_sarif_related_locations(
         tmp_path, capsys):
     sarif_path = str(tmp_path / "ipa.sarif")
     code = main(["lint", os.path.join(IPA, "asy001_chain"), "--json",
-                 "--no-baseline", "--sarif", sarif_path])
+                 "--sarif", sarif_path])
     out = capsys.readouterr().out
     assert code == 1
     finding = json.loads(out)["findings"][0]

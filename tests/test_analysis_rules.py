@@ -3,22 +3,13 @@
 Every rule has a seeded fixture file under ``tests/fixtures/lint``
 containing positive cases, negative (allowed) cases, and an inline
 suppression; these tests pin the exact rule ids and line numbers the
-analyzer must report, plus the scoping, suppression, fingerprint, and
-baseline machinery.
+analyzer must report, plus the scoping, suppression and fingerprint
+machinery.
 """
 
 import os
 
-import pytest
-
-from repro.analysis import (
-    PROJECT_RULES,
-    RULES,
-    Analyzer,
-    apply_baseline,
-    load_baseline,
-)
-from repro.analysis.baseline import write_baseline
+from repro.analysis import PROJECT_RULES, RULES, Analyzer
 from repro.analysis.findings import fingerprinted, sort_findings
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
@@ -154,29 +145,16 @@ def test_fingerprints_distinguish_identical_lines():
     assert findings[0].fingerprint != findings[1].fingerprint
 
 
-def test_baseline_round_trip(tmp_path):
-    path = os.path.join(CASES, "det006_popitem.py")
-    report = Analyzer().analyze_paths([path])
+def test_every_finding_fails_the_gate():
+    report = Analyzer().analyze_paths(
+        [os.path.join(CASES, "det006_popitem.py"),
+         os.path.join(CASES, "ker001_bypass.py")])
+    assert {f.rule for f in report.findings} == {"DET006", "KER001"}
     assert report.exit_code == 1
-    baseline_path = str(tmp_path / "baseline.json")
-    count = write_baseline(report.findings, baseline_path)
-    assert count == len(report.findings) == 1
-    apply_baseline(report, load_baseline(baseline_path))
-    assert report.exit_code == 0
-    assert all(f.baselined for f in report.findings)
-    # A finding absent from the baseline still fails the gate.
-    fresh = Analyzer().analyze_paths(
-        [path, os.path.join(CASES, "ker001_bypass.py")])
-    apply_baseline(fresh, load_baseline(baseline_path))
-    assert fresh.exit_code == 1
-    assert {f.rule for f in fresh.new_findings} == {"KER001"}
-
-
-def test_bad_baseline_rejected(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2, 3]")
-    with pytest.raises(ValueError):
-        load_baseline(str(bad))
+    document = report.to_dict()
+    assert document["summary"] == {"total": 5,
+                                   "by_rule": {"DET006": 1, "KER001": 4}}
+    assert all("baselined" not in f for f in document["findings"])
 
 
 def test_report_ordering_is_total():

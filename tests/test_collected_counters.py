@@ -1,18 +1,19 @@
 """Counters that mirror an owner's tally, read through the registry.
 
 A firewall keeps its ``DeliveryStats`` and a link its ``LinkStats``
-whether telemetry is on or off; the ``fw.*`` / ``net.*`` counters that
-mirror them report what was counted *while the registry was enabled*,
-from its latest ``reset()`` on.  Each case below drives a world across
-one of the switches that decide that (enable after traffic, a
-disable/enable window, a reset, a link made while off) and checks every
-read route — ``value``, ``collect`` and ``snapshot`` — against the
-tallies' deltas, with no series of value 0 anywhere.
+whether telemetry is on or off; in a world built with telemetry on, the
+``fw.*`` / ``net.*`` counters that mirror them are those tallies, read
+when the registry is read, and in a world built with it off there are
+none.  Every read route — ``value``, ``collect``, ``snapshot`` and the
+OpenMetrics text — agrees, with no series of value 0 anywhere.
 """
 
 from contextlib import nullcontext
 
 import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.agent.mailbox import Mailbox
 from repro.core import wellknown
@@ -28,12 +29,13 @@ from repro.core.errors import (
 from repro.core.limits import BreakerConfig, QueueLimits, WireLimits
 from repro.core.uri import AgentUri
 from repro.firewall.governor import GovernorConfig, QuotaSpec
-from repro.firewall.message import MAX_HOPS, Message, SenderInfo
+from repro.firewall.message import (MAX_HOPS, DeliveryStats, Message,
+                                    SenderInfo)
 from repro.firewall.policy import Policy, closed_policy
 from repro.obs.metrics import MetricError, MetricsRegistry
 from repro.obs.openmetrics import render_openmetrics
 from repro.obs.telemetry import Telemetry
-from repro.sim.network import LinkDownError
+from repro.sim.network import LinkDownError, NetworkError
 from repro.system.cluster import TaxCluster
 
 ALPHA, BETA, GAMMA = "alpha.test", "beta.test", "gamma.test"
@@ -93,108 +95,82 @@ def ends(src, dst):
     return (("dst", dst), ("src", src))
 
 
-def assert_mirrors(cluster, delivered, link_deltas):
-    """``fw.delivered`` is ``delivered`` (beta's, alpha delivered
-    nothing); each link's ``net.messages`` / ``net.bytes_on_wire`` is its
-    delta, and a link with none is absent."""
-    metrics = cluster.telemetry.metrics
-    assert read(metrics, "fw.delivered") == (
-        {(("host", BETA),): delivered} if delivered else {})
-    assert metrics.value("fw.delivered", host=ALPHA) is None
-    messages = {ends(*link): delta[0]
-                for link, delta in link_deltas.items() if delta[0]}
-    payload = {ends(*link): delta[1]
-               for link, delta in link_deltas.items() if delta[1]}
-    assert read(metrics, "net.messages") == messages
-    assert read(metrics, "net.bytes_on_wire") == payload
+#: The directed links of :func:`three_hosts`, loopback included.
+LINKS = ((ALPHA, BETA), (BETA, ALPHA), (ALPHA, GAMMA), (GAMMA, ALPHA),
+         (GAMMA, GAMMA))
+
+#: The collected families: every firewall's and every link's.
+COLLECTED = (*DeliveryStats.FAMILIES, "net.bytes_on_wire", "net.messages")
 
 
-def delta(after, before):
-    return tuple(a - b for a, b in zip(after, before))
+def three_hosts(enabled):
+    """:func:`world`, plus a third node linked to alpha."""
+    cluster = world(enabled)
+    cluster.add_node(GAMMA)
+    cluster.network.link(ALPHA, GAMMA)
+    return cluster
 
 
-class TestAcrossTheSwitch:
-    def test_enabling_after_traffic_counts_only_what_follows(self):
-        cluster = world(enabled=False)
-        send(cluster, 3)
-        stats = cluster.node(BETA).firewall.stats
-        assert stats.delivered == 3
-        base = link_tally(cluster, ALPHA, BETA)
-        assert cluster.telemetry.metrics.snapshot() == {}
-        cluster.telemetry.enable()
-        assert cluster.telemetry.metrics.get("fw.delivered") is None
-        assert cluster.telemetry.metrics.snapshot() == {}
-        send(cluster, 2)
-        assert stats.delivered == 5
-        assert_mirrors(cluster, 2, {
-            (ALPHA, BETA): delta(link_tally(cluster, ALPHA, BETA), base)})
-        cluster.close()
+#: One step of a world's life, or a read of its registry.
+step = st.one_of(
+    st.tuples(st.just("send"), st.integers(1, 3)),
+    st.tuples(st.just("charge"), st.sampled_from(LINKS),
+              st.integers(0, 900)),
+    st.tuples(st.just("relink"), st.sampled_from([LINKS[0], LINKS[2]]),
+              st.sampled_from([0.001, 0.01])),
+    st.tuples(st.just("crash"), st.sampled_from([ALPHA, BETA, GAMMA])),
+    st.tuples(st.just("restart"), st.sampled_from([ALPHA, BETA, GAMMA])),
+    st.tuples(st.just("read")),
+)
 
-    def test_a_disabled_window_is_left_out(self):
-        cluster = world(enabled=True)
-        send(cluster, 2)
-        first = link_tally(cluster, ALPHA, BETA)
-        cluster.telemetry.disable()
-        assert_mirrors(cluster, 2, {(ALPHA, BETA): first})
-        send(cluster, 3)
-        assert_mirrors(cluster, 2, {(ALPHA, BETA): first})
-        paused = link_tally(cluster, ALPHA, BETA)
-        cluster.telemetry.enable()
-        send(cluster, 1)
-        after = delta(link_tally(cluster, ALPHA, BETA), paused)
-        assert_mirrors(cluster, 3, {
-            (ALPHA, BETA): tuple(a + b for a, b in zip(first, after))})
-        assert cluster.node(BETA).firewall.stats.delivered == 6
-        cluster.close()
 
-    def test_a_reset_starts_every_mirror_from_zero(self):
-        cluster = world(enabled=True)
-        send(cluster, 2)
-        metrics = cluster.telemetry.metrics
-        metrics.reset()
-        # The families stay registered, each now without a sample.
-        snapshot = metrics.snapshot()
-        for family in ("fw.delivered", "net.messages", "net.bytes_on_wire"):
-            assert snapshot[family]["samples"] == []
-            assert metrics.get(family) is not None
-        assert_mirrors(cluster, 0, {})
-        base = link_tally(cluster, ALPHA, BETA)
-        send(cluster, 1)
-        assert_mirrors(cluster, 1, {
-            (ALPHA, BETA): delta(link_tally(cluster, ALPHA, BETA), base)})
-        cluster.close()
+def apply(cluster, action):
+    """One drawn step; a send or charge a crashed host refuses is
+    refused the same way with telemetry on or off."""
+    kind = action[0]
+    try:
+        if kind == "send":
+            send(cluster, action[1])
+        elif kind == "charge":
+            cluster.network.charge(*action[1], action[2])
+    except NetworkError:
+        pass
+    if kind == "relink":
+        cluster.network.link(*action[1], latency=action[2])
+    elif kind == "crash":
+        cluster.node(action[1]).crash()
+    elif kind == "restart":
+        cluster.node(action[1]).restart()
 
-    def test_a_reset_while_disabled_holds_until_enabled(self):
-        cluster = world(enabled=True)
-        send(cluster, 2)
-        cluster.telemetry.disable()
-        cluster.telemetry.metrics.reset()
-        send(cluster, 2)
-        assert_mirrors(cluster, 0, {})
-        base = link_tally(cluster, ALPHA, BETA)
-        cluster.telemetry.enable()
-        send(cluster, 1)
-        assert_mirrors(cluster, 1, {
-            (ALPHA, BETA): delta(link_tally(cluster, ALPHA, BETA), base)})
-        cluster.close()
 
-    def test_a_link_made_while_off_counts_from_the_enable(self):
-        cluster = world(enabled=False)
-        cluster.add_node(GAMMA)
-        network = cluster.network
-        network.link(ALPHA, GAMMA)
-        network.charge(ALPHA, GAMMA, 500)
-        network.charge(GAMMA, ALPHA, 70)
-        cluster.telemetry.enable()
-        assert cluster.telemetry.metrics.snapshot() == {}
-        network.charge(ALPHA, GAMMA, 300)
-        # A loopback link, made on first use after the enable.
-        network.charge(GAMMA, GAMMA, 40)
-        assert_mirrors(cluster, 0, {
-            (ALPHA, GAMMA): (1, 300), (GAMMA, ALPHA): (0, 0),
-            (GAMMA, GAMMA): (1, 40)})
-        assert link_tally(cluster, ALPHA, GAMMA) == (2, 800)
-        cluster.close()
+def tallies(cluster):
+    """Family → ``{label items: tally}`` from the owners themselves,
+    without the tallies still at 0."""
+    by_family = {}
+    for node in cluster.nodes.values():
+        for (family, labels), tally in \
+                node.firewall.stats.mirrors().items():
+            if tally:
+                by_family.setdefault(family, {})[labels] = tally
+    for src, dst in LINKS:
+        stats = cluster.network.link_between(src, dst).stats
+        for family, tally in (("net.messages", stats.messages),
+                              ("net.bytes_on_wire", stats.payload_bytes)):
+            if tally:
+                by_family.setdefault(family, {})[ends(src, dst)] = tally
+    return by_family
+
+
+def collected(metrics):
+    """Family → samples of every collected family that has one, the
+    same through every read route (:func:`read`)."""
+    samples = {family: read(metrics, family) for family in COLLECTED}
+    return {family: found for family, found in samples.items() if found}
+
+
+class TestReadThrough:
+    """A collected family's samples are its owners' non-zero tallies,
+    read when the registry is read."""
 
     def test_a_replaced_link_keeps_its_traffic(self):
         cluster = world(enabled=True)
@@ -204,8 +180,84 @@ class TestAcrossTheSwitch:
         network.charge(ALPHA, BETA, 300)
         assert network.link_between(ALPHA, BETA).latency == 0.01
         assert link_tally(cluster, ALPHA, BETA) == (2, 800)
-        assert_mirrors(cluster, 0, {(ALPHA, BETA): (2, 800)})
+        assert collected(cluster.telemetry.metrics) == {
+            "net.messages": {ends(ALPHA, BETA): 2},
+            "net.bytes_on_wire": {ends(ALPHA, BETA): 800}}
         cluster.close()
+
+    def test_an_off_world_keeps_its_tallies_and_reports_none(self):
+        cluster = world(enabled=False)
+        send(cluster, 3)
+        assert cluster.node(BETA).firewall.stats.delivered == 3
+        messages, payload = link_tally(cluster, ALPHA, BETA)
+        assert messages == 3 and payload > 0
+        metrics = cluster.telemetry.metrics
+        assert metrics.snapshot() == {}
+        assert metrics.get("fw.delivered") is None
+        assert collected(metrics) == {}
+        cluster.close()
+
+    def test_each_read_sees_the_tallies_as_they_are_now(self):
+        cluster = world(enabled=True)
+        metrics = cluster.telemetry.metrics
+        send(cluster, 2)
+        first = link_tally(cluster, ALPHA, BETA)
+        assert read(metrics, "fw.delivered") == {(("host", BETA),): 2}
+        assert read(metrics, "net.messages") == {ends(ALPHA, BETA): 2}
+        send(cluster, 1)
+        messages, payload = link_tally(cluster, ALPHA, BETA)
+        assert messages == 3 and payload > first[1]
+        assert read(metrics, "fw.delivered") == {(("host", BETA),): 3}
+        assert read(metrics, "net.messages") == {ends(ALPHA, BETA): 3}
+        assert read(metrics, "net.bytes_on_wire") == \
+            {ends(ALPHA, BETA): payload}
+        cluster.close()
+
+    def test_a_link_made_mid_run_counts_all_its_traffic(self):
+        cluster = world(enabled=True)
+        send(cluster, 1)
+        cluster.add_node(GAMMA)
+        network = cluster.network
+        network.link(ALPHA, GAMMA)
+        network.charge(ALPHA, GAMMA, 500)
+        network.charge(GAMMA, ALPHA, 70)
+        # A loopback link, made on first use.
+        network.charge(GAMMA, GAMMA, 40)
+        samples = collected(cluster.telemetry.metrics)
+        assert {key: value for key, value in
+                samples["net.bytes_on_wire"].items()
+                if key != ends(ALPHA, BETA)} == {
+            ends(ALPHA, GAMMA): 500, ends(GAMMA, ALPHA): 70,
+            ends(GAMMA, GAMMA): 40}
+        assert samples == tallies(cluster)
+        cluster.close()
+
+    def test_a_crash_and_restart_keep_what_was_counted(self):
+        cluster = three_hosts(enabled=True)
+        send(cluster, 2)
+        cluster.network.charge(ALPHA, GAMMA, 90)
+        before = tallies(cluster)
+        beta = cluster.node(BETA)
+        beta.crash()
+        beta.restart()
+        assert tallies(cluster) == before
+        assert collected(cluster.telemetry.metrics) == before
+        cluster.close()
+
+    @given(steps=st.lists(step, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_samples_are_the_owners_non_zero_tallies(self, steps):
+        on, off = three_hosts(enabled=True), three_hosts(enabled=False)
+        for action in steps:
+            apply(off, action)
+            apply(on, action)
+            if action[0] == "read":
+                assert collected(on.telemetry.metrics) == tallies(on)
+        assert tallies(on) == tallies(off)
+        assert collected(on.telemetry.metrics) == tallies(on)
+        assert off.telemetry.metrics.snapshot() == {}
+        on.close()
+        off.close()
 
 
 def governed(**config):

@@ -31,6 +31,7 @@ from repro.firewall.message import Message, SenderInfo  # noqa: E402
 from repro.firewall.policy import Policy  # noqa: E402
 from repro.firewall.routing import Registration, Registry  # noqa: E402
 from repro.obs.propagation import TraceContext  # noqa: E402
+from repro.obs.telemetry import Telemetry  # noqa: E402
 from repro.system.cluster import TaxCluster  # noqa: E402
 from tests.test_obs_metrics import count_frames  # noqa: E402
 from tests.test_sim_eventloop import count_kernel_frames  # noqa: E402
@@ -395,8 +396,7 @@ SEND_METRIC_FRAMES_BEFORE = 38
 
 
 def test_one_governed_send_writes_each_series_in_one_frame():
-    cluster = TaxCluster()
-    cluster.telemetry.enable()
+    cluster = TaxCluster(telemetry=Telemetry(enabled=True))
     governor = GovernorConfig(
         queue_limits=QueueLimits(max_messages=64),
         wire_limits=WireLimits(max_encoded_bytes=65_536))
@@ -447,8 +447,7 @@ def count_folders_built(action):
 
 @pytest.mark.parametrize("folders", [1, 8])
 def test_one_remote_send_builds_no_folder(folders):
-    cluster = TaxCluster()
-    cluster.telemetry.enable()
+    cluster = TaxCluster(telemetry=Telemetry(enabled=True))
     governor = GovernorConfig(
         queue_limits=QueueLimits(max_messages=64),
         wire_limits=WireLimits(max_encoded_bytes=65_536))
@@ -487,10 +486,9 @@ PARK_ARMING_KERNEL_FRAMES = 3
                          ids=["telemetry-off", "telemetry-on"])
 def test_a_park_spends_kernel_frames_only_to_arm_the_timer(telemetry):
     from repro.firewall.msgqueue import PendingQueue
-    from repro.obs.telemetry import Telemetry
     from repro.sim.eventloop import Kernel
 
-    kernel = Kernel(telemetry=Telemetry(enabled=False))
+    kernel = Kernel(telemetry=Telemetry(enabled=telemetry))
     queue = PendingQueue(kernel, host="h")
     sender = SenderInfo(principal="p", host="h")
 
@@ -500,11 +498,6 @@ def test_a_park_spends_kernel_frames_only_to_arm_the_timer(telemetry):
                           queue_timeout=ttl)
         return count_kernel_frames(lambda: queue.park(message, wire_bytes=8))
 
-    if telemetry:
-        # Metrics and the queue's gauges on; the span tracer stays off —
-        # an open span reads the clock through the kernel, one frame.
-        kernel.telemetry.enable()
-        kernel.telemetry.tracer.enabled = False
     assert park(30.0) <= PARK_ARMING_KERNEL_FRAMES     # empty queue: arms
     assert park(30.0) == PARK_KERNEL_FRAMES
     assert park(60.0) == PARK_KERNEL_FRAMES

@@ -17,6 +17,7 @@ from repro.firewall.firewall import code_signing_bytes
 from repro.firewall.governor import GovernorConfig
 from repro.firewall.message import MAX_HOPS, Message, SenderInfo
 from repro.firewall.policy import OP_SEND, Policy, closed_policy
+from repro.obs.telemetry import Telemetry
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import LinkDownError
 from repro.system.cluster import TaxCluster
@@ -308,8 +309,8 @@ class TestAdminAgent:
 class TestTelemetryCounters:
     """The firewall feeds the system metrics registry when enabled."""
 
+    @pytest.mark.telemetry
     def test_queue_timeout_increments_expired_counter(self, single_cluster):
-        single_cluster.telemetry.enable()
         node = single_cluster.node("solo.test")
         driver = node.driver()
 
@@ -328,9 +329,9 @@ class TestTelemetryCounters:
         assert [s.args["outcome"] for s in spans] == ["expired"]
         assert spans[0].duration == pytest.approx(2.0)
 
+    @pytest.mark.telemetry
     def test_queue_delivery_increments_delivered_outcome(self,
                                                          single_cluster):
-        single_cluster.telemetry.enable()
         node = single_cluster.node("solo.test")
         driver = node.driver()
 
@@ -347,8 +348,8 @@ class TestTelemetryCounters:
         assert wait.count == 1
         assert metrics.value("fw.queue_expired", host="solo.test") is None
 
+    @pytest.mark.telemetry
     def test_auth_failure_increments_rejected_counter(self, pair_cluster):
-        pair_cluster.telemetry.enable()
         case = TestAuthentication()
         briefcase = case.signed_briefcase(pair_cluster, "alice",
                                           tamper=True)
@@ -366,8 +367,8 @@ class TestTelemetryCounters:
         assert metrics.value("fw.auth", host="beta.test",
                              outcome="verified") is None
 
+    @pytest.mark.telemetry
     def test_successful_auth_increments_verified(self, pair_cluster):
-        pair_cluster.telemetry.enable()
         case = TestAuthentication()
         briefcase = case.signed_briefcase(pair_cluster, "alice")
         beta = pair_cluster.node("beta.test")
@@ -382,8 +383,8 @@ class TestTelemetryCounters:
         assert metrics.value("fw.auth", host="beta.test",
                              outcome="verified") == 1
 
+    @pytest.mark.telemetry
     def test_delivery_and_per_agent_counters(self, single_cluster):
-        single_cluster.telemetry.enable()
         node = single_cluster.node("solo.test")
         collector(node)
         driver = node.driver()
@@ -397,8 +398,8 @@ class TestTelemetryCounters:
         assert metrics.value("agent.messages_in", agent="sink") == 1
         assert metrics.value("agent.messages_out", agent="driver") == 1
 
+    @pytest.mark.telemetry
     def test_admin_stat_includes_agent_telemetry(self, single_cluster):
-        single_cluster.telemetry.enable()
         node = single_cluster.node("solo.test")
         collector(node, "watched")
         driver = node.driver()
@@ -432,8 +433,8 @@ def sleeper_agent(ctx, bc):
 
 
 class TestHopGuard:
+    @pytest.mark.telemetry
     def test_looping_message_rejected(self, pair_cluster):
-        pair_cluster.telemetry.enable()
         alpha = pair_cluster.node("alpha.test")
         message = Message(
             target=AgentUri.parse("tacoma://beta.test/ag_fs"),
@@ -456,8 +457,7 @@ class TestForwardRejections:
 
     @staticmethod
     def governed_pair():
-        cluster = TaxCluster()
-        cluster.telemetry.enable()
+        cluster = TaxCluster(telemetry=Telemetry(enabled=True))
         governor = GovernorConfig(
             wire_limits=WireLimits(max_encoded_bytes=1024))
         cluster.add_node("alpha.test", policy=Policy(governor=governor))
@@ -519,8 +519,7 @@ class TestSwallowedFailures:
     @staticmethod
     def delaying_pair(beta_policy=None):
         """alpha → beta with every forward held back one second."""
-        cluster = TaxCluster()
-        cluster.telemetry.enable()
+        cluster = TaxCluster(telemetry=Telemetry(enabled=True))
         cluster.add_node("alpha.test")
         beta = cluster.add_node("beta.test", policy=beta_policy)
         cluster.network.link("alpha.test", "beta.test")
@@ -557,8 +556,7 @@ class TestSwallowedFailures:
         assert beta.firewall.stats.rejected == 1
 
     def test_failed_retransmit_is_counted(self):
-        cluster = TaxCluster()
-        cluster.telemetry.enable()
+        cluster = TaxCluster(telemetry=Telemetry(enabled=True))
         node = cluster.add_node("locked.test", policy=closed_policy())
         driver = node.driver(principal="alice")
         assert cluster.run(driver.send(
@@ -618,8 +616,8 @@ class TestOneBadDelivery:
                                        queue_timeout=30)
         cluster.run(scenario())
 
+    @pytest.mark.telemetry
     def test_parked_batch_survives_a_raising_delivery(self, single_cluster):
-        single_cluster.telemetry.enable()
         firewall = single_cluster.node("solo.test").firewall
         self.send_three(single_cluster, "late")
         assert firewall.stats.queued == 3
@@ -634,9 +632,9 @@ class TestOneBadDelivery:
         assert single_cluster.telemetry.metrics.value(
             "fw.dropped_by_wrapper", host="solo.test") == 1
 
+    @pytest.mark.telemetry
     def test_paused_backlog_survives_a_raising_delivery(self,
                                                         single_cluster):
-        single_cluster.telemetry.enable()
         firewall = single_cluster.node("solo.test").firewall
         arrived = []
         registration = firewall.register_agent(
@@ -651,9 +649,9 @@ class TestOneBadDelivery:
         assert single_cluster.telemetry.metrics.value(
             "fw.dropped_by_wrapper", host="solo.test") == 1
 
+    @pytest.mark.telemetry
     def test_parked_batch_counts_a_refused_delivery_as_a_drop(
             self, single_cluster):
-        single_cluster.telemetry.enable()
         firewall = single_cluster.node("solo.test").firewall
         self.send_three(single_cluster, "late")
         arrived = []
@@ -667,9 +665,9 @@ class TestOneBadDelivery:
         assert metrics.value("fw.dropped_by_wrapper", host="solo.test") == 1
         assert metrics.value("fw.queue_flushed", host="solo.test") == 2
 
+    @pytest.mark.telemetry
     def test_paused_backlog_counts_a_refused_delivery_as_a_drop(
             self, single_cluster):
-        single_cluster.telemetry.enable()
         firewall = single_cluster.node("solo.test").firewall
         arrived = []
         registration = firewall.register_agent(

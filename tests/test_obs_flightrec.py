@@ -1,8 +1,8 @@
 """The flight recorder keeps raw records and renders them on read; the
 oracle (``tests/oracles/flightrec.py``) renders each record on arrival.
-Any interleaving of records, reads, dumps, ring overflow, resets and
-switch flips must produce the same snapshots, dumps and counters, down
-to the key order of every event."""
+Any interleaving of records, reads, dumps and ring overflow must
+produce the same snapshots, dumps and counters, down to the key order
+of every event."""
 
 import json
 
@@ -36,8 +36,6 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("tick"), st.floats(0, 1e4, allow_nan=False)),
     st.tuples(st.just("snapshot"), st.sampled_from(HOSTS + ["absent"])),
     st.tuples(st.just("dump"), st.sampled_from(HOSTS + ["absent"])),
-    st.tuples(st.just("switch"), st.booleans()),
-    st.tuples(st.just("reset")),
 ), max_size=60)
 
 
@@ -63,12 +61,8 @@ def drive(recorder_class, script):
             # A reader owns what it was handed.
             for event in events:
                 event["mutated"] = True
-        elif kind == "dump":
-            seen.append(json.dumps(recorder.dump(op[1], reason="test")))
-        elif kind == "switch":
-            recorder.enabled = op[1]
         else:
-            recorder.reset()
+            seen.append(json.dumps(recorder.dump(op[1], reason="test")))
         seen.append((recorder.hosts(), len(recorder.dumps),
                      recorder.dumps_evicted))
     seen.append(json.dumps([recorder.snapshot(host) for host in HOSTS]))

@@ -257,45 +257,6 @@ class TestRegistry:
 
         assert build() == build()
 
-    def test_reset_clears_series_in_place(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("x")
-        counter.inc()
-        registry.reset()
-        # Families stay registered (held references stay live); every
-        # series is gone.  Dropping the family dict wholesale instead
-        # orphaned held references: post-reset writes landed in a
-        # detached object and silently vanished.
-        snapshot = registry.snapshot()
-        assert snapshot["x"]["samples"] == []
-        assert registry.counter("x") is counter
-        counter.inc(2)
-        [sample] = registry.snapshot()["x"]["samples"]
-        assert sample["value"] == 2
-
-    def test_reset_clears_held_series_and_later_writes_reappear(self):
-        registry = MetricsRegistry()
-        peak = registry.gauge("g").labels(host="a")
-        peak.set_max(7)
-        count = registry.counter("c").labels(host="a")
-        count.inc(5)
-        waits = registry.histogram("h").labels(host="a")
-        waits.observe(0.5)
-        registry.reset()
-        assert [s.value for s in (peak, count, waits)] == [None] * 3
-        assert [registry.get(name).series() for name in "gch"] == [{}] * 3
-        # Held series stay live, as held families do: the watermark and
-        # the total start over instead of leaking into the next run.
-        peak.set_max(3)
-        count.inc()
-        assert registry.gauge("g").labels(host="a") is peak
-        snapshot = registry.snapshot()
-        assert snapshot["g"]["samples"] == \
-            [{"labels": {"host": "a"}, "value": 3}]
-        assert snapshot["c"]["samples"] == \
-            [{"labels": {"host": "a"}, "value": 1}]
-        assert snapshot["h"]["samples"] == []
-
 
 class TestSeries:
     def test_each_kind_hands_out_its_series_class(self):
@@ -323,7 +284,7 @@ class TestSeries:
         with pytest.raises(ValueError, match="'c' cannot decrease"):
             total.inc(-1)
 
-    def test_an_unwritten_or_reset_series_is_absent_everywhere(self):
+    def test_an_unwritten_series_is_absent_everywhere(self):
         registry = MetricsRegistry()
         held = [registry.counter("c").labels(host="a"),
                 registry.gauge("g").labels(host="a"),
@@ -347,8 +308,6 @@ class TestSeries:
         held[1].set(0)
         held[2].observe(0.5)
         assert len(registry.collect("", host="a")) == 3
-        registry.reset()
-        assert_absent()
 
     def test_non_str_label_values_land_where_label_key_says(self):
         class Loud(str):
@@ -363,17 +322,6 @@ class TestSeries:
                                     (("n", "1.0"),): 1, (("n", "X"),): 1,
                                     (("n", "x"),): 1}
         assert counter.labels(n=["a"]) is counter.labels(n="['a']")
-
-    def test_a_held_series_follows_the_switch(self):
-        registry = MetricsRegistry(enabled=False)
-        series = registry.counter("c").labels(host="a")
-        series.inc()
-        assert series.value is None
-        registry.enabled = True
-        series.inc()
-        registry.enabled = False
-        series.inc()
-        assert registry.value("c", host="a") == 1
 
 
 def count_frames(write, *args, **kwargs):
@@ -455,12 +403,4 @@ class TestDisabledRegistry:
             assert family.labels(host="a").value is None
         registry.inc("never.declared", host="a")
         assert registry.get("never.declared") is None
-        registry.enabled = True
         assert registry.collect("") == []
-
-    def test_reenabling_records_again(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.inc("x")
-        registry.enabled = True
-        registry.inc("x")
-        assert registry.value("x") == 1

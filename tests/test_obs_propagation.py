@@ -76,8 +76,16 @@ class TestTraceContextHeader:
         one, two = TraceIdAllocator(), TraceIdAllocator()
         assert one.root() == two.root()
         assert one.new_trace_id() == two.new_trace_id()
-        one.reset()
-        assert one.root() == TraceIdAllocator().root()
+
+    def test_a_fresh_allocator_starts_at_the_root(self):
+        used = TraceIdAllocator()
+        first = used.root()
+        for _ in range(5):
+            used.new_trace_id()
+            used.new_span_id()
+        assert used.root() != first
+        # Each world builds its own allocator; nothing carries over.
+        assert TraceIdAllocator().root() == first
 
     def test_child_advances_hop_only_across_host_boundaries(self):
         ids = TraceIdAllocator()

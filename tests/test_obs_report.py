@@ -88,6 +88,12 @@ class TestFlightRecorder:
         assert recorder.hosts() == []
         assert recorder.snapshot("h") == []
 
+    def test_disabled_recorder_dumps_nothing(self):
+        recorder = FlightRecorder(enabled=False, clock=lambda: 0.0)
+        recorder.record("h", "tick")
+        assert recorder.dump("h", reason="x") is None
+        assert recorder.dumps == [] and recorder.dumps_evicted == 0
+
     def test_dump_freezes_the_ring(self):
         recorder = FlightRecorder(capacity=4, enabled=True,
                                   clock=lambda: 2.5)
@@ -107,13 +113,6 @@ class TestFlightRecorder:
         assert len(recorder.dumps) == MAX_DUMPS
         assert recorder.dumps_evicted == 5
         assert recorder.dumps[0]["reason"] == "r5"  # oldest evicted
-
-    def test_reset_clears_everything(self):
-        recorder = FlightRecorder(enabled=True, clock=lambda: 0.0)
-        recorder.record("h", "tick")
-        recorder.dump("h", reason="x")
-        recorder.reset()
-        assert recorder.hosts() == [] and recorder.dumps == []
 
     def test_chaos_crash_emits_a_dump_with_recent_events(self):
         document = run_chaos(seed=7, plan="mid-crash", recovery=True)

@@ -73,6 +73,19 @@ class TestSpan:
         span.end()
         assert tracer.open_count == 0
 
+    def test_open_count_stays_exact_across_repeated_ends(self):
+        tracer = Tracer(FakeClock())
+        outer, inner = tracer.begin("outer"), tracer.begin("inner")
+        inner.end()
+        inner.end()
+        assert tracer.open_count == 1
+        with tracer.span("scoped"):
+            assert tracer.open_count == 2
+        outer.end()
+        outer.end()
+        assert tracer.open_count == 0
+        assert len(tracer.spans) == 3
+
 
 class TestDisabledTracer:
     def test_begin_returns_shared_null_span(self):
@@ -153,13 +166,32 @@ class TestExport:
 
 
 class TestTelemetryFacade:
-    def test_switch_toggles_both_halves(self):
-        telemetry = Telemetry(enabled=False)
-        telemetry.enable()
-        assert telemetry.metrics.enabled and telemetry.tracer.enabled
-        telemetry.disable()
-        assert not telemetry.metrics.enabled
-        assert not telemetry.tracer.enabled
+    @pytest.mark.parametrize("enabled", [False, True],
+                             ids=["off", "on"])
+    def test_the_constructor_decides_every_half(self, enabled):
+        telemetry = Telemetry(enabled=enabled)
+        assert telemetry.enabled is enabled
+        assert telemetry.metrics.enabled is enabled
+        assert telemetry.tracer.enabled is enabled
+        assert telemetry.flight.enabled is enabled
+        assert telemetry.snapshot()["enabled"] is enabled
+        assert telemetry.agent_stats("a")["enabled"] is enabled
+
+    def test_a_built_world_has_no_switch_and_no_reset(self):
+        from repro.obs.flightrec import FlightRecorder
+        from repro.obs.metrics import Metric, MetricsRegistry
+        from repro.obs.propagation import TraceIdAllocator
+
+        for owner, names in ((Telemetry, ("enable", "disable", "reset")),
+                             (MetricsRegistry, ("reset",)),
+                             (Metric, ("clear",)),
+                             (Tracer, ("reset",)),
+                             (FlightRecorder, ("reset",)),
+                             (TraceIdAllocator, ("reset",))):
+            for name in names:
+                assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        # ``enabled`` is a plain attribute, not a property with a setter.
+        assert "enabled" not in vars(MetricsRegistry)
 
     def test_flush_ledger_emits_spans_and_counters(self):
         from repro.sim.ledger import CostLedger

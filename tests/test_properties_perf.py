@@ -188,10 +188,10 @@ label_items = st.dictionaries(
 ).flatmap(lambda labels: st.permutations(list(labels.items())))
 
 #: One step of a registry's life: a write (the op names of
-#: ``ReferenceRegistry.OPS``), the per-run reset, the switch, or an
-#: attempt to use the counter as a gauge.
+#: ``ReferenceRegistry.OPS``), or an attempt to use the counter as a
+#: gauge.
 WRITES = ["inc", "set", "add", "set_max", "observe"]
-STEPS = WRITES * 5 + ["reset", "reset", "disable", "enable", "conflict"]
+STEPS = WRITES * 5 + ["conflict"]
 
 #: (step, value, label items in the keyword order of the call); long
 #: enough that most calls repeat, or collide with, an earlier label set.
@@ -235,7 +235,7 @@ def by_family(registry):
 
 def by_series(registry):
     """Series objects resolved once per label set *as passed* and held
-    across the whole call list — resets, switches and all."""
+    across the whole call list."""
     held = {}
 
     def write(op, value, items):
@@ -263,11 +263,7 @@ def replay(calls, registry, route):
     raised = []
     for step, value, items in calls:
         try:
-            if step == "reset":
-                registry.reset()
-            elif step in ("disable", "enable"):
-                registry.enabled = step == "enable"
-            elif step == "conflict":
+            if step == "conflict":
                 registry.gauge("c")
             else:
                 write(step, value, items)
@@ -282,9 +278,7 @@ class TestHeldSeriesAreTheRegistry:
     @given(calls=metric_calls)
     @example(calls=[(op, 2, [("a", value)]) for op in WRITES
                     for value in (1, True, 1.0, "1")]
-             + [("reset", 0, []), ("inc", 1, [("a", True)]),
-                ("disable", 0, []), ("inc", -1, [("a", 1)]),
-                ("enable", 0, []), ("inc", -1, [("a", 1)]),
+             + [("inc", 1, [("a", True)]), ("inc", -1, [("a", 1)]),
                 ("conflict", 0, []), ("set_max", 0, [("b", "x"), ("a", 1)]),
                 ("set_max", -1, [("a", 1), ("b", "x")])])
     @settings(max_examples=200, deadline=None)

@@ -511,48 +511,6 @@ class TestSlotsAndFastDrain:
         assert seen == list(range(500))
         assert kernel.processed_events == 501
 
-    def test_telemetry_flip_mid_drain_falls_back_to_step(self):
-        from repro.obs.telemetry import Telemetry
-
-        telemetry = Telemetry(enabled=False)
-        kernel = Kernel(telemetry=telemetry)
-        for i in range(300):
-            kernel.timeout(float(i))
-        flip_at = []
-
-        def flip(_event):
-            telemetry.enable()
-            flip_at.append(kernel.now)
-        kernel.timeout(100.5).add_callback(flip)
-        kernel.run()
-        assert kernel.processed_events == 301
-        assert kernel.now == 299.0
-        # The flag is read once per event, before the fire: events after
-        # the flip (t=101..299) are counted; the 101+1 up to and
-        # including the flip are not.
-        counted = telemetry.metrics.value("kernel.events_dispatched",
-                                          default=0)
-        assert counted == 199
-
-    def test_telemetry_switched_off_mid_drain_keeps_what_was_counted(self):
-        from repro.obs.telemetry import Telemetry
-
-        telemetry = Telemetry(enabled=True)
-        kernel = Kernel(telemetry=telemetry)
-        for i in range(300):
-            kernel.timeout(float(i))
-        kernel.timeout(100.5).add_callback(lambda _e: telemetry.disable())
-        kernel.run()
-        assert kernel.processed_events == 301
-        # The 101 + 1 events up to and including the one that switched
-        # telemetry off were seen with it on; the depth is the one
-        # after that event's pop.  Both are written when the loop
-        # returns, by which time the registry is disabled.
-        assert not telemetry.metrics.enabled
-        metrics = telemetry.metrics
-        assert metrics.value("kernel.events_dispatched") == 102
-        assert metrics.value("kernel.heap_depth") == 199
-
     def test_kernel_series_are_written_when_the_loop_returns(self):
         from repro.obs.telemetry import Telemetry
 
@@ -570,10 +528,69 @@ class TestSlotsAndFastDrain:
         assert seen == [0, 0, 2, 2, 2]
         assert telemetry.metrics.value("kernel.events_dispatched") == 5
         assert telemetry.metrics.value("kernel.heap_depth") == 0
-        telemetry.metrics.reset()
-        kernel.timeout(1.0)
+
+    def test_events_dispatched_is_what_the_loops_popped(self):
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry(enabled=True)
+        kernel = Kernel(telemetry=telemetry)
+        for i in range(10):
+            kernel.timeout(float(i))
+        value = telemetry.metrics.value
+        kernel.run(until=4.5)
+        assert value("kernel.events_dispatched") == \
+            kernel.processed_events == 5
+        assert value("kernel.heap_depth") == 5
+        kernel.run(max_events=2)
+        assert value("kernel.events_dispatched") == \
+            kernel.processed_events == 7
         kernel.run()
-        assert telemetry.metrics.value("kernel.events_dispatched") == 1
+        assert value("kernel.events_dispatched") == \
+            kernel.processed_events == 10
+        assert value("kernel.heap_depth") == 0
+
+    def test_a_loop_that_pops_nothing_writes_nothing(self):
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry(enabled=True)
+        kernel = Kernel(telemetry=telemetry)
+        kernel.run()
+        kernel.timeout(5.0)
+        kernel.run(until=1.0)
+        assert kernel.processed_events == 0
+        assert telemetry.metrics.snapshot() == {}
+
+    def test_an_off_kernel_writes_no_kernel_series(self):
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry(enabled=False)
+        kernel = Kernel(telemetry=telemetry)
+        for i in range(10):
+            kernel.timeout(float(i))
+        kernel.run()
+        assert kernel.processed_events == 10
+        assert telemetry.metrics.get("kernel.events_dispatched") is None
+        assert telemetry.metrics.snapshot() == {}
+
+    def test_an_event_whose_callback_raises_is_counted(self):
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry(enabled=True)
+        kernel = Kernel(telemetry=telemetry)
+        for i in range(10):
+            kernel.timeout(float(i))
+        kernel.timeout(4.5).add_callback(
+            lambda _e: (_ for _ in ()).throw(RuntimeError("boom")))
+        with pytest.raises(RuntimeError, match="boom"):
+            kernel.run()
+        # 0..4 and the bomb were popped; the loop's ``finally`` writes.
+        value = telemetry.metrics.value
+        assert value("kernel.events_dispatched") == \
+            kernel.processed_events == 6
+        assert value("kernel.heap_depth") == 5
+        kernel.run()
+        assert value("kernel.events_dispatched") == \
+            kernel.processed_events == 11
 
     def test_callback_error_leaves_heap_consistent(self):
         kernel = Kernel()

@@ -178,12 +178,6 @@ class TestCostLedger:
         ledger.add_cpu(1.0)
         assert snap.total_seconds == pytest.approx(1.0)
 
-    def test_reset(self):
-        ledger = CostLedger()
-        ledger.add_cpu(1.0)
-        ledger.reset()
-        assert ledger.total_seconds == 0 and ledger.events == 0
-
 
 class TestOneFloatTotal:
     """Each total is the left fold, which ``sum`` stopped being on

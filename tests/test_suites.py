@@ -2,8 +2,8 @@
 this layer exists to pin down:
 
 - cumulative registry state leaking across back-to-back in-process runs
-  (``MetricsRegistry.reset`` must clear series *in place* so held
-  family references stay live);
+  (every cell builds its own telemetry, so a cell's digest does not
+  depend on the cells run before it);
 - ad-hoc seed plumbing (``seed + index`` arithmetic) coupling cells
   that must be independent — seeds now derive from names
   (:func:`repro.sim.rng.derive_seed` / :func:`~repro.sim.rng.retry_stream`);
@@ -17,8 +17,6 @@ import json
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import Telemetry
 from repro.sim.rng import RandomStream, derive_seed, retry_stream
 from repro.suites import (CellSpec, SuiteConfigError, SuiteError,
                           UnknownPluginError, cell_seed, document_digest,
@@ -321,31 +319,6 @@ def test_digest_is_canonical_sha256():
 
 
 # ----------------------------------------------------- regression: bugs
-
-
-def test_registry_reset_keeps_held_families_live():
-    # The cumulative-state bug: reset() used to drop the family dict
-    # wholesale, so a held gauge kept writing into a detached object
-    # (its samples vanished) while a re-fetched one started from the
-    # stale peak.  reset() must clear series in place.
-    registry = MetricsRegistry(enabled=True)
-    gauge = registry.gauge("fw.queue_peak_depth")
-    gauge.set_max(5, host="w1")
-    registry.reset()
-    assert registry.gauge("fw.queue_peak_depth") is gauge
-    gauge.set_max(2, host="w1")
-    family = registry.snapshot()["fw.queue_peak_depth"]
-    assert family["samples"] == [{"labels": {"host": "w1"}, "value": 2}]
-
-
-def test_telemetry_reset_clears_peaks_between_runs():
-    telemetry = Telemetry(enabled=True)
-    telemetry.metrics.gauge("fw.queue_peak_depth").set_max(9, host="w1")
-    telemetry.reset()
-    gauge = telemetry.metrics.gauge("fw.queue_peak_depth")
-    gauge.set_max(1, host="w1")
-    family = telemetry.metrics.snapshot()["fw.queue_peak_depth"]
-    assert [s["value"] for s in family["samples"]] == [1]
 
 
 def test_retry_stream_is_named_not_arithmetic():

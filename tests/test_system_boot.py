@@ -16,12 +16,17 @@
 - **Budget.**  A booted node fires no event and holds no process before
   something is sent to it; the first request to ``ag_fs`` and the first
   launch on ``vm_python`` cost what they cost under the oracle.
+- **Cron jobs cross hosts.**  A job ``pad.test``'s ``ag_cron`` fires at
+  a ``home.test`` agent passes home's firewall whether the driver that
+  scheduled it signs its requests or not, and a signed code launch
+  arrives authenticated as its signer.
 """
 
 import collections
 import contextlib
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +36,7 @@ from repro.core.briefcase import Briefcase
 from repro.core.errors import TaxError
 from repro.core import wellknown
 from repro.core.uri import AgentUri
-from repro.firewall.firewall import LOCAL_DISPATCH_SECONDS
+from repro.firewall.firewall import LOCAL_DISPATCH_SECONDS, code_signing_bytes
 from repro.obs.telemetry import Telemetry
 from repro.services.ag_fs import FS_OP_SECONDS
 from repro.sim.errors import Interrupt
@@ -381,3 +386,66 @@ class TestLandingPadBudget:
         with eager_system_agents():
             eager = self.first_exchange_costs()
         assert self.first_exchange_costs() == eager
+
+
+class TestCronJobsAcrossHosts:
+    @staticmethod
+    def schedule(job, target, signed):
+        """``job(cluster)`` scheduled from a ``home.test`` driver at
+        ``pad.test``'s ``ag_cron``, aimed at ``target`` on home: the
+        cluster once the job has fired, and home's ``sink`` driver."""
+        cluster = TaxCluster(telemetry=Telemetry(enabled=True))
+        cluster.add_node(HOME)
+        cluster.add_node(PAD)
+        cluster.network.link(HOME, PAD, latency=LATENCY_LAN,
+                             bandwidth=BANDWIDTH_100MBIT)
+        client = cluster.node(HOME).driver(name="client")
+        if signed:
+            client.configure_signing(cluster.keychain)
+        sink = cluster.node(HOME).driver(name="sink")
+        request = job(cluster)
+        request.put(wellknown.OP, "schedule")
+        request.put(wellknown.ARGS, {
+            "delay": 1.0, "target": f"tacoma://{HOME}/{target}"})
+        reply = cluster.run(client.meet(
+            AgentUri.parse(f"tacoma://{PAD}/ag_cron"), request,
+            timeout=PATIENCE))
+        assert reply.get_text(wellknown.STATUS) == "ok"
+        cluster.kernel.run(until=100)
+        assert cluster.node(PAD).services["ag_cron"].fired == 1
+        return cluster, sink
+
+    @pytest.mark.parametrize("signed", [False, True],
+                             ids=["unsigned", "signed"])
+    def test_a_codeless_job_arrives(self, signed):
+        cluster, sink = self.schedule(
+            lambda cluster: Briefcase({"NOTE": ["deferred"]}), "sink",
+            signed)
+        # A stale request signature (it covered the OP and ARGS the job
+        # strips) would be refused here as a bad one: ``{'auth': 1}``.
+        assert cluster.node(HOME).firewall.stats.rejections == {}
+        notes = []
+        while len(sink.mailbox):
+            notes.append(sink.mailbox._take_queued(None).briefcase
+                         .get_text("NOTE"))
+        assert notes == ["deferred"]
+        cluster.close()
+
+    def test_a_signed_code_launch_arrives_authenticated(self):
+        def launch(cluster):
+            cluster.add_principal("alice")
+            briefcase = transport_for("vm_source")
+            signature = cluster.keychain.sign(
+                "alice", code_signing_bytes(briefcase))
+            briefcase.put(wellknown.SIGNATURE, signature.to_text())
+            return briefcase
+
+        cluster, _sink = self.schedule(launch, "vm_source", signed=True)
+        assert cluster.node(HOME).firewall.stats.rejections == {}
+        # The job is the one arrival at home that verifies (the other,
+        # ag_cron's reply to the client, is unsigned), and it ran.
+        assert cluster.telemetry.metrics.value(
+            "fw.auth", host=HOME, outcome="verified") == 1
+        assert [span.args["outcome"] for span in cluster.telemetry.tracer
+                .find(name="run:visitor", track=f"host:{HOME}")] == ["done"]
+        cluster.close()

@@ -194,9 +194,9 @@ def named_by_entry(ctx, bc):
 
 
 class TestVmBaseEdges:
+    @pytest.mark.telemetry
     def test_crashing_agent_is_unregistered_and_logged(self,
                                                        single_cluster):
-        single_cluster.telemetry.enable()
         node = single_cluster.node("solo.test")
         driver = node.driver()
         briefcase = Briefcase()

@@ -320,8 +320,8 @@ class TestMonitorWrapper:
         message = make_message()
         assert wrapper.on_receive(None, message) is message
 
+    @pytest.mark.telemetry
     def test_status_query_carries_live_telemetry(self, single_cluster):
-        single_cluster.telemetry.enable()
         node = single_cluster.node("solo.test")
         briefcase = Briefcase()
         loader.install_payload(briefcase, loader.pack_ref(pinger_agent),
