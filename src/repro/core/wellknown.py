@@ -16,13 +16,6 @@ CODE = "CODE"
 #: ``repro.vm.loader`` payload kinds).
 CODE_KIND = "CODE-KIND"
 
-#: Original payload preserved across a compile-at-destination launch:
-#: vm_source compiles CODE into a binary for vm_bin, but the *agent*
-#: keeps carrying its source (Figure 3 repeats per landing pad), so the
-#: original is stashed here and restored into CODE at launch.
-CODE_ORIG = "CODE-ORIG"
-CODE_KIND_ORIG = "CODE-KIND-ORIG"
-
 #: Arguments passed to the agent / service call.
 ARGS = "ARGS"
 

@@ -14,7 +14,9 @@ The launch protocol implemented here:
 1. a transport briefcase (CODE, CODE-KIND, WRAPPERS, AGENT-NAME, user
    folders) arrives addressed to the VM;
 2. the VM charges launch CPU, materialises the entry point
-   (subclass-specific: sandbox, signature check, or compile chain);
+   (subclass-specific: sandbox, signature check, or vm_source's compile
+   chain, which ends in vm_bin's signature check) and refuses a landing
+   tombstoned meanwhile;
 3. it reads every carried config (the wrapper stack, the retry policy),
    registers the agent with the firewall (which flushes any messages
    queued ahead of the agent's arrival), and spawns the agent process —
@@ -80,7 +82,7 @@ class VirtualMachine(SystemAgent):
     # -- the launch path -------------------------------------------------------------
 
     def handle_launch_message(self, message: Message):
-        """Process one arriving agent briefcase (overridable).
+        """Process one arriving agent briefcase: every VM's launch path.
 
         A launch that takes the landing slot leaves it one way: the
         spawn records it, and the ``finally`` releases it on every other
@@ -120,6 +122,13 @@ class VirtualMachine(SystemAgent):
         try:
             payload = yield from self._admit(message)
             entry = yield from self.prepare_entry(message, payload)
+            if landing is not None and \
+                    self.firewall.landings.status(landing) == "tombstoned":
+                # The origin aborted, or the host crashed, while the
+                # entry was prepared (vm_source's compile chain meets
+                # two services): the slot is no longer ours to launch.
+                raise VMError("landing refused: tombstoned while the "
+                              "launch was prepared")
             # Inside the try: register_agent may raise the transient
             # QuotaExceededError (resident-agent quota), which must nack
             # the go/spawn so the sender can back off, not kill this
@@ -176,15 +185,6 @@ class VirtualMachine(SystemAgent):
         briefcase = message.briefcase.snapshot()
         for folder in TRANSPORT_FOLDERS:
             briefcase.drop(folder)
-        if briefcase.has(wellknown.CODE_ORIG):
-            # Compile-at-destination launch: the agent keeps carrying its
-            # original (source) payload, not the site-local binary.
-            briefcase.folder(wellknown.CODE).replace(
-                [e.data for e in briefcase.get(wellknown.CODE_ORIG)])
-            briefcase.put(wellknown.CODE_KIND,
-                          briefcase.get_text(wellknown.CODE_KIND_ORIG))
-            briefcase.drop(wellknown.CODE_ORIG)
-            briefcase.drop(wellknown.CODE_KIND_ORIG)
         name = briefcase.get_text(wellknown.AGENT_NAME) or \
             getattr(entry, "__name__", "agent")
         principal = message.sender.principal

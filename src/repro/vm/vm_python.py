@@ -23,17 +23,9 @@ class VmPython(VirtualMachine):
     name = "vm_python"
     accepts = (loader.KIND_REF, loader.KIND_MARSHAL)
 
-    #: Refuse by-reference launches from unauthenticated remote senders?
-    #: py-ref resolves to *installed* code, so the risk is invoking local
-    #: software with attacker-chosen config; default matches the paper's
-    #: open intra-organisation deployment.
-    require_auth_for_ref = False
-
     def prepare_entry(self, message: Message,
                       payload: loader.Payload) -> Callable:
         if payload.kind == loader.KIND_REF:
-            if self.require_auth_for_ref and not message.sender.authenticated:
-                raise VMError("py-ref launch requires an authenticated sender")
             entry = loader.materialize_ref(payload)
         else:
             entry = loader.materialize_marshal(payload, self.sandbox)

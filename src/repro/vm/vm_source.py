@@ -11,10 +11,17 @@ of paper Figure 3:
 6. returns it to vm_source;
 7. vm_source uses **vm_bin** to activate the now-compiled agent.
 
-The local site signs the compiler's output with its system key before
-handing it to vm_bin — compilation happened under local control, which
-is the trust vm_bin's signature check encodes.  The original sender's
-``go`` ack comes from vm_bin once the agent is actually running.
+All seven steps are vm_source's :meth:`~VmSource.prepare_entry`, so a
+source launch runs the one launch path of :mod:`repro.vm.base` — the
+landing slot, the launch policy, the registration under the sender's
+principal, the journal's ``agent-arrive`` record and the one ack.  The
+local site signs the compiler's output with its system key, and step 7
+is vm_bin's own ``prepare_entry``: its architecture selection, its
+trusted-signature check (compilation happened under local control, which
+is the trust that check encodes) and its materialisation in vm_bin's
+trusted sandbox.  The agent itself is vm_source's: it keeps carrying its
+source, so Figure 3 repeats at every landing pad and on every journal
+replay, and its wrappers are built in vm_source's sandbox.
 """
 
 from __future__ import annotations
@@ -22,10 +29,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.briefcase import Briefcase
-from repro.core.errors import TaxError, VMError
+from repro.core.errors import VMError
 from repro.core.identity import SYSTEM_PRINCIPAL
-from repro.core.uri import AgentUri
-from repro.core import wellknown
 from repro.firewall.message import Message
 from repro.vm import loader
 from repro.vm.base import VirtualMachine
@@ -37,42 +42,23 @@ class VmSource(VirtualMachine):
     name = "vm_source"
     accepts = (loader.KIND_SOURCE,)
 
-    def handle_launch_message(self, message: Message):
-        try:
-            payload = yield from self._admit(message)
-
-            # Steps 2-6: ag_cc -> ag_exec -> compiled payload.
-            request = Briefcase()
-            loader.install_payload(request, payload)
-            response = yield from self.ctx.call_service(
-                "ag_cc", "compile", request)
-            compiled = loader.read_payload(response)
-
-            # Local signature: the site vouches for its own compiler output.
-            signed = loader.pack_binary_list(
-                [(self.node.host.arch, compiled)],
-                self.node.keychain, SYSTEM_PRINCIPAL)
-        except TaxError as exc:
-            self.launch_failures += 1
-            yield from self._reply(message, "error", str(exc))
-            return
-
-        # Step 7: hand the rewritten briefcase to vm_bin, which launches
-        # the agent and acks the original sender (REPLY-TO is preserved).
-        # The original source payload is stashed so the launched agent
-        # keeps carrying source on its next hop (Figure 3 repeats at
-        # every landing pad).
-        transport = message.briefcase.snapshot()
-        transport.folder(wellknown.CODE_ORIG).replace([payload.blob])
-        transport.put(wellknown.CODE_KIND_ORIG, payload.kind)
-        loader.install_payload(transport, signed)
-        self.launched += 1
-        ok = yield from self.ctx.send(
-            AgentUri.for_agent("vm_bin"), transport)
-        if not ok:
-            yield from self._reply(message, "error", "vm_bin unavailable")
-
     def prepare_entry(self, message: Message,
                       payload: loader.Payload) -> Callable:
-        raise VMError("vm_source delegates launching to vm_bin")
-        yield  # pragma: no cover
+        vm_bin = self.node.vms.get("vm_bin")
+        if vm_bin is None:
+            raise VMError("vm_bin unavailable")
+
+        # Steps 2-6: ag_cc -> ag_exec -> compiled payload.
+        request = Briefcase()
+        loader.install_payload(request, payload)
+        response = yield from self.ctx.call_service(
+            "ag_cc", "compile", request)
+        compiled = loader.read_payload(response)
+
+        # Local signature: the site vouches for its own compiler output.
+        signed = loader.pack_binary_list(
+            [(self.node.host.arch, compiled)],
+            self.node.keychain, SYSTEM_PRINCIPAL)
+
+        # Step 7: vm_bin selects, verifies and materialises the binary.
+        return (yield from vm_bin.prepare_entry(message, signed))

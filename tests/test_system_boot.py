@@ -1,14 +1,15 @@
 """System agents start their loop on first delivery (``repro.agent.system``).
 
 - **Boot == the eager oracle.**  Generated operation sequences against a
-  landing pad — requests to every service, launches to every VM,
-  messages parked before the pad boots or while a service is killed,
-  admin ``stop`` / ``resume`` / ``kill`` / ``stat`` of system agents,
-  crashes and restarts mid-request, ``ag_cron`` jobs firing after a
-  restart — run once with the product boot and once with
-  ``tests/oracles/boot.py``.  Every outcome, the sanitizer's
-  observations, the trace JSONL, the flight rings and dumps and the
-  metrics snapshot are equal, except
+  landing pad — requests to every service, launches to every VM (some
+  carrying a landing id, shared by a duplicate, so a slot is held across
+  vm_source's meets with ag_cc and ag_exec), messages parked before the
+  pad boots or while a service is killed, admin ``stop`` / ``resume`` /
+  ``kill`` / ``stat`` of system agents, crashes and restarts
+  mid-request, ``ag_cron`` jobs firing after a restart — run once with
+  the product boot and once with ``tests/oracles/boot.py``.  Every
+  outcome, the sanitizer's observations, the trace JSONL, the flight
+  rings and dumps and the metrics snapshot are equal, except
   ``kernel.events_dispatched``, which differs by exactly what the eager
   loops cost: the bootstrap of every registration whose loop did not
   start at boot's place, and the interrupt and the end of every loop
@@ -82,8 +83,8 @@ def request_for(service):
 
 def transport_for(vm):
     """A launch briefcase: a visitor ``vm_python`` and ``vm_source``
-    run (``vm_source`` through ``ag_cc``, ``ag_exec`` and ``vm_bin``),
-    a payload ``vm_bin`` and ``vm_pickle`` refuse."""
+    run (``vm_source`` through ``ag_cc``, ``ag_exec`` and vm_bin's
+    signature check), a payload ``vm_bin`` and ``vm_pickle`` refuse."""
     briefcase = Briefcase()
     if vm == "vm_source":
         payload = loader.pack_source(VISITOR_SOURCE, "visitor")
@@ -183,13 +184,20 @@ class LandingPad:
         else:
             self.outcomes.append((index, "pad down"))
             return
+        address = AgentUri.parse(f"tacoma://{PAD}/{target}")
         try:
-            reply = yield from ctx.meet(
-                AgentUri.parse(f"tacoma://{PAD}/{target}"), request,
-                timeout=PATIENCE)
-            outcome = (reply.get_text(wellknown.STATUS),
-                       reply.get_text(wellknown.ERROR),
-                       reply.get_json(wellknown.RESULTS))
+            if kind == "launch" and len(op) > 3:
+                # A transport: every attempt, and every launch given the
+                # same number, presents one landing id.
+                outcome = ("landed", (yield from ctx.transport(
+                    "go", address, request, timeout=PATIENCE,
+                    landing=f"{sender}:landing:{op[3]}")))
+            else:
+                reply = yield from ctx.meet(address, request,
+                                            timeout=PATIENCE)
+                outcome = (reply.get_text(wellknown.STATUS),
+                           reply.get_text(wellknown.ERROR),
+                           reply.get_json(wellknown.RESULTS))
         except (TaxError, NetworkError, Interrupt) as exc:
             outcome = (type(exc).__name__, str(exc))
         self.outcomes.append((index, self.cluster.kernel.now, outcome))
@@ -249,6 +257,8 @@ senders = st.sampled_from((HOME, PAD))
 asks = st.one_of(
     st.tuples(st.just("request"), st.sampled_from(SERVICES), senders),
     st.tuples(st.just("launch"), st.sampled_from(VMS), senders),
+    st.tuples(st.just("launch"), st.sampled_from(VMS), senders,
+              st.sampled_from((1, 2))),
     st.tuples(st.just("wait"), st.sampled_from(
         (0.0, LOCAL_DISPATCH_SECONDS, 0.05, 1.0))))
 operations = st.one_of(
@@ -285,6 +295,13 @@ DELIVERED_AT_BOOT = [("request", "ag_fs", PAD),
 #: context, and ag_cc's reply is that registration's first delivery.
 LAUNCH_ACROSS_RESTART = [("boot",), ("launch", "vm_source", HOME),
                          ("wait", 0.001), ("crash",), ("restart",)]
+#: A vm_source transport and its duplicate, both holding or waiting on
+#: one landing slot while the pad crashes and restarts mid-compile, and
+#: a retry of the same landing after the restart.
+LANDED_ACROSS_RESTART = [("boot",), ("launch", "vm_source", HOME, 1),
+                         ("launch", "vm_source", HOME, 1), ("wait", 0.001),
+                         ("crash",), ("restart",), ("wait", 1.0),
+                         ("launch", "vm_source", HOME, 1)]
 
 
 class TestBootIsTheEagerBoot:
@@ -294,6 +311,8 @@ class TestBootIsTheEagerBoot:
     @example(ops=CRASH_MID_REQUEST, durable=True)
     @example(ops=DELIVERED_AT_BOOT, durable=False)
     @example(ops=LAUNCH_ACROSS_RESTART, durable=False)
+    @example(ops=LANDED_ACROSS_RESTART, durable=False)
+    @example(ops=LANDED_ACROSS_RESTART, durable=True)
     def test_same_outcomes_traces_flight_and_metrics(self, ops, durable):
         with tallied_residencies() as tally:
             outcomes, artifacts, snapshot, events = drive(ops, durable)

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.briefcase import Briefcase
-from repro.core.errors import TaxError
+from repro.core.errors import LaunchRejected, TaxError
+from repro.core.identity import SYSTEM_PRINCIPAL
 from repro.core import wellknown
 from repro.core.uri import AgentUri
+from repro.firewall.firewall import code_signing_bytes
 from repro.vm import loader
 
 
@@ -150,8 +152,20 @@ class TestVmSource:
         payload = loader.pack_source(AGENT_SOURCE, "reporting_agent")
         status, trail = launch(single_cluster, payload, "vm_source")
         assert status == "ok"
-        # Step 7: the agent actually ran on vm_bin.
-        assert trail == ["ran on solo.test via vm_bin"]
+        # The agent is vm_source's: the VM that accepts the code it
+        # carries.
+        assert trail == ["ran on solo.test via vm_source"]
+
+    def test_step7_is_vm_bins_signature_check(self, single_cluster):
+        # The compiler output carries the site's own signature; a pad
+        # that no longer trusts it refuses to run the binary.
+        node = single_cluster.node("solo.test")
+        node.firewall.trust_store.revoke(SYSTEM_PRINCIPAL)
+        payload = loader.pack_source(AGENT_SOURCE, "reporting_agent")
+        status, error = launch(single_cluster, payload, "vm_source")
+        assert status == "error"
+        assert "not trusted" in error
+        assert node.vms["vm_source"].launch_failures == 1
 
     def test_chain_used_the_services(self, single_cluster):
         node = single_cluster.node("solo.test")
@@ -179,7 +193,7 @@ class TestVmSource:
         status, trail = launch(pair_cluster, payload, "vm_source",
                                host="beta.test")
         assert status == "ok"
-        assert trail == ["ran on beta.test via vm_bin"]
+        assert trail == ["ran on beta.test via vm_source"]
 
 
 def crashing_agent(ctx, bc):
@@ -290,9 +304,9 @@ class TestCodeOrigPreservation:
 
     def test_agent_launched_via_chain_still_carries_source(
             self, single_cluster):
-        """After the vm_source -> vm_bin chain, the *running* agent's
-        briefcase must hold the original py-source payload, not the
-        site-local binary (Figure 3 repeats per landing pad)."""
+        """After the compile chain, the *running* agent's briefcase must
+        hold the original py-source payload, not the site-local binary
+        (Figure 3 repeats per landing pad)."""
         driver = single_cluster.node("solo.test").driver()
         briefcase = Briefcase()
         loader.install_payload(
@@ -307,9 +321,140 @@ class TestCodeOrigPreservation:
             assert reply.get_text(wellknown.STATUS) == "ok", \
                 reply.get_text(wellknown.ERROR)
             message = yield from driver.recv(timeout=120)
-            inbound = message.briefcase
-            return (inbound.get_text("KIND"),
-                    inbound.has(wellknown.CODE_ORIG))
-        kind, has_orig = single_cluster.run(scenario())
-        assert kind == loader.KIND_SOURCE
-        assert not has_orig  # the stash folder is cleaned up at launch
+            return message.briefcase
+        sent = {name: briefcase.get(name).texts()
+                for name in briefcase.names()}
+        inbound = single_cluster.run(scenario())
+        assert inbound.get_text("KIND") == loader.KIND_SOURCE
+        # The landed briefcase is what was sent (no compiled binary, no
+        # folder the launch added) plus the probe's own KIND.
+        assert {name: inbound.get(name).texts()
+                for name in inbound.names() if name != "KIND"} == sent
+
+
+SLEEPER_SOURCE = """
+def sleeper(ctx, bc):
+    up = bc.snapshot()
+    up.put("UP", ctx.name)
+    yield from ctx.send(bc.get_text("HOME"), up)
+    yield from ctx.sleep(100)
+"""
+
+
+class TestOneLaunchPath:
+    """A source launch runs the launch path every VM runs: the sender's
+    principal, the landing slot, the journal record and the ack."""
+
+    @staticmethod
+    def sleeper(driver, signer=None, keychain=None):
+        briefcase = Briefcase()
+        loader.install_payload(
+            briefcase, loader.pack_source(SLEEPER_SOURCE, "sleeper"),
+            agent_name="sleeper")
+        briefcase.put("HOME", str(driver.uri))
+        if signer is not None:
+            signature = keychain.sign(signer, code_signing_bytes(briefcase))
+            briefcase.put(wellknown.SIGNATURE, signature.to_text())
+        return briefcase
+
+    @staticmethod
+    def residents(node):
+        return [(reg.name, reg.principal, reg.vm_name)
+                for reg in node.firewall.registry.all()
+                if reg.name == "sleeper"]
+
+    @pytest.mark.telemetry
+    @pytest.mark.parametrize("signer, principal",
+                             [(None, "mallory"), ("alice", "alice")],
+                             ids=["unsigned-claim", "signed"])
+    def test_the_agent_runs_as_its_sender(self, pair_cluster, signer,
+                                          principal):
+        pair_cluster.add_principal("alice", trusted=True)
+        driver = pair_cluster.node("alpha.test").driver(
+            name="claimant", principal="mallory")
+        briefcase = self.sleeper(driver, signer, pair_cluster.keychain)
+
+        def scenario():
+            uri = yield from driver.transport(
+                "go", pair_cluster.vm_uri("beta.test", "vm_source"),
+                briefcase)
+            yield from driver.recv(timeout=10)
+            return uri
+        uri = pair_cluster.run(scenario())
+        assert AgentUri.parse(uri).principal == principal
+        assert self.residents(pair_cluster.node("beta.test")) == [
+            ("sleeper", principal, "vm_source")]
+        pair_cluster.kernel.run()  # the sleeper's run span ends
+        tracer = pair_cluster.telemetry.tracer
+        assert [(span.args["vm"], span.args["sender"]) for span in
+                tracer.find(name="vm.launch")] == [("vm_source", principal)]
+        assert [span.args["principal"] for span in
+                tracer.find(name="run:sleeper")] == [principal]
+
+    def test_a_duplicate_transport_lands_once(self, pair_cluster):
+        driver = pair_cluster.node("alpha.test").driver()
+        briefcase = self.sleeper(driver)
+        target = pair_cluster.vm_uri("beta.test", "vm_source")
+        kernel = pair_cluster.kernel
+        acks = []
+
+        def go():
+            acks.append((yield from driver.transport(
+                "go", target, briefcase.snapshot(), landing="same-landing")))
+
+        def both():
+            first, second = kernel.spawn(go()), kernel.spawn(go())
+            yield first
+            yield second
+        pair_cluster.run(both())
+        beta = pair_cluster.node("beta.test")
+        assert len(self.residents(beta)) == 1
+        resident = beta.firewall.registry.by_instance(
+            AgentUri.parse(acks[0]).instance)
+        assert resident is not None and resident.name == "sleeper"
+        assert len(acks) == 2 and acks[0] == acks[1]
+        assert beta.vms["vm_source"].launched == 1
+
+    def test_a_replayed_source_resident_runs_again(self, pair_cluster):
+        durability = pair_cluster.enable_durability()
+        beta = pair_cluster.node("beta.test")
+        driver = pair_cluster.node("alpha.test").driver(principal="alice")
+        briefcase = self.sleeper(driver)
+        kernel = pair_cluster.kernel
+
+        def scenario():
+            yield from driver.transport(
+                "go", pair_cluster.vm_uri("beta.test", "vm_source"),
+                briefcase)
+            yield from driver.recv(timeout=10)
+            beta.crash()
+            yield kernel.timeout(1.0)
+            beta.restart()
+            message = yield from driver.recv(timeout=10)
+            return message.briefcase.get_text("UP")
+        assert pair_cluster.run(scenario()) == "sleeper"
+        assert durability["beta.test"].last_replay["residents_restored"] == 1
+        assert self.residents(beta) == [("sleeper", "alice", "vm_source")]
+        vm = beta.vms["vm_source"]
+        assert (vm.launched, vm.launch_failures) == (2, 0)
+
+    def test_a_landing_tombstoned_mid_compile_is_refused(self,
+                                                         pair_cluster):
+        beta = pair_cluster.node("beta.test")
+        ag_cc = beta.services["ag_cc"]
+        compile_ = ag_cc.op_compile
+
+        def tombstoning_compile(message):
+            # The origin's abort lands while ag_cc compiles.
+            beta.firewall.landings.tombstone("L1", "go-abandoned")
+            return (yield from compile_(message))
+        ag_cc.op_compile = tombstoning_compile
+        driver = pair_cluster.node("alpha.test").driver()
+        transport = driver.transport(
+            "go", pair_cluster.vm_uri("beta.test", "vm_source"),
+            self.sleeper(driver), landing="L1")
+        with pytest.raises(LaunchRejected, match="tombstoned"):
+            pair_cluster.run(transport)
+        assert self.residents(beta) == []
+        landings = beta.firewall.landings.snapshot()
+        assert (landings["launched_now"], landings["pending_now"]) == (0, 0)
