@@ -37,9 +37,20 @@ place with ``struct.unpack_from`` — no per-field slice allocations, no
 cursor object — and accepts ``bytes``/``bytearray``/``memoryview``
 buffers, so a view over a larger receive buffer is parsed without an
 upfront copy; only each element payload is materialised (once) as
-``bytes``.  The readable cursor-based decoder it replaced is a test
-oracle (``tests/oracles/codec.py``): Tier-1 fuzzes and property-tests
-the two against each other on every input, error messages included.
+``bytes``.  A one-element folder, the common case, is read without a
+loop, and the briefcase is assembled from its parts without
+``Briefcase.__init__``.  The readable cursor-based decoder it replaced
+is a test oracle (``tests/oracles/codec.py``): Tier-1 fuzzes and
+property-tests the two against each other on every input, error
+messages included.
+
+The encoder writes each folder name's header (u16 length + UTF-8) from
+a process-wide table, :data:`_NAME_HEADERS`: a name is encoded and
+length-checked once, not on every encode.  The table holds at most
+:data:`_NAME_HEADERS_CAP` names and is emptied when full; a name too
+long for its u16 raises :class:`~repro.core.errors.CodecError` every
+time and is never stored.  ``tests/oracles/codec.py::reference_encode``
+is the encoder without it.
 
 Encoding is cached: :func:`encode` / :func:`encoded_size` store their
 result on the briefcase, stamped with its mutation count (any mutation
@@ -114,8 +125,11 @@ _MIN_FOLDER_BYTES = _U16.size + 1 + _U32.size
 _MIN_ELEMENT_BYTES = _U32.size
 
 _HEADER_BYTES = len(MAGIC) + _U8.size + _U32.size
+#: The fixed start of every wire image: magic and format version.
+_PREAMBLE = MAGIC + _U8.pack(VERSION)
 
 _new_folder = Folder.__new__
+_new_briefcase = Briefcase.__new__
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -128,18 +142,37 @@ _NOTHING_RESERVED: AbstractSet[str] = frozenset()
 # -- encoding --------------------------------------------------------------------
 
 
+#: Each folder name's wire header (u16 length + UTF-8 bytes), kept
+#: across encodes: folder names repeat from briefcase to briefcase, so
+#: an encode looks its names up instead of encoding each again.  The
+#: table is emptied when it reaches :data:`_NAME_HEADERS_CAP` entries;
+#: a name too long for its u16 raises on every encode and is never
+#: stored.
+_NAME_HEADERS: Dict[str, bytes] = {}
+_NAME_HEADERS_CAP = 1024
+
+
+def _name_header(name: str) -> bytes:
+    """A folder name's wire header, remembered in :data:`_NAME_HEADERS`."""
+    name_bytes = name.encode("utf-8")
+    if len(name_bytes) > 0xFFFF:
+        raise CodecError(f"folder name too long: {name[:40]!r}...")
+    if len(_NAME_HEADERS) >= _NAME_HEADERS_CAP:
+        _NAME_HEADERS.clear()
+    header = _NAME_HEADERS[name] = _PACK_U16(len(name_bytes)) + name_bytes
+    return header
+
+
 def _encode_parts(briefcase: Briefcase) -> bytes:
     """Materialise the wire image (no cache interaction)."""
     folders = briefcase._folders
-    parts = [MAGIC, _U8.pack(VERSION), _PACK_U32(len(folders))]
+    parts = [_PREAMBLE, _PACK_U32(len(folders))]
     append = parts.append
+    headers = _NAME_HEADERS
     for folder in folders.values():
-        name_bytes = folder.name.encode("utf-8")
-        if len(name_bytes) > 0xFFFF:
-            raise CodecError(f"folder name too long: {folder.name[:40]!r}...")
+        name = folder.name
+        append(headers.get(name) or _name_header(name))
         elements = folder._elements
-        append(_PACK_U16(len(name_bytes)))
-        append(name_bytes)
         append(_PACK_U32(len(elements)))
         for data in elements:
             append(_PACK_U32(len(data)))
@@ -268,7 +301,7 @@ def _decode_fast(data: Buffer, caps: Tuple[int, int, int, int],
         # magic, then version, then the folder count.
         if n < len(MAGIC):
             raise _truncated(len(MAGIC), 0, n)
-        if bytes(data[:4]) != MAGIC:
+        if data[:4] != MAGIC:
             raise MalformedBriefcaseError("bad magic: not a TAX briefcase")
         if n < 5:
             raise _truncated(_U8.size, 4, n)
@@ -276,7 +309,7 @@ def _decode_fast(data: Buffer, caps: Tuple[int, int, int, int],
             raise MalformedBriefcaseError(
                 f"unsupported briefcase format version {data[4]}")
         raise _truncated(_U32.size, 5, n)
-    if bytes(data[:4]) != MAGIC:
+    if data[:4] != MAGIC:
         raise MalformedBriefcaseError("bad magic: not a TAX briefcase")
     version = data[4]
     if version != VERSION:
@@ -287,12 +320,11 @@ def _decode_fast(data: Buffer, caps: Tuple[int, int, int, int],
         raise MalformedBriefcaseError(
             f"implausible folder count {folder_count}")
     pos = _HEADER_BYTES
-    briefcase = Briefcase()
-    folders = briefcase._folders
-    cell = briefcase._cell
     # A slice of exact ``bytes`` is already an element's payload; any
     # other buffer is copied out once.
     exact_bytes = type(data) is bytes
+    folders: Dict[str, Folder] = {}
+    cell = [0, None]
     wire_only: WireOnly = {}
     stripped_bytes = 0
     total_elements = 0
@@ -329,9 +361,8 @@ def _decode_fast(data: Buffer, caps: Tuple[int, int, int, int],
         if total_elements > max_total:
             raise MalformedBriefcaseError(
                 f"implausible total element count {total_elements}")
-        elements = []
-        append = elements.append
-        for _ in range(element_count):
+        if element_count == 1:
+            # The common folder holds one value: the loop below, unrolled.
             end = pos + 4
             if end > n:
                 raise _truncated(4, pos, n)
@@ -345,8 +376,29 @@ def _decode_fast(data: Buffer, caps: Tuple[int, int, int, int],
                 raise MalformedBriefcaseError(
                     f"truncated briefcase: declared element size {size} "
                     f"exceeds the {n - pos} bytes left")
-            append(data[pos:end] if exact_bytes else bytes(data[pos:end]))
+            elements = [data[pos:end] if exact_bytes
+                        else bytes(data[pos:end])]
             pos = end
+        else:
+            elements = []
+            append = elements.append
+            for _ in range(element_count):
+                end = pos + 4
+                if end > n:
+                    raise _truncated(4, pos, n)
+                (size,) = _U32_AT(data, pos)
+                pos = end
+                if size > max_element:
+                    raise MalformedBriefcaseError(
+                        f"implausible element size {size}")
+                end = pos + size
+                if end > n:
+                    raise MalformedBriefcaseError(
+                        f"truncated briefcase: declared element size "
+                        f"{size} exceeds the {n - pos} bytes left")
+                append(data[pos:end] if exact_bytes
+                       else bytes(data[pos:end]))
+                pos = end
         if name in reserved:
             wire_only[name] = elements
             stripped_bytes += pos - start
@@ -360,16 +412,26 @@ def _decode_fast(data: Buffer, caps: Tuple[int, int, int, int],
     if pos != n:
         raise MalformedBriefcaseError(
             f"{n - pos} trailing bytes after briefcase")
+    # Every slot ``Briefcase.__init__`` sets, set once here.
+    briefcase = _new_briefcase(Briefcase)
+    briefcase._folders = folders
+    briefcase._cell = cell
+    briefcase._lender = None
     if exact_bytes:
         # The format is canonical: this exact buffer is what encode()
         # would produce, so it seeds the briefcase's encoding cache and
         # the next hop's admission/transfer/accounting reuse it.  The
         # buffer still holds any folder split off, so then only the
         # size is known.
-        briefcase._wire_stamp = cell[0]
+        briefcase._wire_stamp = 0
         if wire_only:
+            briefcase._wire_bytes = None
             briefcase._wire_size = n - stripped_bytes
         else:
             briefcase._wire_bytes = data
             briefcase._wire_size = n
+    else:
+        briefcase._wire_stamp = -1
+        briefcase._wire_bytes = None
+        briefcase._wire_size = 0
     return briefcase, wire_only

@@ -23,6 +23,12 @@ Every component except the (name, instance) pair — of which at least one
 must be given — is optional, so the same type doubles as an address
 *pattern*: :meth:`AgentUri.matches_agent` implements the firewall's
 partial-name matching.
+
+An address is immutable, so what is derived from it is derived once and
+kept on the instance: its text (``str``) and its local form
+(:meth:`AgentUri.local`, which every arriving message's target goes
+through).  Neither is a field: equality, hashing, ``repr``,
+``dataclasses.replace``, copies and pickles never see them.
 """
 
 from __future__ import annotations
@@ -156,12 +162,16 @@ class AgentUri:
     #: :meth:`__getstate__` leaves it out of the pickled state, so a
     #: pickle does not depend on whether the address was ever printed.
     _text = None
+    #: The address :meth:`local` built, kept the same way as ``_text``
+    #: (only on a remote address: a local one is its own local form).
+    _local = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__
-        if "_text" in state:
+        if "_text" in state or "_local" in state:
             state = dict(state)
-            del state["_text"]
+            state.pop("_text", None)
+            state.pop("_local", None)
         return state
 
     def __str__(self) -> str:
@@ -206,7 +216,11 @@ class AgentUri:
         return replace(self, host=host, port=port)
 
     def local(self) -> "AgentUri":
-        """This address with the remote part stripped."""
+        """This address with the remote part stripped: built on the
+        first call, then the same object on every call."""
+        stripped = self._local
+        if stripped is not None:
+            return stripped
         if self.host is None:
             # Already local (a port needs a host), and immutable.
             return self
@@ -218,6 +232,7 @@ class AgentUri:
         assign(stripped, "principal", self.principal)
         assign(stripped, "name", self.name)
         assign(stripped, "instance", self.instance)
+        assign(self, "_local", stripped)
         return stripped
 
     @classmethod

@@ -650,10 +650,8 @@ class Firewall:
                     self.host.name, "admitted", target=str(addressed),
                     principal=message.sender.principal,
                     wire_bytes=wire_bytes)
-        try:
-            registration = self.registry.resolve_one(
-                target, message.sender.principal)
-        except AgentNotFoundError:
+        found = self.registry.matches(target, message.sender.principal)
+        if not found:
             if message.queue_timeout > 0:
                 try:
                     self.pending.park(message,
@@ -667,6 +665,7 @@ class Firewall:
                 return True
             self.stats.rejections["absent"] += 1
             return False
+        registration = found[0]     # the oldest match
         if telemetry.enabled:
             (self._series.get("fw.routing_resolved")
              or self._counter("fw.routing_resolved")).inc()

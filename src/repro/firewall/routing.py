@@ -13,6 +13,14 @@ partially-specified addresses:
 
 When several registrations match, the oldest wins — deterministic, and
 the natural choice for service classes where any representative will do.
+
+A name-only address is the common case (a booted host registers 11
+service agents and VMs by name), so the registry keeps each name's
+registrations in a list of their own: resolving one reads that list,
+never the host's other registrations.  A firewall asks
+:meth:`Registry.matches` and parks the message when the list it gets is
+empty; nothing on that path raises.  ``tests/oracles/routing.py`` holds
+the scan over every registration that this replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.core.errors import AgentNotFoundError, TaxError
+from repro.core.errors import TaxError
 from repro.core.identity import SYSTEM_PRINCIPAL, AgentId
 from repro.core.uri import AgentUri
 from repro.firewall.message import Message
@@ -89,10 +97,17 @@ class Registration:
 
 
 class Registry:
-    """All agents currently registered at one firewall."""
+    """All agents currently registered at one firewall.
+
+    Two indexes over the same registrations: by instance (unique, the
+    key an instance-given address looks up) and by name, each name's
+    list in sequence order (what a name-only address reads, so its cost
+    is the registrations of that name, not of the host).
+    """
 
     def __init__(self):
         self._by_instance: Dict[str, Registration] = {}
+        self._by_name: Dict[str, List[Registration]] = {}
         self._sequence = 0
 
     def add(self, registration: Registration) -> Registration:
@@ -102,6 +117,12 @@ class Registry:
         self._sequence += 1
         registration.sequence = self._sequence
         self._by_instance[key] = registration
+        name = registration.agent_id.name
+        named = self._by_name.get(name)
+        if named is None:
+            self._by_name[name] = [registration]
+        else:
+            named.append(registration)
         return registration
 
     def remove(self, agent_id: AgentId) -> Optional[Registration]:
@@ -115,6 +136,15 @@ class Registry:
         """
         registration = self._by_instance.pop(agent_id.instance, None)
         if registration is not None:
+            name = registration.agent_id.name
+            named = self._by_name[name]
+            # By identity: registrations compare by value.
+            for index, other in enumerate(named):
+                if other is registration:
+                    del named[index]
+                    break
+            if not named:
+                del self._by_name[name]
             registration.deliver_fn = _departed
             registration.process = None
         return registration
@@ -122,6 +152,7 @@ class Registry:
     def _remove_all(self) -> None:
         """:meth:`remove` every registration (a world being closed)."""
         registrations, self._by_instance = self._by_instance, {}
+        self._by_name = {}
         for registration in registrations.values():
             registration.deliver_fn = _departed
             registration.process = None
@@ -142,29 +173,33 @@ class Registry:
 
     def matches(self, target: AgentUri,
                 sender_principal: Optional[str]) -> List[Registration]:
-        """Registrations selected by a (possibly partial) local address.
+        """Registrations selected by a (possibly partial) local address,
+        oldest first.
 
         :meth:`AgentUri.matches_agent` plus the two-valid-principals
         rule, with the target read once: a given instance is a key
-        lookup, and each candidate costs one comparison per component.
+        lookup, a name only is the list of that name, and each candidate
+        then costs one comparison of its principal.
         """
         name = target.name
         principal = target.principal
         if target.instance is not None:
             registration = self._by_instance.get(target.instance)
-            candidates: Iterable[Registration] = \
-                () if registration is None else (registration,)
+            if registration is None or (
+                    name is not None and registration.agent_id.name != name):
+                return []
+            candidates: Iterable[Registration] = (registration,)
         else:
-            # Oldest first: ``add`` is the only writer of ``sequence``
-            # and it appends, so insertion order is sequence order.
-            candidates = self._by_instance.values()
+            # ``add`` appends and ``remove`` keeps the order, so each
+            # name's list is in sequence order.  An address gives a name
+            # or an instance (``AgentUri`` refuses an address with
+            # neither).
+            candidates = self._by_name.get(name, ())
         # The two-valid-principals rule, for a target that names none.
         valid = (SYSTEM_PRINCIPAL,) if sender_principal is None \
             else (SYSTEM_PRINCIPAL, sender_principal)
         found = []
         for registration in candidates:
-            if name is not None and registration.agent_id.name != name:
-                continue
             owner = registration.principal
             if principal is None:
                 if owner not in valid:
@@ -173,11 +208,3 @@ class Registry:
                 continue
             found.append(registration)
         return found
-
-    def resolve_one(self, target: AgentUri,
-                    sender_principal: Optional[str]) -> Registration:
-        """The single registration a message should go to (oldest match)."""
-        found = self.matches(target, sender_principal)
-        if not found:
-            raise AgentNotFoundError(f"no agent matching {target}")
-        return found[0]

@@ -4,7 +4,11 @@ Nothing under ``src/repro`` imports from here.  Each module holds the
 readable or pre-optimisation twin of one product hot path:
 
 - :mod:`tests.oracles.codec` — the cursor-based briefcase decoder
-  (``reference_decode``) and the deterministic codec workload;
+  (``reference_decode``), the encoder that encodes every folder name
+  afresh (``reference_encode``) and the deterministic codec workload;
+- :mod:`tests.oracles.routing` — name resolution as a scan over every
+  registration (``reference_matches``), where the product reads the
+  target name's own list;
 - :mod:`tests.oracles.kernel` — the pre-optimisation event kernel
   (dict-based events, a ``run()`` that calls its own ``step()`` once
   per event — the product kernel has one dispatch loop and no

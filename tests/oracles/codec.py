@@ -11,6 +11,10 @@ comparison every decoder test goes through.
 :func:`reference_arrival` is ``codec.decode_arrival`` as it used to be
 done: the whole briefcase decoded, then each wire-only folder popped
 off it again.
+
+:func:`reference_encode` is the encoder before folder-name headers were
+kept across encodes: every name UTF-8 encoded and length-checked on
+every encode.  :func:`differential_encode` compares the product with it.
 """
 
 import struct
@@ -69,6 +73,42 @@ class _Reader:
     @property
     def exhausted(self) -> bool:
         return self.pos == len(self.data)
+
+
+def reference_encode(briefcase: Briefcase) -> bytes:
+    """The wire image, every folder name encoded afresh."""
+    folders = briefcase._folders
+    parts = [MAGIC, _U8.pack(VERSION), _U32.pack(len(folders))]
+    append = parts.append
+    for folder in folders.values():
+        name_bytes = folder.name.encode("utf-8")
+        if len(name_bytes) > 0xFFFF:
+            raise CodecError(f"folder name too long: {folder.name[:40]!r}...")
+        elements = folder._elements
+        append(_U16.pack(len(name_bytes)))
+        append(name_bytes)
+        append(_U32.pack(len(elements)))
+        for data in elements:
+            append(_U32.pack(len(data)))
+            append(data)
+    return b"".join(parts)
+
+
+def differential_encode(briefcase: Briefcase) -> tuple:
+    """Encode with the product (uncached, then through ``encode``) and
+    with :func:`reference_encode`, assert they agree, and return
+    ``("ok", wire)`` or ``("err", error type, message)``."""
+    def outcome(encode):
+        try:
+            return ("ok", encode(briefcase))
+        except CodecError as exc:
+            return ("err", type(exc), str(exc))
+
+    oracle = outcome(reference_encode)
+    for product in (outcome(codec._encode_parts), outcome(codec.encode)):
+        assert product == oracle, (
+            f"encoders disagree on {briefcase!r}: {product} != {oracle}")
+    return oracle
 
 
 def _decode_reference(data: Buffer,

@@ -23,7 +23,9 @@ from repro.sim.rng import RandomStream
 from tests.oracles.codec import (
     differential_arrival,
     differential_decode,
+    differential_encode,
     reference_decode,
+    reference_encode,
     reference_wire_values,
 )
 
@@ -32,10 +34,15 @@ FORBIDDEN = (IndexError, KeyError, struct.error, UnicodeDecodeError,
              MemoryError, OverflowError)
 
 
+#: Folder-name stems, one or more bytes per character in UTF-8.
+NAME_STEMS = ("F", "dossier-é", "Ordner-ß", "папка", "フォルダ", "📁")
+
+
 def random_briefcase(rng: RandomStream) -> Briefcase:
     briefcase = Briefcase()
     for f in range(rng.randint(0, 5)):
-        folder = briefcase.folder(f"F{f}-{rng.randint(0, 999)}")
+        stem = NAME_STEMS[rng.randint(0, len(NAME_STEMS) - 1)]
+        folder = briefcase.folder(f"{stem}{f}-{rng.randint(0, 999)}")
         for _ in range(rng.randint(0, 4)):
             folder.push(bytes(rng.randint(0, 255)
                               for _ in range(rng.randint(0, 64))))
@@ -74,15 +81,14 @@ class TestMutationFuzz:
         rng = RandomStream(42, name="fuzz/flip")
         for round_no in range(40):
             original = random_briefcase(rng)
-            wire = bytearray(codec.encode(original))
-            if not wire:
-                continue
+            _status, wire = differential_encode(original)
+            wire = bytearray(wire)
             pos = rng.randint(0, len(wire) - 1)
             wire[pos] ^= 1 << rng.randint(0, 7)
             decoded = try_decode(bytes(wire))
             if decoded is not None:
                 # A surviving mutation must still re-encode cleanly.
-                codec.encode(decoded)
+                differential_encode(decoded)
 
     def test_truncations_never_crash(self):
         rng = RandomStream(43, name="fuzz/truncate")
@@ -117,7 +123,64 @@ class TestMutationFuzz:
         rng = RandomStream(47, name="fuzz/clean")
         for _ in range(25):
             original = random_briefcase(rng)
-            assert codec.decode(codec.encode(original)) == original
+            _status, wire = differential_encode(original)
+            assert codec.decode(wire) == original
+
+
+class TestEncoderEquivalence:
+    """``codec.encode`` against the reference encoder, which encodes
+    every folder name afresh, while the product's name-header table
+    fills, empties at its cap and refuses a name too long for u16."""
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        """An empty name table of the product's own, for this test."""
+        table = {}
+        monkeypatch.setattr(codec, "_NAME_HEADERS", table)
+        return table
+
+    def test_names_of_every_width_encode_as_the_reference(self, table):
+        rng = RandomStream(48, name="fuzz/encode")
+        for _ in range(60):
+            differential_encode(random_briefcase(rng))
+        # Served from the table the second time round.
+        rng = RandomStream(48, name="fuzz/encode")
+        filled = dict(table)
+        for _ in range(60):
+            differential_encode(random_briefcase(rng))
+        assert table == filled and any(
+            len(header) - 2 > len(name) for name, header in table.items())
+
+    def test_the_table_empties_at_its_cap_and_stays_exact(self, table):
+        cap = codec._NAME_HEADERS_CAP
+        for index in range(cap):
+            differential_encode(Briefcase({f"N{index}-ü": [b"x"]}))
+        assert len(table) == cap
+        briefcase = Briefcase({"N0-ü": [b"x"], "past-the-cap": [b"y"]})
+        wire = codec.encode(briefcase)
+        # "N0-ü" was served from the full table; the new name emptied it.
+        assert list(table) == ["past-the-cap"]
+        assert wire == reference_encode(briefcase)
+        differential_encode(Briefcase({"N0-ü": [b"x"], "N1-ü": []}))
+        assert list(table) == ["past-the-cap", "N0-ü", "N1-ü"]
+
+    @pytest.mark.parametrize("name", [
+        "x" * 0x10000, "é" * 0x8000, "📁" * 0x4000, "x" * 0xFFFE + "é"],
+        ids=["ascii", "two-byte", "four-byte", "one-byte-over"])
+    def test_a_name_too_long_for_u16_raises_and_is_not_kept(self, table,
+                                                            name):
+        briefcase = Briefcase({"before": [b"x"], name: [b"y"]})
+        for _ in range(2):
+            status, error, message = differential_encode(briefcase)
+            assert status == "err" and error is CodecError
+            assert message.startswith("folder name too long")
+            assert name not in table
+
+    def test_the_longest_name_u16_holds_is_kept(self, table):
+        name = "x" * 0xFFFD + "é"
+        status, wire = differential_encode(Briefcase({name: [b"y"]}))
+        assert status == "ok" and table[name][:2] == b"\xff\xff"
+        assert codec.decode(wire).names() == [name]
 
 
 RESERVED = sorted(wellknown.WIRE_ONLY_FOLDERS)

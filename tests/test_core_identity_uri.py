@@ -220,3 +220,45 @@ class TestUriTextCache:
             uri.host, uri.port, uri.principal, "other", uri.instance))
         assert str(dataclasses.replace(uri, principal="bob")) == str(
             AgentUri(uri.host, uri.port, "bob", uri.name, uri.instance))
+
+
+
+class TestUriLocalCache:
+    """``uri.local()`` is built once and kept on the instance, the way
+    ``str(uri)`` is; nothing else may tell whether it was."""
+
+    @pytest.mark.parametrize("text", TEXT_SHAPES)
+    def test_local_is_kept_and_equals_a_fresh_strip(self, text):
+        uri = AgentUri.parse(text)
+        fresh = AgentUri(None, None, uri.principal, uri.name, uri.instance)
+        stripped = uri.local()
+        assert uri.local() is stripped
+        assert stripped == fresh and hash(stripped) == hash(fresh)
+        assert repr(stripped) == repr(fresh) and str(stripped) == str(fresh)
+        assert stripped.local() is stripped
+        if not uri.is_remote:
+            assert stripped is uri
+
+    @pytest.mark.parametrize("text", TEXT_SHAPES)
+    def test_stripping_changes_nothing_observable(self, text):
+        uri = AgentUri(*dataclasses.astuple(AgentUri.parse(text)))
+        before = TestUriTextCache.observable(uri)
+        uri.local()
+        assert TestUriTextCache.observable(uri) == before
+        never_stripped = AgentUri(*dataclasses.astuple(uri))
+        assert uri == never_stripped and hash(uri) == hash(never_stripped)
+        assert repr(uri) == repr(never_stripped)
+        assert "_local" not in repr(uri) and "_local" not in \
+            [field.name for field in dataclasses.fields(uri)]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(uri, protocol) == \
+                pickle.dumps(never_stripped, protocol)
+        for copied in (copy.copy(uri), copy.deepcopy(uri),
+                       pickle.loads(pickle.dumps(uri)),
+                       dataclasses.replace(uri)):
+            assert copied == uri
+            assert "_local" not in vars(copied)
+            assert copied.local() == uri.local()
+        renamed = dataclasses.replace(uri, name="other")
+        assert renamed.local() == AgentUri(
+            None, None, uri.principal, "other", uri.instance)

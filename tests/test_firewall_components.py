@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.briefcase import Briefcase
-from repro.core.errors import AgentNotFoundError, TrustError
+from repro.core.errors import TrustError
 from repro.core.identity import AgentId
 from repro.core.uri import AgentUri
 from repro.firewall.auth import (
@@ -162,22 +162,23 @@ class TestRegistry:
     def test_resolve_by_name(self):
         registry = Registry()
         reg = registry.add(registration("ag_fs", "1"))
-        assert registry.resolve_one(AgentUri.parse("ag_fs"), "alice") is reg
+        assert registry.matches(AgentUri.parse("ag_fs"), "alice") == [reg]
 
     def test_resolve_by_instance_only(self):
         registry = Registry()
         reg = registry.add(registration("whatever", "2b"))
-        assert registry.resolve_one(AgentUri.parse(":2b"), None) is reg
+        assert registry.matches(AgentUri.parse(":2b"), None) == [reg]
 
     def test_oldest_match_wins(self):
         registry = Registry()
         first = registry.add(registration("svc", "1"))
-        registry.add(registration("svc", "2"))
-        assert registry.resolve_one(AgentUri.parse("svc"), None) is first
+        second = registry.add(registration("svc", "2"))
+        found = registry.matches(AgentUri.parse("svc"), None)
+        assert [id(reg) for reg in found] == [id(first), id(second)]
 
     def test_match_order_survives_remove_and_readd(self):
-        # matches() walks the instance dict directly: re-registering a
-        # removed instance must put it behind everything still there.
+        # Re-registering a removed instance must put it behind
+        # everything still there, in the name's list as in all().
         registry = Registry()
         first = registry.add(registration("svc", "1"))
         second = registry.add(registration("svc", "2"))
@@ -187,11 +188,14 @@ class TestRegistry:
         target = AgentUri.parse("svc")
         assert registry.matches(target, None) == [second, third, readded]
         assert registry.matches(target, None) == registry.all()
-        assert registry.resolve_one(target, None) is second
+        assert registry.matches(target, None)[0] is second
 
-    def test_no_match_raises(self):
-        with pytest.raises(AgentNotFoundError):
-            Registry().resolve_one(AgentUri.parse("ghost"), None)
+    def test_no_match_is_empty(self):
+        registry = Registry()
+        registry.add(registration("svc", "1"))
+        assert Registry().matches(AgentUri.parse("ghost"), None) == []
+        assert registry.matches(AgentUri.parse("ghost"), None) == []
+        assert registry.matches(AgentUri.parse("ghost:1"), None) == []
 
     def test_two_valid_principals_rule(self):
         registry = Registry()

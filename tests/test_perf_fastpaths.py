@@ -59,6 +59,29 @@ class TestDecoderEquivalence:
         status, *_ = both_decoders(wire[:cut])
         assert status == "err"
 
+    @pytest.mark.parametrize("cut", list(range(10, 22)))
+    def test_agree_on_a_one_element_folder_cut_anywhere(self, both_decoders,
+                                                        cut):
+        # Its name, element count, element size and payload: the
+        # decoder's straight-line path for a one-element folder.
+        wire = wire_of({"F": [b"xy"]})
+        assert len(wire) == 22
+        status, _type, message = both_decoders(wire[:cut])
+        assert status == "err" and "truncated" in message
+
+    @pytest.mark.parametrize("size, limits, message", [
+        (3, None, "truncated briefcase: declared element size 3 exceeds "
+                  "the 2 bytes left"),
+        (0xFFFFFFFF, None, "implausible element size 4294967295"),
+        (3, WireLimits(max_element_bytes=2), "implausible element size 3"),
+    ])
+    def test_agree_on_a_one_element_folder_of_implausible_size(
+            self, both_decoders, size, limits, message):
+        wire = bytearray(wire_of({"F": [b"xy"]}))
+        struct.pack_into(">I", wire, 16, size)
+        status, _type, text = both_decoders(bytes(wire), limits)
+        assert status == "err" and text == message
+
     def test_agree_on_bad_magic(self, both_decoders):
         wire = bytearray(wire_of({"F": [b"x"]}))
         wire[0] = 0x00

@@ -364,6 +364,37 @@ class TestBootIsTheEagerBoot:
         assert self.served_in_order() == eager == [0, 1]
 
 
+#: Why a durable pad launches twice under one landing id.
+TWIN_ACROSS_DURABLE_RESTART = (
+    "a durable restart restores the landing registry from the journal, "
+    "which never records a pending acquire, and the crash tombstones do "
+    "not survive replay: the duplicate transport acquires the slot anew "
+    "and both launch (ROADMAP item 16 (c): an owner token per acquire, "
+    "or crash tombstones that survive replay)")
+
+
+class TestOneLaunchPerLanding:
+    @pytest.mark.parametrize("durable", [
+        False, pytest.param(True, marks=pytest.mark.xfail(
+            strict=True, reason=TWIN_ACROSS_DURABLE_RESTART))],
+        ids=["volatile", "durable"])
+    def test_a_landing_launches_at_most_once_across_a_restart(self,
+                                                              durable):
+        """Three transports of one landing id (two before the crash, a
+        retry after the restart) may launch one incarnation between
+        them, whatever each is told."""
+        pad = LandingPad(LANDED_ACROSS_RESTART, durable)
+        outcomes = pad.run()
+        launched = {span.args["agent"] for span
+                    in pad.cluster.telemetry.tracer.find(
+                        name="vm.launch", track=f"vm:{PAD}")
+                    if span.args["outcome"] == "ok"}
+        landed = {entry[2][1] for entry in outcomes
+                  if len(entry) == 3 and entry[2][0] == "landed"}
+        pad.cluster.close()
+        assert len(launched) <= 1 and landed <= launched
+
+
 class TestLandingPadBudget:
     def test_a_booted_node_costs_nothing_until_asked(self):
         for boot, events in ((contextlib.nullcontext, 0),
