@@ -8,6 +8,7 @@ it replaced, and the path as a whole is held to a budget of Python calls.
 """
 
 import dataclasses
+import gc
 import json
 import sys
 
@@ -469,11 +470,17 @@ def count_frame_events(firewall, index):
             counts[event] += 1
         return tracer
 
+    # A collection inside the frame could run weakref callbacks, whose
+    # lines are not the frame's.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.settrace(tracer)
     try:
         offer_frame(firewall, briefcase)
     finally:
         sys.settrace(None)
+        if collecting:
+            gc.enable()
     return counts
 
 
